@@ -111,12 +111,18 @@ func BenchmarkHashSession(b *testing.B) {
 // TestHashZeroAllocSteadyState locks in the zero-allocation pipeline:
 // once a session's buffers have reached their high-water capacities,
 // hashing must not allocate — through a dedicated session and through
-// the pooled public Hash path alike.
+// the pooled public Hash path alike, on either execution engine.
 func TestHashZeroAllocSteadyState(t *testing.T) {
 	if testing.Short() {
 		t.Skip("allocation measurement skipped in -short mode")
 	}
-	h, err := New()
+	for _, backend := range []string{"native", "interp"} {
+		t.Run(backend, func(t *testing.T) { testHashZeroAlloc(t, backend) })
+	}
+}
+
+func testHashZeroAlloc(t *testing.T, backend string) {
+	h, err := New(WithBackend(backend))
 	if err != nil {
 		t.Fatal(err)
 	}

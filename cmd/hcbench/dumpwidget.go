@@ -13,8 +13,10 @@ import (
 
 // runDumpWidget prints every representation of one widget program — the
 // architectural stream, the fused superinstruction stream the interpreter
-// executes, and the native-code footprint the JIT compiles from that same
-// fused-block structure — for codegen debugging. The widget is the one the
+// executes, and what the JIT compiles from the same block structure (its
+// shared scratch-memory routines and each block's code size) — for codegen
+// debugging, then runs it once to report how much of its scratch memory
+// it writes. The widget is the one the
 // production pipeline would run first for the input LE64(seed): its
 // generator seed is the hash gate applied to that input, exactly as
 // Session.Hash derives it, so a digest divergence seen in the differential
@@ -47,10 +49,17 @@ func runDumpWidget(profileName string, seed uint64) error {
 	fmt.Println("; ---- fused stream (interpreter dispatch, JIT block structure) ----")
 	fmt.Print(m.DisassembleFused())
 
-	if size, err := m.CompileNative(); err != nil {
+	if native, err := m.DumpNative(); err != nil {
 		fmt.Printf("; ---- native code: unavailable (%v) ----\n", err)
 	} else {
-		fmt.Printf("; ---- native code: %d bytes ----\n", size)
+		fmt.Println("; ---- native code (shared memory routines, per-block sizes) ----")
+		fmt.Print(native)
 	}
+
+	// The sparsity the memory model relies on, for this widget.
+	m.TrackMemory(true)
+	res := m.Run(vm.Params{}, nil)
+	fmt.Printf("; ---- run: %d instructions retired, %d of %d scratch-memory words written ----\n",
+		res.Retired, m.LastRunStats().WordsWritten, p.MemSize/8)
 	return nil
 }

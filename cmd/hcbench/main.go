@@ -52,7 +52,7 @@ func main() {
 	benchN := flag.Int("benchn", 200, "hash evaluations for the vm benchmark")
 	benchOut := flag.String("benchout", "BENCH_vm.json", "output path for the vm benchmark JSON")
 	backend := flag.String("backend", "auto", "widget execution backend for the vm benchmark headline: auto, native or interp")
-	dumpWidget := flag.Bool("dump-widget", false, "disassemble the widget selected by -profile/-seed (architectural and fused streams, native code size) and exit")
+	dumpWidget := flag.Bool("dump-widget", false, "disassemble the widget selected by -profile/-seed (architectural and fused streams, the native shared memory routines and per-block code sizes, words written by one run) and exit")
 	poolN := flag.Int("pooln", 256, "shares for the pool verification benchmark")
 	poolWorkers := flag.Int("poolworkers", 0, "verification workers for the pool benchmark (0 = GOMAXPROCS)")
 	poolConns := flag.Int("poolconns", 10000, "subscriber connections for the pool broadcast fan-out scenario")

@@ -12,6 +12,7 @@ import (
 
 	"hashcore"
 	"hashcore/internal/telemetry"
+	"hashcore/internal/workload"
 )
 
 // VMBenchReport is the machine-readable record of one hash-pipeline
@@ -43,10 +44,14 @@ type VMBenchReport struct {
 	// CompileNsPerHash is mean nanoseconds per hash spent compiling
 	// widgets to native code (part of exec_ns; 0 for the interpreter).
 	CompileNsPerHash float64 `json:"compile_ns"`
-	// FillNsPerHash is mean nanoseconds per hash the pipeline spent
-	// blocked on the overlapped scratch-memory fill (part of exec_ns;
-	// near zero when the fill hides fully under generation+compile).
+	// FillNsPerHash is mean nanoseconds per hash spent resetting the VM's
+	// scratch memory (part of exec_ns). The key predates the sparse memory
+	// model: nothing is filled, the reset clears the written map.
 	FillNsPerHash float64 `json:"fill_ns"`
+	// WordsWrittenPerHash is the mean number of distinct scratch-memory
+	// words a hash stored to, of ImageWords in the image.
+	WordsWrittenPerHash float64 `json:"words_written_per_hash"`
+	ImageWords          int     `json:"image_words"`
 	// LoadNsPerHash is mean nanoseconds per hash spent loading generated
 	// widgets into the VM (part of exec_ns).
 	LoadNsPerHash float64 `json:"load_ns"`
@@ -204,6 +209,11 @@ func runVMBench(profileName, backendFlag string, n int, outPath string) error {
 	if n < 1 {
 		n = 1
 	}
+	w, err := workload.ByName(profileName)
+	if err != nil {
+		return err
+	}
+	imageWords := w.Profile.WorkingSet / 8
 	headlineBackend := "interp"
 	if hashcore.NativeBackendSupported() && backendFlag != "interp" {
 		headlineBackend = "native"
@@ -252,6 +262,9 @@ func runVMBench(profileName, backendFlag string, n int, outPath string) error {
 		FillNsPerHash:    float64(head.phases.FillNs) / float64(n),
 		LoadNsPerHash:    float64(head.phases.LoadNs) / float64(n),
 
+		WordsWrittenPerHash: float64(head.phases.WordsWritten) / float64(n),
+		ImageWords:          imageWords,
+
 		GenNsPerHash:   genNs,
 		ExecNsPerHash:  execNs,
 		GateNsPerHash:  nsPerHash - genNs - execNs,
@@ -265,9 +278,9 @@ func runVMBench(profileName, backendFlag string, n int, outPath string) error {
 
 	fmt.Printf("profile=%s n=%d backend=%s  %.1f hashes/s  %.0f ns/hash  %.2f allocs/hash  %.0f B/hash\n",
 		rep.Profile, rep.Iterations, rep.Backend, rep.HashesPerS, rep.NsPerHash, rep.AllocsHash, rep.BytesHash)
-	fmt.Printf("split: gen %.0f ns  exec %.0f ns (compile %.0f, load %.0f, fill-wait %.0f)  gate %.0f ns  |  %.0f instr/hash  %.1f effective MIPS\n",
+	fmt.Printf("split: gen %.0f ns  exec %.0f ns (compile %.0f, load %.0f, memory reset %.0f)  gate %.0f ns  |  %.0f instr/hash  %.1f effective MIPS  |  %.0f of %d image words written\n",
 		rep.GenNsPerHash, rep.ExecNsPerHash, rep.CompileNsPerHash, rep.LoadNsPerHash, rep.FillNsPerHash,
-		rep.GateNsPerHash, rep.RetiredPerHash, rep.EffectiveMIPS)
+		rep.GateNsPerHash, rep.RetiredPerHash, rep.EffectiveMIPS, rep.WordsWrittenPerHash, rep.ImageWords)
 	if native != nil {
 		fmt.Printf("backends: native %.0f ns/hash  interp %.0f ns/hash  (%.2fx)\n",
 			rep.NsPerHashNative, rep.NsPerHashInterp, rep.NsPerHashInterp/rep.NsPerHashNative)

@@ -25,6 +25,9 @@ type hashMetrics struct {
 	// ratio (1.0 = no fusion benefit).
 	archInstrs  *telemetry.Counter
 	fusedInstrs *telemetry.Counter
+	// wordsWritten counts the distinct scratch-memory words widgets
+	// stored to: the touched part of the never-materialized image.
+	wordsWritten *telemetry.Counter
 	// jitCompileSeconds is the per-widget native compilation latency
 	// (observed only on runs that actually compiled).
 	jitCompileSeconds *telemetry.Histogram
@@ -57,6 +60,8 @@ func newHashMetrics(reg *telemetry.Registry) *hashMetrics {
 		fusedInstrs: reg.Counter("hashcore_vm_instructions_total",
 			"Static instruction-stream lengths of loaded widgets.",
 			telemetry.Label{Key: "stream", Value: "fused"}),
+		wordsWritten: reg.Counter("hashcore_vm_words_written_total",
+			"Distinct scratch-memory words stored to by executed widgets."),
 		jitCompileSeconds: reg.Histogram("hashcore_jit_compile_seconds",
 			"Per-widget native code compilation latency.",
 			telemetry.QueueLatencyBuckets),

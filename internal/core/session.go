@@ -2,8 +2,6 @@ package core
 
 import (
 	"fmt"
-	"runtime"
-	"sync"
 	"time"
 
 	"hashcore/internal/asm"
@@ -13,7 +11,7 @@ import (
 
 // Session is a reusable execution context for one HashCore function: it
 // owns the generator scratch (PRNGs, budgets, program builder), the VM
-// (decoded code and scratch memory image), the execution result (snapshot
+// (decoded code and scratch memory), the execution result (snapshot
 // output buffer) and the gate concatenation buffer. After a few warm-up
 // hashes every buffer has reached its high-water capacity and further
 // Hash calls allocate nothing.
@@ -24,21 +22,8 @@ import (
 // goroutine hashes in a tight loop (miner workers do this) and the pool
 // round-trip is unwanted.
 //
-// Each session owns one helper goroutine that restores the VM's
-// scratch-memory image concurrently with widget generation and
-// compilation (the memory declaration is derivable from the hash seed
-// alone — see perfprox.Generator.MemoryPlan — so the fill needs nothing
-// from the not-yet-generated program). Close releases the helper;
-// sessions that are dropped without Close (a sync.Pool eviction, a
-// forgotten miner worker) release it through a finalizer, so the helper
-// can never leak past its session's lifetime — but explicit Close is
-// preferred wherever a session's end is knowable (daemons do this on
-// shutdown). A closed session must not be used again.
-//
 // Digests computed through a Session are bit-identical to the
-// allocate-per-call pipeline — the overlapped fill produces the same
-// pristine image reset would build, and a mismatched preparation is
-// discarded, never adopted — and the golden-vector tests lock this in.
+// allocate-per-call pipeline; the golden-vector tests lock this in.
 type Session struct {
 	f   *Func
 	gen perfprox.Scratch
@@ -46,73 +31,17 @@ type Session struct {
 	res vm.Result
 	buf []byte // seed || widget-output gate message
 
-	// The fill helper: runWidget sends the next widget's memory
-	// declaration, the helper answers on fillDone when the image is
-	// pristine. Both channels are buffered so neither side blocks on a
-	// missing rendezvous partner; nil when the helper is disabled (the
-	// single-threaded reference pipeline the equivalence tests run).
-	fillReq   chan fillRequest
-	fillDone  chan struct{}
-	closeOnce sync.Once
-
 	// execMark is the instant the timed execution phase began (set by
 	// loadWidget when instrumentation is on; runWidget closes the
 	// interval after the run).
 	execMark time.Time
 }
 
-// fillRequest names a pristine scratch-memory image to prepare.
-type fillRequest struct {
-	size int
-	seed uint64
-}
-
 // NewSession returns a fresh execution context for f.
 func (f *Func) NewSession() *Session {
-	s := &Session{
-		f:        f,
-		m:        &vm.Machine{},
-		fillReq:  make(chan fillRequest, 1),
-		fillDone: make(chan struct{}, 1),
-	}
+	s := &Session{f: f, m: &vm.Machine{}}
 	s.m.SetBackend(f.backend)
-	// The helper captures the machine and channels, NOT the session:
-	// a session unreferenced by everything but its own helper must become
-	// garbage so the finalizer can release that helper.
-	m, req, done := s.m, s.fillReq, s.fillDone
-	go func() {
-		for r := range req {
-			m.PrepareMemory(r.size, r.seed)
-			done <- struct{}{}
-		}
-	}()
-	runtime.SetFinalizer(s, (*Session).Close)
 	return s
-}
-
-// Close releases the session's fill helper goroutine. It is idempotent
-// and safe to call on a session in any quiescent state (never concurrently
-// with a Hash in flight). Pooled sessions need no explicit Close — the
-// pool's owner Func never closes them, and a finalizer covers sessions the
-// pool drops — but long-lived direct holders (miner workers, daemons)
-// should Close when done. A closed session must not be used again.
-func (s *Session) Close() {
-	s.closeOnce.Do(func() {
-		runtime.SetFinalizer(s, nil)
-		if s.fillReq != nil {
-			close(s.fillReq)
-		}
-	})
-}
-
-// disableFill turns the session into the single-threaded reference
-// pipeline: the fill helper is released and every subsequent reset
-// restores scratch memory inline, exactly as the pre-overlap pipeline
-// did. Test hook (the overlapped-vs-reference equivalence tests run one
-// of each); not part of the public surface.
-func (s *Session) disableFill() {
-	s.Close()
-	s.fillReq, s.fillDone = nil, nil
 }
 
 // Hash computes the HashCore digest of input using the session's reusable
@@ -137,11 +66,10 @@ type PhaseTimings struct {
 	// CompileNs is nanoseconds spent compiling widgets to native code
 	// (a subset of ExecNs; zero when the interpreter backend runs).
 	CompileNs int64
-	// FillNs is nanoseconds the pipeline spent blocked waiting for the
-	// concurrent scratch-memory preparation (a subset of ExecNs). Near
-	// zero when the fill helper finishes under the generation+compile
-	// shadow; approaching the full fill cost when it does not (e.g. a
-	// single-CPU host, where the helper's work serializes anyway).
+	// FillNs is nanoseconds spent resetting the VM's scratch memory (a
+	// subset of ExecNs). The name predates the sparse memory model: the
+	// image is never filled now, and the reset is clearing the written
+	// map, one bit per image word (vm.Machine).
 	FillNs int64
 	// LoadNs is nanoseconds spent loading generated programs into the VM
 	// (a subset of ExecNs): adopting the builder arena's pre-decoded
@@ -149,6 +77,9 @@ type PhaseTimings struct {
 	LoadNs int64
 	// Retired is the total number of retired widget instructions.
 	Retired uint64
+	// WordsWritten is the total number of distinct scratch-memory words
+	// the widgets stored to — the part of the image that ever existed.
+	WordsWritten uint64
 	// Hashes is the number of HashTimed calls accumulated.
 	Hashes uint64
 }
@@ -196,36 +127,12 @@ func (s *Session) hashInner(input []byte, obs vm.Observer, t *PhaseTimings) (Dig
 	return seed, nil
 }
 
-// runWidget executes W(s) into s.res as an overlapped pipeline: the fill
-// helper restores the VM's scratch-memory image (known from the seed
-// alone) while this goroutine generates the widget (optionally
-// round-tripping through source), loads it into the session VM and
-// compiles it; the two halves join right before the run, which then finds
-// memory already pristine. The phases touch disjoint machine state (image
-// vs. code), and a preparation that does not exactly match the loaded
-// program's declaration is discarded by the VM, so digests cannot depend
-// on the overlap.
+// runWidget executes W(s) into s.res: generate the widget (optionally
+// round-tripping through source), load it into the session VM, compile
+// it, run it.
 func (s *Session) runWidget(seed perfprox.Seed, obs vm.Observer, t *PhaseTimings) error {
 	f := s.f
-	overlap := s.fillReq != nil
-	if overlap {
-		size, memSeed := f.gen.MemoryPlan(seed)
-		s.fillReq <- fillRequest{size: size, seed: memSeed}
-	}
-	err := s.loadWidget(seed, obs, t)
-	if overlap {
-		// Always collect the helper's answer — an error path that left
-		// the rendezvous pending would desynchronize every later widget.
-		var fillStart time.Time
-		if t != nil {
-			fillStart = time.Now()
-		}
-		<-s.fillDone
-		if t != nil {
-			t.FillNs += time.Since(fillStart).Nanoseconds()
-		}
-	}
-	if err != nil {
+	if err := s.loadWidget(seed, obs, t); err != nil {
 		return err
 	}
 	if met := f.met; met != nil {
@@ -233,16 +140,24 @@ func (s *Session) runWidget(seed perfprox.Seed, obs vm.Observer, t *PhaseTimings
 		met.archInstrs.Add(uint64(arch))
 		met.fusedInstrs.Add(uint64(fused))
 	}
+	// t is non-nil whenever a PhaseTimings or a registry is attached (see
+	// hash); only then does the run pay for its memory statistics.
+	s.m.TrackMemory(t != nil)
 	s.m.RunInto(f.vparams, obs, &s.res)
-	if t != nil || f.met != nil || f.journal != nil {
+	if t != nil || f.journal != nil {
 		st := s.m.LastRunStats()
 		if t != nil {
 			t.ExecNs += time.Since(s.execMark).Nanoseconds()
 			t.CompileNs += st.CompileNs
+			t.FillNs += st.ResetNs
 			t.Retired += s.res.Retired
+			t.WordsWritten += st.WordsWritten
 		}
-		if met := f.met; met != nil && st.Compiled {
-			met.jitCompileSeconds.Observe(float64(st.CompileNs) / 1e9)
+		if met := f.met; met != nil {
+			met.wordsWritten.Add(st.WordsWritten)
+			if st.Compiled {
+				met.jitCompileSeconds.Observe(float64(st.CompileNs) / 1e9)
+			}
 		}
 		if st.FallbackErr != nil {
 			f.noteFallback(st.FallbackErr)
@@ -251,10 +166,9 @@ func (s *Session) runWidget(seed perfprox.Seed, obs vm.Observer, t *PhaseTimings
 	return nil
 }
 
-// loadWidget runs the generate/load/compile half of the widget pipeline —
-// everything that can proceed while the fill helper restores scratch
-// memory. On return the session VM holds the widget for seed, compiled
-// when a native backend will run it.
+// loadWidget runs the generate/load/compile half of the widget pipeline.
+// On return the session VM holds the widget for seed, compiled when a
+// native backend will run it.
 func (s *Session) loadWidget(seed perfprox.Seed, obs vm.Observer, t *PhaseTimings) error {
 	f := s.f
 	var mark time.Time
@@ -299,13 +213,13 @@ func (s *Session) loadWidget(seed perfprox.Seed, obs vm.Observer, t *PhaseTiming
 	if t != nil {
 		t.LoadNs += time.Since(s.execMark).Nanoseconds()
 	}
-	// Compile now rather than lazily inside the first run, so compilation
-	// happens under the fill helper's shadow. The compile is cached
-	// against the program load; the run's own stats then report zero
-	// compile time, so the eager compile's cost (and its telemetry
-	// observation) is accounted here instead. A compile failure is left
-	// for the run to discover — it falls back to the interpreter and
-	// reports the cached error as FallbackErr, same as the lazy path.
+	// Compile now rather than lazily inside the first run, so the compile
+	// is a phase of its own. It is cached against the program load; the
+	// run's own stats then report zero compile time, so the eager
+	// compile's cost (and its telemetry observation) is accounted here
+	// instead. A compile failure is left for the run to discover — it
+	// falls back to the interpreter and reports the cached error as
+	// FallbackErr, same as the lazy path.
 	if obs == nil && s.m.BackendSelected() == vm.BackendNative {
 		_, _ = s.m.CompileNative()
 		if st := s.m.LastRunStats(); st.Compiled {

@@ -8,6 +8,7 @@
 // Code layout of a compiled program:
 //
 //	prologue            load mapped registers from the Frame, JMP [Resume]
+//	load, store         the two shared scratch-memory routines (emitMemRoutines)
 //	block 0 head+body   guards, wholesale accounting, lowered instructions
 //	block 1 head+body   ... (blocks are contiguous, so a block that does
 //	...                 not end in an unconditional transfer falls through
@@ -20,17 +21,17 @@
 //
 //	R15  Frame pointer (all unmapped state is addressed off it)
 //	R14  scratch-memory base
-//	R12  retired-instruction counter
-//	R13  snapshot countdown (untilSnap)
+//	R12  run-segment countdown (budget and snapshot, see emitPrologue)
+//	R13  per-block execution-counter base
 //	RBX RBP RSI RDI R8 R9 R10 R11   the 8 most-referenced widget integer
 //	                                registers of this program (chosen per
 //	                                compile by static use count)
 //	RAX RCX RDX, XMM0 XMM1          scratch
 //
 // The other 8 widget integer registers, the FP and vector files, and the
-// remaining counters live in the Frame. The generated code uses no stack
-// and makes no calls; every inter-block branch is a rel32 resolved by a
-// fixup pass.
+// remaining counters live in the Frame. The only calls the generated code
+// makes are to its own two memory routines, which return at once; every
+// inter-block branch is a rel32 resolved by a fixup pass.
 package jit
 
 import (
@@ -41,6 +42,7 @@ import (
 	"unsafe"
 
 	"hashcore/internal/isa"
+	"hashcore/internal/rng"
 )
 
 // Supported reports whether the native backend can run on this platform.
@@ -74,6 +76,8 @@ const (
 	offNextBlock = offResume + 8
 	offStatus    = offNextBlock + 4
 	offLimStart  = offStatus + 4
+	offWritten   = offLimStart + 8
+	offSeedGamma = offWritten + 8
 )
 
 func init() {
@@ -103,6 +107,8 @@ func init() {
 	check("NextBlock", unsafe.Offsetof(f.NextBlock), offNextBlock)
 	check("Status", unsafe.Offsetof(f.Status), offStatus)
 	check("LimStart", unsafe.Offsetof(f.LimStart), offLimStart)
+	check("Written", unsafe.Offsetof(f.Written), offWritten)
+	check("SeedGamma", unsafe.Offsetof(f.SeedGamma), offSeedGamma)
 }
 
 // amd64 register numbers (hardware encoding).
@@ -154,11 +160,33 @@ type fixup struct {
 type Code struct {
 	entry uintptr
 	heads []uintptr
-	size  int
+	text  []byte // the installed code, through the read+execute view
+	// Offsets in text of the load routine, the store routine, block 0's
+	// head and the first slow stub: the section boundaries Dump reports.
+	loadAt, storeAt, blocksAt, stubsAt int
 }
 
 // Size returns the generated machine-code size in bytes.
-func (code *Code) Size() int { return code.size }
+func (code *Code) Size() int { return len(code.text) }
+
+// LoadRoutine and StoreRoutine return copies of the two shared
+// scratch-memory routines (for hcbench -dump-widget).
+func (code *Code) LoadRoutine() []byte {
+	return append([]byte(nil), code.text[code.loadAt:code.storeAt]...)
+}
+
+func (code *Code) StoreRoutine() []byte {
+	return append([]byte(nil), code.text[code.storeAt:code.blocksAt]...)
+}
+
+// BlockSize returns the code bytes of block bi's head and body.
+func (code *Code) BlockSize(bi int) int {
+	end := uintptr(code.stubsAt) + code.entry
+	if bi+1 < len(code.heads) {
+		end = code.heads[bi+1]
+	}
+	return int(end - code.heads[bi])
+}
 
 // Run enters the native code at the head of block, with f supplying and
 // receiving all architectural and accounting state.
@@ -181,6 +209,9 @@ type Compiler struct {
 	// regMap[r] is the amd64 register holding widget integer register r,
 	// or -1 when r lives in the Frame. Filled by allocRegs per Compile.
 	regMap [isa.NumIntRegs]int8
+	// Code positions of the shared memory routines (emitMemRoutines); they
+	// precede every block, so call sites know them at emission.
+	loadRoutine, storeRoutine int
 }
 
 // physOf returns the hardware register mapped to widget integer register
@@ -268,6 +299,8 @@ func (c *Compiler) Compile(p *Program) (*Code, error) {
 
 	c.allocRegs(p)
 	c.emitPrologue()
+	c.emitMemRoutines()
+	blocksAt := c.pos
 	for bi := range p.Blocks {
 		c.heads[bi] = int32(c.pos)
 		if err := c.emitBlock(p, bi); err != nil {
@@ -324,7 +357,9 @@ func (c *Compiler) Compile(p *Program) (*Code, error) {
 	}
 	base := uintptr(unsafe.Pointer(&c.mapped[0]))
 	c.code.entry = base
-	c.code.size = c.pos
+	c.code.text = c.mapped[:c.pos]
+	c.code.loadAt, c.code.storeAt = c.loadRoutine, c.storeRoutine
+	c.code.blocksAt, c.code.stubsAt = blocksAt, int(slowTail)
 	if cap(c.code.heads) < nb {
 		c.code.heads = make([]uintptr, nb)
 	}
@@ -612,15 +647,11 @@ func (c *Compiler) emitInstr(ins *Instr, nb int) error {
 
 	case isa.OpLoad:
 		c.emitAddr(ins.A, ins.Imm)
-		if p := c.physOf(ins.Dst); p >= 0 {
-			c.memLoad(int(p))
-		} else {
-			c.memLoad(rDX)
-			c.storeReg(ins.Dst, rDX)
-		}
+		c.call(c.loadRoutine)
+		c.storeReg(ins.Dst, rDX)
 	case isa.OpFLoad:
 		c.emitAddr(ins.A, ins.Imm)
-		c.memLoad(rDX)
+		c.call(c.loadRoutine)
 		// canonFPBits: canonicalize only if the loaded bits are a NaN.
 		c.movqXR(0, rDX)
 		c.sseRR(0x66, 0x2E, 0, 0) // UCOMISD xmm0, xmm0
@@ -631,11 +662,11 @@ func (c *Compiler) emitInstr(ins *Instr, nb int) error {
 	case isa.OpStore:
 		c.emitAddr(ins.A, ins.Imm)
 		c.loadReg(rDX, ins.B)
-		c.memStore(rDX)
+		c.call(c.storeRoutine)
 	case isa.OpFStore:
 		c.emitAddr(ins.A, ins.Imm)
 		c.opRM(0x8B, rDX, r15, fpOff(ins.B))
-		c.memStore(rDX)
+		c.call(c.storeRoutine)
 
 	case isa.OpBeq:
 		c.condBranch(0x84, ins)
@@ -765,11 +796,12 @@ func (c *Compiler) emitFToI(ins *Instr) {
 	c.storeReg(ins.Dst, rAX)
 }
 
-// emitAddr computes the masked, aligned effective address
-// (r[a] + imm) & maskAligned into RAX. When the base register is
-// hardware-resident and the offset fits a displacement, one LEA folds the
-// register move and the add — loads are the most common widget opcode, so
-// this saves an instruction on most of them.
+// emitAddr computes the effective address r[a] + imm into RAX, unmasked:
+// the memory routine every site goes on to call wraps and aligns it, so
+// the AND is emitted once per program rather than once per site. When the
+// base register is hardware-resident and the offset fits a displacement,
+// one LEA folds the register move and the add — loads are the most common
+// widget opcode, so this saves an instruction on most of them.
 func (c *Compiler) emitAddr(a uint8, imm int64) {
 	if p := c.physOf(a); p >= 0 && imm != 0 && imm == int64(int32(imm)) {
 		c.emit2(rex(true, rAX, 0, int(p)), 0x8D) // LEA rax, [phys+imm]
@@ -778,7 +810,82 @@ func (c *Compiler) emitAddr(a uint8, imm int64) {
 		c.loadReg(rAX, a)
 		c.addImm(rAX, imm)
 	}
+}
+
+// emitMemRoutines emits the two routines through which every load and
+// store site reaches the sparse scratch memory (vm.Machine documents the
+// model). Both take the unmasked effective address in RAX and clobber
+// only the scratch registers RAX, RCX and RDX.
+//
+// load returns the word in RDX: the arena's when the written bit is set,
+// else rng.SplitMix64At(memSeed, index) = mix64(SeedGamma + index*Gamma),
+// which is what a materialized image would hold there. store takes the
+// value in RDX, writes the arena and sets the bit. The bit tests use the
+// register forms of BT/BTS on the loaded map word (the count is taken
+// mod 64); the memory forms with a register offset are microcoded.
+func (c *Compiler) emitMemRoutines() {
+	c.ensure(regionMax)
+	c.loadRoutine = c.pos
+	c.opRM(0x23, rAX, r15, offMask)    // AND rax, [mask]: aligned byte address
+	c.opRM(0x8B, rCX, r15, offWritten) // MOV rcx, [written]
+	c.opRR(0x8B, rDX, rAX)
+	c.shrImm(rDX, 9)                // map word index: address / 8 / 64
+	c.emit4(0x48, 0x8B, 0x0C, 0xD1) // MOV rcx, [rcx+rdx*8]
+	c.opRR(0x8B, rDX, rAX)
+	c.shrImm(rDX, 3)                // word index
+	c.emit4(0x48, 0x0F, 0xA3, 0xD1) // BT rcx, rdx
+	// Pristine is the fall-through: a widget reads far more words than it
+	// ever writes (DESIGN.md has the counts per profile).
+	written := c.jccLocal(0x82) // JC
+	c.movImm64(rCX, rng.SplitMix64Gamma)
+	c.imulRR(rDX, rCX)
+	c.opRM(0x03, rDX, r15, offSeedGamma)
+	for _, step := range [...]struct {
+		shift byte
+		mul   uint64
+	}{{30, rng.SplitMix64Mul1}, {27, rng.SplitMix64Mul2}, {31, 0}} {
+		c.opRR(0x8B, rCX, rDX)
+		c.shrImm(rCX, step.shift)
+		c.opRR(0x33, rDX, rCX) // z ^= z >> shift
+		if step.mul != 0 {
+			c.movImm64(rCX, step.mul)
+			c.imulRR(rDX, rCX)
+		}
+	}
+	c.emit1(0xC3) // RET
+	c.bind(written)
+	c.emit4(0x49, 0x8B, 0x14, 0x06) // MOV rdx, [r14+rax]
+	c.emit1(0xC3)
+
+	c.ensure(regionMax)
+	c.storeRoutine = c.pos
 	c.opRM(0x23, rAX, r15, offMask)
+	c.emit4(0x49, 0x89, 0x14, 0x06) // MOV [r14+rax], rdx
+	c.shrImm(rAX, 3)                // word index
+	c.opRR(0x8B, rDX, rAX)
+	c.shrImm(rDX, 6) // map word index
+	c.opRM(0x8B, rCX, r15, offWritten)
+	c.emit4(0x48, 0x8D, 0x0C, 0xD1) // LEA rcx, [rcx+rdx*8]
+	c.emit3(0x48, 0x8B, 0x11)       // MOV rdx, [rcx]
+	c.emit4(0x48, 0x0F, 0xAB, 0xC2) // BTS rdx, rax
+	c.emit3(0x48, 0x89, 0x11)       // MOV [rcx], rdx
+	c.emit1(0xC3)
+}
+
+// call emits CALL rel32 to an already emitted position.
+func (c *Compiler) call(target int) {
+	c.emit1(0xE8)
+	c.u32(uint32(int32(target - (c.pos + 4))))
+}
+
+// shrImm emits SHR reg, imm8 (reg one of the low eight registers).
+func (c *Compiler) shrImm(reg int, imm byte) {
+	c.emit4(0x48, 0xC1, 0xE8|byte(reg), imm)
+}
+
+// imulRR emits reg = reg * rm (low 64 bits).
+func (c *Compiler) imulRR(reg, rm int) {
+	c.emit4(rex(true, reg, 0, rm), 0x0F, 0xAF, modRR(reg, rm))
 }
 
 // ---- register/operand access ----
@@ -813,7 +920,7 @@ func (c *Compiler) aluReg(op byte, phys int, r uint8) {
 // imulReg emits phys = phys * r (low 64 bits; signed and unsigned agree).
 func (c *Compiler) imulReg(phys int, r uint8) {
 	if p := c.physOf(r); p >= 0 {
-		c.emit4(rex(true, phys, 0, int(p)), 0x0F, 0xAF, modRR(phys, int(p)))
+		c.imulRR(phys, int(p))
 	} else {
 		c.imulMem(phys, intOff(r))
 	}
@@ -975,16 +1082,6 @@ func (c *Compiler) opRM(op byte, reg, base int, disp int32) {
 	}
 	c.put(uint64(rex(true, reg, 0, base))|uint64(op)<<8|
 		uint64(0x80|byte(reg&7)<<3|byte(base&7))<<16|uint64(uint32(disp))<<24, 7)
-}
-
-// memLoad emits reg = [r14 + rax] (the computed scratch-memory address).
-func (c *Compiler) memLoad(reg int) {
-	c.emit4(rex(true, reg, rAX, r14), 0x8B, 0x04|byte(reg&7)<<3, 0x06)
-}
-
-// memStore emits [r14 + rax] = reg.
-func (c *Compiler) memStore(reg int) {
-	c.emit4(rex(true, reg, rAX, r14), 0x89, 0x04|byte(reg&7)<<3, 0x06)
 }
 
 // movImm64 loads an immediate, using the sign-extended 32-bit form when

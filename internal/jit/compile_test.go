@@ -14,6 +14,7 @@ import (
 	"unsafe"
 
 	"hashcore/internal/isa"
+	"hashcore/internal/rng"
 )
 
 // twoBlockProgram is MovI r0,7; MovI r9,5; Add r2,r0,r9; Jmp b1 / Halt:
@@ -185,5 +186,147 @@ func TestRecompileReusesMapping(t *testing.T) {
 	code.Run(f, 0)
 	if f.Status != StatusHalt || f.IntRegs[3] != 42 {
 		t.Errorf("recompiled code: Status=%d r3=%d, want halt with 42", f.Status, f.IntRegs[3])
+	}
+}
+
+// TestAllocRegsPinsMostUsed pins the register-assignment policy other
+// suites build on (vm's TestMemoryTemplates chooses its pinned and
+// frame-resident registers by it): the eight most-referenced integer
+// registers get hardware registers, ties going to the lower index.
+func TestAllocRegsPinsMostUsed(t *testing.T) {
+	var instrs []Instr
+	for r := uint8(8); r < 14; r++ { // six heavy users among the high registers
+		for i := 0; i < 5; i++ {
+			instrs = append(instrs, Instr{Op: isa.OpMov, Dst: r, A: r})
+		}
+	}
+	instrs = append(instrs,
+		Instr{Op: isa.OpLoad, Dst: 2, A: 3},  // r2, r3: one reference each
+		Instr{Op: isa.OpStore, A: 3, B: 2},   // ...now two
+		Instr{Op: isa.OpFLoad, Dst: 5, A: 0}, // Dst names an FP register: only r0 counts
+		Instr{Op: isa.OpHalt})
+	c := NewCompiler()
+	c.allocRegs(&Program{Instrs: instrs})
+	for r, phys := range c.regMap {
+		want := r >= 8 && r < 14 || r == 2 || r == 3
+		if (phys >= 0) != want {
+			t.Errorf("r%d pinned = %v, want %v (map %v)", r, phys >= 0, want, c.regMap)
+		}
+	}
+}
+
+// memFrame is a Frame over a small scratch memory of its own, laid out as
+// vm lays out a Machine's: an arena that is never filled and a written map
+// of one bit per word.
+type memFrame struct {
+	f       *Frame
+	arena   []uint64
+	written []uint64
+	execs   []uint64
+}
+
+const memFrameSeed = 0x1234_5678_9abc_def0
+
+func newMemFrame(words int) *memFrame {
+	mf := &memFrame{
+		arena:   make([]uint64, words),
+		written: make([]uint64, (words+63)/64),
+		execs:   make([]uint64, 4),
+	}
+	mf.f = newFrame(mf.execs)
+	mf.f.Mem = uintptr(unsafe.Pointer(&mf.arena[0]))
+	mf.f.Written = uintptr(unsafe.Pointer(&mf.written[0]))
+	mf.f.SeedGamma = memFrameSeed + rng.SplitMix64Gamma
+	mf.f.MaskAligned = uint64(words*8-1) &^ 7
+	return mf
+}
+
+// TestMemRoutines enters the shared load and store routines through one
+// site of each kind and checks the model word by word: a load of a word no
+// store touched computes SplitMix64At and reads nothing, a store writes
+// the arena word and sets exactly its bit, a load after it reads the arena,
+// addresses wrap to the image and align down, and neither routine disturbs
+// a pinned or a frame-resident register it was not asked to write.
+func TestMemRoutines(t *testing.T) {
+	const words = 256 // a 2 KiB image, 4 map words
+	// Ten references to each of r0..r7 pin those; r9 and r10 stay in the
+	// frame.
+	var instrs []Instr
+	for r := uint8(0); r < 8; r++ {
+		for i := 0; i < 5; i++ {
+			instrs = append(instrs, Instr{Op: isa.OpMov, Dst: r, A: r})
+		}
+	}
+	instrs = append(instrs, []Instr{
+		{Op: isa.OpMovI, Dst: 1, Imm: 8*70 + 3},        // unaligned: word 70
+		{Op: isa.OpMovI, Dst: 9, Imm: 8 * (words + 5)}, // past the end: wraps to word 5
+		{Op: isa.OpMovI, Dst: 2, Imm: 0x2222},
+		{Op: isa.OpLoad, Dst: 3, A: 1},           // pristine word 70
+		{Op: isa.OpLoad, Dst: 10, A: 9, Imm: 8},  // pristine word 6, frame registers
+		{Op: isa.OpStore, A: 1, B: 2, Imm: 16},   // word 72 := 0x2222
+		{Op: isa.OpStore, A: 9, B: 9},            // word 5 := its own address
+		{Op: isa.OpLoad, Dst: 4, A: 1, Imm: 16},  // word 72 back
+		{Op: isa.OpLoad, Dst: 1, A: 1, Imm: 24},  // pristine word 73, into the address register
+		{Op: isa.OpFStore, A: 9, B: 7, Imm: 80},  // word 15 := f7
+		{Op: isa.OpFLoad, Dst: 6, A: 9, Imm: 80}, // f6 := word 15
+		{Op: isa.OpFLoad, Dst: 5, A: 9, Imm: 88}, // f5 := pristine word 16
+		{Op: isa.OpHalt},
+	}...)
+	c := NewCompiler()
+	code, err := c.Compile(&Program{Instrs: instrs, Blocks: []BlockSpan{{Count: uint32(len(instrs))}}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if c.regMap[1] < 0 || c.regMap[2] < 0 || c.regMap[9] >= 0 || c.regMap[10] >= 0 {
+		t.Fatalf("register map %v: want r1, r2 pinned and r9, r10 frame-resident", c.regMap)
+	}
+	mf := newMemFrame(words)
+	mf.arena[70], mf.arena[6] = 0xdead, 0xdead // stale arena content no load may see
+	mf.f.FPRegs[7] = 0x4045000000000000        // 42.0
+	for r := range mf.f.IntRegs {
+		if r > 10 {
+			mf.f.IntRegs[r] = 0xf00 + uint64(r) // bystanders
+		}
+	}
+	code.Run(mf.f, 0)
+	if mf.f.Status != StatusHalt {
+		t.Fatalf("Status = %d, want halt", mf.f.Status)
+	}
+	pristine := func(w uint64) uint64 { return rng.SplitMix64At(memFrameSeed, w) }
+	f := mf.f
+	for _, chk := range []struct {
+		what      string
+		got, want uint64
+	}{
+		{"load of pristine word 70 (unaligned address)", f.IntRegs[3], pristine(70)},
+		{"load of pristine word 6 (wrapped address, frame registers)", f.IntRegs[10], pristine(6)},
+		{"load of stored word 72", f.IntRegs[4], 0x2222},
+		{"load into its own address register", f.IntRegs[1], pristine(73)},
+		{"arena word 72", mf.arena[72], 0x2222},
+		{"arena word 5 (value register is the address register)", mf.arena[5], 8 * (words + 5)},
+		{"arena word 15 (fstore)", mf.arena[15], 0x4045000000000000},
+		{"fload of stored word 15", f.FPRegs[6], 0x4045000000000000},
+		{"map word 0", mf.written[0], 1<<5 | 1<<15},
+		{"map word 1", mf.written[1], 1 << (72 - 64)},
+		{"map words 2 and 3", mf.written[2] | mf.written[3], 0},
+		{"address register r9 after the stores", f.IntRegs[9], 8 * (words + 5)},
+		{"value register r2 after the store", f.IntRegs[2], 0x2222},
+	} {
+		if chk.got != chk.want {
+			t.Errorf("%s = %#x, want %#x", chk.what, chk.got, chk.want)
+		}
+	}
+	// fload canonicalizes a pristine word only if it encodes a NaN.
+	if w := pristine(16); w&0x7ff0000000000000 != 0x7ff0000000000000 && f.FPRegs[5] != w {
+		t.Errorf("fload of pristine word 16 = %#x, want %#x", f.FPRegs[5], w)
+	}
+	for r := 11; r < isa.NumIntRegs; r++ {
+		if f.IntRegs[r] != 0xf00+uint64(r) {
+			t.Errorf("bystander r%d = %#x, want %#x", r, f.IntRegs[r], 0xf00+uint64(r))
+		}
+	}
+	if len(code.LoadRoutine()) == 0 || len(code.StoreRoutine()) == 0 || code.BlockSize(0) == 0 {
+		t.Errorf("code sections: load %d, store %d, block 0 %d bytes; want all present",
+			len(code.LoadRoutine()), len(code.StoreRoutine()), code.BlockSize(0))
 	}
 }

@@ -6,8 +6,8 @@
 // machine code at load time, so the execution half of every hash runs at
 // native speed instead of interpreter speed.
 //
-// The package is deliberately narrow. It knows nothing about snapshots,
-// memory images or result buffers: it compiles exactly the fast-path
+// The package is deliberately narrow. It knows nothing about snapshots
+// or result buffers: it compiles exactly the fast-path
 // block-batched loop of vm.runUnobserved — per-block budget and snapshot
 // guards, wholesale retirement accounting, straight-line opcode lowering —
 // and *exits* to the caller whenever a block cannot be executed wholesale
@@ -21,9 +21,19 @@
 // full architectural register file, the live accounting counters, and the
 // entry/exit plumbing. Generated code addresses the Frame through a single
 // pinned pointer register, maps the 8 hottest widget integer registers
-// onto amd64 registers, and uses no stack and no calls, so it is safe
-// under the Go runtime's async preemption (an unknown PC is simply not a
-// safe point) and needs only a minimal assembly trampoline to enter.
+// onto amd64 registers, and calls nothing but its own two scratch-memory
+// routines (one return address of stack, inside the trampoline's NOSPLIT
+// allowance), so it is safe under the Go runtime's async preemption (an
+// unknown PC is simply not a safe point) and needs only a minimal
+// assembly trampoline to enter.
+//
+// Scratch memory is vm's sparse overlay (see vm.Machine): an arena that
+// is never filled plus a one-bit-per-word written map. Stores write the
+// arena and set the bit; loads read the arena where the bit is set and
+// otherwise compute the pristine word, rng.SplitMix64At(memSeed, index).
+// Both live in two routines emitted once per program, which every load
+// and store site calls, so the per-site code is no larger than a plain
+// memory access was.
 //
 // On non-amd64 (or non-linux) platforms the package compiles to a stub
 // whose Supported() reports false; callers keep the interpreter.
@@ -100,6 +110,15 @@ type Frame struct {
 	// tracks a single countdown register seeded from this minimum and the
 	// epilogue reconstructs both counters from how far it fell.
 	LimStart uint64
+
+	// The sparse scratch memory, read only by the two shared memory
+	// routines (so their displacement size is no per-site cost). Written
+	// is the base address of vm's written map, one bit per 8-byte word of
+	// the image, which native code and the interpreter slow path share.
+	// SeedGamma is memSeed + rng.SplitMix64Gamma: the pristine word i is
+	// mix64(SeedGamma + i*Gamma).
+	Written   uintptr
+	SeedGamma uint64
 }
 
 // Instr is one architectural instruction in compiler form. The layout is

@@ -22,6 +22,12 @@ type Code struct{}
 // Size returns the generated machine-code size in bytes.
 func (code *Code) Size() int { return 0 }
 
+// LoadRoutine, StoreRoutine and BlockSize describe code that never exists
+// on this platform.
+func (code *Code) LoadRoutine() []byte  { return nil }
+func (code *Code) StoreRoutine() []byte { return nil }
+func (code *Code) BlockSize(bi int) int { return 0 }
+
 // Run is unreachable on this platform (Compile never succeeds).
 func (code *Code) Run(f *Frame, block uint32) {
 	panic("jit: Run on unsupported platform")

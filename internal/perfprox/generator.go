@@ -114,13 +114,12 @@ func (g *Generator) GenerateInto(seed Seed, sc *Scratch) (*prog.Program, error) 
 }
 
 // MemoryPlan reports the scratch-memory declaration — size in bytes and
-// content seed — that the widget generated from seed will carry. It is
-// derived from the hash seed and the profile alone, with no generation
-// work, and by construction equals the MemSize and MemSeed of the program
-// GenerateInto returns for the same seed (the generator passes the same
-// two values to its builder; TestMemoryPlanMatchesGenerated pins this). A
-// hashing session uses it to restore the VM's scratch-memory image
-// concurrently with generation and compilation (vm.Machine.PrepareMemory).
+// content seed — that the widget generated from seed will carry, from the
+// hash seed and the profile alone (TestMemoryPlanMatchesGenerated pins it
+// to the generated program's MemSize and MemSeed). Nothing in the hashing
+// pipeline needs it any more — there is no image to prepare ahead of the
+// widget, the VM computes untouched words on load — and it stays, with
+// vm.Machine.PrepareMemory, for the benchmark's decomposed replay.
 func (g *Generator) MemoryPlan(seed Seed) (size int, memSeed uint64) {
 	return g.prof.WorkingSet, expandMemSeed(Split(seed).Mem)
 }

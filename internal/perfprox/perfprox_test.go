@@ -409,11 +409,9 @@ func BenchmarkGenerateAndRun(b *testing.B) {
 	}
 }
 
-// TestMemoryPlanMatchesGenerated pins the contract the overlapped
-// session pipeline rests on: the (size, seed) MemoryPlan predicts from
-// the hash seed alone must equal the memory declaration of the widget
-// that seed generates — otherwise a concurrent pre-fill would be for
-// the wrong image and silently wasted.
+// TestMemoryPlanMatchesGenerated pins MemoryPlan's contract: the (size,
+// seed) it predicts from the hash seed alone equals the memory
+// declaration of the widget that seed generates.
 func TestMemoryPlanMatchesGenerated(t *testing.T) {
 	g := newLeelaGen(t)
 	for i := uint64(0); i < 32; i++ {

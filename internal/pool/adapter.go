@@ -33,8 +33,3 @@ type hcSession struct {
 
 func (a hcSession) Hash(header []byte) ([32]byte, error) { return a.s.Hash(header) }
 func (a hcSession) Name() string                         { return a.name }
-
-// Close releases the wrapped session's background resources; pipeline
-// workers that minted a private session call this (via pow.CloseHasher)
-// on the way out.
-func (a hcSession) Close() { a.s.Close() }

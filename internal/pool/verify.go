@@ -190,13 +190,11 @@ func NewPipeline(validator *ShareValidator, hasher pow.Hasher, workers, depth in
 	for i := range p.shards {
 		p.shards[i].tasks = make(chan submitTask, perShard)
 		sess := hasher
-		owned := false
 		if sh, ok := hasher.(pow.SessionHasher); ok {
 			sess = sh.NewSession()
-			owned = true
 		}
 		p.wg.Add(1)
-		go p.worker(&p.shards[i], sess, owned)
+		go p.worker(&p.shards[i], sess)
 	}
 	return p
 }
@@ -204,14 +202,9 @@ func NewPipeline(validator *ShareValidator, hasher pow.Hasher, workers, depth in
 // Shards reports the fleet width.
 func (p *Pipeline) Shards() int { return len(p.shards) }
 
-// worker drains one shard's queue. owned marks a worker-private session
-// (minted above), whose background resources the worker releases on the
-// way out; a shared hasher is left alone.
-func (p *Pipeline) worker(sh *verifyShard, sess pow.Hasher, owned bool) {
+// worker drains one shard's queue.
+func (p *Pipeline) worker(sh *verifyShard, sess pow.Hasher) {
 	defer p.wg.Done()
-	if owned {
-		defer pow.CloseHasher(sess)
-	}
 	hdr := make([]byte, 0, 128)
 	for t := range sh.tasks {
 		if p.met != nil {

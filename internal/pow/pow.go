@@ -43,16 +43,6 @@ type SessionHasher interface {
 	NewSession() Hasher
 }
 
-// CloseHasher releases a hasher's background resources if it has any
-// (sessions minted by a SessionHasher may own a fill helper goroutine).
-// Call it on worker-private sessions when the worker exits; a no-op for
-// hashers without a Close method.
-func CloseHasher(h Hasher) {
-	if c, ok := h.(interface{ Close() }); ok {
-		c.Close()
-	}
-}
-
 // Target is a 256-bit difficulty threshold: a digest meets the target iff,
 // read as a big-endian integer, it is numerically <= the target.
 type Target [DigestSize]byte
@@ -216,7 +206,6 @@ func (m *Miner) Mine(ctx context.Context, prefix []byte, target Target, start, m
 			hasher := m.hasher
 			if sh, ok := m.hasher.(SessionHasher); ok {
 				hasher = sh.NewSession()
-				defer CloseHasher(hasher)
 			}
 			header := make([]byte, len(prefix)+8)
 			copy(header, prefix)

@@ -12,10 +12,7 @@
 //   - xoshiro256** (Blackman, Vigna) — the general-purpose stream generator.
 package rng
 
-import (
-	"math/bits"
-	"unsafe"
-)
+import "math/bits"
 
 // SplitMix64 is a 64-bit state PRNG with a single additive state update.
 // It is primarily used to seed xoshiro256** and to derive independent
@@ -35,20 +32,30 @@ func NewSplitMix64(seed uint64) *SplitMix64 {
 // allocating.
 func (s *SplitMix64) Seed(seed uint64) { s.state = seed }
 
-// mix64 is SplitMix64's output finalizer. It is the single definition the
-// sequential generator (Next), the random-access form (SplitMix64At) and
-// the bulk filler (SplitMix64Fill) all share: the VM repairs dirtied
-// memory words via SplitMix64At against an image written by
-// SplitMix64Fill, so these must remain bit-identical forever.
+// The SplitMix64 constants: the additive state step (the 64-bit golden
+// ratio) and the two multipliers of the output finalizer. Exported because
+// the native backend's load routine computes SplitMix64At in machine code
+// (internal/jit) and must use these exact values.
+const (
+	SplitMix64Gamma = 0x9e3779b97f4a7c15
+	SplitMix64Mul1  = 0xbf58476d1ce4e5b9
+	SplitMix64Mul2  = 0x94d049bb133111eb
+)
+
+// mix64 is SplitMix64's output finalizer, shared by the sequential
+// generator (Next) and the random-access form (SplitMix64At). The VM's
+// scratch memory is defined through SplitMix64At — word i of a pristine
+// image IS SplitMix64At(memSeed, i), computed when a load asks for it —
+// so this must remain bit-identical forever.
 func mix64(z uint64) uint64 {
-	z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9
-	z = (z ^ (z >> 27)) * 0x94d049bb133111eb
+	z = (z ^ (z >> 30)) * SplitMix64Mul1
+	z = (z ^ (z >> 27)) * SplitMix64Mul2
 	return z ^ (z >> 31)
 }
 
 // Next returns the next 64 bits of the stream.
 func (s *SplitMix64) Next() uint64 {
-	s.state += 0x9e3779b97f4a7c15
+	s.state += SplitMix64Gamma
 	return mix64(s.state)
 }
 
@@ -56,97 +63,10 @@ func (s *SplitMix64) Next() uint64 {
 // seeded with seed — identical to calling Next i+1 times on a fresh
 // generator, in O(1). SplitMix64's state walk is a plain additive counter,
 // so any position of the stream can be computed directly; the VM uses this
-// to repair only the scratch-memory words a run dirtied instead of
-// regenerating the whole image.
+// to produce the scratch-memory words a run never stored to, on load,
+// instead of ever materializing the image.
 func SplitMix64At(seed, i uint64) uint64 {
-	return mix64(seed + (i+1)*0x9e3779b97f4a7c15)
-}
-
-// SplitMix64Fill fills mem with the little-endian SplitMix64 stream seeded
-// with seed — byte-identical to writing successive Next() outputs with
-// encoding/binary. Because each output depends only on its index, the bulk
-// of the image is computed index-parallel: on CPUs with AVX-512DQ a vector
-// kernel mixes sixteen independent lanes per iteration (the scalar mix is
-// bound by integer-multiply throughput, and bulk scratch-memory
-// initialization is one of the VM's hottest non-interpreter loops);
-// everywhere else a scalar loop unrolled eight-way over independent mixes
-// lets the CPU pipeline them instead of serializing on a generator state.
-// Any tail bytes beyond the last full 8-byte word are filled from the next
-// output's low bytes, matching a sequential little-endian writer.
-func SplitMix64Fill(mem []byte, seed uint64) {
-	off := 0
-	if haveFillVector {
-		if words := (len(mem) / 8) &^ 15; words > 0 {
-			if len(mem) >= ntFillMin && uintptr(unsafe.Pointer(&mem[0]))%64 == 0 {
-				fillMix64VectorNT(&mem[0], uintptr(words), seed)
-			} else {
-				fillMix64Vector(&mem[0], uintptr(words), seed)
-			}
-			off = words * 8
-		}
-	}
-	splitMix64FillFrom(mem, seed, off)
-}
-
-// ntFillMin is the image size from which SplitMix64Fill switches to
-// non-temporal stores. The VM reads the image straight back during
-// widget execution, so bypassing the cache only pays once the image
-// cannot live in any level of it anyway: measured on the repo's 2 MiB
-// leela working set, NT stores cost +500 µs/hash of execution-side
-// DRAM misses against ~60 µs of fill savings. 32 MiB clears the LLC of
-// every deployment core the repo benchmarks on; only the top of the
-// prog.MaxMemSize range (256 MiB) takes this path.
-const ntFillMin = 32 << 20
-
-// splitMix64FillFrom is the portable fill, writing stream outputs for the
-// words from byte offset off (a multiple of 8) to the end of mem.
-func splitMix64FillFrom(mem []byte, seed uint64, off int) {
-	const phi = 0x9e3779b97f4a7c15
-	s := seed + uint64(off/8)*phi + phi
-	for ; off+64 <= len(mem); off += 64 {
-		c := mem[off : off+64 : off+64]
-		s1 := s + phi
-		s2 := s1 + phi
-		s3 := s2 + phi
-		s4 := s3 + phi
-		s5 := s4 + phi
-		s6 := s5 + phi
-		s7 := s6 + phi
-		putLE64(c[0:8], mix64(s))
-		putLE64(c[8:16], mix64(s1))
-		putLE64(c[16:24], mix64(s2))
-		putLE64(c[24:32], mix64(s3))
-		putLE64(c[32:40], mix64(s4))
-		putLE64(c[40:48], mix64(s5))
-		putLE64(c[48:56], mix64(s6))
-		putLE64(c[56:64], mix64(s7))
-		s = s7 + phi
-	}
-	for ; off+8 <= len(mem); off += 8 {
-		putLE64(mem[off:off+8], mix64(s))
-		s += phi
-	}
-	if off < len(mem) {
-		z := mix64(s)
-		for i := off; i < len(mem); i++ {
-			mem[i] = byte(z)
-			z >>= 8
-		}
-	}
-}
-
-// putLE64 is binary.LittleEndian.PutUint64 without the import (rng stays
-// dependency-free); the compiler recognizes the pattern as a single store.
-func putLE64(b []byte, v uint64) {
-	_ = b[7]
-	b[0] = byte(v)
-	b[1] = byte(v >> 8)
-	b[2] = byte(v >> 16)
-	b[3] = byte(v >> 24)
-	b[4] = byte(v >> 32)
-	b[5] = byte(v >> 40)
-	b[6] = byte(v >> 48)
-	b[7] = byte(v >> 56)
+	return mix64(seed + (i+1)*SplitMix64Gamma)
 }
 
 // Xoshiro256 implements the xoshiro256** 1.0 generator.
@@ -177,7 +97,7 @@ func (x *Xoshiro256) Seed(seed uint64) {
 	// SplitMix64 is a bijection walked from four distinct states, so at
 	// least one word is non-zero for every seed; guard anyway.
 	if x.s == [4]uint64{} {
-		x.s[0] = 0x9e3779b97f4a7c15
+		x.s[0] = SplitMix64Gamma
 	}
 }
 

@@ -1,10 +1,8 @@
 package rng
 
 import (
-	"bytes"
 	"testing"
 	"testing/quick"
-	"unsafe"
 )
 
 // TestSplitMix64ReferenceVector checks the first outputs for seed 0 against
@@ -218,95 +216,5 @@ func TestSplitMix64AtMatchesSequential(t *testing.T) {
 				t.Fatalf("seed %#x: SplitMix64At(%d) = %#x, want %#x", seed, i, got, want)
 			}
 		}
-	}
-}
-
-func TestSplitMix64FillMatchesSequential(t *testing.T) {
-	// Lengths exercising the 64-byte unrolled body, the 8-byte loop and
-	// the sub-word tail.
-	for _, n := range []int{0, 7, 8, 9, 63, 64, 65, 127, 128, 1000, 4096} {
-		for _, seed := range []uint64{0, 42, 0x9e3779b97f4a7c15} {
-			got := make([]byte, n)
-			Fill := SplitMix64Fill
-			Fill(got, seed)
-
-			want := make([]byte, n)
-			sm := NewSplitMix64(seed)
-			for off := 0; off < n; {
-				v := sm.Next()
-				for j := 0; j < 8 && off < n; j++ {
-					want[off] = byte(v >> (8 * j))
-					off++
-				}
-			}
-			if !bytes.Equal(got, want) {
-				t.Fatalf("n=%d seed=%#x: fill diverges from sequential stream", n, seed)
-			}
-		}
-	}
-}
-
-func TestSplitMix64FillVectorMatchesScalar(t *testing.T) {
-	if !haveFillVector {
-		t.Skip("vector fill kernel not available on this CPU")
-	}
-	// Sizes straddling the 8-word vector granule and its scalar tail.
-	for _, n := range []int{64, 65, 71, 72, 127, 128, 129, 4096, 4101, 1 << 16} {
-		for _, seed := range []uint64{0, 1, 0xdeadbeef, ^uint64(0)} {
-			got := make([]byte, n)
-			SplitMix64Fill(got, seed)
-
-			want := make([]byte, n)
-			splitMix64FillFrom(want, seed, 0)
-
-			if !bytes.Equal(got, want) {
-				t.Fatalf("n=%d seed=%#x: vector fill diverges from scalar fill", n, seed)
-			}
-		}
-	}
-}
-
-func TestSplitMix64FillNTMatchesScalar(t *testing.T) {
-	if !haveFillVector {
-		t.Skip("vector fill kernel not available on this CPU")
-	}
-	// Sizes at and past the non-temporal threshold (SplitMix64Fill only
-	// takes the NT path from ntFillMin up), including a non-multiple of
-	// the vector granule so the scalar tail after an NT body is covered.
-	for _, n := range []int{ntFillMin, ntFillMin + 71} {
-		for _, seed := range []uint64{0, 0x9e3779b97f4a7c15} {
-			got := make([]byte, n)
-			SplitMix64Fill(got, seed)
-
-			want := make([]byte, n)
-			splitMix64FillFrom(want, seed, 0)
-
-			if !bytes.Equal(got, want) {
-				t.Fatalf("n=%d seed=%#x: NT-path fill diverges from scalar fill", n, seed)
-			}
-		}
-	}
-	// The kernel itself, driven directly on an aligned image regardless
-	// of what the dispatcher would pick, must match the portable stream.
-	const kernelN = 1 << 20
-	buf := make([]byte, kernelN+64)
-	off := 0
-	for uintptr(unsafe.Pointer(&buf[off]))%64 != 0 {
-		off++
-	}
-	img := buf[off : off+kernelN]
-	fillMix64VectorNT(&img[0], uintptr(len(img)/8), 977)
-	want := make([]byte, len(img))
-	splitMix64FillFrom(want, 977, 0)
-	if !bytes.Equal(img, want) {
-		t.Fatal("fillMix64VectorNT diverges from scalar fill")
-	}
-}
-
-func BenchmarkSplitMix64Fill2MiB(b *testing.B) {
-	mem := make([]byte, 2<<20)
-	b.SetBytes(int64(len(mem)))
-	for i := 0; i < b.N; i++ {
-		SplitMix64Fill(mem, uint64(i))
 	}
 }

@@ -8,6 +8,7 @@ import (
 
 	"hashcore/internal/isa"
 	"hashcore/internal/jit"
+	"hashcore/internal/rng"
 )
 
 // Backend selects the unobserved execution engine. The observed loop
@@ -72,7 +73,19 @@ type RunStats struct {
 	// auto on a supported platform) but the run fell back to the
 	// interpreter, and records why.
 	FallbackErr error
+	// ResetNs is the time the run spent making its scratch memory pristine
+	// (clearing the written map) and WordsWritten the number of distinct
+	// 8-byte words it then stored to — the popcount of the map after the
+	// run, i.e. how much of the image ever existed. Both are measured only
+	// under TrackMemory and are zero otherwise.
+	ResetNs      int64
+	WordsWritten uint64
 }
+
+// TrackMemory makes subsequent runs report RunStats.ResetNs and
+// RunStats.WordsWritten. Off by default: counting the written words reads
+// the whole map, which the bare hashing path does not pay for.
+func (m *Machine) TrackMemory(on bool) { m.trackMemory = on }
 
 // SetBackend selects the execution engine for subsequent runs.
 func (m *Machine) SetBackend(b Backend) { m.backend = b }
@@ -228,6 +241,8 @@ func (m *Machine) runNative(params Params, res *Result, ns *nativeState) {
 
 	f := &ns.frame
 	f.Mem = uintptr(unsafe.Pointer(&m.mem[0]))
+	f.Written = uintptr(unsafe.Pointer(&m.written[0]))
+	f.SeedGamma = m.memSeed + rng.SplitMix64Gamma
 	f.MaskAligned = (uint64(m.memSize) - 1) &^ 7
 	f.MaxInstr = st.maxInstr
 	f.ExecsBase = uintptr(unsafe.Pointer(&ns.execs[0]))
@@ -268,8 +283,8 @@ func (m *Machine) runNative(params Params, res *Result, ns *nativeState) {
 		}
 		bi = next
 	}
-	// The mem/execs uintptrs in the frame die with this call; m and ns
-	// keep the underlying storage alive until here.
+	// The mem/written/execs uintptrs in the frame die with this call; m
+	// and ns keep the underlying storage alive until here.
 	runtime.KeepAlive(m)
 	runtime.KeepAlive(ns)
 
@@ -294,9 +309,4 @@ func (m *Machine) runNative(params Params, res *Result, ns *nativeState) {
 		}
 	}
 	res.ClassCounts = classCounts
-
-	// Native stores bypass the dirty-word recording, so the pristine-image
-	// bookkeeping no longer describes memory; force the next reset to
-	// regenerate in full.
-	m.memGood = false
 }

@@ -43,6 +43,36 @@ func (m *Machine) DisassembleFused() string {
 	return b.String()
 }
 
+// DumpNative compiles the loaded program for the native backend and
+// renders what the compiler produced: the two shared scratch-memory
+// routines every load and store site calls, as hex (the load routine ends
+// in the pristine path — the machine-code rng.SplitMix64At — which is where
+// most loads of most widgets go), then the code size of each block's head
+// and body. It is the native-side companion of DisassembleFused for
+// hcbench -dump-widget; on platforms without a native backend it returns
+// jit.ErrUnsupported.
+func (m *Machine) DumpNative() (string, error) {
+	if _, err := m.CompileNative(); err != nil {
+		return "", err
+	}
+	code := m.native.code
+	var b strings.Builder
+	fmt.Fprintf(&b, "; native: %d bytes for %d blocks\n", code.Size(), len(m.blocks))
+	for _, r := range []struct {
+		name string
+		text []byte
+	}{{"load", code.LoadRoutine()}, {"store", code.StoreRoutine()}} {
+		fmt.Fprintf(&b, ".routine %s ; %d bytes, shared by every %s site\n", r.name, len(r.text), r.name)
+		for off := 0; off < len(r.text); off += 16 {
+			fmt.Fprintf(&b, "\t% x\n", r.text[off:min(off+16, len(r.text))])
+		}
+	}
+	for bi := range m.blocks {
+		fmt.Fprintf(&b, ".block %d ; %d instructions, %d bytes\n", bi, m.blocks[bi].count, code.BlockSize(bi))
+	}
+	return b.String(), nil
+}
+
 // decodeFusedParts unpacks a fused execution slot into the architectural
 // pair it retires — the exact inverse of tryFuse's encodings (documented
 // in fuse.go). The round-trip property (re-fusing the decoded halves

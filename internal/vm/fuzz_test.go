@@ -68,6 +68,28 @@ func seedFromWords(lo, hi uint64) perfprox.Seed {
 	return s
 }
 
+// boundaryBudget picks an instruction budget near an interesting edge of a
+// run that retires natural instructions without one.
+func boundaryBudget(sel uint8, natural uint64) uint64 {
+	switch sel % 8 {
+	case 1:
+		return natural
+	case 2:
+		return natural - 1
+	case 3:
+		return natural + 1
+	case 4:
+		return natural/2 + 1
+	case 5:
+		return 1
+	case 6:
+		return 2
+	case 7:
+		return natural/3 + 1
+	}
+	return 0 // the default budget
+}
+
 // checkFusedMatchesUnfused runs p under both loops with params and fails
 // the test on any divergence.
 func checkFusedMatchesUnfused(t *testing.T, m *vm.Machine, params vm.Params) (fused vm.Result) {
@@ -149,28 +171,7 @@ func FuzzFusedVsUnfused(f *testing.F) {
 		params := vm.Params{SnapshotInterval: uint64(snapRaw)}
 		natural := checkFusedMatchesUnfused(t, m, params).Retired
 
-		// Derive a budget near interesting edges from the selector: exact
-		// completion, one off either side, mid-run truncation, tiny runs.
-		var budget uint64
-		switch budgetSel % 8 {
-		case 0:
-			budget = 0 // default budget
-		case 1:
-			budget = natural
-		case 2:
-			budget = natural - 1
-		case 3:
-			budget = natural + 1
-		case 4:
-			budget = natural/2 + 1
-		case 5:
-			budget = 1
-		case 6:
-			budget = 2
-		case 7:
-			budget = natural/3 + 1
-		}
-		params.MaxInstructions = budget
+		params.MaxInstructions = boundaryBudget(budgetSel, natural)
 		checkFusedMatchesUnfused(t, m, params)
 	})
 }

@@ -1,0 +1,114 @@
+package vm
+
+import (
+	"testing"
+
+	"hashcore/internal/prog"
+	"hashcore/internal/rng"
+)
+
+// edgeProgram stores to the last word of a size-byte image, loads it back
+// together with the pristine word before it and word 0, and halts.
+func edgeProgram(t *testing.T, size int, memSeed uint64) *prog.Program {
+	t.Helper()
+	b := prog.NewBuilder(size, memSeed)
+	b.NewBlock()
+	b.MovI(1, int64(size-8))
+	b.MovI(2, 0x5eed)
+	b.Store(1, 2, 0)
+	b.Load(3, 1, 0)  // the stored word
+	b.Load(4, 1, -8) // its pristine neighbour
+	b.Load(5, 1, 8)  // wraps to word 0
+	b.Halt()
+	p, err := b.Build()
+	if err != nil {
+		t.Fatal(err)
+	}
+	return p
+}
+
+// TestWrittenMapSizing pins the map's geometry at both ends of the legal
+// image range — one bit per 8-byte word: 8 uint64s for prog.MinMemSize,
+// 4 MiB for prog.MaxMemSize — and that the last word of each image has a
+// bit of its own, on both engines.
+func TestWrittenMapSizing(t *testing.T) {
+	for _, tc := range []struct {
+		size, words int
+	}{
+		{prog.MinMemSize, 8},
+		{prog.MaxMemSize, 4 << 20 / 8},
+	} {
+		const memSeed = 77
+		p := edgeProgram(t, tc.size, memSeed)
+		for _, be := range []Backend{BackendInterp, BackendAuto} {
+			m := &Machine{}
+			m.SetBackend(be)
+			if err := m.Load(p); err != nil {
+				t.Fatal(err)
+			}
+			m.TrackMemory(true)
+			m.Run(Params{}, nil)
+			if len(m.written) != tc.words || len(m.mem) != tc.size {
+				t.Fatalf("%d-byte image on %v: %d map words over a %d-byte arena, want %d over %d",
+					tc.size, be, len(m.written), len(m.mem), tc.words, tc.size)
+			}
+			if last := m.written[tc.words-1]; last != 1<<63 {
+				t.Errorf("%d-byte image on %v: last map word = %#x, want only its top bit", tc.size, be, last)
+			}
+			if st := m.LastRunStats(); st.WordsWritten != 1 {
+				t.Errorf("%d-byte image on %v: WordsWritten = %d, want 1", tc.size, be, st.WordsWritten)
+			}
+			lastWord := uint64(tc.size/8 - 1)
+			want := [3]uint64{0x5eed, rng.SplitMix64At(memSeed, lastWord-1), rng.SplitMix64At(memSeed, 0)}
+			if got := [3]uint64(m.intRegs[3:6]); got != want {
+				t.Errorf("%d-byte image on %v: loaded %#x, want %#x", tc.size, be, got, want)
+			}
+		}
+	}
+}
+
+// TestResetClearsPreviousExtent: after a run on a large image, a reset for
+// a small one must leave no bit anywhere in the map's capacity — the
+// invariant that makes growing back free.
+func TestResetClearsPreviousExtent(t *testing.T) {
+	big := edgeProgram(t, 1<<20, 1)
+	m := &Machine{}
+	m.SetBackend(BackendInterp)
+	m.LoadTrusted(big)
+	m.Run(Params{}, nil)
+	m.LoadTrusted(edgeProgram(t, prog.MinMemSize, 1))
+	m.Run(Params{}, nil)
+	m.PrepareMemory(prog.MinMemSize, 1)
+	for i, w := range m.written[:cap(m.written)] {
+		if w != 0 {
+			t.Fatalf("map word %d of %d still holds %#x after resets", i, cap(m.written), w)
+		}
+	}
+	if cap(m.written) != mapWords(1<<20) {
+		t.Fatalf("map capacity %d, want the large image's %d kept", cap(m.written), mapWords(1<<20))
+	}
+}
+
+// TestLoadStoreWord checks the pair every interpreter memory opcode goes
+// through, word by word: pristine loads compute the image, a store marks
+// exactly its own word, and a marked word reads back from the arena.
+func TestLoadStoreWord(t *testing.T) {
+	mem := make([]byte, 1024)
+	written := make([]uint64, mapWords(len(mem)))
+	const seed = 5
+	for _, addr := range []uint64{0, 8, 504, 512, 1016} {
+		if got, want := loadWord(mem, written, seed, addr), rng.SplitMix64At(seed, addr/8); got != want {
+			t.Fatalf("pristine load at %d = %#x, want %#x", addr, got, want)
+		}
+	}
+	storeWord(mem, written, 512, 0xabc)
+	if written[0] != 0 || written[1] != 1 {
+		t.Fatalf("store at byte 512 marked %#x %#x, want word 64 only", written[0], written[1])
+	}
+	if got := loadWord(mem, written, seed, 512); got != 0xabc {
+		t.Fatalf("load after store = %#x", got)
+	}
+	if got, want := loadWord(mem, written, seed, 520), rng.SplitMix64At(seed, 65); got != want {
+		t.Fatalf("neighbour of a stored word = %#x, want pristine %#x", got, want)
+	}
+}

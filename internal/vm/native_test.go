@@ -109,26 +109,7 @@ func FuzzNativeVsFused(f *testing.F) {
 		params := vm.Params{SnapshotInterval: uint64(snapRaw)}
 		natural := checkNativeVsInterp(t, m, params).Retired
 
-		var budget uint64
-		switch budgetSel % 8 {
-		case 0:
-			budget = 0 // default budget
-		case 1:
-			budget = natural
-		case 2:
-			budget = natural - 1
-		case 3:
-			budget = natural + 1
-		case 4:
-			budget = natural/2 + 1
-		case 5:
-			budget = 1
-		case 6:
-			budget = 2
-		case 7:
-			budget = natural/3 + 1
-		}
-		params.MaxInstructions = budget
+		params.MaxInstructions = boundaryBudget(budgetSel, natural)
 		checkNativeVsInterp(t, m, params)
 	})
 }

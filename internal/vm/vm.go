@@ -34,6 +34,7 @@ import (
 	"fmt"
 	"math"
 	"math/bits"
+	"time"
 	"unsafe"
 
 	"hashcore/internal/isa"
@@ -204,38 +205,27 @@ type Machine struct {
 	fcode   []flatInstr // fused: block-batched unobserved loop
 	memSize int
 	memSeed uint64
-	mem     []byte
+
+	// The scratch memory is a sparse overlay over an image that is never
+	// materialized: word i of the pristine image is by definition
+	// rng.SplitMix64At(memSeed, i), which costs three multiplies — less than
+	// the cache miss that would fetch it — so loads compute it. mem is the
+	// arena stores write into; it is never filled. written holds one bit per
+	// 8-byte word, set by every store, and a load reads the arena only where
+	// the bit is set (see loadWord/storeWord; native code tests and sets the
+	// same bits, because boundary blocks bounce between the two engines
+	// mid-run). Resetting memory is clearing the map: stale arena words are
+	// unreachable without their bit. memClean records that no run has
+	// started since the last clear; every bit beyond len(written), up to its
+	// capacity, is always zero, so resizing between images costs nothing.
+	mem      []byte
+	written  []uint64
+	memClean bool
 
 	blocks      []blockMeta
 	blockTally  [][isa.NumClasses]uint32 // per-block class tallies (unfused)
 	blockStart  []uint32                 // scratch for Load, reused across programs
 	statScratch []prog.BlockStats        // fallback stats for programs without p.Stats
-
-	// Dirty-word memory tracking: when the machine re-runs the same
-	// memory image (ablation experiments, benchmarks, repeated Run calls
-	// on one program), a run records every stored word address (every
-	// dynamic store, duplicates included — no dedup on the hot path) so
-	// the next reset can repair just those words from the SplitMix64
-	// image (O(stores)) instead of regenerating the whole scratch memory
-	// (O(memSize)). Recording only arms on the second consecutive run of
-	// the same (seed, size) image — the production session loads a fresh
-	// program with a fresh MemSeed per hash, so it never arms, never
-	// allocates the dirty list and pays one predicted branch per store.
-	// memGoodSeed/memGoodSize describe the pristine image the repair
-	// restores; dirtyOverflow forces a full regeneration when a run
-	// performs more dynamic stores than the bounded list records.
-	dirty         []uint32
-	trackDirty    bool
-	dirtyOverflow bool
-	memGood       bool
-	memGoodSeed   uint64
-	memGoodSize   int
-
-	// memPrepared* record a PrepareMemory call whose image the next reset
-	// may adopt without touching memory (see PrepareMemory).
-	memPrepared     bool
-	memPreparedSeed uint64
-	memPreparedSize int
 
 	intRegs [isa.NumIntRegs]uint64
 	fpRegs  [isa.NumFPRegs]uint64 // IEEE-754 bits
@@ -245,31 +235,12 @@ type Machine struct {
 	// per-Machine JIT cache, the load generation that keys it (and the
 	// lazily built fused stream, see ensureFused), and the last run's
 	// execution report.
-	backend   Backend
-	native    *nativeState
-	loadGen   uint64
-	fusedGen  uint64
-	lastStats RunStats
-}
-
-// maxDirtyWords bounds the dirty-word list (32768 uint32 addresses, 128
-// KiB, allocated only once tracking arms — see reset). A run
-// that stores more than this many times falls back to full scratch-memory
-// regeneration on the next reset.
-const maxDirtyWords = 1 << 15
-
-// markDirty records that the 8-byte word at addr no longer matches the
-// pristine memory image. addr is always < memSize <= prog.MaxMemSize, so it
-// fits uint32. A no-op unless reset armed tracking for this run.
-func (m *Machine) markDirty(addr uint64) {
-	if !m.trackDirty {
-		return
-	}
-	if len(m.dirty) < cap(m.dirty) {
-		m.dirty = append(m.dirty, uint32(addr))
-	} else {
-		m.dirtyOverflow = true
-	}
+	backend     Backend
+	native      *nativeState
+	loadGen     uint64
+	fusedGen    uint64
+	lastStats   RunStats
+	trackMemory bool // see TrackMemory
 }
 
 // New pre-decodes and validates p for execution.
@@ -437,91 +408,65 @@ func (m *Machine) ensureFused() {
 }
 
 // reset restores the architectural state for a fresh run: registers are
-// zeroed (FP registers hold +0.0) and memory is restored to the pristine
-// image derived from the program's memory seed. The memory buffer is
-// reused across runs, and so — usually — is its content: only the words
-// the previous run actually stored to are repaired (SplitMix64 is randomly
-// addressable, see rng.SplitMix64At), which turns the per-run O(memSize)
-// regeneration into O(stores). A seed/size change, an unbounded store
-// burst (dirty-list overflow) or the first run fall back to regenerating
-// the full image.
+// zeroed (FP registers hold +0.0) and the scratch memory is made pristine,
+// which is clearing the written map (O(memSize/64) bytes), not touching
+// the image.
 func (m *Machine) reset() {
 	m.intRegs = [isa.NumIntRegs]uint64{}
 	m.fpRegs = [isa.NumFPRegs]uint64{}
 	m.vecRegs = [isa.NumVecRegs][isa.VecLanes]uint64{}
-
-	// A PrepareMemory call that matches the loaded program's declaration
-	// already left m.mem holding exactly the pristine image restoreMemory
-	// would rebuild here, with all repair bookkeeping up to date — adopt it
-	// and skip the O(memSize) work. The flag is consumed either way: a
-	// prepared image is pristine for one run only.
-	prepared := m.memPrepared
-	m.memPrepared = false
-	if prepared && m.memPreparedSeed == m.memSeed && m.memPreparedSize == m.memSize {
-		return
-	}
-	m.restoreMemory(m.memSize, m.memSeed)
+	m.resetMemory(m.memSize)
 }
 
-// restoreMemory restores the scratch memory to the pristine image declared
-// by (size, seed), repairing dirty words when possible (see reset).
-func (m *Machine) restoreMemory(size int, seed uint64) {
+// resetMemory makes the scratch memory a pristine image of size bytes:
+// no word written. The clear covers the previous image's map — the only
+// extent a run could have marked — so an image smaller or larger than the
+// last one starts clean too.
+func (m *Machine) resetMemory(size int) {
+	if !m.memClean {
+		clear(m.written)
+		m.memClean = true
+	}
 	if cap(m.mem) < size {
 		m.mem = make([]byte, size)
+		m.written = make([]uint64, mapWords(size))
 	}
 	m.mem = m.mem[:size]
-
-	sameImage := m.memGood && m.memGoodSeed == seed && m.memGoodSize == size
-	if sameImage && m.trackDirty && !m.dirtyOverflow {
-		// Incremental repair: every word outside m.dirty still holds its
-		// pristine value from the previous restore. The size must match
-		// exactly — after a reload to a smaller memory, recorded dirty
-		// addresses could lie beyond the new image, and a grow-back would
-		// find the extension stale.
-		for _, addr := range m.dirty {
-			binary.LittleEndian.PutUint64(m.mem[addr:], rng.SplitMix64At(seed, uint64(addr)/8))
-		}
-		m.dirty = m.dirty[:0]
-		return
-	}
-
-	rng.SplitMix64Fill(m.mem, seed)
-	m.dirty = m.dirty[:0]
-	m.dirtyOverflow = false
-	// Arm dirty recording only from the second consecutive run of the
-	// same image: machines whose programs change every run (the
-	// production session) never record and never allocate the list.
-	m.trackDirty = sameImage
-	if m.trackDirty && m.dirty == nil {
-		m.dirty = make([]uint32, 0, maxDirtyWords)
-	}
-	m.memGood = true
-	m.memGoodSeed = seed
-	m.memGoodSize = size
+	m.written = m.written[:mapWords(size)]
 }
 
-// PrepareMemory restores the scratch memory to the pristine image declared
-// by (size, seed) ahead of the program that will declare it. If the next
-// program loaded does declare exactly this image, its first run adopts the
-// prepared memory and skips the O(memSize) restore inside reset; any
-// mismatch (different seed or size, or an intervening run) falls back to
-// the normal restore, so a stale or wrong preparation can never change an
-// execution result — only waste the preparation.
-//
-// The point of the split is overlap: a hashing session knows a widget's
-// memory declaration from the hash seed alone, before the widget is
-// generated, so a helper goroutine can run PrepareMemory concurrently with
-// generation and compilation. PrepareMemory touches only the memory-image
-// state (mem, dirty-repair bookkeeping, the prepared marker) — callers
-// must ensure the Machine is otherwise idle (no Run in flight), but may
-// concurrently load and compile the next program, which touches disjoint
-// machine state. The caller is responsible for synchronizing between
-// PrepareMemory returning and Run/RunInto starting.
-func (m *Machine) PrepareMemory(size int, seed uint64) {
-	m.restoreMemory(size, seed)
-	m.memPrepared = true
-	m.memPreparedSeed = seed
-	m.memPreparedSize = size
+// mapWords is the length of the written map, in uint64s, of a size-byte
+// image: one bit per 8-byte word.
+func mapWords(size int) int { return (size + 511) / 512 }
+
+// loadWord returns the word at the aligned byte address addr of the
+// scratch memory: the arena's if this run stored to it, else the pristine
+// image's, computed — exactly the value a filled image would hold there.
+func loadWord(mem []byte, written []uint64, seed, addr uint64) uint64 {
+	w := addr >> 3
+	if written[w>>6]&(1<<(w&63)) != 0 {
+		return binary.LittleEndian.Uint64(mem[addr:])
+	}
+	return rng.SplitMix64At(seed, w)
+}
+
+// storeWord writes v at the aligned byte address addr and marks the word
+// written.
+func storeWord(mem []byte, written []uint64, addr, v uint64) {
+	w := addr >> 3
+	written[w>>6] |= 1 << (w & 63)
+	binary.LittleEndian.PutUint64(mem[addr:], v)
+}
+
+// PrepareMemory resets the scratch memory for an image of size bytes ahead
+// of the run that will use it; that run's own reset then finds the map
+// clean and skips the clear. It is a shim kept for the benchmark's
+// decomposed replay, which times the reset as a phase of its own: there
+// is no image to fill any more, so the seed argument is unused — the
+// loaded program's MemSeed defines the content — and a size other than
+// the program's is simply resized by the run.
+func (m *Machine) PrepareMemory(size int, _ uint64) {
+	m.resetMemory(size)
 }
 
 // Run executes the program to completion (halt or budget) and returns a
@@ -551,7 +496,15 @@ func (m *Machine) Run(params Params, obs Observer) *Result {
 // fused-vs-unfused property and fuzz tests verify.
 func (m *Machine) RunInto(params Params, obs Observer, res *Result) {
 	params = params.withDefaults()
-	m.reset()
+	var resetNs int64
+	if m.trackMemory {
+		start := time.Now()
+		m.reset()
+		resetNs = time.Since(start).Nanoseconds()
+	} else {
+		m.reset()
+	}
+	m.memClean = false // whichever engine runs may store from here on
 	res.reset()
 	if res.Output == nil {
 		estSnaps := int(params.MaxInstructions/params.SnapshotInterval) + 2
@@ -560,7 +513,7 @@ func (m *Machine) RunInto(params Params, obs Observer, res *Result) {
 		}
 		res.Output = make([]byte, 0, estSnaps*SnapshotSize)
 	}
-	m.lastStats = RunStats{Backend: BackendInterp}
+	m.lastStats = RunStats{Backend: BackendInterp, ResetNs: resetNs}
 	if obs == nil {
 		// Unobserved runs may take the native backend (see backend.go);
 		// tryRunNative declines — leaving res untouched — whenever the
@@ -572,6 +525,13 @@ func (m *Machine) RunInto(params Params, obs Observer, res *Result) {
 		}
 	} else {
 		m.runObserved(params, obs, res)
+	}
+	if m.trackMemory {
+		n := 0
+		for _, w := range m.written {
+			n += bits.OnesCount64(w)
+		}
+		m.lastStats.WordsWritten = uint64(n)
 	}
 }
 
@@ -615,7 +575,7 @@ func (m *Machine) runUnobserved(params Params, res *Result) {
 	m.ensureFused()
 	fcode := m.fcode
 	blocks := m.blocks
-	mem := m.mem
+	mem, written, seed := m.mem, m.written, m.memSeed
 	intRegs := &m.intRegs
 	fpRegs := &m.fpRegs
 	mask := uint64(m.memSize - 1)
@@ -738,18 +698,16 @@ blockLoop:
 
 			case isa.OpLoad:
 				addr := (intRegs[ins.a] + uint64(ins.imm)) & mask &^ 7
-				intRegs[ins.dst] = binary.LittleEndian.Uint64(mem[addr:])
+				intRegs[ins.dst] = loadWord(mem, written, seed, addr)
 			case isa.OpFLoad:
 				addr := (intRegs[ins.a] + uint64(ins.imm)) & mask &^ 7
-				fpRegs[ins.dst] = canonFPBits(binary.LittleEndian.Uint64(mem[addr:]))
+				fpRegs[ins.dst] = canonFPBits(loadWord(mem, written, seed, addr))
 			case isa.OpStore:
 				addr := (intRegs[ins.a] + uint64(ins.imm)) & mask &^ 7
-				m.markDirty(addr)
-				binary.LittleEndian.PutUint64(mem[addr:], intRegs[ins.b])
+				storeWord(mem, written, addr, intRegs[ins.b])
 			case isa.OpFStore:
 				addr := (intRegs[ins.a] + uint64(ins.imm)) & mask &^ 7
-				m.markDirty(addr)
-				binary.LittleEndian.PutUint64(mem[addr:], fpRegs[ins.b])
+				storeWord(mem, written, addr, fpRegs[ins.b])
 
 			case isa.OpBeq:
 				st.condBranches++
@@ -889,12 +847,11 @@ blockLoop:
 			case isa.OpFuseAddILoad:
 				intRegs[ins.dst] = intRegs[ins.a] + uint64(ins.imm)
 				addr := (intRegs[uint8(ins.aux>>8)] + uint64(ins.target)) & mask &^ 7
-				intRegs[uint8(ins.aux)] = binary.LittleEndian.Uint64(mem[addr:])
+				intRegs[uint8(ins.aux)] = loadWord(mem, written, seed, addr)
 			case isa.OpFuseAddIStor:
 				intRegs[ins.dst] = intRegs[ins.a] + uint64(ins.imm)
 				addr := (intRegs[uint8(ins.aux)] + uint64(ins.target)) & mask &^ 7
-				m.markDirty(addr)
-				binary.LittleEndian.PutUint64(mem[addr:], intRegs[uint8(ins.aux>>8)])
+				storeWord(mem, written, addr, intRegs[uint8(ins.aux>>8)])
 			case isa.OpFuseMulAdd:
 				intRegs[ins.dst] = intRegs[ins.a] * intRegs[ins.b]
 				intRegs[uint8(ins.aux)] = intRegs[uint8(ins.aux>>8)] + intRegs[uint8(ins.aux>>16)]
@@ -1001,21 +958,19 @@ blockLoop:
 				next = ins.target
 			case isa.OpFuseLoadJmp:
 				addr := (intRegs[ins.a] + uint64(ins.imm)) & mask &^ 7
-				intRegs[ins.dst] = binary.LittleEndian.Uint64(mem[addr:])
+				intRegs[ins.dst] = loadWord(mem, written, seed, addr)
 				next = ins.target
 			case isa.OpFuseFLoadJmp:
 				addr := (intRegs[ins.a] + uint64(ins.imm)) & mask &^ 7
-				fpRegs[ins.dst] = canonFPBits(binary.LittleEndian.Uint64(mem[addr:]))
+				fpRegs[ins.dst] = canonFPBits(loadWord(mem, written, seed, addr))
 				next = ins.target
 			case isa.OpFuseStoreJmp:
 				addr := (intRegs[ins.a] + uint64(ins.imm)) & mask &^ 7
-				m.markDirty(addr)
-				binary.LittleEndian.PutUint64(mem[addr:], intRegs[ins.b])
+				storeWord(mem, written, addr, intRegs[ins.b])
 				next = ins.target
 			case isa.OpFuseFStoreJmp:
 				addr := (intRegs[ins.a] + uint64(ins.imm)) & mask &^ 7
-				m.markDirty(addr)
-				binary.LittleEndian.PutUint64(mem[addr:], fpRegs[ins.b])
+				storeWord(mem, written, addr, fpRegs[ins.b])
 				next = ins.target
 			case isa.OpFuseVAddJmp:
 				va, vb := &m.vecRegs[ins.a], &m.vecRegs[ins.b]
@@ -1116,7 +1071,7 @@ blockLoop:
 // slowNext) or the terminal status.
 func (m *Machine) runBlockSlow(bi uint32, st *execState, res *Result) (uint32, slowStatus) {
 	code := m.code
-	mem := m.mem
+	mem, written, seed := m.mem, m.written, m.memSeed
 	intRegs := &m.intRegs
 	fpRegs := &m.fpRegs
 	mask := uint64(m.memSize - 1)
@@ -1204,18 +1159,16 @@ func (m *Machine) runBlockSlow(bi uint32, st *execState, res *Result) (uint32, s
 
 		case isa.OpLoad:
 			addr := (intRegs[ins.a] + uint64(ins.imm)) & mask &^ 7
-			intRegs[ins.dst] = binary.LittleEndian.Uint64(mem[addr:])
+			intRegs[ins.dst] = loadWord(mem, written, seed, addr)
 		case isa.OpFLoad:
 			addr := (intRegs[ins.a] + uint64(ins.imm)) & mask &^ 7
-			fpRegs[ins.dst] = canonFPBits(binary.LittleEndian.Uint64(mem[addr:]))
+			fpRegs[ins.dst] = canonFPBits(loadWord(mem, written, seed, addr))
 		case isa.OpStore:
 			addr := (intRegs[ins.a] + uint64(ins.imm)) & mask &^ 7
-			m.markDirty(addr)
-			binary.LittleEndian.PutUint64(mem[addr:], intRegs[ins.b])
+			storeWord(mem, written, addr, intRegs[ins.b])
 		case isa.OpFStore:
 			addr := (intRegs[ins.a] + uint64(ins.imm)) & mask &^ 7
-			m.markDirty(addr)
-			binary.LittleEndian.PutUint64(mem[addr:], fpRegs[ins.b])
+			storeWord(mem, written, addr, fpRegs[ins.b])
 
 		case isa.OpBeq:
 			st.condBranches++
@@ -1396,21 +1349,19 @@ func (m *Machine) runObserved(params Params, obs Observer, res *Result) {
 		case isa.OpLoad:
 			addr = (m.intRegs[ins.a] + uint64(ins.imm)) & mask &^ 7
 			isMem = true
-			m.intRegs[ins.dst] = binary.LittleEndian.Uint64(m.mem[addr:])
+			m.intRegs[ins.dst] = loadWord(m.mem, m.written, m.memSeed, addr)
 		case isa.OpFLoad:
 			addr = (m.intRegs[ins.a] + uint64(ins.imm)) & mask &^ 7
 			isMem = true
-			m.fpRegs[ins.dst] = canonFPBits(binary.LittleEndian.Uint64(m.mem[addr:]))
+			m.fpRegs[ins.dst] = canonFPBits(loadWord(m.mem, m.written, m.memSeed, addr))
 		case isa.OpStore:
 			addr = (m.intRegs[ins.a] + uint64(ins.imm)) & mask &^ 7
 			isMem = true
-			m.markDirty(addr)
-			binary.LittleEndian.PutUint64(m.mem[addr:], m.intRegs[ins.b])
+			storeWord(m.mem, m.written, addr, m.intRegs[ins.b])
 		case isa.OpFStore:
 			addr = (m.intRegs[ins.a] + uint64(ins.imm)) & mask &^ 7
 			isMem = true
-			m.markDirty(addr)
-			binary.LittleEndian.PutUint64(m.mem[addr:], m.fpRegs[ins.b])
+			storeWord(m.mem, m.written, addr, m.fpRegs[ins.b])
 
 		case isa.OpBeq:
 			taken = m.intRegs[ins.a] == m.intRegs[ins.b]
