@@ -31,6 +31,10 @@ type hashMetrics struct {
 	// jitCompileSeconds is the per-widget native compilation latency
 	// (observed only on runs that actually compiled).
 	jitCompileSeconds *telemetry.Histogram
+	// slowBounces counts native runs' exits to the interpreter's
+	// per-instruction path (one block carried over a snapshot or budget
+	// boundary each): a cause of slow hashes the phase split cannot show.
+	slowBounces *telemetry.Counter
 	// hashesNative/hashesInterp count hashes by the engine that executed
 	// them, so a fleet dashboard shows at a glance which backend is live.
 	hashesNative *telemetry.Counter
@@ -65,6 +69,8 @@ func newHashMetrics(reg *telemetry.Registry) *hashMetrics {
 		jitCompileSeconds: reg.Histogram("hashcore_jit_compile_seconds",
 			"Per-widget native code compilation latency.",
 			telemetry.QueueLatencyBuckets),
+		slowBounces: reg.Counter("hashcore_vm_slow_bounces_total",
+			"Blocks a native run handed to the interpreter's per-instruction path."),
 		hashesNative: reg.Counter("hashcore_hashes_total",
 			"Hashes computed, by execution backend.",
 			telemetry.Label{Key: "backend", Value: "native"}),

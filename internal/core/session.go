@@ -155,6 +155,7 @@ func (s *Session) runWidget(seed perfprox.Seed, obs vm.Observer, t *PhaseTimings
 		}
 		if met := f.met; met != nil {
 			met.wordsWritten.Add(st.WordsWritten)
+			met.slowBounces.Add(st.SlowBounces)
 			if st.Compiled {
 				met.jitCompileSeconds.Observe(float64(st.CompileNs) / 1e9)
 			}

@@ -89,6 +89,14 @@ func TestWordsWrittenReported(t *testing.T) {
 		t.Errorf("FillNs = %d, want the reset's share of ExecNs = %d", pt.FillNs, pt.ExecNs)
 	}
 
+	// The native engine's exits to the per-instruction path are exported
+	// too: about one per snapshot interval of retired instructions.
+	if bounces, ok := reg.Value("hashcore_vm_slow_bounces_total"); !ok {
+		t.Error("hashcore_vm_slow_bounces_total is not registered")
+	} else if want := float64(pt.Retired / vm.DefaultSnapshotInterval); s.m.LastRunStats().Backend == vm.BackendNative && (bounces < want-2*n || bounces > want+2*n) {
+		t.Errorf("hashcore_vm_slow_bounces_total = %v over %d retired instructions, want about %v", bounces, pt.Retired, want)
+	}
+
 	bare := newMetricFunc(t, nil).NewSession()
 	if _, err := bare.Hash([]byte("x")); err != nil {
 		t.Fatal(err)

@@ -450,8 +450,8 @@ func (op Opcode) Valid() bool {
 }
 
 // OpMeta packs every per-opcode fact a validation sweep needs into one
-// word, so hot per-instruction loops (prog.Builder's materialize runs once
-// per generated instruction per hash) pay a single table load instead of
+// word, so hot per-instruction loops (prog.Builder's Emit runs once per
+// generated instruction per hash) pay a single table load instead of
 // separate Valid/IsControl/ClassOf/OperandLimits lookups. Layout: bytes
 // 0-2 hold the exclusive dst/a/b operand bounds, byte 3 the class, bit 32
 // validity and bit 33 the control-flow flag.

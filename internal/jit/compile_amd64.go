@@ -1,9 +1,15 @@
 //go:build amd64 && linux
 
-// The amd64 code generator. One Compiler owns an emit scratch buffer and
-// one executable mapping, both reused across Compile calls, so per-program
-// compilation reaches a zero-allocation steady state (the production
-// session compiles one fresh widget per hash).
+// The amd64 code generator: the Compiler, its executable mapping, and the
+// encoder — the functions that know how every piece of a program lowers,
+// byte by byte. The encoder does not run per hash: template_amd64.go runs
+// it once per process to build a table of byte templates and stamps
+// programs from that table (its header says what is left to the encoder
+// at hash time, and the tests hold the stamped code to the encoder's).
+// One Compiler owns an emit scratch buffer and one executable mapping,
+// both reused across Compile calls, so per-program compilation reaches a
+// zero-allocation steady state (the production session compiles one fresh
+// widget per hash).
 //
 // Code layout of a compiled program:
 //
@@ -13,8 +19,8 @@
 //	block 1 head+body   ... (blocks are contiguous, so a block that does
 //	...                 not end in an unconditional transfer falls through
 //	block N-1           physically into the next block's head)
-//	slow stub per block write NextBlock/Status=slow, JMP epilogue
-//	trunc stub          write Status=trunc, fall into epilogue
+//	slow tail           write NextBlock/Status=slow, JMP epilogue
+//	slow stub per block undo the head's charge, name the block, JMP slow tail
 //	epilogue            store mapped registers back, RET
 //
 // Register assignment while native code runs:
@@ -149,11 +155,23 @@ const (
 	fixEpi         // rel32 to the epilogue
 )
 
-type fixup struct {
-	pos   int32 // offset of the rel32 field in buf
-	block uint32
-	kind  uint8
+// A fixup packs the offset of a rel32 field in buf (below maxCodeBytes, so
+// 28 bits hold it), its kind and the block it refers to into one word, so
+// the stamp loop records one with a single store.
+type fixup uint64
+
+const (
+	fixKindShift  = 28
+	fixBlockShift = 32
+)
+
+func mkFixup(pos int32, block uint32, kind uint8) fixup {
+	return fixup(pos) | fixup(kind)<<fixKindShift | fixup(block)<<fixBlockShift
 }
+
+func (f fixup) pos() int32    { return int32(f & (1<<fixKindShift - 1)) }
+func (f fixup) kind() uint8   { return uint8(f >> fixKindShift & 3) }
+func (f fixup) block() uint32 { return uint32(f >> fixBlockShift) }
 
 // Code is an installed, executable program. It is owned by the Compiler
 // that produced it and valid until that Compiler's next Compile call.
@@ -212,6 +230,18 @@ type Compiler struct {
 	// Code positions of the shared memory routines (emitMemRoutines); they
 	// precede every block, so call sites know them at emission.
 	loadRoutine, storeRoutine int
+
+	// What the stamp loop reads per operand (bindRegs): the shape kind of
+	// widget integer register r, shifted to each operand field's place in
+	// the shape, and patch[layout<<4|r], the byte an operand site of that
+	// layout takes for register r. All are indexed by raw operand bytes,
+	// hence the 256 entries.
+	t *tmplTable
+	// encoded counts the instructions of the current program that had no
+	// template and went through the encoder.
+	encoded               int
+	kindDst, kindA, kindB [256]uint8
+	patch                 [256]uint8
 }
 
 // physOf returns the hardware register mapped to widget integer register
@@ -240,13 +270,22 @@ var intUseMask = [64]uint8{
 // Ties break toward the lower register index, keeping the choice — and
 // therefore the generated code — deterministic.
 func (c *Compiler) allocRegs(p *Program) {
-	var uses [isa.NumIntRegs]int32
+	// One counter array per operand field: an instruction often names one
+	// register twice (the in-place forms) and the next one names it again,
+	// and increments of one counter would queue up behind each other's
+	// stores.
+	var perField [3][isa.NumIntRegs]int32
 	for i := range p.Instrs {
-		ins := &p.Instrs[i]
-		m := intUseMask[ins.Op&63]
-		uses[ins.Dst&(isa.NumIntRegs-1)] += int32(m & 1)
-		uses[ins.A&(isa.NumIntRegs-1)] += int32(m >> 1 & 1)
-		uses[ins.B&(isa.NumIntRegs-1)] += int32(m >> 2 & 1)
+		// One load brings the opcode and the three operand bytes.
+		w := *(*uint64)(unsafe.Pointer(&p.Instrs[i].Op))
+		m := intUseMask[w&63]
+		perField[0][w>>16&(isa.NumIntRegs-1)] += int32(m & 1)
+		perField[1][w>>24&(isa.NumIntRegs-1)] += int32(m >> 1 & 1)
+		perField[2][w>>32&(isa.NumIntRegs-1)] += int32(m >> 2)
+	}
+	var uses [isa.NumIntRegs]int32
+	for r := range uses {
+		uses[r] = perField[0][r] + perField[1][r] + perField[2][r]
 	}
 	for r := range c.regMap {
 		c.regMap[r] = -1
@@ -265,7 +304,11 @@ func (c *Compiler) allocRegs(p *Program) {
 // NewCompiler returns an empty compiler. The executable mapping it will
 // own is released when the compiler is garbage collected.
 func NewCompiler() *Compiler {
-	c := &Compiler{}
+	c := &Compiler{t: templates()}
+	for r := uint8(0); r < isa.NumIntRegs; r++ {
+		c.patch[layDisp<<4|r] = uint8(intOff(r))
+		c.patch[layFP<<4|r] = uint8(fpOff(r))
+	}
 	runtime.SetFinalizer(c, (*Compiler).release)
 	return c
 }
@@ -283,75 +326,23 @@ func (c *Compiler) release() {
 
 // Compile lowers p to native code and installs it in the compiler's
 // executable mapping. The returned Code is valid until the next Compile.
+//
+// Code is stamped, not encoded: every piece — prologue, memory routines,
+// block heads, lowered instructions, slow stubs, epilogue — is a byte
+// template copied from the process-wide table and patched in place
+// (template_amd64.go). The encoder below wrote those templates and is the
+// oracle the tests compare Compile against; at hash time it runs only for
+// what has no template (the fallback template_amd64.go documents).
 func (c *Compiler) Compile(p *Program) (*Code, error) {
 	nb := len(p.Blocks)
 	if nb > maxBlocks || len(p.Instrs) > maxInstrs {
 		return nil, ErrTooLarge
 	}
-	c.pos = 0
-	c.fix = c.fix[:0]
-	if cap(c.heads) < nb {
-		c.heads = make([]int32, nb)
-		c.slow = make([]int32, nb)
-	}
-	c.heads = c.heads[:nb]
-	c.slow = c.slow[:nb]
-
 	c.allocRegs(p)
-	c.emitPrologue()
-	c.emitMemRoutines()
-	blocksAt := c.pos
-	for bi := range p.Blocks {
-		c.heads[bi] = int32(c.pos)
-		if err := c.emitBlock(p, bi); err != nil {
-			return nil, err
-		}
+	blocksAt, stubsAt, err := c.stampProgram(p)
+	if err != nil {
+		return nil, err
 	}
-	// The head guards funnel every boundary condition through one shared
-	// tail, entered with the block index in EAX: it names the block in
-	// NextBlock and reports StatusSlow, and the driver's per-instruction
-	// path re-derives what the boundary was (snapshot due, budget
-	// straddle, or budget already exhausted — in the last case it
-	// truncates before retiring anything, exactly like the interpreter's
-	// head check). Per block only a short trampoline is emitted, which
-	// undoes the charge the guard's SUB made before borrowing out.
-	// Everything here is cold, so the cost that matters is bytes
-	// compiled, not instructions executed.
-	slowTail := int32(c.pos)
-	c.ensure(regionMax)
-	c.emit2(0x41, 0x89) // MOV DWORD [r15+offNextBlock], eax
-	c.modMem(rAX, r15, offNextBlock)
-	c.mov32MemImm(offStatus, StatusSlow)
-	c.jmpFix(fixEpi, 0)
-	for bi := range p.Blocks {
-		count := int32(p.Blocks[bi].Count)
-		c.ensure(32) // one stub: undo-charge, MOV eax, JMP
-		c.slow[bi] = int32(c.pos)
-		if count != 0 {
-			c.aluImm(0, r12, count) // undo the countdown charge
-		}
-		c.emit1(0xB8) // MOV eax, bi
-		c.u32(uint32(bi))
-		end := int32(c.pos) + 5
-		c.emit1(0xE9) // JMP tail (backward, target already known)
-		c.u32(uint32(slowTail - end))
-	}
-	epiPos := int32(c.pos)
-	c.emitEpilogue()
-
-	for _, f := range c.fix {
-		var target int32
-		switch f.kind {
-		case fixHead:
-			target = c.heads[f.block]
-		case fixSlow:
-			target = c.slow[f.block]
-		default:
-			target = epiPos
-		}
-		binary.LittleEndian.PutUint32(c.buf[f.pos:], uint32(target-(f.pos+4)))
-	}
-
 	if err := c.install(); err != nil {
 		return nil, err
 	}
@@ -359,7 +350,7 @@ func (c *Compiler) Compile(p *Program) (*Code, error) {
 	c.code.entry = base
 	c.code.text = c.mapped[:c.pos]
 	c.code.loadAt, c.code.storeAt = c.loadRoutine, c.storeRoutine
-	c.code.blocksAt, c.code.stubsAt = blocksAt, int(slowTail)
+	c.code.blocksAt, c.code.stubsAt = blocksAt, stubsAt
 	if cap(c.code.heads) < nb {
 		c.code.heads = make([]uintptr, nb)
 	}
@@ -368,6 +359,41 @@ func (c *Compiler) Compile(p *Program) (*Code, error) {
 		c.code.heads[bi] = base + uintptr(c.heads[bi])
 	}
 	return &c.code, nil
+}
+
+// reset clears the per-program state, for a program of nb blocks.
+func (c *Compiler) reset(nb int) {
+	c.pos = 0
+	c.encoded = 0
+	c.fix = c.fix[:0]
+	if cap(c.heads) < nb {
+		c.heads = make([]int32, nb)
+		c.slow = make([]int32, nb)
+	}
+	c.heads = c.heads[:nb]
+	c.slow = c.slow[:nb]
+}
+
+// resolve patches every recorded forward reference; epiPos is where the
+// epilogue starts. A stamped branch has its target checked here (the
+// encoder checks as it lowers one).
+func (c *Compiler) resolve(epiPos int32) error {
+	for _, f := range c.fix {
+		var target int32
+		switch f.kind() {
+		case fixHead:
+			if int(f.block()) >= len(c.heads) {
+				return errTarget(f.block(), len(c.heads))
+			}
+			target = c.heads[f.block()]
+		case fixSlow:
+			target = c.slow[f.block()]
+		default:
+			target = epiPos
+		}
+		binary.LittleEndian.PutUint32(c.buf[f.pos():], uint32(target-(f.pos()+4)))
+	}
+	return nil
 }
 
 // install copies the emitted code into the executable mapping, growing it
@@ -456,6 +482,12 @@ func (c *Compiler) emitPrologue() {
 			c.opRM(0x8B, int(p), r15, intOff(uint8(r)))
 		}
 	}
+	c.emitPrologueTail()
+}
+
+// emitPrologueTail is the part of the prologue no register assignment
+// changes.
+func (c *Compiler) emitPrologueTail() {
 	// R12 is the run-segment countdown: min(maxInstr - retired, untilSnap),
 	// the number of instructions that may retire before SOMETHING — budget
 	// exhaustion or a snapshot — needs the slow path. Retired and untilSnap
@@ -486,6 +518,10 @@ func (c *Compiler) emitEpilogue() {
 			c.opRM(0x89, int(p), r15, intOff(uint8(r)))
 		}
 	}
+	c.emitEpilogueTail()
+}
+
+func (c *Compiler) emitEpilogueTail() {
 	c.opRM(0x8B, rAX, r15, offLimStart)
 	c.opRR(0x2B, rAX, r12)               // spent = limStart - countdown
 	c.opRM(0x01, rAX, r15, offRetired)   // retired += spent
@@ -493,15 +529,11 @@ func (c *Compiler) emitEpilogue() {
 	c.emit1(0xC3)
 }
 
-// emitBlock emits one block: the head guards and wholesale accounting
-// (the native transcription of vm.runUnobserved's fast-path checks), then
-// the lowered body.
-func (c *Compiler) emitBlock(p *Program, bi int) error {
-	b := p.Blocks[bi]
-	count := int32(b.Count)
-	nb := len(p.Blocks)
-	c.ensure(regionMax) // head guards and wholesale accounting
-
+// emitHead emits block bi's head guard and wholesale accounting (the
+// native transcription of vm.runUnobserved's fast-path checks); the
+// lowered body follows it.
+func (c *Compiler) emitHead(bi int, count int32) {
+	c.ensure(regionMax)
 	// The interpreter's three head guards (retired >= maxInstr -> trunc;
 	// count > maxInstr-retired -> slow; count >= untilSnap -> slow)
 	// compress to ONE charge-and-check SUB against the fused countdown
@@ -518,9 +550,8 @@ func (c *Compiler) emitBlock(p *Program, bi int) error {
 	// once-per-segment) venue changes, never the result. The trampoline
 	// undoes the charge before bailing out.
 	if count == 0 {
-		// Degenerate terminator-less block (unreachable through
-		// prog.Validate): nothing to charge, but a spent countdown still
-		// must not enter the body.
+		// An empty block: nothing to charge, but a spent countdown still
+		// must not enter the blocks it falls through to.
 		c.aluImm(7, r12, 0)
 		c.jccFix(0x84, fixSlow, uint32(bi)) // JE: countdown == 0
 	} else {
@@ -528,26 +559,49 @@ func (c *Compiler) emitBlock(p *Program, bi int) error {
 		c.jccFix(0x86, fixSlow, uint32(bi)) // JBE: countdown was <= count
 	}
 	c.addMem1(r13, int32(bi)*8)
+}
 
-	for i := b.Start; i < b.Start+b.Count; i++ {
-		c.ensure(regionMax) // one reservation covers any single lowering
-		if err := c.emitInstr(&p.Instrs[i], nb); err != nil {
-			return err
-		}
-	}
+// emitFallOff ends a last block that does not end in an unconditional
+// transfer. Every other block falls through physically into the next
+// block's head; after the last there is none, so a slow exit names block
+// nb and the driver's slow-path call fails exactly like the interpreter
+// indexing past its block table would (such a program is invalid and
+// unreachable through prog.Validate).
+func (c *Compiler) emitFallOff(nb int) {
+	c.ensure(regionMax)
+	c.mov32MemImm(offNextBlock, uint32(nb))
+	c.mov32MemImm(offStatus, StatusSlow)
+	c.jmpFix(fixEpi, 0)
+}
 
-	// A block that does not end in an unconditional transfer falls through
-	// physically into the next block's head. After the LAST block there is
-	// no next head: emit a slow exit naming block nb, so the driver's
-	// slow-path call fails exactly like the interpreter indexing past its
-	// block table would (such a program is invalid and unreachable through
-	// prog.Validate).
-	if bi == nb-1 && !endsUnconditional(p, b) {
-		c.mov32MemImm(offNextBlock, uint32(nb))
-		c.mov32MemImm(offStatus, StatusSlow)
-		c.jmpFix(fixEpi, 0)
+// emitSlowTail emits the shared tail of the slow stubs. The head guards
+// funnel every boundary condition through it, entered with the block
+// index in EAX: it names the block in NextBlock and reports StatusSlow,
+// and the driver's per-instruction path re-derives what the boundary was
+// (snapshot due, budget straddle, or budget already exhausted — in the
+// last case it truncates before retiring anything, exactly like the
+// interpreter's head check). Everything here is cold, so the cost that
+// matters is bytes compiled, not instructions executed.
+func (c *Compiler) emitSlowTail() {
+	c.ensure(regionMax)
+	c.emit2(0x41, 0x89) // MOV DWORD [r15+offNextBlock], eax
+	c.modMem(rAX, r15, offNextBlock)
+	c.mov32MemImm(offStatus, StatusSlow)
+	c.jmpFix(fixEpi, 0)
+}
+
+// emitStub emits block bi's slow stub: a short trampoline that undoes the
+// charge the head guard's SUB made before borrowing out, then enters the
+// shared tail at slowTail.
+func (c *Compiler) emitStub(bi int, count int32, slowTail int) {
+	c.ensure(32)
+	if count != 0 {
+		c.aluImm(0, r12, count) // undo the countdown charge
 	}
-	return nil
+	c.emit1(0xB8) // MOV eax, bi
+	c.u32(uint32(bi))
+	c.emit1(0xE9) // JMP tail (backward, target already known)
+	c.u32(uint32(int32(slowTail - (c.pos + 4))))
 }
 
 func endsUnconditional(p *Program, b BlockSpan) bool {
@@ -558,9 +612,14 @@ func endsUnconditional(p *Program, b BlockSpan) bool {
 	return op == isa.OpJmp || op == isa.OpHalt
 }
 
+func errTarget(target uint32, nb int) error {
+	return fmt.Errorf("jit: branch target %d out of range (%d blocks)", target, nb)
+}
+
+// emitInstr lowers one instruction; the caller has reserved regionMax.
 func (c *Compiler) emitInstr(ins *Instr, nb int) error {
 	if ins.Op.IsControl() && ins.Op != isa.OpHalt && ins.Target >= uint32(nb) {
-		return fmt.Errorf("jit: branch target %d out of range (%d blocks)", ins.Target, nb)
+		return errTarget(ins.Target, nb)
 	}
 	switch ins.Op {
 	case isa.OpAdd:
@@ -985,30 +1044,30 @@ func (c *Compiler) put(v uint64, n int) {
 // ensure reserves room for n more code bytes plus put's 8-byte slack.
 // Callers bracket whole emission regions (a prologue, one lowered
 // instruction, a slow stub) with a single generous reservation instead
-// of checking per byte group — regionMax in emitBlock documents the
-// per-instruction worst case.
+// of checking per byte group — regionMax is the per-instruction worst
+// case.
 func (c *Compiler) ensure(n int) {
 	if len(c.buf)-c.pos < n+8 {
-		c.growBuf()
+		c.growBuf(n)
 	}
 }
 
 // regionMax bounds the code bytes one ensure region may emit: the widest
 // lowering is OpVMul at VecLanes scalar round trips (~22 bytes per lane
 // in disp32 forms), and block heads, prologue and epilogue all fit well
-// under it too. growBuf always frees at least a 64 KiB step, so a single
-// grow satisfies any region.
+// under it too.
 const regionMax = 256
 
-// growBuf doubles the emit arena, preserving the emitted prefix. Kept out
-// of ensure's fast path; the arena holds its high-water size across
-// Compile calls, so steady-state compilation never lands here.
+// growBuf grows the emit arena (doubling, by at least a 64 KiB step) until
+// n more bytes fit, preserving the emitted prefix. Kept out of ensure's
+// fast path; the arena holds its high-water size across Compile calls, so
+// steady-state compilation never lands here.
 //
 //go:noinline
-func (c *Compiler) growBuf() {
-	newCap := 2 * len(c.buf)
-	if newCap < 1<<16 {
-		newCap = 1 << 16
+func (c *Compiler) growBuf(n int) {
+	newCap := max(2*len(c.buf), 1<<16)
+	for newCap-c.pos < n+8 {
+		newCap *= 2
 	}
 	nb := make([]byte, newCap)
 	copy(nb, c.buf[:c.pos])
@@ -1183,10 +1242,10 @@ func (c *Compiler) bind(pos int) {
 
 func (c *Compiler) jccFix(cc byte, kind uint8, block uint32) {
 	c.put(0x0F|uint64(cc)<<8, 6)
-	c.fix = append(c.fix, fixup{pos: int32(c.pos - 4), block: block, kind: kind})
+	c.fix = append(c.fix, mkFixup(int32(c.pos-4), block, kind))
 }
 
 func (c *Compiler) jmpFix(kind uint8, block uint32) {
 	c.put(0xE9, 5)
-	c.fix = append(c.fix, fixup{pos: int32(c.pos - 4), block: block, kind: kind})
+	c.fix = append(c.fix, mkFixup(int32(c.pos-4), block, kind))
 }

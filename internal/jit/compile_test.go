@@ -9,7 +9,9 @@ package jit
 // wholesale accounting, status codes — that the driver relies on.
 
 import (
+	"bytes"
 	"errors"
+	"fmt"
 	"testing"
 	"unsafe"
 
@@ -329,4 +331,176 @@ func TestMemRoutines(t *testing.T) {
 		t.Errorf("code sections: load %d, store %d, block 0 %d bytes; want all present",
 			len(code.LoadRoutine()), len(code.StoreRoutine()), code.BlockSize(0))
 	}
+}
+
+// sweepRegMap is a register assignment with every residency kind present
+// twice: r2, r3 in low hardware registers, r8, r9 in high ones, r5, r6 in
+// frame slots a short displacement reaches and r0, r1 in slots that need a
+// long one.
+func sweepRegMap() [isa.NumIntRegs]int8 {
+	var m [isa.NumIntRegs]int8
+	for r := range m {
+		m[r] = -1
+	}
+	m[2], m[3], m[12], m[13] = rBX, rBP, rSI, rDI
+	m[8], m[9], m[14], m[15] = r8, r9, r10, r11
+	return m
+}
+
+// stampedVsEncoded lays p out under regMap by stamping (on c) and by the
+// encoder alone (on ref) and returns both results.
+func stampedVsEncoded(t testing.TB, c, ref *Compiler, regMap [isa.NumIntRegs]int8, p *Program) (stamped, encoded []byte) {
+	t.Helper()
+	c.regMap, ref.regMap = regMap, regMap
+	encoded, refErr := ref.encodeProgram(p)
+	_, _, err := c.stampProgram(p)
+	if (err != nil) != (refErr != nil) {
+		t.Fatalf("stampProgram error = %v, encoder error = %v", err, refErr)
+	}
+	if err != nil {
+		return nil, nil
+	}
+	return c.buf[:c.pos], encoded
+}
+
+// TestStampedEqualsEncoded sweeps every opcode over every combination of
+// operand residency — each of Dst, A and B pinned low, pinned high, in a
+// short-displacement and in a long-displacement frame slot, with Dst == A
+// and without — and over immediates on both sides of every width
+// boundary, and requires the stamped code to equal the encoder's byte for
+// byte. Each instruction is its own program, so a failure names it; the
+// block it sits in varies in index and (padded with halts) in length, to
+// cover every head and stub form. TestStampedEqualsEncodedOnWidgets does
+// the same for whole generated programs.
+func TestStampedEqualsEncoded(t *testing.T) {
+	c, ref, regMap := NewCompiler(), NewCompiler(), sweepRegMap()
+	regs := []uint8{2, 3, 8, 9, 5, 6, 0, 1}
+	imms := []int64{0, 1, -1, 127, -128, 128, -129, 1<<31 - 1, -1 << 31, 1 << 31, -1<<31 - 1, 1<<63 - 1, -1 << 63}
+	shapes := []struct{ before, pad int }{{0, 0}, {20, 0}, {3, 130}, {17, 200}}
+	n := 0
+	for op := isa.Opcode(0); op < numOps+2; op++ {
+		for _, d := range regs {
+			for _, a := range regs {
+				for _, b := range regs {
+					for ii, imm := range imms {
+						if ii > 1 && !op.HasImm() {
+							break // one zero and one non-zero immediate show it is ignored
+						}
+						sh := shapes[n%len(shapes)]
+						n++
+						p := sweepProgram(Instr{Op: op, Dst: d, A: a, B: b, Imm: imm, Target: uint32(sh.before)}, sh.before, sh.pad)
+						got, want := stampedVsEncoded(t, c, ref, regMap, p)
+						if !bytes.Equal(got, want) {
+							t.Fatalf("%v dst=r%d a=r%d b=r%d imm=%#x in block %d of %d instructions: %s",
+								op, d, a, b, imm, sh.before, 1+sh.pad, firstDifference(got, want))
+						}
+					}
+				}
+			}
+		}
+	}
+	t.Logf("%d single-instruction programs", n)
+}
+
+// firstDifference renders the neighbourhood of the first byte at which two
+// code images differ.
+func firstDifference(stamped, encoded []byte) string {
+	at := 0
+	for at < len(stamped) && at < len(encoded) && stamped[at] == encoded[at] {
+		at++
+	}
+	window := func(b []byte) []byte { return b[max(at-8, 0):min(at+24, len(b))] }
+	return fmt.Sprintf("%d stamped and %d encoded bytes differ at %d:\nstamped ...% x\nencoded ...% x",
+		len(stamped), len(encoded), at, window(stamped), window(encoded))
+}
+
+// sweepProgram puts ins in a block of its own after `before` single-halt
+// blocks, followed in its block by `pad` halts and then by a final halt
+// block.
+func sweepProgram(ins Instr, before, pad int) *Program {
+	p := &Program{}
+	for i := 0; i < before; i++ {
+		p.Blocks = append(p.Blocks, BlockSpan{Start: uint32(len(p.Instrs)), Count: 1})
+		p.Instrs = append(p.Instrs, Instr{Op: isa.OpHalt})
+	}
+	p.Blocks = append(p.Blocks, BlockSpan{Start: uint32(len(p.Instrs)), Count: uint32(1 + pad)})
+	p.Instrs = append(p.Instrs, ins)
+	for i := 0; i < pad; i++ {
+		p.Instrs = append(p.Instrs, Instr{Op: isa.OpHalt})
+	}
+	p.Blocks = append(p.Blocks, BlockSpan{Start: uint32(len(p.Instrs)), Count: 1})
+	p.Instrs = append(p.Instrs, Instr{Op: isa.OpHalt})
+	return p
+}
+
+// TestStampedDegenerateBlocks covers what the stamp loops hand to the
+// encoder besides long lowerings: empty blocks (head and stub), a last
+// block that falls off the program, and a program with no instructions in
+// its only block.
+func TestStampedDegenerateBlocks(t *testing.T) {
+	c, ref := NewCompiler(), NewCompiler()
+	for name, p := range map[string]*Program{
+		"empty blocks": {
+			Instrs: []Instr{{Op: isa.OpMovI, Dst: 2, Imm: 9}, {Op: isa.OpHalt}},
+			Blocks: []BlockSpan{{0, 0}, {0, 1}, {1, 0}, {1, 0}, {1, 1}},
+		},
+		"falls off": {
+			Instrs: []Instr{{Op: isa.OpMovI, Dst: 2, Imm: 9}, {Op: isa.OpBeq, A: 2, B: 3}},
+			Blocks: []BlockSpan{{0, 2}},
+		},
+		"one empty block": {Blocks: []BlockSpan{{0, 0}}},
+	} {
+		got, want := stampedVsEncoded(t, c, ref, sweepRegMap(), p)
+		if len(got) == 0 || !bytes.Equal(got, want) {
+			t.Errorf("%s: %s", name, firstDifference(got, want))
+		}
+	}
+}
+
+// TestCompileZeroAlloc pins the steady state the hashing session relies
+// on: once the arenas have reached a program's size, compiling it again —
+// or another program no larger — allocates nothing.
+func TestCompileZeroAlloc(t *testing.T) {
+	progs := []*Program{twoBlockProgram(), sweepProgram(Instr{Op: isa.OpFToI, Dst: 2, A: 1}, 30, 150)}
+	c := NewCompiler()
+	compile := func() {
+		for _, p := range progs {
+			if _, err := c.Compile(p); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	compile()
+	if allocs := testing.AllocsPerRun(20, compile); allocs != 0 {
+		t.Errorf("steady-state Compile allocates %v times per run, want 0", allocs)
+	}
+}
+
+// FuzzStampedVsEncoded draws an instruction, a register assignment and a
+// block position from the input and requires the stamped code to equal the
+// encoder's. Eight bytes choose which widget registers are pinned (to the
+// pool registers in order); the rest are the instruction.
+func FuzzStampedVsEncoded(f *testing.F) {
+	f.Add([]byte{0, 1, 2, 3, 4, 5, 6, 7}, uint8(isa.OpAdd), uint8(1), uint8(1), uint8(9), int64(0), uint16(0))
+	f.Add([]byte{15, 14, 13, 12, 3, 2, 1, 0}, uint8(isa.OpLoad), uint8(2), uint8(15), uint8(0), int64(-129), uint16(40))
+	f.Add([]byte{1, 1, 1, 1, 1, 1, 1, 1}, uint8(isa.OpBne), uint8(0), uint8(1), uint8(5), int64(1)<<40, uint16(300))
+	f.Add([]byte{9, 8, 7, 6, 5, 4, 3, 2}, uint8(isa.OpFSqrt), uint8(15), uint8(15), uint8(15), int64(7), uint16(16))
+	c, ref := NewCompiler(), NewCompiler()
+	f.Fuzz(func(t *testing.T, pins []byte, op, dst, a, b uint8, imm int64, where uint16) {
+		var regMap [isa.NumIntRegs]int8
+		for r := range regMap {
+			regMap[r] = -1
+		}
+		for i, r := range pins {
+			if i < len(physPool) && regMap[r%isa.NumIntRegs] < 0 {
+				regMap[r%isa.NumIntRegs] = int8(physPool[i])
+			}
+		}
+		before, pad := int(where%64), int(where/64%4)*60
+		ins := Instr{Op: isa.Opcode(op), Dst: dst % 16, A: a % 16, B: b % 16, Imm: imm, Target: uint32(where % 3)}
+		got, want := stampedVsEncoded(t, c, ref, regMap, sweepProgram(ins, before, pad))
+		if !bytes.Equal(got, want) {
+			t.Fatalf("%+v under %v in block %d of %d: %s", ins, regMap, before, 1+pad, firstDifference(got, want))
+		}
+	})
 }

@@ -6,6 +6,15 @@
 // machine code at load time, so the execution half of every hash runs at
 // native speed instead of interpreter speed.
 //
+// Compilation is on the hash path too (every nonce is a fresh widget), so
+// it is copy-and-patch: an encoder (compile_amd64.go) knows how each
+// opcode lowers, runs once per process over every shape an instruction can
+// take and leaves a table of byte templates; compiling a program is then a
+// table lookup, a fixed-width copy and a few patched bytes per instruction
+// (template_amd64.go). The encoder stays as the templates' generator, as
+// the oracle the stamped code is tested against byte for byte, and as the
+// direct lowering of the few opcodes too long for a template.
+//
 // The package is deliberately narrow. It knows nothing about snapshots
 // or result buffers: it compiles exactly the fast-path
 // block-batched loop of vm.runUnobserved — per-block budget and snapshot

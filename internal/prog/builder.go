@@ -1,6 +1,7 @@
 package prog
 
 import (
+	"errors"
 	"fmt"
 
 	"hashcore/internal/isa"
@@ -12,38 +13,37 @@ import (
 //
 // Blocks are identified by the labels returned from NewBlock, so code can
 // reference a block before its instructions are emitted (needed for forward
-// branches and loop back-edges).
+// branches and loop back-edges). They may be declared ahead in any number,
+// but must be filled in index order: once a block has received an
+// instruction, no block before it can. Every caller works that way — a
+// branch diamond declares its arms and its join, then fills them one after
+// the other — and it lets Emit write each instruction once, validated and
+// in its final place in the program's flat stream, leaving Build only the
+// branch targets to resolve.
 //
-// Internally the builder appends every instruction to one flat emission
-// log and carves per-block instruction slices out of a single contiguous
-// arena at Build time. Both grow to a high-water capacity and are reused
+// The flat stream, the per-block stats and the block-shaped copy Build
+// carves for inspection grow to a high-water capacity and are reused
 // across Reset, so a generation loop that recycles one builder reaches a
 // zero-allocation steady state even though individual block shapes differ
 // from program to program.
 type Builder struct {
 	program Program
 	current int // index of the block being appended to, -1 if none
-	err     error
+	last    int // index of the block holding the newest instruction, -1 if none
+	// sealed: the current block ends in a control instruction, after which
+	// nothing may follow.
+	sealed bool
+	err    error
 
-	log    []Instr      // instructions in emission order
-	runs   []blockRun   // which block each log segment belongs to
+	flat   []FlatInstr  // the program's pre-decoded stream, in block order
+	stats  []BlockStats // per-block length and class tally, parallel to Blocks
 	arena  []Instr      // block-contiguous storage carved at Build time
-	flat   []FlatInstr  // pre-decoded flat stream, parallel to arena
-	counts []int        // per-block instruction counts (Build scratch)
 	starts []uint32     // per-block flat start offsets (Build scratch)
-	stats  []BlockStats // per-block derived metadata (Build scratch)
 }
 
-// blockRun marks where a maximal same-block segment of the emission log
-// begins (it ends where the next run begins). Emission may jump between
-// blocks — branch diamonds fill their arms after the join block exists —
-// but only at NewBlock/SetBlock, so tagging the log per segment instead of
-// per instruction keeps the per-Emit record at a bare Instr and lets
-// materialize hoist all per-block state out of its per-instruction loop.
-type blockRun struct {
-	block int32
-	start int32 // log index where the run begins
-}
+// ErrBlockOrder is latched when emission moves back to a block before one
+// that already holds instructions.
+var ErrBlockOrder = errors.New("prog: blocks must be filled in index order")
 
 // NewBuilder returns a Builder for a program with the given scratch-memory
 // declaration.
@@ -54,18 +54,19 @@ func NewBuilder(memSize int, memSeed uint64) *Builder {
 }
 
 // Reset reclaims the builder for a new program with the given
-// scratch-memory declaration, retaining the emission-log and arena
-// storage accumulated by previous programs so steady-state regeneration
-// allocates nothing. Programs previously returned by Build share the
-// arena and are invalidated; only callers that have finished with them
-// (or copied them) may Reset.
+// scratch-memory declaration, retaining the storage accumulated by
+// previous programs so steady-state regeneration allocates nothing.
+// Programs previously returned by Build share that storage and are
+// invalidated; only callers that have finished with them (or copied them)
+// may Reset.
 func (b *Builder) Reset(memSize int, memSeed uint64) {
 	blocks := b.program.Blocks[:0]
 	b.program = Program{MemSize: memSize, MemSeed: memSeed, Blocks: blocks}
-	b.current = -1
+	b.current, b.last = -1, -1
+	b.sealed = false
 	b.err = nil
-	b.log = b.log[:0]
-	b.runs = b.runs[:0]
+	b.flat = b.flat[:0]
+	b.stats = b.stats[:0]
 }
 
 // Label names a block created by NewBlock.
@@ -80,56 +81,79 @@ func (b *Builder) NewBlock() Label {
 	} else {
 		b.program.Blocks = append(b.program.Blocks, Block{})
 	}
+	b.stats = append(b.stats, BlockStats{})
 	b.current = len(b.program.Blocks) - 1
-	b.noteRun()
+	b.sealed = false
 	return Label(b.current)
 }
 
-// SetBlock switches emission back to a previously created block.
+// SetBlock switches emission to a previously created block: the one that
+// received the newest instruction, or any after it.
 func (b *Builder) SetBlock(l Label) {
 	if int(l) >= len(b.program.Blocks) {
 		b.fail(fmt.Errorf("prog: SetBlock(%d) out of range", l))
 		return
 	}
-	b.current = int(l)
-	b.noteRun()
-}
-
-// noteRun records that subsequent Emits belong to b.current. An empty
-// pending run (no instructions emitted since the last block switch) is
-// retargeted in place, so consecutive switches cannot grow the run list.
-func (b *Builder) noteRun() {
-	block := int32(b.current)
-	if n := len(b.runs); n > 0 {
-		if last := &b.runs[n-1]; int(last.start) == len(b.log) {
-			last.block = block
-			return
-		} else if last.block == block {
-			return
-		}
-	}
-	b.runs = append(b.runs, blockRun{block: block, start: int32(len(b.log))})
-}
-
-// Emit appends a raw instruction to the current block. It is the single
-// hottest call in widget generation — entered once per generated
-// instruction through the Op3/Op2/immediate wrappers — so the body must
-// stay under the inlining budget: the failure path lives in emitInvalid,
-// and a failed builder (b.err != nil) is not re-checked here. Emitting
-// after a failure just appends to the log, which Build and BuildInto
-// never materialize once an error is recorded, so the error-latching
-// contract is preserved without a second branch.
-func (b *Builder) Emit(ins Instr) {
-	if b.current >= 0 {
-		b.log = append(b.log, ins)
+	if int(l) < b.last {
+		b.fail(fmt.Errorf("%w: SetBlock(%d) after block %d was written", ErrBlockOrder, l, b.last))
 		return
 	}
-	b.emitInvalid()
+	b.current = int(l)
+	b.sealed = int(l) == b.last && b.flat[len(b.flat)-1].Op.IsControl()
 }
 
+// Emit appends a raw instruction to the current block: validated (the
+// checks are Program.Validate's), pre-decoded and counted in the block's
+// stats on the spot. It is the single hottest call in widget generation,
+// entered once per generated instruction through the Op3/Op2/immediate
+// wrappers. The first failure is latched and reported by Build; whatever
+// is emitted after it is dropped. A Target on an instruction that takes
+// none is dropped too.
+func (b *Builder) Emit(ins Instr) {
+	op := ins.Op
+	meta := isa.MetaOf(op)
+	if b.current < 0 || b.sealed || b.err != nil || meta&isa.MetaValid == 0 ||
+		ins.Dst >= meta.LimDst() || ins.A >= meta.LimA() || ins.B >= meta.LimB() {
+		b.emitInvalid(ins)
+		return
+	}
+	control := meta&isa.MetaControl != 0
+	target := ins.Target
+	if !control || op == isa.OpHalt {
+		target = 0
+	}
+	class := meta.Class()
+	// Target is resolved from Aux (the target block's index) by Build,
+	// when every block's start is known.
+	b.flat = append(b.flat, FlatInstr{Imm: ins.Imm, Aux: target, Op: op, Class: class, Dst: ins.Dst, A: ins.A, B: ins.B})
+	s := &b.stats[b.current]
+	s.Len++
+	s.Tally[class]++
+	b.sealed = control
+	b.last = b.current
+}
+
+// emitInvalid latches why Emit refused ins, in Program.Validate's terms.
+//
 //go:noinline
-func (b *Builder) emitInvalid() {
-	b.fail(fmt.Errorf("prog: Emit before NewBlock"))
+func (b *Builder) emitInvalid(ins Instr) {
+	if b.err != nil {
+		return
+	}
+	if b.current < 0 {
+		b.fail(fmt.Errorf("prog: Emit before NewBlock"))
+		return
+	}
+	n := b.stats[b.current].Len
+	switch meta := isa.MetaOf(ins.Op); {
+	case meta&isa.MetaValid == 0:
+		b.fail(fmt.Errorf("%w: block %d instr %d (op=%d)", ErrBadOpcode, b.current, n, ins.Op))
+	case b.sealed:
+		b.fail(fmt.Errorf("%w: block %d instr %d (%s)",
+			ErrMisplacedControl, b.current, n-1, b.flat[len(b.flat)-1].Op))
+	default:
+		b.fail(fmt.Errorf("%w: block %d instr %d (%s)", ErrBadRegister, b.current, n, ins.Op))
+	}
 }
 
 // Op3 emits a three-register-operand instruction.
@@ -197,166 +221,93 @@ func (b *Builder) fail(err error) {
 	}
 }
 
-// materialize carves the emission log into per-block instruction slices
-// backed by the builder's contiguous arena, fills the program's per-block
-// Stats (length + class tally) and its pre-decoded Flat stream, and
-// validates structure — all in one pass over the log. The merged checks
-// are exactly Program.Validate's (opcode validity, register ranges,
-// control placement, branch targets, memory declaration, halt
-// reachability; Stats and Flat are consistent by construction), so
-// BuildInto need not run a second full sweep on the hot generation path.
-// Build still runs the canonical Validate afterwards, which keeps every
-// cold-path Build in the test suite doubling as a consistency oracle for
-// this merged pass.
-func (b *Builder) materialize(fillBlocks bool) error {
+// finish completes the program Emit has been writing: it resolves every
+// branch target to a flat index (block starts are only known now), checks
+// what cannot be checked per instruction — size limits, the memory
+// declaration, target ranges, halt reachability — and publishes the flat
+// stream and stats. With fillBlocks it also carves the block-shaped copy
+// of the instructions that inspection and serialization read. Together
+// with Emit's checks these are exactly Program.Validate's, so BuildInto
+// need not run a second sweep on the hot generation path; Build still runs
+// the canonical Validate afterwards, which keeps every cold-path Build in
+// the test suite doubling as a consistency oracle for this split pass.
+func (b *Builder) finish(fillBlocks bool) error {
 	p := &b.program
 	p.Stats, p.Flat = nil, nil
 	nb := len(p.Blocks)
 	if nb == 0 {
 		return ErrNoBlocks
 	}
-	total := len(b.log)
-	if nb > MaxBlocks || total > MaxTotalStatic {
+	flat, stats := b.flat, b.stats
+	if nb > MaxBlocks || len(flat) > MaxTotalStatic {
 		return ErrTooLarge
 	}
 	if !isPow2(p.MemSize) || p.MemSize < MinMemSize || p.MemSize > MaxMemSize {
 		return fmt.Errorf("%w: %d", ErrBadMemSize, p.MemSize)
 	}
 
-	if cap(b.counts) < nb {
-		b.counts = make([]int, nb)
-	}
-	counts := b.counts[:nb]
-	for i := range counts {
-		counts[i] = 0
-	}
-	for ri := range b.runs {
-		end := total
-		if ri+1 < len(b.runs) {
-			end = int(b.runs[ri+1].start)
-		}
-		counts[b.runs[ri].block] += end - int(b.runs[ri].start)
-	}
-
 	if cap(b.starts) < nb {
 		b.starts = make([]uint32, nb)
 	}
 	starts := b.starts[:nb]
-	var arena []Instr
-	if fillBlocks {
-		if cap(b.arena) < total {
-			b.arena = make([]Instr, total)
+	off := uint32(0)
+	for bi := range stats {
+		if stats[bi].Len > MaxBlockInstrs {
+			return fmt.Errorf("%w: block %d has %d instructions", ErrTooLarge, bi, stats[bi].Len)
 		}
-		arena = b.arena[:total]
-	}
-	if cap(b.flat) < total {
-		b.flat = make([]FlatInstr, total)
-	}
-	flat := b.flat[:total]
-
-	off := 0
-	for bi := 0; bi < nb; bi++ {
-		n := counts[bi]
-		if n > MaxBlockInstrs {
-			return fmt.Errorf("%w: block %d has %d instructions", ErrTooLarge, bi, n)
-		}
-		starts[bi] = uint32(off)
-		if fillBlocks {
-			p.Blocks[bi].Instrs = arena[off : off : off+n]
-		} else {
-			// Clear any arena view left by a previous materialization of
-			// this Blocks slice: a stale one would alias instructions of
-			// the wrong program.
-			p.Blocks[bi].Instrs = nil
-		}
-		off += n
+		starts[bi] = off
+		off += stats[bi].Len
 	}
 
-	if cap(b.stats) < nb {
-		b.stats = make([]BlockStats, nb)
-	}
-	stats := b.stats[:nb]
-	for i := range stats {
-		stats[i] = BlockStats{}
-	}
-
+	// Control instructions are block terminators (Emit refuses anything
+	// after one), so the terminators are all there is to resolve.
 	haveHalt := false
-	for ri := range b.runs {
-		r := b.runs[ri]
-		end := total
-		if ri+1 < len(b.runs) {
-			end = int(b.runs[ri+1].start)
-		}
-		s := &stats[r.block]
-		base := int(starts[r.block])
-		var blk *Block
-		if fillBlocks {
-			blk = &p.Blocks[r.block]
-		}
-		// Whether the block's most recent instruction (possibly from an
-		// earlier run) was control flow; carried forward in a flag so the
-		// misplaced-control check costs one test per instruction instead of
-		// re-reading the previous flat entry.
-		prevControl := false
-		if n := int(s.Len); n > 0 {
-			prevControl = flat[base+n-1].Op.IsControl()
-		}
-		for i := int(r.start); i < end; i++ {
-			ins := b.log[i]
-			ii := int(s.Len)
-			idx := base + ii
-			op := ins.Op
-			meta := isa.MetaOf(op)
-			if meta&isa.MetaValid == 0 {
-				return fmt.Errorf("%w: block %d instr %d (op=%d)", ErrBadOpcode, r.block, ii, op)
-			}
-			if prevControl {
-				return fmt.Errorf("%w: block %d instr %d (%s)",
-					ErrMisplacedControl, r.block, ii-1, flat[idx-1].Op)
-			}
-			if ins.Dst >= meta.LimDst() || ins.A >= meta.LimA() || ins.B >= meta.LimB() {
-				return fmt.Errorf("%w: block %d instr %d (%s)", ErrBadRegister, r.block, ii, op)
-			}
-			fi := FlatInstr{
-				Op:    op,
-				Class: meta.Class(),
-				Dst:   ins.Dst,
-				A:     ins.A,
-				B:     ins.B,
-				Imm:   ins.Imm,
-			}
-			control := meta&isa.MetaControl != 0
-			if control && op != isa.OpHalt {
-				if int(ins.Target) >= nb {
-					return fmt.Errorf("%w: block %d -> %d (have %d blocks)",
-						ErrBadTarget, r.block, ins.Target, nb)
-				}
-				fi.Target = starts[ins.Target]
-				fi.Aux = ins.Target
-			} else if op == isa.OpHalt {
+	var term isa.Opcode
+	for bi := range stats {
+		term = isa.OpInvalid
+		if n := stats[bi].Len; n > 0 {
+			fi := &flat[starts[bi]+n-1]
+			if term = fi.Op; term == isa.OpHalt {
 				haveHalt = true
+			} else if term.IsControl() {
+				if int(fi.Aux) >= nb {
+					return fmt.Errorf("%w: block %d -> %d (have %d blocks)", ErrBadTarget, bi, fi.Aux, nb)
+				}
+				fi.Target = starts[fi.Aux]
 			}
-			if fillBlocks {
-				blk.Instrs = append(blk.Instrs, ins)
-			}
-			flat[idx] = fi
-			s.Len++
-			s.Tally[fi.Class]++
-			prevControl = control
 		}
 	}
-
 	// The last block must not fall through off the end of the program, not
 	// even conditionally (see Validate).
-	lastN := counts[nb-1]
-	if lastN == 0 || !flat[starts[nb-1]+uint32(lastN)-1].Op.IsControl() {
+	if !term.IsControl() {
 		return fmt.Errorf("%w: last block falls through", ErrNoHalt)
 	}
-	if term := flat[starts[nb-1]+uint32(lastN)-1].Op; term != isa.OpHalt && term != isa.OpJmp {
+	if term != isa.OpHalt && term != isa.OpJmp {
 		return fmt.Errorf("%w: last block may fall through (%s terminator)", ErrNoHalt, term)
 	}
 	if !haveHalt {
 		return ErrNoHalt
+	}
+
+	if fillBlocks {
+		if cap(b.arena) < len(flat) {
+			b.arena = make([]Instr, len(flat))
+		}
+		arena := b.arena[:len(flat)]
+		for i := range flat {
+			fi := &flat[i]
+			arena[i] = Instr{Op: fi.Op, Dst: fi.Dst, A: fi.A, B: fi.B, Imm: fi.Imm, Target: fi.Aux}
+		}
+		for bi := range p.Blocks {
+			end := starts[bi] + stats[bi].Len
+			p.Blocks[bi].Instrs = arena[starts[bi]:end:end]
+		}
+	} else {
+		// Clear any arena view left by an earlier Build over this Blocks
+		// slice: a stale one would alias instructions of the wrong program.
+		for bi := range p.Blocks {
+			p.Blocks[bi].Instrs = nil
+		}
 	}
 	p.Stats = stats
 	p.Flat = flat
@@ -372,7 +323,7 @@ func (b *Builder) Build() (*Program, error) {
 	if b.err != nil {
 		return nil, b.err
 	}
-	if err := b.materialize(true); err != nil {
+	if err := b.finish(true); err != nil {
 		return nil, err
 	}
 	p := b.program
@@ -386,14 +337,14 @@ func (b *Builder) Build() (*Program, error) {
 // constructed program and stores it in *out, overwriting the previous
 // contents. Combined with Reset it lets a generation loop reuse one
 // Program value (and the builder's storage) with zero steady-state
-// allocation. Validation happens inside materialization (one pass over
-// the emission log instead of two); Build additionally re-runs the
-// canonical Validate, pinning the two paths to each other.
+// allocation. Validation happens in Emit and finish (each instruction is
+// touched once); Build additionally re-runs the canonical Validate, pinning
+// the two paths to each other.
 func (b *Builder) BuildInto(out *Program) error {
 	if b.err != nil {
 		return b.err
 	}
-	if err := b.materialize(true); err != nil {
+	if err := b.finish(true); err != nil {
 		return err
 	}
 	*out = b.program
@@ -403,15 +354,14 @@ func (b *Builder) BuildInto(out *Program) error {
 // BuildFlatInto is BuildInto for consumers that execute the program
 // rather than inspect it: the per-block Instrs views are left empty and
 // only the pre-decoded Flat stream and Stats are produced. Validation is
-// identical to BuildInto (the merged checks run over the flat stream),
-// and the VM's trusted-load path and the JIT consume exactly Flat+Stats,
-// so the generation hot loop skips materializing a second, block-shaped
-// copy of every instruction it will never read.
+// identical to BuildInto, and the VM's trusted-load path and the JIT
+// consume exactly Flat+Stats, so the generation hot loop skips carving a
+// second, block-shaped copy of every instruction it will never read.
 func (b *Builder) BuildFlatInto(out *Program) error {
 	if b.err != nil {
 		return b.err
 	}
-	if err := b.materialize(false); err != nil {
+	if err := b.finish(false); err != nil {
 		return err
 	}
 	*out = b.program

@@ -80,6 +80,11 @@ type RunStats struct {
 	// under TrackMemory and are zero otherwise.
 	ResetNs      int64
 	WordsWritten uint64
+	// SlowBounces is how many times a native run left its code for the
+	// interpreter's per-instruction path to carry one block over a
+	// snapshot or budget boundary (see runNative): about one per snapshot.
+	// Zero on the interpreter.
+	SlowBounces uint64
 }
 
 // TrackMemory makes subsequent runs report RunStats.ResetNs and
@@ -273,6 +278,7 @@ func (m *Machine) runNative(params Params, res *Result, ns *nativeState) {
 		// is exhausted outright): execute it on the exact per-instruction
 		// path — which truncates, snapshots, or retires it exactly as the
 		// interpreter would — then re-enter native code.
+		m.lastStats.SlowBounces++
 		next, status := m.runBlockSlow(f.NextBlock, &st, res)
 		if status == slowHalt {
 			break

@@ -221,3 +221,32 @@ func TestParseBackend(t *testing.T) {
 		}
 	}
 }
+
+// TestSlowBouncesTrackSnapshots pins what RunStats.SlowBounces counts: a
+// native run leaves its code once per snapshot boundary (the block the
+// boundary falls in runs on the per-instruction path) and once more where
+// the budget ends, so bounces stay within a couple of retired/interval
+// whatever the interval; the interpreter never bounces.
+func TestSlowBouncesTrackSnapshots(t *testing.T) {
+	requireNative(t)
+	m, err := vm.New(benchWidget(t))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var res vm.Result
+	for _, interval := range []uint64{vm.DefaultSnapshotInterval, 512, 100} {
+		m.SetBackend(vm.BackendNative)
+		m.RunInto(vm.Params{SnapshotInterval: interval}, nil, &res)
+		st := m.LastRunStats()
+		want := res.Retired / interval
+		if st.Backend != vm.BackendNative || st.SlowBounces+2 < want || st.SlowBounces > want+2 {
+			t.Errorf("interval %d on %v: %d bounces for %d retired instructions, want about %d",
+				interval, st.Backend, st.SlowBounces, res.Retired, want)
+		}
+	}
+	m.SetBackend(vm.BackendInterp)
+	m.RunInto(vm.Params{}, nil, &res)
+	if st := m.LastRunStats(); st.SlowBounces != 0 {
+		t.Errorf("interpreter run reports %d bounces", st.SlowBounces)
+	}
+}

@@ -43,7 +43,7 @@ import (
 )
 
 // prog.FlatInstr is declared field-for-field compatible with flatInstr so
-// LoadTrusted can adopt a builder-materialized flat stream as the decoded
+// LoadTrusted can adopt a builder-written flat stream as the decoded
 // code without a per-instruction copy. This init pins the layout contract
 // (the jit.Instr twin is pinned in backend.go).
 func init() {
