@@ -12,12 +12,13 @@ import (
 )
 
 // runDumpWidget prints every representation of one widget program — the
-// architectural stream, the fused superinstruction stream the interpreter
-// executes, and what the JIT compiles from the same block structure (its
-// shared scratch-memory routines and each block's code size) — for codegen
-// debugging, then runs it once to report how much of its scratch memory
-// it writes. The widget is the one the
-// production pipeline would run first for the input LE64(seed): its
+// architectural stream, the fused stream the interpreter's fast loop
+// executes (superinstructions in one slot, each block headed by its
+// successor, a trailing jmp folded into it), and what the JIT compiles
+// from the same block structure (its shared scratch-memory routines and
+// each block's code size) — for codegen debugging, then runs it once to
+// report how much of its scratch memory it writes. The widget is the one
+// the production pipeline would run first for the input LE64(seed): its
 // generator seed is the hash gate applied to that input, exactly as
 // Session.Hash derives it, so a digest divergence seen in the differential
 // tests can be replayed here and inspected instruction by instruction.
@@ -46,7 +47,7 @@ func runDumpWidget(profileName string, seed uint64) error {
 	if err := m.Load(p); err != nil {
 		return err
 	}
-	fmt.Println("; ---- fused stream (interpreter dispatch, JIT block structure) ----")
+	fmt.Println("; ---- fused stream (interpreter dispatch; block headers name the successor) ----")
 	fmt.Print(m.DisassembleFused())
 
 	if native, err := m.DumpNative(); err != nil {

@@ -20,11 +20,11 @@ type hashMetrics struct {
 	execSeconds *telemetry.Histogram
 	// retired counts executed widget instructions (architectural).
 	retired *telemetry.Counter
-	// archInstrs/fusedInstrs accumulate the static stream lengths of
-	// every loaded widget; fused/arch is the superinstruction fusion
-	// ratio (1.0 = no fusion benefit).
-	archInstrs  *telemetry.Counter
-	fusedInstrs *telemetry.Counter
+	// archInstrs accumulates the static length of every loaded widget,
+	// in architectural instructions. (How many slots the interpreter
+	// dispatches for them is a property of an engine most hashes never
+	// run; the benchmark reads it from vm.Machine.CodeSize.)
+	archInstrs *telemetry.Counter
 	// wordsWritten counts the distinct scratch-memory words widgets
 	// stored to: the touched part of the never-materialized image.
 	wordsWritten *telemetry.Counter
@@ -59,11 +59,8 @@ func newHashMetrics(reg *telemetry.Registry) *hashMetrics {
 		retired: reg.Counter("hashcore_retired_instructions_total",
 			"Widget instructions retired by the VM."),
 		archInstrs: reg.Counter("hashcore_vm_instructions_total",
-			"Static instruction-stream lengths of loaded widgets.",
+			"Static lengths of loaded widgets, in architectural instructions.",
 			telemetry.Label{Key: "stream", Value: "arch"}),
-		fusedInstrs: reg.Counter("hashcore_vm_instructions_total",
-			"Static instruction-stream lengths of loaded widgets.",
-			telemetry.Label{Key: "stream", Value: "fused"}),
 		wordsWritten: reg.Counter("hashcore_vm_words_written_total",
 			"Distinct scratch-memory words stored to by executed widgets."),
 		jitCompileSeconds: reg.Histogram("hashcore_jit_compile_seconds",

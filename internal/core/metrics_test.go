@@ -1,9 +1,12 @@
 package core
 
 import (
+	"reflect"
+	"strings"
 	"testing"
 
 	"hashcore/internal/telemetry"
+	"hashcore/internal/vm"
 	"hashcore/internal/workload"
 )
 
@@ -65,6 +68,65 @@ func TestMetricsRecorded(t *testing.T) {
 	arch, _ := reg.Value("hashcore_vm_instructions_total")
 	if arch <= 0 {
 		t.Fatalf("vm instruction streams = %v", arch)
+	}
+}
+
+// machineGen reads one of the session VM's unexported generation counters
+// (loadGen: program loads; fusedGen: the load the interpreter's fused
+// stream was last built for). Reflection, because whether that stream
+// exists is deliberately not part of vm's API; a renamed field panics here.
+func machineGen(s *Session, field string) uint64 {
+	return reflect.ValueOf(s.m).Elem().FieldByName(field).Uint()
+}
+
+// Telemetry must not make a native hash pay for the interpreter: with a
+// registry attached, a native-backed session never builds the fused stream
+// (counting a widget's instructions used to, through vm.Machine.CodeSize,
+// on every hash of every daemon), while an interpreter-backed one builds
+// it exactly once per load — and only the architectural series is
+// exported.
+func TestTelemetryDoesNotFuseOnNative(t *testing.T) {
+	w, err := workload.ByName("leela")
+	if err != nil {
+		t.Fatal(err)
+	}
+	const n = 5
+	for _, be := range []vm.Backend{vm.BackendNative, vm.BackendInterp} {
+		if be == vm.BackendNative && !vm.NativeSupported() {
+			continue
+		}
+		reg := telemetry.NewRegistry()
+		f, err := New(Options{Profile: w.Profile, Metrics: reg, Backend: be})
+		if err != nil {
+			t.Fatal(err)
+		}
+		s := f.NewSession()
+		for i := 0; i < n; i++ {
+			if _, err := s.Hash([]byte{byte(i)}); err != nil {
+				t.Fatal(err)
+			}
+			if be == vm.BackendInterp && machineGen(s, "fusedGen") != machineGen(s, "loadGen") {
+				t.Fatalf("interp: hash %d ran without the fused stream of its load", i)
+			}
+		}
+		loads, fused := machineGen(s, "loadGen"), machineGen(s, "fusedGen")
+		if loads != n {
+			t.Fatalf("%v: %d loads for %d single-widget hashes", be, loads, n)
+		}
+		if be == vm.BackendNative && fused != 0 {
+			t.Errorf("native: the fused stream was built (for load %d of %d); telemetry must not run the peephole pass", fused, loads)
+		}
+		if arch, _ := reg.Value("hashcore_vm_instructions_total"); arch <= 0 {
+			t.Errorf("%v: no architectural instructions counted", be)
+		}
+		var text strings.Builder
+		if err := reg.WritePrometheus(&text); err != nil {
+			t.Fatal(err)
+		}
+		if !strings.Contains(text.String(), `hashcore_vm_instructions_total{stream="arch"}`) ||
+			strings.Contains(text.String(), `stream="fused"`) {
+			t.Errorf("%v: want the stream=\"arch\" series and no stream=\"fused\" one in:\n%s", be, text.String())
+		}
 	}
 }
 

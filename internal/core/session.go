@@ -135,11 +135,6 @@ func (s *Session) runWidget(seed perfprox.Seed, obs vm.Observer, t *PhaseTimings
 	if err := s.loadWidget(seed, obs, t); err != nil {
 		return err
 	}
-	if met := f.met; met != nil {
-		arch, fused := s.m.CodeSize()
-		met.archInstrs.Add(uint64(arch))
-		met.fusedInstrs.Add(uint64(fused))
-	}
 	// t is non-nil whenever a PhaseTimings or a registry is attached (see
 	// hash); only then does the run pay for its memory statistics.
 	s.m.TrackMemory(t != nil)
@@ -176,6 +171,7 @@ func (s *Session) loadWidget(seed perfprox.Seed, obs vm.Observer, t *PhaseTiming
 	if t != nil {
 		mark = time.Now()
 	}
+	var archInstrs int // the widget's static length, for telemetry
 	if f.useSrc {
 		// The paper-faithful textual pipeline allocates by design (it
 		// renders and re-parses source); sessions only reuse the VM here.
@@ -196,6 +192,7 @@ func (s *Session) loadWidget(seed perfprox.Seed, obs vm.Observer, t *PhaseTiming
 		if err := s.m.Load(widget); err != nil {
 			return err
 		}
+		archInstrs = widget.NumInstrs()
 	} else {
 		widget, err := f.gen.GenerateInto(seed, &s.gen)
 		if err != nil {
@@ -210,6 +207,10 @@ func (s *Session) loadWidget(seed perfprox.Seed, obs vm.Observer, t *PhaseTiming
 		// The builder validated the program during BuildInto; skip the
 		// VM's second structural pass.
 		s.m.LoadTrusted(widget)
+		archInstrs = len(widget.Flat) // a flat-only build: the blocks are not carved
+	}
+	if met := f.met; met != nil {
+		met.archInstrs.Add(uint64(archInstrs))
 	}
 	if t != nil {
 		t.LoadNs += time.Since(s.execMark).Nanoseconds()

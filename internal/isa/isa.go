@@ -19,6 +19,13 @@
 // Control flow is expressed at the basic-block level (see internal/prog):
 // branch instructions name a target block, and only the last instruction of
 // a block may be a control instruction.
+//
+// What an opcode IS — mnemonic, class, operand register files, whether it
+// ends a block, branches conditionally or reads its immediate — is written
+// down once, as a row of opTable; every predicate, the packed OpMeta word
+// and the mnemonic lookup read that row. What an opcode DOES is defined by
+// internal/vm's reference step. The fused superinstructions the VM's
+// interpreter dispatches are a second, smaller table (fusePairs).
 package isa
 
 import "fmt"
@@ -157,189 +164,69 @@ const (
 // accounting is the sum of both halves' classes), and its semantics are
 // exactly "first half, then second half" — fusion only removes dispatch
 // overhead, never reorders or combines arithmetic.
+//
+// The set is kept by measurement: a pair is here because it reaches 1 % of
+// the interpreter's dynamic dispatches on at least one workload profile
+// (vm's TestFusedSetEarnsItsKeep holds every row to that, the nine ALU
+// pairs below as one entry; DESIGN.md §9 has the table and the pairs that
+// were dropped). A block's trailing
+// unconditional jump needs no opcode at all: the VM records it as the
+// block's successor.
 const (
 	// FuseBase is the first fused opcode value.
 	FuseBase Opcode = 64
 
-	OpFuseCmpLTBeq Opcode = 64 // cmplt d,a,b ; beq x,y -> T
-	OpFuseCmpLTBne Opcode = 65 // cmplt d,a,b ; bne x,y -> T
-	OpFuseCmpEQBeq Opcode = 66 // cmpeq d,a,b ; beq x,y -> T
-	OpFuseCmpEQBne Opcode = 67 // cmpeq d,a,b ; bne x,y -> T
-	OpFuseAddIBeq  Opcode = 68 // addi d,a,imm ; beq x,y -> T
-	OpFuseAddIBne  Opcode = 69 // addi d,a,imm ; bne x,y -> T
-	OpFuseMovIAdd  Opcode = 70 // movi m,imm ; add d,a,b
-	OpFuseMovISub  Opcode = 71 // movi m,imm ; sub d,a,b
-	OpFuseMovIXor  Opcode = 72 // movi m,imm ; xor d,a,b
-	OpFuseMovIAnd  Opcode = 73 // movi m,imm ; and d,a,b
-	OpFuseMovIOr   Opcode = 74 // movi m,imm ; or  d,a,b
-	OpFuseAddILoad Opcode = 75 // addi d,a,imm ; load d2 = mem[a2 + disp]
-	OpFuseAddIStor Opcode = 76 // addi d,a,imm ; store mem[a2 + disp] = b2
-	OpFuseMulAdd   Opcode = 77 // mul d,a,b ; add d2,a2,b2
-	OpFuseFMulFAdd Opcode = 78 // fmul fd,fa,fb ; fadd fd2,fa2,fb2
-	OpFuseRorAnd   Opcode = 79 // ror d,a,b ; and d2,a2,b2 (diamond condition prefix)
+	OpFuseCmpLTBne Opcode = 64 // cmplt d,a,b ; bne x,y -> T (every branch diamond's condition)
+	OpFuseRorAnd   Opcode = 65 // ror d,a,b ; and d2,a2,b2 (the diamond condition's prefix)
 
-	// The x+jmp family: every non-control opcode fuses with a following
-	// unconditional jump (generated branch-diamond arms always end with
-	// one). FuseJmpBase + the family's index below. The encoding is
-	// uniform: the first half keeps its normal dst/a/b/imm fields and the
-	// jump's target block lands in target.
-	FuseJmpBase Opcode = 80
+	// The three highest-weight integer-ALU filler opcodes fused pairwise
+	// ({add,sub,xor} x {add,sub,xor}): the most frequent adjacencies inside
+	// straight-line filler runs. One encoding serves all nine.
+	OpFuseAddAdd Opcode = 66
+	OpFuseAddSub Opcode = 67
+	OpFuseAddXor Opcode = 68
+	OpFuseSubAdd Opcode = 69
+	OpFuseSubSub Opcode = 70
+	OpFuseSubXor Opcode = 71
+	OpFuseXorAdd Opcode = 72
+	OpFuseXorSub Opcode = 73
+	OpFuseXorXor Opcode = 74
 
-	OpFuseAddJmp    Opcode = 80
-	OpFuseSubJmp    Opcode = 81
-	OpFuseAndJmp    Opcode = 82
-	OpFuseOrJmp     Opcode = 83
-	OpFuseXorJmp    Opcode = 84
-	OpFuseShlJmp    Opcode = 85
-	OpFuseShrJmp    Opcode = 86
-	OpFuseRorJmp    Opcode = 87
-	OpFuseCmpLTJmp  Opcode = 88
-	OpFuseCmpEQJmp  Opcode = 89
-	OpFuseMovJmp    Opcode = 90
-	OpFuseMovIJmp   Opcode = 91
-	OpFuseAddIJmp   Opcode = 92
-	OpFuseMulJmp    Opcode = 93
-	OpFuseMulHJmp   Opcode = 94
-	OpFuseFAddJmp   Opcode = 95
-	OpFuseFSubJmp   Opcode = 96
-	OpFuseFMulJmp   Opcode = 97
-	OpFuseFDivJmp   Opcode = 98
-	OpFuseFSqrtJmp  Opcode = 99
-	OpFuseFMovJmp   Opcode = 100
-	OpFuseFCvtJmp   Opcode = 101
-	OpFuseFToIJmp   Opcode = 102
-	OpFuseLoadJmp   Opcode = 103
-	OpFuseFLoadJmp  Opcode = 104
-	OpFuseStoreJmp  Opcode = 105
-	OpFuseFStoreJmp Opcode = 106
-	OpFuseVAddJmp   Opcode = 107
-	OpFuseVXorJmp   Opcode = 108
-	OpFuseVMulJmp   Opcode = 109
-	OpFuseVBcastJmp Opcode = 110
-	OpFuseVRedJmp   Opcode = 111
-
-	fuseJmpEnd Opcode = 112 // one past the last x+jmp opcode
-
-	// Generic ALU pair family: the three highest-weight integer-ALU filler
-	// opcodes fused pairwise ({add,sub,xor} x {add,sub,xor}), covering the
-	// most frequent adjacencies inside straight-line filler runs. Encoding
-	// matches mul+add: first op in dst/a/b, second packed into aux.
-	OpFuseAddAdd Opcode = 112
-	OpFuseAddSub Opcode = 113
-	OpFuseAddXor Opcode = 114
-	OpFuseSubAdd Opcode = 115
-	OpFuseSubSub Opcode = 116
-	OpFuseSubXor Opcode = 117
-	OpFuseXorAdd Opcode = 118
-	OpFuseXorSub Opcode = 119
-	OpFuseXorXor Opcode = 120
-
-	fuseEnd Opcode = 121 // one past the last fused opcode
+	fuseEnd Opcode = 75 // one past the last fused opcode
 )
 
-// IsFusedJmp reports whether op is an x+jmp superinstruction.
-func (op Opcode) IsFusedJmp() bool { return op >= FuseJmpBase && op < fuseJmpEnd }
-
-// fusePairs maps each fused opcode to the architectural pair it replaces.
-// This table is the single source of truth for what fuses: Fuse and
-// FuseParts are both derived from it.
-var fusePairs = [...]struct {
-	fused, first, second Opcode
-}{
-	{OpFuseCmpLTBeq, OpCmpLT, OpBeq},
-	{OpFuseCmpLTBne, OpCmpLT, OpBne},
-	{OpFuseCmpEQBeq, OpCmpEQ, OpBeq},
-	{OpFuseCmpEQBne, OpCmpEQ, OpBne},
-	{OpFuseAddIBeq, OpAddI, OpBeq},
-	{OpFuseAddIBne, OpAddI, OpBne},
-	{OpFuseMovIAdd, OpMovI, OpAdd},
-	{OpFuseMovISub, OpMovI, OpSub},
-	{OpFuseMovIXor, OpMovI, OpXor},
-	{OpFuseMovIAnd, OpMovI, OpAnd},
-	{OpFuseMovIOr, OpMovI, OpOr},
-	{OpFuseAddILoad, OpAddI, OpLoad},
-	{OpFuseAddIStor, OpAddI, OpStore},
-	{OpFuseMulAdd, OpMul, OpAdd},
-	{OpFuseFMulFAdd, OpFMul, OpFAdd},
-	{OpFuseRorAnd, OpRor, OpAnd},
-
-	{OpFuseAddJmp, OpAdd, OpJmp},
-	{OpFuseSubJmp, OpSub, OpJmp},
-	{OpFuseAndJmp, OpAnd, OpJmp},
-	{OpFuseOrJmp, OpOr, OpJmp},
-	{OpFuseXorJmp, OpXor, OpJmp},
-	{OpFuseShlJmp, OpShl, OpJmp},
-	{OpFuseShrJmp, OpShr, OpJmp},
-	{OpFuseRorJmp, OpRor, OpJmp},
-	{OpFuseCmpLTJmp, OpCmpLT, OpJmp},
-	{OpFuseCmpEQJmp, OpCmpEQ, OpJmp},
-	{OpFuseMovJmp, OpMov, OpJmp},
-	{OpFuseMovIJmp, OpMovI, OpJmp},
-	{OpFuseAddIJmp, OpAddI, OpJmp},
-	{OpFuseMulJmp, OpMul, OpJmp},
-	{OpFuseMulHJmp, OpMulH, OpJmp},
-	{OpFuseFAddJmp, OpFAdd, OpJmp},
-	{OpFuseFSubJmp, OpFSub, OpJmp},
-	{OpFuseFMulJmp, OpFMul, OpJmp},
-	{OpFuseFDivJmp, OpFDiv, OpJmp},
-	{OpFuseFSqrtJmp, OpFSqrt, OpJmp},
-	{OpFuseFMovJmp, OpFMov, OpJmp},
-	{OpFuseFCvtJmp, OpFCvt, OpJmp},
-	{OpFuseFToIJmp, OpFToI, OpJmp},
-	{OpFuseLoadJmp, OpLoad, OpJmp},
-	{OpFuseFLoadJmp, OpFLoad, OpJmp},
-	{OpFuseStoreJmp, OpStore, OpJmp},
-	{OpFuseFStoreJmp, OpFStore, OpJmp},
-	{OpFuseVAddJmp, OpVAdd, OpJmp},
-	{OpFuseVXorJmp, OpVXor, OpJmp},
-	{OpFuseVMulJmp, OpVMul, OpJmp},
-	{OpFuseVBcastJmp, OpVBcast, OpJmp},
-	{OpFuseVRedJmp, OpVRed, OpJmp},
-
-	{OpFuseAddAdd, OpAdd, OpAdd},
-	{OpFuseAddSub, OpAdd, OpSub},
-	{OpFuseAddXor, OpAdd, OpXor},
-	{OpFuseSubAdd, OpSub, OpAdd},
-	{OpFuseSubSub, OpSub, OpSub},
-	{OpFuseSubXor, OpSub, OpXor},
-	{OpFuseXorAdd, OpXor, OpAdd},
-	{OpFuseXorSub, OpXor, OpSub},
-	{OpFuseXorXor, OpXor, OpXor},
+// fusePairs lists, by fused opcode, the architectural pair it replaces.
+// It is the single source of truth for what fuses: Fuse and FuseParts both
+// read it.
+var fusePairs = [fuseEnd - FuseBase][2]Opcode{
+	OpFuseCmpLTBne - FuseBase: {OpCmpLT, OpBne},
+	OpFuseRorAnd - FuseBase:   {OpRor, OpAnd},
+	OpFuseAddAdd - FuseBase:   {OpAdd, OpAdd},
+	OpFuseAddSub - FuseBase:   {OpAdd, OpSub},
+	OpFuseAddXor - FuseBase:   {OpAdd, OpXor},
+	OpFuseSubAdd - FuseBase:   {OpSub, OpAdd},
+	OpFuseSubSub - FuseBase:   {OpSub, OpSub},
+	OpFuseSubXor - FuseBase:   {OpSub, OpXor},
+	OpFuseXorAdd - FuseBase:   {OpXor, OpAdd},
+	OpFuseXorSub - FuseBase:   {OpXor, OpSub},
+	OpFuseXorXor - FuseBase:   {OpXor, OpXor},
 }
 
-// fuseLUT is the dense pair -> fused-opcode lookup used by the VM's load-time
-// fuser (architectural opcodes are < FuseBase, so first*FuseBase+second fits).
-var fuseLUT = func() [int(FuseBase) * int(FuseBase)]Opcode {
-	var t [int(FuseBase) * int(FuseBase)]Opcode
-	for _, p := range fusePairs {
-		t[int(p.first)*int(FuseBase)+int(p.second)] = p.fused
-	}
-	return t
-}()
-
-// fuseInfo maps a fused opcode to its halves and mnemonic.
-var fuseInfo = func() [fuseEnd]struct {
-	first, second Opcode
-	name          string
-} {
-	var t [fuseEnd]struct {
-		first, second Opcode
-		name          string
-	}
-	for _, p := range fusePairs {
-		t[p.fused].first = p.first
-		t[p.fused].second = p.second
-		t[p.fused].name = opcodes[p.first].name + "." + opcodes[p.second].name
+// fuseLUT is the dense pair -> fused-opcode lookup behind Fuse, which the
+// VM's fuser asks about every adjacent pair of every widget it interprets
+// (architectural opcodes are < FuseBase, so first*FuseBase+second fits).
+var fuseLUT = func() (t [int(FuseBase) * int(FuseBase)]Opcode) {
+	for i, p := range fusePairs {
+		t[int(p[0])*int(FuseBase)+int(p[1])] = FuseBase + Opcode(i)
 	}
 	return t
 }()
 
 // IsFused reports whether op is a fused superinstruction.
-func (op Opcode) IsFused() bool { return op >= FuseBase && op < fuseEnd && fuseInfo[op].first != 0 }
+func (op Opcode) IsFused() bool { return op >= FuseBase && op < fuseEnd }
 
 // Fuse returns the fused superinstruction replacing the adjacent pair
-// (first, second), if the pair is fusible by opcode. Callers may impose
-// additional operand constraints (the VM does, for immediate ranges).
+// (first, second), if there is one.
 func Fuse(first, second Opcode) (Opcode, bool) {
 	if first >= FuseBase || second >= FuseBase {
 		return OpInvalid, false
@@ -353,114 +240,34 @@ func (op Opcode) FuseParts() (first, second Opcode, ok bool) {
 	if !op.IsFused() {
 		return OpInvalid, OpInvalid, false
 	}
-	return fuseInfo[op].first, fuseInfo[op].second, true
+	p := fusePairs[op-FuseBase]
+	return p[0], p[1], true
 }
 
-// opcodeInfo captures static properties of an opcode.
-type opcodeInfo struct {
-	name  string
-	class Class
-}
+// RegFile identifies which register file an operand index refers to.
+type RegFile uint8
 
-// opcodes is the opcode metadata table; absent entries are invalid opcodes.
-var opcodes = map[Opcode]opcodeInfo{
-	OpAdd:   {"add", ClassIntALU},
-	OpSub:   {"sub", ClassIntALU},
-	OpAnd:   {"and", ClassIntALU},
-	OpOr:    {"or", ClassIntALU},
-	OpXor:   {"xor", ClassIntALU},
-	OpShl:   {"shl", ClassIntALU},
-	OpShr:   {"shr", ClassIntALU},
-	OpRor:   {"ror", ClassIntALU},
-	OpCmpLT: {"cmplt", ClassIntALU},
-	OpCmpEQ: {"cmpeq", ClassIntALU},
-	OpMov:   {"mov", ClassIntALU},
-	OpMovI:  {"movi", ClassIntALU},
-	OpAddI:  {"addi", ClassIntALU},
+// Register files.
+const (
+	RegNone RegFile = iota
+	RegInt
+	RegFP
+	RegVec
+)
 
-	OpMul:  {"mul", ClassIntMul},
-	OpMulH: {"mulh", ClassIntMul},
-
-	OpFAdd:  {"fadd", ClassFPALU},
-	OpFSub:  {"fsub", ClassFPALU},
-	OpFMul:  {"fmul", ClassFPALU},
-	OpFDiv:  {"fdiv", ClassFPALU},
-	OpFSqrt: {"fsqrt", ClassFPALU},
-	OpFMov:  {"fmov", ClassFPALU},
-	OpFCvt:  {"fcvt", ClassFPALU},
-	OpFToI:  {"ftoi", ClassFPALU},
-
-	OpLoad:   {"load", ClassLoad},
-	OpFLoad:  {"fload", ClassLoad},
-	OpStore:  {"store", ClassStore},
-	OpFStore: {"fstore", ClassStore},
-
-	OpBeq:  {"beq", ClassBranch},
-	OpBne:  {"bne", ClassBranch},
-	OpBlt:  {"blt", ClassBranch},
-	OpBge:  {"bge", ClassBranch},
-	OpJmp:  {"jmp", ClassBranch},
-	OpHalt: {"halt", ClassBranch},
-
-	OpVAdd:   {"vadd", ClassVector},
-	OpVXor:   {"vxor", ClassVector},
-	OpVMul:   {"vmul", ClassVector},
-	OpVBcast: {"vbcast", ClassVector},
-	OpVRed:   {"vred", ClassVector},
-}
-
-// mnemonics maps assembly mnemonics back to opcodes (built once, immutable
-// afterwards; safe for concurrent reads).
-var mnemonics = func() map[string]Opcode {
-	m := make(map[string]Opcode, len(opcodes))
-	for op, info := range opcodes {
-		m[info.name] = op
-	}
-	return m
-}()
-
-// classTable is the dense opcode -> class table backing ClassOf. The map is
-// the source of truth; the array keeps the VM's decode loop (one ClassOf per
-// decoded instruction) free of map-hashing overhead.
-var classTable = func() [256]Class {
-	var t [256]Class
-	for op, info := range opcodes {
-		t[op] = info.class
-	}
-	return t
-}()
-
-// validTable is the dense opcode -> validity table backing Valid; like
-// classTable it exists so per-instruction validation passes avoid map
-// lookups (Validate runs over every instruction of every generated widget,
-// once per hash).
-var validTable = func() [256]bool {
-	var t [256]bool
-	for op := range opcodes {
-		t[op] = true
-	}
-	return t
-}()
-
-// Valid reports whether op is a defined architectural opcode. Fused
-// superinstructions are deliberately NOT valid: they exist only inside the
-// VM's decoded code and must never appear in a serialized program.
-func (op Opcode) Valid() bool {
-	return validTable[op]
-}
-
-// OpMeta packs every per-opcode fact a validation sweep needs into one
-// word, so hot per-instruction loops (prog.Builder's Emit runs once per
-// generated instruction per hash) pay a single table load instead of
-// separate Valid/IsControl/ClassOf/OperandLimits lookups. Layout: bytes
-// 0-2 hold the exclusive dst/a/b operand bounds, byte 3 the class, bit 32
-// validity and bit 33 the control-flow flag.
+// OpMeta packs every per-opcode fact into one word, so hot
+// per-instruction loops (prog.Builder's Emit runs once per generated
+// instruction per hash) pay a single table load for all of them. Layout:
+// bytes 0-2 hold the exclusive dst/a/b operand bounds, byte 3 the class,
+// bits 32-35 the flags below and bits 40-45 the dst/a/b register files.
 type OpMeta uint64
 
 // OpMeta flag bits.
 const (
 	MetaValid   OpMeta = 1 << 32
-	MetaControl OpMeta = 1 << 33
+	MetaControl OpMeta = 1 << 33 // redirects or ends control flow: may only end a block
+	metaCond    OpMeta = 1 << 34 // conditional branch
+	metaImm     OpMeta = 1 << 35 // uses its immediate operand
 )
 
 // LimDst returns the exclusive upper bound for the dst operand index.
@@ -475,171 +282,146 @@ func (m OpMeta) LimB() uint8 { return uint8(m >> 16) }
 // Class returns the opcode's resource class (0 for invalid opcodes).
 func (m OpMeta) Class() Class { return Class(uint8(m >> 24)) }
 
-// metaTable is derived from the canonical predicates; TestOpMetaMatches
-// pins the packing to them for every possible opcode byte.
-var metaTable = func() [256]OpMeta {
-	var t [256]OpMeta
-	for i := 0; i < 256; i++ {
-		op := Opcode(i)
-		if !op.Valid() {
-			continue
+// opRow is one architectural opcode's static description: its mnemonic
+// and everything else, packed (see OpMeta).
+type opRow struct {
+	name string
+	meta OpMeta
+}
+
+// row builds a table row from an opcode's class, the register files of its
+// dst, a and b operands (RegNone when unused) and its flags. An unused
+// operand has the bound 1: it must be encoded as 0.
+func row(name string, class Class, dst, a, b RegFile, flags OpMeta) opRow {
+	lim := func(f RegFile) OpMeta {
+		if f == RegNone {
+			return 1
 		}
-		dst, a, b := op.OperandLimits()
-		m := OpMeta(dst) | OpMeta(a)<<8 | OpMeta(b)<<16 |
-			OpMeta(op.ClassOf())<<24 | MetaValid
-		if op.IsControl() {
-			m |= MetaControl
-		}
-		t[i] = m
+		return OpMeta(f.RegCount())
 	}
-	return t
-}()
+	return opRow{name, lim(dst) | lim(a)<<8 | lim(b)<<16 | OpMeta(class)<<24 |
+		OpMeta(dst)<<40 | OpMeta(a)<<42 | OpMeta(b)<<44 | MetaValid | flags}
+}
+
+// opTable is the one definition of the architectural opcodes' static
+// properties; every predicate below, MetaOf and the mnemonic lookup read
+// it. Rows of undefined (and fused) opcode values are zero: invalid, no
+// class, every operand index rejected.
+var opTable = [256]opRow{
+	OpAdd:   row("add", ClassIntALU, RegInt, RegInt, RegInt, 0),
+	OpSub:   row("sub", ClassIntALU, RegInt, RegInt, RegInt, 0),
+	OpAnd:   row("and", ClassIntALU, RegInt, RegInt, RegInt, 0),
+	OpOr:    row("or", ClassIntALU, RegInt, RegInt, RegInt, 0),
+	OpXor:   row("xor", ClassIntALU, RegInt, RegInt, RegInt, 0),
+	OpShl:   row("shl", ClassIntALU, RegInt, RegInt, RegInt, 0),
+	OpShr:   row("shr", ClassIntALU, RegInt, RegInt, RegInt, 0),
+	OpRor:   row("ror", ClassIntALU, RegInt, RegInt, RegInt, 0),
+	OpCmpLT: row("cmplt", ClassIntALU, RegInt, RegInt, RegInt, 0),
+	OpCmpEQ: row("cmpeq", ClassIntALU, RegInt, RegInt, RegInt, 0),
+	OpMov:   row("mov", ClassIntALU, RegInt, RegInt, RegNone, 0),
+	OpMovI:  row("movi", ClassIntALU, RegInt, RegNone, RegNone, metaImm),
+	OpAddI:  row("addi", ClassIntALU, RegInt, RegInt, RegNone, metaImm),
+
+	OpMul:  row("mul", ClassIntMul, RegInt, RegInt, RegInt, 0),
+	OpMulH: row("mulh", ClassIntMul, RegInt, RegInt, RegInt, 0),
+
+	OpFAdd:  row("fadd", ClassFPALU, RegFP, RegFP, RegFP, 0),
+	OpFSub:  row("fsub", ClassFPALU, RegFP, RegFP, RegFP, 0),
+	OpFMul:  row("fmul", ClassFPALU, RegFP, RegFP, RegFP, 0),
+	OpFDiv:  row("fdiv", ClassFPALU, RegFP, RegFP, RegFP, 0),
+	OpFSqrt: row("fsqrt", ClassFPALU, RegFP, RegFP, RegNone, 0),
+	OpFMov:  row("fmov", ClassFPALU, RegFP, RegFP, RegNone, 0),
+	OpFCvt:  row("fcvt", ClassFPALU, RegFP, RegInt, RegNone, 0),
+	OpFToI:  row("ftoi", ClassFPALU, RegInt, RegFP, RegNone, 0),
+
+	OpLoad:   row("load", ClassLoad, RegInt, RegInt, RegNone, metaImm),
+	OpFLoad:  row("fload", ClassLoad, RegFP, RegInt, RegNone, metaImm),
+	OpStore:  row("store", ClassStore, RegNone, RegInt, RegInt, metaImm),
+	OpFStore: row("fstore", ClassStore, RegNone, RegInt, RegFP, metaImm),
+
+	OpBeq:  row("beq", ClassBranch, RegNone, RegInt, RegInt, MetaControl|metaCond),
+	OpBne:  row("bne", ClassBranch, RegNone, RegInt, RegInt, MetaControl|metaCond),
+	OpBlt:  row("blt", ClassBranch, RegNone, RegInt, RegInt, MetaControl|metaCond),
+	OpBge:  row("bge", ClassBranch, RegNone, RegInt, RegInt, MetaControl|metaCond),
+	OpJmp:  row("jmp", ClassBranch, RegNone, RegNone, RegNone, MetaControl),
+	OpHalt: row("halt", ClassBranch, RegNone, RegNone, RegNone, MetaControl),
+
+	OpVAdd:   row("vadd", ClassVector, RegVec, RegVec, RegVec, 0),
+	OpVXor:   row("vxor", ClassVector, RegVec, RegVec, RegVec, 0),
+	OpVMul:   row("vmul", ClassVector, RegVec, RegVec, RegVec, 0),
+	OpVBcast: row("vbcast", ClassVector, RegVec, RegInt, RegNone, 0),
+	OpVRed:   row("vred", ClassVector, RegInt, RegVec, RegNone, 0),
+}
 
 // MetaOf returns the packed metadata word for op (zero — invalid, no
 // operands permitted — for undefined opcodes).
-func MetaOf(op Opcode) OpMeta {
-	return metaTable[op]
-}
+func MetaOf(op Opcode) OpMeta { return opTable[op].meta }
 
-// String returns the assembly mnemonic for op. Fused superinstructions
-// render as "first.second" (e.g. "cmplt.bne") for debugging output.
-func (op Opcode) String() string {
-	if info, ok := opcodes[op]; ok {
-		return info.name
-	}
-	if op.IsFused() {
-		return fuseInfo[op].name
-	}
-	return fmt.Sprintf("op(%d)", uint8(op))
-}
+// Valid reports whether op is a defined architectural opcode. Fused
+// superinstructions are deliberately NOT valid: they exist only inside the
+// VM's decoded code and must never appear in a serialized program.
+func (op Opcode) Valid() bool { return opTable[op].meta&MetaValid != 0 }
 
 // ClassOf returns the resource class of op, or 0 for invalid opcodes.
 // Fused superinstructions have no single class (they retire two
 // instructions of possibly different classes) and report 0; per-class
 // accounting for fused code comes from per-block tallies computed over the
 // unfused instruction stream.
-func (op Opcode) ClassOf() Class {
-	return classTable[op]
-}
-
-// FromMnemonic returns the opcode for an assembly mnemonic.
-func FromMnemonic(name string) (Opcode, bool) {
-	op, ok := mnemonics[name]
-	return op, ok
-}
+func (op Opcode) ClassOf() Class { return opTable[op].meta.Class() }
 
 // IsControl reports whether op redirects or ends control flow (and so may
 // only appear as a block terminator).
-func (op Opcode) IsControl() bool {
-	switch op {
-	case OpBeq, OpBne, OpBlt, OpBge, OpJmp, OpHalt:
-		return true
-	default:
-		return false
-	}
-}
+func (op Opcode) IsControl() bool { return opTable[op].meta&MetaControl != 0 }
 
 // IsCondBranch reports whether op is a conditional branch.
-func (op Opcode) IsCondBranch() bool {
-	switch op {
-	case OpBeq, OpBne, OpBlt, OpBge:
-		return true
-	default:
-		return false
-	}
-}
+func (op Opcode) IsCondBranch() bool { return opTable[op].meta&metaCond != 0 }
 
 // HasImm reports whether op uses its immediate operand.
-func (op Opcode) HasImm() bool {
-	switch op {
-	case OpMovI, OpAddI, OpLoad, OpFLoad, OpStore, OpFStore:
-		return true
-	default:
-		return false
-	}
-}
-
-// RegFile identifies which register file an operand index refers to.
-type RegFile uint8
-
-// Register files.
-const (
-	RegNone RegFile = iota
-	RegInt
-	RegFP
-	RegVec
-)
+func (op Opcode) HasImm() bool { return opTable[op].meta&metaImm != 0 }
 
 // Operands describes the register files of an opcode's dst, a and b
 // operands (RegNone when unused).
 func (op Opcode) Operands() (dst, a, b RegFile) {
-	switch op {
-	case OpAdd, OpSub, OpAnd, OpOr, OpXor, OpShl, OpShr, OpRor,
-		OpCmpLT, OpCmpEQ, OpMul, OpMulH:
-		return RegInt, RegInt, RegInt
-	case OpMov:
-		return RegInt, RegInt, RegNone
-	case OpMovI:
-		return RegInt, RegNone, RegNone
-	case OpAddI:
-		return RegInt, RegInt, RegNone
-	case OpFAdd, OpFSub, OpFMul, OpFDiv:
-		return RegFP, RegFP, RegFP
-	case OpFSqrt, OpFMov:
-		return RegFP, RegFP, RegNone
-	case OpFCvt:
-		return RegFP, RegInt, RegNone
-	case OpFToI:
-		return RegInt, RegFP, RegNone
-	case OpLoad:
-		return RegInt, RegInt, RegNone
-	case OpFLoad:
-		return RegFP, RegInt, RegNone
-	case OpStore:
-		return RegNone, RegInt, RegInt
-	case OpFStore:
-		return RegNone, RegInt, RegFP
-	case OpBeq, OpBne, OpBlt, OpBge:
-		return RegNone, RegInt, RegInt
-	case OpJmp, OpHalt:
-		return RegNone, RegNone, RegNone
-	case OpVAdd, OpVXor, OpVMul:
-		return RegVec, RegVec, RegVec
-	case OpVBcast:
-		return RegVec, RegInt, RegNone
-	case OpVRed:
-		return RegInt, RegVec, RegNone
-	default:
-		return RegNone, RegNone, RegNone
-	}
+	m := opTable[op].meta
+	return RegFile(m >> 40 & 3), RegFile(m >> 42 & 3), RegFile(m >> 44 & 3)
 }
-
-// operandLimits is a dense per-opcode table of exclusive upper bounds for
-// the dst/a/b operand indices (1 for unused operands, 0 for invalid
-// opcodes). It exists so per-instruction validation avoids re-deriving
-// register files through the Operands switch on every instruction of every
-// generated widget.
-var operandLimits = func() [256][3]uint8 {
-	var t [256][3]uint8
-	for op := range opcodes {
-		dst, a, b := op.Operands()
-		lim := func(f RegFile) uint8 {
-			if f == RegNone {
-				return 1
-			}
-			return uint8(f.RegCount())
-		}
-		t[op] = [3]uint8{lim(dst), lim(a), lim(b)}
-	}
-	return t
-}()
 
 // OperandLimits returns the exclusive upper bounds for op's dst, a and b
 // register indices (1 for unused operands — they must be encoded as 0 —
 // and 0 for invalid opcodes, rejecting everything).
 func (op Opcode) OperandLimits() (dst, a, b uint8) {
-	l := &operandLimits[op]
-	return l[0], l[1], l[2]
+	m := opTable[op].meta
+	return m.LimDst(), m.LimA(), m.LimB()
+}
+
+// String returns the assembly mnemonic for op. Fused superinstructions
+// render as "first.second" (e.g. "cmplt.bne") for debugging output.
+func (op Opcode) String() string {
+	if first, second, ok := op.FuseParts(); ok {
+		return opTable[first].name + "." + opTable[second].name
+	}
+	if op.Valid() {
+		return opTable[op].name
+	}
+	return fmt.Sprintf("op(%d)", uint8(op))
+}
+
+// mnemonics maps assembly mnemonics back to opcodes (built once, immutable
+// afterwards; safe for concurrent reads).
+var mnemonics = func() map[string]Opcode {
+	m := make(map[string]Opcode)
+	for op, r := range opTable {
+		if r.name != "" {
+			m[r.name] = Opcode(op)
+		}
+	}
+	return m
+}()
+
+// FromMnemonic returns the opcode for an assembly mnemonic.
+func FromMnemonic(name string) (Opcode, bool) {
+	op, ok := mnemonics[name]
+	return op, ok
 }
 
 // RegCount returns the number of registers in file f.

@@ -2,26 +2,44 @@ package isa
 
 import "testing"
 
+// archOpcodes lists the architectural opcodes: the rows of opTable.
+func archOpcodes(t *testing.T) []Opcode {
+	t.Helper()
+	var ops []Opcode
+	for i, r := range opTable {
+		if r.meta != 0 {
+			ops = append(ops, Opcode(i))
+		}
+	}
+	if len(ops) != 38 {
+		t.Fatalf("opTable defines %d opcodes, want the ISA's 38", len(ops))
+	}
+	return ops
+}
+
 func TestEveryOpcodeHasClassAndName(t *testing.T) {
-	for op, info := range opcodes {
-		if info.name == "" {
+	for _, op := range archOpcodes(t) {
+		if !op.Valid() {
+			t.Errorf("opcode %d has a table row but is not valid", op)
+		}
+		if opTable[op].name == "" {
 			t.Errorf("opcode %d has no mnemonic", op)
 		}
-		if info.class < ClassIntALU || info.class >= numClasses {
-			t.Errorf("opcode %s has invalid class %d", info.name, info.class)
+		if c := op.ClassOf(); c < ClassIntALU || c >= numClasses {
+			t.Errorf("opcode %s has invalid class %d", op, c)
 		}
 	}
 }
 
 func TestMnemonicRoundTrip(t *testing.T) {
-	for op, info := range opcodes {
-		got, ok := FromMnemonic(info.name)
+	for _, op := range archOpcodes(t) {
+		got, ok := FromMnemonic(op.String())
 		if !ok {
-			t.Errorf("FromMnemonic(%q) not found", info.name)
+			t.Errorf("FromMnemonic(%q) not found", op.String())
 			continue
 		}
 		if got != op {
-			t.Errorf("FromMnemonic(%q) = %d, want %d", info.name, got, op)
+			t.Errorf("FromMnemonic(%q) = %d, want %d", op.String(), got, op)
 		}
 	}
 	if _, ok := FromMnemonic("bogus"); ok {
@@ -69,7 +87,7 @@ func TestControlClassification(t *testing.T) {
 }
 
 func TestOperandsConsistentWithClass(t *testing.T) {
-	for op, info := range opcodes {
+	for _, op := range archOpcodes(t) {
 		dst, a, b := op.Operands()
 		// Every non-control, non-store opcode must write a register so
 		// that full execution is observable in snapshots (the paper's
@@ -77,14 +95,14 @@ func TestOperandsConsistentWithClass(t *testing.T) {
 		writes := dst != RegNone
 		isStore := op == OpStore || op == OpFStore
 		if !op.IsControl() && !isStore && !writes {
-			t.Errorf("%s writes no register", info.name)
+			t.Errorf("%s writes no register", op)
 		}
 		// Register-file sanity: operands only come from defined files.
 		for _, f := range []RegFile{dst, a, b} {
 			switch f {
 			case RegNone, RegInt, RegFP, RegVec:
 			default:
-				t.Errorf("%s has undefined operand file %d", info.name, f)
+				t.Errorf("%s has undefined operand file %d", op, f)
 			}
 		}
 	}
@@ -95,7 +113,7 @@ func TestHasImmMatchesDocumentedSet(t *testing.T) {
 		OpMovI: true, OpAddI: true, OpLoad: true, OpFLoad: true,
 		OpStore: true, OpFStore: true,
 	}
-	for op := range opcodes {
+	for _, op := range archOpcodes(t) {
 		if got := op.HasImm(); got != want[op] {
 			t.Errorf("%s HasImm = %v, want %v", op, got, want[op])
 		}
@@ -128,9 +146,9 @@ func TestClassesListComplete(t *testing.T) {
 	for _, c := range Classes {
 		seen[c] = true
 	}
-	for _, info := range opcodes {
-		if !seen[info.class] {
-			t.Errorf("class %s of some opcode missing from Classes", info.class)
+	for _, op := range archOpcodes(t) {
+		if !seen[op.ClassOf()] {
+			t.Errorf("class %s of %s missing from Classes", op.ClassOf(), op)
 		}
 	}
 	if len(Classes) != int(numClasses)-1 {
@@ -174,6 +192,10 @@ func TestFusedOpcodeMetadata(t *testing.T) {
 		if first.IsControl() {
 			t.Errorf("%s: first half %s is a control instruction", op, first)
 		}
+		// A trailing jump is the block's successor in the VM, not a slot.
+		if second == OpJmp {
+			t.Errorf("%s: an x+jmp form is back in the table", op)
+		}
 		// Fuse must invert FuseParts exactly.
 		if got, ok := Fuse(first, second); !ok || got != op {
 			t.Errorf("Fuse(%s, %s) = %s, %v; want %s", first, second, got, ok, op)
@@ -187,11 +209,11 @@ func TestFusedOpcodeMetadata(t *testing.T) {
 			t.Errorf("%s: ClassOf = %v, want 0", op, op.ClassOf())
 		}
 	}
-	if len(seen) == 0 {
-		t.Fatal("no fused opcodes defined")
+	if len(seen) == 0 || len(seen) != len(fusePairs) {
+		t.Fatalf("%d fused opcodes found for the table's %d rows", len(seen), len(fusePairs))
 	}
 	// Architectural opcodes never collide with the fused space.
-	for op := range opcodes {
+	for _, op := range archOpcodes(t) {
 		if op >= FuseBase {
 			t.Errorf("architectural opcode %s (%d) overlaps the fused space (FuseBase %d)", op, op, FuseBase)
 		}
@@ -217,7 +239,7 @@ func TestOperandLimitsMatchOperands(t *testing.T) {
 		}
 		return uint8(f.RegCount())
 	}
-	for op := range opcodes {
+	for _, op := range archOpcodes(t) {
 		dst, a, b := op.Operands()
 		ld, la, lb := op.OperandLimits()
 		if ld != lim(dst) || la != lim(a) || lb != lim(b) {
@@ -230,11 +252,30 @@ func TestOperandLimitsMatchOperands(t *testing.T) {
 	}
 }
 
+// TestClassTableMatchesMap holds the table's class column to a map written
+// out independently of it: the classes are what the generator budgets and
+// Result.ClassCounts are keyed by, so a mistyped row must not pass.
 func TestClassTableMatchesMap(t *testing.T) {
-	for op, info := range opcodes {
-		if op.ClassOf() != info.class {
-			t.Errorf("%s: ClassOf = %v, want %v", op, op.ClassOf(), info.class)
+	want := map[Class][]Opcode{
+		ClassIntALU: {OpAdd, OpSub, OpAnd, OpOr, OpXor, OpShl, OpShr, OpRor, OpCmpLT, OpCmpEQ, OpMov, OpMovI, OpAddI},
+		ClassIntMul: {OpMul, OpMulH},
+		ClassFPALU:  {OpFAdd, OpFSub, OpFMul, OpFDiv, OpFSqrt, OpFMov, OpFCvt, OpFToI},
+		ClassLoad:   {OpLoad, OpFLoad},
+		ClassStore:  {OpStore, OpFStore},
+		ClassBranch: {OpBeq, OpBne, OpBlt, OpBge, OpJmp, OpHalt},
+		ClassVector: {OpVAdd, OpVXor, OpVMul, OpVBcast, OpVRed},
+	}
+	n := 0
+	for class, ops := range want {
+		for _, op := range ops {
+			n++
+			if op.ClassOf() != class || MetaOf(op).Class() != class {
+				t.Errorf("%s: ClassOf = %v, MetaOf class = %v, want %v", op, op.ClassOf(), MetaOf(op).Class(), class)
+			}
 		}
+	}
+	if n != len(archOpcodes(t)) {
+		t.Errorf("the map classifies %d opcodes, the table defines %d", n, len(archOpcodes(t)))
 	}
 }
 

@@ -6,14 +6,14 @@ import (
 	"time"
 	"unsafe"
 
-	"hashcore/internal/isa"
 	"hashcore/internal/jit"
 	"hashcore/internal/rng"
 )
 
-// Backend selects the unobserved execution engine. The observed loop
-// (Observer attached) always interprets, whatever the backend: it exists
-// to surface every retirement as an Event, which native code cannot do.
+// Backend selects the unobserved execution engine. A run with an Observer
+// attached always takes the interpreter's reference step, whatever the
+// backend: it exists to surface every retirement as an Event, which native
+// code cannot do.
 type Backend uint8
 
 const (
@@ -81,9 +81,9 @@ type RunStats struct {
 	ResetNs      int64
 	WordsWritten uint64
 	// SlowBounces is how many times a native run left its code for the
-	// interpreter's per-instruction path to carry one block over a
-	// snapshot or budget boundary (see runNative): about one per snapshot.
-	// Zero on the interpreter.
+	// interpreter's reference step to carry one block over a snapshot or
+	// budget boundary (see runNative): about one per snapshot. Zero on the
+	// interpreter.
 	SlowBounces uint64
 }
 
@@ -222,10 +222,10 @@ func (m *Machine) tryRunNative(params Params, res *Result) bool {
 // runNative drives compiled code to completion. The structure mirrors
 // runUnobserved exactly: native code IS the fast path (head guards,
 // wholesale accounting, straight-line bodies), and every block it cannot
-// retire wholesale is bounced to the same runBlockSlow the interpreter
-// uses, after which execution re-enters native code at the block the slow
-// path names. Snapshot bytes, truncation points and every counter are
-// therefore bit-identical across engines.
+// retire wholesale is bounced to the same reference step (step) the
+// interpreter uses, after which execution re-enters native code at the
+// block the step names. Snapshot bytes, truncation points and every
+// counter are therefore bit-identical across engines.
 func (m *Machine) runNative(params Params, res *Result, ns *nativeState) {
 	nb := len(m.blocks)
 	if cap(ns.execs) < nb {
@@ -236,11 +236,7 @@ func (m *Machine) runNative(params Params, res *Result, ns *nativeState) {
 		ns.execs[i] = 0
 	}
 
-	st := execState{
-		untilSnap:    params.SnapshotInterval,
-		snapInterval: params.SnapshotInterval,
-		maxInstr:     params.MaxInstructions,
-	}
+	st := newExecState(params)
 	truncated := false
 	bi := uint32(0)
 
@@ -279,12 +275,9 @@ func (m *Machine) runNative(params Params, res *Result, ns *nativeState) {
 		// path — which truncates, snapshots, or retires it exactly as the
 		// interpreter would — then re-enter native code.
 		m.lastStats.SlowBounces++
-		next, status := m.runBlockSlow(f.NextBlock, &st, res)
-		if status == slowHalt {
-			break
-		}
-		if status == slowTrunc {
-			truncated = true
+		next, status := m.step(f.NextBlock, &st, res, nil)
+		if status != stepNext {
+			truncated = status == stepTrunc
 			break
 		}
 		bi = next
@@ -294,25 +287,10 @@ func (m *Machine) runNative(params Params, res *Result, ns *nativeState) {
 	runtime.KeepAlive(m)
 	runtime.KeepAlive(ns)
 
-	// Identical epilogue to runUnobserved: terminal snapshot, then fold
-	// the deferred fast-path class accounting into the slow path's exact
-	// counts.
-	res.Output = m.appendSnapshot(res.Output, st.retired)
-	res.Snapshots++
-	res.Retired = st.retired
-	res.Truncated = truncated
-	res.CondBranches = st.condBranches
-	res.TakenBranches = st.takenBranches
-	classCounts := st.classCounts
-	for b := range ns.execs {
-		n := ns.execs[b]
-		if n == 0 {
-			continue
-		}
-		t := &m.blockTally[b]
-		for c := 1; c < isa.NumClasses; c++ {
-			classCounts[c] += n * uint64(t[c])
-		}
+	// The same epilogue as runUnobserved: fold the deferred fast-path
+	// class accounting into the reference step's exact counts.
+	for b, n := range ns.execs {
+		st.addBlockExecs(&m.blockTally[b], n)
 	}
-	res.ClassCounts = classCounts
+	m.finishRun(&st, truncated, res)
 }

@@ -1,10 +1,12 @@
 package vm_test
 
-// Benchmarks for the two specialized interpreter loops, on a realistic
-// widget (Leela profile, paper defaults). The unobserved loop is the
-// production hashing path; the observed loop feeds the uarch timing model
-// and the profiler. The allocation tests pin down the zero-allocation
-// contract of the reusable Machine/Result pair.
+// Benchmarks for the interpreter's two executors, on a realistic widget
+// (Leela profile, paper defaults). An unobserved run takes the fused
+// block-batched fast loop, the production hashing path where there is no
+// native backend; an observed run is the per-instruction reference step
+// from start to finish, which feeds the uarch timing model and the
+// profiler. The allocation tests pin down the zero-allocation contract of
+// the reusable Machine/Result pair.
 
 import (
 	"testing"
@@ -98,7 +100,7 @@ func TestRunIntoZeroAlloc(t *testing.T) {
 
 // TestFusedLoopZeroAlloc is the allocation guard for the fused
 // block-batched loop specifically: a small snapshot interval forces the
-// per-instruction slow path (and its mid-block snapshots) to run on
+// per-instruction reference step (and its mid-block snapshots) to run on
 // nearly every block, and a tight budget exercises the truncation path —
 // none of which may allocate in the steady state.
 func TestFusedLoopZeroAlloc(t *testing.T) {
@@ -123,10 +125,10 @@ func TestFusedLoopZeroAlloc(t *testing.T) {
 	}
 }
 
-// TestObservedMatchesUnobserved asserts the two specialized loops retire
-// identical architectural state: same output bytes, counters and class
-// accounting. This is the determinism contract the loop split must not
-// break.
+// TestObservedMatchesUnobserved asserts the fast loop and the reference
+// step retire identical architectural state: same output bytes, counters
+// and class accounting. This is the determinism contract the loop split
+// must not break.
 func TestObservedMatchesUnobserved(t *testing.T) {
 	p := benchWidget(t)
 	fast, err := vm.Run(p, vm.Params{}, nil)

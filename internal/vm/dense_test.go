@@ -234,7 +234,7 @@ func sameResult(a, b *vm.Result) (string, bool) {
 	return "", true
 }
 
-// sparseEngines are the engines whose memory is the overlay.
+// sparseEngines are the fast engines, whose memory is the overlay.
 func sparseEngines() []vm.Backend {
 	if vm.NativeSupported() {
 		return []vm.Backend{vm.BackendInterp, vm.BackendNative}
@@ -242,11 +242,21 @@ func sparseEngines() []vm.Backend {
 	return []vm.Backend{vm.BackendInterp}
 }
 
-// checkSparseVsDense runs the program loaded in m under every overlay
-// engine and requires each result to equal the dense reference's.
+// checkSparseVsDense runs the program loaded in m on every engine the
+// package has — the fused interpreter loop, native code, and the
+// per-instruction reference step on its own (an observer attached, which
+// must be told of every retirement) — and requires each result to equal
+// the dense reference's.
 func checkSparseVsDense(t *testing.T, m *vm.Machine, p *prog.Program, params vm.Params) *vm.Result {
 	t.Helper()
 	want := runDense(p, params)
+	check := func(engine string, got *vm.Result) {
+		t.Helper()
+		if field, ok := sameResult(got, want); !ok {
+			t.Fatalf("params %+v: %s and dense reference differ in %s:\n %s %+v\n dense   %+v",
+				params, engine, field, engine, summary(got), summary(want))
+		}
+	}
 	for _, be := range sparseEngines() {
 		var got vm.Result
 		m.SetBackend(be)
@@ -254,10 +264,14 @@ func checkSparseVsDense(t *testing.T, m *vm.Machine, p *prog.Program, params vm.
 		if st := m.LastRunStats(); st.Backend != be {
 			t.Fatalf("params %+v: asked for %v, ran on %v (%v)", params, be, st.Backend, st.FallbackErr)
 		}
-		if field, ok := sameResult(&got, want); !ok {
-			t.Fatalf("params %+v: %v overlay and dense reference differ in %s:\n overlay %+v\n dense   %+v",
-				params, be, field, summary(&got), summary(want))
-		}
+		check(be.String(), &got)
+	}
+	var got vm.Result
+	obs := &nullObserver{}
+	m.RunInto(params, obs, &got)
+	check("reference step", &got)
+	if obs.retired != want.Retired {
+		t.Fatalf("params %+v: the observer was told of %d retirements, the run retired %d", params, obs.retired, want.Retired)
 	}
 	return want
 }

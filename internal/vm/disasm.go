@@ -9,10 +9,11 @@ import (
 	"hashcore/internal/prog"
 )
 
-// DisassembleFused renders the fused superinstruction stream the
-// block-batched interpreter executes for the currently loaded program —
-// the same stream the native backend's input is decoded from — with each
-// fused slot expanded back into its architectural pair. This is the
+// DisassembleFused renders the fused stream the block-batched interpreter
+// executes for the currently loaded program, with each fused slot expanded
+// back into its architectural pair and each block headed by its successor
+// — where control goes when no slot redirects it, which is how a trailing
+// jmp appears here: folded into the header, in no slot. This is the
 // codegen-debugging companion to asm.Disassemble: that one shows the
 // architectural program, this one shows what actually dispatches. Branch
 // targets are block indices (the fused stream transfers between blocks,
@@ -24,7 +25,11 @@ func (m *Machine) DisassembleFused() string {
 		len(m.blocks), len(m.fcode), len(m.code))
 	for bi := range m.blocks {
 		meta := &m.blocks[bi]
-		fmt.Fprintf(&b, ".block %d\n", bi)
+		fmt.Fprintf(&b, ".block %d ; next @%d", bi, meta.next)
+		if meta.count > 0 && m.code[meta.start+meta.count-1].op == isa.OpJmp {
+			b.WriteString(" (jmp folded)")
+		}
+		b.WriteString("\n")
 		for i := meta.fstart; i < meta.fend; i++ {
 			fi := &m.fcode[i]
 			b.WriteString("\t")
@@ -74,46 +79,18 @@ func (m *Machine) DumpNative() (string, error) {
 }
 
 // decodeFusedParts unpacks a fused execution slot into the architectural
-// pair it retires — the exact inverse of tryFuse's encodings (documented
-// in fuse.go). The round-trip property (re-fusing the decoded halves
-// reproduces the slot bit-for-bit) is tested.
+// pair it retires — the exact inverse of tryFuse's two encodings
+// (documented in fuse.go).
 func decodeFusedParts(fi *flatInstr) (first, second prog.Instr) {
 	fop, sop, ok := fi.op.FuseParts()
 	if !ok {
 		panic("vm: decodeFusedParts on a non-fused opcode")
 	}
-	first.Op, second.Op = fop, sop
-	switch {
-	case fi.op.IsFusedJmp():
-		// First half keeps all its fields; the jump contributes its target.
-		first.Dst, first.A, first.B, first.Imm = fi.dst, fi.a, fi.b, fi.imm
-		second.Target = fi.target
-	case sop.IsCondBranch():
-		// cmp+branch carries the compare in dst,a,b; addi+branch carries
-		// the addi in dst,a,imm. Branch registers are packed in aux.
-		first.Dst, first.A = fi.dst, fi.a
-		if fop == isa.OpAddI {
-			first.Imm = fi.imm
-		} else {
-			first.B = fi.b
-		}
-		second.A, second.B = uint8(fi.aux), uint8(fi.aux>>8)
-		second.Target = fi.target
-	case fop == isa.OpMovI:
-		first.Dst, first.Imm = uint8(fi.aux), fi.imm
-		second.Dst, second.A, second.B = fi.dst, fi.a, fi.b
-	case sop == isa.OpLoad:
-		first.Dst, first.A, first.Imm = fi.dst, fi.a, fi.imm
-		second.Dst, second.A = uint8(fi.aux), uint8(fi.aux>>8)
-		second.Imm = int64(fi.target)
-	case sop == isa.OpStore:
-		first.Dst, first.A, first.Imm = fi.dst, fi.a, fi.imm
-		second.A, second.B = uint8(fi.aux), uint8(fi.aux>>8)
-		second.Imm = int64(fi.target)
-	default:
-		// ALU pair: first in dst,a,b, second packed into aux.
-		first.Dst, first.A, first.B = fi.dst, fi.a, fi.b
-		second.Dst, second.A, second.B = uint8(fi.aux), uint8(fi.aux>>8), uint8(fi.aux>>16)
+	first = prog.Instr{Op: fop, Dst: fi.dst, A: fi.a, B: fi.b}
+	if sop.IsCondBranch() {
+		second = prog.Instr{Op: sop, A: uint8(fi.aux), B: uint8(fi.aux >> 8), Target: fi.target}
+	} else {
+		second = prog.Instr{Op: sop, Dst: uint8(fi.aux), A: uint8(fi.aux >> 8), B: uint8(fi.aux >> 16)}
 	}
 	return first, second
 }

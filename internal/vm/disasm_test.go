@@ -8,92 +8,26 @@ import (
 	"hashcore/internal/prog"
 )
 
-// TestDecodeFusedPartsRoundTrip builds, for every fused opcode the ISA
-// defines, a program containing that superinstruction, decodes each fused
-// slot back into its architectural pair, and re-fuses the pair: the result
-// must reproduce the slot bit-for-bit. This pins decodeFusedParts to
-// tryFuse's encodings, so the fused disassembly shows exactly what
-// executes.
-func TestDecodeFusedPartsRoundTrip(t *testing.T) {
-	for fop := isa.Opcode(0); fop < 255; fop++ {
-		first, second, ok := fop.FuseParts()
-		if !ok {
-			continue
-		}
-		t.Run(fop.String(), func(t *testing.T) {
-			b := prog.NewBuilder(prog.MinMemSize, 42)
-			entry := b.NewBlock()
-			tgt := b.NewBlock()
-			exit := b.NewBlock()
-			b.SetBlock(entry)
-			b.Emit(instantiate(t, first, 2, 3, 4, 40, prog.Label(tgt)))
-			b.Emit(instantiate(t, second, 1, 2, 3, 48, prog.Label(tgt)))
-			if !second.IsControl() {
-				b.Jmp(tgt)
-			}
-			b.SetBlock(tgt)
-			b.Jmp(exit)
-			b.SetBlock(exit)
-			b.Halt()
-			p, err := b.Build()
-			if err != nil {
-				t.Fatalf("Build: %v", err)
-			}
-			m, err := New(p)
-			if err != nil {
-				t.Fatalf("New: %v", err)
-			}
-			m.ensureFused()
-			fused := 0
-			for i := range m.fcode {
-				fi := &m.fcode[i]
-				if !fi.op.IsFused() {
-					continue
-				}
-				fused++
-				df, ds := decodeFusedParts(fi)
-				fa := progToFlat(df)
-				fb := progToFlat(ds)
-				re, ok := tryFuse(&fa, &fb)
-				if !ok {
-					t.Fatalf("slot %d (%s): decoded pair %+v / %+v does not re-fuse", i, fi.op, df, ds)
-				}
-				if re != *fi {
-					t.Fatalf("slot %d (%s): re-fuse mismatch\n got  %+v\n want %+v", i, fi.op, re, *fi)
-				}
-			}
-			if fused == 0 {
-				t.Fatalf("program for %s contains no fused slots; round-trip is vacuous", fop)
-			}
-		})
-	}
-}
-
-// progToFlat builds the unfused flat form tryFuse consumes. In the
-// unfused stream a control instruction's block target lives in aux (target
-// holds the flat pc, which fusion ignores).
-func progToFlat(ins prog.Instr) flatInstr {
-	fi := flatInstr{op: ins.Op, dst: ins.Dst, a: ins.A, b: ins.B, imm: ins.Imm}
-	if ins.Op.IsControl() {
-		fi.aux = ins.Target
-	}
-	return fi
-}
-
 // TestDisassembleFused sanity-checks the listing on a program with both
-// fused and unfused slots: block headers present, one line per fused slot,
-// fused pairs rendered with both halves.
+// fused and unfused slots: block headers present and naming each block's
+// successor, one line per fused slot, fused pairs rendered with both
+// halves, a trailing jmp in the header and in no slot.
 func TestDisassembleFused(t *testing.T) {
 	b := prog.NewBuilder(prog.MinMemSize, 7)
 	entry := b.NewBlock()
 	exit := b.NewBlock()
+	last := b.NewBlock()
 	b.SetBlock(entry)
-	b.MovI(1, 5)              // movi+alu fuses
-	b.Op3(isa.OpAdd, 2, 1, 1) //
+	b.MovI(1, 5)
+	b.Op3(isa.OpAdd, 2, 1, 1) // add+xor fuses
+	b.Op3(isa.OpXor, 4, 2, 1) //
 	b.Op2(isa.OpFCvt, 0, 2)   // unfused slot
 	b.Op3(isa.OpCmpLT, 3, 1, 2)
 	b.Branch(isa.OpBne, 3, 0, prog.Label(exit)) // cmp+branch fuses
 	b.SetBlock(exit)
+	b.Op3(isa.OpSub, 2, 2, 1)
+	b.Jmp(last) // folded into the block header
+	b.SetBlock(last)
 	b.Halt()
 	p, err := b.Build()
 	if err != nil {
@@ -104,8 +38,13 @@ func TestDisassembleFused(t *testing.T) {
 		t.Fatal(err)
 	}
 	text := m.DisassembleFused()
-	if !strings.Contains(text, ".block 0\n") || !strings.Contains(text, ".block 1\n") {
-		t.Errorf("listing is missing block headers:\n%s", text)
+	for _, header := range []string{".block 0 ; next @1\n", ".block 1 ; next @2 (jmp folded)\n", ".block 2 ; next @3\n"} {
+		if !strings.Contains(text, header) {
+			t.Errorf("listing is missing the block header %q:\n%s", header, text)
+		}
+	}
+	if strings.Contains(text, "jmp @") {
+		t.Errorf("the folded jmp still takes a slot:\n%s", text)
 	}
 	lines, sawFused := 0, false
 	for _, ln := range strings.Split(text, "\n") {

@@ -1,137 +1,82 @@
 package vm
 
-import (
-	"math"
+import "hashcore/internal/isa"
 
-	"hashcore/internal/isa"
-)
-
-// Superinstruction fusion.
+// The fused stream: what the block-batched fast loop dispatches.
 //
-// The widget generator emits a handful of adjacent instruction pairs at
-// very high dynamic frequency: every branch diamond conditions on a
-// compare feeding the branch (cmplt+bne), every loop iteration closes with
-// addi+bne, the entry block is a run of movi feeding ALU ops, and the
-// filler stream produces mul+add / fmul+fadd / addi+load adjacencies. Each
-// such pair costs two trips through the dispatch switch; fusing them into
-// one superinstruction with its own dispatch case halves that overhead
-// without changing semantics — a fused opcode executes exactly "first
+// It is derived from the unfused code per block, on the first interpreter
+// run of a load, by two rewrites that change no semantics — only how many
+// trips through the dispatch switch a block costs:
+//
+// Trailing jumps become metadata. A block that ends in an unconditional
+// jmp always continues at that jump's target, so the jump is recorded as
+// the block's successor (blockMeta.next, otherwise the following block)
+// and takes no slot at all. It still retires: the block's architectural
+// count and class tally are those of the unfused code.
+//
+// Hot adjacent pairs become superinstructions. Every branch diamond the
+// generator emits conditions on ror+and feeding cmplt+bne, and the filler
+// stream is dense in {add,sub,xor} adjacencies; each such pair costs two
+// dispatches unfused and one fused. A fused opcode executes exactly "first
 // half, then second half" (so intra-pair register dependencies behave
-// identically) and retires as two architectural instructions in the
-// per-block accounting.
+// identically) and retires as two architectural instructions. isa.Fuse
+// decides which opcodes pair — the set is held to a measured threshold,
+// see isa — and this file owns how a pair packs into one flatInstr:
 //
-// Fusion happens at Load time, per block, and never crosses a block
-// boundary; a pair's second half may be the block terminator. The slow
-// path (runBlockSlow) and the observed loop always execute the unfused
-// stream, so a snapshot or budget boundary can never fall "inside" a fused
-// pair: any block where that could happen is executed unfused.
+//	cmplt+bne  dst,a,b = the compare; aux = x | y<<8 (the branch's
+//	           registers); target = the branch's target block
+//	ALU pairs  (ror+and, {add,sub,xor}²) dst,a,b = the first op;
+//	           aux = d2 | a2<<8 | b2<<16 (the second)
 //
-// Fused operand encodings (isa.Fuse decides which opcodes pair; this file
-// owns how the pair packs into one flatInstr):
-//
-//	cmp+branch   (OpFuseCmp*B*):  dst,a,b = cmp;  aux = x | y<<8 (branch
-//	             regs); target = branch target block
-//	addi+branch  (OpFuseAddIB*):  dst,a = addi; imm = addi imm;
-//	             aux = x | y<<8; target = branch target block
-//	movi+alu     (OpFuseMovI*):   dst,a,b = alu; imm = movi imm;
-//	             aux = movi dst
-//	addi+load    (OpFuseAddILoad): dst,a = addi; imm = addi imm;
-//	             aux = loadDst | loadBase<<8; target = load disp (so the
-//	             pair only fuses when 0 <= disp <= MaxUint32)
-//	addi+store   (OpFuseAddIStor): dst,a = addi; imm = addi imm;
-//	             aux = storeBase | storeSrc<<8; target = store disp
-//	mul+add      (OpFuseMulAdd):   dst,a,b = mul; aux = d2 | a2<<8 | b2<<16
-//	fmul+fadd    (OpFuseFMulFAdd): dst,a,b = fmul; aux = d2 | a2<<8 | b2<<16
-//	ror+and      (OpFuseRorAnd):   dst,a,b = ror; aux = d2 | a2<<8 | b2<<16
-//	x+jmp        (OpFuse*Jmp):     dst,a,b,imm = first op; target = jmp
-//	             target block
+// Fusion never crosses a block boundary; a pair's second half may be the
+// block terminator. The reference step (step) always executes the
+// unfused stream, so a snapshot or budget boundary can never fall "inside"
+// a fused pair or on a folded jump: any block where that could happen is
+// executed unfused.
 
 // tryFuse returns the fused superinstruction for the adjacent unfused pair
-// (a, b), or ok=false when the pair is not fusible (by opcode, or because
-// an operand does not fit the fused encoding).
+// (a, b), or ok=false when the opcodes do not pair.
 func tryFuse(a, b *flatInstr) (flatInstr, bool) {
 	op, ok := isa.Fuse(a.op, b.op)
 	if !ok {
 		return flatInstr{}, false
 	}
-	if op.IsFusedJmp() {
-		// Uniform x+jmp encoding: the first half keeps its fields, the
-		// jump contributes only its target block.
-		return flatInstr{
-			op: op, dst: a.dst, a: a.a, b: a.b, imm: a.imm,
-			target: b.aux,
-		}, true
+	fi := flatInstr{op: op, dst: a.dst, a: a.a, b: a.b}
+	if b.op.IsCondBranch() {
+		fi.aux = uint32(b.a) | uint32(b.b)<<8
+		fi.target = b.aux // branch target as a block index
+	} else {
+		fi.aux = uint32(b.dst) | uint32(b.a)<<8 | uint32(b.b)<<16
 	}
-	switch op {
-	case isa.OpFuseCmpLTBeq, isa.OpFuseCmpLTBne, isa.OpFuseCmpEQBeq, isa.OpFuseCmpEQBne:
-		return flatInstr{
-			op: op, dst: a.dst, a: a.a, b: a.b,
-			aux:    uint32(b.a) | uint32(b.b)<<8,
-			target: b.aux, // branch target as a block index
-		}, true
-	case isa.OpFuseAddIBeq, isa.OpFuseAddIBne:
-		return flatInstr{
-			op: op, dst: a.dst, a: a.a, imm: a.imm,
-			aux:    uint32(b.a) | uint32(b.b)<<8,
-			target: b.aux,
-		}, true
-	case isa.OpFuseMovIAdd, isa.OpFuseMovISub, isa.OpFuseMovIXor, isa.OpFuseMovIAnd, isa.OpFuseMovIOr:
-		return flatInstr{
-			op: op, dst: b.dst, a: b.a, b: b.b,
-			imm: a.imm,
-			aux: uint32(a.dst),
-		}, true
-	case isa.OpFuseAddILoad:
-		if b.imm < 0 || b.imm > math.MaxUint32 {
-			return flatInstr{}, false
-		}
-		return flatInstr{
-			op: op, dst: a.dst, a: a.a, imm: a.imm,
-			aux:    uint32(b.dst) | uint32(b.a)<<8,
-			target: uint32(b.imm),
-		}, true
-	case isa.OpFuseAddIStor:
-		if b.imm < 0 || b.imm > math.MaxUint32 {
-			return flatInstr{}, false
-		}
-		return flatInstr{
-			op: op, dst: a.dst, a: a.a, imm: a.imm,
-			aux:    uint32(b.a) | uint32(b.b)<<8,
-			target: uint32(b.imm),
-		}, true
-	case isa.OpFuseMulAdd, isa.OpFuseFMulFAdd, isa.OpFuseRorAnd,
-		isa.OpFuseAddAdd, isa.OpFuseAddSub, isa.OpFuseAddXor,
-		isa.OpFuseSubAdd, isa.OpFuseSubSub, isa.OpFuseSubXor,
-		isa.OpFuseXorAdd, isa.OpFuseXorSub, isa.OpFuseXorXor:
-		return flatInstr{
-			op: op, dst: a.dst, a: a.a, b: a.b,
-			aux: uint32(b.dst) | uint32(b.a)<<8 | uint32(b.b)<<16,
-		}, true
-	}
-	return flatInstr{}, false
+	return fi, true
 }
 
 // appendFusedBlock appends the fused translation of one block's unfused
-// instruction stream to dst. Fusion is a greedy left-to-right peephole:
-// each instruction either fuses with its right neighbour or is copied
-// through, with control targets rewritten from flat pcs to block indices
-// (the block-batched loop transfers between blocks).
-func appendFusedBlock(dst []flatInstr, code []flatInstr) []flatInstr {
-	i := 0
-	for i < len(code) {
+// instruction stream to dst and returns the block's successor: the target
+// of its trailing jmp, which is then left out of the stream, or else
+// fallThrough. The rest is a greedy left-to-right peephole: each
+// instruction either fuses with its right neighbour or is copied through,
+// with control targets rewritten from flat pcs to block indices (the
+// block-batched loop transfers between blocks).
+func appendFusedBlock(dst []flatInstr, code []flatInstr, fallThrough uint32) ([]flatInstr, uint32) {
+	next := fallThrough
+	if n := len(code); n > 0 && code[n-1].op == isa.OpJmp {
+		next = code[n-1].aux
+		code = code[:n-1]
+	}
+	for i := 0; i < len(code); i++ {
 		if i+1 < len(code) {
 			if fi, ok := tryFuse(&code[i], &code[i+1]); ok {
 				dst = append(dst, fi)
-				i += 2
+				i++
 				continue
 			}
 		}
 		fi := code[i]
-		if fi.op.IsControl() && fi.op != isa.OpHalt {
+		if fi.op.IsCondBranch() {
 			fi.target = fi.aux
 		}
 		dst = append(dst, fi)
-		i++
 	}
-	return dst
+	return dst, next
 }

@@ -1,12 +1,13 @@
 package vm_test
 
-// Property and fuzz tests for the fused, block-batched execution engine:
-// for arbitrary generated widgets and arbitrary budget/snapshot parameters,
-// the fused unobserved loop must retire exactly the Result the unfused
-// per-instruction (observed) loop does — output bytes, retired count,
-// truncation flag, snapshot count, class counts and branch statistics.
-// Programs that halt exactly on a budget or snapshot boundary are probed
-// explicitly: those are the cases the slow-path re-entry exists for.
+// Property and fuzz tests for the fused, block-batched fast loop: for
+// arbitrary generated widgets and arbitrary budget/snapshot parameters it
+// must retire exactly the Result the per-instruction reference step does
+// on its own (an observer attached sends every block through it, over the
+// unfused stream) — output bytes, retired count, truncation flag, snapshot
+// count, class counts and branch statistics. Programs that halt exactly on
+// a budget or snapshot boundary are probed explicitly: those are the cases
+// the fast loop's hand-over to the reference step exists for.
 
 import (
 	"bytes"
@@ -90,8 +91,8 @@ func boundaryBudget(sel uint8, natural uint64) uint64 {
 	return 0 // the default budget
 }
 
-// checkFusedMatchesUnfused runs p under both loops with params and fails
-// the test on any divergence.
+// checkFusedMatchesUnfused runs p under the fast loop and under the
+// reference step alone with params and fails the test on any divergence.
 func checkFusedMatchesUnfused(t *testing.T, m *vm.Machine, params vm.Params) (fused vm.Result) {
 	t.Helper()
 	var unfused vm.Result
@@ -115,7 +116,7 @@ func checkFusedMatchesUnfused(t *testing.T, m *vm.Machine, params vm.Params) (fu
 // TestFusedMatchesUnfusedOnBoundaries sweeps generated widgets through
 // budgets and snapshot intervals that land exactly on, one before and one
 // after the program's natural retirement — plus intervals that divide it —
-// locking the slow-path re-entry semantics bit-for-bit.
+// locking the hand-over to the reference step bit-for-bit.
 func TestFusedMatchesUnfusedOnBoundaries(t *testing.T) {
 	for _, name := range []string{"leela", "lbm"} {
 		gen := fullProfileGenerator(t, name)
@@ -151,7 +152,8 @@ func TestFusedMatchesUnfusedOnBoundaries(t *testing.T) {
 }
 
 // FuzzFusedVsUnfused generates a widget from fuzzed seed material and
-// executes it under fuzzed budget/snapshot parameters through both loops.
+// executes it under fuzzed budget/snapshot parameters through the fast
+// loop and through the reference step alone.
 func FuzzFusedVsUnfused(f *testing.F) {
 	f.Add(uint64(1), uint64(2), uint16(0), uint8(0))
 	f.Add(uint64(3), uint64(4), uint16(1), uint8(1))

@@ -89,6 +89,41 @@ func TestResetClearsPreviousExtent(t *testing.T) {
 	}
 }
 
+// TestRerunClearsWrittenMap: a Machine that runs the same load again — the
+// miner's re-hash pattern — starts from a clean written map each time. The
+// program's first action reads a word its previous run stored to, so a bit
+// that survived the reset would hand it that run's arena word instead of
+// the pristine one. (Reuse across image sizes and seeds, the other half of
+// the reset contract, is TestMachineReuseAcrossImageSizes and
+// TestResetClearsPreviousExtent.)
+func TestRerunClearsWrittenMap(t *testing.T) {
+	const seed = 99
+	b := prog.NewBuilder(prog.MinMemSize, seed)
+	b.NewBlock()
+	b.Load(3, 0, 64) // read word 8 before overwriting it
+	b.MovI(1, 64)    //
+	b.MovI(2, -1)    //
+	b.Store(1, 2, 0) // clobber word 8
+	b.Store(1, 2, 8) // and word 9
+	b.Halt()
+	p := b.MustBuild()
+	want := rng.SplitMix64At(seed, 8)
+	for _, be := range []Backend{BackendInterp, BackendAuto} {
+		m := &Machine{}
+		m.SetBackend(be)
+		if err := m.Load(p); err != nil {
+			t.Fatal(err)
+		}
+		for run := 0; run < 3; run++ {
+			m.Run(Params{}, nil)
+			if m.intRegs[3] != want {
+				t.Fatalf("%v, run %d: load of a word the previous run stored to = %#x, want pristine %#x",
+					be, run, m.intRegs[3], want)
+			}
+		}
+	}
+}
+
 // TestLoadStoreWord checks the pair every interpreter memory opcode goes
 // through, word by word: pristine loads compute the image, a store marks
 // exactly its own word, and a marked word reads back from the arena.

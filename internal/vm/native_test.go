@@ -6,7 +6,7 @@ package vm_test
 // output bytes, retired count, truncation flag, snapshot count, class
 // counts and branch statistics. These mirror the fused-vs-unfused suite
 // one layer up: interpreter correctness is anchored to the per-instruction
-// reference loop, and the native backend is anchored to the interpreter.
+// reference step, and the native backend is anchored to the interpreter.
 
 import (
 	"bytes"
@@ -53,7 +53,7 @@ func checkNativeVsInterp(t *testing.T, m *vm.Machine, params vm.Params) (native 
 // workload family through budgets and snapshot intervals that land exactly
 // on, one before and one after the program's natural retirement — the
 // cases where native code must bounce boundary blocks to the interpreter's
-// slow path and re-enter at the right block with identical state.
+// reference step and re-enter at the right block with identical state.
 func TestNativeMatchesInterpOnBoundaries(t *testing.T) {
 	requireNative(t)
 	for _, name := range []string{"leela", "lbm"} {

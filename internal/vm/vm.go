@@ -21,12 +21,17 @@
 // Machines are reusable: Load swaps in a new program while retaining the
 // decoded-code and scratch-memory storage, and RunInto appends output into
 // a caller-owned Result, so a hot loop (core.Session, the miner) executes
-// arbitrarily many widgets without allocating. The interpreter itself is
-// specialized: when no Observer is attached, execution runs the
-// superinstruction-fused, block-batched engine (per-block accounting with
-// an exact per-instruction slow path at budget/snapshot boundaries — see
-// runUnobserved and fuse.go); with an Observer it runs per-instruction
-// over the unfused stream so every retirement is visible as an Event.
+// arbitrarily many widgets without allocating.
+//
+// The instruction set's semantics are written down twice in this package
+// and nowhere else in it. step is the reference: one architectural
+// instruction at a time, every check and count per instruction, an
+// Observer told of each retirement if one is attached. runUnobserved is
+// the fast interpreter loop: superinstruction-fused, accounted a block at
+// a time (fuse.go). A run without an Observer takes the fast loop — or
+// native code, see backend.go — and drops to the reference step only for
+// the block that crosses a budget or snapshot boundary; a run with one is
+// the reference step from start to finish.
 package vm
 
 import (
@@ -164,13 +169,12 @@ func (r *Result) reset() {
 //
 //   - Unfused code (m.code): one entry per architectural instruction.
 //     Control instructions carry their target twice — target is the flat
-//     code index (used by the per-instruction observed loop), aux is the
-//     block index (used by the slow-path block executor).
+//     code index (the native compiler's input), aux is the block index
+//     (what the reference step transfers to).
 //   - Fused code (m.fcode): the per-block superinstruction stream. Control
 //     instructions carry the BLOCK index in target (the block-batched loop
 //     transfers between blocks, never raw pcs), and fused opcodes pack
-//     their second half's operands into aux/target/imm as documented in
-//     fuse.go.
+//     their second half's operands into aux as documented in fuse.go.
 type flatInstr struct {
 	imm       int64
 	target    uint32
@@ -182,15 +186,17 @@ type flatInstr struct {
 
 // blockMeta is the block-batched interpreter's per-block record: where the
 // block's fused and unfused instructions live, how many architectural
-// instructions the whole block retires, and the run-local fast-path
-// execution counter (kept inside the meta so the hot loop's accounting
-// touches no second array; uint64 because a hot loop block can execute
-// more than 2^32 times under a large MaxInstructions budget). 24 bytes.
+// instructions the whole block retires, where control goes when no
+// instruction of the fused stream redirects it, and the run-local
+// fast-path execution counter (kept inside the meta so the hot loop's
+// accounting touches no second array; uint64 because a hot loop block can
+// execute more than 2^32 times under a large MaxInstructions budget).
 type blockMeta struct {
 	execs  uint64 // fast-path executions this run (cleared per run)
 	fstart uint32 // first fused instruction (m.fcode index)
 	fend   uint32 // one past the last fused instruction
-	start  uint32 // first unfused instruction (m.code index, slow path)
+	next   uint32 // successor block: a trailing jmp's target, else the block after (set with the fused stream)
+	start  uint32 // first unfused instruction (m.code index, reference step)
 	count  uint32 // architectural instructions retired by the full block
 }
 
@@ -200,9 +206,9 @@ type blockMeta struct {
 // slices, block metadata and scratch memory, so steady-state reloads
 // allocate nothing. A Machine is not safe for concurrent use.
 type Machine struct {
-	code    []flatInstr // unfused: observed loop + slow path (may alias Program.Flat)
+	code    []flatInstr // unfused: reference step, native compiler input (may alias Program.Flat)
 	ownCode []flatInstr // machine-owned decode storage (code points here when not aliasing)
-	fcode   []flatInstr // fused: block-batched unobserved loop
+	fcode   []flatInstr // fused: block-batched fast loop
 	memSize int
 	memSeed uint64
 
@@ -230,6 +236,7 @@ type Machine struct {
 	intRegs [isa.NumIntRegs]uint64
 	fpRegs  [isa.NumFPRegs]uint64 // IEEE-754 bits
 	vecRegs [isa.NumVecRegs][isa.VecLanes]uint64
+	event   Event // the one Event observers are shown (here, not in step's frame, where it would escape per call)
 
 	// Native backend state (see backend.go): the configured engine, the
 	// per-Machine JIT cache, the load generation that keys it (and the
@@ -264,9 +271,10 @@ func (m *Machine) Load(p *prog.Program) error {
 
 // CodeSize reports the lengths of the two decoded instruction streams of
 // the currently loaded program: arch is the unfused architectural stream,
-// fused the superinstruction stream (fused <= arch; arch/fused is the
-// fusion ratio telemetry tracks per widget). Fusing is lazy, so calling
-// this builds the fused stream if no interpreter run has needed it yet.
+// fused the slots the fast loop dispatches for it — pairs fused into one,
+// trailing jumps folded into block metadata (fused <= arch). Fusing is
+// lazy, so calling this builds the fused stream if no interpreter run has
+// needed it yet: a measurement tool's call, not the hashing path's.
 func (m *Machine) CodeSize() (arch, fused int) {
 	m.ensureFused()
 	return len(m.code), len(m.fcode)
@@ -277,13 +285,14 @@ func (m *Machine) CodeSize() (arch, fused int) {
 // prog.Builder.Build, which validates). Loading an unvalidated program
 // may make Run panic with an out-of-range access.
 //
-// Loading decodes the program into two parallel streams: the unfused
-// per-instruction code (observed loop, slow path) and the per-block fused
-// superinstruction code (unobserved block-batched loop), plus per-block
+// Loading decodes the program into the unfused per-instruction code (the
+// reference step's, and the native compiler's input) plus per-block
 // metadata — architectural length and class tallies — that lets the fast
-// loop account a whole block at once. Tallies come from p.Stats when the
-// program carries them (prog.Builder fills and prog.Validate verifies
-// them) and are recomputed here otherwise.
+// engines account a whole block at once; the fused stream the fast
+// interpreter loop dispatches is derived from it on first use (see
+// ensureFused). Tallies come from p.Stats when the program carries them
+// (prog.Builder fills and prog.Validate verifies them) and are recomputed
+// here otherwise.
 //
 // Programs that carry a pre-decoded Flat stream (prog.Builder fills it on
 // the same arena pass that carves the blocks) skip the per-instruction
@@ -386,10 +395,9 @@ func (m *Machine) LoadTrusted(p *prog.Program) {
 
 // ensureFused brings the fused superinstruction stream (see fuse.go) up
 // to date with the loaded program. It runs the peephole pass at most once
-// per load: the fused interpreter and the fusion-ratio telemetry need it,
-// the native backend does not. Blocks keep their identity — only the
-// intra-block stream is compressed — so control flow and accounting
-// metadata are unaffected.
+// per load: the fast interpreter loop needs it, the native backend does
+// not. Blocks keep their identity — only the intra-block stream is
+// compressed — so control flow and accounting metadata are unaffected.
 func (m *Machine) ensureFused() {
 	if m.fusedGen == m.loadGen {
 		return
@@ -402,7 +410,7 @@ func (m *Machine) ensureFused() {
 	for bi := range m.blocks {
 		meta := &m.blocks[bi]
 		meta.fstart = uint32(len(m.fcode))
-		m.fcode = appendFusedBlock(m.fcode, m.code[meta.start:meta.start+meta.count])
+		m.fcode, meta.next = appendFusedBlock(m.fcode, m.code[meta.start:meta.start+meta.count], uint32(bi)+1)
 		meta.fend = uint32(len(m.fcode))
 	}
 }
@@ -487,13 +495,13 @@ func (m *Machine) Run(params Params, obs Observer) *Result {
 // reused, so a Result that is recycled across calls reaches a steady
 // state where execution performs no allocation.
 //
-// The interpreter is specialized on the observer: with obs == nil the
-// block-batched superinstruction loop runs (per-block accounting, fused
-// dispatch — see runUnobserved); with an observer attached, a
-// per-instruction unfused loop runs so every architectural retirement is
-// visible as an Event. Both loops retire identical architectural state —
+// With obs == nil a fast engine runs — native code, or the block-batched
+// superinstruction loop (runUnobserved) — and only boundary blocks take
+// the per-instruction reference step; with an observer attached the
+// reference step runs every block, so every architectural retirement is
+// visible as an Event. All of them retire identical architectural state —
 // digests do not depend on whether an observer was attached — which the
-// fused-vs-unfused property and fuzz tests verify.
+// differential tests against the dense oracle verify.
 func (m *Machine) RunInto(params Params, obs Observer, res *Result) {
 	params = params.withDefaults()
 	var resetNs int64
@@ -535,12 +543,12 @@ func (m *Machine) RunInto(params Params, obs Observer, res *Result) {
 	}
 }
 
-// execState carries the live accounting shared between the block-batched
-// fast loop and the per-instruction slow path: the retired counter and
-// snapshot countdown (which gate execution), branch statistics, and the
-// per-class counts accumulated by slow-path instructions. Fast-path class
-// counts are NOT accumulated here — they are reconstructed from per-block
-// execution counters at the end of the run (see runUnobserved).
+// execState carries the live accounting shared between the fast engines
+// and the reference step: the retired counter and snapshot countdown
+// (which gate execution), branch statistics, and the per-class counts of
+// instructions the reference step retired. Fast-path class counts are NOT
+// accumulated as they happen — they are reconstructed from per-block
+// execution counters at the end of the run (see addBlockExecs).
 type execState struct {
 	retired       uint64
 	untilSnap     uint64
@@ -551,26 +559,46 @@ type execState struct {
 	classCounts   [isa.NumClasses]uint64
 }
 
-// slowStatus reports how the slow-path block executor left the run.
-type slowStatus uint8
+// stepStatus reports how the reference step left the run.
+type stepStatus uint8
 
 const (
-	slowNext  slowStatus = iota // continue the block loop at the returned block
-	slowHalt                    // a halt instruction retired
-	slowTrunc                   // the instruction budget truncated execution
+	stepNext  stepStatus = iota // continue the block loop at the returned block
+	stepHalt                    // a halt instruction retired
+	stepTrunc                   // the instruction budget truncated execution
 )
 
-// runUnobserved is the production interpreter loop, organized around the
+func newExecState(params Params) execState {
+	return execState{
+		untilSnap:    params.SnapshotInterval,
+		snapInterval: params.SnapshotInterval,
+		maxInstr:     params.MaxInstructions,
+	}
+}
+
+// addBlockExecs accounts n fast-path executions of a block with the given
+// static class tally.
+func (st *execState) addBlockExecs(tally *[isa.NumClasses]uint32, n uint64) {
+	if n == 0 {
+		return
+	}
+	for c := 1; c < isa.NumClasses; c++ {
+		st.classCounts[c] += n * uint64(tally[c])
+	}
+}
+
+// runUnobserved is the fast interpreter loop, organized around the
 // program's basic-block structure: control flow can only leave a block at
 // its terminator, so the budget check, snapshot countdown and retirement
 // accounting are hoisted to once per block. A block whose execution would
-// cross the instruction budget or a snapshot boundary takes runBlockSlow —
+// cross the instruction budget or a snapshot boundary takes step —
 // an exact per-instruction re-entry over the unfused code — so retired
 // counts, truncation points and snapshot contents are bit-identical to
 // per-instruction execution. Within a block the fused superinstruction
-// stream (fuse.go) is dispatched, halving dispatch count on hot pairs.
+// stream (fuse.go) is dispatched: hot pairs in one slot, and a trailing
+// jump in none — it is the block's recorded successor.
 //
-// It must retire exactly the architectural state runObserved does.
+// It must retire exactly the architectural state step does.
 func (m *Machine) runUnobserved(params Params, res *Result) {
 	m.ensureFused()
 	fcode := m.fcode
@@ -584,11 +612,7 @@ func (m *Machine) runUnobserved(params Params, res *Result) {
 		blocks[i].execs = 0
 	}
 
-	st := execState{
-		untilSnap:    params.SnapshotInterval,
-		snapInterval: params.SnapshotInterval,
-		maxInstr:     params.MaxInstructions,
-	}
+	st := newExecState(params)
 	truncated := false
 	bi := uint32(0)
 
@@ -603,13 +627,10 @@ blockLoop:
 		if count > st.maxInstr-st.retired || count >= st.untilSnap {
 			// The block straddles the budget or a snapshot boundary:
 			// execute it per-instruction with exact checks.
-			next, status := m.runBlockSlow(bi, &st, res)
-			switch status {
-			case slowHalt:
-				break blockLoop
-			case slowTrunc:
-				truncated = true
-				break blockLoop
+			next, status := m.step(bi, &st, res, nil)
+			if status != stepNext {
+				truncated = status == stepTrunc
+				break
 			}
 			bi = next
 			continue
@@ -623,7 +644,7 @@ blockLoop:
 		meta.execs++
 		st.retired += count
 		st.untilSnap -= count
-		next := bi + 1
+		next := meta.next
 		for i, fe := meta.fstart, meta.fend; i < fe; i++ {
 			ins := &fcode[i]
 			switch ins.op {
@@ -733,8 +754,6 @@ blockLoop:
 					st.takenBranches++
 					next = ins.target
 				}
-			case isa.OpJmp:
-				next = ins.target
 			case isa.OpHalt:
 				// retired/tally already account the halt (it is part of the
 				// block); the stale untilSnap is irrelevant past this point.
@@ -768,20 +787,8 @@ blockLoop:
 				va := &m.vecRegs[ins.a]
 				intRegs[ins.dst] = va[0] ^ va[1] ^ va[2] ^ va[3]
 
-			// Fused superinstructions: exactly "first half, then second
-			// half", with the second half's operands unpacked from the
-			// encodings documented in fuse.go.
-			case isa.OpFuseCmpLTBeq:
-				var v uint64
-				if intRegs[ins.a] < intRegs[ins.b] {
-					v = 1
-				}
-				intRegs[ins.dst] = v
-				st.condBranches++
-				if intRegs[uint8(ins.aux)] == intRegs[uint8(ins.aux>>8)] {
-					st.takenBranches++
-					next = ins.target
-				}
+			// Fused superinstructions (fuse.go): exactly "first half, then
+			// second half", the second half's operands unpacked from aux.
 			case isa.OpFuseCmpLTBne:
 				var v uint64
 				if intRegs[ins.a] < intRegs[ins.b] {
@@ -793,218 +800,11 @@ blockLoop:
 					st.takenBranches++
 					next = ins.target
 				}
-			case isa.OpFuseCmpEQBeq:
-				var v uint64
-				if intRegs[ins.a] == intRegs[ins.b] {
-					v = 1
-				}
-				intRegs[ins.dst] = v
-				st.condBranches++
-				if intRegs[uint8(ins.aux)] == intRegs[uint8(ins.aux>>8)] {
-					st.takenBranches++
-					next = ins.target
-				}
-			case isa.OpFuseCmpEQBne:
-				var v uint64
-				if intRegs[ins.a] == intRegs[ins.b] {
-					v = 1
-				}
-				intRegs[ins.dst] = v
-				st.condBranches++
-				if intRegs[uint8(ins.aux)] != intRegs[uint8(ins.aux>>8)] {
-					st.takenBranches++
-					next = ins.target
-				}
-			case isa.OpFuseAddIBeq:
-				intRegs[ins.dst] = intRegs[ins.a] + uint64(ins.imm)
-				st.condBranches++
-				if intRegs[uint8(ins.aux)] == intRegs[uint8(ins.aux>>8)] {
-					st.takenBranches++
-					next = ins.target
-				}
-			case isa.OpFuseAddIBne:
-				intRegs[ins.dst] = intRegs[ins.a] + uint64(ins.imm)
-				st.condBranches++
-				if intRegs[uint8(ins.aux)] != intRegs[uint8(ins.aux>>8)] {
-					st.takenBranches++
-					next = ins.target
-				}
-			case isa.OpFuseMovIAdd:
-				intRegs[uint8(ins.aux)] = uint64(ins.imm)
-				intRegs[ins.dst] = intRegs[ins.a] + intRegs[ins.b]
-			case isa.OpFuseMovISub:
-				intRegs[uint8(ins.aux)] = uint64(ins.imm)
-				intRegs[ins.dst] = intRegs[ins.a] - intRegs[ins.b]
-			case isa.OpFuseMovIXor:
-				intRegs[uint8(ins.aux)] = uint64(ins.imm)
-				intRegs[ins.dst] = intRegs[ins.a] ^ intRegs[ins.b]
-			case isa.OpFuseMovIAnd:
-				intRegs[uint8(ins.aux)] = uint64(ins.imm)
-				intRegs[ins.dst] = intRegs[ins.a] & intRegs[ins.b]
-			case isa.OpFuseMovIOr:
-				intRegs[uint8(ins.aux)] = uint64(ins.imm)
-				intRegs[ins.dst] = intRegs[ins.a] | intRegs[ins.b]
-			case isa.OpFuseAddILoad:
-				intRegs[ins.dst] = intRegs[ins.a] + uint64(ins.imm)
-				addr := (intRegs[uint8(ins.aux>>8)] + uint64(ins.target)) & mask &^ 7
-				intRegs[uint8(ins.aux)] = loadWord(mem, written, seed, addr)
-			case isa.OpFuseAddIStor:
-				intRegs[ins.dst] = intRegs[ins.a] + uint64(ins.imm)
-				addr := (intRegs[uint8(ins.aux)] + uint64(ins.target)) & mask &^ 7
-				storeWord(mem, written, addr, intRegs[uint8(ins.aux>>8)])
-			case isa.OpFuseMulAdd:
-				intRegs[ins.dst] = intRegs[ins.a] * intRegs[ins.b]
-				intRegs[uint8(ins.aux)] = intRegs[uint8(ins.aux>>8)] + intRegs[uint8(ins.aux>>16)]
-			case isa.OpFuseFMulFAdd:
-				fa := math.Float64frombits(fpRegs[ins.a])
-				fb := math.Float64frombits(fpRegs[ins.b])
-				fpRegs[ins.dst] = canonBits(fa * fb)
-				fa2 := math.Float64frombits(fpRegs[uint8(ins.aux>>8)])
-				fb2 := math.Float64frombits(fpRegs[uint8(ins.aux>>16)])
-				fpRegs[uint8(ins.aux)] = canonBits(fa2 + fb2)
 			case isa.OpFuseRorAnd:
 				k := intRegs[ins.b] & 63
 				v := intRegs[ins.a]
 				intRegs[ins.dst] = (v >> k) | (v << ((64 - k) & 63))
 				intRegs[uint8(ins.aux)] = intRegs[uint8(ins.aux>>8)] & intRegs[uint8(ins.aux>>16)]
-			case isa.OpFuseAddJmp:
-				intRegs[ins.dst] = intRegs[ins.a] + intRegs[ins.b]
-				next = ins.target
-			case isa.OpFuseSubJmp:
-				intRegs[ins.dst] = intRegs[ins.a] - intRegs[ins.b]
-				next = ins.target
-			case isa.OpFuseAndJmp:
-				intRegs[ins.dst] = intRegs[ins.a] & intRegs[ins.b]
-				next = ins.target
-			case isa.OpFuseOrJmp:
-				intRegs[ins.dst] = intRegs[ins.a] | intRegs[ins.b]
-				next = ins.target
-			case isa.OpFuseXorJmp:
-				intRegs[ins.dst] = intRegs[ins.a] ^ intRegs[ins.b]
-				next = ins.target
-			case isa.OpFuseShlJmp:
-				intRegs[ins.dst] = intRegs[ins.a] << (intRegs[ins.b] & 63)
-				next = ins.target
-			case isa.OpFuseShrJmp:
-				intRegs[ins.dst] = intRegs[ins.a] >> (intRegs[ins.b] & 63)
-				next = ins.target
-			case isa.OpFuseRorJmp:
-				k := intRegs[ins.b] & 63
-				v := intRegs[ins.a]
-				intRegs[ins.dst] = (v >> k) | (v << ((64 - k) & 63))
-				next = ins.target
-			case isa.OpFuseCmpLTJmp:
-				if intRegs[ins.a] < intRegs[ins.b] {
-					intRegs[ins.dst] = 1
-				} else {
-					intRegs[ins.dst] = 0
-				}
-				next = ins.target
-			case isa.OpFuseCmpEQJmp:
-				if intRegs[ins.a] == intRegs[ins.b] {
-					intRegs[ins.dst] = 1
-				} else {
-					intRegs[ins.dst] = 0
-				}
-				next = ins.target
-			case isa.OpFuseMovJmp:
-				intRegs[ins.dst] = intRegs[ins.a]
-				next = ins.target
-			case isa.OpFuseMovIJmp:
-				intRegs[ins.dst] = uint64(ins.imm)
-				next = ins.target
-			case isa.OpFuseAddIJmp:
-				intRegs[ins.dst] = intRegs[ins.a] + uint64(ins.imm)
-				next = ins.target
-			case isa.OpFuseMulJmp:
-				intRegs[ins.dst] = intRegs[ins.a] * intRegs[ins.b]
-				next = ins.target
-			case isa.OpFuseMulHJmp:
-				hi, _ := mul64(intRegs[ins.a], intRegs[ins.b])
-				intRegs[ins.dst] = hi
-				next = ins.target
-			case isa.OpFuseFAddJmp:
-				fa := math.Float64frombits(fpRegs[ins.a])
-				fb := math.Float64frombits(fpRegs[ins.b])
-				fpRegs[ins.dst] = canonBits(fa + fb)
-				next = ins.target
-			case isa.OpFuseFSubJmp:
-				fa := math.Float64frombits(fpRegs[ins.a])
-				fb := math.Float64frombits(fpRegs[ins.b])
-				fpRegs[ins.dst] = canonBits(fa - fb)
-				next = ins.target
-			case isa.OpFuseFMulJmp:
-				fa := math.Float64frombits(fpRegs[ins.a])
-				fb := math.Float64frombits(fpRegs[ins.b])
-				fpRegs[ins.dst] = canonBits(fa * fb)
-				next = ins.target
-			case isa.OpFuseFDivJmp:
-				fa := math.Float64frombits(fpRegs[ins.a])
-				fb := math.Float64frombits(fpRegs[ins.b])
-				fpRegs[ins.dst] = canonBits(fa / fb)
-				next = ins.target
-			case isa.OpFuseFSqrtJmp:
-				fa := math.Float64frombits(fpRegs[ins.a])
-				fpRegs[ins.dst] = canonBits(math.Sqrt(math.Abs(fa)))
-				next = ins.target
-			case isa.OpFuseFMovJmp:
-				fpRegs[ins.dst] = fpRegs[ins.a]
-				next = ins.target
-			case isa.OpFuseFCvtJmp:
-				fpRegs[ins.dst] = canonBits(float64(int64(intRegs[ins.a])))
-				next = ins.target
-			case isa.OpFuseFToIJmp:
-				intRegs[ins.dst] = clampToInt64(math.Float64frombits(fpRegs[ins.a]))
-				next = ins.target
-			case isa.OpFuseLoadJmp:
-				addr := (intRegs[ins.a] + uint64(ins.imm)) & mask &^ 7
-				intRegs[ins.dst] = loadWord(mem, written, seed, addr)
-				next = ins.target
-			case isa.OpFuseFLoadJmp:
-				addr := (intRegs[ins.a] + uint64(ins.imm)) & mask &^ 7
-				fpRegs[ins.dst] = canonFPBits(loadWord(mem, written, seed, addr))
-				next = ins.target
-			case isa.OpFuseStoreJmp:
-				addr := (intRegs[ins.a] + uint64(ins.imm)) & mask &^ 7
-				storeWord(mem, written, addr, intRegs[ins.b])
-				next = ins.target
-			case isa.OpFuseFStoreJmp:
-				addr := (intRegs[ins.a] + uint64(ins.imm)) & mask &^ 7
-				storeWord(mem, written, addr, fpRegs[ins.b])
-				next = ins.target
-			case isa.OpFuseVAddJmp:
-				va, vb := &m.vecRegs[ins.a], &m.vecRegs[ins.b]
-				vd := &m.vecRegs[ins.dst]
-				for l := 0; l < isa.VecLanes; l++ {
-					vd[l] = va[l] + vb[l]
-				}
-				next = ins.target
-			case isa.OpFuseVXorJmp:
-				va, vb := &m.vecRegs[ins.a], &m.vecRegs[ins.b]
-				vd := &m.vecRegs[ins.dst]
-				for l := 0; l < isa.VecLanes; l++ {
-					vd[l] = va[l] ^ vb[l]
-				}
-				next = ins.target
-			case isa.OpFuseVMulJmp:
-				va, vb := &m.vecRegs[ins.a], &m.vecRegs[ins.b]
-				vd := &m.vecRegs[ins.dst]
-				for l := 0; l < isa.VecLanes; l++ {
-					vd[l] = va[l] * vb[l]
-				}
-				next = ins.target
-			case isa.OpFuseVBcastJmp:
-				v := intRegs[ins.a]
-				vd := &m.vecRegs[ins.dst]
-				for l := 0; l < isa.VecLanes; l++ {
-					vd[l] = v + uint64(l)
-				}
-				next = ins.target
-			case isa.OpFuseVRedJmp:
-				va := &m.vecRegs[ins.a]
-				intRegs[ins.dst] = va[0] ^ va[1] ^ va[2] ^ va[3]
-				next = ins.target
-
 			case isa.OpFuseAddAdd:
 				intRegs[ins.dst] = intRegs[ins.a] + intRegs[ins.b]
 				intRegs[uint8(ins.aux)] = intRegs[uint8(ins.aux>>8)] + intRegs[uint8(ins.aux>>16)]
@@ -1037,428 +837,245 @@ blockLoop:
 		bi = next
 	}
 
-	// Final snapshot captures the terminal state (always emitted, so even
-	// an empty program contributes output).
-	res.Output = m.appendSnapshot(res.Output, st.retired)
-	res.Snapshots++
-	res.Retired = st.retired
-	res.Truncated = truncated
-	res.CondBranches = st.condBranches
-	res.TakenBranches = st.takenBranches
-
 	// Fold the deferred fast-path class accounting (block execution counts
-	// x static per-block tallies) into the slow path's exact counts.
-	classCounts := st.classCounts
+	// x static per-block tallies) into the reference step's exact counts.
 	for b := range blocks {
-		n := blocks[b].execs
-		if n == 0 {
-			continue
-		}
-		t := &m.blockTally[b]
-		for c := 1; c < isa.NumClasses; c++ {
-			classCounts[c] += n * uint64(t[c])
-		}
+		st.addBlockExecs(&m.blockTally[b], blocks[b].execs)
 	}
-	res.ClassCounts = classCounts
+	m.finishRun(&st, truncated, res)
 }
 
-// runBlockSlow executes block bi per-instruction over the unfused code with
-// the full per-instruction budget and snapshot checks — the exact semantics
-// of the pre-block-batching interpreter. The fast loop calls it for the
-// rare blocks that straddle an instruction-budget or snapshot boundary, so
+// step is the reference definition of the instruction set: it executes
+// from the start of block bi one architectural instruction at a time over
+// the unfused code, with the budget check, the snapshot countdown and the
+// accounting done per instruction. Every engine meets it. The fast loop
+// and native code hand it the rare block that straddles an
+// instruction-budget or snapshot boundary — obs is nil — and get control
+// back at the end of that block, with the block to go on at (stepNext), so
 // truncation points, snapshot contents and retired counts never depend on
-// block shape or fusion. It returns the next block to execute (for
-// slowNext) or the terminal status.
-func (m *Machine) runBlockSlow(bi uint32, st *execState, res *Result) (uint32, slowStatus) {
+// block shape, fusion or code generation. An observed run is this function
+// from start to finish: with obs attached it is told of each retirement,
+// and there is no fast engine to return to, so step goes on through block
+// after block and returns only a terminal status.
+func (m *Machine) step(bi uint32, st *execState, res *Result, obs Observer) (uint32, stepStatus) {
 	code := m.code
 	mem, written, seed := m.mem, m.written, m.memSeed
 	intRegs := &m.intRegs
 	fpRegs := &m.fpRegs
 	mask := uint64(m.memSize - 1)
 
-	meta := &m.blocks[bi]
-	pc := meta.start
-	end := meta.start + meta.count
-	for pc < end {
-		if st.retired >= st.maxInstr {
-			return 0, slowTrunc
-		}
-		ins := &code[pc]
-		var next uint32
-		taken := false
+	for {
+		meta := &m.blocks[bi]
+		bi++ // where a block that does not branch away continues
+		for pc, end := meta.start, meta.start+meta.count; pc < end; pc++ {
+			if st.retired >= st.maxInstr {
+				return 0, stepTrunc
+			}
+			ins := &code[pc]
+			taken, halt := false, false
+			var addr uint64 // effective address of a load or store, for the observer
 
-		switch ins.op {
-		case isa.OpAdd:
-			intRegs[ins.dst] = intRegs[ins.a] + intRegs[ins.b]
-		case isa.OpSub:
-			intRegs[ins.dst] = intRegs[ins.a] - intRegs[ins.b]
-		case isa.OpAnd:
-			intRegs[ins.dst] = intRegs[ins.a] & intRegs[ins.b]
-		case isa.OpOr:
-			intRegs[ins.dst] = intRegs[ins.a] | intRegs[ins.b]
-		case isa.OpXor:
-			intRegs[ins.dst] = intRegs[ins.a] ^ intRegs[ins.b]
-		case isa.OpShl:
-			intRegs[ins.dst] = intRegs[ins.a] << (intRegs[ins.b] & 63)
-		case isa.OpShr:
-			intRegs[ins.dst] = intRegs[ins.a] >> (intRegs[ins.b] & 63)
-		case isa.OpRor:
-			k := intRegs[ins.b] & 63
-			v := intRegs[ins.a]
-			intRegs[ins.dst] = (v >> k) | (v << ((64 - k) & 63))
-		case isa.OpCmpLT:
-			if intRegs[ins.a] < intRegs[ins.b] {
-				intRegs[ins.dst] = 1
-			} else {
-				intRegs[ins.dst] = 0
-			}
-		case isa.OpCmpEQ:
-			if intRegs[ins.a] == intRegs[ins.b] {
-				intRegs[ins.dst] = 1
-			} else {
-				intRegs[ins.dst] = 0
-			}
-		case isa.OpMov:
-			intRegs[ins.dst] = intRegs[ins.a]
-		case isa.OpMovI:
-			intRegs[ins.dst] = uint64(ins.imm)
-		case isa.OpAddI:
-			intRegs[ins.dst] = intRegs[ins.a] + uint64(ins.imm)
+			switch ins.op {
+			case isa.OpAdd:
+				intRegs[ins.dst] = intRegs[ins.a] + intRegs[ins.b]
+			case isa.OpSub:
+				intRegs[ins.dst] = intRegs[ins.a] - intRegs[ins.b]
+			case isa.OpAnd:
+				intRegs[ins.dst] = intRegs[ins.a] & intRegs[ins.b]
+			case isa.OpOr:
+				intRegs[ins.dst] = intRegs[ins.a] | intRegs[ins.b]
+			case isa.OpXor:
+				intRegs[ins.dst] = intRegs[ins.a] ^ intRegs[ins.b]
+			case isa.OpShl:
+				intRegs[ins.dst] = intRegs[ins.a] << (intRegs[ins.b] & 63)
+			case isa.OpShr:
+				intRegs[ins.dst] = intRegs[ins.a] >> (intRegs[ins.b] & 63)
+			case isa.OpRor:
+				k := intRegs[ins.b] & 63
+				v := intRegs[ins.a]
+				intRegs[ins.dst] = (v >> k) | (v << ((64 - k) & 63))
+			case isa.OpCmpLT:
+				if intRegs[ins.a] < intRegs[ins.b] {
+					intRegs[ins.dst] = 1
+				} else {
+					intRegs[ins.dst] = 0
+				}
+			case isa.OpCmpEQ:
+				if intRegs[ins.a] == intRegs[ins.b] {
+					intRegs[ins.dst] = 1
+				} else {
+					intRegs[ins.dst] = 0
+				}
+			case isa.OpMov:
+				intRegs[ins.dst] = intRegs[ins.a]
+			case isa.OpMovI:
+				intRegs[ins.dst] = uint64(ins.imm)
+			case isa.OpAddI:
+				intRegs[ins.dst] = intRegs[ins.a] + uint64(ins.imm)
 
-		case isa.OpMul:
-			intRegs[ins.dst] = intRegs[ins.a] * intRegs[ins.b]
-		case isa.OpMulH:
-			hi, _ := mul64(intRegs[ins.a], intRegs[ins.b])
-			intRegs[ins.dst] = hi
+			case isa.OpMul:
+				intRegs[ins.dst] = intRegs[ins.a] * intRegs[ins.b]
+			case isa.OpMulH:
+				hi, _ := mul64(intRegs[ins.a], intRegs[ins.b])
+				intRegs[ins.dst] = hi
 
-		case isa.OpFAdd:
-			fa := math.Float64frombits(fpRegs[ins.a])
-			fb := math.Float64frombits(fpRegs[ins.b])
-			fpRegs[ins.dst] = canonBits(fa + fb)
-		case isa.OpFSub:
-			fa := math.Float64frombits(fpRegs[ins.a])
-			fb := math.Float64frombits(fpRegs[ins.b])
-			fpRegs[ins.dst] = canonBits(fa - fb)
-		case isa.OpFMul:
-			fa := math.Float64frombits(fpRegs[ins.a])
-			fb := math.Float64frombits(fpRegs[ins.b])
-			fpRegs[ins.dst] = canonBits(fa * fb)
-		case isa.OpFDiv:
-			fa := math.Float64frombits(fpRegs[ins.a])
-			fb := math.Float64frombits(fpRegs[ins.b])
-			fpRegs[ins.dst] = canonBits(fa / fb)
-		case isa.OpFSqrt:
-			fa := math.Float64frombits(fpRegs[ins.a])
-			fpRegs[ins.dst] = canonBits(math.Sqrt(math.Abs(fa)))
-		case isa.OpFMov:
-			fpRegs[ins.dst] = fpRegs[ins.a]
-		case isa.OpFCvt:
-			fpRegs[ins.dst] = canonBits(float64(int64(intRegs[ins.a])))
-		case isa.OpFToI:
-			intRegs[ins.dst] = clampToInt64(math.Float64frombits(fpRegs[ins.a]))
+			case isa.OpFAdd:
+				fa := math.Float64frombits(fpRegs[ins.a])
+				fb := math.Float64frombits(fpRegs[ins.b])
+				fpRegs[ins.dst] = canonBits(fa + fb)
+			case isa.OpFSub:
+				fa := math.Float64frombits(fpRegs[ins.a])
+				fb := math.Float64frombits(fpRegs[ins.b])
+				fpRegs[ins.dst] = canonBits(fa - fb)
+			case isa.OpFMul:
+				fa := math.Float64frombits(fpRegs[ins.a])
+				fb := math.Float64frombits(fpRegs[ins.b])
+				fpRegs[ins.dst] = canonBits(fa * fb)
+			case isa.OpFDiv:
+				fa := math.Float64frombits(fpRegs[ins.a])
+				fb := math.Float64frombits(fpRegs[ins.b])
+				fpRegs[ins.dst] = canonBits(fa / fb)
+			case isa.OpFSqrt:
+				fa := math.Float64frombits(fpRegs[ins.a])
+				fpRegs[ins.dst] = canonBits(math.Sqrt(math.Abs(fa)))
+			case isa.OpFMov:
+				fpRegs[ins.dst] = fpRegs[ins.a]
+			case isa.OpFCvt:
+				fpRegs[ins.dst] = canonBits(float64(int64(intRegs[ins.a])))
+			case isa.OpFToI:
+				intRegs[ins.dst] = clampToInt64(math.Float64frombits(fpRegs[ins.a]))
 
-		case isa.OpLoad:
-			addr := (intRegs[ins.a] + uint64(ins.imm)) & mask &^ 7
-			intRegs[ins.dst] = loadWord(mem, written, seed, addr)
-		case isa.OpFLoad:
-			addr := (intRegs[ins.a] + uint64(ins.imm)) & mask &^ 7
-			fpRegs[ins.dst] = canonFPBits(loadWord(mem, written, seed, addr))
-		case isa.OpStore:
-			addr := (intRegs[ins.a] + uint64(ins.imm)) & mask &^ 7
-			storeWord(mem, written, addr, intRegs[ins.b])
-		case isa.OpFStore:
-			addr := (intRegs[ins.a] + uint64(ins.imm)) & mask &^ 7
-			storeWord(mem, written, addr, fpRegs[ins.b])
+			case isa.OpLoad:
+				addr = (intRegs[ins.a] + uint64(ins.imm)) & mask &^ 7
+				intRegs[ins.dst] = loadWord(mem, written, seed, addr)
+			case isa.OpFLoad:
+				addr = (intRegs[ins.a] + uint64(ins.imm)) & mask &^ 7
+				fpRegs[ins.dst] = canonFPBits(loadWord(mem, written, seed, addr))
+			case isa.OpStore:
+				addr = (intRegs[ins.a] + uint64(ins.imm)) & mask &^ 7
+				storeWord(mem, written, addr, intRegs[ins.b])
+			case isa.OpFStore:
+				addr = (intRegs[ins.a] + uint64(ins.imm)) & mask &^ 7
+				storeWord(mem, written, addr, fpRegs[ins.b])
 
-		case isa.OpBeq:
-			st.condBranches++
-			if intRegs[ins.a] == intRegs[ins.b] {
-				st.takenBranches++
-				taken, next = true, ins.aux
+			case isa.OpBeq:
+				st.condBranches++
+				if intRegs[ins.a] == intRegs[ins.b] {
+					st.takenBranches++
+					taken = true
+				}
+			case isa.OpBne:
+				st.condBranches++
+				if intRegs[ins.a] != intRegs[ins.b] {
+					st.takenBranches++
+					taken = true
+				}
+			case isa.OpBlt:
+				st.condBranches++
+				if intRegs[ins.a] < intRegs[ins.b] {
+					st.takenBranches++
+					taken = true
+				}
+			case isa.OpBge:
+				st.condBranches++
+				if intRegs[ins.a] >= intRegs[ins.b] {
+					st.takenBranches++
+					taken = true
+				}
+			case isa.OpJmp:
+				taken = true
+			case isa.OpHalt:
+				halt = true
+
+			case isa.OpVAdd:
+				va, vb := &m.vecRegs[ins.a], &m.vecRegs[ins.b]
+				vd := &m.vecRegs[ins.dst]
+				for l := 0; l < isa.VecLanes; l++ {
+					vd[l] = va[l] + vb[l]
+				}
+			case isa.OpVXor:
+				va, vb := &m.vecRegs[ins.a], &m.vecRegs[ins.b]
+				vd := &m.vecRegs[ins.dst]
+				for l := 0; l < isa.VecLanes; l++ {
+					vd[l] = va[l] ^ vb[l]
+				}
+			case isa.OpVMul:
+				va, vb := &m.vecRegs[ins.a], &m.vecRegs[ins.b]
+				vd := &m.vecRegs[ins.dst]
+				for l := 0; l < isa.VecLanes; l++ {
+					vd[l] = va[l] * vb[l]
+				}
+			case isa.OpVBcast:
+				v := intRegs[ins.a]
+				vd := &m.vecRegs[ins.dst]
+				for l := 0; l < isa.VecLanes; l++ {
+					vd[l] = v + uint64(l)
+				}
+			case isa.OpVRed:
+				va := &m.vecRegs[ins.a]
+				intRegs[ins.dst] = va[0] ^ va[1] ^ va[2] ^ va[3]
 			}
-		case isa.OpBne:
-			st.condBranches++
-			if intRegs[ins.a] != intRegs[ins.b] {
-				st.takenBranches++
-				taken, next = true, ins.aux
-			}
-		case isa.OpBlt:
-			st.condBranches++
-			if intRegs[ins.a] < intRegs[ins.b] {
-				st.takenBranches++
-				taken, next = true, ins.aux
-			}
-		case isa.OpBge:
-			st.condBranches++
-			if intRegs[ins.a] >= intRegs[ins.b] {
-				st.takenBranches++
-				taken, next = true, ins.aux
-			}
-		case isa.OpJmp:
-			taken, next = true, ins.aux
-		case isa.OpHalt:
-			// Retire the halt, then stop. Like the pre-batching loop, a
-			// halt never advances the snapshot countdown.
+
 			st.retired++
 			st.classCounts[ins.class]++
-			return 0, slowHalt
-
-		case isa.OpVAdd:
-			va, vb := &m.vecRegs[ins.a], &m.vecRegs[ins.b]
-			vd := &m.vecRegs[ins.dst]
-			for l := 0; l < isa.VecLanes; l++ {
-				vd[l] = va[l] + vb[l]
+			if obs != nil {
+				m.event = Event{
+					StaticID: pc,
+					Op:       ins.op,
+					Class:    ins.class,
+					Dst:      ins.dst,
+					A:        ins.a,
+					B:        ins.b,
+					Addr:     addr,
+					IsMem:    ins.class == isa.ClassLoad || ins.class == isa.ClassStore,
+					Taken:    taken,
+				}
+				obs.OnRetire(&m.event)
 			}
-		case isa.OpVXor:
-			va, vb := &m.vecRegs[ins.a], &m.vecRegs[ins.b]
-			vd := &m.vecRegs[ins.dst]
-			for l := 0; l < isa.VecLanes; l++ {
-				vd[l] = va[l] ^ vb[l]
+			if halt {
+				// A halt retires but never advances the snapshot countdown:
+				// the final snapshot is the one that records it.
+				return 0, stepHalt
 			}
-		case isa.OpVMul:
-			va, vb := &m.vecRegs[ins.a], &m.vecRegs[ins.b]
-			vd := &m.vecRegs[ins.dst]
-			for l := 0; l < isa.VecLanes; l++ {
-				vd[l] = va[l] * vb[l]
+			st.untilSnap--
+			if st.untilSnap == 0 {
+				res.Output = m.appendSnapshot(res.Output, st.retired)
+				res.Snapshots++
+				st.untilSnap = st.snapInterval
 			}
-		case isa.OpVBcast:
-			v := intRegs[ins.a]
-			vd := &m.vecRegs[ins.dst]
-			for l := 0; l < isa.VecLanes; l++ {
-				vd[l] = v + uint64(l)
+			if taken {
+				bi = ins.aux // the target, as a block index
+				break
 			}
-		case isa.OpVRed:
-			va := &m.vecRegs[ins.a]
-			intRegs[ins.dst] = va[0] ^ va[1] ^ va[2] ^ va[3]
 		}
-
-		st.retired++
-		st.classCounts[ins.class]++
-		st.untilSnap--
-		if st.untilSnap == 0 {
-			res.Output = m.appendSnapshot(res.Output, st.retired)
-			res.Snapshots++
-			st.untilSnap = st.snapInterval
+		if obs == nil {
+			return bi, stepNext
 		}
-		if taken {
-			return next, slowNext
-		}
-		pc++
 	}
-	return bi + 1, slowNext
 }
 
-// runObserved is the instrumented interpreter loop: every retired
-// instruction is described to obs, including effective addresses and
-// branch outcomes. It retires exactly the architectural state
-// runUnobserved does.
+// runObserved is the instrumented run: the reference step from block 0 to
+// the end with the observer attached, so each retired instruction is
+// described to obs, including effective addresses and branch outcomes. It
+// retires exactly the architectural state the fast engines do — they send
+// their boundary blocks through the same step.
 func (m *Machine) runObserved(params Params, obs Observer, res *Result) {
-	mask := uint64(m.memSize - 1)
-	var pc uint32
-	var retired uint64
-	untilSnap := params.SnapshotInterval
-	var ev Event
-	truncated := false
+	st := newExecState(params)
+	_, status := m.step(0, &st, res, obs)
+	m.finishRun(&st, status == stepTrunc, res)
+}
 
-	for {
-		if retired >= params.MaxInstructions {
-			truncated = true
-			break
-		}
-		ins := &m.code[pc]
-		nextPC := pc + 1
-		var taken bool
-		var addr uint64
-		var isMem bool
-
-		switch ins.op {
-		case isa.OpAdd:
-			m.intRegs[ins.dst] = m.intRegs[ins.a] + m.intRegs[ins.b]
-		case isa.OpSub:
-			m.intRegs[ins.dst] = m.intRegs[ins.a] - m.intRegs[ins.b]
-		case isa.OpAnd:
-			m.intRegs[ins.dst] = m.intRegs[ins.a] & m.intRegs[ins.b]
-		case isa.OpOr:
-			m.intRegs[ins.dst] = m.intRegs[ins.a] | m.intRegs[ins.b]
-		case isa.OpXor:
-			m.intRegs[ins.dst] = m.intRegs[ins.a] ^ m.intRegs[ins.b]
-		case isa.OpShl:
-			m.intRegs[ins.dst] = m.intRegs[ins.a] << (m.intRegs[ins.b] & 63)
-		case isa.OpShr:
-			m.intRegs[ins.dst] = m.intRegs[ins.a] >> (m.intRegs[ins.b] & 63)
-		case isa.OpRor:
-			k := m.intRegs[ins.b] & 63
-			v := m.intRegs[ins.a]
-			m.intRegs[ins.dst] = (v >> k) | (v << ((64 - k) & 63))
-		case isa.OpCmpLT:
-			if m.intRegs[ins.a] < m.intRegs[ins.b] {
-				m.intRegs[ins.dst] = 1
-			} else {
-				m.intRegs[ins.dst] = 0
-			}
-		case isa.OpCmpEQ:
-			if m.intRegs[ins.a] == m.intRegs[ins.b] {
-				m.intRegs[ins.dst] = 1
-			} else {
-				m.intRegs[ins.dst] = 0
-			}
-		case isa.OpMov:
-			m.intRegs[ins.dst] = m.intRegs[ins.a]
-		case isa.OpMovI:
-			m.intRegs[ins.dst] = uint64(ins.imm)
-		case isa.OpAddI:
-			m.intRegs[ins.dst] = m.intRegs[ins.a] + uint64(ins.imm)
-
-		case isa.OpMul:
-			m.intRegs[ins.dst] = m.intRegs[ins.a] * m.intRegs[ins.b]
-		case isa.OpMulH:
-			hi, _ := mul64(m.intRegs[ins.a], m.intRegs[ins.b])
-			m.intRegs[ins.dst] = hi
-
-		case isa.OpFAdd:
-			fa := math.Float64frombits(m.fpRegs[ins.a])
-			fb := math.Float64frombits(m.fpRegs[ins.b])
-			r := fa + fb
-			m.fpRegs[ins.dst] = canonBits(r)
-		case isa.OpFSub:
-			fa := math.Float64frombits(m.fpRegs[ins.a])
-			fb := math.Float64frombits(m.fpRegs[ins.b])
-			r := fa - fb
-			m.fpRegs[ins.dst] = canonBits(r)
-		case isa.OpFMul:
-			fa := math.Float64frombits(m.fpRegs[ins.a])
-			fb := math.Float64frombits(m.fpRegs[ins.b])
-			r := fa * fb
-			m.fpRegs[ins.dst] = canonBits(r)
-		case isa.OpFDiv:
-			fa := math.Float64frombits(m.fpRegs[ins.a])
-			fb := math.Float64frombits(m.fpRegs[ins.b])
-			r := fa / fb
-			m.fpRegs[ins.dst] = canonBits(r)
-		case isa.OpFSqrt:
-			fa := math.Float64frombits(m.fpRegs[ins.a])
-			r := math.Sqrt(math.Abs(fa))
-			m.fpRegs[ins.dst] = canonBits(r)
-		case isa.OpFMov:
-			m.fpRegs[ins.dst] = m.fpRegs[ins.a]
-		case isa.OpFCvt:
-			m.fpRegs[ins.dst] = canonBits(float64(int64(m.intRegs[ins.a])))
-		case isa.OpFToI:
-			m.intRegs[ins.dst] = clampToInt64(math.Float64frombits(m.fpRegs[ins.a]))
-
-		case isa.OpLoad:
-			addr = (m.intRegs[ins.a] + uint64(ins.imm)) & mask &^ 7
-			isMem = true
-			m.intRegs[ins.dst] = loadWord(m.mem, m.written, m.memSeed, addr)
-		case isa.OpFLoad:
-			addr = (m.intRegs[ins.a] + uint64(ins.imm)) & mask &^ 7
-			isMem = true
-			m.fpRegs[ins.dst] = canonFPBits(loadWord(m.mem, m.written, m.memSeed, addr))
-		case isa.OpStore:
-			addr = (m.intRegs[ins.a] + uint64(ins.imm)) & mask &^ 7
-			isMem = true
-			storeWord(m.mem, m.written, addr, m.intRegs[ins.b])
-		case isa.OpFStore:
-			addr = (m.intRegs[ins.a] + uint64(ins.imm)) & mask &^ 7
-			isMem = true
-			storeWord(m.mem, m.written, addr, m.fpRegs[ins.b])
-
-		case isa.OpBeq:
-			taken = m.intRegs[ins.a] == m.intRegs[ins.b]
-			res.CondBranches++
-			if taken {
-				res.TakenBranches++
-			}
-		case isa.OpBne:
-			taken = m.intRegs[ins.a] != m.intRegs[ins.b]
-			res.CondBranches++
-			if taken {
-				res.TakenBranches++
-			}
-		case isa.OpBlt:
-			taken = m.intRegs[ins.a] < m.intRegs[ins.b]
-			res.CondBranches++
-			if taken {
-				res.TakenBranches++
-			}
-		case isa.OpBge:
-			taken = m.intRegs[ins.a] >= m.intRegs[ins.b]
-			res.CondBranches++
-			if taken {
-				res.TakenBranches++
-			}
-		case isa.OpJmp:
-			taken = true
-		case isa.OpHalt:
-			// Retire the halt, then stop.
-			retired++
-			res.ClassCounts[ins.class]++
-			ev = Event{StaticID: pc, Op: ins.op, Class: ins.class}
-			obs.OnRetire(&ev)
-			goto done
-
-		case isa.OpVAdd:
-			va, vb := &m.vecRegs[ins.a], &m.vecRegs[ins.b]
-			vd := &m.vecRegs[ins.dst]
-			for l := 0; l < isa.VecLanes; l++ {
-				vd[l] = va[l] + vb[l]
-			}
-		case isa.OpVXor:
-			va, vb := &m.vecRegs[ins.a], &m.vecRegs[ins.b]
-			vd := &m.vecRegs[ins.dst]
-			for l := 0; l < isa.VecLanes; l++ {
-				vd[l] = va[l] ^ vb[l]
-			}
-		case isa.OpVMul:
-			va, vb := &m.vecRegs[ins.a], &m.vecRegs[ins.b]
-			vd := &m.vecRegs[ins.dst]
-			for l := 0; l < isa.VecLanes; l++ {
-				vd[l] = va[l] * vb[l]
-			}
-		case isa.OpVBcast:
-			v := m.intRegs[ins.a]
-			vd := &m.vecRegs[ins.dst]
-			for l := 0; l < isa.VecLanes; l++ {
-				vd[l] = v + uint64(l)
-			}
-		case isa.OpVRed:
-			va := &m.vecRegs[ins.a]
-			m.intRegs[ins.dst] = va[0] ^ va[1] ^ va[2] ^ va[3]
-		}
-
-		if taken {
-			nextPC = ins.target
-		}
-
-		retired++
-		res.ClassCounts[ins.class]++
-		ev = Event{
-			StaticID: pc,
-			Op:       ins.op,
-			Class:    ins.class,
-			Dst:      ins.dst,
-			A:        ins.a,
-			B:        ins.b,
-			Addr:     addr,
-			IsMem:    isMem,
-			Taken:    taken,
-		}
-		obs.OnRetire(&ev)
-
-		untilSnap--
-		if untilSnap == 0 {
-			res.Output = m.appendSnapshot(res.Output, retired)
-			res.Snapshots++
-			untilSnap = params.SnapshotInterval
-		}
-		pc = nextPC
-	}
-
-done:
-	res.Output = m.appendSnapshot(res.Output, retired)
+// finishRun closes a run on any engine: the final snapshot captures the
+// terminal state (always emitted, so even an empty program contributes
+// output) and the live accounting moves into res.
+func (m *Machine) finishRun(st *execState, truncated bool, res *Result) {
+	res.Output = m.appendSnapshot(res.Output, st.retired)
 	res.Snapshots++
-	res.Retired = retired
+	res.Retired = st.retired
 	res.Truncated = truncated
+	res.CondBranches = st.condBranches
+	res.TakenBranches = st.takenBranches
+	res.ClassCounts = st.classCounts
 }
 
 // appendSnapshot serializes the architectural register state.
