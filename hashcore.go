@@ -56,7 +56,6 @@ type config struct {
 	profileName string
 	prof        *profile.Profile
 	widgets     int
-	sourcePath  bool
 	snapshot    uint64
 	noise       float64
 	loopTrips   int
@@ -99,16 +98,6 @@ func WithWidgets(n int) Option {
 			return fmt.Errorf("hashcore: widget count %d out of range [1,64]", n)
 		}
 		c.widgets = n
-		return nil
-	}
-}
-
-// WithSourcePipeline routes every hash through the textual widget source
-// and the assembler — the paper-faithful three-stage pipeline — at a small
-// speed cost. Results are bit-identical either way.
-func WithSourcePipeline(enabled bool) Option {
-	return func(c *config) error {
-		c.sourcePath = enabled
 		return nil
 	}
 }
@@ -233,12 +222,11 @@ func New(opts ...Option) (*Hasher, error) {
 			Noise:     cfg.noise,
 			LoopTrips: cfg.loopTrips,
 		},
-		VMParams:          vm.Params{SnapshotInterval: cfg.snapshot},
-		Widgets:           cfg.widgets,
-		UseSourcePipeline: cfg.sourcePath,
-		Backend:           cfg.backend,
-		Metrics:           cfg.metrics,
-		Journal:           cfg.journal,
+		VMParams: vm.Params{SnapshotInterval: cfg.snapshot},
+		Widgets:  cfg.widgets,
+		Backend:  cfg.backend,
+		Metrics:  cfg.metrics,
+		Journal:  cfg.journal,
 	})
 	if err != nil {
 		return nil, err

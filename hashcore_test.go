@@ -229,18 +229,23 @@ func TestWidgetChainingOption(t *testing.T) {
 	}
 }
 
-func TestSourcePipelineOption(t *testing.T) {
-	direct, err := New(fastOpts())
-	if err != nil {
-		t.Fatal(err)
-	}
-	src, err := New(fastOpts(), WithSourcePipeline(true))
-	if err != nil {
-		t.Fatal(err)
-	}
-	in := []byte("path equivalence")
-	if direct.Sum(in) != src.Sum(in) {
-		t.Fatal("source pipeline changed the digest")
+// TestInspectMatchesHash: Inspect takes the textual pipeline (generate,
+// render, assemble, run) and must report the digest Hash computes
+// directly, under either backend.
+func TestInspectMatchesHash(t *testing.T) {
+	for _, backend := range []string{"interp", "native"} {
+		h, err := New(fastOpts(), WithBackend(backend))
+		if err != nil {
+			t.Fatal(err)
+		}
+		in := []byte("path equivalence")
+		ins, err := h.Inspect(in)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if ins.Digest != h.Sum(in) {
+			t.Fatalf("%s: the source pipeline changed the digest", backend)
+		}
 	}
 }
 

@@ -47,11 +47,12 @@ func errf(line int, format string, args ...any) error {
 	return &Error{Line: line, Msg: fmt.Sprintf(format, args...)}
 }
 
-// Assemble parses source text into a validated program.
+// Assemble parses source text into a validated program, writing it through
+// a prog.Builder like every other producer of programs.
 func Assemble(src string) (*prog.Program, error) {
-	p := &prog.Program{MemSize: prog.DefaultMemSize}
+	b := prog.NewBuilder(prog.DefaultMemSize, 0)
 	sawMem := false
-	curBlock := -1
+	blocks := 0
 
 	for lineNo, raw := range strings.Split(src, "\n") {
 		line := raw
@@ -65,31 +66,31 @@ func Assemble(src string) (*prog.Program, error) {
 		no := lineNo + 1
 
 		if strings.HasPrefix(line, ".") {
-			if err := parseDirective(p, line, no, &sawMem, &curBlock); err != nil {
+			if err := parseDirective(b, line, no, &sawMem, &blocks); err != nil {
 				return nil, err
 			}
 			continue
 		}
-		if curBlock < 0 {
+		if blocks == 0 {
 			return nil, errf(no, "instruction before any .block directive")
 		}
 		ins, err := parseInstr(line, no)
 		if err != nil {
 			return nil, err
 		}
-		blk := &p.Blocks[curBlock]
-		blk.Instrs = append(blk.Instrs, ins)
+		b.Emit(ins)
 	}
-	if len(p.Blocks) == 0 {
+	if blocks == 0 {
 		return nil, errf(0, "no blocks in source")
 	}
-	if err := p.Validate(); err != nil {
+	p, err := b.Build()
+	if err != nil {
 		return nil, fmt.Errorf("asm: assembled program invalid: %w", err)
 	}
 	return p, nil
 }
 
-func parseDirective(p *prog.Program, line string, no int, sawMem *bool, curBlock *int) error {
+func parseDirective(b *prog.Builder, line string, no int, sawMem *bool, blocks *int) error {
 	fields := strings.Fields(line)
 	switch fields[0] {
 	case ".mem":
@@ -107,8 +108,7 @@ func parseDirective(p *prog.Program, line string, no int, sawMem *bool, curBlock
 		if err != nil {
 			return errf(no, "bad memory seed %q: %v", fields[2], err)
 		}
-		p.MemSize = int(size)
-		p.MemSeed = seed
+		b.SetMemory(int(size), seed)
 		*sawMem = true
 		return nil
 	case ".block":
@@ -119,12 +119,12 @@ func parseDirective(p *prog.Program, line string, no int, sawMem *bool, curBlock
 		if err != nil {
 			return errf(no, "bad block number %q: %v", fields[1], err)
 		}
-		if int(n) != len(p.Blocks) {
+		if n != uint64(*blocks) {
 			return errf(no, "blocks must be declared densely in order: got %d, want %d",
-				n, len(p.Blocks))
+				n, *blocks)
 		}
-		p.Blocks = append(p.Blocks, prog.Block{})
-		*curBlock = int(n)
+		b.NewBlock()
+		*blocks++
 		return nil
 	default:
 		return errf(no, "unknown directive %q", fields[0])

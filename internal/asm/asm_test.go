@@ -2,6 +2,7 @@ package asm
 
 import (
 	"errors"
+	"slices"
 	"strings"
 	"testing"
 	"testing/quick"
@@ -51,27 +52,27 @@ func TestAssembleSample(t *testing.T) {
 	if len(p.Blocks) != 3 {
 		t.Fatalf("got %d blocks, want 3", len(p.Blocks))
 	}
-	first := p.Blocks[0].Instrs[0]
+	first := p.Instrs(0)[0]
 	if first.Op != isa.OpMovI || first.Dst != 1 || first.Imm != 42 {
 		t.Errorf("first instr = %+v", first)
 	}
-	neg := p.Blocks[0].Instrs[1]
+	neg := p.Instrs(0)[1]
 	if neg.Imm != -7 {
 		t.Errorf("negative immediate = %d, want -7", neg.Imm)
 	}
-	load := p.Blocks[0].Instrs[10]
+	load := p.Instrs(0)[10]
 	if load.Op != isa.OpLoad || load.A != 6 || load.Imm != 16 {
 		t.Errorf("load = %+v", load)
 	}
-	fload := p.Blocks[0].Instrs[11]
+	fload := p.Instrs(0)[11]
 	if fload.Imm != -8 {
 		t.Errorf("fload displacement = %d, want -8", fload.Imm)
 	}
-	store := p.Blocks[0].Instrs[12]
+	store := p.Instrs(0)[12]
 	if store.A != 6 || store.B != 7 || store.Imm != 24 {
 		t.Errorf("store = %+v", store)
 	}
-	branch := p.Blocks[0].Instrs[len(p.Blocks[0].Instrs)-1]
+	branch := p.Instrs(0)[len(p.Instrs(0))-1]
 	if !branch.Op.IsCondBranch() || branch.Target != 2 {
 		t.Errorf("branch = %+v", branch)
 	}
@@ -96,19 +97,11 @@ func programsEqual(p, q *prog.Program) error {
 	if p.MemSize != q.MemSize || p.MemSeed != q.MemSeed {
 		return errors.New("memory declarations differ")
 	}
-	if len(p.Blocks) != len(q.Blocks) {
-		return errors.New("block counts differ")
+	if !slices.Equal(p.Blocks, q.Blocks) {
+		return errors.New("block tables differ")
 	}
-	for i := range p.Blocks {
-		a, b := p.Blocks[i].Instrs, q.Blocks[i].Instrs
-		if len(a) != len(b) {
-			return errors.New("block lengths differ")
-		}
-		for j := range a {
-			if a[j] != b[j] {
-				return errors.New("instructions differ")
-			}
-		}
+	if !slices.Equal(p.Code, q.Code) {
+		return errors.New("instructions differ")
 	}
 	return nil
 }
@@ -234,8 +227,20 @@ func TestCommentsAndWhitespace(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(p.Blocks[0].Instrs) != 2 {
-		t.Errorf("got %d instructions, want 2", len(p.Blocks[0].Instrs))
+	if len(p.Instrs(0)) != 2 {
+		t.Errorf("got %d instructions, want 2", len(p.Instrs(0)))
+	}
+}
+
+// TestMemAfterBlocks: the memory declaration may follow the code it
+// belongs to.
+func TestMemAfterBlocks(t *testing.T) {
+	p, err := Assemble(".block 0\nhalt\n.mem 8192 0x7")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if p.MemSize != 8192 || p.MemSeed != 7 {
+		t.Errorf("memory decl = %d/%#x, want 8192/0x7", p.MemSize, p.MemSeed)
 	}
 }
 
@@ -247,10 +252,10 @@ func TestHexImmediates(t *testing.T) {
 	if p.MemSize != 4096 {
 		t.Errorf("hex mem size = %d, want 4096", p.MemSize)
 	}
-	if got := p.Blocks[0].Instrs[0].Imm; got != 16 {
+	if got := p.Instrs(0)[0].Imm; got != 16 {
 		t.Errorf("hex immediate = %d, want 16", got)
 	}
-	if got := p.Blocks[0].Instrs[1].Imm; got != -16 {
+	if got := p.Instrs(0)[1].Imm; got != -16 {
 		t.Errorf("negative hex immediate = %d, want -16", got)
 	}
 }

@@ -16,7 +16,7 @@ func Disassemble(p *prog.Program) string {
 	fmt.Fprintf(&b, ".mem %d 0x%x\n", p.MemSize, p.MemSeed)
 	for bi := range p.Blocks {
 		fmt.Fprintf(&b, ".block %d\n", bi)
-		for _, ins := range p.Blocks[bi].Instrs {
+		for _, ins := range p.Instrs(bi) {
 			b.WriteString("\t")
 			b.WriteString(FormatInstr(ins))
 			b.WriteString("\n")

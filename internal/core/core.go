@@ -47,13 +47,6 @@ type Options struct {
 	// uses one but notes "multiple widgets could be generated ... and
 	// executed sequentially"). Defaults to 1.
 	Widgets int
-	// UseSourcePipeline routes every widget through the textual assembly
-	// stage (generate source, then compile), mirroring the paper's
-	// script -> C -> binary chain. When false the generator's in-memory
-	// program is executed directly; the two paths produce bit-identical
-	// results (property-tested) so this is purely a fidelity/speed
-	// trade-off.
-	UseSourcePipeline bool
 	// Backend selects the widget execution engine (vm.BackendAuto, the
 	// zero value, picks native code where supported and falls back to the
 	// fused interpreter). Digests are bit-identical across backends.
@@ -80,7 +73,6 @@ type Func struct {
 	gen     *perfprox.Generator
 	vparams vm.Params
 	widgets int
-	useSrc  bool
 	backend vm.Backend
 	met     *hashMetrics       // nil when telemetry is disabled
 	journal *telemetry.Journal // nil-safe; jit_fallback events
@@ -117,7 +109,6 @@ func New(opts Options) (*Func, error) {
 		gen:     gen,
 		vparams: opts.VMParams,
 		widgets: widgets,
-		useSrc:  opts.UseSourcePipeline,
 		backend: opts.Backend,
 		met:     newHashMetrics(opts.Metrics),
 		journal: opts.Journal,
@@ -213,9 +204,12 @@ type Trace struct {
 	Digest Digest
 }
 
-// Trace runs the full pipeline for input, retaining intermediates. It
-// always uses the source pipeline so Trace.Source is the exact text that
-// was compiled and executed.
+// Trace runs the full pipeline for input, retaining intermediates. Where
+// Hash runs the generator's program directly, Trace takes the textual
+// chain — generate, render as source, assemble, run: the analogue of the
+// paper's script -> C -> binary pipeline — so Trace.Source is the exact
+// text that was compiled and executed. Both reach the same digest
+// (TestSourcePipelineMatchesDirect).
 func (f *Func) Trace(input []byte) (*Trace, error) {
 	seedArr := f.gate.Sum(input)
 	seed := perfprox.Seed(seedArr)
@@ -227,10 +221,12 @@ func (f *Func) Trace(input []byte) (*Trace, error) {
 	if err != nil {
 		return nil, fmt.Errorf("core: compiling generated source: %w", err)
 	}
-	res, err := vm.Run(widget, f.vparams, nil)
-	if err != nil {
+	m := &vm.Machine{}
+	m.SetBackend(f.backend)
+	if err := m.Load(widget); err != nil {
 		return nil, err
 	}
+	res := m.Run(f.vparams, nil)
 	buf := make([]byte, 0, len(seedArr)+len(res.Output))
 	buf = append(buf, seedArr[:]...)
 	buf = append(buf, res.Output...)

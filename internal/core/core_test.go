@@ -167,20 +167,27 @@ func TestTraceFields(t *testing.T) {
 	}
 }
 
+// TestSourcePipelineMatchesDirect: the textual chain Trace takes (generate,
+// render, assemble, run) reaches the digest Hash computes from the
+// generator's program directly, on either backend and with widgets chained
+// (Trace runs the first widget through source, the rest directly).
 func TestSourcePipelineMatchesDirect(t *testing.T) {
-	direct := tinyFunc(t, Options{})
-	viaSrc := tinyFunc(t, Options{UseSourcePipeline: true})
-	for _, input := range []string{"", "a", "block 42"} {
-		a, err := direct.Hash([]byte(input))
-		if err != nil {
-			t.Fatal(err)
-		}
-		b, err := viaSrc.Hash([]byte(input))
-		if err != nil {
-			t.Fatal(err)
-		}
-		if a != b {
-			t.Fatalf("input %q: source pipeline digest differs from direct", input)
+	for _, backend := range []vm.Backend{vm.BackendInterp, vm.BackendNative} {
+		for _, widgets := range []int{1, 2} {
+			f := tinyFunc(t, Options{Backend: backend, Widgets: widgets})
+			for _, input := range []string{"", "a", "block 42"} {
+				direct, err := f.Hash([]byte(input))
+				if err != nil {
+					t.Fatal(err)
+				}
+				tr, err := f.Trace([]byte(input))
+				if err != nil {
+					t.Fatal(err)
+				}
+				if tr.Digest != direct {
+					t.Fatalf("%s, %d widgets, input %q: source pipeline digest differs from direct", backend, widgets, input)
+				}
+			}
 		}
 	}
 }

@@ -1,17 +1,15 @@
 package core
 
 import (
-	"fmt"
 	"time"
 
-	"hashcore/internal/asm"
 	"hashcore/internal/perfprox"
 	"hashcore/internal/vm"
 )
 
 // Session is a reusable execution context for one HashCore function: it
 // owns the generator scratch (PRNGs, budgets, program builder), the VM
-// (decoded code and scratch memory), the execution result (snapshot
+// (the adopted program and scratch memory), the execution result (snapshot
 // output buffer) and the gate concatenation buffer. After a few warm-up
 // hashes every buffer has reached its high-water capacity and further
 // Hash calls allocate nothing.
@@ -57,8 +55,8 @@ func (s *Session) Hash(input []byte) (Digest, error) {
 // the benchmark harness to attribute performance movement to the right
 // half of the pipeline.
 type PhaseTimings struct {
-	// GenNs is nanoseconds spent generating widget programs (for the
-	// source pipeline: rendering and re-assembling them too).
+	// GenNs is nanoseconds spent generating widget programs (hash seed to
+	// validated prog.Program, the form the VM runs as it stands).
 	GenNs int64
 	// ExecNs is nanoseconds spent loading programs into the VM and
 	// executing them.
@@ -72,8 +70,8 @@ type PhaseTimings struct {
 	// map, one bit per image word (vm.Machine).
 	FillNs int64
 	// LoadNs is nanoseconds spent loading generated programs into the VM
-	// (a subset of ExecNs): adopting the builder arena's pre-decoded
-	// stream plus rebuilding the per-block metadata.
+	// (a subset of ExecNs): the VM adopts the program where the builder
+	// wrote it, so this is a few stores and a clock read.
 	LoadNs int64
 	// Retired is the total number of retired widget instructions.
 	Retired uint64
@@ -127,9 +125,8 @@ func (s *Session) hashInner(input []byte, obs vm.Observer, t *PhaseTimings) (Dig
 	return seed, nil
 }
 
-// runWidget executes W(s) into s.res: generate the widget (optionally
-// round-tripping through source), load it into the session VM, compile
-// it, run it.
+// runWidget executes W(s) into s.res: generate the widget, load it into
+// the session VM, compile it, run it.
 func (s *Session) runWidget(seed perfprox.Seed, obs vm.Observer, t *PhaseTimings) error {
 	f := s.f
 	if err := s.loadWidget(seed, obs, t); err != nil {
@@ -171,46 +168,21 @@ func (s *Session) loadWidget(seed perfprox.Seed, obs vm.Observer, t *PhaseTiming
 	if t != nil {
 		mark = time.Now()
 	}
-	var archInstrs int // the widget's static length, for telemetry
-	if f.useSrc {
-		// The paper-faithful textual pipeline allocates by design (it
-		// renders and re-parses source); sessions only reuse the VM here.
-		src, err := f.gen.GenerateSource(seed)
-		if err != nil {
-			return err
-		}
-		widget, err := asm.Assemble(src)
-		if err != nil {
-			return fmt.Errorf("core: compiling generated source: %w", err)
-		}
-		if t != nil {
-			now := time.Now()
-			t.GenNs += now.Sub(mark).Nanoseconds()
-			mark = now
-		}
-		s.execMark = mark
-		if err := s.m.Load(widget); err != nil {
-			return err
-		}
-		archInstrs = widget.NumInstrs()
-	} else {
-		widget, err := f.gen.GenerateInto(seed, &s.gen)
-		if err != nil {
-			return err
-		}
-		if t != nil {
-			now := time.Now()
-			t.GenNs += now.Sub(mark).Nanoseconds()
-			mark = now
-		}
-		s.execMark = mark
-		// The builder validated the program during BuildInto; skip the
-		// VM's second structural pass.
-		s.m.LoadTrusted(widget)
-		archInstrs = len(widget.Flat) // a flat-only build: the blocks are not carved
+	widget, err := f.gen.GenerateInto(seed, &s.gen)
+	if err != nil {
+		return err
 	}
+	if t != nil {
+		now := time.Now()
+		t.GenNs += now.Sub(mark).Nanoseconds()
+		mark = now
+	}
+	s.execMark = mark
+	// The builder validated the program as it wrote it; skip the VM's
+	// second structural pass.
+	s.m.LoadTrusted(widget)
 	if met := f.met; met != nil {
-		met.archInstrs.Add(uint64(archInstrs))
+		met.archInstrs.Add(uint64(widget.NumInstrs()))
 	}
 	if t != nil {
 		t.LoadNs += time.Since(s.execMark).Nanoseconds()

@@ -48,6 +48,7 @@ import (
 	"unsafe"
 
 	"hashcore/internal/isa"
+	"hashcore/internal/prog"
 	"hashcore/internal/rng"
 )
 
@@ -86,7 +87,25 @@ const (
 	offSeedGamma = offWritten + 8
 )
 
+// prog.Instr as the stamp loop addresses it (stamp_amd64.s): go_asm.h
+// carries field offsets only for types this package declares, but every
+// constant of the package, so the offsets are spelled as constants.
+const (
+	instrImm    = unsafe.Offsetof(prog.Instr{}.Imm)
+	instrTarget = unsafe.Offsetof(prog.Instr{}.Target)
+	instrOp     = unsafe.Offsetof(prog.Instr{}.Op)
+	instrDst    = unsafe.Offsetof(prog.Instr{}.Dst)
+	instrA      = unsafe.Offsetof(prog.Instr{}.A)
+	instrB      = unsafe.Offsetof(prog.Instr{}.B)
+	instrSize   = unsafe.Sizeof(prog.Instr{})
+)
+
 func init() {
+	// allocRegs and the stamp loop fetch an instruction's opcode and its
+	// three operand bytes with one 8-byte load at &Instr.Op.
+	if instrOp%8 != 0 || instrSize < instrOp+8 || instrDst != instrOp+2 || instrA != instrOp+3 || instrB != instrOp+4 {
+		panic("jit: prog.Instr does not keep Op, Class, Dst, A, B in one aligned word")
+	}
 	if offFPRegs != 0 || frameBias != 168 {
 		// call_amd64.s hardcodes the bias; the layout must keep the FP
 		// file right at it.
@@ -269,15 +288,15 @@ var intUseMask = [64]uint8{
 // registers that matter (the loop-carried counters and accumulators).
 // Ties break toward the lower register index, keeping the choice — and
 // therefore the generated code — deterministic.
-func (c *Compiler) allocRegs(p *Program) {
+func (c *Compiler) allocRegs(p *prog.Program) {
 	// One counter array per operand field: an instruction often names one
 	// register twice (the in-place forms) and the next one names it again,
 	// and increments of one counter would queue up behind each other's
 	// stores.
 	var perField [3][isa.NumIntRegs]int32
-	for i := range p.Instrs {
+	for i := range p.Code {
 		// One load brings the opcode and the three operand bytes.
-		w := *(*uint64)(unsafe.Pointer(&p.Instrs[i].Op))
+		w := *(*uint64)(unsafe.Pointer(&p.Code[i].Op))
 		m := intUseMask[w&63]
 		perField[0][w>>16&(isa.NumIntRegs-1)] += int32(m & 1)
 		perField[1][w>>24&(isa.NumIntRegs-1)] += int32(m >> 1 & 1)
@@ -333,9 +352,9 @@ func (c *Compiler) release() {
 // (template_amd64.go). The encoder below wrote those templates and is the
 // oracle the tests compare Compile against; at hash time it runs only for
 // what has no template (the fallback template_amd64.go documents).
-func (c *Compiler) Compile(p *Program) (*Code, error) {
+func (c *Compiler) Compile(p *prog.Program) (*Code, error) {
 	nb := len(p.Blocks)
-	if nb > maxBlocks || len(p.Instrs) > maxInstrs {
+	if nb > maxBlocks || len(p.Code) > maxInstrs {
 		return nil, ErrTooLarge
 	}
 	c.allocRegs(p)
@@ -604,11 +623,13 @@ func (c *Compiler) emitStub(bi int, count int32, slowTail int) {
 	c.u32(uint32(int32(slowTail - (c.pos + 4))))
 }
 
-func endsUnconditional(p *Program, b BlockSpan) bool {
-	if b.Count == 0 {
+// endsUnconditional reports whether block bi of p ends in a jmp or a halt.
+func endsUnconditional(p *prog.Program, bi int) bool {
+	code := p.Instrs(bi)
+	if len(code) == 0 {
 		return false
 	}
-	op := p.Instrs[b.Start+b.Count-1].Op
+	op := code[len(code)-1].Op
 	return op == isa.OpJmp || op == isa.OpHalt
 }
 
@@ -617,7 +638,7 @@ func errTarget(target uint32, nb int) error {
 }
 
 // emitInstr lowers one instruction; the caller has reserved regionMax.
-func (c *Compiler) emitInstr(ins *Instr, nb int) error {
+func (c *Compiler) emitInstr(ins *prog.Instr, nb int) error {
 	if ins.Op.IsControl() && ins.Op != isa.OpHalt && ins.Target >= uint32(nb) {
 		return errTarget(ins.Target, nb)
 	}
@@ -773,7 +794,7 @@ func (c *Compiler) emitInstr(ins *Instr, nb int) error {
 
 // intALU lowers dst = a OP b through RAX (or in place when dst == a is
 // register-mapped — x86 two-operand form matches exactly).
-func (c *Compiler) intALU(op byte, ins *Instr) {
+func (c *Compiler) intALU(op byte, ins *prog.Instr) {
 	if p := c.physOf(ins.Dst); ins.Dst == ins.A && p >= 0 {
 		c.aluReg(op, int(p), ins.B)
 		return
@@ -785,7 +806,7 @@ func (c *Compiler) intALU(op byte, ins *Instr) {
 
 // vecALU lowers a lane-wise add/xor via GPR loads (SSE2 has no 64-bit
 // lane multiply anyway, so all vector ops stay scalar-per-lane).
-func (c *Compiler) vecALU(op byte, ins *Instr) {
+func (c *Compiler) vecALU(op byte, ins *prog.Instr) {
 	for l := 0; l < isa.VecLanes; l++ {
 		c.opRM(0x8B, rAX, r15, vecOff(ins.A, l))
 		c.opRM(op, rAX, r15, vecOff(ins.B, l))
@@ -795,7 +816,7 @@ func (c *Compiler) vecALU(op byte, ins *Instr) {
 
 // shiftOp lowers shl/shr/ror: the D3-group shifts mask the CL count to 6
 // bits in 64-bit mode, which is exactly the VM's  & 63  semantics.
-func (c *Compiler) shiftOp(ext byte, ins *Instr) {
+func (c *Compiler) shiftOp(ext byte, ins *prog.Instr) {
 	c.loadReg(rCX, ins.B)
 	c.loadReg(rAX, ins.A)
 	c.emit3(0x48, 0xD3, 0xC0|ext<<3) // D3 /ext rax
@@ -803,7 +824,7 @@ func (c *Compiler) shiftOp(ext byte, ins *Instr) {
 }
 
 // cmpSet lowers cmplt/cmpeq: unsigned compare + SETcc into a zeroed RAX.
-func (c *Compiler) cmpSet(setcc byte, ins *Instr) {
+func (c *Compiler) cmpSet(setcc byte, ins *prog.Instr) {
 	c.emit2(0x31, 0xC0) // XOR eax, eax (before the CMP — XOR clobbers flags)
 	c.loadReg(rDX, ins.A)
 	c.aluReg(0x3B, rDX, ins.B)
@@ -814,7 +835,7 @@ func (c *Compiler) cmpSet(setcc byte, ins *Instr) {
 // condBranch lowers a conditional branch terminator: count it, compare,
 // and on taken bump the taken counter and jump to the target head; not
 // taken falls through (physically, to the next block's head).
-func (c *Compiler) condBranch(cc byte, ins *Instr) {
+func (c *Compiler) condBranch(cc byte, ins *prog.Instr) {
 	c.addMem1(r15, offCond)
 	c.loadReg(rAX, ins.A)
 	c.aluReg(0x3B, rAX, ins.B)
@@ -827,7 +848,7 @@ func (c *Compiler) condBranch(cc byte, ins *Instr) {
 // emitFToI lowers the saturating float->int conversion, reproducing
 // vm.clampToInt64 exactly: NaN -> 0, f >= 2^63 -> MaxInt64,
 // f <= -2^63 -> 1<<63, else CVTTSD2SI (truncate toward zero).
-func (c *Compiler) emitFToI(ins *Instr) {
+func (c *Compiler) emitFToI(ins *prog.Instr) {
 	c.sseRM(0xF2, 0x10, 0, r15, fpOff(ins.A))
 	c.sseRR(0x66, 0x2E, 0, 0)           // UCOMISD xmm0, xmm0
 	nan := c.jccLocal(0x8A)             // JP
@@ -1001,7 +1022,7 @@ func (c *Compiler) mulByReg(r uint8) {
 }
 
 // fpBin lowers an FP binary op through XMM0 with NaN canonicalization.
-func (c *Compiler) fpBin(op byte, ins *Instr) {
+func (c *Compiler) fpBin(op byte, ins *prog.Instr) {
 	c.sseRM(0xF2, 0x10, 0, r15, fpOff(ins.A))
 	c.sseRM(0xF2, op, 0, r15, fpOff(ins.B))
 	c.canonStore(ins.Dst)

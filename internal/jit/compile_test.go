@@ -16,22 +16,23 @@ import (
 	"unsafe"
 
 	"hashcore/internal/isa"
+	"hashcore/internal/prog"
 	"hashcore/internal/rng"
 )
 
 // twoBlockProgram is MovI r0,7; MovI r9,5; Add r2,r0,r9; Jmp b1 / Halt:
 // it exercises a register-mapped and a frame-spilled integer register, an
 // inter-block jump fixup and the halt exit.
-func twoBlockProgram() *Program {
-	return &Program{
-		Instrs: []Instr{
+func twoBlockProgram() *prog.Program {
+	return &prog.Program{
+		Code: []prog.Instr{
 			{Op: isa.OpMovI, Dst: 0, Imm: 7},
 			{Op: isa.OpMovI, Dst: 9, Imm: 5},
 			{Op: isa.OpAdd, Dst: 2, A: 0, B: 9},
 			{Op: isa.OpJmp, Target: 1},
 			{Op: isa.OpHalt},
 		},
-		Blocks: []BlockSpan{{Start: 0, Count: 4}, {Start: 4, Count: 1}},
+		Blocks: []prog.Block{{Start: 0, Len: 4}, {Start: 4, Len: 1}},
 	}
 }
 
@@ -151,19 +152,19 @@ func TestResumeMidProgram(t *testing.T) {
 
 func TestCompileRejectsBadPrograms(t *testing.T) {
 	c := NewCompiler()
-	if _, err := c.Compile(&Program{
-		Instrs: []Instr{{Op: isa.OpJmp, Target: 7}},
-		Blocks: []BlockSpan{{Start: 0, Count: 1}},
+	if _, err := c.Compile(&prog.Program{
+		Code:   []prog.Instr{{Op: isa.OpJmp, Target: 7}},
+		Blocks: []prog.Block{{Start: 0, Len: 1}},
 	}); err == nil {
 		t.Error("out-of-range branch target compiled")
 	}
-	if _, err := c.Compile(&Program{
-		Instrs: []Instr{{Op: isa.Opcode(250)}},
-		Blocks: []BlockSpan{{Start: 0, Count: 1}},
+	if _, err := c.Compile(&prog.Program{
+		Code:   []prog.Instr{{Op: isa.Opcode(250)}},
+		Blocks: []prog.Block{{Start: 0, Len: 1}},
 	}); err == nil {
 		t.Error("unknown opcode compiled")
 	}
-	if _, err := c.Compile(&Program{Blocks: make([]BlockSpan, maxBlocks+1)}); !errors.Is(err, ErrTooLarge) {
+	if _, err := c.Compile(&prog.Program{Blocks: make([]prog.Block, maxBlocks+1)}); !errors.Is(err, ErrTooLarge) {
 		t.Errorf("oversized block table: err = %v, want ErrTooLarge", err)
 	}
 }
@@ -176,9 +177,9 @@ func TestRecompileReusesMapping(t *testing.T) {
 	if _, err := c.Compile(twoBlockProgram()); err != nil {
 		t.Fatalf("first Compile: %v", err)
 	}
-	code, err := c.Compile(&Program{
-		Instrs: []Instr{{Op: isa.OpMovI, Dst: 3, Imm: 41}, {Op: isa.OpAddI, Dst: 3, A: 3, Imm: 1}, {Op: isa.OpHalt}},
-		Blocks: []BlockSpan{{Start: 0, Count: 3}},
+	code, err := c.Compile(&prog.Program{
+		Code:   []prog.Instr{{Op: isa.OpMovI, Dst: 3, Imm: 41}, {Op: isa.OpAddI, Dst: 3, A: 3, Imm: 1}, {Op: isa.OpHalt}},
+		Blocks: []prog.Block{{Start: 0, Len: 3}},
 	})
 	if err != nil {
 		t.Fatalf("second Compile: %v", err)
@@ -196,19 +197,19 @@ func TestRecompileReusesMapping(t *testing.T) {
 // frame-resident registers by it): the eight most-referenced integer
 // registers get hardware registers, ties going to the lower index.
 func TestAllocRegsPinsMostUsed(t *testing.T) {
-	var instrs []Instr
+	var instrs []prog.Instr
 	for r := uint8(8); r < 14; r++ { // six heavy users among the high registers
 		for i := 0; i < 5; i++ {
-			instrs = append(instrs, Instr{Op: isa.OpMov, Dst: r, A: r})
+			instrs = append(instrs, prog.Instr{Op: isa.OpMov, Dst: r, A: r})
 		}
 	}
 	instrs = append(instrs,
-		Instr{Op: isa.OpLoad, Dst: 2, A: 3},  // r2, r3: one reference each
-		Instr{Op: isa.OpStore, A: 3, B: 2},   // ...now two
-		Instr{Op: isa.OpFLoad, Dst: 5, A: 0}, // Dst names an FP register: only r0 counts
-		Instr{Op: isa.OpHalt})
+		prog.Instr{Op: isa.OpLoad, Dst: 2, A: 3},  // r2, r3: one reference each
+		prog.Instr{Op: isa.OpStore, A: 3, B: 2},   // ...now two
+		prog.Instr{Op: isa.OpFLoad, Dst: 5, A: 0}, // Dst names an FP register: only r0 counts
+		prog.Instr{Op: isa.OpHalt})
 	c := NewCompiler()
-	c.allocRegs(&Program{Instrs: instrs})
+	c.allocRegs(&prog.Program{Code: instrs})
 	for r, phys := range c.regMap {
 		want := r >= 8 && r < 14 || r == 2 || r == 3
 		if (phys >= 0) != want {
@@ -253,13 +254,13 @@ func TestMemRoutines(t *testing.T) {
 	const words = 256 // a 2 KiB image, 4 map words
 	// Ten references to each of r0..r7 pin those; r9 and r10 stay in the
 	// frame.
-	var instrs []Instr
+	var instrs []prog.Instr
 	for r := uint8(0); r < 8; r++ {
 		for i := 0; i < 5; i++ {
-			instrs = append(instrs, Instr{Op: isa.OpMov, Dst: r, A: r})
+			instrs = append(instrs, prog.Instr{Op: isa.OpMov, Dst: r, A: r})
 		}
 	}
-	instrs = append(instrs, []Instr{
+	instrs = append(instrs, []prog.Instr{
 		{Op: isa.OpMovI, Dst: 1, Imm: 8*70 + 3},        // unaligned: word 70
 		{Op: isa.OpMovI, Dst: 9, Imm: 8 * (words + 5)}, // past the end: wraps to word 5
 		{Op: isa.OpMovI, Dst: 2, Imm: 0x2222},
@@ -275,7 +276,7 @@ func TestMemRoutines(t *testing.T) {
 		{Op: isa.OpHalt},
 	}...)
 	c := NewCompiler()
-	code, err := c.Compile(&Program{Instrs: instrs, Blocks: []BlockSpan{{Count: uint32(len(instrs))}}})
+	code, err := c.Compile(&prog.Program{Code: instrs, Blocks: []prog.Block{{Len: uint32(len(instrs))}}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -349,7 +350,7 @@ func sweepRegMap() [isa.NumIntRegs]int8 {
 
 // stampedVsEncoded lays p out under regMap by stamping (on c) and by the
 // encoder alone (on ref) and returns both results.
-func stampedVsEncoded(t testing.TB, c, ref *Compiler, regMap [isa.NumIntRegs]int8, p *Program) (stamped, encoded []byte) {
+func stampedVsEncoded(t testing.TB, c, ref *Compiler, regMap [isa.NumIntRegs]int8, p *prog.Program) (stamped, encoded []byte) {
 	t.Helper()
 	c.regMap, ref.regMap = regMap, regMap
 	encoded, refErr := ref.encodeProgram(p)
@@ -388,7 +389,7 @@ func TestStampedEqualsEncoded(t *testing.T) {
 						}
 						sh := shapes[n%len(shapes)]
 						n++
-						p := sweepProgram(Instr{Op: op, Dst: d, A: a, B: b, Imm: imm, Target: uint32(sh.before)}, sh.before, sh.pad)
+						p := sweepProgram(prog.Instr{Op: op, Dst: d, A: a, B: b, Imm: imm, Target: uint32(sh.before)}, sh.before, sh.pad)
 						got, want := stampedVsEncoded(t, c, ref, regMap, p)
 						if !bytes.Equal(got, want) {
 							t.Fatalf("%v dst=r%d a=r%d b=r%d imm=%#x in block %d of %d instructions: %s",
@@ -417,19 +418,19 @@ func firstDifference(stamped, encoded []byte) string {
 // sweepProgram puts ins in a block of its own after `before` single-halt
 // blocks, followed in its block by `pad` halts and then by a final halt
 // block.
-func sweepProgram(ins Instr, before, pad int) *Program {
-	p := &Program{}
+func sweepProgram(ins prog.Instr, before, pad int) *prog.Program {
+	p := &prog.Program{}
 	for i := 0; i < before; i++ {
-		p.Blocks = append(p.Blocks, BlockSpan{Start: uint32(len(p.Instrs)), Count: 1})
-		p.Instrs = append(p.Instrs, Instr{Op: isa.OpHalt})
+		p.Blocks = append(p.Blocks, prog.Block{Start: uint32(len(p.Code)), Len: 1})
+		p.Code = append(p.Code, prog.Instr{Op: isa.OpHalt})
 	}
-	p.Blocks = append(p.Blocks, BlockSpan{Start: uint32(len(p.Instrs)), Count: uint32(1 + pad)})
-	p.Instrs = append(p.Instrs, ins)
+	p.Blocks = append(p.Blocks, prog.Block{Start: uint32(len(p.Code)), Len: uint32(1 + pad)})
+	p.Code = append(p.Code, ins)
 	for i := 0; i < pad; i++ {
-		p.Instrs = append(p.Instrs, Instr{Op: isa.OpHalt})
+		p.Code = append(p.Code, prog.Instr{Op: isa.OpHalt})
 	}
-	p.Blocks = append(p.Blocks, BlockSpan{Start: uint32(len(p.Instrs)), Count: 1})
-	p.Instrs = append(p.Instrs, Instr{Op: isa.OpHalt})
+	p.Blocks = append(p.Blocks, prog.Block{Start: uint32(len(p.Code)), Len: 1})
+	p.Code = append(p.Code, prog.Instr{Op: isa.OpHalt})
 	return p
 }
 
@@ -439,16 +440,16 @@ func sweepProgram(ins Instr, before, pad int) *Program {
 // its only block.
 func TestStampedDegenerateBlocks(t *testing.T) {
 	c, ref := NewCompiler(), NewCompiler()
-	for name, p := range map[string]*Program{
+	for name, p := range map[string]*prog.Program{
 		"empty blocks": {
-			Instrs: []Instr{{Op: isa.OpMovI, Dst: 2, Imm: 9}, {Op: isa.OpHalt}},
-			Blocks: []BlockSpan{{0, 0}, {0, 1}, {1, 0}, {1, 0}, {1, 1}},
+			Code:   []prog.Instr{{Op: isa.OpMovI, Dst: 2, Imm: 9}, {Op: isa.OpHalt}},
+			Blocks: []prog.Block{{Start: 0, Len: 0}, {Start: 0, Len: 1}, {Start: 1, Len: 0}, {Start: 1, Len: 0}, {Start: 1, Len: 1}},
 		},
 		"falls off": {
-			Instrs: []Instr{{Op: isa.OpMovI, Dst: 2, Imm: 9}, {Op: isa.OpBeq, A: 2, B: 3}},
-			Blocks: []BlockSpan{{0, 2}},
+			Code:   []prog.Instr{{Op: isa.OpMovI, Dst: 2, Imm: 9}, {Op: isa.OpBeq, A: 2, B: 3}},
+			Blocks: []prog.Block{{Start: 0, Len: 2}},
 		},
-		"one empty block": {Blocks: []BlockSpan{{0, 0}}},
+		"one empty block": {Blocks: []prog.Block{{Start: 0, Len: 0}}},
 	} {
 		got, want := stampedVsEncoded(t, c, ref, sweepRegMap(), p)
 		if len(got) == 0 || !bytes.Equal(got, want) {
@@ -461,7 +462,7 @@ func TestStampedDegenerateBlocks(t *testing.T) {
 // on: once the arenas have reached a program's size, compiling it again —
 // or another program no larger — allocates nothing.
 func TestCompileZeroAlloc(t *testing.T) {
-	progs := []*Program{twoBlockProgram(), sweepProgram(Instr{Op: isa.OpFToI, Dst: 2, A: 1}, 30, 150)}
+	progs := []*prog.Program{twoBlockProgram(), sweepProgram(prog.Instr{Op: isa.OpFToI, Dst: 2, A: 1}, 30, 150)}
 	c := NewCompiler()
 	compile := func() {
 		for _, p := range progs {
@@ -497,7 +498,7 @@ func FuzzStampedVsEncoded(f *testing.F) {
 			}
 		}
 		before, pad := int(where%64), int(where/64%4)*60
-		ins := Instr{Op: isa.Opcode(op), Dst: dst % 16, A: a % 16, B: b % 16, Imm: imm, Target: uint32(where % 3)}
+		ins := prog.Instr{Op: isa.Opcode(op), Dst: dst % 16, A: a % 16, B: b % 16, Imm: imm, Target: uint32(where % 3)}
 		got, want := stampedVsEncoded(t, c, ref, regMap, sweepProgram(ins, before, pad))
 		if !bytes.Equal(got, want) {
 			t.Fatalf("%+v under %v in block %d of %d: %s", ins, regMap, before, 1+pad, firstDifference(got, want))

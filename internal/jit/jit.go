@@ -15,6 +15,10 @@
 // the oracle the stamped code is tested against byte for byte, and as the
 // direct lowering of the few opcodes too long for a template.
 //
+// The compiler's input is the widget itself: Compile reads a prog.Program's
+// instructions and block table in place, as the interpreter does, and
+// keeps no instruction record of its own.
+//
 // The package is deliberately narrow. It knows nothing about snapshots
 // or result buffers: it compiles exactly the fast-path
 // block-batched loop of vm.runUnobserved — per-block budget and snapshot
@@ -128,42 +132,6 @@ type Frame struct {
 	// mix64(SeedGamma + i*Gamma).
 	Written   uintptr
 	SeedGamma uint64
-}
-
-// Instr is one architectural instruction in compiler form. The layout is
-// field-for-field identical to vm's decoded instruction (asserted on the
-// vm side), so the decoded stream can be handed to Compile as a zero-copy
-// view instead of being rebuilt per program — compilation is on the hash
-// path.
-type Instr struct {
-	Imm int64
-	// PC is a control instruction's target as a flat instruction index.
-	// The compiler ignores it (present for layout compatibility); block
-	// transfers use Target.
-	PC uint32
-	// Target is a control instruction's target as a BLOCK index (the
-	// generated code transfers between block heads, never raw pcs).
-	Target uint32
-	Op     isa.Opcode
-	// Class is the opcode's resource class; unused by the compiler.
-	Class     isa.Class
-	Dst, A, B uint8
-}
-
-// BlockSpan locates one basic block inside Program.Instrs. Count is the
-// architectural instruction count the whole block retires (== Len here,
-// kept explicit to mirror vm.blockMeta).
-type BlockSpan struct {
-	Start uint32
-	Count uint32
-}
-
-// Program is the compiler's input: the flattened unfused instruction
-// stream plus block structure. Slices are caller-owned and may be reused
-// between Compile calls.
-type Program struct {
-	Instrs []Instr
-	Blocks []BlockSpan
 }
 
 // Compilation limits. Programs beyond these bounds (far beyond anything

@@ -2,6 +2,8 @@
 
 package jit
 
+import "hashcore/internal/prog"
+
 // Supported reports whether the native backend can run on this platform.
 func Supported() bool { return false }
 
@@ -13,7 +15,7 @@ type Compiler struct{}
 func NewCompiler() *Compiler { return &Compiler{} }
 
 // Compile always fails on this platform.
-func (c *Compiler) Compile(p *Program) (*Code, error) { return nil, ErrUnsupported }
+func (c *Compiler) Compile(p *prog.Program) (*Code, error) { return nil, ErrUnsupported }
 
 // Code is a stub on platforms without a native backend; no value of it is
 // ever constructed.

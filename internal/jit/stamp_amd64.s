@@ -3,7 +3,7 @@
 #include "textflag.h"
 #include "go_asm.h"
 
-// func stampRun(c *Compiler, t *tmplTable, ins *Instr, n int, buf unsafe.Pointer, pos, room int, fixp unsafe.Pointer, callBase *[4]int32) (next *Instr, newPos int, newFixp unsafe.Pointer)
+// func stampRun(c *Compiler, t *tmplTable, ins *prog.Instr, n int, buf unsafe.Pointer, pos, room int, fixp unsafe.Pointer, callBase *[4]int32) (next *prog.Instr, newPos int, newFixp unsafe.Pointer)
 //
 // The stamp loop proper (template_amd64.go describes what a stamp is):
 // it stamps ins[0:n] at buf+pos until an instruction has no template or
@@ -11,9 +11,9 @@
 // with the cursors as they then stand. It is assembly because the loop is
 // the per-hash compiler — some hundred and fifty instructions an
 // iteration as the Go compiler lays it out, under a hundred here — and it
-// needs every register: field offsets come from go_asm.h, and
-// TestStampedEqualsEncoded holds every template it can stamp to the
-// encoder's bytes.
+// needs every register: field offsets come from go_asm.h (prog.Instr's as
+// the package's instr* constants), and TestStampedEqualsEncoded holds every
+// template it can stamp to the encoder's bytes.
 //
 //	SI  instruction     R8   pos       R10  c      R12  buf
 //	R13 end of ins      R9   fixp      R11  t      BX   template
@@ -25,7 +25,7 @@ TEXT ·stampRun(SB), NOSPLIT, $16-96
 	MOVQ t+8(FP), R11
 	MOVQ ins+16(FP), SI
 	MOVQ n+24(FP), R13
-	IMULQ $Instr__size, R13
+	IMULQ $const_instrSize, R13
 	ADDQ SI, R13
 	MOVQ buf+32(FP), R12
 	MOVQ pos+40(FP), R8
@@ -38,7 +38,7 @@ loop:
 	JGT  done
 
 	// Opcode and operand bytes in one load: op, class, dst, a, b.
-	MOVQ Instr_Op(SI), AX
+	MOVQ const_instrOp(SI), AX
 	MOVBLZX AL, BX
 	CMPL BX, $const_numOps
 	JAE  done
@@ -67,7 +67,7 @@ loop:
 
 	// The immediate's width class (immClass): one for each of non-zero,
 	// not an int8, not an int32.
-	MOVQ Instr_Imm(SI), R15
+	MOVQ const_instrImm(SI), R15
 	XORL CX, CX
 	TESTQ R15, R15
 	SETNE CL
@@ -122,19 +122,19 @@ loop:
 	MOVL DX, (DI)(AX*1)
 
 	// One byte per register operand.
-	MOVBLZX Instr_Dst(SI), CX
+	MOVBLZX const_instrDst(SI), CX
 	MOVBLZX template_lay+0(BX), AX
 	ORL  CX, AX
 	MOVBLZX Compiler_patch(R10)(AX*1), AX
 	MOVBLZX template_off+0(BX), CX
 	ORB  AL, (DI)(CX*1)
-	MOVBLZX Instr_A(SI), CX
+	MOVBLZX const_instrA(SI), CX
 	MOVBLZX template_lay+1(BX), AX
 	ORL  CX, AX
 	MOVBLZX Compiler_patch(R10)(AX*1), AX
 	MOVBLZX template_off+1(BX), CX
 	ORB  AL, (DI)(CX*1)
-	MOVBLZX Instr_B(SI), CX
+	MOVBLZX const_instrB(SI), CX
 	MOVBLZX template_lay+2(BX), AX
 	ORL  CX, AX
 	MOVBLZX Compiler_patch(R10)(AX*1), AX
@@ -144,7 +144,7 @@ loop:
 	// The fixup slot, kept only if the template has one.
 	MOVL template_fix(BX), AX
 	ADDL R8, AX
-	MOVL Instr_Target(SI), CX
+	MOVL const_instrTarget(SI), CX
 	SHLQ $const_fixBlockShift, CX
 	ORQ  CX, AX
 	MOVQ AX, (R9)
@@ -153,7 +153,7 @@ loop:
 
 	MOVBLZX template_n(BX), AX
 	ADDQ AX, R8
-	ADDQ $Instr__size, SI
+	ADDQ $const_instrSize, SI
 	JMP  loop
 
 done:

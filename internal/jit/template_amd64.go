@@ -45,6 +45,7 @@ import (
 	"unsafe"
 
 	"hashcore/internal/isa"
+	"hashcore/internal/prog"
 )
 
 const (
@@ -188,7 +189,7 @@ func templates() *tmplTable {
 // stampProgram lays the whole program out in c.buf[:c.pos] under the
 // register assignment in c.regMap, and returns where the blocks and the
 // slow stubs start.
-func (c *Compiler) stampProgram(p *Program) (blocksAt, stubsAt int, err error) {
+func (c *Compiler) stampProgram(p *prog.Program) (blocksAt, stubsAt int, err error) {
 	c.reset(len(p.Blocks))
 	c.bindRegs()
 	c.stampPrologue()
@@ -253,13 +254,13 @@ func (c *Compiler) stampEpilogue() {
 }
 
 // stampBlocks stamps every block's head and body at c.pos.
-func (c *Compiler) stampBlocks(p *Program) error {
+func (c *Compiler) stampBlocks(p *prog.Program) error {
 	t := c.t
 	nb := len(p.Blocks)
 	// A templated instruction records at most one fixup and writes its
 	// slot unconditionally, so the loop needs one spare slot at all times;
 	// encoder-lowered heads add at most one per block.
-	if need := len(c.fix) + len(p.Instrs) + nb + 2; cap(c.fix) < need {
+	if need := len(c.fix) + len(p.Code) + nb + 2; cap(c.fix) < need {
 		c.fix = append(make([]fixup, 0, need), c.fix...)
 	}
 	callBase := [4]int32{1: int32(c.loadRoutine) - 4, 2: int32(c.storeRoutine) - 4}
@@ -284,28 +285,28 @@ func (c *Compiler) stampBlocks(p *Program) error {
 	}
 	load()
 	for bi := range p.Blocks {
-		b := p.Blocks[bi]
-		instrs := p.Instrs[int(b.Start) : int(b.Start)+int(b.Count)]
+		b := &p.Blocks[bi]
+		instrs := p.Instrs(bi)
 		if pos > room {
 			sync()
 			c.ensure(regionMax)
 			load()
 		}
 		c.heads[bi] = int32(pos)
-		if b.Count == 0 {
+		if b.Len == 0 {
 			sync()
 			c.emitHead(bi, 0)
 			load()
 		} else {
-			ht := &t.heads[blockVariant(b.Count, bi)]
-			ht.stamp(unsafe.Add(buf, pos), b.Count, uint32(bi*8))
+			ht := &t.heads[blockVariant(b.Len, bi)]
+			ht.stamp(unsafe.Add(buf, pos), b.Len, uint32(bi*8))
 			pos += int(ht.n)
 		}
 
 		for len(instrs) > 0 {
-			var next *Instr
+			var next *prog.Instr
 			next, pos, fixp = stampRun(c, t, &instrs[0], len(instrs), buf, pos, room, fixp, &callBase)
-			instrs = instrs[(uintptr(unsafe.Pointer(next))-uintptr(unsafe.Pointer(&instrs[0])))/unsafe.Sizeof(Instr{}):]
+			instrs = instrs[(uintptr(unsafe.Pointer(next))-uintptr(unsafe.Pointer(&instrs[0])))/instrSize:]
 			if len(instrs) == 0 {
 				break
 			}
@@ -325,7 +326,7 @@ func (c *Compiler) stampBlocks(p *Program) error {
 		}
 	}
 	sync()
-	if nb > 0 && !endsUnconditional(p, p.Blocks[nb-1]) {
+	if nb > 0 && !endsUnconditional(p, nb-1) {
 		c.emitFallOff(nb)
 	}
 	return nil
@@ -338,12 +339,12 @@ func (c *Compiler) stampBlocks(p *Program) error {
 // reaches, less the four bytes of its displacement.
 //
 //go:noescape
-func stampRun(c *Compiler, t *tmplTable, ins *Instr, n int, buf unsafe.Pointer, pos, room int, fixp unsafe.Pointer, callBase *[4]int32) (next *Instr, newPos int, newFixp unsafe.Pointer)
+func stampRun(c *Compiler, t *tmplTable, ins *prog.Instr, n int, buf unsafe.Pointer, pos, room int, fixp unsafe.Pointer, callBase *[4]int32) (next *prog.Instr, newPos int, newFixp unsafe.Pointer)
 
 // stampStubs stamps the slow tail and every block's slow stub at c.pos,
 // and points each stamped head's guard branch at its stub (an
 // encoder-lowered head recorded a fixup instead).
-func (c *Compiler) stampStubs(p *Program) {
+func (c *Compiler) stampStubs(p *prog.Program) {
 	t := c.t
 	nb := len(p.Blocks)
 	c.ensure(len(t.slowTail) + nb*blockTmplBytes)
@@ -353,7 +354,7 @@ func (c *Compiler) stampStubs(p *Program) {
 
 	pos, buf := c.pos, c.buf
 	for bi := range p.Blocks {
-		count := p.Blocks[bi].Count
+		count := p.Blocks[bi].Len
 		c.slow[bi] = int32(pos)
 		if count == 0 {
 			c.pos = pos
@@ -419,7 +420,7 @@ func buildTemplates() *tmplTable {
 		}
 	}
 
-	lower := func(g *Compiler, ins *Instr) error { return g.emitInstr(ins, 2) }
+	lower := func(g *Compiler, ins *prog.Instr) error { return g.emitInstr(ins, 2) }
 	for op := isa.Opcode(0); op < numOps; op++ {
 		use := intUseMask[op]
 		mask := uint32(0)
@@ -440,7 +441,7 @@ func buildTemplates() *tmplTable {
 			if shape&^mask != 0 || !validShape(shape) {
 				continue
 			}
-			if tp, ok := tb.derive(lower, Instr{Op: op}, use, shape); ok {
+			if tp, ok := tb.derive(lower, prog.Instr{Op: op}, use, shape); ok {
 				if t.nTmpl == maxTemplates {
 					panic("jit: template table full")
 				}
@@ -453,8 +454,8 @@ func buildTemplates() *tmplTable {
 
 	// The prologue's loads and the epilogue's stores: Dst names the pinned
 	// register, A the frame slot (the stamper passes one register as both).
-	move := func(op byte) func(g *Compiler, ins *Instr) error {
-		return func(g *Compiler, ins *Instr) error {
+	move := func(op byte) func(g *Compiler, ins *prog.Instr) error {
+		return func(g *Compiler, ins *prog.Instr) error {
 			g.opRM(op, int(g.regMap[ins.Dst]), r15, intOff(ins.A))
 			return nil
 		}
@@ -463,8 +464,8 @@ func buildTemplates() *tmplTable {
 		for k := range t.proLoad[pin] {
 			shape := uint32(pin | (kindFrame8+k)<<2)
 			var ok1, ok2 bool
-			t.proLoad[pin][k], ok1 = tb.derive(move(0x8B), Instr{}, 3, shape)
-			t.epiStore[pin][k], ok2 = tb.derive(move(0x89), Instr{}, 3, shape)
+			t.proLoad[pin][k], ok1 = tb.derive(move(0x8B), prog.Instr{}, 3, shape)
+			t.epiStore[pin][k], ok2 = tb.derive(move(0x89), prog.Instr{}, 3, shape)
 			if !ok1 || !ok2 {
 				panic("jit: no template for the prologue/epilogue register moves")
 			}
@@ -551,13 +552,13 @@ func widthMask(n int) uint64 { return ^uint64(0) >> (64 - 8*uint(n)) }
 // vector registers, or unused). It fails — leaving the shape to the
 // encoder — when the lowering does not fit a template: too long, an
 // operand in more than one place, or more than one fixup.
-func (tb *tmplBuilder) derive(lower func(*Compiler, *Instr) error, ins Instr, use uint8, shape uint32) (tp template, ok bool) {
+func (tb *tmplBuilder) derive(lower func(*Compiler, *prog.Instr) error, ins prog.Instr, use uint8, shape uint32) (tp template, ok bool) {
 	g := tb.g
 	for r := range g.regMap {
 		g.regMap[r] = -1
 	}
 	kinds := [3]uint32{shape & 3, shape >> 2 & 3, shape >> 4 & 3}
-	field := func(ins *Instr, f int) *uint8 { return [3]*uint8{&ins.Dst, &ins.A, &ins.B}[f] }
+	field := func(ins *prog.Instr, f int) *uint8 { return [3]*uint8{&ins.Dst, &ins.A, &ins.B}[f] }
 	isInt := func(f int) bool { return use>>f&1 != 0 }
 	pinned := func(f int) bool { return isInt(f) && kinds[f] <= kindPinHigh }
 	var alt [3]uint8
@@ -579,7 +580,7 @@ func (tb *tmplBuilder) derive(lower func(*Compiler, *Instr) error, ins Instr, us
 	ins.Target = 1
 
 	var err error
-	encode := func(ins *Instr) []byte {
+	encode := func(ins *prog.Instr) []byte {
 		code, _ := tb.run(func() { err = lower(g, ins) })
 		return code
 	}

@@ -14,24 +14,6 @@ import (
 	"hashcore/internal/workload"
 )
 
-// jitProgram presents a generated widget's flat stream in the compiler's
-// input form, field for field as vm does by reinterpretation.
-func jitProgram(p *prog.Program) *jit.Program {
-	jp := &jit.Program{}
-	for _, fi := range p.Flat {
-		jp.Instrs = append(jp.Instrs, jit.Instr{
-			Imm: fi.Imm, PC: fi.Target, Target: fi.Aux,
-			Op: fi.Op, Class: fi.Class, Dst: fi.Dst, A: fi.A, B: fi.B,
-		})
-	}
-	start := uint32(0)
-	for _, s := range p.Stats {
-		jp.Blocks = append(jp.Blocks, jit.BlockSpan{Start: start, Count: s.Len})
-		start += s.Len
-	}
-	return jp
-}
-
 // TestStampedEqualsEncodedOnWidgets compiles generated widgets of every
 // profile and requires the installed code to equal, byte for byte, what
 // the encoder alone writes for the same program — the property that keeps
@@ -58,22 +40,21 @@ func TestStampedEqualsEncodedOnWidgets(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
-				jp := jitProgram(p)
-				want, err := encoder.EncodeReference(jp)
+				want, err := encoder.EncodeReference(p)
 				if err != nil {
 					t.Fatal(err)
 				}
-				code, err := stamper.Compile(jp)
+				code, err := stamper.Compile(p)
 				if err != nil {
 					t.Fatal(err)
 				}
 				if got := code.Text(); !bytes.Equal(got, want) {
 					t.Fatalf("seed %d: %s", s, jit.FirstDifference(got, want))
 				}
-				instrs += len(jp.Instrs)
+				instrs += len(p.Code)
 				untemplated += stamper.Encoded()
 				nLong := 0
-				for _, ins := range jp.Instrs {
+				for _, ins := range p.Code {
 					if long[ins.Op] {
 						nLong++
 					}
@@ -99,15 +80,13 @@ func BenchmarkCompile(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	progs := make([]*jit.Program, 64)
+	progs := make([]*prog.Program, 64)
 	instrs := 0
 	for i := range progs {
-		p, err := gen.Generate(perfprox.Seed{byte(i), 0xC0})
-		if err != nil {
+		if progs[i], err = gen.Generate(perfprox.Seed{byte(i), 0xC0}); err != nil {
 			b.Fatal(err)
 		}
-		progs[i] = jitProgram(p)
-		instrs += len(progs[i].Instrs)
+		instrs += len(progs[i].Code)
 	}
 	c := jit.NewCompiler()
 	b.ReportAllocs()

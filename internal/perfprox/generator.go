@@ -78,35 +78,22 @@ type Scratch struct {
 	st genState
 }
 
-// Generate builds the widget program for the given hash seed. The
-// returned program is independent of the generator and never invalidated
-// (it owns freshly allocated storage via its private scratch), and is
-// fully materialized — per-block Instrs and the flat stream both filled —
-// so it can be encoded, disassembled and inspected.
+// Generate builds the widget program for the given hash seed: GenerateInto
+// on a private scratch, so the returned program owns its storage and is
+// never invalidated.
 func (g *Generator) Generate(seed Seed) (*prog.Program, error) {
-	var sc Scratch
-	sc.st.reset(g.prof, g.params, Split(seed))
-	p, err := sc.st.run(true)
-	if err != nil {
-		return nil, fmt.Errorf("perfprox: generating widget: %w", err)
-	}
-	return p, nil
+	return g.GenerateInto(seed, new(Scratch))
 }
 
 // GenerateInto builds the widget program for the given hash seed using
 // (and mutating) sc's storage. The returned program aliases sc and is
 // invalidated by the next GenerateInto call on the same Scratch; callers
-// needing longer-lived programs should use Generate. The instruction
-// stream drawn is bit-identical to Generate for every seed, but the
-// program is materialized flat-only: Flat and Stats are filled (all the
-// VM's trusted-load path and the JIT consume), while the per-block
-// Instrs views stay empty — hashing sessions execute widgets, they never
-// encode or disassemble them, and skipping the block-shaped copy is a
-// measurable slice of generation time.
+// needing longer-lived programs should use Generate, which returns the
+// same program for every seed (TestGeneratedProgramsAreWhole).
 func (g *Generator) GenerateInto(seed Seed, sc *Scratch) (*prog.Program, error) {
 	st := &sc.st
 	st.reset(g.prof, g.params, Split(seed))
-	p, err := st.run(false)
+	p, err := st.run()
 	if err != nil {
 		return nil, fmt.Errorf("perfprox: generating widget: %w", err)
 	}
@@ -236,11 +223,8 @@ func (st *genState) reset(prof *profile.Profile, params Params, fields Fields) {
 
 var errBudget = errors.New("perfprox: class budgets infeasible for structure overhead")
 
-// run executes the generation pipeline. fillBlocks selects full
-// materialization (Generate: inspectable programs) versus flat-only
-// (GenerateInto: executable programs on the hashing hot path); the drawn
-// instruction stream is identical either way.
-func (st *genState) run(fillBlocks bool) (*prog.Program, error) {
+// run executes the generation pipeline.
+func (st *genState) run() (*prog.Program, error) {
 	st.computeBudgets()
 	if err := st.planBranches(); err != nil {
 		return nil, err
@@ -253,11 +237,7 @@ func (st *genState) run(fillBlocks bool) (*prog.Program, error) {
 	if err := st.emitBody(); err != nil {
 		return nil, err
 	}
-	if fillBlocks {
-		if err := st.b.BuildInto(&st.out); err != nil {
-			return nil, err
-		}
-	} else if err := st.b.BuildFlatInto(&st.out); err != nil {
+	if err := st.b.BuildInto(&st.out); err != nil {
 		return nil, err
 	}
 	return &st.out, nil

@@ -3,12 +3,14 @@ package perfprox
 import (
 	"bytes"
 	"encoding/binary"
+	"slices"
 	"testing"
 	"testing/quick"
 
 	"hashcore/internal/asm"
 	"hashcore/internal/isa"
 	"hashcore/internal/profile"
+	"hashcore/internal/prog"
 	"hashcore/internal/vm"
 	"hashcore/internal/workload"
 )
@@ -291,6 +293,68 @@ func TestSourcePipelineEquivalence(t *testing.T) {
 	}
 }
 
+// TestGeneratedProgramsAreWhole: the program a hashing session runs — built
+// into a reused scratch — is a complete, valid prog.Program like any other:
+// it validates, it is field for field the program Generate returns for the
+// seed (the two differ only in who owns the storage), and it survives both
+// serializations unchanged. Every profile, one scratch per profile reused
+// across seeds as a session reuses its own.
+func TestGeneratedProgramsAreWhole(t *testing.T) {
+	same := func(t *testing.T, what string, got, want *prog.Program) {
+		t.Helper()
+		if got.MemSize != want.MemSize || got.MemSeed != want.MemSeed {
+			t.Errorf("%s: memory %d/%#x, want %d/%#x", what, got.MemSize, got.MemSeed, want.MemSize, want.MemSeed)
+		}
+		if !slices.Equal(got.Blocks, want.Blocks) {
+			t.Errorf("%s: block table differs", what)
+		}
+		if !slices.Equal(got.Code, want.Code) {
+			t.Errorf("%s: code differs", what)
+		}
+	}
+	for _, name := range workload.Names() {
+		t.Run(name, func(t *testing.T) {
+			w, err := workload.ByName(name)
+			if err != nil {
+				t.Fatal(err)
+			}
+			g, err := NewGenerator(w.Profile, Params{})
+			if err != nil {
+				t.Fatal(err)
+			}
+			var sc Scratch
+			for s := uint64(0); s < 8; s++ {
+				seed := seedFromUint64(s*977 + uint64(len(name)))
+				p, err := g.GenerateInto(seed, &sc)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if err := p.Validate(); err != nil {
+					t.Fatalf("seed %d: the session's program does not validate: %v", s, err)
+				}
+				if p.NumInstrs() != len(p.Code) || len(p.Code) == 0 {
+					t.Fatalf("seed %d: NumInstrs() = %d, len(Code) = %d", s, p.NumInstrs(), len(p.Code))
+				}
+				owned, err := g.Generate(seed)
+				if err != nil {
+					t.Fatal(err)
+				}
+				same(t, "Generate", owned, p)
+				decoded, err := prog.Decode(p.Encode())
+				if err != nil {
+					t.Fatalf("seed %d: Decode(Encode): %v", s, err)
+				}
+				same(t, "Encode -> Decode", decoded, p)
+				assembled, err := asm.Assemble(asm.Disassemble(p))
+				if err != nil {
+					t.Fatalf("seed %d: Assemble(Disassemble): %v", s, err)
+				}
+				same(t, "Disassemble -> Assemble", assembled, p)
+			}
+		})
+	}
+}
+
 // TestSeedAvalanche: flipping a high-order bit of any Table I field must
 // change the widget output. (Low-order bits of the five count-noise fields
 // can round away inside an integer instruction budget without changing the
@@ -391,6 +455,19 @@ func BenchmarkGenerate(b *testing.B) {
 	g := newLeelaGen(b)
 	for i := 0; i < b.N; i++ {
 		if _, err := g.Generate(seedFromUint64(uint64(i))); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
+// BenchmarkGenerateInto is generation as a hashing session does it: one
+// scratch reused, a fresh seed every time.
+func BenchmarkGenerateInto(b *testing.B) {
+	g := newLeelaGen(b)
+	var sc Scratch
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		if _, err := g.GenerateInto(seedFromUint64(uint64(i)), &sc); err != nil {
 			b.Fatal(err)
 		}
 	}

@@ -7,9 +7,10 @@ import (
 	"hashcore/internal/isa"
 )
 
-// Builder incrementally constructs a Program block by block. It is used by
-// the widget generator and by the hand-written reference workloads.
-// Builders are not safe for concurrent use.
+// Builder incrementally constructs a Program block by block. Every program
+// is written through one: by the widget generator, the hand-written
+// reference workloads, the assembler and the wire decoder. Builders are
+// not safe for concurrent use.
 //
 // Blocks are identified by the labels returned from NewBlock, so code can
 // reference a block before its instructions are emitted (needed for forward
@@ -17,28 +18,24 @@ import (
 // but must be filled in index order: once a block has received an
 // instruction, no block before it can. Every caller works that way — a
 // branch diamond declares its arms and its join, then fills them one after
-// the other — and it lets Emit write each instruction once, validated and
-// in its final place in the program's flat stream, leaving Build only the
-// branch targets to resolve.
+// the other; the assembler and the wire decoder read blocks in order — and
+// it lets Emit write each instruction once, validated and in its final
+// place in Program.Code, leaving Build only the block starts and the
+// branch targets' PCs to resolve. The builder is the one writer of a
+// program's derived fields (Instr.Class, Instr.PC, the block table).
 //
-// The flat stream, the per-block stats and the block-shaped copy Build
-// carves for inspection grow to a high-water capacity and are reused
+// Code and the block table grow to a high-water capacity and are reused
 // across Reset, so a generation loop that recycles one builder reaches a
 // zero-allocation steady state even though individual block shapes differ
 // from program to program.
 type Builder struct {
-	program Program
-	current int // index of the block being appended to, -1 if none
-	last    int // index of the block holding the newest instruction, -1 if none
+	program Program // Code and Blocks grow here as the caller emits
+	current int     // index of the block being appended to, -1 if none
+	last    int     // index of the block holding the newest instruction, -1 if none
 	// sealed: the current block ends in a control instruction, after which
 	// nothing may follow.
 	sealed bool
 	err    error
-
-	flat   []FlatInstr  // the program's pre-decoded stream, in block order
-	stats  []BlockStats // per-block length and class tally, parallel to Blocks
-	arena  []Instr      // block-contiguous storage carved at Build time
-	starts []uint32     // per-block flat start offsets (Build scratch)
 }
 
 // ErrBlockOrder is latched when emission moves back to a block before one
@@ -60,13 +57,17 @@ func NewBuilder(memSize int, memSeed uint64) *Builder {
 // invalidated; only callers that have finished with them (or copied them)
 // may Reset.
 func (b *Builder) Reset(memSize int, memSeed uint64) {
-	blocks := b.program.Blocks[:0]
-	b.program = Program{MemSize: memSize, MemSeed: memSeed, Blocks: blocks}
+	b.program = Program{Code: b.program.Code[:0], Blocks: b.program.Blocks[:0], MemSize: memSize, MemSeed: memSeed}
 	b.current, b.last = -1, -1
 	b.sealed = false
 	b.err = nil
-	b.flat = b.flat[:0]
-	b.stats = b.stats[:0]
+}
+
+// SetMemory replaces the scratch-memory declaration given to NewBuilder or
+// Reset, for sources that state it after their first block (assembly text
+// may).
+func (b *Builder) SetMemory(memSize int, memSeed uint64) {
+	b.program.MemSize, b.program.MemSeed = memSize, memSeed
 }
 
 // Label names a block created by NewBlock.
@@ -75,13 +76,7 @@ type Label uint32
 // NewBlock creates a new empty block and returns its label. The block
 // becomes the current emission target.
 func (b *Builder) NewBlock() Label {
-	if n := len(b.program.Blocks); n < cap(b.program.Blocks) {
-		b.program.Blocks = b.program.Blocks[:n+1]
-		b.program.Blocks[n] = Block{}
-	} else {
-		b.program.Blocks = append(b.program.Blocks, Block{})
-	}
-	b.stats = append(b.stats, BlockStats{})
+	b.program.Blocks = append(b.program.Blocks, Block{})
 	b.current = len(b.program.Blocks) - 1
 	b.sealed = false
 	return Label(b.current)
@@ -99,37 +94,31 @@ func (b *Builder) SetBlock(l Label) {
 		return
 	}
 	b.current = int(l)
-	b.sealed = int(l) == b.last && b.flat[len(b.flat)-1].Op.IsControl()
+	b.sealed = int(l) == b.last && b.program.Code[len(b.program.Code)-1].Op.IsControl()
 }
 
 // Emit appends a raw instruction to the current block: validated (the
-// checks are Program.Validate's), pre-decoded and counted in the block's
-// stats on the spot. It is the single hottest call in widget generation,
-// entered once per generated instruction through the Op3/Op2/immediate
-// wrappers. The first failure is latched and reported by Build; whatever
-// is emitted after it is dropped. A Target on an instruction that takes
-// none is dropped too.
+// checks are Program.Validate's), given its Class and counted in the
+// block's tally on the spot; whatever the caller left in ins.Class and
+// ins.PC is overwritten. It is the single hottest call in widget
+// generation, entered once per generated instruction through the
+// Op3/Op2/immediate wrappers. The first failure is latched and reported by
+// Build; whatever is emitted after it is dropped.
 func (b *Builder) Emit(ins Instr) {
-	op := ins.Op
-	meta := isa.MetaOf(op)
+	meta := isa.MetaOf(ins.Op)
 	if b.current < 0 || b.sealed || b.err != nil || meta&isa.MetaValid == 0 ||
-		ins.Dst >= meta.LimDst() || ins.A >= meta.LimA() || ins.B >= meta.LimB() {
+		ins.Dst >= meta.LimDst() || ins.A >= meta.LimA() || ins.B >= meta.LimB() ||
+		(ins.Target != 0 && !takesTarget(ins.Op, meta)) {
 		b.emitInvalid(ins)
 		return
 	}
-	control := meta&isa.MetaControl != 0
-	target := ins.Target
-	if !control || op == isa.OpHalt {
-		target = 0
-	}
-	class := meta.Class()
-	// Target is resolved from Aux (the target block's index) by Build,
-	// when every block's start is known.
-	b.flat = append(b.flat, FlatInstr{Imm: ins.Imm, Aux: target, Op: op, Class: class, Dst: ins.Dst, A: ins.A, B: ins.B})
-	s := &b.stats[b.current]
-	s.Len++
-	s.Tally[class]++
-	b.sealed = control
+	// PC is resolved from Target by Build, when every block's start is known.
+	ins.PC, ins.Class = 0, meta.Class()
+	b.program.Code = append(b.program.Code, ins)
+	blk := &b.program.Blocks[b.current]
+	blk.Len++
+	blk.Tally[ins.Class]++
+	b.sealed = meta&isa.MetaControl != 0
 	b.last = b.current
 }
 
@@ -144,15 +133,18 @@ func (b *Builder) emitInvalid(ins Instr) {
 		b.fail(fmt.Errorf("prog: Emit before NewBlock"))
 		return
 	}
-	n := b.stats[b.current].Len
-	switch meta := isa.MetaOf(ins.Op); {
+	n := b.program.Blocks[b.current].Len
+	meta := isa.MetaOf(ins.Op)
+	switch {
 	case meta&isa.MetaValid == 0:
 		b.fail(fmt.Errorf("%w: block %d instr %d (op=%d)", ErrBadOpcode, b.current, n, ins.Op))
 	case b.sealed:
 		b.fail(fmt.Errorf("%w: block %d instr %d (%s)",
-			ErrMisplacedControl, b.current, n-1, b.flat[len(b.flat)-1].Op))
-	default:
+			ErrMisplacedControl, b.current, n-1, b.program.Code[len(b.program.Code)-1].Op))
+	case ins.Dst >= meta.LimDst() || ins.A >= meta.LimA() || ins.B >= meta.LimB():
 		b.fail(fmt.Errorf("%w: block %d instr %d (%s)", ErrBadRegister, b.current, n, ins.Op))
+	default:
+		b.fail(fmt.Errorf("%w: block %d instr %d (%s takes no target, has %d)", ErrBadTarget, b.current, n, ins.Op, ins.Target))
 	}
 }
 
@@ -221,97 +213,64 @@ func (b *Builder) fail(err error) {
 	}
 }
 
-// finish completes the program Emit has been writing: it resolves every
-// branch target to a flat index (block starts are only known now), checks
-// what cannot be checked per instruction — size limits, the memory
-// declaration, target ranges, halt reachability — and publishes the flat
-// stream and stats. With fillBlocks it also carves the block-shaped copy
-// of the instructions that inspection and serialization read. Together
-// with Emit's checks these are exactly Program.Validate's, so BuildInto
-// need not run a second sweep on the hot generation path; Build still runs
-// the canonical Validate afterwards, which keeps every cold-path Build in
-// the test suite doubling as a consistency oracle for this split pass.
-func (b *Builder) finish(fillBlocks bool) error {
+// finish completes the program Emit has been writing: it lays the blocks
+// out (a block's start is only known when every block before it is
+// complete), resolves each branch target's PC, and checks what cannot be
+// checked per instruction — size limits, the memory declaration, target
+// ranges, halt reachability. Together with Emit's checks these are exactly
+// Program.Validate's, so BuildInto need not run a second sweep on the hot
+// generation path; Build still runs the canonical Validate afterwards,
+// which keeps every cold-path Build in the test suite doubling as a
+// consistency oracle for this split pass.
+func (b *Builder) finish() error {
+	if b.err != nil {
+		return b.err
+	}
 	p := &b.program
-	p.Stats, p.Flat = nil, nil
 	nb := len(p.Blocks)
 	if nb == 0 {
 		return ErrNoBlocks
 	}
-	flat, stats := b.flat, b.stats
-	if nb > MaxBlocks || len(flat) > MaxTotalStatic {
+	if nb > MaxBlocks || len(p.Code) > MaxTotalStatic {
 		return ErrTooLarge
 	}
 	if !isPow2(p.MemSize) || p.MemSize < MinMemSize || p.MemSize > MaxMemSize {
 		return fmt.Errorf("%w: %d", ErrBadMemSize, p.MemSize)
 	}
-
-	if cap(b.starts) < nb {
-		b.starts = make([]uint32, nb)
-	}
-	starts := b.starts[:nb]
 	off := uint32(0)
-	for bi := range stats {
-		if stats[bi].Len > MaxBlockInstrs {
-			return fmt.Errorf("%w: block %d has %d instructions", ErrTooLarge, bi, stats[bi].Len)
+	for bi := range p.Blocks {
+		blk := &p.Blocks[bi]
+		if blk.Len > MaxBlockInstrs {
+			return fmt.Errorf("%w: block %d has %d instructions", ErrTooLarge, bi, blk.Len)
 		}
-		starts[bi] = off
-		off += stats[bi].Len
+		blk.Start = off
+		off += blk.Len
 	}
 
 	// Control instructions are block terminators (Emit refuses anything
 	// after one), so the terminators are all there is to resolve.
 	haveHalt := false
-	var term isa.Opcode
-	for bi := range stats {
+	term := isa.OpInvalid
+	for bi := range p.Blocks {
 		term = isa.OpInvalid
-		if n := stats[bi].Len; n > 0 {
-			fi := &flat[starts[bi]+n-1]
-			if term = fi.Op; term == isa.OpHalt {
-				haveHalt = true
-			} else if term.IsControl() {
-				if int(fi.Aux) >= nb {
-					return fmt.Errorf("%w: block %d -> %d (have %d blocks)", ErrBadTarget, bi, fi.Aux, nb)
-				}
-				fi.Target = starts[fi.Aux]
-			}
+		blk := &p.Blocks[bi]
+		if blk.Len == 0 {
+			continue
 		}
-	}
-	// The last block must not fall through off the end of the program, not
-	// even conditionally (see Validate).
-	if !term.IsControl() {
-		return fmt.Errorf("%w: last block falls through", ErrNoHalt)
-	}
-	if term != isa.OpHalt && term != isa.OpJmp {
-		return fmt.Errorf("%w: last block may fall through (%s terminator)", ErrNoHalt, term)
-	}
-	if !haveHalt {
-		return ErrNoHalt
-	}
-
-	if fillBlocks {
-		if cap(b.arena) < len(flat) {
-			b.arena = make([]Instr, len(flat))
+		ins := &p.Code[blk.Start+blk.Len-1]
+		if !ins.Op.IsControl() {
+			continue
 		}
-		arena := b.arena[:len(flat)]
-		for i := range flat {
-			fi := &flat[i]
-			arena[i] = Instr{Op: fi.Op, Dst: fi.Dst, A: fi.A, B: fi.B, Imm: fi.Imm, Target: fi.Aux}
+		if term = ins.Op; term == isa.OpHalt {
+			haveHalt = true
+			continue
 		}
-		for bi := range p.Blocks {
-			end := starts[bi] + stats[bi].Len
-			p.Blocks[bi].Instrs = arena[starts[bi]:end:end]
+		if int(ins.Target) >= nb {
+			return fmt.Errorf("%w: block %d -> %d (have %d blocks)", ErrBadTarget, bi, ins.Target, nb)
 		}
-	} else {
-		// Clear any arena view left by an earlier Build over this Blocks
-		// slice: a stale one would alias instructions of the wrong program.
-		for bi := range p.Blocks {
-			p.Blocks[bi].Instrs = nil
-		}
+		ins.PC = p.Blocks[ins.Target].Start
 	}
-	p.Stats = stats
-	p.Flat = flat
-	return nil
+	return checkHalts(term, haveHalt)
 }
 
 // Build validates and returns the constructed program. The returned
@@ -320,48 +279,25 @@ func (b *Builder) finish(fillBlocks bool) error {
 // storage). Callers that never Reset can treat the program as immutable
 // forever, so existing single-shot uses are unaffected.
 func (b *Builder) Build() (*Program, error) {
-	if b.err != nil {
-		return nil, b.err
-	}
-	if err := b.finish(true); err != nil {
+	p := new(Program)
+	if err := b.BuildInto(p); err != nil {
 		return nil, err
 	}
-	p := b.program
 	if err := p.Validate(); err != nil {
 		return nil, err
 	}
-	return &p, nil
+	return p, nil
 }
 
-// BuildInto is Build for reusable-program callers: it validates the
-// constructed program and stores it in *out, overwriting the previous
-// contents. Combined with Reset it lets a generation loop reuse one
-// Program value (and the builder's storage) with zero steady-state
-// allocation. Validation happens in Emit and finish (each instruction is
-// touched once); Build additionally re-runs the canonical Validate, pinning
-// the two paths to each other.
+// BuildInto is Build for reusable-program callers: it stores the
+// constructed program in *out, overwriting the previous contents. Combined
+// with Reset it lets a generation loop reuse one Program value (and the
+// builder's storage) with zero steady-state allocation. Validation
+// happened in Emit and happens in finish (each instruction is touched
+// once); Build additionally re-runs the canonical Validate, pinning the
+// two paths to each other.
 func (b *Builder) BuildInto(out *Program) error {
-	if b.err != nil {
-		return b.err
-	}
-	if err := b.finish(true); err != nil {
-		return err
-	}
-	*out = b.program
-	return nil
-}
-
-// BuildFlatInto is BuildInto for consumers that execute the program
-// rather than inspect it: the per-block Instrs views are left empty and
-// only the pre-decoded Flat stream and Stats are produced. Validation is
-// identical to BuildInto, and the VM's trusted-load path and the JIT
-// consume exactly Flat+Stats, so the generation hot loop skips carving a
-// second, block-shaped copy of every instruction it will never read.
-func (b *Builder) BuildFlatInto(out *Program) error {
-	if b.err != nil {
-		return b.err
-	}
-	if err := b.finish(false); err != nil {
+	if err := b.finish(); err != nil {
 		return err
 	}
 	*out = b.program

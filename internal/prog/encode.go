@@ -28,19 +28,16 @@ const instrSize = 16
 var ErrBadFormat = errors.New("prog: malformed widget binary")
 
 // Encode serializes p into the binary widget format. The program should be
-// validated first; Encode does not check semantics.
+// validated first; Encode does not check semantics. The derived fields
+// (Instr.PC, Instr.Class, the block table's tallies) are not serialized.
 func (p *Program) Encode() []byte {
-	size := 4 + 4 + 8 + 4
-	for i := range p.Blocks {
-		size += 4 + len(p.Blocks[i].Instrs)*instrSize
-	}
-	out := make([]byte, 0, size)
+	out := make([]byte, 0, 20+4*len(p.Blocks)+instrSize*len(p.Code))
 	out = append(out, magic[:]...)
 	out = binary.LittleEndian.AppendUint32(out, uint32(log2(p.MemSize)))
 	out = binary.LittleEndian.AppendUint64(out, p.MemSeed)
 	out = binary.LittleEndian.AppendUint32(out, uint32(len(p.Blocks)))
-	for i := range p.Blocks {
-		instrs := p.Blocks[i].Instrs
+	for bi := range p.Blocks {
+		instrs := p.Instrs(bi)
 		out = binary.LittleEndian.AppendUint32(out, uint32(len(instrs)))
 		for _, ins := range instrs {
 			out = append(out, byte(ins.Op), ins.Dst, ins.A, ins.B)
@@ -51,7 +48,9 @@ func (p *Program) Encode() []byte {
 	return out
 }
 
-// Decode parses a binary widget produced by Encode and validates it.
+// Decode parses a binary widget produced by Encode, writing it through a
+// Builder — which validates it and derives what the format leaves out. A
+// program Decode accepts re-encodes to the bytes it came from.
 func Decode(data []byte) (*Program, error) {
 	if len(data) < 20 || [4]byte(data[:4]) != magic {
 		return nil, fmt.Errorf("%w: bad magic or truncated header", ErrBadFormat)
@@ -60,17 +59,19 @@ func Decode(data []byte) (*Program, error) {
 	if memLog > 28 { // 256 MiB
 		return nil, fmt.Errorf("%w: memory size 2^%d out of range", ErrBadFormat, memLog)
 	}
-	p := &Program{
-		MemSize: 1 << memLog,
-		MemSeed: binary.LittleEndian.Uint64(data[8:]),
-	}
 	nBlocks := binary.LittleEndian.Uint32(data[16:])
 	if nBlocks > MaxBlocks {
 		return nil, fmt.Errorf("%w: %d blocks", ErrBadFormat, nBlocks)
 	}
+	// The counts come from outside: reserve no more than the bytes that
+	// follow could hold (4 a block header, instrSize an instruction).
+	body := len(data) - 20
+	var b Builder
+	b.program.Blocks = make([]Block, 0, min(int(nBlocks), body/4))
+	b.program.Code = make([]Instr, 0, body/instrSize)
+	b.Reset(1<<memLog, binary.LittleEndian.Uint64(data[8:]))
 	off := 20
-	p.Blocks = make([]Block, 0, nBlocks)
-	for b := uint32(0); b < nBlocks; b++ {
+	for bi := uint32(0); bi < nBlocks; bi++ {
 		if off+4 > len(data) {
 			return nil, fmt.Errorf("%w: truncated block header", ErrBadFormat)
 		}
@@ -79,27 +80,22 @@ func Decode(data []byte) (*Program, error) {
 		if n > MaxBlockInstrs || off+int(n)*instrSize > len(data) {
 			return nil, fmt.Errorf("%w: truncated block body", ErrBadFormat)
 		}
-		instrs := make([]Instr, n)
-		for i := range instrs {
-			instrs[i] = Instr{
+		b.NewBlock()
+		for end := off + int(n)*instrSize; off < end; off += instrSize {
+			b.Emit(Instr{
 				Op:     isa.Opcode(data[off]),
 				Dst:    data[off+1],
 				A:      data[off+2],
 				B:      data[off+3],
 				Target: binary.LittleEndian.Uint32(data[off+4:]),
 				Imm:    int64(binary.LittleEndian.Uint64(data[off+8:])),
-			}
-			off += instrSize
+			})
 		}
-		p.Blocks = append(p.Blocks, Block{Instrs: instrs})
 	}
 	if off != len(data) {
 		return nil, fmt.Errorf("%w: %d trailing bytes", ErrBadFormat, len(data)-off)
 	}
-	if err := p.Validate(); err != nil {
-		return nil, err
-	}
-	return p, nil
+	return b.Build()
 }
 
 func log2(n int) int {

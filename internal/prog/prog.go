@@ -1,8 +1,13 @@
-// Package prog defines the widget program representation: straight-line
-// basic blocks of ISA instructions connected by block-indexed control flow,
-// plus a scratch-memory declaration. It provides structural validation
-// (used to guarantee generated widgets are well-formed before execution)
-// and a compact binary serialization (used for widget pools and the CLI).
+// Package prog defines the widget program: one instruction record, one
+// program shape. A Program is every instruction of every basic block in
+// one slice, a block table that cuts that slice into straight-line blocks
+// connected by block-indexed control flow, and a scratch-memory
+// declaration. The generator writes it once (Builder) and the assembler,
+// the interpreter, the native compiler and the test oracle all read it in
+// place: there is no second, decoded form. The package also provides
+// structural validation (what makes a program safe to execute without
+// per-instruction bound checks) and a compact binary serialization (used
+// for widget pools and the CLI).
 package prog
 
 import (
@@ -27,135 +32,60 @@ const (
 // Instr is a single instruction. Operand meaning depends on Op (see
 // isa.Opcode documentation): Dst/A/B index registers in the files given by
 // Op.Operands(), Imm is the immediate (displacement for memory ops), and
-// Target is the destination block index for control instructions.
-type Instr struct {
-	Op     isa.Opcode
-	Dst    uint8
-	A      uint8
-	B      uint8
-	Imm    int64
-	Target uint32
-}
-
-// Block is a basic block: zero or more non-control instructions optionally
-// terminated by one control instruction. A block without a control
-// terminator falls through to the next block.
-type Block struct {
-	Instrs []Instr
-}
-
-// Terminator returns the block's control instruction and true, or a zero
-// Instr and false if the block falls through.
-func (b *Block) Terminator() (Instr, bool) {
-	if len(b.Instrs) == 0 {
-		return Instr{}, false
-	}
-	last := b.Instrs[len(b.Instrs)-1]
-	if last.Op.IsControl() {
-		return last, true
-	}
-	return Instr{}, false
-}
-
-// FlatInstr is one instruction of a program's pre-decoded flat stream: the
-// instructions of all blocks concatenated in block order, with the derived
-// fields consumers otherwise recompute per load already resolved — Class is
-// Op.ClassOf(), and control instructions (except halt) carry their
-// destination twice: Target is the flat index of the target block's first
-// instruction, Aux the target block index.
+// Target is the destination block index of a branch or jump — zero on
+// every other instruction, halt included.
 //
-// The field layout is ordered widest-first to pack into 24 bytes and is an
-// ABI shared with the VM's decoded form (and transitively the JIT's input
-// form): vm.LoadTrusted adopts a validated Flat stream as its decoded code
-// by reinterpretation instead of flattening per load, which is why the
-// field order here must never change independently (the VM pins the
-// contract with a layout assertion at init).
-type FlatInstr struct {
+// PC and Class are derived: Class is Op.ClassOf(), and PC is the index in
+// Program.Code of the first instruction of block Target (zero wherever
+// Target is). Builder fills them, whatever the caller put there, and
+// Validate checks them, so readers never recompute either.
+//
+// The fields are ordered widest first, so the record packs into 24 bytes
+// and Op, Class, Dst, A, B share one aligned 8-byte word (internal/jit
+// reads them with one load and asserts that where it does).
+type Instr struct {
 	Imm       int64
+	PC        uint32
 	Target    uint32
-	Aux       uint32
 	Op        isa.Opcode
 	Class     isa.Class
 	Dst, A, B uint8
 }
 
-// BlockStats is derived per-block metadata: the instruction count and the
-// per-class instruction tally of one basic block. The VM's block-batched
-// interpreter uses these to account a whole block in O(1) instead of
-// incrementing counters per retired instruction.
-//
-// Stats are redundant with Blocks and exist purely so consumers need not
-// recompute them per load: Builder fills them during materialization (on
-// the same flat arena pass that carves the blocks) and Validate verifies
-// them against the instruction stream when present, so a validated program
-// can never carry a lying tally.
-type BlockStats struct {
-	// Len is the number of instructions in the block.
-	Len uint32
-	// Tally counts the block's instructions per resource class, indexed by
-	// isa.Class.
-	Tally [isa.NumClasses]uint32
+// Block is one row of a program's block table: where the basic block's
+// instructions lie in Program.Code, and how many of them fall in each
+// resource class (indexed by isa.Class) — what lets an engine account a
+// whole block in O(1) instead of counting per retired instruction. A block
+// is zero or more non-control instructions optionally terminated by one
+// control instruction; without a terminator it falls through to the next
+// block.
+type Block struct {
+	Start, Len uint32
+	Tally      [isa.NumClasses]uint32
 }
 
-// Program is a complete widget: blocks plus the scratch memory declaration.
-// Execution starts at block 0, instruction 0. MemSize must be a power of
-// two in [MinMemSize, MaxMemSize]; MemSeed deterministically initializes
-// the scratch memory contents.
-//
-// Stats, when non-nil, holds per-block derived metadata parallel to Blocks
-// (see BlockStats). It is optional — programs assembled by hand or decoded
-// from the wire may leave it nil and consumers fall back to computing the
-// same data — and is not serialized.
-//
-// Flat, when non-nil, is the pre-decoded flat instruction stream (see
-// FlatInstr). Like Stats it is optional, derived, and never serialized:
-// Builder fills it during materialization and Validate verifies it against
-// the instruction stream when present, so a validated program can never
-// carry a lying Flat. Programs built through a reused Builder alias the
-// builder's storage here, with the same lifetime as Blocks.
+// Program is a complete widget. Code holds the instructions of all blocks
+// in block order, Blocks cuts it up (block i is Code[Start:Start+Len], and
+// the blocks tile Code without gaps), and execution starts at block 0.
+// MemSize must be a power of two in [MinMemSize, MaxMemSize]; MemSeed
+// deterministically defines the scratch memory contents. A program built
+// through a reused Builder aliases the builder's storage until its next
+// Reset.
 type Program struct {
+	Code    []Instr
 	Blocks  []Block
 	MemSize int
 	MemSeed uint64
-	Stats   []BlockStats
-	Flat    []FlatInstr
 }
 
-// AppendBlockStats computes per-block stats for p, appending into dst
-// (which is grown as needed and returned). It is the fallback for programs
-// whose Stats field is nil.
-func (p *Program) AppendBlockStats(dst []BlockStats) []BlockStats {
-	for bi := range p.Blocks {
-		var s BlockStats
-		for _, ins := range p.Blocks[bi].Instrs {
-			s.Len++
-			s.Tally[ins.Op.ClassOf()]++
-		}
-		dst = append(dst, s)
-	}
-	return dst
+// Instrs returns the instructions of block bi, a sub-slice of p.Code.
+func (p *Program) Instrs(bi int) []Instr {
+	b := &p.Blocks[bi]
+	return p.Code[b.Start : b.Start+b.Len : b.Start+b.Len]
 }
 
 // NumInstrs returns the total static instruction count.
-func (p *Program) NumInstrs() int {
-	n := 0
-	for i := range p.Blocks {
-		n += len(p.Blocks[i].Instrs)
-	}
-	return n
-}
-
-// StaticID returns the linear index of instruction idx in block b,
-// counting instructions across blocks in order. It is used as the static
-// "program counter" identity for branch predictors and instruction caches.
-// The result is only meaningful for validated programs.
-func (p *Program) StaticID(block, idx int) uint32 {
-	id := 0
-	for i := 0; i < block; i++ {
-		id += len(p.Blocks[i].Instrs)
-	}
-	return uint32(id + idx)
-}
+func (p *Program) NumInstrs() int { return len(p.Code) }
 
 // Validation errors.
 var (
@@ -167,131 +97,105 @@ var (
 	ErrBadOpcode        = errors.New("prog: invalid opcode")
 	ErrBadRegister      = errors.New("prog: register index out of range")
 	ErrNoHalt           = errors.New("prog: no reachable halt instruction")
-	ErrBadStats         = errors.New("prog: Stats disagree with the instruction stream")
-	ErrBadFlat          = errors.New("prog: Flat disagrees with the instruction stream")
+	ErrBadDerived       = errors.New("prog: block table or derived fields disagree with the instructions")
 )
 
-// Validate checks the structural well-formedness of p: opcode validity,
-// register ranges, control placement, branch targets, memory declaration,
-// and the existence of a halt instruction. A validated program can be
-// executed by the VM without any per-instruction bound checks failing.
+// Validate checks the structural well-formedness of p in one sweep: the
+// block table tiles Code and carries exact tallies, every opcode is valid,
+// register indices are in range, control instructions end their blocks and
+// target existing blocks, Class and PC are what Op and Target imply, the
+// memory declaration is legal, and a halt exists. A validated program can
+// be executed without any per-instruction bound check failing, and every
+// derived field in it can be trusted.
 func (p *Program) Validate() error {
-	if len(p.Blocks) == 0 {
+	nb := len(p.Blocks)
+	if nb == 0 {
 		return ErrNoBlocks
 	}
-	if len(p.Blocks) > MaxBlocks || p.NumInstrs() > MaxTotalStatic {
+	if nb > MaxBlocks || len(p.Code) > MaxTotalStatic {
 		return ErrTooLarge
 	}
 	if !isPow2(p.MemSize) || p.MemSize < MinMemSize || p.MemSize > MaxMemSize {
 		return fmt.Errorf("%w: %d", ErrBadMemSize, p.MemSize)
 	}
-	if p.Stats != nil && len(p.Stats) != len(p.Blocks) {
-		return fmt.Errorf("%w: %d stats for %d blocks", ErrBadStats, len(p.Stats), len(p.Blocks))
-	}
-	var statsErr error
 	haveHalt := false
+	term := isa.OpInvalid // the newest block's terminator, if it has one
+	next := uint32(0)     // where the next block must start
 	for bi := range p.Blocks {
 		b := &p.Blocks[bi]
-		if len(b.Instrs) > MaxBlockInstrs {
-			return fmt.Errorf("%w: block %d has %d instructions", ErrTooLarge, bi, len(b.Instrs))
+		if b.Len > MaxBlockInstrs {
+			return fmt.Errorf("%w: block %d has %d instructions", ErrTooLarge, bi, b.Len)
 		}
-		var stats BlockStats
-		for ii, ins := range b.Instrs {
-			if !ins.Op.Valid() {
+		if b.Start != next || int(b.Len) > len(p.Code)-int(next) {
+			return fmt.Errorf("%w: block %d spans [%d,+%d), want start %d within %d",
+				ErrBadDerived, bi, b.Start, b.Len, next, len(p.Code))
+		}
+		next += b.Len
+		term = isa.OpInvalid
+		var tally [isa.NumClasses]uint32
+		for ii, ins := range p.Code[b.Start:next] {
+			meta := isa.MetaOf(ins.Op)
+			if meta&isa.MetaValid == 0 {
 				return fmt.Errorf("%w: block %d instr %d (op=%d)", ErrBadOpcode, bi, ii, ins.Op)
 			}
-			if ins.Op.IsControl() && ii != len(b.Instrs)-1 {
+			control := meta&isa.MetaControl != 0
+			if control && ii != int(b.Len)-1 {
 				return fmt.Errorf("%w: block %d instr %d (%s)", ErrMisplacedControl, bi, ii, ins.Op)
 			}
-			if err := checkRegs(ins); err != nil {
-				return fmt.Errorf("%w: block %d instr %d (%s)", err, bi, ii, ins.Op)
+			if ins.Dst >= meta.LimDst() || ins.A >= meta.LimA() || ins.B >= meta.LimB() {
+				return fmt.Errorf("%w: block %d instr %d (%s)", ErrBadRegister, bi, ii, ins.Op)
 			}
-			if ins.Op.IsControl() && ins.Op != isa.OpHalt {
-				if int(ins.Target) >= len(p.Blocks) {
-					return fmt.Errorf("%w: block %d -> %d (have %d blocks)",
-						ErrBadTarget, bi, ins.Target, len(p.Blocks))
+			pc := uint32(0)
+			if takesTarget(ins.Op, meta) {
+				if int(ins.Target) >= nb {
+					return fmt.Errorf("%w: block %d -> %d (have %d blocks)", ErrBadTarget, bi, ins.Target, nb)
 				}
+				// A forward target's Start is checked when the sweep gets there.
+				pc = p.Blocks[ins.Target].Start
+			} else if ins.Target != 0 {
+				return fmt.Errorf("%w: block %d instr %d (%s takes no target, has %d)",
+					ErrBadTarget, bi, ii, ins.Op, ins.Target)
 			}
-			if ins.Op == isa.OpHalt {
-				haveHalt = true
+			if ins.Class != meta.Class() || ins.PC != pc {
+				return fmt.Errorf("%w: block %d instr %d (%s): class %d pc %d, want %d and %d",
+					ErrBadDerived, bi, ii, ins.Op, ins.Class, ins.PC, meta.Class(), pc)
 			}
-			stats.Len++
-			stats.Tally[ins.Op.ClassOf()]++
+			if control {
+				term = ins.Op
+				haveHalt = haveHalt || ins.Op == isa.OpHalt
+			}
+			tally[meta.Class()]++
 		}
-		// Stats are trusted by the VM's block-batched accounting, so a
-		// validated program must carry exact ones (or none). The error is
-		// deferred so more specific structural errors win.
-		if p.Stats != nil && statsErr == nil && p.Stats[bi] != stats {
-			statsErr = fmt.Errorf("%w: block %d", ErrBadStats, bi)
+		if b.Tally != tally {
+			return fmt.Errorf("%w: block %d tally %v, want %v", ErrBadDerived, bi, b.Tally, tally)
 		}
 	}
-	// The last block must not fall through off the end of the program —
-	// not even conditionally: a last block terminated by a conditional
-	// branch would fall off the end whenever the branch is not taken, so
-	// only the unconditional terminators (halt, jmp) are acceptable.
-	last := &p.Blocks[len(p.Blocks)-1]
-	term, ok := last.Terminator()
-	if !ok {
+	if int(next) != len(p.Code) {
+		return fmt.Errorf("%w: blocks cover %d of %d instructions", ErrBadDerived, next, len(p.Code))
+	}
+	return checkHalts(term, haveHalt)
+}
+
+// takesTarget reports whether op (whose table entry is meta) transfers to
+// a block: every control instruction but halt.
+func takesTarget(op isa.Opcode, meta isa.OpMeta) bool {
+	return meta&isa.MetaControl != 0 && op != isa.OpHalt
+}
+
+// checkHalts is the end-of-program rule Validate and Builder share. The
+// last block (its terminator is lastTerm, OpInvalid if it has none) must
+// not fall through off the end of the program — not even conditionally: a
+// last block terminated by a conditional branch would fall off the end
+// whenever the branch is not taken, so only the unconditional terminators
+// (halt, jmp) are acceptable. And some block must halt.
+func checkHalts(lastTerm isa.Opcode, haveHalt bool) error {
+	switch {
+	case lastTerm == isa.OpInvalid:
 		return fmt.Errorf("%w: last block falls through", ErrNoHalt)
-	}
-	if term.Op != isa.OpHalt && term.Op != isa.OpJmp {
-		return fmt.Errorf("%w: last block may fall through (%s terminator)", ErrNoHalt, term.Op)
-	}
-	if !haveHalt {
+	case lastTerm != isa.OpHalt && lastTerm != isa.OpJmp:
+		return fmt.Errorf("%w: last block may fall through (%s terminator)", ErrNoHalt, lastTerm)
+	case !haveHalt:
 		return ErrNoHalt
-	}
-	if statsErr != nil {
-		return statsErr
-	}
-	return p.validateFlat()
-}
-
-// validateFlat checks a non-nil Flat stream field-for-field against the
-// instruction stream, so trusted consumers (vm.LoadTrusted) may adopt the
-// Flat of any validated program without re-deriving it. Called by Validate
-// after the structural checks, so block shapes and targets are already
-// known good.
-func (p *Program) validateFlat() error {
-	if p.Flat == nil {
-		return nil
-	}
-	if len(p.Flat) != p.NumInstrs() {
-		return fmt.Errorf("%w: %d flat instrs for %d", ErrBadFlat, len(p.Flat), p.NumInstrs())
-	}
-	starts := make([]uint32, len(p.Blocks))
-	total := uint32(0)
-	for bi := range p.Blocks {
-		starts[bi] = total
-		total += uint32(len(p.Blocks[bi].Instrs))
-	}
-	idx := 0
-	for bi := range p.Blocks {
-		for _, ins := range p.Blocks[bi].Instrs {
-			want := FlatInstr{
-				Op:    ins.Op,
-				Class: ins.Op.ClassOf(),
-				Dst:   ins.Dst,
-				A:     ins.A,
-				B:     ins.B,
-				Imm:   ins.Imm,
-			}
-			if ins.Op.IsControl() && ins.Op != isa.OpHalt {
-				want.Target = starts[ins.Target]
-				want.Aux = ins.Target
-			}
-			if p.Flat[idx] != want {
-				return fmt.Errorf("%w: block %d instr %d", ErrBadFlat, bi, idx)
-			}
-			idx++
-		}
-	}
-	return nil
-}
-
-func checkRegs(ins Instr) error {
-	dst, a, b := ins.Op.OperandLimits()
-	if ins.Dst >= dst || ins.A >= a || ins.B >= b {
-		return ErrBadRegister
 	}
 	return nil
 }

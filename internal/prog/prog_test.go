@@ -2,7 +2,10 @@ package prog
 
 import (
 	"bytes"
+	"encoding/binary"
 	"errors"
+	"runtime"
+	"slices"
 	"testing"
 	"testing/quick"
 
@@ -21,6 +24,29 @@ func tinyValid() *Program {
 	return b.MustBuild()
 }
 
+// handBuilt lays a program out from its blocks' instructions without the
+// Builder: the tests' own derivation of the block table, Class and PC, so
+// that Validate and the Builder are each checked against something other
+// than themselves.
+func handBuilt(memSize int, blocks ...[]Instr) *Program {
+	p := &Program{MemSize: memSize}
+	for _, instrs := range blocks {
+		p.Blocks = append(p.Blocks, Block{Start: uint32(len(p.Code)), Len: uint32(len(instrs))})
+		p.Code = append(p.Code, instrs...)
+	}
+	for bi := range p.Blocks {
+		for i := range p.Instrs(bi) {
+			ins := &p.Instrs(bi)[i]
+			ins.Class = ins.Op.ClassOf()
+			p.Blocks[bi].Tally[ins.Class]++
+			if ins.Op.IsControl() && ins.Op != isa.OpHalt && int(ins.Target) < len(p.Blocks) {
+				ins.PC = p.Blocks[ins.Target].Start
+			}
+		}
+	}
+	return p
+}
+
 func TestValidateAcceptsMinimal(t *testing.T) {
 	if err := tinyValid().Validate(); err != nil {
 		t.Fatalf("valid program rejected: %v", err)
@@ -33,51 +59,62 @@ func TestValidateRejections(t *testing.T) {
 		mutate  func(*Program)
 		wantErr error
 	}{
-		{"no blocks", func(p *Program) { p.Blocks = nil }, ErrNoBlocks},
+		{"no blocks", func(p *Program) { p.Blocks, p.Code = nil, nil }, ErrNoBlocks},
 		{"bad memsize not pow2", func(p *Program) { p.MemSize = 3000 }, ErrBadMemSize},
 		{"bad memsize too small", func(p *Program) { p.MemSize = 1024 }, ErrBadMemSize},
 		{"bad memsize too large", func(p *Program) { p.MemSize = MaxMemSize * 2 }, ErrBadMemSize},
 		{
 			"control mid-block",
 			func(p *Program) {
-				p.Blocks[0].Instrs[0] = Instr{Op: isa.OpJmp, Target: 0}
+				p.Code[0] = Instr{Op: isa.OpJmp, Target: 0}
 			},
 			ErrMisplacedControl,
 		},
 		{
 			"bad branch target",
 			func(p *Program) {
-				last := len(p.Blocks[0].Instrs) - 1
-				p.Blocks[0].Instrs[last] = Instr{Op: isa.OpJmp, Target: 99}
+				p.Code[len(p.Code)-1] = Instr{Op: isa.OpJmp, Target: 99}
 			},
 			ErrBadTarget,
 		},
 		{
 			"invalid opcode",
-			func(p *Program) { p.Blocks[0].Instrs[0].Op = isa.Opcode(250) },
+			func(p *Program) { p.Code[0].Op = isa.Opcode(250) },
 			ErrBadOpcode,
 		},
 		{
 			"register out of range",
-			func(p *Program) { p.Blocks[0].Instrs[1].Dst = 16 },
+			func(p *Program) { p.Code[1].Dst = 16 },
 			ErrBadRegister,
 		},
 		{
 			"unused operand must be zero",
-			func(p *Program) { p.Blocks[0].Instrs[0].A = 3 }, // movi uses no A
+			func(p *Program) { p.Code[0].A = 3 }, // movi uses no A
 			ErrBadRegister,
 		},
 		{
 			"fallthrough off the end",
-			func(p *Program) {
-				p.Blocks[0].Instrs = p.Blocks[0].Instrs[:2] // drop halt
+			func(p *Program) { // drop halt
+				p.Code = p.Code[:2]
+				p.Blocks[0].Len--
+				p.Blocks[0].Tally[isa.ClassBranch]--
 			},
 			ErrNoHalt,
 		},
 		{
+			"target on an instruction that takes none",
+			func(p *Program) { p.Code[1].Target = 1 }, // add
+			ErrBadTarget,
+		},
+		{
+			"target on halt",
+			func(p *Program) { p.Code[2].Target = 1 },
+			ErrBadTarget,
+		},
+		{
 			"vector register out of range",
 			func(p *Program) {
-				p.Blocks[0].Instrs[0] = Instr{Op: isa.OpVAdd, Dst: 8}
+				p.Code[0] = Instr{Op: isa.OpVAdd, Dst: 8}
 			},
 			ErrBadRegister,
 		},
@@ -108,6 +145,15 @@ func TestBuilderErrors(t *testing.T) {
 		b.Branch(isa.OpAdd, 0, 0, l)
 		if _, err := b.Build(); err == nil {
 			t.Fatal("expected error for Branch(OpAdd)")
+		}
+	})
+	t.Run("target on a non-branch", func(t *testing.T) {
+		b := NewBuilder(DefaultMemSize, 0)
+		b.NewBlock()
+		b.Emit(Instr{Op: isa.OpAdd, Target: 1})
+		b.Halt()
+		if _, err := b.Build(); !errors.Is(err, ErrBadTarget) {
+			t.Fatalf("Build = %v, want ErrBadTarget", err)
 		}
 	})
 	t.Run("setblock out of range", func(t *testing.T) {
@@ -145,44 +191,21 @@ func TestBuilderMultiBlockControlFlow(t *testing.T) {
 	if len(p.Blocks) != 3 {
 		t.Fatalf("got %d blocks, want 3", len(p.Blocks))
 	}
-	term, ok := p.Blocks[1].Terminator()
-	if !ok || term.Op != isa.OpBne || Label(term.Target) != body {
-		t.Fatalf("body terminator = %+v, ok=%v", term, ok)
+	if got := p.NumInstrs(); got != 6 {
+		t.Errorf("NumInstrs = %d, want 6", got)
 	}
-	if _, ok := p.Blocks[1].Terminator(); !ok {
-		t.Fatal("terminator not detected")
+	// The body's branch: block index in Target, the body's first instruction
+	// (after the entry's two) in PC.
+	term := p.Instrs(1)[2]
+	if term.Op != isa.OpBne || Label(term.Target) != body || term.PC != 2 {
+		t.Fatalf("body terminator = %+v", term)
 	}
-}
-
-func TestTerminatorFallthrough(t *testing.T) {
-	b := Block{Instrs: []Instr{{Op: isa.OpAdd}}}
-	if _, ok := b.Terminator(); ok {
-		t.Error("fallthrough block reported a terminator")
-	}
-	empty := Block{}
-	if _, ok := empty.Terminator(); ok {
-		t.Error("empty block reported a terminator")
-	}
-}
-
-func TestStaticID(t *testing.T) {
-	b := NewBuilder(DefaultMemSize, 0)
-	b.NewBlock()
-	b.MovI(0, 1)
-	b.MovI(1, 2)
-	b.NewBlock()
-	b.MovI(2, 3)
-	b.Halt()
-	p := b.MustBuild()
-
-	if got := p.StaticID(0, 1); got != 1 {
-		t.Errorf("StaticID(0,1) = %d, want 1", got)
-	}
-	if got := p.StaticID(1, 0); got != 2 {
-		t.Errorf("StaticID(1,0) = %d, want 2", got)
-	}
-	if got := p.NumInstrs(); got != 4 {
-		t.Errorf("NumInstrs = %d, want 4", got)
+	want := handBuilt(DefaultMemSize,
+		[]Instr{{Op: isa.OpMovI, Dst: 1, Imm: 10}, {Op: isa.OpJmp, Target: 1}},
+		[]Instr{{Op: isa.OpAddI, Dst: 1, A: 1, Imm: -1}, {Op: isa.OpMovI, Dst: 2}, {Op: isa.OpBne, A: 1, B: 2, Target: 1}},
+		[]Instr{{Op: isa.OpHalt}})
+	if !slices.Equal(p.Code, want.Code) || !slices.Equal(p.Blocks, want.Blocks) {
+		t.Errorf("built\n %+v\n %+v\nwant\n %+v\n %+v", p.Code, p.Blocks, want.Code, want.Blocks)
 	}
 }
 
@@ -197,16 +220,8 @@ func TestEncodeDecodeRoundTrip(t *testing.T) {
 		t.Errorf("memory decl mismatch: got %d/%d, want %d/%d",
 			got.MemSize, got.MemSeed, p.MemSize, p.MemSeed)
 	}
-	if len(got.Blocks) != len(p.Blocks) {
-		t.Fatalf("block count mismatch")
-	}
-	for i := range p.Blocks {
-		for j := range p.Blocks[i].Instrs {
-			if got.Blocks[i].Instrs[j] != p.Blocks[i].Instrs[j] {
-				t.Fatalf("instr %d/%d mismatch: %+v vs %+v",
-					i, j, got.Blocks[i].Instrs[j], p.Blocks[i].Instrs[j])
-			}
-		}
+	if !slices.Equal(got.Code, p.Code) || !slices.Equal(got.Blocks, p.Blocks) {
+		t.Fatalf("decoded\n %+v\n %+v\nwant\n %+v\n %+v", got.Code, got.Blocks, p.Code, p.Blocks)
 	}
 }
 
@@ -236,7 +251,7 @@ func TestEncodeDecodeRandomPrograms(t *testing.T) {
 		if err != nil {
 			return false
 		}
-		return q.NumInstrs() == p.NumInstrs()
+		return slices.Equal(q.Code, p.Code) && slices.Equal(q.Blocks, p.Blocks) && bytes.Equal(q.Encode(), p.Encode())
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 50}); err != nil {
 		t.Fatal(err)
@@ -259,12 +274,30 @@ func TestDecodeRejectsCorruption(t *testing.T) {
 			"invalid opcode inside",
 			func(d []byte) []byte { d[24] = 255; return d },
 		},
+		{
+			"target on a non-branch", // movi, the first instruction
+			func(d []byte) []byte { d[28] = 1; return d },
+		},
+		{
+			// A header alone that claims the most blocks the format allows:
+			// rejected for what is missing, not after reserving room for it.
+			"block count beyond the input",
+			func(d []byte) []byte { return binary.LittleEndian.AppendUint32(d[:16], MaxBlocks) },
+		},
 	}
 	for _, tt := range tests {
 		t.Run(tt.name, func(t *testing.T) {
 			data := tt.mutate(bytes.Clone(valid))
-			if _, err := Decode(data); err == nil {
+			var before, after runtime.MemStats
+			runtime.ReadMemStats(&before)
+			_, err := Decode(data)
+			runtime.ReadMemStats(&after)
+			if err == nil {
 				t.Error("Decode accepted corrupted input")
+			}
+			// No rejection may cost more memory than the input could justify.
+			if got := after.TotalAlloc - before.TotalAlloc; got > 64<<10 {
+				t.Errorf("Decode allocated %d bytes rejecting %d bytes of input", got, len(data))
 			}
 		})
 	}
@@ -277,7 +310,7 @@ func TestDecodeValidates(t *testing.T) {
 	b.NewBlock()
 	b.Halt()
 	p := b.MustBuild()
-	p.Blocks[0].Instrs[0] = Instr{Op: isa.OpJmp, Target: 7}
+	p.Code[0] = Instr{Op: isa.OpJmp, Target: 7}
 	if _, err := Decode(p.Encode()); err == nil {
 		t.Fatal("Decode accepted a program with a dangling branch target")
 	}
@@ -300,53 +333,67 @@ func TestBuilderFillsBlockStats(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(p.Stats) != len(p.Blocks) {
-		t.Fatalf("Stats len %d, blocks %d", len(p.Stats), len(p.Blocks))
+	// The block table must equal an independent recomputation.
+	want := handBuilt(MinMemSize,
+		[]Instr{{Op: isa.OpMovI, Dst: 1, Imm: 5}, {Op: isa.OpMul, Dst: 2, A: 1, B: 1}, {Op: isa.OpLoad, Dst: 3, A: 1, Imm: 8}, {Op: isa.OpJmp, Target: 1}},
+		[]Instr{{Op: isa.OpFAdd, Dst: 1}, {Op: isa.OpStore, A: 1, B: 2}, {Op: isa.OpHalt}})
+	if !slices.Equal(p.Blocks, want.Blocks) || !slices.Equal(p.Code, want.Code) {
+		t.Errorf("builder wrote\n %+v\n %+v\nrecomputed\n %+v\n %+v", p.Blocks, p.Code, want.Blocks, want.Code)
 	}
-	// Stats must equal an independent recomputation.
-	recomputed := p.AppendBlockStats(nil)
-	for i := range recomputed {
-		if p.Stats[i] != recomputed[i] {
-			t.Errorf("block %d: builder stats %+v != recomputed %+v", i, p.Stats[i], recomputed[i])
-		}
+	if e := p.Blocks[0]; e.Start != 0 || e.Len != 4 || e.Tally[isa.ClassIntALU] != 1 ||
+		e.Tally[isa.ClassIntMul] != 1 || e.Tally[isa.ClassLoad] != 1 || e.Tally[isa.ClassBranch] != 1 {
+		t.Errorf("entry block wrong: %+v", e)
 	}
-	if p.Stats[0].Len != 4 || p.Stats[0].Tally[isa.ClassIntALU] != 1 ||
-		p.Stats[0].Tally[isa.ClassIntMul] != 1 || p.Stats[0].Tally[isa.ClassLoad] != 1 ||
-		p.Stats[0].Tally[isa.ClassBranch] != 1 {
-		t.Errorf("entry stats wrong: %+v", p.Stats[0])
+	if e := p.Blocks[1]; e.Start != 4 || e.Len != 3 {
+		t.Errorf("body block wrong: %+v", e)
 	}
 }
 
+// TestValidateRejectsLyingStats: every derived field of a validated
+// program can be trusted, so each one, when it lies, must fail Validate.
 func TestValidateRejectsLyingStats(t *testing.T) {
-	b := NewBuilder(MinMemSize, 7)
-	b.NewBlock()
-	b.MovI(1, 5)
-	b.Halt()
-	p, err := b.Build()
-	if err != nil {
-		t.Fatal(err)
+	build := func() *Program {
+		b := NewBuilder(MinMemSize, 7)
+		b.NewBlock()
+		b.MovI(1, 5)
+		b.Jmp(1)
+		b.NewBlock()
+		b.Halt()
+		return b.MustBuild()
 	}
-	if err := p.Validate(); err != nil {
+	if err := build().Validate(); err != nil {
 		t.Fatalf("valid program rejected: %v", err)
 	}
-	p.Stats[0].Tally[isa.ClassIntALU]++
-	if err := p.Validate(); !errors.Is(err, ErrBadStats) {
-		t.Errorf("Validate with corrupt tally = %v, want ErrBadStats", err)
-	}
-	p.Stats[0].Tally[isa.ClassIntALU]--
-	p.Stats = p.Stats[:0]
-	p.Stats = append(p.Stats, BlockStats{})
-	p.Stats = p.Stats[:1]
-	if len(p.Blocks) == 1 {
-		p.Stats[0].Len = 99
-		if err := p.Validate(); !errors.Is(err, ErrBadStats) {
-			t.Errorf("Validate with wrong Len = %v, want ErrBadStats", err)
-		}
-	}
-	// nil Stats are always acceptable (derived data is optional).
-	p.Stats = nil
-	if err := p.Validate(); err != nil {
-		t.Errorf("Validate with nil Stats = %v, want nil", err)
+	for _, tt := range []struct {
+		name string
+		lie  func(*Program)
+	}{
+		{"tally too high", func(p *Program) { p.Blocks[0].Tally[isa.ClassIntALU]++ }},
+		{"tally in the wrong class", func(p *Program) {
+			p.Blocks[0].Tally[isa.ClassIntALU]--
+			p.Blocks[0].Tally[isa.ClassFPALU]++
+		}},
+		{"length too long", func(p *Program) { p.Blocks[1].Len = 99 }},
+		{"length too short", func(p *Program) { p.Blocks[0].Len = 1 }},
+		{"start off by one", func(p *Program) { p.Blocks[1].Start = 1 }},
+		{"blocks overlap", func(p *Program) { p.Blocks[1].Start, p.Blocks[1].Len = 1, 2 }},
+		{"code beyond the last block", func(p *Program) { p.Code = append(p.Code, p.Code[2]) }},
+		{"a block table row missing", func(p *Program) {
+			p.Blocks = p.Blocks[:1]
+			p.Code[1].Target, p.Code[1].PC = 0, 0 // block 1 is gone: jump to block 0 instead
+		}},
+		{"wrong class", func(p *Program) { p.Code[0].Class = isa.ClassFPALU }},
+		{"no class", func(p *Program) { p.Code[2].Class = 0 }},
+		{"wrong pc", func(p *Program) { p.Code[1].PC = 1 }},
+		{"pc on an instruction without a target", func(p *Program) { p.Code[0].PC = 2 }},
+	} {
+		t.Run(tt.name, func(t *testing.T) {
+			p := build()
+			tt.lie(p)
+			if err := p.Validate(); !errors.Is(err, ErrBadDerived) {
+				t.Errorf("Validate = %v, want ErrBadDerived", err)
+			}
+		})
 	}
 }
 
@@ -359,7 +406,7 @@ func TestBuilderResetInvalidatesStats(t *testing.T) {
 	if err := b.BuildInto(&out); err != nil {
 		t.Fatal(err)
 	}
-	first := append([]BlockStats(nil), out.Stats...)
+	first := out.Blocks[0]
 
 	b.Reset(MinMemSize, 2)
 	b.NewBlock()
@@ -369,27 +416,29 @@ func TestBuilderResetInvalidatesStats(t *testing.T) {
 	if err := b.BuildInto(&out); err != nil {
 		t.Fatal(err)
 	}
-	if out.Stats[0].Len != 3 || out.Stats[0].Tally[isa.ClassFPALU] != 2 {
-		t.Errorf("rebuilt stats wrong: %+v (previous %+v)", out.Stats[0], first[0])
+	if got := out.Blocks[0]; got.Len != 3 || got.Tally[isa.ClassFPALU] != 2 || got.Tally[isa.ClassIntALU] != 0 {
+		t.Errorf("rebuilt block wrong: %+v (previous %+v)", got, first)
+	}
+	if err := out.Validate(); err != nil {
+		t.Errorf("rebuilt program: %v", err)
 	}
 }
 
 func TestValidateRejectsCondBranchLastBlock(t *testing.T) {
 	// {b0: jmp->2, b1: halt, b2: bne->1}: statically contains a halt, but
 	// the last block falls off the end whenever its branch is not taken.
-	p := &Program{
-		MemSize: MinMemSize,
-		Blocks: []Block{
-			{Instrs: []Instr{{Op: isa.OpJmp, Target: 2}}},
-			{Instrs: []Instr{{Op: isa.OpHalt}}},
-			{Instrs: []Instr{{Op: isa.OpBne, A: 0, B: 0, Target: 1}}},
-		},
-	}
+	p := handBuilt(MinMemSize,
+		[]Instr{{Op: isa.OpJmp, Target: 2}},
+		[]Instr{{Op: isa.OpHalt}},
+		[]Instr{{Op: isa.OpBne, A: 0, B: 0, Target: 1}})
 	if err := p.Validate(); !errors.Is(err, ErrNoHalt) {
 		t.Errorf("Validate(cond-branch last block) = %v, want ErrNoHalt", err)
 	}
 	// A jmp-terminated last block cannot fall off the end and stays valid.
-	p.Blocks[2].Instrs[0] = Instr{Op: isa.OpJmp, Target: 1}
+	p = handBuilt(MinMemSize,
+		[]Instr{{Op: isa.OpJmp, Target: 2}},
+		[]Instr{{Op: isa.OpHalt}},
+		[]Instr{{Op: isa.OpJmp, Target: 1}})
 	if err := p.Validate(); err != nil {
 		t.Errorf("Validate(jmp last block) = %v, want nil", err)
 	}

@@ -114,7 +114,6 @@ func (m *Machine) LastRunStats() RunStats { return m.lastStats }
 type nativeState struct {
 	comp  *jit.Compiler
 	code  *jit.Code
-	jprog jit.Program
 	frame jit.Frame
 	execs []uint64 // per-block fast-path execution counters (jit twin of blockMeta.execs)
 
@@ -153,51 +152,11 @@ func (m *Machine) ensureCompiled() *nativeState {
 		return ns
 	}
 	start := time.Now()
-	m.buildJITProgram(&ns.jprog)
-	ns.code, ns.compileErr = ns.comp.Compile(&ns.jprog)
+	ns.code, ns.compileErr = ns.comp.Compile(&m.prog)
 	ns.compiledGen = m.loadGen
 	m.lastStats.Compiled = true
 	m.lastStats.CompileNs = time.Since(start).Nanoseconds()
 	return ns
-}
-
-// jit.Instr is declared field-for-field compatible with flatInstr so the
-// decoded unfused stream can be handed to the compiler as a zero-copy
-// view (compilation is per hash; rebuilding ~4k instruction structs per
-// widget was a measurable slice of compile time). This init pins the
-// layout contract.
-func init() {
-	var fi flatInstr
-	var ji jit.Instr
-	if unsafe.Sizeof(fi) != unsafe.Sizeof(ji) ||
-		unsafe.Offsetof(fi.imm) != unsafe.Offsetof(ji.Imm) ||
-		unsafe.Offsetof(fi.target) != unsafe.Offsetof(ji.PC) ||
-		unsafe.Offsetof(fi.aux) != unsafe.Offsetof(ji.Target) ||
-		unsafe.Offsetof(fi.op) != unsafe.Offsetof(ji.Op) ||
-		unsafe.Offsetof(fi.class) != unsafe.Offsetof(ji.Class) ||
-		unsafe.Offsetof(fi.dst) != unsafe.Offsetof(ji.Dst) ||
-		unsafe.Offsetof(fi.a) != unsafe.Offsetof(ji.A) ||
-		unsafe.Offsetof(fi.b) != unsafe.Offsetof(ji.B) {
-		panic("vm: flatInstr and jit.Instr layouts diverged")
-	}
-}
-
-// buildJITProgram presents the decoded unfused stream in the compiler's
-// input form. Instrs is a zero-copy view of m.code (layouts asserted
-// identical above; the compiler never mutates its input), valid until the
-// next LoadTrusted; Blocks is the small per-block span table.
-func (m *Machine) buildJITProgram(p *jit.Program) {
-	p.Instrs = nil
-	if len(m.code) > 0 {
-		p.Instrs = unsafe.Slice((*jit.Instr)(unsafe.Pointer(&m.code[0])), len(m.code))
-	}
-	if cap(p.Blocks) < len(m.blocks) {
-		p.Blocks = make([]jit.BlockSpan, 0, len(m.blocks))
-	}
-	p.Blocks = p.Blocks[:0]
-	for i := range m.blocks {
-		p.Blocks = append(p.Blocks, jit.BlockSpan{Start: m.blocks[i].start, Count: m.blocks[i].count})
-	}
 }
 
 // tryRunNative attempts the native engine for an unobserved run. It
@@ -207,7 +166,7 @@ func (m *Machine) tryRunNative(params Params, res *Result) bool {
 	if m.backend == BackendInterp || !jit.Supported() {
 		return false
 	}
-	if len(m.blocks) == 0 || m.memSize == 0 {
+	if len(m.prog.Blocks) == 0 || m.prog.MemSize == 0 {
 		return false
 	}
 	ns := m.ensureCompiled()
@@ -227,7 +186,7 @@ func (m *Machine) tryRunNative(params Params, res *Result) bool {
 // block the step names. Snapshot bytes, truncation points and every
 // counter are therefore bit-identical across engines.
 func (m *Machine) runNative(params Params, res *Result, ns *nativeState) {
-	nb := len(m.blocks)
+	nb := len(m.prog.Blocks)
 	if cap(ns.execs) < nb {
 		ns.execs = make([]uint64, nb)
 	}
@@ -243,8 +202,8 @@ func (m *Machine) runNative(params Params, res *Result, ns *nativeState) {
 	f := &ns.frame
 	f.Mem = uintptr(unsafe.Pointer(&m.mem[0]))
 	f.Written = uintptr(unsafe.Pointer(&m.written[0]))
-	f.SeedGamma = m.memSeed + rng.SplitMix64Gamma
-	f.MaskAligned = (uint64(m.memSize) - 1) &^ 7
+	f.SeedGamma = m.prog.MemSeed + rng.SplitMix64Gamma
+	f.MaskAligned = (uint64(m.prog.MemSize) - 1) &^ 7
 	f.MaxInstr = st.maxInstr
 	f.ExecsBase = uintptr(unsafe.Pointer(&ns.execs[0]))
 
@@ -290,7 +249,7 @@ func (m *Machine) runNative(params Params, res *Result, ns *nativeState) {
 	// The same epilogue as runUnobserved: fold the deferred fast-path
 	// class accounting into the reference step's exact counts.
 	for b, n := range ns.execs {
-		st.addBlockExecs(&m.blockTally[b], n)
+		st.addBlockExecs(&m.prog.Blocks[b].Tally, n)
 	}
 	m.finishRun(&st, truncated, res)
 }

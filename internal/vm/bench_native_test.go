@@ -57,7 +57,7 @@ func BenchmarkNativeLoadCompile(b *testing.B) {
 		if err != nil {
 			b.Fatal(err)
 		}
-		instrs, bytes = instrs+len(w.Flat), bytes+n
+		instrs, bytes = instrs+len(w.Code), bytes+n
 	}
 	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(instrs), "ns/instr")
 	b.ReportMetric(float64(bytes)/float64(instrs), "bytes/instr")

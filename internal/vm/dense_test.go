@@ -93,14 +93,14 @@ func runDense(p *prog.Program, params vm.Params) *vm.Result {
 	bi, ii := 0, 0
 run:
 	for {
-		for ii >= len(p.Blocks[bi].Instrs) { // fall through, past empty blocks too
+		for ii >= len(p.Instrs(bi)) { // fall through, past empty blocks too
 			bi, ii = bi+1, 0
 		}
 		if res.Retired >= params.MaxInstructions {
 			res.Truncated = true
 			break
 		}
-		ins := p.Blocks[bi].Instrs[ii]
+		ins := p.Instrs(bi)[ii]
 		d, a, b := ins.Dst, ins.A, ins.B
 		taken := false
 		switch ins.Op {
@@ -246,7 +246,8 @@ func sparseEngines() []vm.Backend {
 // package has — the fused interpreter loop, native code, and the
 // per-instruction reference step on its own (an observer attached, which
 // must be told of every retirement) — and requires each result to equal
-// the dense reference's.
+// the dense reference's run of p: the program m holds, or the one it was
+// derived from.
 func checkSparseVsDense(t *testing.T, m *vm.Machine, p *prog.Program, params vm.Params) *vm.Result {
 	t.Helper()
 	want := runDense(p, params)

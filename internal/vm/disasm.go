@@ -16,31 +16,27 @@ import (
 // jmp appears here: folded into the header, in no slot. This is the
 // codegen-debugging companion to asm.Disassemble: that one shows the
 // architectural program, this one shows what actually dispatches. Branch
-// targets are block indices (the fused stream transfers between blocks,
-// not flat pcs).
+// targets are block indices, as in the program itself.
 func (m *Machine) DisassembleFused() string {
 	m.ensureFused()
 	var b strings.Builder
 	fmt.Fprintf(&b, "; fused: %d blocks, %d slots for %d architectural instructions\n",
-		len(m.blocks), len(m.fcode), len(m.code))
-	for bi := range m.blocks {
-		meta := &m.blocks[bi]
+		len(m.fblocks), len(m.fcode), len(m.prog.Code))
+	for bi := range m.fblocks {
+		meta := &m.fblocks[bi]
 		fmt.Fprintf(&b, ".block %d ; next @%d", bi, meta.next)
-		if meta.count > 0 && m.code[meta.start+meta.count-1].op == isa.OpJmp {
+		if code := m.prog.Instrs(bi); len(code) > 0 && code[len(code)-1].Op == isa.OpJmp {
 			b.WriteString(" (jmp folded)")
 		}
 		b.WriteString("\n")
 		for i := meta.fstart; i < meta.fend; i++ {
 			fi := &m.fcode[i]
 			b.WriteString("\t")
-			if fi.op.IsFused() {
+			if fi.Op.IsFused() {
 				first, second := decodeFusedParts(fi)
-				b.WriteString(asm.FormatFusedPair(fi.op, first, second))
+				b.WriteString(asm.FormatFusedPair(fi.Op, first, second))
 			} else {
-				b.WriteString(asm.FormatInstr(prog.Instr{
-					Op: fi.op, Dst: fi.dst, A: fi.a, B: fi.b,
-					Imm: fi.imm, Target: fi.target,
-				}))
+				b.WriteString(asm.FormatInstr(*fi))
 			}
 			b.WriteString("\n")
 		}
@@ -62,7 +58,7 @@ func (m *Machine) DumpNative() (string, error) {
 	}
 	code := m.native.code
 	var b strings.Builder
-	fmt.Fprintf(&b, "; native: %d bytes for %d blocks\n", code.Size(), len(m.blocks))
+	fmt.Fprintf(&b, "; native: %d bytes for %d blocks\n", code.Size(), len(m.prog.Blocks))
 	for _, r := range []struct {
 		name string
 		text []byte
@@ -72,8 +68,8 @@ func (m *Machine) DumpNative() (string, error) {
 			fmt.Fprintf(&b, "\t% x\n", r.text[off:min(off+16, len(r.text))])
 		}
 	}
-	for bi := range m.blocks {
-		fmt.Fprintf(&b, ".block %d ; %d instructions, %d bytes\n", bi, m.blocks[bi].count, code.BlockSize(bi))
+	for bi := range m.prog.Blocks {
+		fmt.Fprintf(&b, ".block %d ; %d instructions, %d bytes\n", bi, m.prog.Blocks[bi].Len, code.BlockSize(bi))
 	}
 	return b.String(), nil
 }
@@ -81,16 +77,16 @@ func (m *Machine) DumpNative() (string, error) {
 // decodeFusedParts unpacks a fused execution slot into the architectural
 // pair it retires — the exact inverse of tryFuse's two encodings
 // (documented in fuse.go).
-func decodeFusedParts(fi *flatInstr) (first, second prog.Instr) {
-	fop, sop, ok := fi.op.FuseParts()
+func decodeFusedParts(fi *prog.Instr) (first, second prog.Instr) {
+	fop, sop, ok := fi.Op.FuseParts()
 	if !ok {
 		panic("vm: decodeFusedParts on a non-fused opcode")
 	}
-	first = prog.Instr{Op: fop, Dst: fi.dst, A: fi.a, B: fi.b}
+	first = prog.Instr{Op: fop, Dst: fi.Dst, A: fi.A, B: fi.B}
 	if sop.IsCondBranch() {
-		second = prog.Instr{Op: sop, A: uint8(fi.aux), B: uint8(fi.aux >> 8), Target: fi.target}
+		second = prog.Instr{Op: sop, A: uint8(fi.PC), B: uint8(fi.PC >> 8), Target: fi.Target}
 	} else {
-		second = prog.Instr{Op: sop, Dst: uint8(fi.aux), A: uint8(fi.aux >> 8), B: uint8(fi.aux >> 16)}
+		second = prog.Instr{Op: sop, Dst: uint8(fi.PC), A: uint8(fi.PC >> 8), B: uint8(fi.PC >> 16)}
 	}
 	return first, second
 }

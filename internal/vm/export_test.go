@@ -20,12 +20,12 @@ type FusedBlock struct {
 // describes it block by block.
 func (m *Machine) FusedBlocks() []FusedBlock {
 	m.ensureFused()
-	out := make([]FusedBlock, len(m.blocks))
-	for bi := range m.blocks {
-		meta := &m.blocks[bi]
+	out := make([]FusedBlock, len(m.fblocks))
+	for bi := range m.fblocks {
+		meta := &m.fblocks[bi]
 		fb := FusedBlock{Next: meta.next, Count: meta.count, Execs: meta.execs}
 		for _, fi := range m.fcode[meta.fstart:meta.fend] {
-			fb.Ops = append(fb.Ops, fi.op)
+			fb.Ops = append(fb.Ops, fi.Op)
 		}
 		out[bi] = fb
 	}
@@ -39,19 +39,21 @@ func (m *Machine) FusedBuilt() bool { return m.fusedGen == m.loadGen }
 // alone, the architectural instructions of block bi: fused slots decoded
 // into their pairs, and a jmp appended where hadJmp says the block ended
 // in one — the stream does not record whether a successor was a jump or a
-// fall-through, because executing it does not depend on that.
+// fall-through, because executing it does not depend on that. The derived
+// fields (Class, PC) are left zero: the stream does not keep them for a
+// pair's halves.
 func (m *Machine) ExpandFused(bi int, hadJmp bool) []prog.Instr {
 	m.ensureFused()
-	meta := &m.blocks[bi]
+	meta := &m.fblocks[bi]
 	var out []prog.Instr
 	for i := meta.fstart; i < meta.fend; i++ {
 		fi := &m.fcode[i]
-		if fi.op.IsFused() {
+		if fi.Op.IsFused() {
 			first, second := decodeFusedParts(fi)
 			out = append(out, first, second)
 			continue
 		}
-		out = append(out, prog.Instr{Op: fi.op, Dst: fi.dst, A: fi.a, B: fi.b, Imm: fi.imm, Target: fi.target})
+		out = append(out, prog.Instr{Op: fi.Op, Dst: fi.Dst, A: fi.A, B: fi.B, Imm: fi.Imm, Target: fi.Target})
 	}
 	if hadJmp {
 		out = append(out, prog.Instr{Op: isa.OpJmp, Target: meta.next})

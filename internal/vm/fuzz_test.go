@@ -4,10 +4,10 @@ package vm_test
 // arbitrary generated widgets and arbitrary budget/snapshot parameters it
 // must retire exactly the Result the per-instruction reference step does
 // on its own (an observer attached sends every block through it, over the
-// unfused stream) — output bytes, retired count, truncation flag, snapshot
-// count, class counts and branch statistics. Programs that halt exactly on
-// a budget or snapshot boundary are probed explicitly: those are the cases
-// the fast loop's hand-over to the reference step exists for.
+// program's own code) — output bytes, retired count, truncation flag,
+// snapshot count, class counts and branch statistics. Programs that halt
+// exactly on a budget or snapshot boundary are probed explicitly: those are
+// the cases the fast loop's hand-over to the reference step exists for.
 
 import (
 	"bytes"

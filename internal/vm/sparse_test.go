@@ -9,6 +9,7 @@ import (
 	"fmt"
 	"testing"
 
+	"hashcore/internal/asm"
 	"hashcore/internal/isa"
 	"hashcore/internal/perfprox"
 	"hashcore/internal/prog"
@@ -54,9 +55,12 @@ func FuzzSparseVsDenseMemory(f *testing.F) {
 
 // TestSparseVsDenseOnProfiles is the fuzz target's fixed sweep, so a plain
 // `go test` compares the overlay with the dense reference on every
-// profile family and boundary kind.
+// profile family and boundary kind. Each widget is swept twice: as the
+// generator built it, and as the assembler rebuilds it from its
+// disassembly — the textual pipeline, held to the dense reference's run
+// of the original, not merely to the direct path.
 func TestSparseVsDenseOnProfiles(t *testing.T) {
-	m := &vm.Machine{}
+	direct, viaText := &vm.Machine{}, &vm.Machine{}
 	for _, name := range sparseProfiles {
 		gen := fullProfileGenerator(t, name)
 		for i := uint64(0); i < 3; i++ {
@@ -64,18 +68,61 @@ func TestSparseVsDenseOnProfiles(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			if err := m.Load(p); err != nil {
+			if err := direct.Load(p); err != nil {
 				t.Fatal(err)
 			}
-			natural := checkSparseVsDense(t, m, p, vm.Params{}).Retired
-			for sel := uint8(1); sel < 8; sel++ {
-				checkSparseVsDense(t, m, p, vm.Params{MaxInstructions: boundaryBudget(sel, natural)})
+			q, err := asm.Assemble(asm.Disassemble(p))
+			if err != nil {
+				t.Fatal(err)
 			}
-			for _, iv := range []uint64{1, 2, 3, 7, 64, natural - 1, natural} {
-				checkSparseVsDense(t, m, p, vm.Params{SnapshotInterval: iv})
-				checkSparseVsDense(t, m, p, vm.Params{SnapshotInterval: iv, MaxInstructions: natural - 1})
+			if err := viaText.Load(q); err != nil {
+				t.Fatal(err)
+			}
+			for _, m := range []*vm.Machine{direct, viaText} {
+				natural := checkSparseVsDense(t, m, p, vm.Params{}).Retired
+				for sel := uint8(1); sel < 8; sel++ {
+					checkSparseVsDense(t, m, p, vm.Params{MaxInstructions: boundaryBudget(sel, natural)})
+				}
+				for _, iv := range []uint64{1, 2, 3, 7, 64, natural - 1, natural} {
+					checkSparseVsDense(t, m, p, vm.Params{SnapshotInterval: iv})
+					checkSparseVsDense(t, m, p, vm.Params{SnapshotInterval: iv, MaxInstructions: natural - 1})
+				}
 			}
 		}
+	}
+}
+
+// TestLoadAdoptsProgram: there is one load path, whoever built the
+// program. An assembled widget loads into a warm Machine without
+// allocating, validation included — the machine adopts it, it has no
+// storage of its own to copy it into — and runs on every engine exactly as
+// the dense reference runs the generator's original.
+func TestLoadAdoptsProgram(t *testing.T) {
+	for _, name := range sparseProfiles {
+		p, err := fullProfileGenerator(t, name).Generate(seedFromWords(7, 0x10ad))
+		if err != nil {
+			t.Fatal(err)
+		}
+		q, err := asm.Assemble(asm.Disassemble(p))
+		if err != nil {
+			t.Fatal(err)
+		}
+		m := &vm.Machine{}
+		if err := m.Load(q); err != nil {
+			t.Fatal(err)
+		}
+		checkSparseVsDense(t, m, p, vm.Params{}) // warms every engine
+		if allocs := testing.AllocsPerRun(10, func() {
+			if err := m.Load(q); err != nil {
+				t.Fatal(err)
+			}
+		}); allocs != 0 {
+			t.Errorf("%s: Load of an assembled program allocates %.0f times on a warm machine", name, allocs)
+		}
+		if arch, _ := m.CodeSize(); arch != len(q.Code) {
+			t.Errorf("%s: machine holds %d instructions, the program has %d", name, arch, len(q.Code))
+		}
+		checkSparseVsDense(t, m, p, vm.Params{SnapshotInterval: 7})
 	}
 }
 

@@ -165,7 +165,7 @@ func opcodeProgram(t *testing.T, tc opcodeCase) (*prog.Program, uint64) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	return p, uint64(p.Stats[0].Len)
+	return p, uint64(p.Blocks[0].Len)
 }
 
 // opcodeCases lists, per opcode, the operand residences to cover. An

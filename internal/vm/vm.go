@@ -18,10 +18,11 @@
 //   - masked, aligned scratch-memory addressing;
 //   - a hard dynamic-instruction budget so execution always terminates.
 //
-// Machines are reusable: Load swaps in a new program while retaining the
-// decoded-code and scratch-memory storage, and RunInto appends output into
-// a caller-owned Result, so a hot loop (core.Session, the miner) executes
-// arbitrarily many widgets without allocating.
+// Machines are reusable: Load adopts a new program in place — a
+// prog.Program is already the form every engine reads, so there is no
+// decoding and no copy — keeping the scratch-memory storage, and RunInto
+// appends output into a caller-owned Result, so a hot loop (core.Session,
+// the miner) executes arbitrarily many widgets without allocating.
 //
 // The instruction set's semantics are written down twice in this package
 // and nowhere else in it. step is the reference: one architectural
@@ -40,32 +41,11 @@ import (
 	"math"
 	"math/bits"
 	"time"
-	"unsafe"
 
 	"hashcore/internal/isa"
 	"hashcore/internal/prog"
 	"hashcore/internal/rng"
 )
-
-// prog.FlatInstr is declared field-for-field compatible with flatInstr so
-// LoadTrusted can adopt a builder-written flat stream as the decoded
-// code without a per-instruction copy. This init pins the layout contract
-// (the jit.Instr twin is pinned in backend.go).
-func init() {
-	var fi flatInstr
-	var pi prog.FlatInstr
-	if unsafe.Sizeof(fi) != unsafe.Sizeof(pi) ||
-		unsafe.Offsetof(fi.imm) != unsafe.Offsetof(pi.Imm) ||
-		unsafe.Offsetof(fi.target) != unsafe.Offsetof(pi.Target) ||
-		unsafe.Offsetof(fi.aux) != unsafe.Offsetof(pi.Aux) ||
-		unsafe.Offsetof(fi.op) != unsafe.Offsetof(pi.Op) ||
-		unsafe.Offsetof(fi.class) != unsafe.Offsetof(pi.Class) ||
-		unsafe.Offsetof(fi.dst) != unsafe.Offsetof(pi.Dst) ||
-		unsafe.Offsetof(fi.a) != unsafe.Offsetof(pi.A) ||
-		unsafe.Offsetof(fi.b) != unsafe.Offsetof(pi.B) {
-		panic("vm: flatInstr and prog.FlatInstr layouts diverged")
-	}
-}
 
 // Default execution parameters.
 const (
@@ -161,60 +141,40 @@ func (r *Result) reset() {
 	r.TakenBranches = 0
 }
 
-// flatInstr is a pre-decoded instruction. The layout is ordered
-// widest-field-first so the struct packs into 24 bytes (no padding holes)
-// and the decoded program stays dense in the data cache.
-//
-// The same struct encodes both instruction streams the Machine keeps:
-//
-//   - Unfused code (m.code): one entry per architectural instruction.
-//     Control instructions carry their target twice — target is the flat
-//     code index (the native compiler's input), aux is the block index
-//     (what the reference step transfers to).
-//   - Fused code (m.fcode): the per-block superinstruction stream. Control
-//     instructions carry the BLOCK index in target (the block-batched loop
-//     transfers between blocks, never raw pcs), and fused opcodes pack
-//     their second half's operands into aux as documented in fuse.go.
-type flatInstr struct {
-	imm       int64
-	target    uint32
-	aux       uint32
-	op        isa.Opcode
-	class     isa.Class
-	dst, a, b uint8
-}
-
-// blockMeta is the block-batched interpreter's per-block record: where the
-// block's fused and unfused instructions live, how many architectural
-// instructions the whole block retires, where control goes when no
-// instruction of the fused stream redirects it, and the run-local
-// fast-path execution counter (kept inside the meta so the hot loop's
-// accounting touches no second array; uint64 because a hot loop block can
-// execute more than 2^32 times under a large MaxInstructions budget).
+// blockMeta is the fast interpreter loop's per-block record, built with the
+// fused stream (ensureFused): where the block's fused slots live, how many
+// architectural instructions the whole block retires, where control goes
+// when no slot redirects it, and the run-local fast-path execution counter
+// (kept inside the meta so the hot loop's accounting touches no second
+// array; uint64 because a hot loop block can execute more than 2^32 times
+// under a large MaxInstructions budget).
 type blockMeta struct {
 	execs  uint64 // fast-path executions this run (cleared per run)
 	fstart uint32 // first fused instruction (m.fcode index)
 	fend   uint32 // one past the last fused instruction
-	next   uint32 // successor block: a trailing jmp's target, else the block after (set with the fused stream)
-	start  uint32 // first unfused instruction (m.code index, reference step)
-	count  uint32 // architectural instructions retired by the full block
+	next   uint32 // successor block: a trailing jmp's target, else the block after
+	count  uint32 // architectural instructions retired by the full block (the block table's Len)
 }
 
 // Machine is a reusable executor. Construct with New (or the zero value
 // plus Load), then call Run or RunInto. A Machine may execute many
-// programs: Load replaces the program while keeping the decoded-code
-// slices, block metadata and scratch memory, so steady-state reloads
-// allocate nothing. A Machine is not safe for concurrent use.
+// programs: Load replaces the program while keeping the fused stream's
+// storage and the scratch memory, so steady-state reloads allocate
+// nothing. A Machine is not safe for concurrent use.
 type Machine struct {
-	code    []flatInstr // unfused: reference step, native compiler input (may alias Program.Flat)
-	ownCode []flatInstr // machine-owned decode storage (code points here when not aliasing)
-	fcode   []flatInstr // fused: block-batched fast loop
-	memSize int
-	memSeed uint64
+	// The loaded program, adopted in place: the reference step, the native
+	// compiler and the fusing pass all read prog.Code and prog.Blocks, which
+	// alias the storage of whoever built the program.
+	prog prog.Program
+
+	// The fused stream and its block records, what the fast interpreter loop
+	// dispatches (fuse.go). Derived from prog on first use, see ensureFused.
+	fcode   []prog.Instr
+	fblocks []blockMeta
 
 	// The scratch memory is a sparse overlay over an image that is never
 	// materialized: word i of the pristine image is by definition
-	// rng.SplitMix64At(memSeed, i), which costs three multiplies — less than
+	// rng.SplitMix64At(MemSeed, i), which costs three multiplies — less than
 	// the cache miss that would fetch it — so loads compute it. mem is the
 	// arena stores write into; it is never filled. written holds one bit per
 	// 8-byte word, set by every store, and a load reads the arena only where
@@ -227,11 +187,6 @@ type Machine struct {
 	mem      []byte
 	written  []uint64
 	memClean bool
-
-	blocks      []blockMeta
-	blockTally  [][isa.NumClasses]uint32 // per-block class tallies (unfused)
-	blockStart  []uint32                 // scratch for Load, reused across programs
-	statScratch []prog.BlockStats        // fallback stats for programs without p.Stats
 
 	intRegs [isa.NumIntRegs]uint64
 	fpRegs  [isa.NumFPRegs]uint64 // IEEE-754 bits
@@ -250,7 +205,7 @@ type Machine struct {
 	trackMemory bool // see TrackMemory
 }
 
-// New pre-decodes and validates p for execution.
+// New validates p and returns a machine loaded with it.
 func New(p *prog.Program) (*Machine, error) {
 	m := &Machine{}
 	if err := m.Load(p); err != nil {
@@ -259,8 +214,10 @@ func New(p *prog.Program) (*Machine, error) {
 	return m, nil
 }
 
-// Load validates p and swaps it in as the machine's program, reusing the
-// machine's decoded-code storage.
+// Load validates p and swaps it in as the machine's program. Like
+// LoadTrusted it adopts p.Code and p.Blocks in place: the machine aliases
+// the caller's storage until the next load, and the caller must not change
+// it while the machine may still run the program.
 func (m *Machine) Load(p *prog.Program) error {
 	if err := p.Validate(); err != nil {
 		return fmt.Errorf("vm: %w", err)
@@ -269,149 +226,63 @@ func (m *Machine) Load(p *prog.Program) error {
 	return nil
 }
 
-// CodeSize reports the lengths of the two decoded instruction streams of
-// the currently loaded program: arch is the unfused architectural stream,
-// fused the slots the fast loop dispatches for it — pairs fused into one,
-// trailing jumps folded into block metadata (fused <= arch). Fusing is
-// lazy, so calling this builds the fused stream if no interpreter run has
-// needed it yet: a measurement tool's call, not the hashing path's.
+// CodeSize reports the lengths of the two instruction streams of the
+// currently loaded program: arch is the program's own architectural
+// stream, fused the slots the fast loop dispatches for it — pairs fused
+// into one, trailing jumps folded into block metadata (fused <= arch).
+// Fusing is lazy, so calling this builds the fused stream if no interpreter
+// run has needed it yet: a measurement tool's call, not the hashing path's.
 func (m *Machine) CodeSize() (arch, fused int) {
 	m.ensureFused()
-	return len(m.code), len(m.fcode)
+	return len(m.prog.Code), len(m.fcode)
 }
 
 // LoadTrusted is Load without the validation pass, for programs that are
 // already known to be structurally valid (e.g. just returned by
-// prog.Builder.Build, which validates). Loading an unvalidated program
-// may make Run panic with an out-of-range access.
+// prog.Builder, which validates as it writes). Loading an unvalidated
+// program may make Run panic with an out-of-range access.
 //
-// Loading decodes the program into the unfused per-instruction code (the
-// reference step's, and the native compiler's input) plus per-block
-// metadata — architectural length and class tallies — that lets the fast
-// engines account a whole block at once; the fused stream the fast
-// interpreter loop dispatches is derived from it on first use (see
-// ensureFused). Tallies come from p.Stats when the program carries them
-// (prog.Builder fills and prog.Validate verifies them) and are recomputed
-// here otherwise.
-//
-// Programs that carry a pre-decoded Flat stream (prog.Builder fills it on
-// the same arena pass that carves the blocks) skip the per-instruction
-// flatten entirely: the machine adopts the arena view in place — layouts
-// are asserted identical at init — and only the O(blocks) metadata is
-// rebuilt. The adopted view follows the program's lifetime contract (it
-// aliases builder storage until the builder's next Reset), which matches
-// the load-then-run-then-regenerate cycle of the hashing session; the
-// native backend's compiler and the fused stream read from the same view,
-// so they too consume the arena without a copy.
+// There is nothing to decode: a program's instructions and block table
+// are already what the reference step and the native compiler read, so
+// loading adopts them where they lie, whoever built the program, and costs
+// the same for 10 instructions as for 10,000. The adopted slices follow
+// the program's lifetime contract (a reused builder's storage is valid
+// until its next Reset), which matches the load-then-run-then-regenerate
+// cycle of the hashing session. The fused stream the fast interpreter loop
+// dispatches is derived on first use (see ensureFused): the native backend
+// executes the program as it is, so a native-backed load/run cycle never
+// pays the peephole pass.
 func (m *Machine) LoadTrusted(p *prog.Program) {
-	m.loadGen++ // invalidates the native backend's compiled-code cache
-	m.memSize = p.MemSize
-	m.memSeed = p.MemSeed
-
-	nb := len(p.Blocks)
-	if cap(m.blocks) < nb {
-		m.blocks = make([]blockMeta, nb)
-	}
-	m.blocks = m.blocks[:nb]
-	if cap(m.blockTally) < nb {
-		m.blockTally = make([][isa.NumClasses]uint32, nb)
-	}
-	m.blockTally = m.blockTally[:nb]
-
-	stats := p.Stats
-	if len(stats) != nb {
-		// Programs without builder-provided stats (hand-assembled, decoded
-		// from the wire) fall back to the canonical recomputation.
-		m.statScratch = p.AppendBlockStats(m.statScratch[:0])
-		stats = m.statScratch
-	}
-
-	if flat := p.Flat; len(flat) > 0 && len(p.Stats) == nb {
-		// Arena fast path: reinterpret the validated Flat stream as the
-		// decoded code. Stats carry the per-block lengths, so the metadata
-		// rebuild never touches the instruction stream.
-		m.code = unsafe.Slice((*flatInstr)(unsafe.Pointer(&flat[0])), len(flat))
-		total := uint32(0)
-		for bi := range m.blocks {
-			meta := &m.blocks[bi]
-			meta.start = total
-			meta.count = stats[bi].Len
-			total += stats[bi].Len
-			m.blockTally[bi] = stats[bi].Tally
-		}
-		return
-	}
-
-	if cap(m.blockStart) < nb {
-		m.blockStart = make([]uint32, nb)
-	}
-	blockStart := m.blockStart[:nb]
-	total := 0
-	for i := range p.Blocks {
-		blockStart[i] = uint32(total)
-		total += len(p.Blocks[i].Instrs)
-	}
-
-	if cap(m.ownCode) < total {
-		m.ownCode = make([]flatInstr, total)
-	}
-	code := m.ownCode[:total]
-	idx := 0
-	for bi := range p.Blocks {
-		instrs := p.Blocks[bi].Instrs
-		meta := &m.blocks[bi]
-		meta.start = blockStart[bi]
-		meta.count = uint32(len(instrs))
-		m.blockTally[bi] = stats[bi].Tally
-		// Indexed stores into the presized slice rather than append: the
-		// flatten loop runs once per hash (a fresh program per attempt), and
-		// append's per-element write-back of the m.code header is measurable
-		// at that rate.
-		for i := range instrs {
-			ins := &instrs[i]
-			fi := flatInstr{
-				op:    ins.Op,
-				class: ins.Op.ClassOf(),
-				dst:   ins.Dst,
-				a:     ins.A,
-				b:     ins.B,
-				imm:   ins.Imm,
-			}
-			if ins.Op.IsControl() && ins.Op != isa.OpHalt {
-				fi.target = blockStart[ins.Target]
-				fi.aux = ins.Target
-			}
-			code[idx] = fi
-			idx++
-		}
-	}
-	m.ownCode = code
-	m.code = code
-
-	// The fused superinstruction stream is built lazily by ensureFused:
-	// the native backend executes the unfused stream directly, so a
-	// native-backed load/run cycle never pays the peephole pass.
+	m.loadGen++ // invalidates the compiled code and the fused stream
+	m.prog = *p
 }
 
-// ensureFused brings the fused superinstruction stream (see fuse.go) up
-// to date with the loaded program. It runs the peephole pass at most once
-// per load: the fast interpreter loop needs it, the native backend does
-// not. Blocks keep their identity — only the intra-block stream is
-// compressed — so control flow and accounting metadata are unaffected.
+// ensureFused brings the fused superinstruction stream (see fuse.go) and
+// its block records up to date with the loaded program. It runs the
+// peephole pass at most once per load: the fast interpreter loop needs it,
+// the native backend does not. Blocks keep their identity — only the
+// intra-block stream is compressed — so control flow and accounting are
+// unaffected.
 func (m *Machine) ensureFused() {
 	if m.fusedGen == m.loadGen {
 		return
 	}
 	m.fusedGen = m.loadGen
-	if cap(m.fcode) < len(m.code) {
-		m.fcode = make([]flatInstr, 0, len(m.code))
+	if cap(m.fcode) < len(m.prog.Code) {
+		m.fcode = make([]prog.Instr, 0, len(m.prog.Code))
 	}
 	m.fcode = m.fcode[:0]
-	for bi := range m.blocks {
-		meta := &m.blocks[bi]
+	nb := len(m.prog.Blocks)
+	if cap(m.fblocks) < nb {
+		m.fblocks = make([]blockMeta, nb)
+	}
+	m.fblocks = m.fblocks[:nb]
+	for bi := range m.fblocks {
+		meta := &m.fblocks[bi]
 		meta.fstart = uint32(len(m.fcode))
-		m.fcode, meta.next = appendFusedBlock(m.fcode, m.code[meta.start:meta.start+meta.count], uint32(bi)+1)
+		m.fcode, meta.next = appendFusedBlock(m.fcode, m.prog.Instrs(bi), uint32(bi)+1)
 		meta.fend = uint32(len(m.fcode))
+		meta.count = m.prog.Blocks[bi].Len
 	}
 }
 
@@ -423,7 +294,7 @@ func (m *Machine) reset() {
 	m.intRegs = [isa.NumIntRegs]uint64{}
 	m.fpRegs = [isa.NumFPRegs]uint64{}
 	m.vecRegs = [isa.NumVecRegs][isa.VecLanes]uint64{}
-	m.resetMemory(m.memSize)
+	m.resetMemory(m.prog.MemSize)
 }
 
 // resetMemory makes the scratch memory a pristine image of size bytes:
@@ -592,7 +463,7 @@ func (st *execState) addBlockExecs(tally *[isa.NumClasses]uint32, n uint64) {
 // its terminator, so the budget check, snapshot countdown and retirement
 // accounting are hoisted to once per block. A block whose execution would
 // cross the instruction budget or a snapshot boundary takes step —
-// an exact per-instruction re-entry over the unfused code — so retired
+// an exact per-instruction re-entry over the program's own code — so retired
 // counts, truncation points and snapshot contents are bit-identical to
 // per-instruction execution. Within a block the fused superinstruction
 // stream (fuse.go) is dispatched: hot pairs in one slot, and a trailing
@@ -602,11 +473,11 @@ func (st *execState) addBlockExecs(tally *[isa.NumClasses]uint32, n uint64) {
 func (m *Machine) runUnobserved(params Params, res *Result) {
 	m.ensureFused()
 	fcode := m.fcode
-	blocks := m.blocks
-	mem, written, seed := m.mem, m.written, m.memSeed
+	blocks := m.fblocks
+	mem, written, seed := m.mem, m.written, m.prog.MemSeed
 	intRegs := &m.intRegs
 	fpRegs := &m.fpRegs
-	mask := uint64(m.memSize - 1)
+	mask := uint64(m.prog.MemSize - 1)
 
 	for i := range blocks {
 		blocks[i].execs = 0
@@ -647,112 +518,112 @@ blockLoop:
 		next := meta.next
 		for i, fe := meta.fstart, meta.fend; i < fe; i++ {
 			ins := &fcode[i]
-			switch ins.op {
+			switch ins.Op {
 			case isa.OpAdd:
-				intRegs[ins.dst] = intRegs[ins.a] + intRegs[ins.b]
+				intRegs[ins.Dst] = intRegs[ins.A] + intRegs[ins.B]
 			case isa.OpSub:
-				intRegs[ins.dst] = intRegs[ins.a] - intRegs[ins.b]
+				intRegs[ins.Dst] = intRegs[ins.A] - intRegs[ins.B]
 			case isa.OpAnd:
-				intRegs[ins.dst] = intRegs[ins.a] & intRegs[ins.b]
+				intRegs[ins.Dst] = intRegs[ins.A] & intRegs[ins.B]
 			case isa.OpOr:
-				intRegs[ins.dst] = intRegs[ins.a] | intRegs[ins.b]
+				intRegs[ins.Dst] = intRegs[ins.A] | intRegs[ins.B]
 			case isa.OpXor:
-				intRegs[ins.dst] = intRegs[ins.a] ^ intRegs[ins.b]
+				intRegs[ins.Dst] = intRegs[ins.A] ^ intRegs[ins.B]
 			case isa.OpShl:
-				intRegs[ins.dst] = intRegs[ins.a] << (intRegs[ins.b] & 63)
+				intRegs[ins.Dst] = intRegs[ins.A] << (intRegs[ins.B] & 63)
 			case isa.OpShr:
-				intRegs[ins.dst] = intRegs[ins.a] >> (intRegs[ins.b] & 63)
+				intRegs[ins.Dst] = intRegs[ins.A] >> (intRegs[ins.B] & 63)
 			case isa.OpRor:
-				k := intRegs[ins.b] & 63
-				v := intRegs[ins.a]
-				intRegs[ins.dst] = (v >> k) | (v << ((64 - k) & 63))
+				k := intRegs[ins.B] & 63
+				v := intRegs[ins.A]
+				intRegs[ins.Dst] = (v >> k) | (v << ((64 - k) & 63))
 			case isa.OpCmpLT:
-				if intRegs[ins.a] < intRegs[ins.b] {
-					intRegs[ins.dst] = 1
+				if intRegs[ins.A] < intRegs[ins.B] {
+					intRegs[ins.Dst] = 1
 				} else {
-					intRegs[ins.dst] = 0
+					intRegs[ins.Dst] = 0
 				}
 			case isa.OpCmpEQ:
-				if intRegs[ins.a] == intRegs[ins.b] {
-					intRegs[ins.dst] = 1
+				if intRegs[ins.A] == intRegs[ins.B] {
+					intRegs[ins.Dst] = 1
 				} else {
-					intRegs[ins.dst] = 0
+					intRegs[ins.Dst] = 0
 				}
 			case isa.OpMov:
-				intRegs[ins.dst] = intRegs[ins.a]
+				intRegs[ins.Dst] = intRegs[ins.A]
 			case isa.OpMovI:
-				intRegs[ins.dst] = uint64(ins.imm)
+				intRegs[ins.Dst] = uint64(ins.Imm)
 			case isa.OpAddI:
-				intRegs[ins.dst] = intRegs[ins.a] + uint64(ins.imm)
+				intRegs[ins.Dst] = intRegs[ins.A] + uint64(ins.Imm)
 
 			case isa.OpMul:
-				intRegs[ins.dst] = intRegs[ins.a] * intRegs[ins.b]
+				intRegs[ins.Dst] = intRegs[ins.A] * intRegs[ins.B]
 			case isa.OpMulH:
-				hi, _ := mul64(intRegs[ins.a], intRegs[ins.b])
-				intRegs[ins.dst] = hi
+				hi, _ := mul64(intRegs[ins.A], intRegs[ins.B])
+				intRegs[ins.Dst] = hi
 
 			case isa.OpFAdd:
-				fa := math.Float64frombits(fpRegs[ins.a])
-				fb := math.Float64frombits(fpRegs[ins.b])
-				fpRegs[ins.dst] = canonBits(fa + fb)
+				fa := math.Float64frombits(fpRegs[ins.A])
+				fb := math.Float64frombits(fpRegs[ins.B])
+				fpRegs[ins.Dst] = canonBits(fa + fb)
 			case isa.OpFSub:
-				fa := math.Float64frombits(fpRegs[ins.a])
-				fb := math.Float64frombits(fpRegs[ins.b])
-				fpRegs[ins.dst] = canonBits(fa - fb)
+				fa := math.Float64frombits(fpRegs[ins.A])
+				fb := math.Float64frombits(fpRegs[ins.B])
+				fpRegs[ins.Dst] = canonBits(fa - fb)
 			case isa.OpFMul:
-				fa := math.Float64frombits(fpRegs[ins.a])
-				fb := math.Float64frombits(fpRegs[ins.b])
-				fpRegs[ins.dst] = canonBits(fa * fb)
+				fa := math.Float64frombits(fpRegs[ins.A])
+				fb := math.Float64frombits(fpRegs[ins.B])
+				fpRegs[ins.Dst] = canonBits(fa * fb)
 			case isa.OpFDiv:
-				fa := math.Float64frombits(fpRegs[ins.a])
-				fb := math.Float64frombits(fpRegs[ins.b])
-				fpRegs[ins.dst] = canonBits(fa / fb)
+				fa := math.Float64frombits(fpRegs[ins.A])
+				fb := math.Float64frombits(fpRegs[ins.B])
+				fpRegs[ins.Dst] = canonBits(fa / fb)
 			case isa.OpFSqrt:
-				fa := math.Float64frombits(fpRegs[ins.a])
-				fpRegs[ins.dst] = canonBits(math.Sqrt(math.Abs(fa)))
+				fa := math.Float64frombits(fpRegs[ins.A])
+				fpRegs[ins.Dst] = canonBits(math.Sqrt(math.Abs(fa)))
 			case isa.OpFMov:
-				fpRegs[ins.dst] = fpRegs[ins.a]
+				fpRegs[ins.Dst] = fpRegs[ins.A]
 			case isa.OpFCvt:
-				fpRegs[ins.dst] = canonBits(float64(int64(intRegs[ins.a])))
+				fpRegs[ins.Dst] = canonBits(float64(int64(intRegs[ins.A])))
 			case isa.OpFToI:
-				intRegs[ins.dst] = clampToInt64(math.Float64frombits(fpRegs[ins.a]))
+				intRegs[ins.Dst] = clampToInt64(math.Float64frombits(fpRegs[ins.A]))
 
 			case isa.OpLoad:
-				addr := (intRegs[ins.a] + uint64(ins.imm)) & mask &^ 7
-				intRegs[ins.dst] = loadWord(mem, written, seed, addr)
+				addr := (intRegs[ins.A] + uint64(ins.Imm)) & mask &^ 7
+				intRegs[ins.Dst] = loadWord(mem, written, seed, addr)
 			case isa.OpFLoad:
-				addr := (intRegs[ins.a] + uint64(ins.imm)) & mask &^ 7
-				fpRegs[ins.dst] = canonFPBits(loadWord(mem, written, seed, addr))
+				addr := (intRegs[ins.A] + uint64(ins.Imm)) & mask &^ 7
+				fpRegs[ins.Dst] = canonFPBits(loadWord(mem, written, seed, addr))
 			case isa.OpStore:
-				addr := (intRegs[ins.a] + uint64(ins.imm)) & mask &^ 7
-				storeWord(mem, written, addr, intRegs[ins.b])
+				addr := (intRegs[ins.A] + uint64(ins.Imm)) & mask &^ 7
+				storeWord(mem, written, addr, intRegs[ins.B])
 			case isa.OpFStore:
-				addr := (intRegs[ins.a] + uint64(ins.imm)) & mask &^ 7
-				storeWord(mem, written, addr, fpRegs[ins.b])
+				addr := (intRegs[ins.A] + uint64(ins.Imm)) & mask &^ 7
+				storeWord(mem, written, addr, fpRegs[ins.B])
 
 			case isa.OpBeq:
 				st.condBranches++
-				if intRegs[ins.a] == intRegs[ins.b] {
+				if intRegs[ins.A] == intRegs[ins.B] {
 					st.takenBranches++
-					next = ins.target
+					next = ins.Target
 				}
 			case isa.OpBne:
 				st.condBranches++
-				if intRegs[ins.a] != intRegs[ins.b] {
+				if intRegs[ins.A] != intRegs[ins.B] {
 					st.takenBranches++
-					next = ins.target
+					next = ins.Target
 				}
 			case isa.OpBlt:
 				st.condBranches++
-				if intRegs[ins.a] < intRegs[ins.b] {
+				if intRegs[ins.A] < intRegs[ins.B] {
 					st.takenBranches++
-					next = ins.target
+					next = ins.Target
 				}
 			case isa.OpBge:
 				st.condBranches++
-				if intRegs[ins.a] >= intRegs[ins.b] {
+				if intRegs[ins.A] >= intRegs[ins.B] {
 					st.takenBranches++
-					next = ins.target
+					next = ins.Target
 				}
 			case isa.OpHalt:
 				// retired/tally already account the halt (it is part of the
@@ -760,78 +631,78 @@ blockLoop:
 				break blockLoop
 
 			case isa.OpVAdd:
-				va, vb := &m.vecRegs[ins.a], &m.vecRegs[ins.b]
-				vd := &m.vecRegs[ins.dst]
+				va, vb := &m.vecRegs[ins.A], &m.vecRegs[ins.B]
+				vd := &m.vecRegs[ins.Dst]
 				for l := 0; l < isa.VecLanes; l++ {
 					vd[l] = va[l] + vb[l]
 				}
 			case isa.OpVXor:
-				va, vb := &m.vecRegs[ins.a], &m.vecRegs[ins.b]
-				vd := &m.vecRegs[ins.dst]
+				va, vb := &m.vecRegs[ins.A], &m.vecRegs[ins.B]
+				vd := &m.vecRegs[ins.Dst]
 				for l := 0; l < isa.VecLanes; l++ {
 					vd[l] = va[l] ^ vb[l]
 				}
 			case isa.OpVMul:
-				va, vb := &m.vecRegs[ins.a], &m.vecRegs[ins.b]
-				vd := &m.vecRegs[ins.dst]
+				va, vb := &m.vecRegs[ins.A], &m.vecRegs[ins.B]
+				vd := &m.vecRegs[ins.Dst]
 				for l := 0; l < isa.VecLanes; l++ {
 					vd[l] = va[l] * vb[l]
 				}
 			case isa.OpVBcast:
-				v := intRegs[ins.a]
-				vd := &m.vecRegs[ins.dst]
+				v := intRegs[ins.A]
+				vd := &m.vecRegs[ins.Dst]
 				for l := 0; l < isa.VecLanes; l++ {
 					vd[l] = v + uint64(l)
 				}
 			case isa.OpVRed:
-				va := &m.vecRegs[ins.a]
-				intRegs[ins.dst] = va[0] ^ va[1] ^ va[2] ^ va[3]
+				va := &m.vecRegs[ins.A]
+				intRegs[ins.Dst] = va[0] ^ va[1] ^ va[2] ^ va[3]
 
 			// Fused superinstructions (fuse.go): exactly "first half, then
-			// second half", the second half's operands unpacked from aux.
+			// second half", the second half's operands unpacked from PC.
 			case isa.OpFuseCmpLTBne:
 				var v uint64
-				if intRegs[ins.a] < intRegs[ins.b] {
+				if intRegs[ins.A] < intRegs[ins.B] {
 					v = 1
 				}
-				intRegs[ins.dst] = v
+				intRegs[ins.Dst] = v
 				st.condBranches++
-				if intRegs[uint8(ins.aux)] != intRegs[uint8(ins.aux>>8)] {
+				if intRegs[uint8(ins.PC)] != intRegs[uint8(ins.PC>>8)] {
 					st.takenBranches++
-					next = ins.target
+					next = ins.Target
 				}
 			case isa.OpFuseRorAnd:
-				k := intRegs[ins.b] & 63
-				v := intRegs[ins.a]
-				intRegs[ins.dst] = (v >> k) | (v << ((64 - k) & 63))
-				intRegs[uint8(ins.aux)] = intRegs[uint8(ins.aux>>8)] & intRegs[uint8(ins.aux>>16)]
+				k := intRegs[ins.B] & 63
+				v := intRegs[ins.A]
+				intRegs[ins.Dst] = (v >> k) | (v << ((64 - k) & 63))
+				intRegs[uint8(ins.PC)] = intRegs[uint8(ins.PC>>8)] & intRegs[uint8(ins.PC>>16)]
 			case isa.OpFuseAddAdd:
-				intRegs[ins.dst] = intRegs[ins.a] + intRegs[ins.b]
-				intRegs[uint8(ins.aux)] = intRegs[uint8(ins.aux>>8)] + intRegs[uint8(ins.aux>>16)]
+				intRegs[ins.Dst] = intRegs[ins.A] + intRegs[ins.B]
+				intRegs[uint8(ins.PC)] = intRegs[uint8(ins.PC>>8)] + intRegs[uint8(ins.PC>>16)]
 			case isa.OpFuseAddSub:
-				intRegs[ins.dst] = intRegs[ins.a] + intRegs[ins.b]
-				intRegs[uint8(ins.aux)] = intRegs[uint8(ins.aux>>8)] - intRegs[uint8(ins.aux>>16)]
+				intRegs[ins.Dst] = intRegs[ins.A] + intRegs[ins.B]
+				intRegs[uint8(ins.PC)] = intRegs[uint8(ins.PC>>8)] - intRegs[uint8(ins.PC>>16)]
 			case isa.OpFuseAddXor:
-				intRegs[ins.dst] = intRegs[ins.a] + intRegs[ins.b]
-				intRegs[uint8(ins.aux)] = intRegs[uint8(ins.aux>>8)] ^ intRegs[uint8(ins.aux>>16)]
+				intRegs[ins.Dst] = intRegs[ins.A] + intRegs[ins.B]
+				intRegs[uint8(ins.PC)] = intRegs[uint8(ins.PC>>8)] ^ intRegs[uint8(ins.PC>>16)]
 			case isa.OpFuseSubAdd:
-				intRegs[ins.dst] = intRegs[ins.a] - intRegs[ins.b]
-				intRegs[uint8(ins.aux)] = intRegs[uint8(ins.aux>>8)] + intRegs[uint8(ins.aux>>16)]
+				intRegs[ins.Dst] = intRegs[ins.A] - intRegs[ins.B]
+				intRegs[uint8(ins.PC)] = intRegs[uint8(ins.PC>>8)] + intRegs[uint8(ins.PC>>16)]
 			case isa.OpFuseSubSub:
-				intRegs[ins.dst] = intRegs[ins.a] - intRegs[ins.b]
-				intRegs[uint8(ins.aux)] = intRegs[uint8(ins.aux>>8)] - intRegs[uint8(ins.aux>>16)]
+				intRegs[ins.Dst] = intRegs[ins.A] - intRegs[ins.B]
+				intRegs[uint8(ins.PC)] = intRegs[uint8(ins.PC>>8)] - intRegs[uint8(ins.PC>>16)]
 			case isa.OpFuseSubXor:
-				intRegs[ins.dst] = intRegs[ins.a] - intRegs[ins.b]
-				intRegs[uint8(ins.aux)] = intRegs[uint8(ins.aux>>8)] ^ intRegs[uint8(ins.aux>>16)]
+				intRegs[ins.Dst] = intRegs[ins.A] - intRegs[ins.B]
+				intRegs[uint8(ins.PC)] = intRegs[uint8(ins.PC>>8)] ^ intRegs[uint8(ins.PC>>16)]
 			case isa.OpFuseXorAdd:
-				intRegs[ins.dst] = intRegs[ins.a] ^ intRegs[ins.b]
-				intRegs[uint8(ins.aux)] = intRegs[uint8(ins.aux>>8)] + intRegs[uint8(ins.aux>>16)]
+				intRegs[ins.Dst] = intRegs[ins.A] ^ intRegs[ins.B]
+				intRegs[uint8(ins.PC)] = intRegs[uint8(ins.PC>>8)] + intRegs[uint8(ins.PC>>16)]
 			case isa.OpFuseXorSub:
-				intRegs[ins.dst] = intRegs[ins.a] ^ intRegs[ins.b]
-				intRegs[uint8(ins.aux)] = intRegs[uint8(ins.aux>>8)] - intRegs[uint8(ins.aux>>16)]
+				intRegs[ins.Dst] = intRegs[ins.A] ^ intRegs[ins.B]
+				intRegs[uint8(ins.PC)] = intRegs[uint8(ins.PC>>8)] - intRegs[uint8(ins.PC>>16)]
 			case isa.OpFuseXorXor:
-				intRegs[ins.dst] = intRegs[ins.a] ^ intRegs[ins.b]
-				intRegs[uint8(ins.aux)] = intRegs[uint8(ins.aux>>8)] ^ intRegs[uint8(ins.aux>>16)]
+				intRegs[ins.Dst] = intRegs[ins.A] ^ intRegs[ins.B]
+				intRegs[uint8(ins.PC)] = intRegs[uint8(ins.PC>>8)] ^ intRegs[uint8(ins.PC>>16)]
 			}
 		}
 		bi = next
@@ -840,14 +711,14 @@ blockLoop:
 	// Fold the deferred fast-path class accounting (block execution counts
 	// x static per-block tallies) into the reference step's exact counts.
 	for b := range blocks {
-		st.addBlockExecs(&m.blockTally[b], blocks[b].execs)
+		st.addBlockExecs(&m.prog.Blocks[b].Tally, blocks[b].execs)
 	}
 	m.finishRun(&st, truncated, res)
 }
 
 // step is the reference definition of the instruction set: it executes
 // from the start of block bi one architectural instruction at a time over
-// the unfused code, with the budget check, the snapshot countdown and the
+// the program's code, with the budget check, the snapshot countdown and the
 // accounting done per instruction. Every engine meets it. The fast loop
 // and native code hand it the rare block that straddles an
 // instruction-budget or snapshot boundary — obs is nil — and get control
@@ -858,16 +729,16 @@ blockLoop:
 // and there is no fast engine to return to, so step goes on through block
 // after block and returns only a terminal status.
 func (m *Machine) step(bi uint32, st *execState, res *Result, obs Observer) (uint32, stepStatus) {
-	code := m.code
-	mem, written, seed := m.mem, m.written, m.memSeed
+	code, blocks := m.prog.Code, m.prog.Blocks
+	mem, written, seed := m.mem, m.written, m.prog.MemSeed
 	intRegs := &m.intRegs
 	fpRegs := &m.fpRegs
-	mask := uint64(m.memSize - 1)
+	mask := uint64(m.prog.MemSize - 1)
 
 	for {
-		meta := &m.blocks[bi]
+		blk := &blocks[bi]
 		bi++ // where a block that does not branch away continues
-		for pc, end := meta.start, meta.start+meta.count; pc < end; pc++ {
+		for pc, end := blk.Start, blk.Start+blk.Len; pc < end; pc++ {
 			if st.retired >= st.maxInstr {
 				return 0, stepTrunc
 			}
@@ -875,110 +746,110 @@ func (m *Machine) step(bi uint32, st *execState, res *Result, obs Observer) (uin
 			taken, halt := false, false
 			var addr uint64 // effective address of a load or store, for the observer
 
-			switch ins.op {
+			switch ins.Op {
 			case isa.OpAdd:
-				intRegs[ins.dst] = intRegs[ins.a] + intRegs[ins.b]
+				intRegs[ins.Dst] = intRegs[ins.A] + intRegs[ins.B]
 			case isa.OpSub:
-				intRegs[ins.dst] = intRegs[ins.a] - intRegs[ins.b]
+				intRegs[ins.Dst] = intRegs[ins.A] - intRegs[ins.B]
 			case isa.OpAnd:
-				intRegs[ins.dst] = intRegs[ins.a] & intRegs[ins.b]
+				intRegs[ins.Dst] = intRegs[ins.A] & intRegs[ins.B]
 			case isa.OpOr:
-				intRegs[ins.dst] = intRegs[ins.a] | intRegs[ins.b]
+				intRegs[ins.Dst] = intRegs[ins.A] | intRegs[ins.B]
 			case isa.OpXor:
-				intRegs[ins.dst] = intRegs[ins.a] ^ intRegs[ins.b]
+				intRegs[ins.Dst] = intRegs[ins.A] ^ intRegs[ins.B]
 			case isa.OpShl:
-				intRegs[ins.dst] = intRegs[ins.a] << (intRegs[ins.b] & 63)
+				intRegs[ins.Dst] = intRegs[ins.A] << (intRegs[ins.B] & 63)
 			case isa.OpShr:
-				intRegs[ins.dst] = intRegs[ins.a] >> (intRegs[ins.b] & 63)
+				intRegs[ins.Dst] = intRegs[ins.A] >> (intRegs[ins.B] & 63)
 			case isa.OpRor:
-				k := intRegs[ins.b] & 63
-				v := intRegs[ins.a]
-				intRegs[ins.dst] = (v >> k) | (v << ((64 - k) & 63))
+				k := intRegs[ins.B] & 63
+				v := intRegs[ins.A]
+				intRegs[ins.Dst] = (v >> k) | (v << ((64 - k) & 63))
 			case isa.OpCmpLT:
-				if intRegs[ins.a] < intRegs[ins.b] {
-					intRegs[ins.dst] = 1
+				if intRegs[ins.A] < intRegs[ins.B] {
+					intRegs[ins.Dst] = 1
 				} else {
-					intRegs[ins.dst] = 0
+					intRegs[ins.Dst] = 0
 				}
 			case isa.OpCmpEQ:
-				if intRegs[ins.a] == intRegs[ins.b] {
-					intRegs[ins.dst] = 1
+				if intRegs[ins.A] == intRegs[ins.B] {
+					intRegs[ins.Dst] = 1
 				} else {
-					intRegs[ins.dst] = 0
+					intRegs[ins.Dst] = 0
 				}
 			case isa.OpMov:
-				intRegs[ins.dst] = intRegs[ins.a]
+				intRegs[ins.Dst] = intRegs[ins.A]
 			case isa.OpMovI:
-				intRegs[ins.dst] = uint64(ins.imm)
+				intRegs[ins.Dst] = uint64(ins.Imm)
 			case isa.OpAddI:
-				intRegs[ins.dst] = intRegs[ins.a] + uint64(ins.imm)
+				intRegs[ins.Dst] = intRegs[ins.A] + uint64(ins.Imm)
 
 			case isa.OpMul:
-				intRegs[ins.dst] = intRegs[ins.a] * intRegs[ins.b]
+				intRegs[ins.Dst] = intRegs[ins.A] * intRegs[ins.B]
 			case isa.OpMulH:
-				hi, _ := mul64(intRegs[ins.a], intRegs[ins.b])
-				intRegs[ins.dst] = hi
+				hi, _ := mul64(intRegs[ins.A], intRegs[ins.B])
+				intRegs[ins.Dst] = hi
 
 			case isa.OpFAdd:
-				fa := math.Float64frombits(fpRegs[ins.a])
-				fb := math.Float64frombits(fpRegs[ins.b])
-				fpRegs[ins.dst] = canonBits(fa + fb)
+				fa := math.Float64frombits(fpRegs[ins.A])
+				fb := math.Float64frombits(fpRegs[ins.B])
+				fpRegs[ins.Dst] = canonBits(fa + fb)
 			case isa.OpFSub:
-				fa := math.Float64frombits(fpRegs[ins.a])
-				fb := math.Float64frombits(fpRegs[ins.b])
-				fpRegs[ins.dst] = canonBits(fa - fb)
+				fa := math.Float64frombits(fpRegs[ins.A])
+				fb := math.Float64frombits(fpRegs[ins.B])
+				fpRegs[ins.Dst] = canonBits(fa - fb)
 			case isa.OpFMul:
-				fa := math.Float64frombits(fpRegs[ins.a])
-				fb := math.Float64frombits(fpRegs[ins.b])
-				fpRegs[ins.dst] = canonBits(fa * fb)
+				fa := math.Float64frombits(fpRegs[ins.A])
+				fb := math.Float64frombits(fpRegs[ins.B])
+				fpRegs[ins.Dst] = canonBits(fa * fb)
 			case isa.OpFDiv:
-				fa := math.Float64frombits(fpRegs[ins.a])
-				fb := math.Float64frombits(fpRegs[ins.b])
-				fpRegs[ins.dst] = canonBits(fa / fb)
+				fa := math.Float64frombits(fpRegs[ins.A])
+				fb := math.Float64frombits(fpRegs[ins.B])
+				fpRegs[ins.Dst] = canonBits(fa / fb)
 			case isa.OpFSqrt:
-				fa := math.Float64frombits(fpRegs[ins.a])
-				fpRegs[ins.dst] = canonBits(math.Sqrt(math.Abs(fa)))
+				fa := math.Float64frombits(fpRegs[ins.A])
+				fpRegs[ins.Dst] = canonBits(math.Sqrt(math.Abs(fa)))
 			case isa.OpFMov:
-				fpRegs[ins.dst] = fpRegs[ins.a]
+				fpRegs[ins.Dst] = fpRegs[ins.A]
 			case isa.OpFCvt:
-				fpRegs[ins.dst] = canonBits(float64(int64(intRegs[ins.a])))
+				fpRegs[ins.Dst] = canonBits(float64(int64(intRegs[ins.A])))
 			case isa.OpFToI:
-				intRegs[ins.dst] = clampToInt64(math.Float64frombits(fpRegs[ins.a]))
+				intRegs[ins.Dst] = clampToInt64(math.Float64frombits(fpRegs[ins.A]))
 
 			case isa.OpLoad:
-				addr = (intRegs[ins.a] + uint64(ins.imm)) & mask &^ 7
-				intRegs[ins.dst] = loadWord(mem, written, seed, addr)
+				addr = (intRegs[ins.A] + uint64(ins.Imm)) & mask &^ 7
+				intRegs[ins.Dst] = loadWord(mem, written, seed, addr)
 			case isa.OpFLoad:
-				addr = (intRegs[ins.a] + uint64(ins.imm)) & mask &^ 7
-				fpRegs[ins.dst] = canonFPBits(loadWord(mem, written, seed, addr))
+				addr = (intRegs[ins.A] + uint64(ins.Imm)) & mask &^ 7
+				fpRegs[ins.Dst] = canonFPBits(loadWord(mem, written, seed, addr))
 			case isa.OpStore:
-				addr = (intRegs[ins.a] + uint64(ins.imm)) & mask &^ 7
-				storeWord(mem, written, addr, intRegs[ins.b])
+				addr = (intRegs[ins.A] + uint64(ins.Imm)) & mask &^ 7
+				storeWord(mem, written, addr, intRegs[ins.B])
 			case isa.OpFStore:
-				addr = (intRegs[ins.a] + uint64(ins.imm)) & mask &^ 7
-				storeWord(mem, written, addr, fpRegs[ins.b])
+				addr = (intRegs[ins.A] + uint64(ins.Imm)) & mask &^ 7
+				storeWord(mem, written, addr, fpRegs[ins.B])
 
 			case isa.OpBeq:
 				st.condBranches++
-				if intRegs[ins.a] == intRegs[ins.b] {
+				if intRegs[ins.A] == intRegs[ins.B] {
 					st.takenBranches++
 					taken = true
 				}
 			case isa.OpBne:
 				st.condBranches++
-				if intRegs[ins.a] != intRegs[ins.b] {
+				if intRegs[ins.A] != intRegs[ins.B] {
 					st.takenBranches++
 					taken = true
 				}
 			case isa.OpBlt:
 				st.condBranches++
-				if intRegs[ins.a] < intRegs[ins.b] {
+				if intRegs[ins.A] < intRegs[ins.B] {
 					st.takenBranches++
 					taken = true
 				}
 			case isa.OpBge:
 				st.condBranches++
-				if intRegs[ins.a] >= intRegs[ins.b] {
+				if intRegs[ins.A] >= intRegs[ins.B] {
 					st.takenBranches++
 					taken = true
 				}
@@ -988,46 +859,46 @@ func (m *Machine) step(bi uint32, st *execState, res *Result, obs Observer) (uin
 				halt = true
 
 			case isa.OpVAdd:
-				va, vb := &m.vecRegs[ins.a], &m.vecRegs[ins.b]
-				vd := &m.vecRegs[ins.dst]
+				va, vb := &m.vecRegs[ins.A], &m.vecRegs[ins.B]
+				vd := &m.vecRegs[ins.Dst]
 				for l := 0; l < isa.VecLanes; l++ {
 					vd[l] = va[l] + vb[l]
 				}
 			case isa.OpVXor:
-				va, vb := &m.vecRegs[ins.a], &m.vecRegs[ins.b]
-				vd := &m.vecRegs[ins.dst]
+				va, vb := &m.vecRegs[ins.A], &m.vecRegs[ins.B]
+				vd := &m.vecRegs[ins.Dst]
 				for l := 0; l < isa.VecLanes; l++ {
 					vd[l] = va[l] ^ vb[l]
 				}
 			case isa.OpVMul:
-				va, vb := &m.vecRegs[ins.a], &m.vecRegs[ins.b]
-				vd := &m.vecRegs[ins.dst]
+				va, vb := &m.vecRegs[ins.A], &m.vecRegs[ins.B]
+				vd := &m.vecRegs[ins.Dst]
 				for l := 0; l < isa.VecLanes; l++ {
 					vd[l] = va[l] * vb[l]
 				}
 			case isa.OpVBcast:
-				v := intRegs[ins.a]
-				vd := &m.vecRegs[ins.dst]
+				v := intRegs[ins.A]
+				vd := &m.vecRegs[ins.Dst]
 				for l := 0; l < isa.VecLanes; l++ {
 					vd[l] = v + uint64(l)
 				}
 			case isa.OpVRed:
-				va := &m.vecRegs[ins.a]
-				intRegs[ins.dst] = va[0] ^ va[1] ^ va[2] ^ va[3]
+				va := &m.vecRegs[ins.A]
+				intRegs[ins.Dst] = va[0] ^ va[1] ^ va[2] ^ va[3]
 			}
 
 			st.retired++
-			st.classCounts[ins.class]++
+			st.classCounts[ins.Class]++
 			if obs != nil {
 				m.event = Event{
 					StaticID: pc,
-					Op:       ins.op,
-					Class:    ins.class,
-					Dst:      ins.dst,
-					A:        ins.a,
-					B:        ins.b,
+					Op:       ins.Op,
+					Class:    ins.Class,
+					Dst:      ins.Dst,
+					A:        ins.A,
+					B:        ins.B,
 					Addr:     addr,
-					IsMem:    ins.class == isa.ClassLoad || ins.class == isa.ClassStore,
+					IsMem:    ins.Class == isa.ClassLoad || ins.Class == isa.ClassStore,
 					Taken:    taken,
 				}
 				obs.OnRetire(&m.event)
@@ -1044,7 +915,7 @@ func (m *Machine) step(bi uint32, st *execState, res *Result, obs Observer) (uin
 				st.untilSnap = st.snapInterval
 			}
 			if taken {
-				bi = ins.aux // the target, as a block index
+				bi = ins.Target // the target, as a block index
 				break
 			}
 		}
