@@ -2,8 +2,8 @@ package hashcore
 
 // One benchmark per table/figure of the paper's evaluation plus the §VI
 // ablations. Benchmarks run reduced widget populations so `go test
-// -bench=.` stays tractable; cmd/hcbench reproduces the full N=1000 runs
-// recorded in EXPERIMENTS.md. Every benchmark reports the figure's
+// -bench=.` stays tractable; `go run ./cmd/hcbench -run <name>` prints
+// the full N=1000 runs. Every benchmark reports the figure's
 // headline statistic as a custom metric, so the numbers the paper plots
 // are visible straight from the bench output.
 

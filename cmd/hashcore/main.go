@@ -7,6 +7,7 @@
 //	hashcore hash [-profile leela] <input-string>
 //	hashcore widget [-profile leela] <input-string>
 //	hashcore inspect [-profile leela] <input-string>
+//	hashcore dump-widget [-profile leela] <input-string>
 //	hashcore mine [-profile leela] [-bits 8] [-workers 2] <prefix-string>
 //	hashcore verify [-profile leela] [-bits 8] -nonce N <prefix-string>
 //	hashcore profiles
@@ -14,12 +15,15 @@ package main
 
 import (
 	"context"
+	"errors"
 	"flag"
 	"fmt"
 	"os"
 	"strings"
 
 	"hashcore"
+	"hashcore/internal/asm"
+	"hashcore/internal/vm"
 )
 
 func main() {
@@ -48,7 +52,7 @@ func run(args []string) error {
 			fmt.Println(name)
 		}
 		return nil
-	case "hash", "widget", "inspect", "mine", "verify":
+	case "hash", "widget", "inspect", "dump-widget", "mine", "verify":
 		if err := fs.Parse(rest); err != nil {
 			return err
 		}
@@ -97,6 +101,8 @@ func dispatch(cmd string, h *hashcore.Hasher, input string, bits uint, workers i
 		fmt.Printf("widget output:        %d bytes\n", info.OutputBytes)
 		fmt.Printf("digest:               %x\n", info.Digest)
 		return nil
+	case "dump-widget":
+		return dumpWidget(h, []byte(input))
 	case "mine":
 		target := hashcore.TargetWithZeroBits(bits)
 		fmt.Printf("mining %q at %d leading zero bits with %s...\n", input, bits, h.Name())
@@ -124,5 +130,60 @@ func dispatch(cmd string, h *hashcore.Hasher, input string, bits uint, workers i
 }
 
 func usageError() error {
-	return fmt.Errorf("usage: hashcore <hash|widget|inspect|mine|verify|profiles> [flags] <input>")
+	return fmt.Errorf("usage: hashcore <hash|widget|inspect|dump-widget|mine|verify|profiles> [flags] <input>")
+}
+
+// dumpWidget prints every representation of the widget input selects —
+// the architectural stream (the text `hashcore widget` prints), the fused
+// stream the interpreter's fast loop executes (superinstructions in one
+// slot, each block headed by its successor, a trailing jmp folded into
+// it), and what the JIT compiles from the same block structure (its
+// shared scratch-memory routines and each block's code size) — for codegen
+// debugging, then runs it once to report how much of its scratch memory
+// it writes. It is the widget Hash(input) runs first, so a digest
+// divergence seen in the differential tests can be replayed here and
+// inspected instruction by instruction.
+func dumpWidget(h *hashcore.Hasher, input []byte) error {
+	src, err := h.WidgetSource(input)
+	if err != nil {
+		return err
+	}
+	p, err := asm.Assemble(src)
+	if err != nil {
+		return err
+	}
+	// The engine the hasher runs on: hashcore.New has validated the value.
+	backend, err := vm.ParseBackend(os.Getenv("HASHCORE_BACKEND"))
+	if err != nil {
+		return err
+	}
+	var m vm.Machine
+	m.SetBackend(backend)
+	if err := m.Load(p); err != nil {
+		return err
+	}
+
+	fmt.Printf("; profile=%s input=%q backend=%s\n", h.ProfileName(), input, m.BackendSelected())
+	fmt.Println("; ---- architectural stream ----")
+	fmt.Print(src)
+	fmt.Println("; ---- fused stream (interpreter dispatch; block headers name the successor) ----")
+	fmt.Print(m.DisassembleFused())
+
+	native, err := "", errors.New("the interpreter backend is selected")
+	if m.BackendSelected() == vm.BackendNative {
+		native, err = m.DumpNative()
+	}
+	if err != nil {
+		fmt.Printf("; ---- native code: unavailable (%v) ----\n", err)
+	} else {
+		fmt.Println("; ---- native code (shared memory routines, per-block sizes) ----")
+		fmt.Print(native)
+	}
+
+	// The sparsity the memory model relies on, for this widget.
+	m.TrackMemory(true)
+	res := m.Run(vm.Params{}, nil)
+	fmt.Printf("; ---- run: %d instructions retired, %d of %d scratch-memory words written ----\n",
+		res.Retired, m.LastRunStats().WordsWritten, p.MemSize/8)
+	return nil
 }

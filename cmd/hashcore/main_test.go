@@ -1,9 +1,12 @@
 package main
 
 import (
+	"fmt"
 	"os"
 	"strings"
 	"testing"
+
+	"hashcore"
 )
 
 // The CLI is a thin shell over the public API; these tests drive run()
@@ -129,4 +132,79 @@ func captureStdout(t *testing.T, fn func()) string {
 	w.Close()
 	os.Stdout = old
 	return <-done
+}
+
+// runOutput runs the CLI with args and returns what it printed.
+func runOutput(t *testing.T, args ...string) string {
+	t.Helper()
+	return captureStdout(t, func() {
+		if err := run(args); err != nil {
+			t.Fatal(err)
+		}
+	})
+}
+
+func TestRunDumpWidget(t *testing.T) {
+	if testing.Short() {
+		t.Skip("full-scale widget run in -short mode")
+	}
+	for _, profile := range []string{"leela", "mcf"} {
+		t.Run(profile, func(t *testing.T) {
+			t.Setenv("HASHCORE_BACKEND", "") // auto, whatever the suite runs under
+			widget := runOutput(t, "widget", "-profile", profile, "dump input")
+			dump := runOutput(t, "dump-widget", "-profile", profile, "dump input")
+			checkDump(t, dump, widget)
+			wantNative := "; ---- native code (shared memory routines, per-block sizes) ----\n; native: "
+			if !hashcore.NativeBackendSupported() {
+				wantNative = "; ---- native code: unavailable ("
+			}
+			if !strings.Contains(dump, wantNative) {
+				t.Errorf("native section does not start %q", wantNative)
+			}
+
+			// Forcing the interpreter changes the native section and
+			// nothing the widget does.
+			t.Setenv("HASHCORE_BACKEND", "interp")
+			interp := runOutput(t, "dump-widget", "-profile", profile, "dump input")
+			checkDump(t, interp, widget)
+			if !strings.Contains(interp, "; ---- native code: unavailable (") {
+				t.Error("interpreter-forced dump does not say native code is unavailable")
+			}
+			if a, b := dump[strings.LastIndex(dump, "; ---- run: "):], interp[strings.LastIndex(interp, "; ---- run: "):]; a != b {
+				t.Errorf("run line differs across backends:\n%s%s", a, b)
+			}
+		})
+	}
+}
+
+// checkDump holds a dump-widget output to its five sections, to the
+// program `hashcore widget` printed, and to a sparse scratch image.
+func checkDump(t *testing.T, dump, widget string) {
+	t.Helper()
+	// The native header is cut before the part that says whether there is
+	// native code.
+	sections := []string{
+		"; profile=",
+		"; ---- architectural stream ----\n",
+		"; ---- fused stream (interpreter dispatch; block headers name the successor) ----\n",
+		"; ---- native code",
+		"; ---- run: ",
+	}
+	at := make([]int, len(sections))
+	for i, h := range sections {
+		at[i] = strings.Index(dump, h)
+		if at[i] < 0 || (i > 0 && at[i] < at[i-1]) {
+			t.Fatalf("section %q missing or out of order", h)
+		}
+	}
+	if arch := dump[at[1]+len(sections[1]) : at[2]]; arch != widget {
+		t.Errorf("architectural section (%d bytes) is not the program `hashcore widget` prints (%d bytes)", len(arch), len(widget))
+	}
+	var retired, written, words uint64
+	if _, err := fmt.Sscanf(dump[at[4]:], "; ---- run: %d instructions retired, %d of %d scratch-memory words written", &retired, &written, &words); err != nil {
+		t.Fatalf("run line %q: %v", dump[at[4]:], err)
+	}
+	if retired == 0 || written == 0 || written >= words {
+		t.Errorf("run line reports %d retired, %d of %d words written; want a sparse, non-empty image", retired, written, words)
+	}
 }

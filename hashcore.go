@@ -176,8 +176,8 @@ func WithJournal(j *telemetry.Journal) Option {
 // fusion-ratio counters — the hashcore_* metric family (DESIGN.md §12).
 // The record path is allocation-free and adds only clock reads and
 // atomic updates, so hashing throughput is unaffected within noise
-// (hcbench's telemetry target measures the delta). A nil reg disables
-// instrumentation (the default).
+// (telemetry.trace_overhead_pct in benchmark/ measures the delta). A nil
+// reg disables instrumentation (the default).
 func WithTelemetry(reg *telemetry.Registry) Option {
 	return func(c *config) error {
 		c.metrics = reg

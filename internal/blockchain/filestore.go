@@ -38,7 +38,8 @@ type FileStoreOptions struct {
 	// resumes from an earlier tip. During bulk sync that is usually the
 	// right bargain: the blocks are re-fetchable from peers, and
 	// fsync-per-append is the difference between ~7k and ~500k blocks/s
-	// (BENCH_chain.json).
+	// validated (one sample, sha256d PoW; blockchain.fsyncs_per_block in
+	// benchmark/ is the live figure).
 	BatchAppends int
 	// BatchDelay bounds how long an unsynced record may linger before a
 	// background flush. Default DefaultBatchDelay when group commit is

@@ -421,4 +421,9 @@ func TestHashTimedMatchesHash(t *testing.T) {
 	if pt.Retired == 0 {
 		t.Error("PhaseTimings.Retired = 0, want > 0")
 	}
+	// The compile is a part of exec on the native engine, and absent on
+	// the interpreter.
+	if native := s.m.LastRunStats().Backend == vm.BackendNative; native != (pt.CompileNs > 0) || pt.CompileNs >= pt.ExecNs {
+		t.Errorf("native = %v: CompileNs = %d of ExecNs = %d", native, pt.CompileNs, pt.ExecNs)
+	}
 }

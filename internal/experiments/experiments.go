@@ -1,8 +1,9 @@
 // Package experiments contains one runner per table/figure of the paper's
 // evaluation (plus the §VI ablations). cmd/hcbench drives full-scale runs
 // (N=1000 widgets, as in the paper); the repository-root benchmarks drive
-// reduced-N runs so `go test -bench` stays tractable. EXPERIMENTS.md
-// records paper-vs-measured results from the full runs.
+// reduced-N runs so `go test -bench` stays tractable.
+// `go run ./cmd/hcbench -run <name>` prints a full run's data beside the
+// paper's figure where there is one.
 package experiments
 
 import (

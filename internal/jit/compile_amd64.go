@@ -207,7 +207,7 @@ type Code struct {
 func (code *Code) Size() int { return len(code.text) }
 
 // LoadRoutine and StoreRoutine return copies of the two shared
-// scratch-memory routines (for hcbench -dump-widget).
+// scratch-memory routines (for hashcore dump-widget).
 func (code *Code) LoadRoutine() []byte {
 	return append([]byte(nil), code.text[code.loadAt:code.storeAt]...)
 }

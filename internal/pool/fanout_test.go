@@ -4,7 +4,10 @@ import (
 	"bufio"
 	"context"
 	"encoding/json"
+	"fmt"
 	"net"
+	"runtime"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -209,4 +212,85 @@ func TestServeConnSharesVerify(t *testing.T) {
 	if v, _ := srv.Metrics().Value("pool_precheck_rejects_total"); v != 1 {
 		t.Errorf("precheck rejects = %v, want 1 (the duplicate)", v)
 	}
+}
+
+// BenchmarkBroadcastFanout times marshal-once broadcast fan-out: one
+// clean-less job refresh reaching every one of conns subscribers. The
+// subscribers sit on in-memory pipes, which need no file descriptors, so
+// the 10k case fits where 10k sockets would not; it is the one pool
+// measurement benchmark/ (connection budget: nproc) has no twin for.
+func BenchmarkBroadcastFanout(b *testing.B) {
+	for _, conns := range []int{256, 10000} {
+		b.Run(fmt.Sprintf("conns=%d", conns), func(b *testing.B) { benchmarkFanout(b, conns) })
+	}
+}
+
+func benchmarkFanout(b *testing.B, conns int) {
+	srv, err := NewServer(Config{
+		Addr:            "127.0.0.1:0",
+		ShareBits:       zeroBitsCompact(0),
+		VerifyWorkers:   1,
+		RefreshInterval: -1,
+		WriteTimeout:    30 * time.Second,
+		Logf:            func(string, ...any) {},
+	}, baseline.SHA256d{}, &stubSource{bits: impossibleCompact})
+	if err != nil {
+		b.Fatal(err)
+	}
+	if err := srv.Start(); err != nil {
+		b.Fatal(err)
+	}
+	defer srv.Shutdown(context.Background())
+
+	var notifies atomic.Int64
+	subscribe := []byte(`{"type":"subscribe","miner":"fan"}` + "\n")
+	for i := 0; i < conns; i++ {
+		cl, sv := net.Pipe()
+		if err := srv.ServeConn(sv); err != nil {
+			b.Fatal(err)
+		}
+		defer cl.Close() // ends the reader below
+		go func() {
+			rd := bufio.NewReaderSize(cl, 2048)
+			if _, err := cl.Write(subscribe); err != nil {
+				return
+			}
+			for {
+				line, err := rd.ReadSlice('\n')
+				if err != nil {
+					return
+				}
+				// Every notify line starts {"type":"notify"; the
+				// handshake's other two messages do not.
+				if len(line) > 20 && string(line[9:15]) == TypeNotify {
+					notifies.Add(1)
+				}
+			}
+		}()
+	}
+
+	// Every subscriber's handshake ends in a notify; each broadcast adds
+	// one more per subscriber.
+	deadline := time.Now().Add(60 * time.Second)
+	awaitNotifies := func(want int64) {
+		for notifies.Load() < want {
+			if time.Now().After(deadline) {
+				b.Fatalf("%d of %d notifies after 60s", notifies.Load(), want)
+			}
+			runtime.Gosched()
+		}
+	}
+	awaitNotifies(int64(conns))
+
+	b.ResetTimer()
+	for i := 1; i <= b.N; i++ {
+		if err := srv.RefreshNow(false); err != nil {
+			b.Fatal(err)
+		}
+		awaitNotifies(int64(conns) * int64(i+1))
+	}
+	b.StopTimer() // the deferred teardown is not a broadcast
+	elapsed := b.Elapsed()
+	b.ReportMetric(elapsed.Seconds()*1000/float64(b.N), "ms/broadcast")
+	b.ReportMetric(float64(conns)*float64(b.N)/elapsed.Seconds(), "notifies/s")
 }

@@ -23,7 +23,7 @@ var precheckReasons = []string{
 // registry (a private one when Config.Metrics is nil), so unlike the
 // other packages these are never nil in server use; the nil guards exist
 // for bare Pipelines and Prechecks built outside a server (tests,
-// hcbench).
+// benchmark/).
 type poolMetrics struct {
 	shares     map[ShareStatus]*telemetry.Counter
 	precheck   map[string]*telemetry.Counter

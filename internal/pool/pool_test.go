@@ -4,6 +4,7 @@ import (
 	"context"
 	"encoding/binary"
 	"errors"
+	"fmt"
 	"math/big"
 	"runtime"
 	"sync"
@@ -324,12 +325,23 @@ func (g gateHasher) Hash(b []byte) ([32]byte, error) {
 }
 func (g gateHasher) Name() string { return "gate" }
 
+// submitShare drives one share into a bare pipeline the way the server
+// does: admission on the caller's goroutine, then the fleet.
+func submitShare(ctx context.Context, pre *Precheck, p *Pipeline, miner, jobID string, nonce uint64, reply func(ShareResult)) error {
+	job, rej, admitted := pre.Admit(miner, []byte(jobID), nonce)
+	if !admitted {
+		return fmt.Errorf("rejected at admission: %+v", rej)
+	}
+	return p.SubmitAdmitted(ctx, miner, job, nonce, reply)
+}
+
 func TestPipelineBackpressureAndClose(t *testing.T) {
 	v, jm, _, _ := newTestValidator(t, zeroBitsCompact(4), impossibleCompact, nil)
 	job := jm.Current()
 
 	gate := gateHasher{release: make(chan struct{})}
 	p := NewPipeline(v, gate, 1, 1)
+	pre := NewPrecheck(jm, v.seen, v.acct, 0, 0)
 
 	var mu sync.Mutex
 	var got []ShareResult
@@ -340,17 +352,17 @@ func TestPipelineBackpressureAndClose(t *testing.T) {
 	}
 	// First submit is picked up by the worker (blocked in Hash); second
 	// fills the queue.
-	if err := p.Submit(context.Background(), "m", job.ID, 1, reply); err != nil {
+	if err := submitShare(context.Background(), pre, p, "m", job.ID, 1, reply); err != nil {
 		t.Fatal(err)
 	}
-	if err := p.Submit(context.Background(), "m", job.ID, 2, reply); err != nil {
+	if err := submitShare(context.Background(), pre, p, "m", job.ID, 2, reply); err != nil {
 		t.Fatal(err)
 	}
 	// Queue full: a third submit must block until its context expires —
 	// that is the backpressure contract.
 	ctx, cancel := context.WithTimeout(context.Background(), 50*time.Millisecond)
 	defer cancel()
-	if err := p.Submit(ctx, "m", job.ID, 3, reply); !errors.Is(err, context.DeadlineExceeded) {
+	if err := submitShare(ctx, pre, p, "m", job.ID, 3, reply); !errors.Is(err, context.DeadlineExceeded) {
 		t.Fatalf("submit into full queue: err = %v, want deadline exceeded", err)
 	}
 
@@ -362,7 +374,7 @@ func TestPipelineBackpressureAndClose(t *testing.T) {
 	if n != 2 {
 		t.Fatalf("replies after close = %d, want 2", n)
 	}
-	if err := p.Submit(context.Background(), "m", job.ID, 4, reply); !errors.Is(err, ErrPipelineClosed) {
+	if err := submitShare(context.Background(), pre, p, "m", job.ID, 4, reply); !errors.Is(err, ErrPipelineClosed) {
 		t.Fatalf("submit after close: err = %v, want ErrPipelineClosed", err)
 	}
 	p.Close() // idempotent
@@ -372,6 +384,7 @@ func TestPipelineConcurrentSubmits(t *testing.T) {
 	v, jm, acct, _ := newTestValidator(t, zeroBitsCompact(0), impossibleCompact, nil)
 	job := jm.Current()
 	p := NewPipeline(v, baseline.SHA256d{}, 4, 8)
+	pre := NewPrecheck(jm, v.seen, v.acct, 0, 0)
 
 	const n = 200
 	var wg sync.WaitGroup
@@ -380,7 +393,7 @@ func TestPipelineConcurrentSubmits(t *testing.T) {
 		wg.Add(1)
 		go func(nonce uint64) {
 			defer wg.Done()
-			if err := p.Submit(context.Background(), "m", job.ID, nonce, func(r ShareResult) { done <- r }); err != nil {
+			if err := submitShare(context.Background(), pre, p, "m", job.ID, nonce, func(r ShareResult) { done <- r }); err != nil {
 				t.Errorf("submit: %v", err)
 			}
 		}(uint64(i))

@@ -40,7 +40,7 @@ type Precheck struct {
 	acct    *Accounting
 	limiter *minerLimiter // nil = no rate limiting
 
-	// met/journal are nil-safe: bare prechecks (tests, hcbench) carry
+	// met/journal are nil-safe: bare prechecks (tests, benchmark/) carry
 	// no instruments.
 	met     *poolMetrics
 	journal *telemetry.Journal

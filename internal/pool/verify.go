@@ -51,6 +51,9 @@ func NewShareValidator(jobs *JobManager, seen *SeenSet, acct *Accounting, onBloc
 // header scratch buffer, records the verdict in the ledger, and fires the
 // block callback when the share solves a block. hdr is reused across
 // calls to keep the steady-state verification path allocation-free.
+// The server splits these checks in two, Precheck.Admit on the
+// connection's goroutine and VerifyAdmitted on the fleet; Verify is the
+// single-call reference the split is held to (TestPrecheckEquivalence).
 func (v *ShareValidator) Verify(sess pow.Hasher, hdr *[]byte, miner, jobID string, nonce uint64) ShareResult {
 	res := ShareResult{Miner: miner, JobID: jobID, Nonce: nonce}
 
@@ -121,22 +124,19 @@ func (v *ShareValidator) hashAndJudge(sess pow.Hasher, hdr *[]byte, miner string
 	return res
 }
 
-// submitTask is one queued share awaiting verification.
+// submitTask is one queued share awaiting verification: the admission
+// tier has resolved its job and consumed its dedupe key.
 type submitTask struct {
 	miner string
-	// job is resolved when the share came through the admission tier
-	// (dedupe key already consumed); jobID is the unresolved form used
-	// by the compatible Submit entry.
 	job   *Job
-	jobID string
 	nonce uint64
 	reply func(ShareResult)
-	// enq is when Submit queued the task; the queue-wait histogram
+	// enq is when SubmitAdmitted queued the task; the queue-wait histogram
 	// observes the gap to worker pickup. Zero when metrics are off.
 	enq time.Time
 }
 
-// ErrPipelineClosed is returned by Submit after Close.
+// ErrPipelineClosed is returned by SubmitAdmitted after Close.
 var ErrPipelineClosed = errors.New("pool: verification pipeline closed")
 
 // Pipeline is the sharded share-verification fleet. Shares shard by
@@ -148,7 +148,7 @@ var ErrPipelineClosed = errors.New("pool: verification pipeline closed")
 // the miner's accounting cell (same hash routing, lock-free adds) and
 // are merged only at read time.
 //
-// Each shard queue is bounded: Submit blocks when the miner's shard is
+// Each shard queue is bounded: SubmitAdmitted blocks when the miner's shard is
 // saturated, which propagates as TCP backpressure to the submitting
 // connection instead of unbounded memory growth — and only to miners
 // of the hot shard, not the whole pool.
@@ -159,10 +159,10 @@ type Pipeline struct {
 
 	// met, when non-nil, receives per-share verdict counts and stage
 	// latencies (queue wait, verify time). Attached by the pool server
-	// before any Submit; nil for bare pipelines (tests, benchmarks).
+	// before any submission; nil for bare pipelines (tests, benchmarks).
 	met *poolMetrics
 
-	// mu serializes Close (writer) against in-flight Submit sends
+	// mu serializes Close (writer) against in-flight submission sends
 	// (readers), so the channel close can never race a send.
 	mu     sync.RWMutex
 	closed bool
@@ -211,12 +211,7 @@ func (p *Pipeline) worker(sh *verifyShard, sess pow.Hasher) {
 			p.met.queueWait.ObserveSince(t.enq)
 		}
 		start := time.Now()
-		var res ShareResult
-		if t.job != nil {
-			res = p.validator.VerifyAdmitted(sess, &hdr, t.miner, t.job, t.nonce)
-		} else {
-			res = p.validator.Verify(sess, &hdr, t.miner, t.jobID, t.nonce)
-		}
+		res := p.validator.VerifyAdmitted(sess, &hdr, t.miner, t.job, t.nonce)
 		if p.met != nil {
 			p.met.verify.ObserveSince(start)
 			p.met.shares[res.Status].Inc()
@@ -232,23 +227,13 @@ func (p *Pipeline) shardFor(miner string) *verifyShard {
 	return &p.shards[minerHash(miner)%uint64(len(p.shards))]
 }
 
-// Submit enqueues an unresolved share for full verification (all
-// checks run on the shard worker); reply (may be nil) is called from
-// the worker goroutine with the verdict. Submit blocks while the
-// miner's shard queue is full — that is the backpressure mechanism —
-// and returns ctx.Err() if the context ends first, or ErrPipelineClosed
-// after Close.
-func (p *Pipeline) Submit(ctx context.Context, miner, jobID string, nonce uint64, reply func(ShareResult)) error {
-	return p.enqueue(ctx, submitTask{miner: miner, jobID: jobID, nonce: nonce, reply: reply})
-}
-
-// SubmitAdmitted enqueues a share the admission tier already resolved
-// and deduped. Same blocking/backpressure contract as Submit.
+// SubmitAdmitted enqueues a share the admission tier (Precheck.Admit)
+// resolved and deduped; reply (may be nil) is called from the worker
+// goroutine with the verdict. It blocks while the miner's shard queue is
+// full — that is the backpressure mechanism — and returns ctx.Err() if
+// the context ends first, or ErrPipelineClosed after Close.
 func (p *Pipeline) SubmitAdmitted(ctx context.Context, miner string, job *Job, nonce uint64, reply func(ShareResult)) error {
-	return p.enqueue(ctx, submitTask{miner: miner, job: job, nonce: nonce, reply: reply})
-}
-
-func (p *Pipeline) enqueue(ctx context.Context, task submitTask) error {
+	task := submitTask{miner: miner, job: job, nonce: nonce, reply: reply}
 	p.mu.RLock()
 	defer p.mu.RUnlock()
 	if p.closed {
@@ -278,8 +263,8 @@ func (p *Pipeline) QueueDepth() int {
 func (p *Pipeline) ShardDepth(i int) int { return len(p.shards[i].tasks) }
 
 // Close drains queued shares (their replies still fire) and stops the
-// workers. Submit calls racing Close may be verified or may return
-// ErrPipelineClosed; none are silently dropped after Submit returned nil.
+// workers. Submissions racing Close may be verified or may return
+// ErrPipelineClosed; none are silently dropped after one returned nil.
 func (p *Pipeline) Close() {
 	p.mu.Lock()
 	if p.closed {

@@ -2,7 +2,8 @@
 // experiment harness: summary statistics, fixed-bin histograms, a
 // normality check, and Kolmogorov–Smirnov distance. The paper's Figures 2
 // and 3 are distributions of per-widget metrics; this package turns raw
-// samples into the numbers and ASCII plots EXPERIMENTS.md reports.
+// samples into the numbers and ASCII plots that
+// `go run ./cmd/hcbench -run fig2,fig3` prints.
 package stats
 
 import (

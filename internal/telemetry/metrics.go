@@ -10,7 +10,7 @@
 //
 //   - The record path (Counter.Add, Gauge.Set, Histogram.Observe) is a
 //     handful of atomic operations, zero allocations, no locks. The
-//     AllocsPerRun tests and the hcbench telemetry target lock this in.
+//     AllocsPerRun tests lock this in.
 //   - Instruments are resolved once, at construction, by get-or-create
 //     against a Registry; labels are rendered then, never on record.
 //   - Every instrument method is nil-receiver safe, so a subsystem built
@@ -103,9 +103,8 @@ type Histogram struct {
 	sum    atomic.Uint64 // float64 bits, CAS-accumulated
 }
 
-// NewHistogram builds a standalone histogram (hcbench uses one to mirror
-// the runtime bucket layout without a registry). Buckets must be
-// ascending; they are copied.
+// NewHistogram builds a standalone histogram, one no registry names.
+// Buckets must be ascending; they are copied.
 func NewHistogram(buckets []float64) *Histogram {
 	upper := append([]float64(nil), buckets...)
 	for i := 1; i < len(upper); i++ {
@@ -197,10 +196,9 @@ func ExpBuckets(start, factor float64, n int) []float64 {
 	return out
 }
 
-// Shared bucket layouts. HashLatencyBuckets is the contract between the
-// runtime hash-latency histograms and hcbench's BENCH_vm.json
-// latency_buckets field: both use exactly this layout so offline and
-// live measurements are comparable bucket-for-bucket.
+// Shared bucket layouts. Every histogram that times a hash evaluation
+// (hashcore_hash_seconds, pool_share_verify_seconds) uses
+// HashLatencyBuckets, so they are comparable bucket-for-bucket.
 var (
 	// HashLatencyBuckets spans 100µs..3.3s ×2 (hashes are ~2ms today).
 	HashLatencyBuckets = ExpBuckets(100e-6, 2, 16)

@@ -189,9 +189,15 @@ func TestExpBuckets(t *testing.T) {
 			t.Fatalf("ExpBuckets = %v", got)
 		}
 	}
-	// The shared layouts must be valid histogram inputs (ascending).
+	// The shared layouts must be valid histogram inputs (ascending), and
+	// whatever overflows one lands in a last bucket that takes everything.
 	for _, bs := range [][]float64{HashLatencyBuckets, IOLatencyBuckets, QueueLatencyBuckets, SizeBuckets} {
-		NewHistogram(bs) // panics if not ascending
+		h := NewHistogram(bs) // panics if not ascending
+		h.Observe(bs[len(bs)-1] * 2)
+		got := h.Buckets()
+		if last := got[len(got)-1]; len(got) != len(bs)+1 || !math.IsInf(last.Le, 1) || last.Count != 1 || got[len(bs)-1].Count != 0 {
+			t.Errorf("layout ending at %g: buckets %v do not end in a +Inf bucket holding the overflow", bs[len(bs)-1], got)
+		}
 	}
 }
 

@@ -50,7 +50,7 @@ func (m *Machine) DisassembleFused() string {
 // in the pristine path — the machine-code rng.SplitMix64At — which is where
 // most loads of most widgets go), then the code size of each block's head
 // and body. It is the native-side companion of DisassembleFused for
-// hcbench -dump-widget; on platforms without a native backend it returns
+// hashcore dump-widget; on platforms without a native backend it returns
 // jit.ErrUnsupported.
 func (m *Machine) DumpNative() (string, error) {
 	if _, err := m.CompileNative(); err != nil {

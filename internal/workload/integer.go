@@ -91,7 +91,8 @@ func leela() Workload {
 			Mix:  leelaMix,
 			// Branch and memory knobs are calibrated PerfProx-style:
 			// iterate until the widget population's simulated metrics
-			// match the reference measurement (see EXPERIMENTS.md).
+			// match the reference measurement
+			// (`go run ./cmd/hcbench -run fig2,fig3` prints both).
 			BranchTaken:     0.60,
 			BranchDataDep:   0.85,
 			BranchBias:      0.25,
