@@ -111,18 +111,24 @@ func BenchmarkHashSession(b *testing.B) {
 // TestHashZeroAllocSteadyState locks in the zero-allocation pipeline:
 // once a session's buffers have reached their high-water capacities,
 // hashing must not allocate — through a dedicated session and through
-// the pooled public Hash path alike, on either execution engine.
+// the pooled public Hash path alike, on either execution engine, on the
+// default profile and on mcf, whose ~10,000 stored words per hash are
+// the most any profile keeps in the VM's written-word table.
 func TestHashZeroAllocSteadyState(t *testing.T) {
 	if testing.Short() {
 		t.Skip("allocation measurement skipped in -short mode")
 	}
 	for _, backend := range []string{"native", "interp"} {
-		t.Run(backend, func(t *testing.T) { testHashZeroAlloc(t, backend) })
+		t.Run(backend, func(t *testing.T) {
+			for _, profile := range []string{"leela", "mcf"} {
+				t.Run(profile, func(t *testing.T) { testHashZeroAlloc(t, backend, profile) })
+			}
+		})
 	}
 }
 
-func testHashZeroAlloc(t *testing.T, backend string) {
-	h, err := New(WithBackend(backend))
+func testHashZeroAlloc(t *testing.T, backend, profile string) {
+	h, err := New(WithBackend(backend), WithProfile(profile))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -140,9 +140,10 @@ func usageError() error {
 // it), and what the JIT compiles from the same block structure (its
 // shared scratch-memory routines and each block's code size) — for codegen
 // debugging, then runs it once to report how much of its scratch memory
-// it writes. It is the widget Hash(input) runs first, so a digest
-// divergence seen in the differential tests can be replayed here and
-// inspected instruction by instruction.
+// it writes and the size of the VM's table of those words. It is the
+// widget Hash(input) runs first, so a digest divergence seen in the
+// differential tests can be replayed here and inspected instruction by
+// instruction.
 func dumpWidget(h *hashcore.Hasher, input []byte) error {
 	src, err := h.WidgetSource(input)
 	if err != nil {
@@ -180,10 +181,11 @@ func dumpWidget(h *hashcore.Hasher, input []byte) error {
 		fmt.Print(native)
 	}
 
-	// The sparsity the memory model relies on, for this widget.
-	m.TrackMemory(true)
+	// The sparsity the memory model relies on, for this widget, and what
+	// holding the written words costs.
 	res := m.Run(vm.Params{}, nil)
-	fmt.Printf("; ---- run: %d instructions retired, %d of %d scratch-memory words written ----\n",
-		res.Retired, m.LastRunStats().WordsWritten, p.MemSize/8)
+	st := m.LastRunStats()
+	fmt.Printf("; ---- run: %d instructions retired, %d of %d scratch-memory words written (table: %d slots, %d bytes) ----\n",
+		res.Retired, st.WordsWritten, p.MemSize/8, st.TableSlots, st.TableSlots*16)
 	return nil
 }

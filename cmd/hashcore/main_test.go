@@ -200,11 +200,15 @@ func checkDump(t *testing.T, dump, widget string) {
 	if arch := dump[at[1]+len(sections[1]) : at[2]]; arch != widget {
 		t.Errorf("architectural section (%d bytes) is not the program `hashcore widget` prints (%d bytes)", len(arch), len(widget))
 	}
-	var retired, written, words uint64
-	if _, err := fmt.Sscanf(dump[at[4]:], "; ---- run: %d instructions retired, %d of %d scratch-memory words written", &retired, &written, &words); err != nil {
+	var retired, written, words, slots, bytes uint64
+	if _, err := fmt.Sscanf(dump[at[4]:], "; ---- run: %d instructions retired, %d of %d scratch-memory words written (table: %d slots, %d bytes)",
+		&retired, &written, &words, &slots, &bytes); err != nil {
 		t.Fatalf("run line %q: %v", dump[at[4]:], err)
 	}
 	if retired == 0 || written == 0 || written >= words {
 		t.Errorf("run line reports %d retired, %d of %d words written; want a sparse, non-empty image", retired, written, words)
+	}
+	if slots < 2*written || bytes != 16*slots {
+		t.Errorf("run line reports a table of %d slots, %d bytes for %d words; want at least two slots a word, 16 bytes a slot", slots, bytes, written)
 	}
 }

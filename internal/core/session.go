@@ -67,7 +67,8 @@ type PhaseTimings struct {
 	// FillNs is nanoseconds spent resetting the VM's scratch memory (a
 	// subset of ExecNs). The name predates the sparse memory model: the
 	// image is never filled now, and the reset is clearing the written
-	// map, one bit per image word (vm.Machine).
+	// map, one bit per image word, and starting a new epoch of the
+	// written-word table (vm.Machine).
 	FillNs int64
 	// LoadNs is nanoseconds spent loading generated programs into the VM
 	// (a subset of ExecNs): the VM adopts the program where the builder
@@ -132,9 +133,6 @@ func (s *Session) runWidget(seed perfprox.Seed, obs vm.Observer, t *PhaseTimings
 	if err := s.loadWidget(seed, obs, t); err != nil {
 		return err
 	}
-	// t is non-nil whenever a PhaseTimings or a registry is attached (see
-	// hash); only then does the run pay for its memory statistics.
-	s.m.TrackMemory(t != nil)
 	s.m.RunInto(f.vparams, obs, &s.res)
 	if t != nil || f.journal != nil {
 		st := s.m.LastRunStats()

@@ -26,8 +26,8 @@
 // Register assignment while native code runs:
 //
 //	R15  Frame pointer (all unmapped state is addressed off it)
-//	R14  scratch-memory base
-//	R12  run-segment countdown (budget and snapshot, see emitPrologue)
+//	R14  written-word table base
+//	R12  run-segment countdown (budget, snapshot, table headroom; see emitPrologue)
 //	R13  per-block execution-counter base
 //	RBX RBP RSI RDI R8 R9 R10 R11   the 8 most-referenced widget integer
 //	                                registers of this program (chosen per
@@ -68,23 +68,28 @@ const frameBias = 168
 // Frame field offsets baked into generated code, relative to the biased
 // frame pointer (asserted against the real struct layout below).
 const (
-	offIntRegs   = 0 - frameBias
-	offMask      = offIntRegs + isa.NumIntRegs*8
-	offMaxInstr  = offMask + 8
-	offCond      = offMaxInstr + 8
-	offTaken     = offCond + 8
-	offExecsBase = offTaken + 8
-	offFPRegs    = offExecsBase + 8
-	offVecRegs   = offFPRegs + isa.NumFPRegs*8
-	offMem       = offVecRegs + isa.NumVecRegs*isa.VecLanes*8
-	offRetired   = offMem + 8
-	offUntilSnap = offRetired + 8
-	offResume    = offUntilSnap + 8
-	offNextBlock = offResume + 8
-	offStatus    = offNextBlock + 4
-	offLimStart  = offStatus + 4
-	offWritten   = offLimStart + 8
-	offSeedGamma = offWritten + 8
+	offIntRegs    = 0 - frameBias
+	offMask       = offIntRegs + isa.NumIntRegs*8
+	offMaxInstr   = offMask + 8
+	offCond       = offMaxInstr + 8
+	offTaken      = offCond + 8
+	offExecsBase  = offTaken + 8
+	offFPRegs     = offExecsBase + 8
+	offVecRegs    = offFPRegs + isa.NumFPRegs*8
+	offTable      = offVecRegs + isa.NumVecRegs*isa.VecLanes*8
+	offRetired    = offTable + 8
+	offUntilSnap  = offRetired + 8
+	offResume     = offUntilSnap + 8
+	offNextBlock  = offResume + 8
+	offStatus     = offNextBlock + 4
+	offLimStart   = offStatus + 4
+	offWritten    = offLimStart + 8
+	offSeedGamma  = offWritten + 8
+	offTableMask  = offSeedGamma + 8
+	offTableShift = offTableMask + 8
+	offEpoch      = offTableShift + 8
+	offInserts    = offEpoch + 8
+	offHeadroom   = offInserts + 8
 )
 
 // prog.Instr as the stamp loop addresses it (stamp_amd64.s): go_asm.h
@@ -125,7 +130,7 @@ func init() {
 	check("ExecsBase", unsafe.Offsetof(f.ExecsBase), offExecsBase)
 	check("FPRegs", unsafe.Offsetof(f.FPRegs), offFPRegs)
 	check("VecRegs", unsafe.Offsetof(f.VecRegs), offVecRegs)
-	check("Mem", unsafe.Offsetof(f.Mem), offMem)
+	check("Table", unsafe.Offsetof(f.Table), offTable)
 	check("Retired", unsafe.Offsetof(f.Retired), offRetired)
 	check("UntilSnap", unsafe.Offsetof(f.UntilSnap), offUntilSnap)
 	check("Resume", unsafe.Offsetof(f.Resume), offResume)
@@ -134,6 +139,11 @@ func init() {
 	check("LimStart", unsafe.Offsetof(f.LimStart), offLimStart)
 	check("Written", unsafe.Offsetof(f.Written), offWritten)
 	check("SeedGamma", unsafe.Offsetof(f.SeedGamma), offSeedGamma)
+	check("TableMask", unsafe.Offsetof(f.TableMask), offTableMask)
+	check("TableShift", unsafe.Offsetof(f.TableShift), offTableShift)
+	check("Epoch", unsafe.Offsetof(f.Epoch), offEpoch)
+	check("Inserts", unsafe.Offsetof(f.Inserts), offInserts)
+	check("Headroom", unsafe.Offsetof(f.Headroom), offHeadroom)
 }
 
 // amd64 register numbers (hardware encoding).
@@ -507,23 +517,27 @@ func (c *Compiler) emitPrologue() {
 // emitPrologueTail is the part of the prologue no register assignment
 // changes.
 func (c *Compiler) emitPrologueTail() {
-	// R12 is the run-segment countdown: min(maxInstr - retired, untilSnap),
-	// the number of instructions that may retire before SOMETHING — budget
-	// exhaustion or a snapshot — needs the slow path. Retired and untilSnap
-	// advance in lockstep, so one register serves both guards and the
-	// epilogue reconstructs both counters from how far it fell (LimStart
-	// keeps the entry value). Entry always has retired <= maxInstr (both
-	// engines check budgets before running a block), so the subtraction
-	// cannot wrap. R13 holds the per-block execution-counter base for the
-	// block accounting, hoisted out of every block head.
+	// R12 is the run-segment countdown: min(maxInstr - retired, untilSnap,
+	// headroom), the number of instructions that may retire before
+	// SOMETHING — budget exhaustion, a snapshot, or a written-word table
+	// that could fill up (one store inserts at most one word) — needs the
+	// slow path. Retired and untilSnap advance in lockstep, so one register
+	// serves every guard and the epilogue reconstructs both counters from
+	// how far it fell (LimStart keeps the entry value). Entry always has
+	// retired <= maxInstr (both engines check budgets before running a
+	// block), so the subtraction cannot wrap. R13 holds the per-block
+	// execution-counter base for the block accounting, hoisted out of
+	// every block head.
 	c.opRM(0x8B, r12, r15, offMaxInstr)
 	c.opRM(0x2B, r12, r15, offRetired)
-	c.opRM(0x8B, r13, r15, offUntilSnap)
-	c.opRR(0x3B, r12, r13)                                       // CMP r12, r13
-	c.emit4(rex(true, r12, 0, r13), 0x0F, 0x47, modRR(r12, r13)) // CMOVA r12, r13
+	for _, limit := range [...]int32{offUntilSnap, offHeadroom} {
+		c.opRM(0x8B, r13, r15, limit)
+		c.opRR(0x3B, r12, r13)                                       // CMP r12, r13
+		c.emit4(rex(true, r12, 0, r13), 0x0F, 0x47, modRR(r12, r13)) // CMOVA r12, r13
+	}
 	c.opRM(0x89, r12, r15, offLimStart)
 	c.opRM(0x8B, r13, r15, offExecsBase)
-	c.opRM(0x8B, r14, r15, offMem)
+	c.opRM(0x8B, r14, r15, offTable)
 	c.emit2(0x41, 0xFF) // JMP QWORD [r15+offResume]
 	c.modMem(4, r15, offResume)
 }
@@ -894,15 +908,21 @@ func (c *Compiler) emitAddr(a uint8, imm int64) {
 
 // emitMemRoutines emits the two routines through which every load and
 // store site reaches the sparse scratch memory (vm.Machine documents the
-// model). Both take the unmasked effective address in RAX and clobber
-// only the scratch registers RAX, RCX and RDX.
+// model, Frame the table's layout). Both take the unmasked effective
+// address in RAX and clobber only the scratch registers RAX, RCX, RDX and
+// (store) XMM0.
 //
-// load returns the word in RDX: the arena's when the written bit is set,
-// else rng.SplitMix64At(memSeed, index) = mix64(SeedGamma + index*Gamma),
-// which is what a materialized image would hold there. store takes the
-// value in RDX, writes the arena and sets the bit. The bit tests use the
-// register forms of BT/BTS on the loaded map word (the count is taken
-// mod 64); the memory forms with a register offset are microcoded.
+// load returns the word in RDX: rng.SplitMix64At(memSeed, index) =
+// mix64(SeedGamma + index*Gamma) when the written bit is clear — what a
+// materialized image would hold there, and where nearly every load goes —
+// and otherwise the value in the word's table slot, probing from its home
+// until the key matches (a set bit means the word is in the table). store
+// takes the value in RDX and sets the bit; if the bit was clear the word
+// is new and takes the first empty slot from its home (a key below Epoch,
+// i.e. left by an earlier run), counted in Inserts, and otherwise it
+// overwrites the word's slot. The bit tests use the register forms of
+// BT/BTS on the loaded map word (the count is taken mod 64); the memory
+// forms with a register offset are microcoded.
 func (c *Compiler) emitMemRoutines() {
 	c.ensure(regionMax)
 	c.loadRoutine = c.pos
@@ -934,14 +954,20 @@ func (c *Compiler) emitMemRoutines() {
 	}
 	c.emit1(0xC3) // RET
 	c.bind(written)
-	c.emit4(0x49, 0x8B, 0x14, 0x06) // MOV rdx, [r14+rax]
+	c.emitHomeKey()
+	probe := c.pos
+	c.emit4(0x49, 0x3B, 0x0C, 0x06)       // CMP rcx, [r14+rax]: the word's key?
+	next := c.jccLocal(0x85)              // JNE
+	c.emit5(0x49, 0x8B, 0x54, 0x06, 0x08) // MOV rdx, [r14+rax+8]
 	c.emit1(0xC3)
+	c.bind(next)
+	c.emitNextSlot(probe)
 
 	c.ensure(regionMax)
 	c.storeRoutine = c.pos
+	c.movqXR(0, rDX) // the value waits in XMM0
 	c.opRM(0x23, rAX, r15, offMask)
-	c.emit4(0x49, 0x89, 0x14, 0x06) // MOV [r14+rax], rdx
-	c.shrImm(rAX, 3)                // word index
+	c.shrImm(rAX, 3) // word index
 	c.opRR(0x8B, rDX, rAX)
 	c.shrImm(rDX, 6) // map word index
 	c.opRM(0x8B, rCX, r15, offWritten)
@@ -949,7 +975,54 @@ func (c *Compiler) emitMemRoutines() {
 	c.emit3(0x48, 0x8B, 0x11)       // MOV rdx, [rcx]
 	c.emit4(0x48, 0x0F, 0xAB, 0xC2) // BTS rdx, rax
 	c.emit3(0x48, 0x89, 0x11)       // MOV [rcx], rdx
+	c.opRR(0x8B, rDX, rAX)          // MOV leaves BTS's carry: the old bit
+	rewrite := c.jccLocal(0x82)     // JC
+	// A new word: the first slot from its home whose key is below Epoch.
+	c.emitHomeKey()
+	c.opRM(0x8B, rDX, r15, offEpoch)
+	insert := c.pos
+	c.emit4(0x49, 0x39, 0x14, 0x06) // CMP [r14+rax], rdx
+	taken := c.jccLocal(0x83)       // JAE: a key of this run
+	c.emit4(0x49, 0x89, 0x0C, 0x06) // MOV [r14+rax], rcx
+	c.addMem1(r15, offInserts)
+	toPut := c.jmpLocal()
+	c.bind(taken)
+	c.emitNextSlot(insert)
+	// A word stored before: its slot.
+	c.ensure(regionMax)
+	c.bind(rewrite)
+	c.emitHomeKey()
+	find := c.pos
+	c.emit4(0x49, 0x3B, 0x0C, 0x06) // CMP rcx, [r14+rax]
+	next = c.jccLocal(0x85)         // JNE
+	c.bind(toPut)
+	c.emit5(0x66, 0x48, 0x0F, 0x7E, 0xC2) // MOVQ rdx, xmm0
+	c.emit5(0x49, 0x89, 0x54, 0x06, 0x08) // MOV [r14+rax+8], rdx
 	c.emit1(0xC3)
+	c.bind(next)
+	c.emitNextSlot(find)
+}
+
+// emitHomeKey starts a table probe for the word index in RDX (kept): RAX
+// becomes the byte offset of the word's home slot, (index*Gamma >>
+// TableShift) & TableMask, and RCX its key, Epoch | index.
+func (c *Compiler) emitHomeKey() {
+	c.movImm64(rAX, rng.SplitMix64Gamma)
+	c.imulRR(rAX, rDX)
+	c.opRM(0x8B, rCX, r15, offTableShift)
+	c.emit3(0x48, 0xD3, 0xE8) // SHR rax, cl
+	c.opRM(0x23, rAX, r15, offTableMask)
+	c.opRM(0x8B, rCX, r15, offEpoch)
+	c.opRR(0x0B, rCX, rDX)
+}
+
+// emitNextSlot steps RAX to the next slot, wrapping at the table's end,
+// and jumps back to the probe at loop.
+func (c *Compiler) emitNextSlot(loop int) {
+	c.aluImm(0, rAX, 16)
+	c.opRM(0x23, rAX, r15, offTableMask)
+	c.emit1(0xE9) // JMP loop
+	c.u32(uint32(int32(loop - (c.pos + 4))))
 }
 
 // call emits CALL rel32 to an already emitted position.

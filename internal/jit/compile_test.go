@@ -12,6 +12,8 @@ import (
 	"bytes"
 	"errors"
 	"fmt"
+	"math/bits"
+	"slices"
 	"testing"
 	"unsafe"
 
@@ -36,10 +38,10 @@ func twoBlockProgram() *prog.Program {
 	}
 }
 
-// newFrame returns a Frame with a generous budget and countdown, wired to
-// the given per-block counters.
+// newFrame returns a Frame with a generous budget, countdown and table
+// headroom, wired to the given per-block counters.
 func newFrame(execs []uint64) *Frame {
-	f := &Frame{MaxInstr: 1 << 20, UntilSnap: 1 << 20}
+	f := &Frame{MaxInstr: 1 << 20, UntilSnap: 1 << 20, Headroom: 1 << 20}
 	f.ExecsBase = uintptr(unsafe.Pointer(&execs[0]))
 	return f
 }
@@ -132,6 +134,17 @@ func TestHeadGuards(t *testing.T) {
 	if f.Status != StatusHalt || f.UntilSnap != 1 {
 		t.Errorf("countdown 6: Status = %d UntilSnap = %d, want halt with 1 left", f.Status, f.UntilSnap)
 	}
+
+	// The table's headroom caps the countdown as the budget and the
+	// snapshot do: with room for four more words, block 0's four
+	// instructions go to the slow path untouched.
+	f = newFrame(execs)
+	f.Headroom = 4
+	code.Run(f, 0)
+	if f.Status != StatusSlow || f.NextBlock != 0 || f.Retired != 0 || f.UntilSnap != 1<<20 {
+		t.Errorf("headroom 4: Status=%d NextBlock=%d Retired=%d UntilSnap=%d, want slow at block 0 with nothing retired",
+			f.Status, f.NextBlock, f.Retired, f.UntilSnap)
+	}
 }
 
 // TestResumeMidProgram enters at a non-zero block, the driver's re-entry
@@ -219,73 +232,151 @@ func TestAllocRegsPinsMostUsed(t *testing.T) {
 }
 
 // memFrame is a Frame over a small scratch memory of its own, laid out as
-// vm lays out a Machine's: an arena that is never filled and a written map
-// of one bit per word.
+// vm lays out a Machine's: a written map of one bit per word and a
+// written-word table of 16-byte {key, value} slots.
 type memFrame struct {
 	f       *Frame
-	arena   []uint64
 	written []uint64
+	table   []tableSlot
 	execs   []uint64
 }
 
-const memFrameSeed = 0x1234_5678_9abc_def0
+type tableSlot struct{ key, val uint64 }
 
-func newMemFrame(words int) *memFrame {
+const (
+	memFrameSeed  = 0x1234_5678_9abc_def0
+	memFrameEpoch = 5 << 32
+)
+
+func newMemFrame(words, slots int) *memFrame {
 	mf := &memFrame{
-		arena:   make([]uint64, words),
 		written: make([]uint64, (words+63)/64),
+		table:   make([]tableSlot, slots),
 		execs:   make([]uint64, 4),
 	}
 	mf.f = newFrame(mf.execs)
-	mf.f.Mem = uintptr(unsafe.Pointer(&mf.arena[0]))
 	mf.f.Written = uintptr(unsafe.Pointer(&mf.written[0]))
 	mf.f.SeedGamma = memFrameSeed + rng.SplitMix64Gamma
 	mf.f.MaskAligned = uint64(words*8-1) &^ 7
+	mf.f.Table = uintptr(unsafe.Pointer(&mf.table[0]))
+	mf.f.TableMask = uint64(slots-1) << 4
+	mf.f.TableShift = uint64(60 - bits.TrailingZeros(uint(slots)))
+	mf.f.Epoch = memFrameEpoch
+	mf.f.Headroom = uint64(slots / 2)
 	return mf
 }
 
+// home is word w's home slot in a table of the given size.
+func home(w uint64, slots int) int {
+	return int(w * rng.SplitMix64Gamma >> (64 - bits.TrailingZeros(uint(slots))))
+}
+
 // TestMemRoutines enters the shared load and store routines through one
-// site of each kind and checks the model word by word: a load of a word no
-// store touched computes SplitMix64At and reads nothing, a store writes
-// the arena word and sets exactly its bit, a load after it reads the arena,
-// addresses wrap to the image and align down, and neither routine disturbs
-// a pinned or a frame-resident register it was not asked to write.
+// site of each kind and checks the model word by word against a table
+// kept here by hand:
+//   - a load of a word no store touched computes SplitMix64At and reads
+//     nothing, though a stale slot of the same word sits at its home;
+//   - the first store to a word sets exactly its bit and inserts it in the
+//     first empty slot from its home, counted in Inserts;
+//   - a second store overwrites that slot and inserts nothing;
+//   - words sharing a home slot — the table's last, so the probe wraps to
+//     slot 0 — take consecutive slots and read back through the probe;
+//   - a slot keyed by an earlier epoch is empty, whatever index it names;
+//   - addresses wrap to the image and align down;
+//   - the value register may be the address register, and neither routine
+//     disturbs a pinned or a frame-resident register it was not asked to
+//     write.
+//
+// The whole table is compared with the hand-kept one at the end, so a
+// store that lands in any other slot fails too.
 func TestMemRoutines(t *testing.T) {
-	const words = 256 // a 2 KiB image, 4 map words
-	// Ten references to each of r0..r7 pin those; r9 and r10 stay in the
-	// frame.
+	const words, slots = 4096, 256 // a 32 KiB image, 64 map words
+	// Three words whose home is the last slot, and a word whose home
+	// holds a stale key of its own: none of them anything else the program
+	// touches.
+	used := map[uint64]bool{5: true, 6: true, 15: true, 16: true, 70: true, 72: true, 73: true}
+	var wrap []uint64
+	stale := uint64(0)
+	for w := uint64(100); w < words && (len(wrap) < 3 || stale == 0); w++ {
+		switch h := home(w, slots); {
+		case h == slots-1 && len(wrap) < 3:
+			wrap = append(wrap, w)
+		case stale == 0 && h > 8 && h < slots-8:
+			stale = w
+		}
+	}
+	if len(wrap) < 3 || stale == 0 {
+		t.Fatal("no words with the homes the test needs")
+	}
+	for _, w := range append(wrap, stale) {
+		if used[w] {
+			t.Fatalf("word %d is used twice", w)
+		}
+	}
+
+	// Ten references to each of r0..r7 pin those; r8..r10 stay in the
+	// frame, and r11..r15 are bystanders.
 	var instrs []prog.Instr
 	for r := uint8(0); r < 8; r++ {
 		for i := 0; i < 5; i++ {
 			instrs = append(instrs, prog.Instr{Op: isa.OpMov, Dst: r, A: r})
 		}
 	}
+	at := func(w uint64) int64 { return int64(8 * w) }
 	instrs = append(instrs, []prog.Instr{
 		{Op: isa.OpMovI, Dst: 1, Imm: 8*70 + 3},        // unaligned: word 70
 		{Op: isa.OpMovI, Dst: 9, Imm: 8 * (words + 5)}, // past the end: wraps to word 5
 		{Op: isa.OpMovI, Dst: 2, Imm: 0x2222},
 		{Op: isa.OpLoad, Dst: 3, A: 1},           // pristine word 70
 		{Op: isa.OpLoad, Dst: 10, A: 9, Imm: 8},  // pristine word 6, frame registers
-		{Op: isa.OpStore, A: 1, B: 2, Imm: 16},   // word 72 := 0x2222
+		{Op: isa.OpStore, A: 1, B: 2, Imm: 16},   // word 72 := 0x2222, inserted
 		{Op: isa.OpStore, A: 9, B: 9},            // word 5 := its own address
 		{Op: isa.OpLoad, Dst: 4, A: 1, Imm: 16},  // word 72 back
+		{Op: isa.OpMovI, Dst: 2, Imm: 0x3333},    //
+		{Op: isa.OpStore, A: 1, B: 2, Imm: 16},   // word 72 := 0x3333, overwritten
+		{Op: isa.OpLoad, Dst: 0, A: 1, Imm: 16},  // word 72 back again
 		{Op: isa.OpLoad, Dst: 1, A: 1, Imm: 24},  // pristine word 73, into the address register
 		{Op: isa.OpFStore, A: 9, B: 7, Imm: 80},  // word 15 := f7
 		{Op: isa.OpFLoad, Dst: 6, A: 9, Imm: 80}, // f6 := word 15
 		{Op: isa.OpFLoad, Dst: 5, A: 9, Imm: 88}, // f5 := pristine word 16
-		{Op: isa.OpHalt},
+		{Op: isa.OpMovI, Dst: 5, Imm: at(stale)}, //
+		{Op: isa.OpLoad, Dst: 8, A: 5},           // pristine, past the stale slot of its own index
+		{Op: isa.OpStore, A: 5, B: 2},            // stale word := 0x3333, into the stale slot
+		{Op: isa.OpFLoad, Dst: 4, A: 5},          // f4 := it
 	}...)
+	for _, w := range wrap { // each word := its address; then read back in reverse
+		instrs = append(instrs,
+			prog.Instr{Op: isa.OpMovI, Dst: 6, Imm: at(w)},
+			prog.Instr{Op: isa.OpStore, A: 6, B: 6})
+	}
+	for i := len(wrap) - 1; i >= 0; i-- {
+		instrs = append(instrs,
+			prog.Instr{Op: isa.OpMovI, Dst: 6, Imm: at(wrap[i])},
+			prog.Instr{Op: isa.OpFLoad, Dst: uint8(i), A: 6})
+	}
+	instrs = append(instrs, prog.Instr{Op: isa.OpHalt})
+	if n := len(instrs); n >= slots/2 {
+		t.Fatalf("a %d-instruction block does not fit under the table's headroom", n)
+	}
+
 	c := NewCompiler()
 	code, err := c.Compile(&prog.Program{Code: instrs, Blocks: []prog.Block{{Len: uint32(len(instrs))}}})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if c.regMap[1] < 0 || c.regMap[2] < 0 || c.regMap[9] >= 0 || c.regMap[10] >= 0 {
-		t.Fatalf("register map %v: want r1, r2 pinned and r9, r10 frame-resident", c.regMap)
+	if c.regMap[1] < 0 || c.regMap[2] < 0 || c.regMap[5] < 0 || c.regMap[6] < 0 || c.regMap[9] >= 0 || c.regMap[10] >= 0 || c.regMap[8] >= 0 {
+		t.Fatalf("register map %v: want r1, r2, r5, r6 pinned and r8, r9, r10 frame-resident", c.regMap)
 	}
-	mf := newMemFrame(words)
-	mf.arena[70], mf.arena[6] = 0xdead, 0xdead // stale arena content no load may see
-	mf.f.FPRegs[7] = 0x4045000000000000        // 42.0
+	mf := newMemFrame(words, slots)
+	// Stale slots no load may see and every insert may take: the stale
+	// word's own index at its home, and unrelated indices of two earlier
+	// epochs, one of them the largest key below this epoch, at the wrapping
+	// chain's slots.
+	mf.table[home(stale, slots)] = tableSlot{memFrameEpoch - 1<<32 | stale, 0xdead}
+	mf.table[slots-1] = tableSlot{memFrameEpoch - 1, 0xdead}
+	mf.table[0] = tableSlot{3<<32 | 70, 0xdead}
+	want := slices.Clone(mf.table)
+	mf.f.FPRegs[7] = 0x4045000000000000 // 42.0
 	for r := range mf.f.IntRegs {
 		if r > 10 {
 			mf.f.IntRegs[r] = 0xf00 + uint64(r) // bystanders
@@ -295,6 +386,25 @@ func TestMemRoutines(t *testing.T) {
 	if mf.f.Status != StatusHalt {
 		t.Fatalf("Status = %d, want halt", mf.f.Status)
 	}
+
+	// The table by hand: each inserted word in the first slot from its
+	// home whose key is below this epoch.
+	insert := func(w, v uint64) {
+		for h := home(w, slots); ; h = (h + 1) % slots {
+			if want[h].key < memFrameEpoch {
+				want[h] = tableSlot{memFrameEpoch | w, v}
+				return
+			}
+		}
+	}
+	insert(72, 0x3333)
+	insert(5, 8*(words+5))
+	insert(15, 0x4045000000000000)
+	insert(stale, 0x3333)
+	for _, w := range wrap {
+		insert(w, 8*w)
+	}
+
 	pristine := func(w uint64) uint64 { return rng.SplitMix64At(memFrameSeed, w) }
 	f := mf.f
 	for _, chk := range []struct {
@@ -304,20 +414,38 @@ func TestMemRoutines(t *testing.T) {
 		{"load of pristine word 70 (unaligned address)", f.IntRegs[3], pristine(70)},
 		{"load of pristine word 6 (wrapped address, frame registers)", f.IntRegs[10], pristine(6)},
 		{"load of stored word 72", f.IntRegs[4], 0x2222},
+		{"load of overwritten word 72", f.IntRegs[0], 0x3333},
 		{"load into its own address register", f.IntRegs[1], pristine(73)},
-		{"arena word 72", mf.arena[72], 0x2222},
-		{"arena word 5 (value register is the address register)", mf.arena[5], 8 * (words + 5)},
-		{"arena word 15 (fstore)", mf.arena[15], 0x4045000000000000},
 		{"fload of stored word 15", f.FPRegs[6], 0x4045000000000000},
-		{"map word 0", mf.written[0], 1<<5 | 1<<15},
-		{"map word 1", mf.written[1], 1 << (72 - 64)},
-		{"map words 2 and 3", mf.written[2] | mf.written[3], 0},
+		{"load of a word with a stale slot of its own", f.IntRegs[8], pristine(stale)},
+		{"fload of that word once stored", f.FPRegs[4], 0x3333},
+		{"fload of the first word homed at the last slot", f.FPRegs[0], 8 * wrap[0]},
+		{"fload of the second, past the table's end", f.FPRegs[1], 8 * wrap[1]},
+		{"fload of the third", f.FPRegs[2], 8 * wrap[2]},
+		{"inserts", f.Inserts, 7},
 		{"address register r9 after the stores", f.IntRegs[9], 8 * (words + 5)},
-		{"value register r2 after the store", f.IntRegs[2], 0x2222},
+		{"value register r2 after the store", f.IntRegs[2], 0x3333},
 	} {
 		if chk.got != chk.want {
 			t.Errorf("%s = %#x, want %#x", chk.what, chk.got, chk.want)
 		}
+	}
+	for i := range want {
+		if mf.table[i] != want[i] {
+			t.Errorf("slot %d = %#x, want %#x", i, mf.table[i], want[i])
+		}
+	}
+	var bitsSet []uint64
+	for i, m := range mf.written {
+		for m != 0 {
+			bitsSet = append(bitsSet, uint64(i*64+bits.TrailingZeros64(m)))
+			m &= m - 1
+		}
+	}
+	wantBits := append([]uint64{5, 15, 72}, append(wrap, stale)...)
+	slices.Sort(wantBits)
+	if !slices.Equal(bitsSet, wantBits) {
+		t.Errorf("written map marks words %v, want %v", bitsSet, wantBits)
 	}
 	// fload canonicalizes a pristine word only if it encodes a NaN.
 	if w := pristine(16); w&0x7ff0000000000000 != 0x7ff0000000000000 && f.FPRegs[5] != w {

@@ -40,13 +40,13 @@
 // unknown PC is simply not a safe point) and needs only a minimal
 // assembly trampoline to enter.
 //
-// Scratch memory is vm's sparse overlay (see vm.Machine): an arena that
-// is never filled plus a one-bit-per-word written map. Stores write the
-// arena and set the bit; loads read the arena where the bit is set and
-// otherwise compute the pristine word, rng.SplitMix64At(memSeed, index).
-// Both live in two routines emitted once per program, which every load
-// and store site calls, so the per-site code is no larger than a plain
-// memory access was.
+// Scratch memory is vm's sparse overlay (see vm.Machine): a
+// one-bit-per-word written map plus a hash table of the words stored.
+// Stores set the bit and insert or overwrite the word's slot; loads probe
+// the table where the bit is set and otherwise compute the pristine word,
+// rng.SplitMix64At(memSeed, index). Both live in two routines emitted once
+// per program, which every load and store site calls, so the per-site code
+// is no larger than a plain memory access was.
 //
 // On non-amd64 (or non-linux) platforms the package compiles to a stub
 // whose Supported() reports false; callers keep the interpreter.
@@ -102,14 +102,14 @@ type Frame struct {
 	VecRegs [isa.NumVecRegs][isa.VecLanes]uint64
 
 	// Cold state, touched only by the prologue/epilogue or the Go driver.
-	// Mem is the base address of the scratch memory arena (loaded into a
+	// Table is the base address of vm's written-word table (loaded into a
 	// register on entry). Retired and UntilSnap mirror vm.execState and
 	// are register-shadowed while native code runs. Resume is the
 	// absolute address of the block head to enter — the prologue jumps
 	// through it, which is how the driver re-enters at an arbitrary block
 	// after a slow-path boundary. NextBlock and Status report why the
 	// code exited (see Status*).
-	Mem       uintptr
+	Table     uintptr
 	Retired   uint64
 	UntilSnap uint64
 	Resume    uintptr
@@ -117,21 +117,37 @@ type Frame struct {
 	Status    uint32
 
 	// LimStart is prologue/epilogue scratch: the run-segment instruction
-	// limit min(MaxInstr-Retired, UntilSnap) captured on entry. Retired
-	// and UntilSnap advance in lockstep (every retired instruction
+	// limit min(MaxInstr-Retired, UntilSnap, Headroom) captured on entry.
+	// Retired and UntilSnap advance in lockstep (every retired instruction
 	// decrements the snapshot countdown by one), so the generated code
 	// tracks a single countdown register seeded from this minimum and the
 	// epilogue reconstructs both counters from how far it fell.
 	LimStart uint64
 
 	// The sparse scratch memory, read only by the two shared memory
-	// routines (so their displacement size is no per-site cost). Written
-	// is the base address of vm's written map, one bit per 8-byte word of
-	// the image, which native code and the interpreter slow path share.
-	// SeedGamma is memSeed + rng.SplitMix64Gamma: the pristine word i is
-	// mix64(SeedGamma + i*Gamma).
-	Written   uintptr
-	SeedGamma uint64
+	// routines (so their displacement size is no per-site cost) and the
+	// prologue. Written is the base address of vm's written map, one bit
+	// per 8-byte word of the image; SeedGamma is memSeed +
+	// rng.SplitMix64Gamma: the pristine word i is mix64(SeedGamma +
+	// i*Gamma).
+	//
+	// The words a run stored live in vm's written-word table at Table:
+	// 16-byte slots {key, value}, a power of two of them, key = Epoch | the
+	// word index (Epoch is the run's epoch << 32; a slot whose key is below
+	// it is empty). Word i's home slot is i*Gamma >> (64 - log2(slots)),
+	// probing goes on linearly and wraps; TableShift is that shift less
+	// four and TableMask (slots-1) << 4, so the home's byte offset is
+	// (i*Gamma >> TableShift) & TableMask. The store routine counts its
+	// inserts in Inserts and never grows the table: the prologue caps the
+	// segment's countdown at Headroom (inserts left before the table is
+	// half full), and a segment stores at most one word per instruction.
+	Written    uintptr
+	SeedGamma  uint64
+	TableMask  uint64
+	TableShift uint64
+	Epoch      uint64
+	Inserts    uint64
+	Headroom   uint64
 }
 
 // Compilation limits. Programs beyond these bounds (far beyond anything

@@ -74,23 +74,19 @@ type RunStats struct {
 	// interpreter, and records why.
 	FallbackErr error
 	// ResetNs is the time the run spent making its scratch memory pristine
-	// (clearing the written map) and WordsWritten the number of distinct
-	// 8-byte words it then stored to — the popcount of the map after the
-	// run, i.e. how much of the image ever existed. Both are measured only
-	// under TrackMemory and are zero otherwise.
+	// (clearing the written map, starting a table epoch) and WordsWritten
+	// the number of distinct 8-byte words it then stored to — the table's
+	// insert count, i.e. how much of the image ever existed. TableSlots is
+	// the table's capacity after the run (16 bytes a slot; see memory.go).
 	ResetNs      int64
 	WordsWritten uint64
+	TableSlots   int
 	// SlowBounces is how many times a native run left its code for the
 	// interpreter's reference step to carry one block over a snapshot or
 	// budget boundary (see runNative): about one per snapshot. Zero on the
 	// interpreter.
 	SlowBounces uint64
 }
-
-// TrackMemory makes subsequent runs report RunStats.ResetNs and
-// RunStats.WordsWritten. Off by default: counting the written words reads
-// the whole map, which the bare hashing path does not pay for.
-func (m *Machine) TrackMemory(on bool) { m.trackMemory = on }
 
 // SetBackend selects the execution engine for subsequent runs.
 func (m *Machine) SetBackend(b Backend) { m.backend = b }
@@ -185,6 +181,14 @@ func (m *Machine) tryRunNative(params Params, res *Result) bool {
 // interpreter uses, after which execution re-enters native code at the
 // block the step names. Snapshot bytes, truncation points and every
 // counter are therefore bit-identical across engines.
+//
+// Native code inserts into the written-word table but cannot grow it, so
+// it runs on a countdown no longer than the table's headroom (see
+// jit.Frame.Headroom): a segment stores at most one word per instruction it
+// retires. Every return grows the table back to a default snapshot
+// segment's headroom (wordTable.fit), so at the default parameters headroom
+// never ends a segment; a longer interval ends some at a headroom bounce,
+// which is where the table grows.
 func (m *Machine) runNative(params Params, res *Result, ns *nativeState) {
 	nb := len(m.prog.Blocks)
 	if cap(ns.execs) < nb {
@@ -200,16 +204,22 @@ func (m *Machine) runNative(params Params, res *Result, ns *nativeState) {
 	bi := uint32(0)
 
 	f := &ns.frame
-	f.Mem = uintptr(unsafe.Pointer(&m.mem[0]))
 	f.Written = uintptr(unsafe.Pointer(&m.written[0]))
 	f.SeedGamma = m.prog.MemSeed + rng.SplitMix64Gamma
 	f.MaskAligned = (uint64(m.prog.MemSize) - 1) &^ 7
 	f.MaxInstr = st.maxInstr
 	f.ExecsBase = uintptr(unsafe.Pointer(&ns.execs[0]))
+	tab := &m.table
+	f.Epoch = tab.epoch
 
 	for {
 		// Enter native code at block bi; it runs fast-path blocks until a
 		// boundary, halt or truncation forces an exit.
+		f.Table = uintptr(unsafe.Pointer(&tab.slots[0]))
+		f.TableMask = uint64(len(tab.slots)-1) << 4
+		f.TableShift = uint64(tab.shift) - 4
+		f.Inserts = uint64(tab.count)
+		f.Headroom = uint64(tab.headroom())
 		f.IntRegs = m.intRegs
 		f.FPRegs = m.fpRegs
 		f.VecRegs = m.vecRegs
@@ -218,6 +228,8 @@ func (m *Machine) runNative(params Params, res *Result, ns *nativeState) {
 		f.CondBranches = st.condBranches
 		f.TakenBranches = st.takenBranches
 		ns.code.Run(f, bi)
+		tab.count = int(f.Inserts)
+		tab.fit()
 		m.intRegs = f.IntRegs
 		m.fpRegs = f.FPRegs
 		m.vecRegs = f.VecRegs
@@ -230,9 +242,10 @@ func (m *Machine) runNative(params Params, res *Result, ns *nativeState) {
 			break
 		}
 		// The block straddles a budget or snapshot boundary (or the budget
-		// is exhausted outright): execute it on the exact per-instruction
-		// path — which truncates, snapshots, or retires it exactly as the
-		// interpreter would — then re-enter native code.
+		// is exhausted outright, or the table's headroom): execute it on the
+		// exact per-instruction path — which truncates, snapshots, or
+		// retires it exactly as the interpreter would — then re-enter
+		// native code.
 		m.lastStats.SlowBounces++
 		next, status := m.step(f.NextBlock, &st, res, nil)
 		if status != stepNext {
@@ -241,8 +254,9 @@ func (m *Machine) runNative(params Params, res *Result, ns *nativeState) {
 		}
 		bi = next
 	}
-	// The mem/written/execs uintptrs in the frame die with this call; m
-	// and ns keep the underlying storage alive until here.
+	// The written/table/execs uintptrs in the frame die with this call; m
+	// and ns keep the underlying storage alive until here (a table grown
+	// mid-run is not entered again through its old address).
 	runtime.KeepAlive(m)
 	runtime.KeepAlive(ns)
 

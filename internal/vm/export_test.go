@@ -1,12 +1,46 @@
 package vm
 
 import (
+	"testing"
+
 	"hashcore/internal/isa"
 	"hashcore/internal/prog"
 )
 
 // What the tests in package vm_test — where the dense oracle lives — may
-// see of the fused stream.
+// see of the written-word table and the fused stream.
+
+// ShrinkTable gives m an empty written-word table of slots slots and, until
+// the test ends, has every table keep only slack words of headroom, so
+// that one run grows it many times — at native code's headroom bounces
+// among other places.
+func ShrinkTable(tb testing.TB, m *Machine, slots, slack int) {
+	old := tableSlack
+	tb.Cleanup(func() { tableSlack = old })
+	tableSlack = slack
+	m.table = wordTable{epoch: m.table.epoch}
+	m.table.resize(slots)
+}
+
+// SetTableEpoch moves the table's epoch forward to e, which must not be
+// below the current one (TableEpoch): the next run's reset starts e+1.
+func (m *Machine) SetTableEpoch(e uint32) { m.table.epoch = uint64(e) << 32 }
+
+// TableEpoch is the epoch of the last run.
+func (m *Machine) TableEpoch() uint32 { return uint32(m.table.epoch >> 32) }
+
+// MaxKeyEpoch is the highest epoch any slot's key carries, live or not.
+func (m *Machine) MaxKeyEpoch() uint32 {
+	var e uint32
+	for _, s := range m.table.slots {
+		e = max(e, uint32(s.key>>32))
+	}
+	return e
+}
+
+// ScratchBytes is what m retains for its scratch memory: the written map's
+// and the table's storage.
+func (m *Machine) ScratchBytes() int { return cap(m.written)*8 + cap(m.table.slots)*16 }
 
 // FusedBlock describes one block as the fast loop executes it.
 type FusedBlock struct {

@@ -46,11 +46,9 @@ func TestWrittenMapSizing(t *testing.T) {
 			if err := m.Load(p); err != nil {
 				t.Fatal(err)
 			}
-			m.TrackMemory(true)
 			m.Run(Params{}, nil)
-			if len(m.written) != tc.words || len(m.mem) != tc.size {
-				t.Fatalf("%d-byte image on %v: %d map words over a %d-byte arena, want %d over %d",
-					tc.size, be, len(m.written), len(m.mem), tc.words, tc.size)
+			if len(m.written) != tc.words {
+				t.Fatalf("%d-byte image on %v: %d map words, want %d", tc.size, be, len(m.written), tc.words)
 			}
 			if last := m.written[tc.words-1]; last != 1<<63 {
 				t.Errorf("%d-byte image on %v: last map word = %#x, want only its top bit", tc.size, be, last)
@@ -92,7 +90,7 @@ func TestResetClearsPreviousExtent(t *testing.T) {
 // TestRerunClearsWrittenMap: a Machine that runs the same load again — the
 // miner's re-hash pattern — starts from a clean written map each time. The
 // program's first action reads a word its previous run stored to, so a bit
-// that survived the reset would hand it that run's arena word instead of
+// that survived the reset would hand it that run's stored word instead of
 // the pristine one. (Reuse across image sizes and seeds, the other half of
 // the reset contract, is TestMachineReuseAcrossImageSizes and
 // TestResetClearsPreviousExtent.)
@@ -126,24 +124,82 @@ func TestRerunClearsWrittenMap(t *testing.T) {
 
 // TestLoadStoreWord checks the pair every interpreter memory opcode goes
 // through, word by word: pristine loads compute the image, a store marks
-// exactly its own word, and a marked word reads back from the arena.
+// exactly its own word and inserts it once, an overwrite keeps its slot,
+// and a marked word reads back from the table.
 func TestLoadStoreWord(t *testing.T) {
-	mem := make([]byte, 1024)
-	written := make([]uint64, mapWords(len(mem)))
+	var tab wordTable
+	tab.reset()
+	written := make([]uint64, mapWords(1024))
 	const seed = 5
 	for _, addr := range []uint64{0, 8, 504, 512, 1016} {
-		if got, want := loadWord(mem, written, seed, addr), rng.SplitMix64At(seed, addr/8); got != want {
+		if got, want := loadWord(&tab, written, seed, addr), rng.SplitMix64At(seed, addr/8); got != want {
 			t.Fatalf("pristine load at %d = %#x, want %#x", addr, got, want)
 		}
 	}
-	storeWord(mem, written, 512, 0xabc)
+	storeWord(&tab, written, 512, 0xabc)
 	if written[0] != 0 || written[1] != 1 {
 		t.Fatalf("store at byte 512 marked %#x %#x, want word 64 only", written[0], written[1])
 	}
-	if got := loadWord(mem, written, seed, 512); got != 0xabc {
-		t.Fatalf("load after store = %#x", got)
+	storeWord(&tab, written, 512, 0xdef)
+	if got := loadWord(&tab, written, seed, 512); got != 0xdef || tab.count != 1 {
+		t.Fatalf("load after two stores = %#x with %d words inserted, want 0xdef and 1", got, tab.count)
 	}
-	if got, want := loadWord(mem, written, seed, 520), rng.SplitMix64At(seed, 65); got != want {
+	if got, want := loadWord(&tab, written, seed, 520), rng.SplitMix64At(seed, 65); got != want {
 		t.Fatalf("neighbour of a stored word = %#x, want pristine %#x", got, want)
+	}
+}
+
+// TestWordTableGrowsAndForgets drives the table alone past several
+// doublings within one run — every word must survive each rehash — then
+// starts a new run, in which every earlier key is an empty slot: nothing
+// is found, and new inserts reuse the slots without a clear.
+func TestWordTableGrowsAndForgets(t *testing.T) {
+	var tab wordTable
+	tab.reset()
+	start := len(tab.slots)
+	const n = 5000
+	for w := uint64(0); w < n; w++ {
+		tab.insert(w*977, w)
+		if tab.headroom() < tableSlack {
+			t.Fatalf("after %d inserts: %d slots, headroom %d, want at least %d", tab.count, len(tab.slots), tab.headroom(), tableSlack)
+		}
+	}
+	if len(tab.slots) <= start {
+		t.Fatalf("%d inserts left the table at %d slots", n, len(tab.slots))
+	}
+	for w := uint64(0); w < n; w++ {
+		if got := tab.find(w * 977).val; got != w {
+			t.Fatalf("word %d reads %d after growing to %d slots", w*977, got, len(tab.slots))
+		}
+	}
+	slots := len(tab.slots)
+	tab.reset()
+	h := -1
+	for i, s := range tab.slots {
+		if s.key >= tab.epoch {
+			t.Fatalf("key %#x is live in a new run (epoch %#x)", s.key, tab.epoch)
+		}
+		if h < 0 && s.key != 0 {
+			h = i
+		}
+	}
+	// A slot the last run filled is empty: a new word homed there takes it.
+	w := uint64(2) // no word either run stores otherwise
+	for tab.home(w) != uint64(h) {
+		w += 977
+	}
+	if tab.insert(w, 1); tab.slots[h].key != tab.epoch|w {
+		t.Fatalf("word %d homed at slot %d, which holds a stale key, went elsewhere", w, h)
+	}
+	for w := uint64(0); w < n; w++ {
+		tab.insert(w*977+1, ^w)
+	}
+	if len(tab.slots) != slots {
+		t.Fatalf("the same number of words grew the table again: %d slots, was %d", len(tab.slots), slots)
+	}
+	for w := uint64(0); w < n; w++ {
+		if got := tab.find(w*977 + 1).val; got != ^w {
+			t.Fatalf("second run: word %d reads %#x", w*977+1, got)
+		}
 	}
 }

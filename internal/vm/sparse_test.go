@@ -7,6 +7,7 @@ package vm_test
 
 import (
 	"fmt"
+	"math"
 	"testing"
 
 	"hashcore/internal/asm"
@@ -14,6 +15,7 @@ import (
 	"hashcore/internal/perfprox"
 	"hashcore/internal/prog"
 	"hashcore/internal/vm"
+	"hashcore/internal/workload"
 )
 
 // sparseProfiles are the workload families the differential tests draw
@@ -25,8 +27,10 @@ var sparseProfiles = []string{"leela", "mcf", "lbm"}
 // a fuzzed profile and runs it under fuzzed budget and snapshot parameters
 // on the dense reference and on every overlay engine; all results must be
 // bit-identical. One Machine serves every execution of the fuzz process,
-// so each input also runs on whatever arena and written map the previous
-// ones left behind.
+// so each input also runs on whatever table and written map the previous
+// ones left behind. (In the committed corpus, seed-10 is an mcf widget
+// with a snapshot interval past its budget: no snapshot ends its native
+// segments, the written-word table's headroom does.)
 func FuzzSparseVsDenseMemory(f *testing.F) {
 	f.Add(uint64(1), uint64(2), uint8(0), uint16(0), uint8(0))
 	f.Add(uint64(3), uint64(4), uint8(1), uint16(1), uint8(1))
@@ -312,7 +316,7 @@ func scribble(t *testing.T, size int, memSeed uint64, count int) *prog.Program {
 
 // TestMachineReuseAcrossImageSizes: one Machine reloaded from a larger
 // image to a smaller one and back, and from one seed to another over the
-// same size, must never see a written bit or an arena word a previous run
+// same size, must never see a written bit or a table word a previous run
 // left: every run equals the dense reference, which starts from nothing.
 // PrepareMemory calls — matching, mismatching, absent — are interleaved
 // and must change no result.
@@ -338,6 +342,131 @@ func TestMachineReuseAcrossImageSizes(t *testing.T) {
 		}
 		checkSparseVsDense(t, m, p, vm.Params{})
 		checkSparseVsDense(t, m, p, vm.Params{SnapshotInterval: 5, MaxInstructions: 1000})
+	}
+}
+
+// runEngine runs the program loaded in m on engine — a backend, or the
+// reference step alone when engine is "reference step" — into res.
+func runEngine(m *vm.Machine, engine string, params vm.Params, res *vm.Result) {
+	if engine == "reference step" {
+		m.RunInto(params, &nullObserver{}, res)
+		return
+	}
+	be, _ := vm.ParseBackend(engine)
+	m.SetBackend(be)
+	m.RunInto(params, nil, res)
+}
+
+// engineNames are the engines runEngine knows on this platform.
+func engineNames() []string {
+	names := []string{"reference step"}
+	for _, be := range sparseEngines() {
+		names = append(names, be.String())
+	}
+	return names
+}
+
+// TestTableGrowsAtBoundaries runs an mcf widget on every engine from a
+// 16-slot written-word table that keeps only 4 words of headroom, with
+// one snapshot interval as long as the budget: no snapshot ends a native
+// segment, the table's headroom does — over and over, the table growing
+// at those bounces and at the reference step's inserts between them. The
+// dense reference decides.
+func TestTableGrowsAtBoundaries(t *testing.T) {
+	p, err := fullProfileGenerator(t, "mcf").Generate(seedFromWords(25, 0x7ab1e))
+	if err != nil {
+		t.Fatal(err)
+	}
+	m, err := vm.New(p)
+	if err != nil {
+		t.Fatal(err)
+	}
+	natural := runDense(p, vm.Params{}).Retired
+	for _, params := range []vm.Params{
+		{SnapshotInterval: natural, MaxInstructions: natural},
+		{SnapshotInterval: natural / 2, MaxInstructions: natural / 2},
+	} {
+		want := runDense(p, params)
+		for _, engine := range engineNames() {
+			vm.ShrinkTable(t, m, 16, 4)
+			var got vm.Result
+			runEngine(m, engine, params, &got)
+			if field, ok := sameResult(&got, want); !ok {
+				t.Fatalf("params %+v: %s from a 16-slot table and the dense reference differ in %s", params, engine, field)
+			}
+			st := m.LastRunStats()
+			if st.WordsWritten < 64 || st.TableSlots < int(2*st.WordsWritten) {
+				t.Fatalf("params %+v on %s: %d words written into a table of %d slots, want many words and at most half the slots",
+					params, engine, st.WordsWritten, st.TableSlots)
+			}
+			if engine == "native" && st.SlowBounces < 8 {
+				t.Errorf("params %+v: %d slow bounces, want the table's headroom to end many native segments", params, st.SlowBounces)
+			}
+		}
+	}
+}
+
+// TestTableEpochWrap runs a widget at the last table epoch, then again:
+// the reset wraps the epoch, which must clear the slots — a key of the
+// last epoch is above every later one and would look live for good — and
+// both runs must equal the dense reference on every engine.
+func TestTableEpochWrap(t *testing.T) {
+	first, second := scribble(t, 1<<16, 7, 300), scribble(t, 1<<16, 8, 290)
+	m := &vm.Machine{}
+	for _, engine := range engineNames() {
+		if err := m.Load(first); err != nil {
+			t.Fatal(err)
+		}
+		m.SetTableEpoch(math.MaxUint32 - 1)
+		var got vm.Result
+		runEngine(m, engine, vm.Params{}, &got)
+		if field, ok := sameResult(&got, runDense(first, vm.Params{})); !ok {
+			t.Fatalf("%s at the last epoch: differs from the dense reference in %s", engine, field)
+		}
+		if e := m.MaxKeyEpoch(); m.TableEpoch() != math.MaxUint32 || e != math.MaxUint32 {
+			t.Fatalf("%s: run at epoch %d left keys of epoch %d, want %d", engine, m.TableEpoch(), e, uint32(math.MaxUint32))
+		}
+		if err := m.Load(second); err != nil {
+			t.Fatal(err)
+		}
+		runEngine(m, engine, vm.Params{}, &got)
+		if field, ok := sameResult(&got, runDense(second, vm.Params{})); !ok {
+			t.Fatalf("%s after the epoch wrapped: differs from the dense reference in %s", engine, field)
+		}
+		if e := m.MaxKeyEpoch(); m.TableEpoch() != 1 || e != 1 {
+			t.Fatalf("%s: the run after the wrap is epoch %d and the table holds keys of epoch %d, want 1 and 1", engine, m.TableEpoch(), e)
+		}
+	}
+}
+
+// TestMachineFootprint: what a Machine keeps for its scratch memory after
+// 50 hashes' worth of mcf widgets — a 64 MiB image each — is the written
+// map and the table, not an image-sized arena.
+func TestMachineFootprint(t *testing.T) {
+	w, err := workload.ByName("mcf")
+	if err != nil {
+		t.Fatal(err)
+	}
+	gen, err := perfprox.NewGenerator(w.Profile, perfprox.Params{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var (
+		m   vm.Machine
+		res vm.Result
+	)
+	for i := uint64(0); i < 50; i++ {
+		p, err := gen.Generate(seedFromWords(i, 0xf007))
+		if err != nil {
+			t.Fatal(err)
+		}
+		m.LoadTrusted(p)
+		m.RunInto(vm.Params{}, nil, &res)
+	}
+	if b := m.ScratchBytes(); b >= 4<<20 {
+		t.Errorf("after 50 mcf runs the machine retains %d bytes of scratch memory, want under 4 MiB", b)
+	} else {
+		t.Logf("%d bytes of scratch memory (%d table slots)", b, m.LastRunStats().TableSlots)
 	}
 }
 

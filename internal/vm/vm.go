@@ -44,7 +44,6 @@ import (
 
 	"hashcore/internal/isa"
 	"hashcore/internal/prog"
-	"hashcore/internal/rng"
 )
 
 // Default execution parameters.
@@ -175,17 +174,18 @@ type Machine struct {
 	// The scratch memory is a sparse overlay over an image that is never
 	// materialized: word i of the pristine image is by definition
 	// rng.SplitMix64At(MemSeed, i), which costs three multiplies — less than
-	// the cache miss that would fetch it — so loads compute it. mem is the
-	// arena stores write into; it is never filled. written holds one bit per
-	// 8-byte word, set by every store, and a load reads the arena only where
-	// the bit is set (see loadWord/storeWord; native code tests and sets the
-	// same bits, because boundary blocks bounce between the two engines
-	// mid-run). Resetting memory is clearing the map: stale arena words are
-	// unreachable without their bit. memClean records that no run has
-	// started since the last clear; every bit beyond len(written), up to its
-	// capacity, is always zero, so resizing between images costs nothing.
-	mem      []byte
+	// the cache miss that would fetch it — so loads compute it. written
+	// holds one bit per 8-byte word of the image, set by the first store to
+	// the word, and table holds the words stored, keyed by index (memory.go;
+	// sized by what a hash writes — some ten thousand of mcf's eight
+	// million words — not by the image). A load whose bit is clear computes
+	// the pristine word; one whose bit is set reads the table. Native code
+	// tests and sets the same bits and probes the same table, because
+	// boundary blocks bounce between the two engines mid-run. Resetting
+	// memory is clearing the map and starting a new table epoch. memClean
+	// records that no run has started since the last clear.
 	written  []uint64
+	table    wordTable
 	memClean bool
 
 	intRegs [isa.NumIntRegs]uint64
@@ -197,12 +197,11 @@ type Machine struct {
 	// per-Machine JIT cache, the load generation that keys it (and the
 	// lazily built fused stream, see ensureFused), and the last run's
 	// execution report.
-	backend     Backend
-	native      *nativeState
-	loadGen     uint64
-	fusedGen    uint64
-	lastStats   RunStats
-	trackMemory bool // see TrackMemory
+	backend   Backend
+	native    *nativeState
+	loadGen   uint64
+	fusedGen  uint64
+	lastStats RunStats
 }
 
 // New validates p and returns a machine loaded with it.
@@ -288,64 +287,13 @@ func (m *Machine) ensureFused() {
 
 // reset restores the architectural state for a fresh run: registers are
 // zeroed (FP registers hold +0.0) and the scratch memory is made pristine,
-// which is clearing the written map (O(memSize/64) bytes), not touching
-// the image.
+// which is clearing the written map (O(memSize/64) bytes) and starting a
+// new table epoch, not touching the image.
 func (m *Machine) reset() {
 	m.intRegs = [isa.NumIntRegs]uint64{}
 	m.fpRegs = [isa.NumFPRegs]uint64{}
 	m.vecRegs = [isa.NumVecRegs][isa.VecLanes]uint64{}
 	m.resetMemory(m.prog.MemSize)
-}
-
-// resetMemory makes the scratch memory a pristine image of size bytes:
-// no word written. The clear covers the previous image's map — the only
-// extent a run could have marked — so an image smaller or larger than the
-// last one starts clean too.
-func (m *Machine) resetMemory(size int) {
-	if !m.memClean {
-		clear(m.written)
-		m.memClean = true
-	}
-	if cap(m.mem) < size {
-		m.mem = make([]byte, size)
-		m.written = make([]uint64, mapWords(size))
-	}
-	m.mem = m.mem[:size]
-	m.written = m.written[:mapWords(size)]
-}
-
-// mapWords is the length of the written map, in uint64s, of a size-byte
-// image: one bit per 8-byte word.
-func mapWords(size int) int { return (size + 511) / 512 }
-
-// loadWord returns the word at the aligned byte address addr of the
-// scratch memory: the arena's if this run stored to it, else the pristine
-// image's, computed — exactly the value a filled image would hold there.
-func loadWord(mem []byte, written []uint64, seed, addr uint64) uint64 {
-	w := addr >> 3
-	if written[w>>6]&(1<<(w&63)) != 0 {
-		return binary.LittleEndian.Uint64(mem[addr:])
-	}
-	return rng.SplitMix64At(seed, w)
-}
-
-// storeWord writes v at the aligned byte address addr and marks the word
-// written.
-func storeWord(mem []byte, written []uint64, addr, v uint64) {
-	w := addr >> 3
-	written[w>>6] |= 1 << (w & 63)
-	binary.LittleEndian.PutUint64(mem[addr:], v)
-}
-
-// PrepareMemory resets the scratch memory for an image of size bytes ahead
-// of the run that will use it; that run's own reset then finds the map
-// clean and skips the clear. It is a shim kept for the benchmark's
-// decomposed replay, which times the reset as a phase of its own: there
-// is no image to fill any more, so the seed argument is unused — the
-// loaded program's MemSeed defines the content — and a size other than
-// the program's is simply resized by the run.
-func (m *Machine) PrepareMemory(size int, _ uint64) {
-	m.resetMemory(size)
 }
 
 // Run executes the program to completion (halt or budget) and returns a
@@ -375,14 +323,9 @@ func (m *Machine) Run(params Params, obs Observer) *Result {
 // differential tests against the dense oracle verify.
 func (m *Machine) RunInto(params Params, obs Observer, res *Result) {
 	params = params.withDefaults()
-	var resetNs int64
-	if m.trackMemory {
-		start := time.Now()
-		m.reset()
-		resetNs = time.Since(start).Nanoseconds()
-	} else {
-		m.reset()
-	}
+	start := time.Now()
+	m.reset()
+	resetNs := time.Since(start).Nanoseconds()
 	m.memClean = false // whichever engine runs may store from here on
 	res.reset()
 	if res.Output == nil {
@@ -405,13 +348,8 @@ func (m *Machine) RunInto(params Params, obs Observer, res *Result) {
 	} else {
 		m.runObserved(params, obs, res)
 	}
-	if m.trackMemory {
-		n := 0
-		for _, w := range m.written {
-			n += bits.OnesCount64(w)
-		}
-		m.lastStats.WordsWritten = uint64(n)
-	}
+	m.lastStats.WordsWritten = uint64(m.table.count)
+	m.lastStats.TableSlots = len(m.table.slots)
 }
 
 // execState carries the live accounting shared between the fast engines
@@ -474,7 +412,7 @@ func (m *Machine) runUnobserved(params Params, res *Result) {
 	m.ensureFused()
 	fcode := m.fcode
 	blocks := m.fblocks
-	mem, written, seed := m.mem, m.written, m.prog.MemSeed
+	tab, written, seed := &m.table, m.written, m.prog.MemSeed
 	intRegs := &m.intRegs
 	fpRegs := &m.fpRegs
 	mask := uint64(m.prog.MemSize - 1)
@@ -590,16 +528,16 @@ blockLoop:
 
 			case isa.OpLoad:
 				addr := (intRegs[ins.A] + uint64(ins.Imm)) & mask &^ 7
-				intRegs[ins.Dst] = loadWord(mem, written, seed, addr)
+				intRegs[ins.Dst] = loadWord(tab, written, seed, addr)
 			case isa.OpFLoad:
 				addr := (intRegs[ins.A] + uint64(ins.Imm)) & mask &^ 7
-				fpRegs[ins.Dst] = canonFPBits(loadWord(mem, written, seed, addr))
+				fpRegs[ins.Dst] = canonFPBits(loadWord(tab, written, seed, addr))
 			case isa.OpStore:
 				addr := (intRegs[ins.A] + uint64(ins.Imm)) & mask &^ 7
-				storeWord(mem, written, addr, intRegs[ins.B])
+				storeWord(tab, written, addr, intRegs[ins.B])
 			case isa.OpFStore:
 				addr := (intRegs[ins.A] + uint64(ins.Imm)) & mask &^ 7
-				storeWord(mem, written, addr, fpRegs[ins.B])
+				storeWord(tab, written, addr, fpRegs[ins.B])
 
 			case isa.OpBeq:
 				st.condBranches++
@@ -730,7 +668,7 @@ blockLoop:
 // after block and returns only a terminal status.
 func (m *Machine) step(bi uint32, st *execState, res *Result, obs Observer) (uint32, stepStatus) {
 	code, blocks := m.prog.Code, m.prog.Blocks
-	mem, written, seed := m.mem, m.written, m.prog.MemSeed
+	tab, written, seed := &m.table, m.written, m.prog.MemSeed
 	intRegs := &m.intRegs
 	fpRegs := &m.fpRegs
 	mask := uint64(m.prog.MemSize - 1)
@@ -818,16 +756,16 @@ func (m *Machine) step(bi uint32, st *execState, res *Result, obs Observer) (uin
 
 			case isa.OpLoad:
 				addr = (intRegs[ins.A] + uint64(ins.Imm)) & mask &^ 7
-				intRegs[ins.Dst] = loadWord(mem, written, seed, addr)
+				intRegs[ins.Dst] = loadWord(tab, written, seed, addr)
 			case isa.OpFLoad:
 				addr = (intRegs[ins.A] + uint64(ins.Imm)) & mask &^ 7
-				fpRegs[ins.Dst] = canonFPBits(loadWord(mem, written, seed, addr))
+				fpRegs[ins.Dst] = canonFPBits(loadWord(tab, written, seed, addr))
 			case isa.OpStore:
 				addr = (intRegs[ins.A] + uint64(ins.Imm)) & mask &^ 7
-				storeWord(mem, written, addr, intRegs[ins.B])
+				storeWord(tab, written, addr, intRegs[ins.B])
 			case isa.OpFStore:
 				addr = (intRegs[ins.A] + uint64(ins.Imm)) & mask &^ 7
-				storeWord(mem, written, addr, fpRegs[ins.B])
+				storeWord(tab, written, addr, fpRegs[ins.B])
 
 			case isa.OpBeq:
 				st.condBranches++
