@@ -364,9 +364,8 @@ func (op Opcode) Valid() bool { return opTable[op].meta&MetaValid != 0 }
 
 // ClassOf returns the resource class of op, or 0 for invalid opcodes.
 // Fused superinstructions have no single class (they retire two
-// instructions of possibly different classes) and report 0; per-class
-// accounting for fused code comes from per-block tallies computed over the
-// unfused instruction stream.
+// instructions of possibly different classes) and report 0; nothing that
+// counts classes sees them (observers are shown the unfused program).
 func (op Opcode) ClassOf() Class { return opTable[op].meta.Class() }
 
 // IsControl reports whether op redirects or ends control flow (and so may

@@ -204,7 +204,7 @@ func TestFusedOpcodeMetadata(t *testing.T) {
 		if want := first.String() + "." + second.String(); op.String() != want {
 			t.Errorf("%s.String() = %q, want %q", op, op.String(), want)
 		}
-		// Fused opcodes have no single class; accounting uses block tallies.
+		// Fused opcodes have no single class; observers see unfused code.
 		if op.ClassOf() != 0 {
 			t.Errorf("%s: ClassOf = %v, want 0", op, op.ClassOf())
 		}
@@ -254,7 +254,7 @@ func TestOperandLimitsMatchOperands(t *testing.T) {
 
 // TestClassTableMatchesMap holds the table's class column to a map written
 // out independently of it: the classes are what the generator budgets and
-// Result.ClassCounts are keyed by, so a mistyped row must not pass.
+// the profiler counts by, so a mistyped row must not pass.
 func TestClassTableMatchesMap(t *testing.T) {
 	want := map[Class][]Opcode{
 		ClassIntALU: {OpAdd, OpSub, OpAnd, OpOr, OpXor, OpShl, OpShr, OpRor, OpCmpLT, OpCmpEQ, OpMov, OpMovI, OpAddI},

@@ -14,8 +14,9 @@
 // Code layout of a compiled program:
 //
 //	prologue            load mapped registers from the Frame, JMP [Resume]
+//	constant pool       SplitMix64's three multipliers (24 bytes, read RIP-relative)
 //	load, store         the two shared scratch-memory routines (emitMemRoutines)
-//	block 0 head+body   guards, wholesale accounting, lowered instructions
+//	block 0 head+body   the countdown guard, lowered instructions
 //	block 1 head+body   ... (blocks are contiguous, so a block that does
 //	...                 not end in an unconditional transfer falls through
 //	block N-1           physically into the next block's head)
@@ -27,15 +28,15 @@
 //
 //	R15  Frame pointer (all unmapped state is addressed off it)
 //	R14  written-word table base
+//	R13  written map base
 //	R12  run-segment countdown (budget, snapshot, table headroom; see emitPrologue)
-//	R13  per-block execution-counter base
 //	RBX RBP RSI RDI R8 R9 R10 R11   the 8 most-referenced widget integer
 //	                                registers of this program (chosen per
 //	                                compile by static use count)
 //	RAX RCX RDX, XMM0 XMM1          scratch
 //
 // The other 8 widget integer registers, the FP and vector files, and the
-// remaining counters live in the Frame. The only calls the generated code
+// retirement counters live in the Frame. The only calls the generated code
 // makes are to its own two memory routines, which return at once; every
 // inter-block branch is a rel32 resolved by a fixup pass.
 package jit
@@ -60,8 +61,8 @@ const canonicalNaN = 0x7ff8000000000000
 
 // frameBias is added to the Frame's address to form the frame pointer
 // register (see call_amd64.s, which hardcodes it): biasing into the
-// middle of the struct puts the spilled integer registers, the hot
-// accounting scalars and the whole FP file within a signed 8-bit
+// middle of the struct puts the integer slots of r5..r15, the memory
+// routines' scalars and the whole FP file within a signed 8-bit
 // displacement. All off* constants below are pre-biased.
 const frameBias = 168
 
@@ -70,25 +71,22 @@ const frameBias = 168
 const (
 	offIntRegs    = 0 - frameBias
 	offMask       = offIntRegs + isa.NumIntRegs*8
-	offMaxInstr   = offMask + 8
-	offCond       = offMaxInstr + 8
-	offTaken      = offCond + 8
-	offExecsBase  = offTaken + 8
-	offFPRegs     = offExecsBase + 8
+	offSeedGamma  = offMask + 8
+	offTableMask  = offSeedGamma + 8
+	offTableShift = offTableMask + 8
+	offEpoch      = offTableShift + 8
+	offFPRegs     = offEpoch + 8
 	offVecRegs    = offFPRegs + isa.NumFPRegs*8
-	offTable      = offVecRegs + isa.NumVecRegs*isa.VecLanes*8
-	offRetired    = offTable + 8
+	offMaxInstr   = offVecRegs + isa.NumVecRegs*isa.VecLanes*8
+	offTable      = offMaxInstr + 8
+	offWritten    = offTable + 8
+	offRetired    = offWritten + 8
 	offUntilSnap  = offRetired + 8
 	offResume     = offUntilSnap + 8
 	offNextBlock  = offResume + 8
 	offStatus     = offNextBlock + 4
 	offLimStart   = offStatus + 4
-	offWritten    = offLimStart + 8
-	offSeedGamma  = offWritten + 8
-	offTableMask  = offSeedGamma + 8
-	offTableShift = offTableMask + 8
-	offEpoch      = offTableShift + 8
-	offInserts    = offEpoch + 8
+	offInserts    = offLimStart + 8
 	offHeadroom   = offInserts + 8
 )
 
@@ -124,24 +122,21 @@ func init() {
 	}
 	check("IntRegs", unsafe.Offsetof(f.IntRegs), offIntRegs)
 	check("MaskAligned", unsafe.Offsetof(f.MaskAligned), offMask)
-	check("MaxInstr", unsafe.Offsetof(f.MaxInstr), offMaxInstr)
-	check("CondBranches", unsafe.Offsetof(f.CondBranches), offCond)
-	check("TakenBranches", unsafe.Offsetof(f.TakenBranches), offTaken)
-	check("ExecsBase", unsafe.Offsetof(f.ExecsBase), offExecsBase)
+	check("SeedGamma", unsafe.Offsetof(f.SeedGamma), offSeedGamma)
+	check("TableMask", unsafe.Offsetof(f.TableMask), offTableMask)
+	check("TableShift", unsafe.Offsetof(f.TableShift), offTableShift)
+	check("Epoch", unsafe.Offsetof(f.Epoch), offEpoch)
 	check("FPRegs", unsafe.Offsetof(f.FPRegs), offFPRegs)
 	check("VecRegs", unsafe.Offsetof(f.VecRegs), offVecRegs)
+	check("MaxInstr", unsafe.Offsetof(f.MaxInstr), offMaxInstr)
 	check("Table", unsafe.Offsetof(f.Table), offTable)
+	check("Written", unsafe.Offsetof(f.Written), offWritten)
 	check("Retired", unsafe.Offsetof(f.Retired), offRetired)
 	check("UntilSnap", unsafe.Offsetof(f.UntilSnap), offUntilSnap)
 	check("Resume", unsafe.Offsetof(f.Resume), offResume)
 	check("NextBlock", unsafe.Offsetof(f.NextBlock), offNextBlock)
 	check("Status", unsafe.Offsetof(f.Status), offStatus)
 	check("LimStart", unsafe.Offsetof(f.LimStart), offLimStart)
-	check("Written", unsafe.Offsetof(f.Written), offWritten)
-	check("SeedGamma", unsafe.Offsetof(f.SeedGamma), offSeedGamma)
-	check("TableMask", unsafe.Offsetof(f.TableMask), offTableMask)
-	check("TableShift", unsafe.Offsetof(f.TableShift), offTableShift)
-	check("Epoch", unsafe.Offsetof(f.Epoch), offEpoch)
 	check("Inserts", unsafe.Offsetof(f.Inserts), offInserts)
 	check("Headroom", unsafe.Offsetof(f.Headroom), offHeadroom)
 }
@@ -525,9 +520,9 @@ func (c *Compiler) emitPrologueTail() {
 	// serves every guard and the epilogue reconstructs both counters from
 	// how far it fell (LimStart keeps the entry value). Entry always has
 	// retired <= maxInstr (both engines check budgets before running a
-	// block), so the subtraction cannot wrap. R13 holds the per-block
-	// execution-counter base for the block accounting, hoisted out of
-	// every block head.
+	// block), so the subtraction cannot wrap. R13 and R14 hold the bases of
+	// the written map and the written-word table, which the memory routines
+	// would otherwise reload from the Frame on every call.
 	c.opRM(0x8B, r12, r15, offMaxInstr)
 	c.opRM(0x2B, r12, r15, offRetired)
 	for _, limit := range [...]int32{offUntilSnap, offHeadroom} {
@@ -536,7 +531,7 @@ func (c *Compiler) emitPrologueTail() {
 		c.emit4(rex(true, r12, 0, r13), 0x0F, 0x47, modRR(r12, r13)) // CMOVA r12, r13
 	}
 	c.opRM(0x89, r12, r15, offLimStart)
-	c.opRM(0x8B, r13, r15, offExecsBase)
+	c.opRM(0x8B, r13, r15, offWritten)
 	c.opRM(0x8B, r14, r15, offTable)
 	c.emit2(0x41, 0xFF) // JMP QWORD [r15+offResume]
 	c.modMem(4, r15, offResume)
@@ -562,17 +557,17 @@ func (c *Compiler) emitEpilogueTail() {
 	c.emit1(0xC3)
 }
 
-// emitHead emits block bi's head guard and wholesale accounting (the
-// native transcription of vm.runUnobserved's fast-path checks); the
-// lowered body follows it.
+// emitHead emits block bi's head: the guard that charges the whole block
+// to the countdown (the native transcription of vm.runUnobserved's
+// fast-path checks), two instructions; the lowered body follows it.
 func (c *Compiler) emitHead(bi int, count int32) {
 	c.ensure(regionMax)
 	// The interpreter's three head guards (retired >= maxInstr -> trunc;
 	// count > maxInstr-retired -> slow; count >= untilSnap -> slow)
 	// compress to ONE charge-and-check SUB against the fused countdown
 	// (R12 = min(remaining budget, snapshot countdown), both of which an
-	// instruction retirement decrements together). The SUB both performs
-	// the wholesale accounting and leaves the guard condition in the
+	// instruction retirement decrements together). The SUB both retires
+	// the block wholesale and leaves the guard condition in the
 	// flags: JBE (borrow or zero) catches every case where the block
 	// cannot retire wholesale with both counters still positive, and the
 	// per-instruction slow path re-derives which boundary it was. The
@@ -591,7 +586,6 @@ func (c *Compiler) emitHead(bi int, count int32) {
 		c.aluImm(5, r12, count)
 		c.jccFix(0x86, fixSlow, uint32(bi)) // JBE: countdown was <= count
 	}
-	c.addMem1(r13, int32(bi)*8)
 }
 
 // emitFallOff ends a last block that does not end in an unconditional
@@ -846,17 +840,18 @@ func (c *Compiler) cmpSet(setcc byte, ins *prog.Instr) {
 	c.storeReg(ins.Dst, rAX)
 }
 
-// condBranch lowers a conditional branch terminator: count it, compare,
-// and on taken bump the taken counter and jump to the target head; not
-// taken falls through (physically, to the next block's head).
+// condBranch lowers a conditional branch terminator: compare, and jump to
+// the target head if the condition holds; not taken falls through
+// (physically, to the next block's head). A pinned A is compared in place.
 func (c *Compiler) condBranch(cc byte, ins *prog.Instr) {
-	c.addMem1(r15, offCond)
-	c.loadReg(rAX, ins.A)
-	c.aluReg(0x3B, rAX, ins.B)
-	skip := c.jccLocal(cc ^ 1) // inverted condition skips the taken path
-	c.addMem1(r15, offTaken)
-	c.jmpFix(fixHead, ins.Target)
-	c.bind(skip)
+	a := rAX
+	if p := c.physOf(ins.A); p >= 0 {
+		a = int(p)
+	} else {
+		c.loadReg(rAX, ins.A)
+	}
+	c.aluReg(0x3B, a, ins.B)
+	c.jccFix(cc, fixHead, ins.Target)
 }
 
 // emitFToI lowers the saturating float->int conversion, reproducing
@@ -922,39 +917,45 @@ func (c *Compiler) emitAddr(a uint8, imm int64) {
 // i.e. left by an earlier run), counted in Inserts, and otherwise it
 // overwrites the word's slot. The bit tests use the register forms of
 // BT/BTS on the loaded map word (the count is taken mod 64); the memory
-// forms with a register offset are microcoded.
+// forms with a register offset are microcoded. The map's base is in R13
+// and the table's in R14 (the prologue loads both), and the pristine
+// path's three multipliers come from a constant pool ahead of the
+// routines (the table probes' Gamma is the same pool word), so a load
+// reads nothing from the Frame but the mask and SeedGamma.
 func (c *Compiler) emitMemRoutines() {
 	c.ensure(regionMax)
+	pool := c.pos
+	c.u64(rng.SplitMix64Gamma)
+	c.u64(rng.SplitMix64Mul1)
+	c.u64(rng.SplitMix64Mul2)
+
 	c.loadRoutine = c.pos
-	c.opRM(0x23, rAX, r15, offMask)    // AND rax, [mask]: aligned byte address
-	c.opRM(0x8B, rCX, r15, offWritten) // MOV rcx, [written]
+	c.opRM(0x23, rAX, r15, offMask) // AND rax, [mask]: aligned byte address
 	c.opRR(0x8B, rDX, rAX)
-	c.shrImm(rDX, 9)                // map word index: address / 8 / 64
-	c.emit4(0x48, 0x8B, 0x0C, 0xD1) // MOV rcx, [rcx+rdx*8]
+	c.shrImm(rDX, 9)                      // map word index: address / 8 / 64
+	c.emit5(0x49, 0x8B, 0x4C, 0xD5, 0x00) // MOV rcx, [r13+rdx*8]
 	c.opRR(0x8B, rDX, rAX)
 	c.shrImm(rDX, 3)                // word index
 	c.emit4(0x48, 0x0F, 0xA3, 0xD1) // BT rcx, rdx
 	// Pristine is the fall-through: a widget reads far more words than it
 	// ever writes (DESIGN.md has the counts per profile).
 	written := c.jccLocal(0x82) // JC
-	c.movImm64(rCX, rng.SplitMix64Gamma)
-	c.imulRR(rDX, rCX)
+	c.imulRIP(rDX, pool)        // index * Gamma
 	c.opRM(0x03, rDX, r15, offSeedGamma)
 	for _, step := range [...]struct {
 		shift byte
-		mul   uint64
-	}{{30, rng.SplitMix64Mul1}, {27, rng.SplitMix64Mul2}, {31, 0}} {
+		mul   int // the multiplier's position in the pool, 0 for none
+	}{{30, pool + 8}, {27, pool + 16}, {31, 0}} {
 		c.opRR(0x8B, rCX, rDX)
 		c.shrImm(rCX, step.shift)
 		c.opRR(0x33, rDX, rCX) // z ^= z >> shift
 		if step.mul != 0 {
-			c.movImm64(rCX, step.mul)
-			c.imulRR(rDX, rCX)
+			c.imulRIP(rDX, step.mul)
 		}
 	}
 	c.emit1(0xC3) // RET
 	c.bind(written)
-	c.emitHomeKey()
+	c.emitHomeKey(pool)
 	probe := c.pos
 	c.emit4(0x49, 0x3B, 0x0C, 0x06)       // CMP rcx, [r14+rax]: the word's key?
 	next := c.jccLocal(0x85)              // JNE
@@ -969,16 +970,15 @@ func (c *Compiler) emitMemRoutines() {
 	c.opRM(0x23, rAX, r15, offMask)
 	c.shrImm(rAX, 3) // word index
 	c.opRR(0x8B, rDX, rAX)
-	c.shrImm(rDX, 6) // map word index
-	c.opRM(0x8B, rCX, r15, offWritten)
-	c.emit4(0x48, 0x8D, 0x0C, 0xD1) // LEA rcx, [rcx+rdx*8]
-	c.emit3(0x48, 0x8B, 0x11)       // MOV rdx, [rcx]
-	c.emit4(0x48, 0x0F, 0xAB, 0xC2) // BTS rdx, rax
-	c.emit3(0x48, 0x89, 0x11)       // MOV [rcx], rdx
-	c.opRR(0x8B, rDX, rAX)          // MOV leaves BTS's carry: the old bit
-	rewrite := c.jccLocal(0x82)     // JC
+	c.shrImm(rDX, 6)                      // map word index
+	c.emit5(0x49, 0x8D, 0x4C, 0xD5, 0x00) // LEA rcx, [r13+rdx*8]
+	c.emit3(0x48, 0x8B, 0x11)             // MOV rdx, [rcx]
+	c.emit4(0x48, 0x0F, 0xAB, 0xC2)       // BTS rdx, rax
+	c.emit3(0x48, 0x89, 0x11)             // MOV [rcx], rdx
+	c.opRR(0x8B, rDX, rAX)                // MOV leaves BTS's carry: the old bit
+	rewrite := c.jccLocal(0x82)           // JC
 	// A new word: the first slot from its home whose key is below Epoch.
-	c.emitHomeKey()
+	c.emitHomeKey(pool)
 	c.opRM(0x8B, rDX, r15, offEpoch)
 	insert := c.pos
 	c.emit4(0x49, 0x39, 0x14, 0x06) // CMP [r14+rax], rdx
@@ -991,7 +991,7 @@ func (c *Compiler) emitMemRoutines() {
 	// A word stored before: its slot.
 	c.ensure(regionMax)
 	c.bind(rewrite)
-	c.emitHomeKey()
+	c.emitHomeKey(pool)
 	find := c.pos
 	c.emit4(0x49, 0x3B, 0x0C, 0x06) // CMP rcx, [r14+rax]
 	next = c.jccLocal(0x85)         // JNE
@@ -1005,10 +1005,11 @@ func (c *Compiler) emitMemRoutines() {
 
 // emitHomeKey starts a table probe for the word index in RDX (kept): RAX
 // becomes the byte offset of the word's home slot, (index*Gamma >>
-// TableShift) & TableMask, and RCX its key, Epoch | index.
-func (c *Compiler) emitHomeKey() {
-	c.movImm64(rAX, rng.SplitMix64Gamma)
-	c.imulRR(rAX, rDX)
+// TableShift) & TableMask, and RCX its key, Epoch | index. Gamma is the
+// pool's first word, at gamma.
+func (c *Compiler) emitHomeKey(gamma int) {
+	c.opRR(0x8B, rAX, rDX)
+	c.imulRIP(rAX, gamma)
 	c.opRM(0x8B, rCX, r15, offTableShift)
 	c.emit3(0x48, 0xD3, 0xE8) // SHR rax, cl
 	c.opRM(0x23, rAX, r15, offTableMask)
@@ -1039,6 +1040,14 @@ func (c *Compiler) shrImm(reg int, imm byte) {
 // imulRR emits reg = reg * rm (low 64 bits).
 func (c *Compiler) imulRR(reg, rm int) {
 	c.emit4(rex(true, reg, 0, rm), 0x0F, 0xAF, modRR(reg, rm))
+}
+
+// imulRIP emits reg = reg * the 8 bytes at code position at, addressed
+// RIP-relative (ModRM mod 00, rm 101), so the code stays position
+// independent however the program around it is laid out.
+func (c *Compiler) imulRIP(reg, at int) {
+	c.emit4(rex(true, reg, 0, 0), 0x0F, 0xAF, byte(reg&7)<<3|5)
+	c.u32(uint32(int32(at - (c.pos + 4))))
 }
 
 // ---- register/operand access ----

@@ -6,10 +6,11 @@ package jit
 // Programs compiled and entered directly through a Frame. The vm package's
 // differential suites (FuzzNativeVsFused and the boundary sweeps) are the
 // semantic ground truth; these tests pin the Frame ABI — head-guard exits,
-// wholesale accounting, status codes — that the driver relies on.
+// wholesale retirement, status codes — that the driver relies on.
 
 import (
 	"bytes"
+	"encoding/binary"
 	"errors"
 	"fmt"
 	"math/bits"
@@ -39,11 +40,9 @@ func twoBlockProgram() *prog.Program {
 }
 
 // newFrame returns a Frame with a generous budget, countdown and table
-// headroom, wired to the given per-block counters.
-func newFrame(execs []uint64) *Frame {
-	f := &Frame{MaxInstr: 1 << 20, UntilSnap: 1 << 20, Headroom: 1 << 20}
-	f.ExecsBase = uintptr(unsafe.Pointer(&execs[0]))
-	return f
+// headroom.
+func newFrame() *Frame {
+	return &Frame{MaxInstr: 1 << 20, UntilSnap: 1 << 20, Headroom: 1 << 20}
 }
 
 func TestCompileAndRun(t *testing.T) {
@@ -55,8 +54,7 @@ func TestCompileAndRun(t *testing.T) {
 	if code.Size() == 0 {
 		t.Fatal("Compile produced no code")
 	}
-	execs := make([]uint64, 2)
-	f := newFrame(execs)
+	f := newFrame()
 	code.Run(f, 0)
 
 	if f.Status != StatusHalt {
@@ -71,26 +69,21 @@ func TestCompileAndRun(t *testing.T) {
 	if f.UntilSnap != 1<<20-5 {
 		t.Errorf("UntilSnap = %d, want %d", f.UntilSnap, 1<<20-5)
 	}
-	if execs[0] != 1 || execs[1] != 1 {
-		t.Errorf("execs = %v, want one fast-path execution of each block", execs)
-	}
 }
 
 // TestHeadGuards drives the fused fast-path head check to each of its
 // exits: budget exhausted, block would overrun the budget, block would
 // cross the snapshot countdown — all bounce to the slow path naming the
 // blocked block (the driver's per-instruction path re-derives whether
-// that means truncation or a snapshot). On a guard exit no accounting may
-// have happened.
+// that means truncation or a snapshot). On a guard exit nothing may have
+// retired.
 func TestHeadGuards(t *testing.T) {
 	c := NewCompiler()
 	code, err := c.Compile(twoBlockProgram())
 	if err != nil {
 		t.Fatalf("Compile: %v", err)
 	}
-	execs := make([]uint64, 2)
-
-	f := newFrame(execs)
+	f := newFrame()
 	f.Retired = f.MaxInstr // budget already spent
 	code.Run(f, 0)
 	if f.Status != StatusSlow || f.NextBlock != 0 {
@@ -100,17 +93,17 @@ func TestHeadGuards(t *testing.T) {
 		t.Errorf("retired == maxInstr: Retired = %d, want unchanged %d", f.Retired, f.MaxInstr)
 	}
 
-	f = newFrame(execs)
+	f = newFrame()
 	f.MaxInstr = 3 // block 0 retires 4 > 3 remaining
 	code.Run(f, 0)
 	if f.Status != StatusSlow || f.NextBlock != 0 {
 		t.Errorf("budget straddle: Status = %d NextBlock = %d, want slow at block 0", f.Status, f.NextBlock)
 	}
-	if f.Retired != 0 || execs[0] != 0 {
-		t.Errorf("guard exit accounted anyway: retired=%d execs=%v", f.Retired, execs)
+	if f.Retired != 0 || f.UntilSnap != 1<<20 {
+		t.Errorf("guard exit retired anyway: retired=%d untilSnap=%d", f.Retired, f.UntilSnap)
 	}
 
-	f = newFrame(execs)
+	f = newFrame()
 	f.UntilSnap = 4 // count >= untilSnap forces the snapshotting slow path
 	code.Run(f, 0)
 	if f.Status != StatusSlow || f.NextBlock != 0 {
@@ -119,7 +112,7 @@ func TestHeadGuards(t *testing.T) {
 
 	// Countdown 5 clears block 0 (4 < 5) but leaves 1, so the halt block's
 	// count >= untilSnap guard bounces it to the snapshotting slow path.
-	f = newFrame(execs)
+	f = newFrame()
 	f.UntilSnap = 5
 	code.Run(f, 0)
 	if f.Status != StatusSlow || f.NextBlock != 1 || f.Retired != 4 || f.UntilSnap != 1 {
@@ -128,7 +121,7 @@ func TestHeadGuards(t *testing.T) {
 	}
 
 	// Countdown 6 clears both blocks wholesale.
-	f = newFrame(execs)
+	f = newFrame()
 	f.UntilSnap = 6
 	code.Run(f, 0)
 	if f.Status != StatusHalt || f.UntilSnap != 1 {
@@ -138,12 +131,94 @@ func TestHeadGuards(t *testing.T) {
 	// The table's headroom caps the countdown as the budget and the
 	// snapshot do: with room for four more words, block 0's four
 	// instructions go to the slow path untouched.
-	f = newFrame(execs)
+	f = newFrame()
 	f.Headroom = 4
 	code.Run(f, 0)
 	if f.Status != StatusSlow || f.NextBlock != 0 || f.Retired != 0 || f.UntilSnap != 1<<20 {
 		t.Errorf("headroom 4: Status=%d NextBlock=%d Retired=%d UntilSnap=%d, want slow at block 0 with nothing retired",
 			f.Status, f.NextBlock, f.Retired, f.UntilSnap)
+	}
+}
+
+// TestHeadsAndBranchesKeepNoBooks pins what native code spends on
+// control flow: nothing the digest does not read. A block head is exactly
+// SUB r12, count; JBE to the block's own stub, with the block's first
+// lowered instruction right behind it, and a conditional branch between
+// pinned registers is exactly CMP a, b in register form and a Jcc to its
+// target's head — no execution counter, no branch counter, no memory
+// operand.
+func TestHeadsAndBranchesKeepNoBooks(t *testing.T) {
+	// Twenty blocks, one of them too long for an 8-bit count, each some
+	// adds and a bne back to itself; the last halts. r2 and r3 are the most
+	// used registers, so they are pinned.
+	p := &prog.Program{}
+	const nb = 20
+	for bi := 0; bi < nb; bi++ {
+		n := 1 + bi%3
+		if bi == 17 {
+			n = 130
+		}
+		start := uint32(len(p.Code))
+		for i := 0; i < n; i++ {
+			p.Code = append(p.Code, prog.Instr{Op: isa.OpAdd, Dst: 2, A: 3, B: 2})
+		}
+		if bi < nb-1 {
+			p.Code = append(p.Code, prog.Instr{Op: isa.OpBne, A: 2, B: 3, Target: uint32(bi)})
+		} else {
+			p.Code = append(p.Code, prog.Instr{Op: isa.OpHalt})
+		}
+		p.Blocks = append(p.Blocks, prog.Block{Start: start, Len: uint32(len(p.Code)) - start})
+	}
+	c := NewCompiler()
+	code, err := c.Compile(p)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if c.regMap[2] < 0 || c.regMap[3] < 0 {
+		t.Fatalf("register map %v: want r2 and r3 pinned", c.regMap)
+	}
+	text := code.Text()
+	rel32 := func(at int) int { return at + 4 + int(int32(binary.LittleEndian.Uint32(text[at:]))) }
+	// The encoder's lowering of the add, under the same register map.
+	ref := NewCompiler()
+	ref.regMap = c.regMap
+	ref.ensure(regionMax)
+	if err := ref.emitInstr(&p.Code[0], nb); err != nil {
+		t.Fatal(err)
+	}
+	add := ref.buf[:ref.pos]
+
+	for bi, b := range p.Blocks {
+		at := int(c.heads[bi])
+		var head []byte
+		if b.Len > 127 {
+			head = binary.LittleEndian.AppendUint32([]byte{0x49, 0x81, 0xEC}, b.Len) // SUB r12, imm32
+		} else {
+			head = []byte{0x49, 0x83, 0xEC, byte(b.Len)} // SUB r12, imm8
+		}
+		head = append(head, 0x0F, 0x86) // JBE rel32
+		if !bytes.Equal(text[at:at+len(head)], head) {
+			t.Fatalf("block %d: head starts % x, want % x", bi, text[at:at+len(head)], head)
+		}
+		at += len(head)
+		if got := rel32(at); got != int(c.slow[bi]) {
+			t.Errorf("block %d: the guard branches to %d, the block's stub is at %d", bi, got, c.slow[bi])
+		}
+		at += 4
+		if !bytes.Equal(text[at:at+len(add)], add) {
+			t.Errorf("block %d: the head is followed by % x, want the add's % x", bi, text[at:at+len(add)], add)
+		}
+		if bi == nb-1 {
+			continue
+		}
+		// The bne is the last thing before the next block's head.
+		br := text[int(c.heads[bi+1])-9 : c.heads[bi+1]]
+		if br[0]&0xF0 != 0x40 || br[1] != 0x3B || br[2]&0xC0 != 0xC0 || br[3] != 0x0F || br[4] != 0x85 {
+			t.Errorf("block %d: the branch ends % x, want CMP reg, reg; JNE rel32 and nothing else", bi, br)
+		}
+		if got := rel32(int(c.heads[bi+1]) - 4); got != int(c.heads[bi]) {
+			t.Errorf("block %d: the branch goes to %d, its target's head is at %d", bi, got, c.heads[bi])
+		}
 	}
 }
 
@@ -155,11 +230,10 @@ func TestResumeMidProgram(t *testing.T) {
 	if err != nil {
 		t.Fatalf("Compile: %v", err)
 	}
-	execs := make([]uint64, 2)
-	f := newFrame(execs)
+	f := newFrame()
 	code.Run(f, 1) // skip straight to the halt block
-	if f.Status != StatusHalt || f.Retired != 1 || execs[0] != 0 || execs[1] != 1 {
-		t.Errorf("resume at block 1: Status=%d Retired=%d execs=%v", f.Status, f.Retired, execs)
+	if f.Status != StatusHalt || f.Retired != 1 || f.IntRegs[2] != 0 {
+		t.Errorf("resume at block 1: Status=%d Retired=%d r2=%d", f.Status, f.Retired, f.IntRegs[2])
 	}
 }
 
@@ -197,8 +271,7 @@ func TestRecompileReusesMapping(t *testing.T) {
 	if err != nil {
 		t.Fatalf("second Compile: %v", err)
 	}
-	execs := make([]uint64, 1)
-	f := newFrame(execs)
+	f := newFrame()
 	code.Run(f, 0)
 	if f.Status != StatusHalt || f.IntRegs[3] != 42 {
 		t.Errorf("recompiled code: Status=%d r3=%d, want halt with 42", f.Status, f.IntRegs[3])
@@ -238,7 +311,6 @@ type memFrame struct {
 	f       *Frame
 	written []uint64
 	table   []tableSlot
-	execs   []uint64
 }
 
 type tableSlot struct{ key, val uint64 }
@@ -252,9 +324,8 @@ func newMemFrame(words, slots int) *memFrame {
 	mf := &memFrame{
 		written: make([]uint64, (words+63)/64),
 		table:   make([]tableSlot, slots),
-		execs:   make([]uint64, 4),
 	}
-	mf.f = newFrame(mf.execs)
+	mf.f = newFrame()
 	mf.f.Written = uintptr(unsafe.Pointer(&mf.written[0]))
 	mf.f.SeedGamma = memFrameSeed + rng.SplitMix64Gamma
 	mf.f.MaskAligned = uint64(words*8-1) &^ 7
@@ -285,7 +356,12 @@ func home(w uint64, slots int) int {
 //   - addresses wrap to the image and align down;
 //   - the value register may be the address register, and neither routine
 //     disturbs a pinned or a frame-resident register it was not asked to
-//     write.
+//     write;
+//   - both routines reach the map through R13, which the prologue loads
+//     with Frame.Written, and never read Frame.Written themselves; the
+//     pristine path takes its three multipliers RIP-relative from the pool
+//     ahead of the load routine, and neither routine has a 64-bit
+//     immediate.
 //
 // The whole table is compared with the hand-kept one at the end, so a
 // store that lands in any other slot fails too.
@@ -457,8 +533,50 @@ func TestMemRoutines(t *testing.T) {
 		}
 	}
 	if len(code.LoadRoutine()) == 0 || len(code.StoreRoutine()) == 0 || code.BlockSize(0) == 0 {
-		t.Errorf("code sections: load %d, store %d, block 0 %d bytes; want all present",
+		t.Fatalf("code sections: load %d, store %d, block 0 %d bytes; want all present",
 			len(code.LoadRoutine()), len(code.StoreRoutine()), code.BlockSize(0))
+	}
+
+	// How the routines reach their operands.
+	load, store := code.LoadRoutine(), code.StoreRoutine()
+	pool := code.loadAt - 24
+	for i, k := range []uint64{rng.SplitMix64Gamma, rng.SplitMix64Mul1, rng.SplitMix64Mul2} {
+		if got := binary.LittleEndian.Uint64(code.text[pool+8*i:]); got != k {
+			t.Errorf("pool word %d = %#x, want %#x", i, got, k)
+		}
+	}
+	imulRIP := []byte{0x48, 0x0F, 0xAF, 0x15} // IMUL rdx, [rip+disp32]
+	var multipliers []int
+	for at := 0; at+8 <= len(load); at++ {
+		if bytes.Equal(load[at:at+4], imulRIP) {
+			next := code.loadAt + at + 8
+			multipliers = append(multipliers, next+int(int32(binary.LittleEndian.Uint32(load[at+4:])))-pool)
+		}
+	}
+	for name, routine := range map[string][]byte{"load": load, "store": store} {
+		for at := 0; at+2 <= len(routine); at++ {
+			if routine[at]&0xF8 == 0x48 && routine[at+1]&0xF8 == 0xB8 {
+				t.Errorf("%s routine has a MOV r64, imm64 at %d: % x", name, at, routine[at:])
+			}
+		}
+	}
+	if !slices.Equal(multipliers, []int{0, 8, 16}) {
+		t.Errorf("the load routine's RIP-relative IMULs read pool offsets %v, want [0 8 16]", multipliers)
+	}
+	enc := &Compiler{}
+	enc.ensure(16)
+	enc.opRM(0x8B, rCX, r15, offWritten)
+	readWritten := enc.buf[:enc.pos]
+	for name, routine := range map[string][]byte{"load": load, "store": store} {
+		if bytes.Contains(routine, readWritten) {
+			t.Errorf("%s routine reads Frame.Written (% x)", name, readWritten)
+		}
+	}
+	if !bytes.Contains(load, []byte{0x49, 0x8B, 0x4C, 0xD5, 0x00}) { // MOV rcx, [r13+rdx*8]
+		t.Errorf("load routine does not read the map word through R13: % x", load)
+	}
+	if !bytes.Contains(store, []byte{0x49, 0x8D, 0x4C, 0xD5, 0x00}) { // LEA rcx, [r13+rdx*8]
+		t.Errorf("store routine does not address the map word through R13: % x", store)
 	}
 }
 

@@ -22,7 +22,7 @@
 // The package is deliberately narrow. It knows nothing about snapshots
 // or result buffers: it compiles exactly the fast-path
 // block-batched loop of vm.runUnobserved — per-block budget and snapshot
-// guards, wholesale retirement accounting, straight-line opcode lowering —
+// guards, wholesale retirement, straight-line opcode lowering —
 // and *exits* to the caller whenever a block cannot be executed wholesale
 // (budget or snapshot boundary in range, or a halt/truncation). The caller
 // (internal/vm) runs those boundary blocks on its exact per-instruction
@@ -31,7 +31,7 @@
 // to the interpreter.
 //
 // All communication happens through a Frame: a plain Go struct holding the
-// full architectural register file, the live accounting counters, and the
+// full architectural register file, the retirement counters, and the
 // entry/exit plumbing. Generated code addresses the Frame through a single
 // pinned pointer register, maps the 8 hottest widget integer registers
 // onto amd64 registers, and calls nothing but its own two scratch-memory
@@ -76,40 +76,58 @@ const (
 // unsafe.Offsetof at init), so the field order and types below are ABI.
 //
 // The order is chosen for encoding density, not readability: the frame
-// pointer register is biased into the middle of the struct so that every
-// field the generated code touches on a hot path — spilled integer
-// registers, the whole FP file, and the per-block accounting scalars
-// between them — is within a signed 8-bit displacement, shrinking most
-// frame accesses from 8 to 5 bytes.
+// pointer register is biased into the middle of the struct so that the
+// fields the generated code reads most often — spilled integer registers,
+// the whole FP file, and the scalars the memory routines read on every
+// call between them — are within a signed 8-bit displacement, shrinking
+// most frame accesses from 8 to 5 bytes.
+//
+// The Frame carries architectural state, the scratch memory's addresses
+// and the countdown's inputs only: native code keeps no books. What a run
+// retired per class or how its branches went is for an observer, and an
+// observed run never comes here.
 type Frame struct {
 	// The architectural integer file. IntRegs[0:8] are shadowed by amd64
 	// registers while native code runs (the prologue loads them, the
 	// epilogue stores them back); r8..r15 live here permanently.
 	IntRegs [isa.NumIntRegs]uint64
 
-	// Hot accounting scalars, read inside the native loop. MaskAligned is
-	// (memSize-1) &^ 7, folding the power-of-two wrap and the 8-byte
-	// alignment into one AND; ExecsBase points at a []uint64 of per-block
-	// fast-path execution counters (the jit twin of vm.blockMeta.execs).
-	MaskAligned   uint64
-	MaxInstr      uint64
-	CondBranches  uint64
-	TakenBranches uint64
-	ExecsBase     uintptr
+	// The sparse scratch memory's scalars, read by the two shared memory
+	// routines on every call. MaskAligned is (memSize-1) &^ 7, folding the
+	// power-of-two wrap and the 8-byte alignment into one AND; SeedGamma is
+	// memSeed + rng.SplitMix64Gamma: the pristine word i is mix64(SeedGamma
+	// + i*Gamma).
+	//
+	// The words a run stored live in vm's written-word table at Table:
+	// 16-byte slots {key, value}, a power of two of them, key = Epoch | the
+	// word index (Epoch is the run's epoch << 32; a slot whose key is below
+	// it is empty). Word i's home slot is i*Gamma >> (64 - log2(slots)),
+	// probing goes on linearly and wraps; TableShift is that shift less
+	// four and TableMask (slots-1) << 4, so the home's byte offset is
+	// (i*Gamma >> TableShift) & TableMask.
+	MaskAligned uint64
+	SeedGamma   uint64
+	TableMask   uint64
+	TableShift  uint64
+	Epoch       uint64
 
 	// The FP and vector register files.
 	FPRegs  [isa.NumFPRegs]uint64
 	VecRegs [isa.NumVecRegs][isa.VecLanes]uint64
 
 	// Cold state, touched only by the prologue/epilogue or the Go driver.
-	// Table is the base address of vm's written-word table (loaded into a
-	// register on entry). Retired and UntilSnap mirror vm.execState and
-	// are register-shadowed while native code runs. Resume is the
-	// absolute address of the block head to enter — the prologue jumps
-	// through it, which is how the driver re-enters at an arbitrary block
-	// after a slow-path boundary. NextBlock and Status report why the
-	// code exited (see Status*).
+	// MaxInstr is the run's instruction budget. Table and Written are the
+	// base addresses of vm's written-word table and of its written map (one
+	// bit per 8-byte word of the image), both loaded into registers on
+	// entry. Retired and UntilSnap mirror vm.execState and are
+	// register-shadowed while native code runs. Resume is the absolute
+	// address of the block head to enter — the prologue jumps through it,
+	// which is how the driver re-enters at an arbitrary block after a
+	// slow-path boundary. NextBlock and Status report why the code exited
+	// (see Status*).
+	MaxInstr  uint64
 	Table     uintptr
+	Written   uintptr
 	Retired   uint64
 	UntilSnap uint64
 	Resume    uintptr
@@ -124,30 +142,12 @@ type Frame struct {
 	// epilogue reconstructs both counters from how far it fell.
 	LimStart uint64
 
-	// The sparse scratch memory, read only by the two shared memory
-	// routines (so their displacement size is no per-site cost) and the
-	// prologue. Written is the base address of vm's written map, one bit
-	// per 8-byte word of the image; SeedGamma is memSeed +
-	// rng.SplitMix64Gamma: the pristine word i is mix64(SeedGamma +
-	// i*Gamma).
-	//
-	// The words a run stored live in vm's written-word table at Table:
-	// 16-byte slots {key, value}, a power of two of them, key = Epoch | the
-	// word index (Epoch is the run's epoch << 32; a slot whose key is below
-	// it is empty). Word i's home slot is i*Gamma >> (64 - log2(slots)),
-	// probing goes on linearly and wraps; TableShift is that shift less
-	// four and TableMask (slots-1) << 4, so the home's byte offset is
-	// (i*Gamma >> TableShift) & TableMask. The store routine counts its
-	// inserts in Inserts and never grows the table: the prologue caps the
-	// segment's countdown at Headroom (inserts left before the table is
-	// half full), and a segment stores at most one word per instruction.
-	Written    uintptr
-	SeedGamma  uint64
-	TableMask  uint64
-	TableShift uint64
-	Epoch      uint64
-	Inserts    uint64
-	Headroom   uint64
+	// The store routine counts its inserts in Inserts and never grows the
+	// table: the prologue caps the segment's countdown at Headroom (inserts
+	// left before the table is half full), and a segment stores at most one
+	// word per instruction.
+	Inserts  uint64
+	Headroom uint64
 }
 
 // Compilation limits. Programs beyond these bounds (far beyond anything

@@ -53,7 +53,7 @@ const (
 	// longest templated lowering is 57 bytes.
 	tmplBytes = 64
 	// blockTmplBytes is the same for block heads and slow stubs (at most
-	// 21 bytes).
+	// 17 bytes).
 	blockTmplBytes = 32
 
 	numOps       = 64   // opcodes below this may have templates (all architectural ones)
@@ -108,9 +108,10 @@ type template struct {
 	nfix    uint8 // 1 when the lowering records a fixup
 }
 
-// blockTmpl is a block head or a slow stub: the block's instruction count
-// and its index (times eight in a head, where it addresses the execution
-// counter) are the operands, rel the branch between the two.
+// blockTmpl is a block head or a slow stub, rel the branch between the
+// two. The block's instruction count is an operand of both, the block's
+// index of a stub only: a head is SUB r12, count; JBE stub, and its idMask
+// is zero with idOff in the slack past the code.
 type blockTmpl struct {
 	code              [blockTmplBytes]byte
 	countMask, idMask uint32
@@ -129,17 +130,13 @@ func (bt *blockTmpl) stamp(dst unsafe.Pointer, count, id uint32) {
 	*(*uint32)(unsafe.Add(dst, bt.idOff)) = *(*uint32)(unsafe.Add(src, bt.idOff)) | id&bt.idMask
 }
 
-// blockVariant indexes tmplTable.heads for a block of count (non-zero)
-// instructions at index bi; its low bit alone indexes stubs.
-func blockVariant(count uint32, bi int) int {
-	v := 0
+// blockForm indexes tmplTable.heads and stubs for a block of count
+// (non-zero) instructions: whether the count takes a four-byte immediate.
+func blockForm(count uint32) int {
 	if count > 127 {
-		v = 1
+		return 1
 	}
-	if bi > 15 {
-		v |= 2
-	}
-	return v
+	return 0
 }
 
 // tmplTable is the product of one run of the encoder over every shape.
@@ -153,11 +150,8 @@ type tmplTable struct {
 
 	dispKind [isa.NumIntRegs]uint8 // kindFrame8 or kindFrame32: the slot's reach
 
-	// heads is indexed by blockVariant: count > 127 | (block index > 15)<<1,
-	// the width of the SUB's immediate and of the counter's displacement;
-	// stubs by count > 127 alone.
-	heads [4]blockTmpl
-	stubs [2]blockTmpl
+	// heads and stubs are indexed by blockForm, the width of the count.
+	heads, stubs [2]blockTmpl
 
 	// proLoad and epiStore move one pinned register from or to its frame
 	// slot, indexed by the register's pinned kind and its slot's dispKind.
@@ -298,8 +292,8 @@ func (c *Compiler) stampBlocks(p *prog.Program) error {
 			c.emitHead(bi, 0)
 			load()
 		} else {
-			ht := &t.heads[blockVariant(b.Len, bi)]
-			ht.stamp(unsafe.Add(buf, pos), b.Len, uint32(bi*8))
+			ht := &t.heads[blockForm(b.Len)]
+			ht.stamp(unsafe.Add(buf, pos), b.Len, 0)
 			pos += int(ht.n)
 		}
 
@@ -362,9 +356,9 @@ func (c *Compiler) stampStubs(p *prog.Program) {
 			pos, buf = c.pos, c.buf
 			continue
 		}
-		v := blockVariant(count, bi)
-		st := &t.stubs[v&1]
-		guard := int(c.heads[bi]) + int(t.heads[v].relOff)
+		form := blockForm(count)
+		st := &t.stubs[form]
+		guard := int(c.heads[bi]) + int(t.heads[form].relOff)
 		binary.LittleEndian.PutUint32(buf[guard:], uint32(pos-(guard+4)))
 
 		dst := unsafe.Pointer(&buf[pos])
@@ -483,16 +477,13 @@ func buildTemplates() *tmplTable {
 	t.slowTailFix = int(g.fix[0].pos())
 	t.epiTail = blob(g.emitEpilogueTail)
 
-	// Block heads and slow stubs, one per operand width (see tmplTable).
-	// The sample pairs differ in every byte of their width; a head's index
-	// operand is the index times eight.
+	// Block heads and slow stubs, one per count width (see tmplTable). The
+	// sample pairs differ in every byte of their width.
 	counts := [2][2]int32{{0x11, 0x6E}, {0x11111111, 0x6EEEEEEE}}
-	ids := [2][2]int{{0x2, 0xD}, {0x2222222, 0xDDDDDDD}}
-	for v := range t.heads {
-		t.heads[v] = tb.block(func(id int, count int32, _ int) { g.emitHead(id, count) }, ids[v>>1], counts[v&1])
-	}
-	for v := range t.stubs {
-		t.stubs[v] = tb.block(g.emitStub, ids[1], counts[v])
+	ids := [2]int{0x2222222, 0xDDDDDDD}
+	for form := range t.heads {
+		t.heads[form] = tb.block(func(id int, count int32, _ int) { g.emitHead(id, count) }, ids, counts[form])
+		t.stubs[form] = tb.block(g.emitStub, ids, counts[form])
 	}
 	return t
 }
@@ -679,10 +670,15 @@ func (tb *tmplBuilder) block(emit func(id int, count int32, slowTail int), id [2
 		bt.relOff = uint8(off)
 		clear(bt.code[off : off+4])
 	}
+	// operand finds a one- or four-byte site; one the code lacks (a head's
+	// index) is a zero patch into the slack.
 	operand := func(moved []byte) (uint8, uint32) {
 		off, n, ok := site(base, moved)
-		if !ok || (n != 1 && n != 4) {
+		if !ok || (n != 0 && n != 1 && n != 4) {
 			panic("jit: block template operand is not a one- or four-byte site")
+		}
+		if n == 0 {
+			return blockTmplBytes - 4, 0
 		}
 		clear(bt.code[off : off+n])
 		return uint8(off), uint32(widthMask(n))

@@ -159,7 +159,7 @@ func (st *genState) emitBody() error {
 // sampleBlockSize draws a basic-block size from the profile's
 // distribution.
 func (st *genState) sampleBlockSize() int {
-	size := int(st.prof.BlockMean + st.prof.BlockStd*st.bbv.NormFloat64() + 0.5)
+	size := int(st.prof.BlockMean + float64(st.prof.BlockStd*st.bbv.NormFloat64()) + 0.5) // no fused multiply-add: see computeBudgets
 	if size < 2 {
 		size = 2
 	}

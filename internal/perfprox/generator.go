@@ -263,7 +263,11 @@ func expandMemSeed(field uint32) uint64 {
 func (st *genState) computeBudgets() {
 	T := float64(st.prof.TargetDynamic)
 	L := st.params.LoopTrips
-	noise := func(field uint32) float64 { return 1 + st.params.Noise*Unit(field) }
+	// Every product that feeds an add is rounded on its own by an explicit
+	// conversion, here and below: Go may otherwise fuse the two into one
+	// multiply-add, which rounds once, on the architectures that have one
+	// (not amd64), and a one-ulp difference can move an int(...) below.
+	noise := func(field uint32) float64 { return 1 + float64(st.params.Noise*Unit(field)) }
 	set := func(class isa.Class, d float64) {
 		per := int(d) / L
 		st.budget[class] = per
@@ -291,14 +295,14 @@ func (st *genState) planBranches() error {
 	st.nDiamonds = (nBranch - 1) / 2
 	condBranches := st.nDiamonds + 1 // diamonds + loop branch
 
-	st.nDataDep = int(float64(st.nDiamonds)*st.prof.BranchDataDep + 0.5)
+	st.nDataDep = int(float64(float64(st.nDiamonds)*st.prof.BranchDataDep) + 0.5)
 	if st.nDataDep > st.nDiamonds {
 		st.nDataDep = st.nDiamonds
 	}
 	st.nStatic = st.nDiamonds - st.nDataDep
 
 	// Perturb the data-dependent bias with the Table I branch field.
-	biasNoise := (Unit(st.fields.Branch) - 0.5) * 0.125
+	biasNoise := float64((Unit(st.fields.Branch) - 0.5) * 0.125)
 	bias := st.prof.BranchBias + biasNoise
 	if bias < 0.02 {
 		bias = 0.02
@@ -306,7 +310,7 @@ func (st *genState) planBranches() error {
 	if bias > 0.98 {
 		bias = 0.98
 	}
-	st.thresh = int64(bias*256 + 0.5)
+	st.thresh = int64(float64(bias*256) + 0.5)
 	if st.thresh < 1 {
 		st.thresh = 1
 	}
@@ -316,8 +320,8 @@ func (st *genState) planBranches() error {
 
 	// Choose how many static diamonds are always-taken so the overall
 	// conditional-branch taken rate approximates the profile's.
-	wantTaken := st.prof.BranchTaken * float64(condBranches)
-	expected := 1.0 + float64(st.nDataDep)*bias // loop branch + data-dep expectation
+	wantTaken := float64(st.prof.BranchTaken * float64(condBranches))
+	expected := 1.0 + float64(float64(st.nDataDep)*bias) // loop branch + data-dep expectation
 	k := int(wantTaken - expected + 0.5)
 	if k < 0 {
 		k = 0

@@ -192,7 +192,8 @@ func TestPositiveNoiseOnly(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	baseRes, err := vm.Run(base, vm.Params{}, nil)
+	var baseCount profile.Counter
+	baseRes, err := vm.Run(base, vm.Params{}, &baseCount)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -208,7 +209,8 @@ func TestPositiveNoiseOnly(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		res, err := vm.Run(p, vm.Params{}, nil)
+		var count profile.Counter
+		res, err := vm.Run(p, vm.Params{}, &count)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -216,13 +218,13 @@ func TestPositiveNoiseOnly(t *testing.T) {
 			t.Errorf("noised widget (%d) not longer than base (%d)", res.Retired, baseRes.Retired)
 		}
 		for _, class := range []isa.Class{isa.ClassIntALU, isa.ClassIntMul, isa.ClassFPALU, isa.ClassLoad, isa.ClassStore} {
-			if res.ClassCounts[class] < baseRes.ClassCounts[class]*98/100 {
+			if count.Classes[class] < baseCount.Classes[class]*98/100 {
 				t.Errorf("class %s count %d fell below base %d",
-					class, res.ClassCounts[class], baseRes.ClassCounts[class])
+					class, count.Classes[class], baseCount.Classes[class])
 			}
 		}
-		baseBr := float64(baseRes.ClassCounts[isa.ClassBranch]) / float64(baseRes.Retired)
-		gotBr := float64(res.ClassCounts[isa.ClassBranch]) / float64(res.Retired)
+		baseBr := float64(baseCount.Classes[isa.ClassBranch]) / float64(baseRes.Retired)
+		gotBr := float64(count.Classes[isa.ClassBranch]) / float64(res.Retired)
 		if gotBr >= baseBr {
 			t.Errorf("branch fraction did not shrink under positive noise: %.4f vs base %.4f",
 				gotBr, baseBr)

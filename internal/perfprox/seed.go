@@ -59,7 +59,9 @@ func Split(seed Seed) Fields {
 	}
 }
 
-// Unit maps a 32-bit field to the unit interval [0, 1).
+// Unit maps a 32-bit field to the unit interval [0, 1). The compiler makes
+// the division a multiply by 2^-32; the explicit conversion keeps that
+// product, once inlined, from fusing into an add of the caller's.
 func Unit(field uint32) float64 {
-	return float64(field) / (1 << 32)
+	return float64(float64(field) / (1 << 32))
 }

@@ -170,8 +170,31 @@ type Report struct {
 	L1IHitRate     float64
 }
 
+// Counter is the smallest observer a profile can be measured with: it
+// counts retired instructions per class, and conditional branches retired
+// and taken. The VM counts none of this itself (vm.Result); a run with a
+// Counter attached is the reference step, which tells it of every
+// retirement.
+type Counter struct {
+	Classes                     [isa.NumClasses]uint64
+	CondBranches, TakenBranches uint64
+}
+
+var _ vm.Observer = (*Counter)(nil)
+
+// OnRetire counts one retired instruction.
+func (c *Counter) OnRetire(ev *vm.Event) {
+	c.Classes[ev.Class]++
+	if ev.Op.IsCondBranch() {
+		c.CondBranches++
+		if ev.Taken {
+			c.TakenBranches++
+		}
+	}
+}
+
 // Measure executes p on a fresh VM attached to a fresh timing core and
-// returns the measured report.
+// returns the measured report; the core counts the mix and the branches.
 func Measure(name string, p *prog.Program, cfg uarch.Config, params vm.Params) (*Report, error) {
 	metrics, res, err := uarch.MeasureProgram(p, cfg, params)
 	if err != nil {
@@ -180,17 +203,28 @@ func Measure(name string, p *prog.Program, cfg uarch.Config, params vm.Params) (
 	return buildReport(name, metrics, res), nil
 }
 
-// MeasureFunctional executes p on the VM only (no timing model); timing
-// fields of the report are zero. It is much faster and sufficient for mix
-// and branch-behaviour measurements.
+// MeasureFunctional executes p on the VM with only a Counter attached (no
+// timing model); timing fields of the report are zero. It is much faster
+// and sufficient for mix and branch-behaviour measurements.
 func MeasureFunctional(name string, p *prog.Program, params vm.Params) (*Report, error) {
-	res, err := vm.Run(p, params, nil)
+	var c Counter
+	res, err := vm.Run(p, params, &c)
 	if err != nil {
 		return nil, fmt.Errorf("profile: measuring %s: %w", name, err)
 	}
-	return buildReport(name, uarch.Metrics{}, res), nil
+	m := uarch.Metrics{
+		CondBranches:  c.CondBranches,
+		TakenBranches: c.TakenBranches,
+		ClassCounts:   make(map[isa.Class]uint64, len(isa.Classes)),
+	}
+	for _, class := range isa.Classes {
+		m.ClassCounts[class] = c.Classes[class]
+	}
+	return buildReport(name, m, res), nil
 }
 
+// buildReport reads the mix and the branches from m's counts and the
+// timing fields from the rest of m (zero when no timing model ran).
 func buildReport(name string, m uarch.Metrics, res *vm.Result) *Report {
 	r := &Report{
 		Name:                name,
@@ -209,11 +243,11 @@ func buildReport(name string, m uarch.Metrics, res *vm.Result) *Report {
 	}
 	if res.Retired > 0 {
 		for _, class := range isa.Classes {
-			r.Mix[class] = float64(res.ClassCounts[class]) / float64(res.Retired)
+			r.Mix[class] = float64(m.ClassCounts[class]) / float64(res.Retired)
 		}
 	}
-	if res.CondBranches > 0 {
-		r.BranchTaken = float64(res.TakenBranches) / float64(res.CondBranches)
+	if m.CondBranches > 0 {
+		r.BranchTaken = float64(m.TakenBranches) / float64(m.CondBranches)
 	}
 	return r
 }

@@ -98,12 +98,11 @@ func (b *Builder) SetBlock(l Label) {
 }
 
 // Emit appends a raw instruction to the current block: validated (the
-// checks are Program.Validate's), given its Class and counted in the
-// block's tally on the spot; whatever the caller left in ins.Class and
-// ins.PC is overwritten. It is the single hottest call in widget
-// generation, entered once per generated instruction through the
-// Op3/Op2/immediate wrappers. The first failure is latched and reported by
-// Build; whatever is emitted after it is dropped.
+// checks are Program.Validate's) and given its Class on the spot;
+// whatever the caller left in ins.Class and ins.PC is overwritten. It is
+// the single hottest call in widget generation, entered once per generated
+// instruction through the Op3/Op2/immediate wrappers. The first failure is
+// latched and reported by Build; whatever is emitted after it is dropped.
 func (b *Builder) Emit(ins Instr) {
 	meta := isa.MetaOf(ins.Op)
 	if b.current < 0 || b.sealed || b.err != nil || meta&isa.MetaValid == 0 ||
@@ -115,9 +114,7 @@ func (b *Builder) Emit(ins Instr) {
 	// PC is resolved from Target by Build, when every block's start is known.
 	ins.PC, ins.Class = 0, meta.Class()
 	b.program.Code = append(b.program.Code, ins)
-	blk := &b.program.Blocks[b.current]
-	blk.Len++
-	blk.Tally[ins.Class]++
+	b.program.Blocks[b.current].Len++
 	b.sealed = meta&isa.MetaControl != 0
 	b.last = b.current
 }

@@ -53,15 +53,13 @@ type Instr struct {
 }
 
 // Block is one row of a program's block table: where the basic block's
-// instructions lie in Program.Code, and how many of them fall in each
-// resource class (indexed by isa.Class) — what lets an engine account a
-// whole block in O(1) instead of counting per retired instruction. A block
-// is zero or more non-control instructions optionally terminated by one
-// control instruction; without a terminator it falls through to the next
-// block.
+// instructions lie in Program.Code. Len is also what lets an engine
+// retire a whole block in O(1) instead of counting per instruction. A
+// block is zero or more non-control instructions optionally terminated by
+// one control instruction; without a terminator it falls through to the
+// next block.
 type Block struct {
 	Start, Len uint32
-	Tally      [isa.NumClasses]uint32
 }
 
 // Program is a complete widget. Code holds the instructions of all blocks
@@ -101,7 +99,7 @@ var (
 )
 
 // Validate checks the structural well-formedness of p in one sweep: the
-// block table tiles Code and carries exact tallies, every opcode is valid,
+// block table tiles Code, every opcode is valid,
 // register indices are in range, control instructions end their blocks and
 // target existing blocks, Class and PC are what Op and Target imply, the
 // memory declaration is legal, and a halt exists. A validated program can
@@ -132,7 +130,6 @@ func (p *Program) Validate() error {
 		}
 		next += b.Len
 		term = isa.OpInvalid
-		var tally [isa.NumClasses]uint32
 		for ii, ins := range p.Code[b.Start:next] {
 			meta := isa.MetaOf(ins.Op)
 			if meta&isa.MetaValid == 0 {
@@ -164,10 +161,6 @@ func (p *Program) Validate() error {
 				term = ins.Op
 				haveHalt = haveHalt || ins.Op == isa.OpHalt
 			}
-			tally[meta.Class()]++
-		}
-		if b.Tally != tally {
-			return fmt.Errorf("%w: block %d tally %v, want %v", ErrBadDerived, bi, b.Tally, tally)
 		}
 	}
 	if int(next) != len(p.Code) {

@@ -38,7 +38,6 @@ func handBuilt(memSize int, blocks ...[]Instr) *Program {
 		for i := range p.Instrs(bi) {
 			ins := &p.Instrs(bi)[i]
 			ins.Class = ins.Op.ClassOf()
-			p.Blocks[bi].Tally[ins.Class]++
 			if ins.Op.IsControl() && ins.Op != isa.OpHalt && int(ins.Target) < len(p.Blocks) {
 				ins.PC = p.Blocks[ins.Target].Start
 			}
@@ -97,7 +96,6 @@ func TestValidateRejections(t *testing.T) {
 			func(p *Program) { // drop halt
 				p.Code = p.Code[:2]
 				p.Blocks[0].Len--
-				p.Blocks[0].Tally[isa.ClassBranch]--
 			},
 			ErrNoHalt,
 		},
@@ -340,8 +338,7 @@ func TestBuilderFillsBlockStats(t *testing.T) {
 	if !slices.Equal(p.Blocks, want.Blocks) || !slices.Equal(p.Code, want.Code) {
 		t.Errorf("builder wrote\n %+v\n %+v\nrecomputed\n %+v\n %+v", p.Blocks, p.Code, want.Blocks, want.Code)
 	}
-	if e := p.Blocks[0]; e.Start != 0 || e.Len != 4 || e.Tally[isa.ClassIntALU] != 1 ||
-		e.Tally[isa.ClassIntMul] != 1 || e.Tally[isa.ClassLoad] != 1 || e.Tally[isa.ClassBranch] != 1 {
+	if e := p.Blocks[0]; e.Start != 0 || e.Len != 4 {
 		t.Errorf("entry block wrong: %+v", e)
 	}
 	if e := p.Blocks[1]; e.Start != 4 || e.Len != 3 {
@@ -368,11 +365,6 @@ func TestValidateRejectsLyingStats(t *testing.T) {
 		name string
 		lie  func(*Program)
 	}{
-		{"tally too high", func(p *Program) { p.Blocks[0].Tally[isa.ClassIntALU]++ }},
-		{"tally in the wrong class", func(p *Program) {
-			p.Blocks[0].Tally[isa.ClassIntALU]--
-			p.Blocks[0].Tally[isa.ClassFPALU]++
-		}},
 		{"length too long", func(p *Program) { p.Blocks[1].Len = 99 }},
 		{"length too short", func(p *Program) { p.Blocks[0].Len = 1 }},
 		{"start off by one", func(p *Program) { p.Blocks[1].Start = 1 }},
@@ -416,7 +408,7 @@ func TestBuilderResetInvalidatesStats(t *testing.T) {
 	if err := b.BuildInto(&out); err != nil {
 		t.Fatal(err)
 	}
-	if got := out.Blocks[0]; got.Len != 3 || got.Tally[isa.ClassFPALU] != 2 || got.Tally[isa.ClassIntALU] != 0 {
+	if got := out.Blocks[0]; got.Len != 3 || out.Code[0].Class != isa.ClassFPALU || out.Code[1].Class != isa.ClassFPALU {
 		t.Errorf("rebuilt block wrong: %+v (previous %+v)", got, first)
 	}
 	if err := out.Validate(); err != nil {

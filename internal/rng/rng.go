@@ -151,20 +151,24 @@ func mul128(a, b uint64) (hi, lo uint64) {
 }
 
 // Float64 returns a uniformly distributed float64 in [0, 1) with 53 bits of
-// precision.
+// precision. The compiler makes the division a multiply by 2^-53; the
+// explicit conversion keeps that product, once inlined, from fusing into an
+// add of the caller's (see NormFloat64).
 func (x *Xoshiro256) Float64() float64 {
-	return float64(x.Next()>>11) / (1 << 53)
+	return float64(float64(x.Next()>>11) / (1 << 53))
 }
 
 // NormFloat64 returns a normally distributed float64 with mean 0 and
 // standard deviation 1, using the polar (Marsaglia) method. The method uses
 // only arithmetic whose results are identical across conforming IEEE-754
-// platforms, keeping generated widgets reproducible.
+// platforms, keeping generated widgets reproducible: every product that
+// feeds an add is rounded by an explicit conversion, which forbids Go from
+// fusing the two into a multiply-add on the architectures that have one.
 func (x *Xoshiro256) NormFloat64() float64 {
 	for {
-		u := 2*x.Float64() - 1
-		v := 2*x.Float64() - 1
-		s := u*u + v*v
+		u := float64(2*x.Float64()) - 1
+		v := float64(2*x.Float64()) - 1
+		s := float64(u*u) + float64(v*v)
 		if s >= 1 || s == 0 {
 			continue
 		}

@@ -99,6 +99,7 @@ type Metrics struct {
 	IPC          float64
 
 	CondBranches   uint64
+	TakenBranches  uint64
 	Mispredicts    uint64
 	BranchAccuracy float64 // correct / conditional branches
 	MPKI           float64 // mispredicts per kilo-instruction
@@ -133,9 +134,10 @@ type Core struct {
 	frontendAt float64 // front-end resume time after redirects
 	lastRetire float64
 
-	condBranches uint64
-	mispredicts  uint64
-	classCounts  [8]uint64
+	condBranches  uint64
+	takenBranches uint64
+	mispredicts   uint64
+	classCounts   [8]uint64
 
 	fetchInterval  float64
 	retireInterval float64
@@ -182,6 +184,7 @@ func (c *Core) Reset() {
 	c.frontendAt = 0
 	c.lastRetire = 0
 	c.condBranches = 0
+	c.takenBranches = 0
 	c.mispredicts = 0
 	c.classCounts = [8]uint64{}
 }
@@ -265,6 +268,9 @@ func (c *Core) OnRetire(ev *vm.Event) {
 	// 6. Branch resolution.
 	if ev.Op.IsCondBranch() {
 		c.condBranches++
+		if ev.Taken {
+			c.takenBranches++
+		}
 		predicted := c.pred.Predict(ev.StaticID)
 		if predicted != ev.Taken {
 			c.mispredicts++
@@ -313,16 +319,17 @@ func (c *Core) setDstReady(f isa.RegFile, idx uint8, t float64) {
 // Metrics returns the accumulated measurements.
 func (c *Core) Metrics() Metrics {
 	m := Metrics{
-		Instructions: c.count,
-		Cycles:       c.lastRetire,
-		CondBranches: c.condBranches,
-		Mispredicts:  c.mispredicts,
-		L1DHitRate:   c.dmem.Level(0).HitRate(),
-		L2HitRate:    c.dmem.Level(1).HitRate(),
-		L3HitRate:    c.dmem.Level(2).HitRate(),
-		L1IHitRate:   c.icache.HitRate(),
-		MemAccess:    c.dmem.MemAccesses(),
-		ClassCounts:  make(map[isa.Class]uint64, len(isa.Classes)),
+		Instructions:  c.count,
+		Cycles:        c.lastRetire,
+		CondBranches:  c.condBranches,
+		TakenBranches: c.takenBranches,
+		Mispredicts:   c.mispredicts,
+		L1DHitRate:    c.dmem.Level(0).HitRate(),
+		L2HitRate:     c.dmem.Level(1).HitRate(),
+		L3HitRate:     c.dmem.Level(2).HitRate(),
+		L1IHitRate:    c.icache.HitRate(),
+		MemAccess:     c.dmem.MemAccesses(),
+		ClassCounts:   make(map[isa.Class]uint64, len(isa.Classes)),
 	}
 	if m.Cycles > 0 {
 		m.IPC = float64(m.Instructions) / m.Cycles

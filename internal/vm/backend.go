@@ -111,7 +111,6 @@ type nativeState struct {
 	comp  *jit.Compiler
 	code  *jit.Code
 	frame jit.Frame
-	execs []uint64 // per-block fast-path execution counters (jit twin of blockMeta.execs)
 
 	// compiledGen keys the cached code to Machine.loadGen: LoadTrusted
 	// bumps the generation, so the first unobserved run of each loaded
@@ -176,11 +175,11 @@ func (m *Machine) tryRunNative(params Params, res *Result) bool {
 
 // runNative drives compiled code to completion. The structure mirrors
 // runUnobserved exactly: native code IS the fast path (head guards,
-// wholesale accounting, straight-line bodies), and every block it cannot
+// wholesale retirement, straight-line bodies), and every block it cannot
 // retire wholesale is bounced to the same reference step (step) the
 // interpreter uses, after which execution re-enters native code at the
-// block the step names. Snapshot bytes, truncation points and every
-// counter are therefore bit-identical across engines.
+// block the step names. Snapshot bytes, truncation points and retired
+// counts are therefore bit-identical across engines.
 //
 // Native code inserts into the written-word table but cannot grow it, so
 // it runs on a countdown no longer than the table's headroom (see
@@ -190,15 +189,6 @@ func (m *Machine) tryRunNative(params Params, res *Result) bool {
 // never ends a segment; a longer interval ends some at a headroom bounce,
 // which is where the table grows.
 func (m *Machine) runNative(params Params, res *Result, ns *nativeState) {
-	nb := len(m.prog.Blocks)
-	if cap(ns.execs) < nb {
-		ns.execs = make([]uint64, nb)
-	}
-	ns.execs = ns.execs[:nb]
-	for i := range ns.execs {
-		ns.execs[i] = 0
-	}
-
 	st := newExecState(params)
 	truncated := false
 	bi := uint32(0)
@@ -208,7 +198,6 @@ func (m *Machine) runNative(params Params, res *Result, ns *nativeState) {
 	f.SeedGamma = m.prog.MemSeed + rng.SplitMix64Gamma
 	f.MaskAligned = (uint64(m.prog.MemSize) - 1) &^ 7
 	f.MaxInstr = st.maxInstr
-	f.ExecsBase = uintptr(unsafe.Pointer(&ns.execs[0]))
 	tab := &m.table
 	f.Epoch = tab.epoch
 
@@ -225,8 +214,6 @@ func (m *Machine) runNative(params Params, res *Result, ns *nativeState) {
 		f.VecRegs = m.vecRegs
 		f.Retired = st.retired
 		f.UntilSnap = st.untilSnap
-		f.CondBranches = st.condBranches
-		f.TakenBranches = st.takenBranches
 		ns.code.Run(f, bi)
 		tab.count = int(f.Inserts)
 		tab.fit()
@@ -235,8 +222,6 @@ func (m *Machine) runNative(params Params, res *Result, ns *nativeState) {
 		m.vecRegs = f.VecRegs
 		st.retired = f.Retired
 		st.untilSnap = f.UntilSnap
-		st.condBranches = f.CondBranches
-		st.takenBranches = f.TakenBranches
 
 		if f.Status == jit.StatusHalt {
 			break
@@ -254,16 +239,9 @@ func (m *Machine) runNative(params Params, res *Result, ns *nativeState) {
 		}
 		bi = next
 	}
-	// The written/table/execs uintptrs in the frame die with this call; m
-	// and ns keep the underlying storage alive until here (a table grown
-	// mid-run is not entered again through its old address).
+	// The written/table uintptrs in the frame die with this call; m keeps
+	// the underlying storage alive until here (a table grown mid-run is not
+	// entered again through its old address).
 	runtime.KeepAlive(m)
-	runtime.KeepAlive(ns)
-
-	// The same epilogue as runUnobserved: fold the deferred fast-path
-	// class accounting into the reference step's exact counts.
-	for b, n := range ns.execs {
-		st.addBlockExecs(&m.prog.Blocks[b].Tally, n)
-	}
 	m.finishRun(&st, truncated, res)
 }

@@ -6,7 +6,9 @@ package vm_test
 // scratch image that is actually built, word by word with
 // rng.SplitMix64At, and then read and written as a plain array. What the
 // overlay computes on load, this fetches; if the two ever disagree on one
-// word, a snapshot differs.
+// word, a snapshot differs. It also counts, per instruction, what the VM
+// leaves to observers — retirements per class, conditional branches and
+// those taken — and is the reference profile.Counter is held to.
 
 import (
 	"bytes"
@@ -16,9 +18,13 @@ import (
 	"testing"
 
 	"hashcore/internal/isa"
+	"hashcore/internal/perfprox"
+	"hashcore/internal/profile"
 	"hashcore/internal/prog"
 	"hashcore/internal/rng"
+	"hashcore/internal/uarch"
 	"hashcore/internal/vm"
+	"hashcore/internal/workload"
 )
 
 const denseNaN = 0x7ff8000000000000
@@ -49,8 +55,16 @@ func denseFToI(f float64) uint64 {
 	return uint64(int64(f))
 }
 
+// denseRun is the dense reference's outcome: the Result every engine must
+// match, and the counts an observer must.
+type denseRun struct {
+	vm.Result
+	classes                     [isa.NumClasses]uint64
+	condBranches, takenBranches uint64
+}
+
 // runDense executes p to completion on the dense reference.
-func runDense(p *prog.Program, params vm.Params) *vm.Result {
+func runDense(p *prog.Program, params vm.Params) *denseRun {
 	if params.SnapshotInterval == 0 {
 		params.SnapshotInterval = vm.DefaultSnapshotInterval
 	}
@@ -68,7 +82,7 @@ func runDense(p *prog.Program, params vm.Params) *vm.Result {
 		ir  [isa.NumIntRegs]uint64
 		fr  [isa.NumFPRegs]uint64
 		vr  [isa.NumVecRegs][isa.VecLanes]uint64
-		res = &vm.Result{}
+		res = &denseRun{}
 	)
 	snapshot := func() {
 		var w [8]byte
@@ -170,7 +184,7 @@ run:
 			taken = true
 		case isa.OpHalt:
 			res.Retired++
-			res.ClassCounts[ins.Op.ClassOf()]++
+			res.classes[ins.Op.ClassOf()]++
 			break run
 		case isa.OpVAdd:
 			for l := range vr[d] {
@@ -194,13 +208,13 @@ run:
 			panic("dense reference: opcode " + ins.Op.String())
 		}
 		if ins.Op.IsCondBranch() {
-			res.CondBranches++
+			res.condBranches++
 			if taken {
-				res.TakenBranches++
+				res.takenBranches++
 			}
 		}
 		res.Retired++
-		res.ClassCounts[ins.Op.ClassOf()]++
+		res.classes[ins.Op.ClassOf()]++
 		if untilSnap--; untilSnap == 0 {
 			snapshot()
 			untilSnap = params.SnapshotInterval
@@ -215,8 +229,9 @@ run:
 	return res
 }
 
-// sameResult reports the first field in which two results differ.
-func sameResult(a, b *vm.Result) (string, bool) {
+// sameResult reports the first field in which an engine's result differs
+// from the dense reference's.
+func sameResult(a *vm.Result, b *denseRun) (string, bool) {
 	switch {
 	case !bytes.Equal(a.Output, b.Output):
 		return "Output", false
@@ -226,12 +241,14 @@ func sameResult(a, b *vm.Result) (string, bool) {
 		return "Truncated", false
 	case a.Snapshots != b.Snapshots:
 		return "Snapshots", false
-	case a.ClassCounts != b.ClassCounts:
-		return "ClassCounts", false
-	case a.CondBranches != b.CondBranches || a.TakenBranches != b.TakenBranches:
-		return "branch counts", false
 	}
 	return "", true
+}
+
+// sameCounts reports whether a Counter counted what the dense reference
+// did.
+func sameCounts(c *profile.Counter, want *denseRun) bool {
+	return c.Classes == want.classes && c.CondBranches == want.condBranches && c.TakenBranches == want.takenBranches
 }
 
 // sparseEngines are the fast engines, whose memory is the overlay.
@@ -244,18 +261,18 @@ func sparseEngines() []vm.Backend {
 
 // checkSparseVsDense runs the program loaded in m on every engine the
 // package has — the fused interpreter loop, native code, and the
-// per-instruction reference step on its own (an observer attached, which
-// must be told of every retirement) — and requires each result to equal
-// the dense reference's run of p: the program m holds, or the one it was
-// derived from.
-func checkSparseVsDense(t *testing.T, m *vm.Machine, p *prog.Program, params vm.Params) *vm.Result {
+// per-instruction reference step on its own (a profile.Counter attached,
+// which must count what the dense reference counted) — and requires each
+// result to equal the dense reference's run of p: the program m holds, or
+// the one it was derived from.
+func checkSparseVsDense(t *testing.T, m *vm.Machine, p *prog.Program, params vm.Params) *denseRun {
 	t.Helper()
 	want := runDense(p, params)
 	check := func(engine string, got *vm.Result) {
 		t.Helper()
 		if field, ok := sameResult(got, want); !ok {
 			t.Fatalf("params %+v: %s and dense reference differ in %s:\n %s %+v\n dense   %+v",
-				params, engine, field, engine, summary(got), summary(want))
+				params, engine, field, engine, summary(got), summary(&want.Result))
 		}
 	}
 	for _, be := range sparseEngines() {
@@ -268,11 +285,12 @@ func checkSparseVsDense(t *testing.T, m *vm.Machine, p *prog.Program, params vm.
 		check(be.String(), &got)
 	}
 	var got vm.Result
-	obs := &nullObserver{}
-	m.RunInto(params, obs, &got)
+	var c profile.Counter
+	m.RunInto(params, &c, &got)
 	check("reference step", &got)
-	if obs.retired != want.Retired {
-		t.Fatalf("params %+v: the observer was told of %d retirements, the run retired %d", params, obs.retired, want.Retired)
+	if !sameCounts(&c, want) {
+		t.Fatalf("params %+v: the observer counted classes %v, %d/%d branches taken; the dense reference %v, %d/%d",
+			params, c.Classes, c.TakenBranches, c.CondBranches, want.classes, want.takenBranches, want.condBranches)
 	}
 	return want
 }
@@ -282,4 +300,48 @@ func summary(r *vm.Result) vm.Result {
 	s := *r
 	s.Output = nil
 	return s
+}
+
+// TestProfilerCountsMatchDense holds the profiler to the dense reference:
+// on one full-size widget of each profile, the class mix and the
+// branch-taken rate that MeasureFunctional (a profile.Counter) and Measure
+// (the timing core) report are the dense reference's per-instruction
+// counts over its retirements, to the last bit.
+func TestProfilerCountsMatchDense(t *testing.T) {
+	for _, name := range workload.Names() {
+		w, err := workload.ByName(name)
+		if err != nil {
+			t.Fatal(err)
+		}
+		gen, err := perfprox.NewGenerator(w.Profile, perfprox.Params{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		p, err := gen.Generate(seedFromWords(1, 0xc0c0))
+		if err != nil {
+			t.Fatal(err)
+		}
+		dense := runDense(p, vm.Params{})
+		functional, err := profile.MeasureFunctional(name, p, vm.Params{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		timed, err := profile.Measure(name, p, uarch.IvyBridge(), vm.Params{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, r := range []*profile.Report{functional, timed} {
+			if r.DynamicInstructions != dense.Retired {
+				t.Fatalf("%s: report retired %d, dense %d", name, r.DynamicInstructions, dense.Retired)
+			}
+			for _, class := range isa.Classes {
+				if got, want := r.Mix[class], float64(dense.classes[class])/float64(dense.Retired); got != want {
+					t.Errorf("%s (IPC %.2f): %s share %v, dense %v", name, r.IPC, class, got, want)
+				}
+			}
+			if got, want := r.BranchTaken, float64(dense.takenBranches)/float64(dense.condBranches); got != want {
+				t.Errorf("%s (IPC %.2f): branch-taken rate %v, dense %v", name, r.IPC, got, want)
+			}
+		}
+	}
 }

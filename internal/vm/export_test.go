@@ -47,7 +47,6 @@ type FusedBlock struct {
 	Ops   []isa.Opcode // the slots it dispatches, in order
 	Next  uint32       // its successor when no slot redirects control
 	Count uint32       // the architectural instructions it retires
-	Execs uint64       // its fast-path executions in the last interpreter run
 }
 
 // FusedBlocks builds the fused stream of the loaded program if need be and
@@ -57,7 +56,7 @@ func (m *Machine) FusedBlocks() []FusedBlock {
 	out := make([]FusedBlock, len(m.fblocks))
 	for bi := range m.fblocks {
 		meta := &m.fblocks[bi]
-		fb := FusedBlock{Next: meta.next, Count: meta.count, Execs: meta.execs}
+		fb := FusedBlock{Next: meta.next, Count: meta.count}
 		for _, fi := range m.fcode[meta.fstart:meta.fend] {
 			fb.Ops = append(fb.Ops, fi.Op)
 		}

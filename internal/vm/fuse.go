@@ -15,7 +15,7 @@ import (
 // jmp always continues at that jump's target, so the jump is recorded as
 // the block's successor (blockMeta.next, otherwise the following block)
 // and takes no slot at all. It still retires: the block's architectural
-// count and class tally are the block table's.
+// count is the block table's.
 //
 // Hot adjacent pairs become superinstructions. Every branch diamond the
 // generator emits conditions on ror+and feeding cmplt+bne, and the filler

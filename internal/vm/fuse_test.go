@@ -423,9 +423,38 @@ func TestFusedBlockArchLengthPreserved(t *testing.T) {
 	}
 }
 
-// dispatchShares runs 16 widgets of a profile on the interpreter and
-// returns, per opcode, its share of all fast-loop dispatches: every
-// fast-path execution of a block dispatches each of its slots once.
+// blockEntries is an observer that counts how often each block of a
+// program is entered: control enters a block only at its start, so an
+// entry is the retirement of a block's first instruction.
+type blockEntries struct {
+	blockAt []int32 // StaticID → the non-empty block starting there, or -1
+	entries []uint64
+}
+
+func newBlockEntries(p *prog.Program) *blockEntries {
+	o := &blockEntries{blockAt: make([]int32, len(p.Code)), entries: make([]uint64, len(p.Blocks))}
+	for i := range o.blockAt {
+		o.blockAt[i] = -1
+	}
+	for bi, b := range p.Blocks {
+		if b.Len > 0 {
+			o.blockAt[b.Start] = int32(bi)
+		}
+	}
+	return o
+}
+
+func (o *blockEntries) OnRetire(ev *vm.Event) {
+	if bi := o.blockAt[ev.StaticID]; bi >= 0 {
+		o.entries[bi]++
+	}
+}
+
+// dispatchShares runs 16 widgets of a profile and returns, per opcode, its
+// share of all fast-loop dispatches: every execution of a block dispatches
+// each of its slots once. The executions are counted by an observer, on
+// the reference step, which enters the same blocks as the fast loop; the
+// loop would hand the few that straddle a snapshot to the step.
 func dispatchShares(t *testing.T, profile string) map[isa.Opcode]float64 {
 	t.Helper()
 	w, err := workload.ByName(profile)
@@ -437,7 +466,6 @@ func dispatchShares(t *testing.T, profile string) map[isa.Opcode]float64 {
 		t.Fatal(err)
 	}
 	var m vm.Machine
-	m.SetBackend(vm.BackendInterp)
 	var res vm.Result
 	counts := map[isa.Opcode]uint64{}
 	total := uint64(0)
@@ -447,12 +475,13 @@ func dispatchShares(t *testing.T, profile string) map[isa.Opcode]float64 {
 			t.Fatal(err)
 		}
 		m.LoadTrusted(p)
-		m.RunInto(vm.Params{}, nil, &res)
-		for _, fb := range m.FusedBlocks() {
+		obs := newBlockEntries(p)
+		m.RunInto(vm.Params{}, obs, &res)
+		for bi, fb := range m.FusedBlocks() {
 			for _, op := range fb.Ops {
-				counts[op] += fb.Execs
+				counts[op] += obs.entries[bi]
 			}
-			total += fb.Execs * uint64(len(fb.Ops))
+			total += obs.entries[bi] * uint64(len(fb.Ops))
 		}
 	}
 	shares := make(map[isa.Opcode]float64, len(counts))

@@ -152,15 +152,35 @@ func mapWords(size int) int { return (size + 511) / 512 }
 // scratch memory: the table's if this run stored to it, else the pristine
 // image's, computed — exactly the value a filled image would hold there.
 func loadWord(t *wordTable, written []uint64, seed, addr uint64) uint64 {
+	if v, ok := pristineWord(written, seed, addr); ok {
+		return v
+	}
+	return t.load(addr >> 3)
+}
+
+// pristineWord is loadWord's side that nearly every load ends on: the
+// pristine word at addr, or false if this run stored to it and the table
+// has it (wordTable.load). It costs the inliner little enough to inline
+// where loadWord, with its call into the table, does not — into the fast
+// loop, which spells loadWord out as these two steps.
+func pristineWord(written []uint64, seed, addr uint64) (uint64, bool) {
 	w := addr >> 3
 	if written[w>>6]&(1<<(w&63)) != 0 {
-		return t.find(w).val
+		return 0, false
 	}
-	return rng.SplitMix64At(seed, w)
+	return rng.SplitMix64At(seed, w), true
 }
+
+// load returns word w's value; w must be in the table. It stays out of
+// line so that the fast loop's inlined pristineWord has only a call here
+// beside it.
+//
+//go:noinline
+func (t *wordTable) load(w uint64) uint64 { return t.find(w).val }
 
 // storeWord writes v at the aligned byte address addr: the first store to
 // a word marks it written and inserts it, later ones overwrite its slot.
+// Every store reaches the table, so there is no cheap side to inline.
 func storeWord(t *wordTable, written []uint64, addr, v uint64) {
 	w := addr >> 3
 	bit := uint64(1) << (w & 63)

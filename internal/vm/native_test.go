@@ -3,8 +3,7 @@ package vm_test
 // Differential tests for the native code backend: for arbitrary generated
 // widgets and arbitrary budget/snapshot parameters, a run compiled to
 // native code must produce exactly the Result the fused interpreter does —
-// output bytes, retired count, truncation flag, snapshot count, class
-// counts and branch statistics. These mirror the fused-vs-unfused suite
+// output bytes, retired count, truncation flag and snapshot count. These mirror the fused-vs-unfused suite
 // one layer up: interpreter correctness is anchored to the per-instruction
 // reference step, and the native backend is anchored to the interpreter.
 
@@ -39,10 +38,7 @@ func checkNativeVsInterp(t *testing.T, m *vm.Machine, params vm.Params) (native 
 			params, len(native.Output), len(interp.Output))
 	}
 	if native.Retired != interp.Retired || native.Truncated != interp.Truncated ||
-		native.Snapshots != interp.Snapshots ||
-		native.CondBranches != interp.CondBranches ||
-		native.TakenBranches != interp.TakenBranches ||
-		native.ClassCounts != interp.ClassCounts {
+		native.Snapshots != interp.Snapshots {
 		t.Fatalf("params %+v: result metadata diverged:\n native %+v\n interp %+v",
 			params, native, interp)
 	}

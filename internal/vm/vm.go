@@ -109,7 +109,10 @@ type Observer interface {
 	OnRetire(ev *Event)
 }
 
-// Result is the outcome of an execution.
+// Result is the outcome of an execution. A run counts only what its output
+// needs: how many instructions of each class it retired, or how its
+// branches went, is an Observer's to count (the profiler's and the timing
+// model's do), and costs an unobserved run nothing.
 type Result struct {
 	// Output is the widget output: the concatenated register snapshots.
 	Output []byte
@@ -120,12 +123,6 @@ type Result struct {
 	Truncated bool
 	// Snapshots is the number of snapshots taken.
 	Snapshots int
-	// ClassCounts counts retired instructions per resource class.
-	ClassCounts [isa.NumClasses]uint64
-	// CondBranches and TakenBranches count conditional branches retired
-	// and those taken.
-	CondBranches  uint64
-	TakenBranches uint64
 }
 
 // reset clears the result for a fresh execution, retaining Output's
@@ -135,20 +132,13 @@ func (r *Result) reset() {
 	r.Retired = 0
 	r.Truncated = false
 	r.Snapshots = 0
-	r.ClassCounts = [isa.NumClasses]uint64{}
-	r.CondBranches = 0
-	r.TakenBranches = 0
 }
 
 // blockMeta is the fast interpreter loop's per-block record, built with the
 // fused stream (ensureFused): where the block's fused slots live, how many
-// architectural instructions the whole block retires, where control goes
-// when no slot redirects it, and the run-local fast-path execution counter
-// (kept inside the meta so the hot loop's accounting touches no second
-// array; uint64 because a hot loop block can execute more than 2^32 times
-// under a large MaxInstructions budget).
+// architectural instructions the whole block retires, and where control
+// goes when no slot redirects it.
 type blockMeta struct {
-	execs  uint64 // fast-path executions this run (cleared per run)
 	fstart uint32 // first fused instruction (m.fcode index)
 	fend   uint32 // one past the last fused instruction
 	next   uint32 // successor block: a trailing jmp's target, else the block after
@@ -353,19 +343,13 @@ func (m *Machine) RunInto(params Params, obs Observer, res *Result) {
 }
 
 // execState carries the live accounting shared between the fast engines
-// and the reference step: the retired counter and snapshot countdown
-// (which gate execution), branch statistics, and the per-class counts of
-// instructions the reference step retired. Fast-path class counts are NOT
-// accumulated as they happen — they are reconstructed from per-block
-// execution counters at the end of the run (see addBlockExecs).
+// and the reference step: the retired counter and snapshot countdown,
+// which gate execution and are all of it.
 type execState struct {
-	retired       uint64
-	untilSnap     uint64
-	snapInterval  uint64
-	maxInstr      uint64
-	condBranches  uint64
-	takenBranches uint64
-	classCounts   [isa.NumClasses]uint64
+	retired      uint64
+	untilSnap    uint64
+	snapInterval uint64
+	maxInstr     uint64
 }
 
 // stepStatus reports how the reference step left the run.
@@ -382,17 +366,6 @@ func newExecState(params Params) execState {
 		untilSnap:    params.SnapshotInterval,
 		snapInterval: params.SnapshotInterval,
 		maxInstr:     params.MaxInstructions,
-	}
-}
-
-// addBlockExecs accounts n fast-path executions of a block with the given
-// static class tally.
-func (st *execState) addBlockExecs(tally *[isa.NumClasses]uint32, n uint64) {
-	if n == 0 {
-		return
-	}
-	for c := 1; c < isa.NumClasses; c++ {
-		st.classCounts[c] += n * uint64(tally[c])
 	}
 }
 
@@ -416,10 +389,6 @@ func (m *Machine) runUnobserved(params Params, res *Result) {
 	intRegs := &m.intRegs
 	fpRegs := &m.fpRegs
 	mask := uint64(m.prog.MemSize - 1)
-
-	for i := range blocks {
-		blocks[i].execs = 0
-	}
 
 	st := newExecState(params)
 	truncated := false
@@ -446,11 +415,7 @@ blockLoop:
 		}
 
 		// Fast path: the whole block retires inside the budget and snapshot
-		// window, so account it wholesale. Class counts are deferred: only
-		// the per-block execution counter is bumped here, and the per-class
-		// totals are reconstructed from the static per-block tallies after
-		// the run.
-		meta.execs++
+		// window, so account it wholesale.
 		st.retired += count
 		st.untilSnap -= count
 		next := meta.next
@@ -528,10 +493,18 @@ blockLoop:
 
 			case isa.OpLoad:
 				addr := (intRegs[ins.A] + uint64(ins.Imm)) & mask &^ 7
-				intRegs[ins.Dst] = loadWord(tab, written, seed, addr)
+				v, ok := pristineWord(written, seed, addr)
+				if !ok {
+					v = tab.load(addr >> 3)
+				}
+				intRegs[ins.Dst] = v
 			case isa.OpFLoad:
 				addr := (intRegs[ins.A] + uint64(ins.Imm)) & mask &^ 7
-				fpRegs[ins.Dst] = canonFPBits(loadWord(tab, written, seed, addr))
+				v, ok := pristineWord(written, seed, addr)
+				if !ok {
+					v = tab.load(addr >> 3)
+				}
+				fpRegs[ins.Dst] = canonFPBits(v)
 			case isa.OpStore:
 				addr := (intRegs[ins.A] + uint64(ins.Imm)) & mask &^ 7
 				storeWord(tab, written, addr, intRegs[ins.B])
@@ -540,31 +513,23 @@ blockLoop:
 				storeWord(tab, written, addr, fpRegs[ins.B])
 
 			case isa.OpBeq:
-				st.condBranches++
 				if intRegs[ins.A] == intRegs[ins.B] {
-					st.takenBranches++
 					next = ins.Target
 				}
 			case isa.OpBne:
-				st.condBranches++
 				if intRegs[ins.A] != intRegs[ins.B] {
-					st.takenBranches++
 					next = ins.Target
 				}
 			case isa.OpBlt:
-				st.condBranches++
 				if intRegs[ins.A] < intRegs[ins.B] {
-					st.takenBranches++
 					next = ins.Target
 				}
 			case isa.OpBge:
-				st.condBranches++
 				if intRegs[ins.A] >= intRegs[ins.B] {
-					st.takenBranches++
 					next = ins.Target
 				}
 			case isa.OpHalt:
-				// retired/tally already account the halt (it is part of the
+				// retired already accounts the halt (it is part of the
 				// block); the stale untilSnap is irrelevant past this point.
 				break blockLoop
 
@@ -604,9 +569,7 @@ blockLoop:
 					v = 1
 				}
 				intRegs[ins.Dst] = v
-				st.condBranches++
 				if intRegs[uint8(ins.PC)] != intRegs[uint8(ins.PC>>8)] {
-					st.takenBranches++
 					next = ins.Target
 				}
 			case isa.OpFuseRorAnd:
@@ -644,12 +607,6 @@ blockLoop:
 			}
 		}
 		bi = next
-	}
-
-	// Fold the deferred fast-path class accounting (block execution counts
-	// x static per-block tallies) into the reference step's exact counts.
-	for b := range blocks {
-		st.addBlockExecs(&m.prog.Blocks[b].Tally, blocks[b].execs)
 	}
 	m.finishRun(&st, truncated, res)
 }
@@ -768,27 +725,19 @@ func (m *Machine) step(bi uint32, st *execState, res *Result, obs Observer) (uin
 				storeWord(tab, written, addr, fpRegs[ins.B])
 
 			case isa.OpBeq:
-				st.condBranches++
 				if intRegs[ins.A] == intRegs[ins.B] {
-					st.takenBranches++
 					taken = true
 				}
 			case isa.OpBne:
-				st.condBranches++
 				if intRegs[ins.A] != intRegs[ins.B] {
-					st.takenBranches++
 					taken = true
 				}
 			case isa.OpBlt:
-				st.condBranches++
 				if intRegs[ins.A] < intRegs[ins.B] {
-					st.takenBranches++
 					taken = true
 				}
 			case isa.OpBge:
-				st.condBranches++
 				if intRegs[ins.A] >= intRegs[ins.B] {
-					st.takenBranches++
 					taken = true
 				}
 			case isa.OpJmp:
@@ -826,7 +775,6 @@ func (m *Machine) step(bi uint32, st *execState, res *Result, obs Observer) (uin
 			}
 
 			st.retired++
-			st.classCounts[ins.Class]++
 			if obs != nil {
 				m.event = Event{
 					StaticID: pc,
@@ -876,15 +824,12 @@ func (m *Machine) runObserved(params Params, obs Observer, res *Result) {
 
 // finishRun closes a run on any engine: the final snapshot captures the
 // terminal state (always emitted, so even an empty program contributes
-// output) and the live accounting moves into res.
+// output) and the retired count moves into res.
 func (m *Machine) finishRun(st *execState, truncated bool, res *Result) {
 	res.Output = m.appendSnapshot(res.Output, st.retired)
 	res.Snapshots++
 	res.Retired = st.retired
 	res.Truncated = truncated
-	res.CondBranches = st.condBranches
-	res.TakenBranches = st.takenBranches
-	res.ClassCounts = st.classCounts
 }
 
 // appendSnapshot serializes the architectural register state.

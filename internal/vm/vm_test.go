@@ -271,14 +271,23 @@ func TestLoopExecutesExactTripCount(t *testing.T) {
 	if m.intRegs[2] != 10 {
 		t.Errorf("loop accumulator = %d, want 10", m.intRegs[2])
 	}
-	if res.CondBranches != 10 {
-		t.Errorf("CondBranches = %d, want 10", res.CondBranches)
-	}
-	if res.TakenBranches != 9 {
-		t.Errorf("TakenBranches = %d, want 9", res.TakenBranches)
-	}
 	if res.Truncated {
 		t.Error("bounded loop reported truncated")
+	}
+	// The branch counts are an observer's to take.
+	var c eventCollector
+	m.Run(Params{}, &c)
+	cond, taken := 0, 0
+	for _, ev := range c.events {
+		if ev.Op.IsCondBranch() {
+			cond++
+			if ev.Taken {
+				taken++
+			}
+		}
+	}
+	if cond != 10 || taken != 9 {
+		t.Errorf("observed %d conditional branches, %d taken; want 10, 9", cond, taken)
 	}
 }
 
@@ -409,8 +418,10 @@ func TestSingleInstructionChangesOutput(t *testing.T) {
 	}
 }
 
+// TestClassCounts: the events an observer is shown carry each retired
+// instruction's class, which is what per-class counts are made of.
 func TestClassCounts(t *testing.T) {
-	_, res := exec(t, func(b *prog.Builder) {
+	p := build(t, func(b *prog.Builder) {
 		b.MovI(1, 1)              // intalu
 		b.Op3(isa.OpMul, 2, 1, 1) // intmul
 		b.Op3(isa.OpFAdd, 1, 0, 0)
@@ -418,6 +429,14 @@ func TestClassCounts(t *testing.T) {
 		b.Store(1, 3, 0)
 		b.Op3(isa.OpVAdd, 0, 0, 0)
 	})
+	var c eventCollector
+	if _, err := Run(p, Params{}, &c); err != nil {
+		t.Fatal(err)
+	}
+	var counts [isa.NumClasses]uint64
+	for _, ev := range c.events {
+		counts[ev.Class]++
+	}
 	want := map[isa.Class]uint64{
 		isa.ClassIntALU: 1,
 		isa.ClassIntMul: 1,
@@ -428,7 +447,7 @@ func TestClassCounts(t *testing.T) {
 		isa.ClassBranch: 1, // the halt
 	}
 	for class, n := range want {
-		if got := res.ClassCounts[class]; got != n {
+		if got := counts[class]; got != n {
 			t.Errorf("class %s count = %d, want %d", class, got, n)
 		}
 	}
