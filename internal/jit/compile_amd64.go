@@ -4,22 +4,23 @@
 // encoder — the functions that know how every piece of a program lowers,
 // byte by byte. The encoder does not run per hash: template_amd64.go runs
 // it once per process to build a table of byte templates and stamps
-// programs from that table (its header says what is left to the encoder
-// at hash time, and the tests hold the stamped code to the encoder's).
-// One Compiler owns an emit scratch buffer and one executable mapping,
-// both reused across Compile calls, so per-program compilation reaches a
-// zero-allocation steady state (the production session compiles one fresh
-// widget per hash).
+// programs from that table, and the tests hold the stamped code to the
+// encoder's. One Compiler owns an emit scratch buffer and one executable
+// mapping, both reused across Compile calls, so per-program compilation
+// reaches a zero-allocation steady state (the production session compiles
+// one fresh widget per hash).
 //
 // Code layout of a compiled program:
 //
 //	prologue            load mapped registers from the Frame, JMP [Resume]
+//	ftoi, vmul          the clamp and the four-lane multiply (emitRoutines)
 //	constant pool       SplitMix64's three multipliers (24 bytes, read RIP-relative)
 //	load, store         the two shared scratch-memory routines (emitMemRoutines)
 //	block 0 head+body   the countdown guard, lowered instructions
 //	block 1 head+body   ... (blocks are contiguous, so a block that does
 //	...                 not end in an unconditional transfer falls through
-//	block N-1           physically into the next block's head)
+//	block N-1           physically into the next block's head; the last
+//	                    ends in a jmp or a halt)
 //	slow tail           write NextBlock/Status=slow, JMP epilogue
 //	slow stub per block undo the head's charge, name the block, JMP slow tail
 //	epilogue            store mapped registers back, RET
@@ -37,12 +38,13 @@
 //
 // The other 8 widget integer registers, the FP and vector files, and the
 // retirement counters live in the Frame. The only calls the generated code
-// makes are to its own two memory routines, which return at once; every
+// makes are to its own four routines, which return at once; every
 // inter-block branch is a rel32 resolved by a fixup pass.
 package jit
 
 import (
 	"encoding/binary"
+	"errors"
 	"fmt"
 	"runtime"
 	"syscall"
@@ -76,8 +78,7 @@ const (
 	offTableShift = offTableMask + 8
 	offEpoch      = offTableShift + 8
 	offFPRegs     = offEpoch + 8
-	offVecRegs    = offFPRegs + isa.NumFPRegs*8
-	offMaxInstr   = offVecRegs + isa.NumVecRegs*isa.VecLanes*8
+	offMaxInstr   = offFPRegs + isa.NumFPRegs*8
 	offTable      = offMaxInstr + 8
 	offWritten    = offTable + 8
 	offRetired    = offWritten + 8
@@ -88,6 +89,7 @@ const (
 	offLimStart   = offStatus + 4
 	offInserts    = offLimStart + 8
 	offHeadroom   = offInserts + 8
+	offVecRegs    = 256
 )
 
 // prog.Instr as the stamp loop addresses it (stamp_amd64.s): go_asm.h
@@ -168,9 +170,23 @@ const (
 // loop out of the frame.
 var physPool = [8]int{rBX, rBP, rSI, rDI, r8, r9, r10, r11}
 
-func intOff(r uint8) int32           { return offIntRegs + int32(r)*8 }
-func fpOff(r uint8) int32            { return offFPRegs + int32(r)*8 }
-func vecOff(r uint8, lane int) int32 { return offVecRegs + int32(r)*isa.VecLanes*8 + int32(lane)*8 }
+func intOff(r uint8) int32 { return offIntRegs + int32(r)*8 }
+func fpOff(r uint8) int32  { return offFPRegs + int32(r)*8 }
+
+// vecOff is the displacement of vector register r's first lane. The mask
+// keeps a structurally invalid register field (never past prog.Validate)
+// in the file, where stamped and encoded code agree on it.
+func vecOff(r uint8) int32 { return offVecRegs + int32(r&(isa.NumVecRegs-1))*isa.VecLanes*8 }
+
+// The shared routines a lowered instruction may call (template.callSel
+// names one; 0 is no call).
+const (
+	callLoad = 1 + iota
+	callStore
+	callFToI
+	callVMul
+	numCalls
+)
 
 // fixup kinds: forward references resolved after all code is emitted.
 const (
@@ -246,24 +262,21 @@ type Compiler struct {
 	slow   []int32
 	fix    []fixup
 	mapped []byte // read+execute view of the code mapping (what runs)
-	wview  []byte // read+write alias of the same pages; nil => mprotect mode
+	wview  []byte // read+write alias of the same pages (what install writes)
 	code   Code
 	// regMap[r] is the amd64 register holding widget integer register r,
 	// or -1 when r lives in the Frame. Filled by allocRegs per Compile.
 	regMap [isa.NumIntRegs]int8
-	// Code positions of the shared memory routines (emitMemRoutines); they
-	// precede every block, so call sites know them at emission.
-	loadRoutine, storeRoutine int
+	// Code positions of the shared routines (emitRoutines), by call kind;
+	// they precede every block, so call sites know them at emission.
+	routine [numCalls]int
 
 	// What the stamp loop reads per operand (bindRegs): the shape kind of
 	// widget integer register r, shifted to each operand field's place in
 	// the shape, and patch[layout<<4|r], the byte an operand site of that
 	// layout takes for register r. All are indexed by raw operand bytes,
 	// hence the 256 entries.
-	t *tmplTable
-	// encoded counts the instructions of the current program that had no
-	// template and went through the encoder.
-	encoded               int
+	t                     *tmplTable
 	kindDst, kindA, kindB [256]uint8
 	patch                 [256]uint8
 }
@@ -332,6 +345,7 @@ func NewCompiler() *Compiler {
 	for r := uint8(0); r < isa.NumIntRegs; r++ {
 		c.patch[layDisp<<4|r] = uint8(intOff(r))
 		c.patch[layFP<<4|r] = uint8(fpOff(r))
+		c.patch[layVec<<4|r] = uint8(vecOff(r))
 	}
 	runtime.SetFinalizer(c, (*Compiler).release)
 	return c
@@ -351,16 +365,24 @@ func (c *Compiler) release() {
 // Compile lowers p to native code and installs it in the compiler's
 // executable mapping. The returned Code is valid until the next Compile.
 //
-// Code is stamped, not encoded: every piece — prologue, memory routines,
+// Code is stamped, not encoded: every piece — prologue, shared routines,
 // block heads, lowered instructions, slow stubs, epilogue — is a byte
 // template copied from the process-wide table and patched in place
 // (template_amd64.go). The encoder below wrote those templates and is the
-// oracle the tests compare Compile against; at hash time it runs only for
-// what has no template (the fallback template_amd64.go documents).
+// oracle the tests compare Compile against; it never runs here. A program
+// whose last block can fall off its end (which prog.Validate rejects) has
+// no code to fall into, so it is refused, as is an instruction with no
+// template: an opcode outside the ISA.
 func (c *Compiler) Compile(p *prog.Program) (*Code, error) {
 	nb := len(p.Blocks)
 	if nb > maxBlocks || len(p.Code) > maxInstrs {
 		return nil, ErrTooLarge
+	}
+	if nb == 0 {
+		return nil, errFallsOff
+	}
+	if last := p.Instrs(nb - 1); len(last) == 0 || last[len(last)-1].Op != isa.OpJmp && last[len(last)-1].Op != isa.OpHalt {
+		return nil, errFallsOff
 	}
 	c.allocRegs(p)
 	blocksAt, stubsAt, err := c.stampProgram(p)
@@ -373,7 +395,7 @@ func (c *Compiler) Compile(p *prog.Program) (*Code, error) {
 	base := uintptr(unsafe.Pointer(&c.mapped[0]))
 	c.code.entry = base
 	c.code.text = c.mapped[:c.pos]
-	c.code.loadAt, c.code.storeAt = c.loadRoutine, c.storeRoutine
+	c.code.loadAt, c.code.storeAt = c.routine[callLoad], c.routine[callStore]
 	c.code.blocksAt, c.code.stubsAt = blocksAt, stubsAt
 	if cap(c.code.heads) < nb {
 		c.code.heads = make([]uintptr, nb)
@@ -388,7 +410,6 @@ func (c *Compiler) Compile(p *prog.Program) (*Code, error) {
 // reset clears the per-program state, for a program of nb blocks.
 func (c *Compiler) reset(nb int) {
 	c.pos = 0
-	c.encoded = 0
 	c.fix = c.fix[:0]
 	if cap(c.heads) < nb {
 		c.heads = make([]int32, nb)
@@ -420,11 +441,13 @@ func (c *Compiler) resolve(epiPos int32) error {
 	return nil
 }
 
-// install copies the emitted code into the executable mapping, growing it
-// when the program outgrows the current one. With a dual-mapped buffer
-// the copy goes through the write view and no syscall runs; the mprotect
-// fallback toggles the single mapping writable only between the copy and
-// the final flip back to read+execute.
+// install copies the emitted code into the executable mapping through its
+// write view, growing the mapping when the program outgrows it; no
+// syscall runs in steady state. Stores through the write alias hit the
+// same physical pages the execute view fetches from; x86 keeps
+// instruction fetch coherent with stores to the same physical address,
+// and the return/indirect call between install and entry provides the
+// required branch.
 func (c *Compiler) install() error {
 	n := c.pos
 	if n > maxCodeBytes {
@@ -435,21 +458,7 @@ func (c *Compiler) install() error {
 			return err
 		}
 	}
-	if c.wview != nil {
-		// Stores through the write alias hit the same physical pages the
-		// execute view fetches from; x86 keeps instruction fetch coherent
-		// with stores to the same physical address, and the return/indirect
-		// call between install and entry provides the required branch.
-		copy(c.wview, c.buf[:n])
-		return nil
-	}
-	if err := syscall.Mprotect(c.mapped, syscall.PROT_READ|syscall.PROT_WRITE); err != nil {
-		return fmt.Errorf("jit: mprotect rw: %w", err)
-	}
-	copy(c.mapped, c.buf[:n])
-	if err := syscall.Mprotect(c.mapped, syscall.PROT_READ|syscall.PROT_EXEC); err != nil {
-		return fmt.Errorf("jit: mprotect rx: %w", err)
-	}
+	copy(c.wview, c.buf[:n])
 	return nil
 }
 
@@ -459,39 +468,36 @@ const (
 	mfdCloexec     = 0x1
 )
 
-// grow (re)creates the code mapping with room for size bytes. It prefers
-// a dual-mapped memfd: one read+write view install copies through and one
-// read+execute view the session runs, so the per-hash compile does zero
-// syscalls in steady state while W^X still holds — no page is ever
+// grow (re)creates the code mapping with room for size bytes: a memfd
+// mapped twice, one read+write view install copies through and one
+// read+execute view the session runs, so W^X holds — no page is ever
 // writable and executable at once (the two protections live on distinct
-// virtual mappings of the pages). Kernels or seccomp profiles without
-// memfd_create fall back to a single anonymous mapping that install
-// toggles with an mprotect pair per compile.
+// virtual mappings of the pages). Where memfd_create is unavailable the
+// error reaches the machine, which runs the program on the interpreter
+// (vm's jit_fallback).
 func (c *Compiler) grow(size int) error {
 	c.release()
 	name, _ := syscall.BytePtrFromString("hashcore-jit")
-	if fd, _, errno := syscall.Syscall(sysMemfdCreate, uintptr(unsafe.Pointer(name)), mfdCloexec, 0); errno == 0 {
-		// The mappings keep the pages alive on their own; the fd is only
-		// needed to create them.
-		defer syscall.Close(int(fd))
-		if err := syscall.Ftruncate(int(fd), int64(size)); err == nil {
-			rx, err := syscall.Mmap(int(fd), 0, size, syscall.PROT_READ|syscall.PROT_EXEC, syscall.MAP_SHARED)
-			if err == nil {
-				rw, err := syscall.Mmap(int(fd), 0, size, syscall.PROT_READ|syscall.PROT_WRITE, syscall.MAP_SHARED)
-				if err == nil {
-					c.mapped, c.wview = rx, rw
-					return nil
-				}
-				syscall.Munmap(rx)
-			}
-		}
+	fd, _, errno := syscall.Syscall(sysMemfdCreate, uintptr(unsafe.Pointer(name)), mfdCloexec, 0)
+	if errno != 0 {
+		return fmt.Errorf("jit: memfd_create: %w", errno)
 	}
-	m, err := syscall.Mmap(-1, 0, size,
-		syscall.PROT_READ|syscall.PROT_WRITE, syscall.MAP_PRIVATE|syscall.MAP_ANON)
+	// The mappings keep the pages alive on their own; the fd is only
+	// needed to create them.
+	defer syscall.Close(int(fd))
+	if err := syscall.Ftruncate(int(fd), int64(size)); err != nil {
+		return fmt.Errorf("jit: ftruncate: %w", err)
+	}
+	rx, err := syscall.Mmap(int(fd), 0, size, syscall.PROT_READ|syscall.PROT_EXEC, syscall.MAP_SHARED)
 	if err != nil {
-		return fmt.Errorf("jit: mmap: %w", err)
+		return fmt.Errorf("jit: mmap rx: %w", err)
 	}
-	c.mapped = m
+	rw, err := syscall.Mmap(int(fd), 0, size, syscall.PROT_READ|syscall.PROT_WRITE, syscall.MAP_SHARED)
+	if err != nil {
+		syscall.Munmap(rx)
+		return fmt.Errorf("jit: mmap rw: %w", err)
+	}
+	c.mapped, c.wview = rx, rw
 	return nil
 }
 
@@ -576,29 +582,12 @@ func (c *Compiler) emitHead(bi int, count int32) {
 	// now bounces to the slow path instead of retiring wholesale — but
 	// the slow path is bit-identical, so only the (rare, at most
 	// once-per-segment) venue changes, never the result. The trampoline
-	// undoes the charge before bailing out.
-	if count == 0 {
-		// An empty block: nothing to charge, but a spent countdown still
-		// must not enter the blocks it falls through to.
-		c.aluImm(7, r12, 0)
-		c.jccFix(0x84, fixSlow, uint32(bi)) // JE: countdown == 0
-	} else {
-		c.aluImm(5, r12, count)
-		c.jccFix(0x86, fixSlow, uint32(bi)) // JBE: countdown was <= count
-	}
-}
-
-// emitFallOff ends a last block that does not end in an unconditional
-// transfer. Every other block falls through physically into the next
-// block's head; after the last there is none, so a slow exit names block
-// nb and the driver's slow-path call fails exactly like the interpreter
-// indexing past its block table would (such a program is invalid and
-// unreachable through prog.Validate).
-func (c *Compiler) emitFallOff(nb int) {
-	c.ensure(regionMax)
-	c.mov32MemImm(offNextBlock, uint32(nb))
-	c.mov32MemImm(offStatus, StatusSlow)
-	c.jmpFix(fixEpi, 0)
+	// undoes the charge before bailing out. An empty block charges 0: the
+	// SUB leaves the countdown as it was and the JBE fires exactly when it
+	// is spent, so a spent countdown never enters the blocks it falls
+	// through to.
+	c.aluImm(5, r12, count)
+	c.jccFix(0x86, fixSlow, uint32(bi)) // JBE: countdown was <= count
 }
 
 // emitSlowTail emits the shared tail of the slow stubs. The head guards
@@ -622,28 +611,20 @@ func (c *Compiler) emitSlowTail() {
 // shared tail at slowTail.
 func (c *Compiler) emitStub(bi int, count int32, slowTail int) {
 	c.ensure(32)
-	if count != 0 {
-		c.aluImm(0, r12, count) // undo the countdown charge
-	}
-	c.emit1(0xB8) // MOV eax, bi
+	c.aluImm(0, r12, count) // undo the countdown charge
+	c.emit1(0xB8)           // MOV eax, bi
 	c.u32(uint32(bi))
 	c.emit1(0xE9) // JMP tail (backward, target already known)
 	c.u32(uint32(int32(slowTail - (c.pos + 4))))
 }
 
-// endsUnconditional reports whether block bi of p ends in a jmp or a halt.
-func endsUnconditional(p *prog.Program, bi int) bool {
-	code := p.Instrs(bi)
-	if len(code) == 0 {
-		return false
-	}
-	op := code[len(code)-1].Op
-	return op == isa.OpJmp || op == isa.OpHalt
-}
+var errFallsOff = errors.New("jit: the program's last block does not end in a jmp or a halt")
 
 func errTarget(target uint32, nb int) error {
 	return fmt.Errorf("jit: branch target %d out of range (%d blocks)", target, nb)
 }
+
+func errOpcode(op isa.Opcode) error { return fmt.Errorf("jit: cannot lower opcode %v", op) }
 
 // emitInstr lowers one instruction; the caller has reserved regionMax.
 func (c *Compiler) emitInstr(ins *prog.Instr, nb int) error {
@@ -731,15 +712,17 @@ func (c *Compiler) emitInstr(ins *prog.Instr, nb int) error {
 		c.emit5(0xF2, 0x48, 0x0F, 0x2A, 0xC0) // CVTSI2SD xmm0, rax
 		c.sseRM(0xF2, 0x11, 0, r15, fpOff(ins.Dst))
 	case isa.OpFToI:
-		c.emitFToI(ins)
+		c.sseRM(0xF2, 0x10, 0, r15, fpOff(ins.A)) // MOVSD xmm0, fa
+		c.call(c.routine[callFToI])
+		c.storeReg(ins.Dst, rAX)
 
 	case isa.OpLoad:
 		c.emitAddr(ins.A, ins.Imm)
-		c.call(c.loadRoutine)
+		c.call(c.routine[callLoad])
 		c.storeReg(ins.Dst, rDX)
 	case isa.OpFLoad:
 		c.emitAddr(ins.A, ins.Imm)
-		c.call(c.loadRoutine)
+		c.call(c.routine[callLoad])
 		// canonFPBits: canonicalize only if the loaded bits are a NaN.
 		c.movqXR(0, rDX)
 		c.sseRR(0x66, 0x2E, 0, 0) // UCOMISD xmm0, xmm0
@@ -750,11 +733,11 @@ func (c *Compiler) emitInstr(ins *prog.Instr, nb int) error {
 	case isa.OpStore:
 		c.emitAddr(ins.A, ins.Imm)
 		c.loadReg(rDX, ins.B)
-		c.call(c.storeRoutine)
+		c.call(c.routine[callStore])
 	case isa.OpFStore:
 		c.emitAddr(ins.A, ins.Imm)
 		c.opRM(0x8B, rDX, r15, fpOff(ins.B))
-		c.call(c.storeRoutine)
+		c.call(c.routine[callStore])
 
 	case isa.OpBeq:
 		c.condBranch(0x84, ins)
@@ -770,32 +753,33 @@ func (c *Compiler) emitInstr(ins *prog.Instr, nb int) error {
 		c.mov32MemImm(offStatus, StatusHalt)
 		c.jmpFix(fixEpi, 0)
 
+	// A vector operand is the address of its first lane, formed once by a
+	// LEA; the lanes are displacements off it.
 	case isa.OpVAdd:
-		c.vecALU(0x03, ins)
+		c.vecALU(0xD4, ins) // PADDQ
 	case isa.OpVXor:
-		c.vecALU(0x33, ins)
+		c.vecALU(0xEF, ins) // PXOR
 	case isa.OpVMul:
-		for l := 0; l < isa.VecLanes; l++ {
-			c.opRM(0x8B, rAX, r15, vecOff(ins.A, l))
-			c.imulMem(rAX, vecOff(ins.B, l))
-			c.opRM(0x89, rAX, r15, vecOff(ins.Dst, l))
-		}
+		c.vecAddrs(ins)
+		c.call(c.routine[callVMul])
 	case isa.OpVBcast:
 		c.loadReg(rAX, ins.A)
-		c.opRM(0x89, rAX, r15, vecOff(ins.Dst, 0))
-		for l := 1; l < isa.VecLanes; l++ {
+		c.opRM(0x8D, rCX, r15, vecOff(ins.Dst)) // LEA rcx, vd
+		c.opRM(0x89, rAX, rCX, 0)
+		for l := int32(1); l < isa.VecLanes; l++ {
 			c.emit4(0x48, 0x8D, 0x50, byte(l)) // LEA rdx, [rax+l]
-			c.opRM(0x89, rDX, r15, vecOff(ins.Dst, l))
+			c.opRM(0x89, rDX, rCX, 8*l)
 		}
 	case isa.OpVRed:
-		c.opRM(0x8B, rAX, r15, vecOff(ins.A, 0))
-		for l := 1; l < isa.VecLanes; l++ {
-			c.opRM(0x33, rAX, r15, vecOff(ins.A, l))
+		c.opRM(0x8D, rCX, r15, vecOff(ins.A)) // LEA rcx, va
+		c.opRM(0x8B, rAX, rCX, 0)
+		for l := int32(1); l < isa.VecLanes; l++ {
+			c.opRM(0x33, rAX, rCX, 8*l)
 		}
 		c.storeReg(ins.Dst, rAX)
 
 	default:
-		return fmt.Errorf("jit: cannot lower opcode %v", ins.Op)
+		return errOpcode(ins.Op)
 	}
 	return nil
 }
@@ -812,13 +796,24 @@ func (c *Compiler) intALU(op byte, ins *prog.Instr) {
 	c.storeReg(ins.Dst, rAX)
 }
 
-// vecALU lowers a lane-wise add/xor via GPR loads (SSE2 has no 64-bit
-// lane multiply anyway, so all vector ops stay scalar-per-lane).
+// vecAddrs forms the first-lane addresses of a three-vector instruction:
+// A's in RAX, B's in RCX, Dst's in RDX.
+func (c *Compiler) vecAddrs(ins *prog.Instr) {
+	c.opRM(0x8D, rAX, r15, vecOff(ins.A))
+	c.opRM(0x8D, rCX, r15, vecOff(ins.B))
+	c.opRM(0x8D, rDX, r15, vecOff(ins.Dst))
+}
+
+// vecALU lowers a lane-wise add or xor two 64-bit lanes at a time with the
+// SSE2 operation op (66 0F op). Each half reads both sources before it
+// writes, so Dst may be A or B.
 func (c *Compiler) vecALU(op byte, ins *prog.Instr) {
-	for l := 0; l < isa.VecLanes; l++ {
-		c.opRM(0x8B, rAX, r15, vecOff(ins.A, l))
-		c.opRM(op, rAX, r15, vecOff(ins.B, l))
-		c.opRM(0x89, rAX, r15, vecOff(ins.Dst, l))
+	c.vecAddrs(ins)
+	for half := int32(0); half < 32; half += 16 {
+		c.sseRM(0xF3, 0x6F, 0, rAX, half) // MOVDQU xmm0, [rax+half]
+		c.sseRM(0xF3, 0x6F, 1, rCX, half) // MOVDQU xmm1, [rcx+half]
+		c.sseRR(0x66, op, 0, 1)
+		c.sseRM(0xF3, 0x7F, 0, rDX, half) // MOVDQU [rdx+half], xmm0
 	}
 }
 
@@ -854,35 +849,51 @@ func (c *Compiler) condBranch(cc byte, ins *prog.Instr) {
 	c.jccFix(cc, fixHead, ins.Target)
 }
 
-// emitFToI lowers the saturating float->int conversion, reproducing
-// vm.clampToInt64 exactly: NaN -> 0, f >= 2^63 -> MaxInt64,
-// f <= -2^63 -> 1<<63, else CVTTSD2SI (truncate toward zero).
-func (c *Compiler) emitFToI(ins *prog.Instr) {
-	c.sseRM(0xF2, 0x10, 0, r15, fpOff(ins.A))
-	c.sseRR(0x66, 0x2E, 0, 0)           // UCOMISD xmm0, xmm0
-	nan := c.jccLocal(0x8A)             // JP
-	c.movImm64(rAX, 0x43E0000000000000) // 2^63
-	c.movqXR(1, rAX)
-	c.sseRR(0x66, 0x2E, 0, 1)
-	hi := c.jccLocal(0x83)              // JAE: f >= 2^63
-	c.movImm64(rAX, 0xC3E0000000000000) // -2^63
-	c.movqXR(1, rAX)
-	c.sseRR(0x66, 0x2E, 0, 1)
-	lo := c.jccLocal(0x86)                // JBE: f <= -2^63
+// emitRoutines emits the routines lowered instructions share, once per
+// program: the ftoi clamp, the vector multiply, and the two memory
+// routines with their constant pool. They take their operands in scratch
+// registers and clobber only RAX, RCX, RDX, XMM0 and XMM1.
+func (c *Compiler) emitRoutines() {
+	c.ensure(regionMax)
+	// ftoi: the saturating float->int conversion of XMM0 into RAX,
+	// reproducing vm.clampToInt64 exactly: NaN -> 0, f >= 2^63 ->
+	// MaxInt64, f <= -2^63 -> 1<<63, else truncation toward zero.
+	// CVTTSD2SI truncates, and answers 1<<63 for NaN and out of range.
+	c.routine[callFToI] = c.pos
 	c.emit5(0xF2, 0x48, 0x0F, 0x2C, 0xC0) // CVTTSD2SI rax, xmm0
-	d1 := c.jmpLocal()
+	c.aluImm(7, rAX, 1)                   // CMP rax, 1: overflows for 1<<63 only
+	done := c.jccLocal(0x81)              // JNO
+	c.sseRR(0x66, 0x2E, 0, 0)             // UCOMISD xmm0, xmm0
+	nan := c.jccLocal(0x8A)               // JP
+	c.emit5(0x66, 0x48, 0x0F, 0x7E, 0xC2) // MOVQ rdx, xmm0
+	c.opRR(0x85, rDX, rDX)                // TEST rdx, rdx
+	neg := c.jccLocal(0x88)               // JS: f <= -2^63 keeps 1<<63
+	c.emit3(0x48, 0xF7, 0xD0)             // NOT rax: f >= 2^63, MaxInt64
+	c.bind(done)
+	c.bind(neg)
+	c.emit1(0xC3)
 	c.bind(nan)
-	c.emit2(0x31, 0xC0) // XOR eax, eax
-	d2 := c.jmpLocal()
-	c.bind(hi)
-	c.movImm64(rAX, 0x7fffffffffffffff)
-	d3 := c.jmpLocal()
-	c.bind(lo)
-	c.movImm64(rAX, 1<<63)
-	c.bind(d1)
-	c.bind(d2)
-	c.bind(d3)
-	c.storeReg(ins.Dst, rAX)
+	c.emit3(0x31, 0xC0, 0xC3) // XOR eax, eax; RET
+
+	// vmul: Dst = A * B lane-wise, low 64 bits, over the first-lane
+	// addresses vecAddrs leaves (SSE2 has no 64-bit lane multiply). A is
+	// read whole first, and lane l of B before lane l of Dst is written,
+	// so Dst may be A or B.
+	c.ensure(regionMax)
+	c.routine[callVMul] = c.pos
+	c.sseRM(0xF3, 0x6F, 0, rAX, 0)  // MOVDQU xmm0, [rax]: lanes 0, 1
+	c.sseRM(0xF3, 0x6F, 1, rAX, 16) // MOVDQU xmm1, [rax+16]: lanes 2, 3
+	for l := int32(0); l < isa.VecLanes; l++ {
+		x := int(l / 2)
+		if l%2 == 1 {
+			c.sseRR(0x66, 0x6D, x, x) // PUNPCKHQDQ: the odd lane down
+		}
+		c.emit5(0x66, 0x48, 0x0F, 0x7E, modRR(x, rAX)) // MOVQ rax, xmm
+		c.imulMem(rAX, rCX, 8*l)
+		c.opRM(0x89, rAX, rDX, 8*l)
+	}
+	c.emit1(0xC3)
+	c.emitMemRoutines()
 }
 
 // emitAddr computes the effective address r[a] + imm into RAX, unmasked:
@@ -929,7 +940,7 @@ func (c *Compiler) emitMemRoutines() {
 	c.u64(rng.SplitMix64Mul1)
 	c.u64(rng.SplitMix64Mul2)
 
-	c.loadRoutine = c.pos
+	c.routine[callLoad] = c.pos
 	c.opRM(0x23, rAX, r15, offMask) // AND rax, [mask]: aligned byte address
 	c.opRR(0x8B, rDX, rAX)
 	c.shrImm(rDX, 9)                      // map word index: address / 8 / 64
@@ -965,7 +976,7 @@ func (c *Compiler) emitMemRoutines() {
 	c.emitNextSlot(probe)
 
 	c.ensure(regionMax)
-	c.storeRoutine = c.pos
+	c.routine[callStore] = c.pos
 	c.movqXR(0, rDX) // the value waits in XMM0
 	c.opRM(0x23, rAX, r15, offMask)
 	c.shrImm(rAX, 3) // word index
@@ -984,7 +995,7 @@ func (c *Compiler) emitMemRoutines() {
 	c.emit4(0x49, 0x39, 0x14, 0x06) // CMP [r14+rax], rdx
 	taken := c.jccLocal(0x83)       // JAE: a key of this run
 	c.emit4(0x49, 0x89, 0x0C, 0x06) // MOV [r14+rax], rcx
-	c.addMem1(r15, offInserts)
+	c.addMem1(offInserts)
 	toPut := c.jmpLocal()
 	c.bind(taken)
 	c.emitNextSlot(insert)
@@ -1084,13 +1095,13 @@ func (c *Compiler) imulReg(phys int, r uint8) {
 	if p := c.physOf(r); p >= 0 {
 		c.imulRR(phys, int(p))
 	} else {
-		c.imulMem(phys, intOff(r))
+		c.imulMem(phys, r15, intOff(r))
 	}
 }
 
-func (c *Compiler) imulMem(phys int, disp int32) {
-	c.emit3(rex(true, phys, 0, r15), 0x0F, 0xAF)
-	c.modMem(phys, r15, disp)
+func (c *Compiler) imulMem(phys, base int, disp int32) {
+	c.emit3(rex(true, phys, 0, base), 0x0F, 0xAF)
+	c.modMem(phys, base, disp)
 }
 
 // mulByReg emits MUL r (RDX:RAX = RAX * r, unsigned).
@@ -1155,10 +1166,9 @@ func (c *Compiler) ensure(n int) {
 	}
 }
 
-// regionMax bounds the code bytes one ensure region may emit: the widest
-// lowering is OpVMul at VecLanes scalar round trips (~22 bytes per lane
-// in disp32 forms), and block heads, prologue and epilogue all fit well
-// under it too.
+// regionMax bounds the code bytes one ensure region may emit: a lowered
+// instruction (at most tmplBytes), a block head, each shared routine, the
+// prologue's and the epilogue's tails all fit well under it.
 const regionMax = 256
 
 // growBuf grows the emit arena (doubling, by at least a 64 KiB step) until
@@ -1222,7 +1232,7 @@ func (c *Compiler) opRR(op byte, reg, rm int) {
 // modMem emits the ModRM byte and displacement for [base+disp], using the
 // short disp8 form when the displacement fits — which, thanks to the
 // biased frame pointer, is every hot frame access. base must not be
-// RSP/R12 (no SIB path); only R15 and RAX are used.
+// RSP/R12 (no SIB path); only R15 and the scratch registers are used.
 func (c *Compiler) modMem(reg, base int, disp int32) {
 	if disp == int32(int8(disp)) {
 		c.emit2(0x40|byte(reg&7)<<3|byte(base&7), byte(disp))
@@ -1283,24 +1293,15 @@ func (c *Compiler) addImm(reg int, imm int64) {
 	}
 }
 
-// addMem1 emits ADD QWORD [base+disp], 1.
-func (c *Compiler) addMem1(base int, disp int32) {
-	if disp == int32(int8(disp)) {
-		c.emit5(rex(true, 0, 0, base), 0x83, 0x40|byte(base&7), byte(disp), 1)
-		return
-	}
-	c.put(uint64(rex(true, 0, 0, base))|0x83<<8|uint64(0x80|byte(base&7))<<16|
-		uint64(uint32(disp))<<24|1<<56, 8)
+// addMem1 emits ADD QWORD [r15+disp32], 1 (for a cold Frame field).
+func (c *Compiler) addMem1(disp int32) {
+	c.put(0x49|0x83<<8|0x87<<16|uint64(uint32(disp))<<24|1<<56, 8)
 }
 
-// mov32MemImm emits MOV DWORD [r15+disp], imm32.
+// mov32MemImm emits MOV DWORD [r15+disp32], imm32 (for a cold Frame
+// field).
 func (c *Compiler) mov32MemImm(disp int32, imm uint32) {
-	if disp == int32(int8(disp)) {
-		c.put(0x41|0xC7<<8|uint64(0x40|byte(r15&7))<<16|uint64(byte(disp))<<24|
-			uint64(imm)<<32, 8)
-		return
-	}
-	c.put(0x41|0xC7<<8|uint64(0x80|byte(r15&7))<<16|uint64(uint32(disp))<<24, 7)
+	c.put(0x41|0xC7<<8|0x87<<16|uint64(uint32(disp))<<24, 7)
 	c.u32(imm)
 }
 

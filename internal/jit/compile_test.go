@@ -4,7 +4,7 @@ package jit
 
 // Unit tests for the code generator, below the vm driver: hand-built
 // Programs compiled and entered directly through a Frame. The vm package's
-// differential suites (FuzzNativeVsFused and the boundary sweeps) are the
+// differential suites (FuzzEnginesVsDense and the boundary sweeps) are the
 // semantic ground truth; these tests pin the Frame ABI — head-guard exits,
 // wholesale retirement, status codes — that the driver relies on.
 
@@ -13,6 +13,7 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
+	"math"
 	"math/bits"
 	"slices"
 	"testing"
@@ -245,20 +246,64 @@ func TestCompileRejectsBadPrograms(t *testing.T) {
 	}); err == nil {
 		t.Error("out-of-range branch target compiled")
 	}
-	if _, err := c.Compile(&prog.Program{
-		Code:   []prog.Instr{{Op: isa.Opcode(250)}},
-		Blocks: []prog.Block{{Start: 0, Len: 1}},
-	}); err == nil {
-		t.Error("unknown opcode compiled")
+	for _, op := range []isa.Opcode{isa.OpInvalid, 14, isa.FuseBase, 250} {
+		if _, err := c.Compile(&prog.Program{
+			Code:   []prog.Instr{{Op: op}, {Op: isa.OpHalt}},
+			Blocks: []prog.Block{{Start: 0, Len: 2}},
+		}); err == nil {
+			t.Errorf("opcode %v compiled", op)
+		}
 	}
 	if _, err := c.Compile(&prog.Program{Blocks: make([]prog.Block, maxBlocks+1)}); !errors.Is(err, ErrTooLarge) {
 		t.Errorf("oversized block table: err = %v, want ErrTooLarge", err)
 	}
 }
 
+// TestFToIRoutine runs ftoi's shared clamp at and beside each of its
+// edges: NaN -> 0, f >= 2^63 -> MaxInt64, f <= -2^63 -> 1<<63, anything
+// else truncated toward zero (vm.clampToInt64).
+func TestFToIRoutine(t *testing.T) {
+	code, err := NewCompiler().Compile(&prog.Program{
+		Code:   []prog.Instr{{Op: isa.OpFToI, Dst: 2, A: 5}, {Op: isa.OpHalt}},
+		Blocks: []prog.Block{{Len: 2}},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	const two63 = 1 << 63
+	below := math.Nextafter(two63, 0) // the largest double under 2^63
+	for _, tc := range []struct {
+		bits uint64
+		want int64
+	}{
+		{canonicalNaN, 0},
+		{0xfff8000000000001, 0}, // a NaN with the sign bit
+		{math.Float64bits(math.Inf(1)), math.MaxInt64},
+		{math.Float64bits(math.Inf(-1)), math.MinInt64},
+		{math.Float64bits(two63), math.MaxInt64},
+		{math.Float64bits(below), int64(below)},
+		{math.Float64bits(-two63), math.MinInt64},
+		{math.Float64bits(-below), -int64(below)},
+		{math.Float64bits(1e300), math.MaxInt64},
+		{math.Float64bits(-1e300), math.MinInt64},
+		{math.Float64bits(0), 0},
+		{math.Float64bits(math.Copysign(0, -1)), 0},
+		{math.Float64bits(1.9), 1},
+		{math.Float64bits(-1.9), -1},
+		{math.Float64bits(-0.5), 0},
+	} {
+		f := newFrame()
+		f.FPRegs[5] = tc.bits
+		code.Run(f, 0)
+		if f.Status != StatusHalt || int64(f.IntRegs[2]) != tc.want {
+			t.Errorf("ftoi %#x (%g) = %d (status %d), want %d", tc.bits, math.Float64frombits(tc.bits), int64(f.IntRegs[2]), f.Status, tc.want)
+		}
+	}
+}
+
 // TestRecompileReusesMapping compiles twice through one Compiler and runs
-// the second program: the W^X mapping must be safely reprotected and the
-// old code fully replaced.
+// the second program: the copy through the mapping's write view must
+// fully replace the old code.
 func TestRecompileReusesMapping(t *testing.T) {
 	c := NewCompiler()
 	if _, err := c.Compile(twoBlockProgram()); err != nil {
@@ -680,26 +725,91 @@ func sweepProgram(ins prog.Instr, before, pad int) *prog.Program {
 	return p
 }
 
-// TestStampedDegenerateBlocks covers what the stamp loops hand to the
-// encoder besides long lowerings: empty blocks (head and stub), a last
-// block that falls off the program, and a program with no instructions in
-// its only block.
+// TestStampedDegenerateBlocks covers the blocks with nothing to stamp but
+// a head: empty blocks stamp as the encoder lowers them, and a program
+// whose last block falls off its end — by a conditional branch not taken,
+// or by having no instructions at all — does not compile.
 func TestStampedDegenerateBlocks(t *testing.T) {
 	c, ref := NewCompiler(), NewCompiler()
+	empty := &prog.Program{
+		Code:   []prog.Instr{{Op: isa.OpMovI, Dst: 2, Imm: 9}, {Op: isa.OpHalt}},
+		Blocks: []prog.Block{{Start: 0, Len: 0}, {Start: 0, Len: 1}, {Start: 1, Len: 0}, {Start: 1, Len: 0}, {Start: 1, Len: 1}},
+	}
+	got, want := stampedVsEncoded(t, c, ref, sweepRegMap(), empty)
+	if len(got) == 0 || !bytes.Equal(got, want) {
+		t.Errorf("empty blocks: %s", firstDifference(got, want))
+	}
 	for name, p := range map[string]*prog.Program{
-		"empty blocks": {
-			Code:   []prog.Instr{{Op: isa.OpMovI, Dst: 2, Imm: 9}, {Op: isa.OpHalt}},
-			Blocks: []prog.Block{{Start: 0, Len: 0}, {Start: 0, Len: 1}, {Start: 1, Len: 0}, {Start: 1, Len: 0}, {Start: 1, Len: 1}},
-		},
 		"falls off": {
 			Code:   []prog.Instr{{Op: isa.OpMovI, Dst: 2, Imm: 9}, {Op: isa.OpBeq, A: 2, B: 3}},
 			Blocks: []prog.Block{{Start: 0, Len: 2}},
 		},
 		"one empty block": {Blocks: []prog.Block{{Start: 0, Len: 0}}},
+		"no blocks":       {},
 	} {
-		got, want := stampedVsEncoded(t, c, ref, sweepRegMap(), p)
-		if len(got) == 0 || !bytes.Equal(got, want) {
-			t.Errorf("%s: %s", name, firstDifference(got, want))
+		if _, err := c.Compile(p); !errors.Is(err, errFallsOff) {
+			t.Errorf("%s: Compile error = %v, want %v", name, err, errFallsOff)
+		}
+	}
+}
+
+// TestEveryInstructionStamps holds the template table to the ISA: every
+// architectural opcode has a template for every shape its operands can
+// take — each integer operand in each residency, Dst == A where the
+// lowering has an in-place form, the immediate in each width class — and
+// every block length, 0, up to 127 and past it, has a head and a stub that
+// stamp as the encoder lowers them. So nothing a valid program contains
+// leaves Compile for the encoder.
+func TestEveryInstructionStamps(t *testing.T) {
+	tab := templates()
+	n := 0
+	for op := isa.Opcode(0); op < numOps; op++ {
+		if !op.Valid() {
+			if tab.shapeMask[op] != 0 {
+				t.Errorf("%v is not an opcode of the ISA but has shapes", op)
+			}
+			continue
+		}
+		// The shape must look at exactly the integer operands.
+		files := [3]isa.RegFile{}
+		files[0], files[1], files[2] = op.Operands()
+		for f, file := range files {
+			if got, want := tab.shapeMask[op]>>(2*f)&3 != 0, file == isa.RegInt; got != want {
+				t.Errorf("%v: operand %d in file %v, shape looks at it: %v", op, f, file, got)
+			}
+		}
+		if got := tab.shapeMask[op]>>shapeImmShift != 0; got != op.HasImm() {
+			t.Errorf("%v: has an immediate: %v, shape looks at it: %v", op, op.HasImm(), got)
+		}
+		for shape := uint32(0); shape < 1<<shapeBits; shape++ {
+			if shape&^uint32(tab.shapeMask[op]) != 0 || !validShape(shape) {
+				continue
+			}
+			if tab.index[uint32(op)<<shapeBits|shape] == 0 {
+				t.Errorf("%v has no template for shape %#x", op, shape)
+			}
+			n++
+		}
+	}
+	t.Logf("%d opcode shapes, %d templates", n, tab.nTmpl-1)
+
+	ref := NewCompiler()
+	for _, count := range []uint32{0, 1, 127, 128, 1 << 20} {
+		form := blockForm(count)
+		for name, bt := range map[string]*blockTmpl{"head": &tab.heads[form], "stub": &tab.stubs[form]} {
+			ref.pos, ref.fix = 0, ref.fix[:0]
+			ref.ensure(regionMax)
+			if name == "head" {
+				ref.emitHead(9, int32(count)) // the guard's branch, resolved later, is 0 in both
+			} else {
+				ref.emitStub(9, int32(count), int(bt.relOff)+4) // a zero displacement to the tail
+			}
+			want := ref.buf[:ref.pos]
+			var got [2 * blockTmplBytes]byte
+			bt.stamp(unsafe.Pointer(&got), count, 9)
+			if bt.n == 0 || !bytes.Equal(got[:bt.n], want) {
+				t.Errorf("block of %d instructions: %s stamps % x, the encoder lowers % x", count, name, got[:bt.n], want)
+			}
 		}
 	}
 }

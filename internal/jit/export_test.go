@@ -17,9 +17,5 @@ func (c *Compiler) EncodeReference(p *prog.Program) ([]byte, error) {
 // Text returns the installed code.
 func (code *Code) Text() []byte { return code.text }
 
-// Encoded returns how many instructions of the program c compiled last
-// the encoder lowered because they have no template.
-func (c *Compiler) Encoded() int { return c.encoded }
-
 // FirstDifference renders where two code images first differ.
 var FirstDifference = firstDifference

@@ -11,9 +11,10 @@
 // opcode lowers, runs once per process over every shape an instruction can
 // take and leaves a table of byte templates; compiling a program is then a
 // table lookup, a fixed-width copy and a few patched bytes per instruction
-// (template_amd64.go). The encoder stays as the templates' generator, as
-// the oracle the stamped code is tested against byte for byte, and as the
-// direct lowering of the few opcodes too long for a template.
+// (template_amd64.go). Every instruction of a valid program has a
+// template, so the encoder never runs at hash time: it is the templates'
+// generator and the oracle the stamped code is tested against byte for
+// byte.
 //
 // The compiler's input is the widget itself: Compile reads a prog.Program's
 // instructions and block table in place, as the interpreter does, and
@@ -34,8 +35,9 @@
 // full architectural register file, the retirement counters, and the
 // entry/exit plumbing. Generated code addresses the Frame through a single
 // pinned pointer register, maps the 8 hottest widget integer registers
-// onto amd64 registers, and calls nothing but its own two scratch-memory
-// routines (one return address of stack, inside the trampoline's NOSPLIT
+// onto amd64 registers, and calls nothing but its own shared routines
+// (scratch memory's load and store, ftoi's clamp, vmul's four lanes: one
+// return address of stack, inside the trampoline's NOSPLIT
 // allowance), so it is safe under the Go runtime's async preemption (an
 // unknown PC is simply not a safe point) and needs only a minimal
 // assembly trampoline to enter.
@@ -80,7 +82,10 @@ const (
 // fields the generated code reads most often — spilled integer registers,
 // the whole FP file, and the scalars the memory routines read on every
 // call between them — are within a signed 8-bit displacement, shrinking
-// most frame accesses from 8 to 5 bytes.
+// most frame accesses from 8 to 5 bytes. The vector file sits 256 bytes
+// past the frame pointer, so the displacements of the eight registers'
+// first lanes differ only in their low byte: a vector operand is one
+// patched byte, like a frame register's.
 //
 // The Frame carries architectural state, the scratch memory's addresses
 // and the countdown's inputs only: native code keeps no books. What a run
@@ -111,9 +116,8 @@ type Frame struct {
 	TableShift  uint64
 	Epoch       uint64
 
-	// The FP and vector register files.
-	FPRegs  [isa.NumFPRegs]uint64
-	VecRegs [isa.NumVecRegs][isa.VecLanes]uint64
+	// The FP register file.
+	FPRegs [isa.NumFPRegs]uint64
 
 	// Cold state, touched only by the prologue/epilogue or the Go driver.
 	// MaxInstr is the run's instruction budget. Table and Written are the
@@ -148,6 +152,11 @@ type Frame struct {
 	// word per instruction.
 	Inserts  uint64
 	Headroom uint64
+
+	_ [6]uint64 // puts VecRegs 256 bytes past the frame pointer
+
+	// The vector register file.
+	VecRegs [isa.NumVecRegs][isa.VecLanes]uint64
 }
 
 // Compilation limits. Programs beyond these bounds (far beyond anything

@@ -16,7 +16,7 @@ func (c *Compiler) encodeProgram(p *prog.Program) ([]byte, error) {
 	nb := len(p.Blocks)
 	c.reset(nb)
 	c.emitPrologue()
-	c.emitMemRoutines()
+	c.emitRoutines()
 	for bi, b := range p.Blocks {
 		c.heads[bi] = int32(c.pos)
 		c.emitHead(bi, int32(b.Len))
@@ -26,9 +26,6 @@ func (c *Compiler) encodeProgram(p *prog.Program) ([]byte, error) {
 				return nil, err
 			}
 		}
-	}
-	if nb > 0 && !endsUnconditional(p, nb-1) {
-		c.emitFallOff(nb)
 	}
 	slowTail := c.pos
 	c.emitSlowTail()

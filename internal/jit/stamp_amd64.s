@@ -3,7 +3,7 @@
 #include "textflag.h"
 #include "go_asm.h"
 
-// func stampRun(c *Compiler, t *tmplTable, ins *prog.Instr, n int, buf unsafe.Pointer, pos, room int, fixp unsafe.Pointer, callBase *[4]int32) (next *prog.Instr, newPos int, newFixp unsafe.Pointer)
+// func stampRun(c *Compiler, t *tmplTable, ins *prog.Instr, n int, buf unsafe.Pointer, pos, room int, fixp unsafe.Pointer, callBase *[8]int32) (next *prog.Instr, newPos int, newFixp unsafe.Pointer)
 //
 // The stamp loop proper (template_amd64.go describes what a stamp is):
 // it stamps ins[0:n] at buf+pos until an instruction has no template or

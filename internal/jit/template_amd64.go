@@ -20,27 +20,31 @@
 // immediate and the CALL displacement are stored whole (template bytes from
 // the table, operand ORed in, no read of the code buffer). A register
 // operand is one byte — the ModRM field of a pinned register, whose REX
-// bit is part of the shape, or the low displacement byte of a frame slot —
-// ORed into the buffer, so two pinned registers sharing a ModRM compose,
-// and every load from the buffer is one byte inside a single earlier store
-// (wider or straddling reads of just-written code stall on store
-// forwarding, which cost more than the encoder did). A site a template
-// lacks is a patch of zero into the slack past the template, which keeps
-// the stamp loop free of per-site branches. That loop — shape, lookup,
-// copy, patches, once per widget instruction — is stampRun in
-// stamp_amd64.s; the block loop around it and everything stamped once per
-// block or per program are below.
+// bit is part of the shape, or the low displacement byte of a frame slot,
+// a float register or a vector register's first lane — ORed into the
+// buffer, so two pinned registers sharing a ModRM compose, and every load
+// from the buffer is one byte inside a single earlier store (wider or
+// straddling reads of just-written code stall on store forwarding, which
+// cost more than the encoder did). A site a template lacks is a patch of
+// zero into the slack past the template, which keeps the stamp loop free
+// of per-site branches. That loop — shape, lookup, copy, patches, once per
+// widget instruction — is stampRun in stamp_amd64.s; the block loop around
+// it and everything stamped once per block or per program are below.
 //
-// What has no template is lowered by the encoder at hash time, in place
-// between two stamps (the fallback): lowerings longer than tmplBytes or
-// with an operand in several places (ftoi and the vector opcodes, about
-// eight static instructions per leela widget), empty blocks, and the exit
-// after a last block that falls off the program.
+// Every shape of every opcode of the ISA has a template
+// (TestEveryInstructionStamps), because the lowerings are written to fit
+// one: at most tmplBytes long, each operand in one place. What would not —
+// ftoi's clamp, vmul's four lanes — is a shared routine the template
+// calls, and a vector lowering addresses its lanes off one LEA of the
+// register's first lane. So the encoder never runs at hash time; an
+// instruction without a template is an opcode outside the ISA, and Compile
+// refuses it.
 package jit
 
 import (
 	"bytes"
 	"encoding/binary"
+	"fmt"
 	"sync"
 	"unsafe"
 
@@ -50,7 +54,7 @@ import (
 
 const (
 	// tmplBytes is the fixed width copied per lowered instruction; the
-	// longest templated lowering is 57 bytes.
+	// longest lowering is 59 bytes (vadd, vxor).
 	tmplBytes = 64
 	// blockTmplBytes is the same for block heads and slow stubs (at most
 	// 17 bytes).
@@ -90,6 +94,7 @@ const (
 	layFP     = 2 // float register: fpOff(r)
 	layPinRM  = 3 // pinned, in ModRM.rm or the low bits of an opcode: p&7
 	layPinReg = 4 // pinned, in ModRM.reg: p&7 << 3
+	layVec    = 5 // vector register: the low byte of vecOff(r)
 )
 
 // template is one lowering with its operands blanked out. Offsets of
@@ -104,7 +109,7 @@ type template struct {
 	lay     [3]uint8 // ... and its layout, pre-shifted to index Compiler.patch
 	immOff  uint8
 	callOff uint8 // site of a CALL's rel32
-	callSel uint8 // which routine it calls: 1 load, 2 store
+	callSel uint8 // which routine it calls (callLoad...), 0 for none
 	nfix    uint8 // 1 when the lowering records a fixup
 }
 
@@ -131,7 +136,8 @@ func (bt *blockTmpl) stamp(dst unsafe.Pointer, count, id uint32) {
 }
 
 // blockForm indexes tmplTable.heads and stubs for a block of count
-// (non-zero) instructions: whether the count takes a four-byte immediate.
+// instructions: whether the count takes a four-byte immediate. An empty
+// block's is the short form, charging 0 (see emitHead).
 func blockForm(count uint32) int {
 	if count > 127 {
 		return 1
@@ -142,7 +148,7 @@ func blockForm(count uint32) int {
 // tmplTable is the product of one run of the encoder over every shape.
 type tmplTable struct {
 	// index maps opcode<<shapeBits | shape&shapeMask[opcode] to a position
-	// in templates; 0 means the encoder lowers it.
+	// in templates; 0 means no template (an opcode outside the ISA).
 	index     [numOps << shapeBits]uint16
 	shapeMask [numOps]uint16
 	templates [maxTemplates]template
@@ -155,12 +161,12 @@ type tmplTable struct {
 
 	// proLoad and epiStore move one pinned register from or to its frame
 	// slot, indexed by the register's pinned kind and its slot's dispKind.
-	// entry is what follows the loads: the rest of the prologue and the two
-	// memory routines (at loadAt and storeAt); slowTail has one fixup to
-	// the epilogue at slowTailFix.
+	// entry is what follows the loads: the rest of the prologue and the
+	// shared routines (routine sel at routineAt[sel]); slowTail has one
+	// fixup to the epilogue at slowTailFix.
 	proLoad, epiStore [2][2]template
 	entry             []byte
-	loadAt, storeAt   int
+	routineAt         [numCalls]int
 	slowTail          []byte
 	slowTailFix       int
 	epiTail           []byte
@@ -232,7 +238,9 @@ func (c *Compiler) stampPrologue() {
 			c.stampReg(&t.proLoad, r)
 		}
 	}
-	c.loadRoutine, c.storeRoutine = c.pos+t.loadAt, c.pos+t.storeAt
+	for sel := range c.routine {
+		c.routine[sel] = c.pos + t.routineAt[sel]
+	}
 	c.pos += copy(c.buf[c.pos:], t.entry)
 }
 
@@ -250,52 +258,39 @@ func (c *Compiler) stampEpilogue() {
 // stampBlocks stamps every block's head and body at c.pos.
 func (c *Compiler) stampBlocks(p *prog.Program) error {
 	t := c.t
-	nb := len(p.Blocks)
 	// A templated instruction records at most one fixup and writes its
-	// slot unconditionally, so the loop needs one spare slot at all times;
-	// encoder-lowered heads add at most one per block.
-	if need := len(c.fix) + len(p.Code) + nb + 2; cap(c.fix) < need {
+	// slot unconditionally, so the loop needs one spare slot at all times.
+	if need := len(c.fix) + len(p.Code) + 1; cap(c.fix) < need {
 		c.fix = append(make([]fixup, 0, need), c.fix...)
 	}
-	callBase := [4]int32{1: int32(c.loadRoutine) - 4, 2: int32(c.storeRoutine) - 4}
+	var callBase [8]int32
+	for sel := callLoad; sel < numCalls; sel++ {
+		callBase[sel] = int32(c.routine[sel]) - 4
+	}
 
 	// The cursors live in locals, the slices behind raw pointers (stampRun
-	// takes them so; every bound is reserved up front): sync writes them
-	// back around a call into the encoder, load rereads them and the
-	// buffer, which that call may have grown.
-	var (
-		pos  int            // code position
-		buf  unsafe.Pointer // c.buf's base
-		room int            // the last position with a full region of room
-		fixp unsafe.Pointer // next fixup slot
-	)
-	load := func() {
-		pos, buf, room = c.pos, unsafe.Pointer(unsafe.SliceData(c.buf)), len(c.buf)-regionMax-8
-		fixp = unsafe.Pointer(unsafe.SliceData(c.fix[len(c.fix):cap(c.fix)]))
-	}
-	sync := func() {
+	// takes them so): pos is the code position, buf c.buf's base, room the
+	// last position with a full region of room after it, fixp the next
+	// fixup slot. reserve grows the buffer under them.
+	pos, fixp := c.pos, unsafe.Pointer(unsafe.SliceData(c.fix[len(c.fix):cap(c.fix)]))
+	var buf unsafe.Pointer
+	var room int
+	reserve := func() {
 		c.pos = pos
-		c.fix = c.fix[:(uintptr(fixp)-uintptr(unsafe.Pointer(unsafe.SliceData(c.fix))))/unsafe.Sizeof(fixup(0))]
+		c.ensure(regionMax)
+		buf, room = unsafe.Pointer(unsafe.SliceData(c.buf)), len(c.buf)-regionMax-8
 	}
-	load()
+	reserve()
 	for bi := range p.Blocks {
 		b := &p.Blocks[bi]
 		instrs := p.Instrs(bi)
 		if pos > room {
-			sync()
-			c.ensure(regionMax)
-			load()
+			reserve()
 		}
 		c.heads[bi] = int32(pos)
-		if b.Len == 0 {
-			sync()
-			c.emitHead(bi, 0)
-			load()
-		} else {
-			ht := &t.heads[blockForm(b.Len)]
-			ht.stamp(unsafe.Add(buf, pos), b.Len, 0)
-			pos += int(ht.n)
-		}
+		ht := &t.heads[blockForm(b.Len)]
+		ht.stamp(unsafe.Add(buf, pos), b.Len, 0)
+		pos += int(ht.n)
 
 		for len(instrs) > 0 {
 			var next *prog.Instr
@@ -306,23 +301,14 @@ func (c *Compiler) stampBlocks(p *prog.Program) error {
 			}
 			// stampRun stopped at an instruction: the buffer is short, or
 			// (with room for any lowering) it has no template.
-			sync()
-			if pos > room {
-				c.ensure(regionMax)
-			} else {
-				if err := c.emitInstr(&instrs[0], nb); err != nil {
-					return err
-				}
-				c.encoded++
-				instrs = instrs[1:]
+			if pos <= room {
+				return errOpcode(instrs[0].Op)
 			}
-			load()
+			reserve()
 		}
 	}
-	sync()
-	if nb > 0 && !endsUnconditional(p, nb-1) {
-		c.emitFallOff(nb)
-	}
+	c.pos = pos
+	c.fix = c.fix[:(uintptr(fixp)-uintptr(unsafe.Pointer(unsafe.SliceData(c.fix))))/unsafe.Sizeof(fixup(0))]
 	return nil
 }
 
@@ -333,11 +319,10 @@ func (c *Compiler) stampBlocks(p *prog.Program) error {
 // reaches, less the four bytes of its displacement.
 //
 //go:noescape
-func stampRun(c *Compiler, t *tmplTable, ins *prog.Instr, n int, buf unsafe.Pointer, pos, room int, fixp unsafe.Pointer, callBase *[4]int32) (next *prog.Instr, newPos int, newFixp unsafe.Pointer)
+func stampRun(c *Compiler, t *tmplTable, ins *prog.Instr, n int, buf unsafe.Pointer, pos, room int, fixp unsafe.Pointer, callBase *[8]int32) (next *prog.Instr, newPos int, newFixp unsafe.Pointer)
 
 // stampStubs stamps the slow tail and every block's slow stub at c.pos,
-// and points each stamped head's guard branch at its stub (an
-// encoder-lowered head recorded a fixup instead).
+// and points each head's guard branch at its stub.
 func (c *Compiler) stampStubs(p *prog.Program) {
 	t := c.t
 	nb := len(p.Blocks)
@@ -350,12 +335,6 @@ func (c *Compiler) stampStubs(p *prog.Program) {
 	for bi := range p.Blocks {
 		count := p.Blocks[bi].Len
 		c.slow[bi] = int32(pos)
-		if count == 0 {
-			c.pos = pos
-			c.emitStub(bi, 0, slowTail)
-			pos, buf = c.pos, c.buf
-			continue
-		}
 		form := blockForm(count)
 		st := &t.stubs[form]
 		guard := int(c.heads[bi]) + int(t.heads[form].relOff)
@@ -392,15 +371,14 @@ var (
 	immSamples = [4]int64{immI8: 0x11, immI32: 0x11111111, immI64: 0x1111111111111111}
 )
 
-const (
-	sampleLoadAt  = 0x100000 // stand-ins for the memory routines' positions
-	sampleStoreAt = 0x200000
-	sampleTail    = 0x300000 // and for the slow tail's
-)
+// Stand-ins for the shared routines' positions and for the slow tail's.
+var sampleRoutines = [numCalls]int{callLoad: 1 << 20, callStore: 2 << 20, callFToI: 3 << 20, callVMul: 4 << 20}
+
+const sampleTail = 5 << 20
 
 func buildTemplates() *tmplTable {
 	t := &tmplTable{nTmpl: 1}
-	g := &Compiler{loadRoutine: sampleLoadAt, storeRoutine: sampleStoreAt}
+	g := &Compiler{routine: sampleRoutines}
 	tb := &tmplBuilder{g: g}
 	for r := range t.dispKind {
 		off := intOff(uint8(r))
@@ -416,6 +394,9 @@ func buildTemplates() *tmplTable {
 
 	lower := func(g *Compiler, ins *prog.Instr) error { return g.emitInstr(ins, 2) }
 	for op := isa.Opcode(0); op < numOps; op++ {
+		if !op.Valid() {
+			continue
+		}
 		use := intUseMask[op]
 		mask := uint32(0)
 		for f := 0; f < 3; f++ {
@@ -435,14 +416,13 @@ func buildTemplates() *tmplTable {
 			if shape&^mask != 0 || !validShape(shape) {
 				continue
 			}
-			if tp, ok := tb.derive(lower, prog.Instr{Op: op}, use, shape); ok {
-				if t.nTmpl == maxTemplates {
-					panic("jit: template table full")
-				}
-				t.index[uint32(op)<<shapeBits|shape] = uint16(t.nTmpl)
-				t.templates[t.nTmpl] = tp
-				t.nTmpl++
+			tp, ok := tb.derive(lower, prog.Instr{Op: op}, use, shape)
+			if !ok {
+				panic(fmt.Sprintf("jit: %v in shape %#x does not fit a template", op, shape))
 			}
+			t.index[uint32(op)<<shapeBits|shape] = uint16(t.nTmpl)
+			t.templates[t.nTmpl] = tp
+			t.nTmpl++
 		}
 	}
 
@@ -470,9 +450,8 @@ func buildTemplates() *tmplTable {
 		code, _ := tb.run(emit)
 		return bytes.Clone(code)
 	}
-	t.entry = blob(func() { g.emitPrologueTail(); g.emitMemRoutines() })
-	t.loadAt, t.storeAt = g.loadRoutine, g.storeRoutine
-	g.loadRoutine, g.storeRoutine = sampleLoadAt, sampleStoreAt
+	t.entry = blob(func() { g.emitPrologueTail(); g.emitRoutines() })
+	t.routineAt, g.routine = g.routine, sampleRoutines
 	t.slowTail = blob(g.emitSlowTail)
 	t.slowTailFix = int(g.fix[0].pos())
 	t.epiTail = blob(g.emitEpilogueTail)
@@ -540,14 +519,16 @@ func widthMask(n int) uint64 { return ^uint64(0) >> (64 - 8*uint(n)) }
 
 // derive builds the template of one shape of one lowering: use says which
 // operand fields of ins name integer registers (the others are float or
-// vector registers, or unused). It fails — leaving the shape to the
-// encoder — when the lowering does not fit a template: too long, an
-// operand in more than one place, or more than one fixup.
+// vector registers, or unused). It fails when the lowering does not fit a
+// template: too long, an operand in more than one place, or more than one
+// fixup.
 func (tb *tmplBuilder) derive(lower func(*Compiler, *prog.Instr) error, ins prog.Instr, use uint8, shape uint32) (tp template, ok bool) {
 	g := tb.g
 	for r := range g.regMap {
 		g.regMap[r] = -1
 	}
+	var files [3]isa.RegFile
+	files[0], files[1], files[2] = ins.Op.Operands()
 	kinds := [3]uint32{shape & 3, shape >> 2 & 3, shape >> 4 & 3}
 	field := func(ins *prog.Instr, f int) *uint8 { return [3]*uint8{&ins.Dst, &ins.A, &ins.B}[f] }
 	isInt := func(f int) bool { return use>>f&1 != 0 }
@@ -603,18 +584,20 @@ func (tb *tmplBuilder) derive(lower func(*Compiler, *prog.Instr) error, ins prog
 		}
 		off, n, same := site(base, code)
 		if err != nil || !same || n > 1 {
-			return tp, false // n > 1: several sites (the vector opcodes' lanes)
+			return tp, false // n > 1: several sites
 		}
 		if n == 0 {
 			continue // the lowering ignores this field
 		}
 		switch moved := base[off] ^ code[off]; {
 		case !pinned(f):
-			// A frame slot's displacement (its low byte, whatever its width)
-			// or a float register's.
-			tp.lay[f] = layFP << 4
-			if isInt(f) {
-				tp.lay[f] = layDisp << 4
+			// The low byte of a displacement, whatever its width: a frame
+			// slot's, a float register's or a vector register's first lane's.
+			switch tp.lay[f] = layDisp << 4; files[f] {
+			case isa.RegFP:
+				tp.lay[f] = layFP << 4
+			case isa.RegVec:
+				tp.lay[f] = layVec << 4
 			}
 			blank(off, 1)
 		case moved == 0x07:
@@ -640,16 +623,16 @@ func (tb *tmplBuilder) derive(lower func(*Compiler, *prog.Instr) error, ins prog
 		}
 	}
 
-	for sel, routine := range [...]*int{&g.loadRoutine, &g.storeRoutine} {
-		*routine += 0x01010101
+	for sel := callLoad; sel < numCalls; sel++ {
+		g.routine[sel] += 0x01010101
 		code := encode(&ins)
-		*routine -= 0x01010101
+		g.routine[sel] -= 0x01010101
 		off, n, same := site(base, code)
 		if err != nil || !same || n > 4 || (n != 0 && tp.callSel != 0) {
 			return tp, false
 		}
 		if n != 0 {
-			tp.callOff, tp.callSel = uint8(off), uint8(sel+1)
+			tp.callOff, tp.callSel = uint8(off), uint8(sel)
 			blank(off, 4)
 		}
 	}

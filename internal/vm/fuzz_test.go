@@ -5,9 +5,10 @@ package vm_test
 // must retire exactly the Result the per-instruction reference step does
 // on its own (an observer attached sends every block through it, over the
 // program's own code) — output bytes, retired count, truncation flag and
-// snapshot count. Programs that halt
-// exactly on a budget or snapshot boundary are probed explicitly: those are
-// the cases the fast loop's hand-over to the reference step exists for.
+// snapshot count. Programs that halt exactly on a budget or snapshot
+// boundary are probed explicitly: those are the cases the fast loop's
+// hand-over to the reference step exists for. The generators and
+// parameter pickers here serve FuzzEnginesVsDense as well.
 
 import (
 	"bytes"
@@ -37,8 +38,10 @@ func fuzzGenerator(tb testing.TB) *perfprox.Generator {
 	return gen
 }
 
-// fullProfileGenerator exercises every workload family (int, fp, vector)
-// so FP and vector fused opcodes appear in generated code too.
+// fullProfileGenerator builds a generator over a shrunken copy of a
+// workload family (int, fp, vector), so each execution retires a few
+// thousand instructions, not 150k, and FP and vector fused opcodes appear
+// in generated code too.
 func fullProfileGenerator(tb testing.TB, name string) *perfprox.Generator {
 	tb.Helper()
 	w, err := workload.ByName(name)

@@ -3,9 +3,11 @@ package vm_test
 // Differential tests for the native code backend: for arbitrary generated
 // widgets and arbitrary budget/snapshot parameters, a run compiled to
 // native code must produce exactly the Result the fused interpreter does —
-// output bytes, retired count, truncation flag and snapshot count. These mirror the fused-vs-unfused suite
-// one layer up: interpreter correctness is anchored to the per-instruction
-// reference step, and the native backend is anchored to the interpreter.
+// output bytes, retired count, truncation flag and snapshot count.
+// These mirror the fused-vs-unfused suite one layer up: interpreter
+// correctness is anchored to the per-instruction reference step, and the
+// native backend is anchored to the interpreter (FuzzEnginesVsDense holds
+// all of them to the dense reference on fuzzed widgets).
 
 import (
 	"bytes"

@@ -8,6 +8,7 @@ package vm_test
 import (
 	"fmt"
 	"math"
+	"slices"
 	"testing"
 
 	"hashcore/internal/asm"
@@ -18,27 +19,31 @@ import (
 	"hashcore/internal/workload"
 )
 
-// sparseProfiles are the workload families the differential tests draw
-// widgets from: the default, the store- and pointer-chase-heavy one, and a
-// floating-point one (fload/fstore).
+// sparseProfiles are the workload families the fixed differential sweeps
+// draw widgets from: the default, the store- and pointer-chase-heavy one,
+// and a floating-point one (fload/fstore).
 var sparseProfiles = []string{"leela", "mcf", "lbm"}
 
-// FuzzSparseVsDenseMemory generates a widget from fuzzed seed material on
-// a fuzzed profile and runs it under fuzzed budget and snapshot parameters
-// on the dense reference and on every overlay engine; all results must be
-// bit-identical. One Machine serves every execution of the fuzz process,
-// so each input also runs on whatever table and written map the previous
-// ones left behind. (In the committed corpus, seed-10 is an mcf widget
-// with a snapshot interval past its budget: no snapshot ends its native
-// segments, the written-word table's headroom does.)
-func FuzzSparseVsDenseMemory(f *testing.F) {
+// FuzzEnginesVsDense is the differential fuzzer of the ISA's semantics. It
+// generates a widget from fuzzed seed material on a fuzzed profile — any
+// of the six, x264's vector code included — and runs it under fuzzed
+// budget and snapshot parameters on every engine (the fused loop, native
+// code, the reference step alone) and on the dense reference; all results
+// must be bit-identical. One Machine serves every execution of the fuzz
+// process, so each input also runs on whatever table and written map the
+// previous ones left behind. (In the committed corpus, seed-10 is an mcf
+// widget with a snapshot interval past its budget: no snapshot ends its
+// native segments, the written-word table's headroom does.)
+func FuzzEnginesVsDense(f *testing.F) {
 	f.Add(uint64(1), uint64(2), uint8(0), uint16(0), uint8(0))
 	f.Add(uint64(3), uint64(4), uint8(1), uint16(1), uint8(1))
 	f.Add(uint64(0xdead), uint64(0xbeef), uint8(2), uint16(2048), uint8(3))
 	f.Add(uint64(42), uint64(1<<40), uint8(1), uint16(13), uint8(7))
 
-	gens := make([]*perfprox.Generator, len(sparseProfiles))
-	for i, name := range sparseProfiles {
+	// sparseProfiles first, so the committed corpus keeps its profiles.
+	profiles := append(slices.Clone(sparseProfiles), "x264", "exchange2", "deepsjeng")
+	gens := make([]*perfprox.Generator, len(profiles))
+	for i, name := range profiles {
 		gens[i] = fullProfileGenerator(f, name)
 	}
 	m := &vm.Machine{}
@@ -57,7 +62,7 @@ func FuzzSparseVsDenseMemory(f *testing.F) {
 	})
 }
 
-// TestSparseVsDenseOnProfiles is the fuzz target's fixed sweep, so a plain
+// TestSparseVsDenseOnProfiles is FuzzEnginesVsDense's fixed sweep, so a plain
 // `go test` compares the overlay with the dense reference on every
 // profile family and boundary kind. Each widget is swept twice: as the
 // generator built it, and as the assembler rebuilds it from its
