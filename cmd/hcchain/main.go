@@ -171,7 +171,7 @@ func runDaemon(blocks int, profileName, datadir, listen, connect, network string
 		journal = telemetry.NewJournal(1024)
 	}
 	h, err := hashcore.New(hashcore.WithProfile(profileName), hashcore.WithTelemetry(reg),
-		hashcore.WithBackend(backendMode))
+		hashcore.WithJournal(journal), hashcore.WithBackend(backendMode))
 	if err != nil {
 		return err
 	}
@@ -194,7 +194,7 @@ func runDaemon(blocks int, profileName, datadir, listen, connect, network string
 	}
 	defer node.Close()
 	if metricsAddr != "" {
-		dbg, err := telemetry.Serve(metricsAddr, reg, journal, node.Err)
+		dbg, err := telemetry.Serve(metricsAddr, telemetry.NewMux(reg, journal, node.Err))
 		if err != nil {
 			return fmt.Errorf("metrics server: %w", err)
 		}

@@ -8,11 +8,11 @@
 //	hcminer -conns 5000 [-pool 127.0.0.1:3333]   # load generator, no mining
 //
 // Run several instances (distinct -name values) against one hcpoold to
-// watch the pool's per-miner accounting and hashrate estimates at its
-// /stats endpoint. With -conns N it instead becomes a pool load
-// generator: N subscribed connections that drain every job broadcast
-// without mining, for exercising fan-out at scale. Stop with
-// SIGINT/SIGTERM.
+// watch the pool's per-miner accounting and hashrate estimates at /stats
+// on its debug address (hcpoold -metrics-addr). With -conns N it instead
+// becomes a pool load generator: N subscribed connections that drain
+// every job broadcast without mining, for exercising fan-out at scale.
+// Stop with SIGINT/SIGTERM.
 package main
 
 import (
@@ -67,7 +67,7 @@ func run(poolAddr, name, profileName, metricsAddr, backendMode string, workers i
 		return err
 	}
 	if metricsAddr != "" {
-		dbg, err := telemetry.Serve(metricsAddr, reg, nil, nil)
+		dbg, err := telemetry.Serve(metricsAddr, telemetry.NewMux(reg, nil, nil))
 		if err != nil {
 			return err
 		}

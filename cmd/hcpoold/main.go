@@ -1,11 +1,12 @@
 // Command hcpoold runs a HashCore mining-pool server: it templates jobs
 // off an in-process blockchain, fans them out to subscribed miners with
 // per-subscriber nonce ranges, verifies submitted shares on a bounded
-// pool of hashing sessions, and serves accounting at /stats.
+// pool of hashing sessions, and serves accounting at /stats on its debug
+// address, beside /metrics, /events, /healthz and pprof.
 //
 // Usage:
 //
-//	hcpoold [-addr 127.0.0.1:3333] [-http 127.0.0.1:3334]
+//	hcpoold [-addr 127.0.0.1:3333] [-metrics-addr 127.0.0.1:3334]
 //	        [-share-zero-bits 10] [-block-zero-bits 14]
 //	        [-profile leela] [-verify-workers N] [-refresh 10s]
 //	        [-submit-rate 50] [-submit-burst 100]
@@ -25,8 +26,10 @@ package main
 
 import (
 	"context"
+	"errors"
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"os/signal"
 	"path/filepath"
@@ -42,62 +45,67 @@ import (
 )
 
 func main() {
-	addr := flag.String("addr", "127.0.0.1:3333", "miner-protocol listen address")
-	httpAddr := flag.String("http", "127.0.0.1:3334", "HTTP /stats listen address (empty disables)")
-	profileName := flag.String("profile", "leela", "reference workload profile")
-	shareZeroBits := flag.Uint("share-zero-bits", 10, "pool share target: leading zero bits (~2^n hashes per share)")
-	blockZeroBits := flag.Uint("block-zero-bits", 14, "network block target: leading zero bits")
-	verifyWorkers := flag.Int("verify-workers", 0, "share-verification workers (0 = GOMAXPROCS)")
-	queueDepth := flag.Int("queue", 256, "submit queue bound (backpressure threshold)")
-	submitRate := flag.Float64("submit-rate", 0, "per-miner sustained submissions/sec admitted before pre-check rejection (0 disables)")
-	submitBurst := flag.Int("submit-burst", 0, "per-miner submission burst allowance (0 derives from -submit-rate)")
-	rangeSize := flag.Uint64("range", pool.DefaultRangeSize, "nonce window per subscriber per job")
-	refresh := flag.Duration("refresh", 10*time.Second, "job refresh period (negative disables)")
-	name := flag.String("name", "hcpool", "pool name")
-	datadir := flag.String("datadir", "", "chain data directory (empty = in-memory, no persistence)")
-	listen := flag.String("listen", "", "p2p listen address (joins the block network)")
-	connect := flag.String("connect", "", "comma-separated p2p peer addresses to keep sessions with")
-	network := flag.String("network", "hashcore", "p2p network name pinned in handshakes")
-	metricsAddr := flag.String("metrics-addr", "", "debug HTTP listen address: /metrics, /events, /healthz, pprof (empty disables)")
-	backendFlag := flag.String("backend", "auto", "widget execution engine: auto, native or interp (HASHCORE_BACKEND also applies)")
-	flag.Parse()
-
-	if err := run(*addr, *httpAddr, *profileName, *name, *datadir, *listen, *connect, *network, *metricsAddr, *backendFlag,
-		uint(*shareZeroBits), uint(*blockZeroBits),
-		*verifyWorkers, *queueDepth, *submitRate, *submitBurst, *rangeSize, *refresh); err != nil {
+	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
+	defer stop()
+	err := run(ctx, os.Args[1:], os.Stdout)
+	if errors.Is(err, flag.ErrHelp) {
+		return
+	}
+	if err != nil {
 		fmt.Fprintln(os.Stderr, "hcpoold:", err)
 		os.Exit(1)
 	}
 }
 
-func run(addr, httpAddr, profileName, name, datadir, listen, connect, network, metricsAddr, backendMode string,
-	shareZeroBits, blockZeroBits uint,
-	verifyWorkers, queueDepth int, submitRate float64, submitBurst int, rangeSize uint64, refresh time.Duration) error {
+// run serves the pool until ctx ends, then drains it and returns.
+func run(ctx context.Context, args []string, out io.Writer) error {
+	fs := flag.NewFlagSet("hcpoold", flag.ContinueOnError)
+	addr := fs.String("addr", "127.0.0.1:3333", "miner-protocol listen address")
+	profileName := fs.String("profile", "leela", "reference workload profile")
+	shareZeroBits := fs.Uint("share-zero-bits", 10, "pool share target: leading zero bits (~2^n hashes per share)")
+	blockZeroBits := fs.Uint("block-zero-bits", 14, "network block target: leading zero bits")
+	verifyWorkers := fs.Int("verify-workers", 0, "share-verification workers (0 = GOMAXPROCS)")
+	queueDepth := fs.Int("queue", 256, "submit queue bound (backpressure threshold)")
+	submitRate := fs.Float64("submit-rate", 0, "per-miner sustained submissions/sec admitted before pre-check rejection (0 disables)")
+	submitBurst := fs.Int("submit-burst", 0, "per-miner submission burst allowance (0 derives from -submit-rate)")
+	rangeSize := fs.Uint64("range", pool.DefaultRangeSize, "nonce window per subscriber per job")
+	refresh := fs.Duration("refresh", 10*time.Second, "job refresh period (negative disables)")
+	name := fs.String("name", "hcpool", "pool name")
+	datadir := fs.String("datadir", "", "chain data directory (empty = in-memory, no persistence)")
+	listen := fs.String("listen", "", "p2p listen address (joins the block network)")
+	connect := fs.String("connect", "", "comma-separated p2p peer addresses to keep sessions with")
+	network := fs.String("network", "hashcore", "p2p network name pinned in handshakes")
+	metricsAddr := fs.String("metrics-addr", "127.0.0.1:3334", "debug HTTP listen address: /stats, /metrics, /events, /healthz, pprof (empty disables)")
+	backendMode := fs.String("backend", "auto", "widget execution engine: auto, native or interp (HASHCORE_BACKEND also applies)")
+	if err := fs.Parse(args); err != nil {
+		return err
+	}
+
 	var reg *telemetry.Registry
 	var journal *telemetry.Journal
-	if metricsAddr != "" {
+	if *metricsAddr != "" {
 		reg = telemetry.NewRegistry()
 		journal = telemetry.NewJournal(1024)
 	}
-	h, err := hashcore.New(hashcore.WithProfile(profileName), hashcore.WithTelemetry(reg),
-		hashcore.WithBackend(backendMode))
+	h, err := hashcore.New(hashcore.WithProfile(*profileName), hashcore.WithTelemetry(reg),
+		hashcore.WithJournal(journal), hashcore.WithBackend(*backendMode))
 	if err != nil {
 		return err
 	}
 
 	params := blockchain.DefaultParams()
-	params.GenesisBits = pow.TargetToCompact(pow.Target(hashcore.TargetWithZeroBits(blockZeroBits)))
+	params.GenesisBits = pow.TargetToCompact(pow.Target(hashcore.TargetWithZeroBits(*blockZeroBits)))
 	var store blockchain.Store
-	var fs *blockchain.FileStore
-	if datadir != "" {
-		if err := os.MkdirAll(datadir, 0o755); err != nil {
+	var fstore *blockchain.FileStore
+	if *datadir != "" {
+		if err := os.MkdirAll(*datadir, 0o755); err != nil {
 			return err
 		}
-		fs, err = blockchain.OpenFileStore(filepath.Join(datadir, "blocks.log"))
+		fstore, err = blockchain.OpenFileStore(filepath.Join(*datadir, "blocks.log"))
 		if err != nil {
 			return err
 		}
-		store = fs
+		store = fstore
 	}
 	node, err := blockchain.OpenNode(blockchain.NodeConfig{
 		Params:  params,
@@ -110,83 +118,80 @@ func run(addr, httpAddr, profileName, name, datadir, listen, connect, network, m
 		return err
 	}
 	defer node.Close()
-	if metricsAddr != "" {
-		dbg, err := telemetry.Serve(metricsAddr, reg, journal, node.Err)
-		if err != nil {
-			return fmt.Errorf("metrics server: %w", err)
-		}
-		defer dbg.Close()
-		fmt.Printf("hcpoold: debug server on http://%s (/metrics /events /healthz /debug/pprof)\n", dbg.Addr())
-	}
-	if fs != nil {
-		if fs.RecoveredTruncation() {
-			fmt.Println("hcpoold: block log had a damaged tail record (crash mid-append?); dropped it")
+	if fstore != nil {
+		if fstore.RecoveredTruncation() {
+			fmt.Fprintln(out, "hcpoold: block log had a damaged tail record (crash mid-append?); dropped it")
 		}
 		tip := node.TipID()
-		fmt.Printf("hcpoold: chain at %s: height %d, tip %x…, %d blocks replayed\n",
-			datadir, node.Height(), tip[:8], node.Replayed())
+		fmt.Fprintf(out, "hcpoold: chain at %s: height %d, tip %x…, %d blocks replayed\n",
+			*datadir, node.Height(), tip[:8], node.Replayed())
 	}
 
 	// Join the p2p network before the pool starts, so the first job can
 	// already be templated off a synced tip.
 	var mgr *p2p.Manager
-	if listen != "" || connect != "" {
+	if *listen != "" || *connect != "" {
 		mgr, err = p2p.StartNetworkCfg(p2p.Config{
 			Node:       node,
-			Network:    network,
+			Network:    *network,
 			Agent:      "hcpoold/1",
-			ListenAddr: listen,
+			ListenAddr: *listen,
 			Metrics:    reg,
 			Journal:    journal,
-		}, connect)
+		}, *connect)
 		if err != nil {
 			return err
 		}
 		if a := mgr.Addr(); a != "" {
-			fmt.Printf("hcpoold: p2p listening on %s (network %q)\n", a, network)
+			fmt.Fprintf(out, "hcpoold: p2p listening on %s (network %q)\n", a, *network)
 		}
 	}
 
 	srv, err := pool.NewServer(pool.Config{
-		Addr:            addr,
-		HTTPAddr:        httpAddr,
-		PoolName:        name,
-		ShareBits:       pow.TargetToCompact(pow.Target(hashcore.TargetWithZeroBits(shareZeroBits))),
-		RangeSize:       rangeSize,
-		VerifyWorkers:   verifyWorkers,
-		QueueDepth:      queueDepth,
-		SubmitRate:      submitRate,
-		SubmitBurst:     submitBurst,
-		RefreshInterval: refresh,
+		Addr:            *addr,
+		PoolName:        *name,
+		ShareBits:       pow.TargetToCompact(pow.Target(hashcore.TargetWithZeroBits(*shareZeroBits))),
+		RangeSize:       *rangeSize,
+		VerifyWorkers:   *verifyWorkers,
+		QueueDepth:      *queueDepth,
+		SubmitRate:      *submitRate,
+		SubmitBurst:     *submitBurst,
+		RefreshInterval: *refresh,
 		Metrics:         reg,
 		Journal:         journal,
-	}, pool.WrapHasher(h), pool.NewChainSource(node, name))
+	}, pool.WrapHasher(h), pool.NewChainSource(node, *name))
 	if err != nil {
 		return err
 	}
+	if *metricsAddr != "" {
+		mux := telemetry.NewMux(reg, journal, node.Err)
+		mux.Handle("/stats", srv.StatsHandler())
+		dbg, err := telemetry.Serve(*metricsAddr, mux)
+		if err != nil {
+			_ = srv.Shutdown(ctx)
+			return fmt.Errorf("metrics server: %w", err)
+		}
+		defer dbg.Close()
+		fmt.Fprintf(out, "hcpoold: debug server on http://%s (/stats /metrics /events /healthz /debug/pprof)\n", dbg.Addr())
+	}
 	if err := srv.Start(); err != nil {
+		_ = srv.Shutdown(ctx)
 		return err
 	}
-	fmt.Printf("hcpoold: serving %s on %s", h.Name(), srv.Addr())
-	if sa := srv.StatsAddr(); sa != "" {
-		fmt.Printf(", stats at http://%s/stats", sa)
-	}
-	fmt.Println()
+	fmt.Fprintf(out, "hcpoold: serving %s on %s\n", h.Name(), srv.Addr())
 
-	sig := make(chan os.Signal, 1)
-	signal.Notify(sig, os.Interrupt, syscall.SIGTERM)
-	<-sig
-	fmt.Println("hcpoold: shutting down")
-	ctx, cancel := context.WithTimeout(context.Background(), 15*time.Second)
+	<-ctx.Done()
+	fmt.Fprintln(out, "hcpoold: shutting down")
+	drain, cancel := context.WithTimeout(context.Background(), 15*time.Second)
 	defer cancel()
-	if err := srv.Shutdown(ctx); err != nil {
+	if err := srv.Shutdown(drain); err != nil {
 		return fmt.Errorf("shutdown: %w", err)
 	}
 	if mgr != nil {
-		if err := mgr.Close(ctx); err != nil {
+		if err := mgr.Close(drain); err != nil {
 			return fmt.Errorf("p2p shutdown: %w", err)
 		}
 	}
-	fmt.Printf("hcpoold: done (%d blocks solved, chain height %d)\n", srv.Blocks(), node.Height())
+	fmt.Fprintf(out, "hcpoold: done (%d blocks solved, chain height %d)\n", srv.Blocks(), node.Height())
 	return nil
 }

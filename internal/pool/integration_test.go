@@ -3,8 +3,8 @@ package pool
 import (
 	"context"
 	"encoding/json"
-	"fmt"
 	"net/http"
+	"net/http/httptest"
 	"testing"
 	"time"
 
@@ -36,7 +36,6 @@ func TestIntegrationShareOverTCP(t *testing.T) {
 
 	srv, err := NewServer(Config{
 		Addr:            "127.0.0.1:0",
-		HTTPAddr:        "127.0.0.1:0",
 		PoolName:        "itest-pool",
 		ShareBits:       zeroBitsCompact(2),
 		RangeSize:       1 << 20,
@@ -120,8 +119,10 @@ waitAccept:
 		t.Errorf("hashrate estimate = %v, want > 0 after an accepted share", hr)
 	}
 
-	// And the /stats endpoint must serve the same picture over HTTP.
-	resp, err := http.Get(fmt.Sprintf("http://%s/stats", srv.StatsAddr()))
+	// And the /stats handler must serve the same picture over HTTP.
+	statsSrv := httptest.NewServer(srv.StatsHandler())
+	defer statsSrv.Close()
+	resp, err := http.Get(statsSrv.URL + "/stats")
 	if err != nil {
 		t.Fatal(err)
 	}

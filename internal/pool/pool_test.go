@@ -11,6 +11,7 @@ import (
 	"testing"
 	"time"
 
+	"hashcore"
 	"hashcore/internal/baseline"
 	"hashcore/internal/blockchain"
 	"hashcore/internal/pow"
@@ -92,7 +93,7 @@ func findNonces(t *testing.T, h pow.Hasher, job *Job) (pass, fail uint64) {
 // newTestValidator builds a validator over a stub source with the given
 // share difficulty and an impossible block target (so the block path
 // stays quiet unless a test opts in).
-func newTestValidator(t *testing.T, shareBits, blockBits uint32, onBlock func(*Job, [32]byte, uint64)) (*ShareValidator, *JobManager, *Accounting, *stubSource) {
+func newTestValidator(t testing.TB, shareBits, blockBits uint32, onBlock func(*Job, [32]byte, uint64)) (*ShareValidator, *JobManager, *Accounting, *stubSource) {
 	t.Helper()
 	src := &stubSource{bits: blockBits, height: 7}
 	jm, err := NewJobManager(src, shareBits, 1<<16, 2)
@@ -414,5 +415,38 @@ func TestPipelineConcurrentSubmits(t *testing.T) {
 	}
 	if tot.Duplicate != 0 {
 		t.Errorf("distinct nonces produced %d duplicates", tot.Duplicate)
+	}
+}
+
+// BenchmarkPipelineVerify prices the verification fleet's width: admitted
+// shares from 64 miners (so every shard has work) verified by real leela
+// hashing sessions, at one worker and at one per CPU (DESIGN.md §15).
+func BenchmarkPipelineVerify(b *testing.B) {
+	h, err := hashcore.New()
+	if err != nil {
+		b.Fatal(err)
+	}
+	for _, workers := range []int{1, runtime.NumCPU()} {
+		b.Run(fmt.Sprintf("workers=%d", workers), func(b *testing.B) {
+			v, jm, _, _ := newTestValidator(b, zeroBitsCompact(0), impossibleCompact, nil)
+			pipe := NewPipeline(v, WrapHasher(h), workers, 256)
+			defer pipe.Close()
+			job := jm.Current()
+			miners := make([]string, 64)
+			for i := range miners {
+				miners[i] = fmt.Sprintf("m%d", i)
+			}
+			var done sync.WaitGroup
+			reply := func(ShareResult) { done.Done() }
+			done.Add(b.N)
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				if err := pipe.SubmitAdmitted(context.Background(), miners[i%len(miners)], job, uint64(i), reply); err != nil {
+					b.Fatal(err)
+				}
+			}
+			done.Wait()
+			b.ReportMetric(float64(b.N)/b.Elapsed().Seconds(), "shares/s")
+		})
 	}
 }

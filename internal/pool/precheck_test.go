@@ -2,7 +2,6 @@ package pool
 
 import (
 	"encoding/json"
-	"fmt"
 	"testing"
 	"time"
 
@@ -275,13 +274,28 @@ func BenchmarkPrecheckDuplicateReject(b *testing.B) {
 	}
 }
 
+// benchSubmitLine is a submit as pool.Client writes it, so the scanner
+// benchmark fails if the client's own encoding ever misses the fast path.
+// Marshalling an Envelope cannot fail.
+var benchSubmitLine, _ = json.Marshal(&Envelope{Type: TypeSubmit, JobID: "123", Nonce: 1 << 40})
+
+// BenchmarkParseSubmit and BenchmarkParseMsgSubmit price the submit
+// scanner against the encoding/json path it bails out to, on the same
+// line (DESIGN.md §15).
 func BenchmarkParseSubmit(b *testing.B) {
-	line := []byte(fmt.Sprintf(`{"type":"submit","job_id":"123","nonce":%d}`, uint64(1)<<40))
 	b.ReportAllocs()
-	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, _, ok := parseSubmit(line); !ok {
+		if _, _, ok := parseSubmit(benchSubmitLine); !ok {
 			b.Fatal("parse failed")
+		}
+	}
+}
+
+func BenchmarkParseMsgSubmit(b *testing.B) {
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		if env, err := parseMsg(benchSubmitLine); err != nil || env.Type != TypeSubmit {
+			b.Fatal("parse failed", err)
 		}
 	}
 }

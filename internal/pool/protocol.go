@@ -2,9 +2,10 @@
 // manager that builds work templates from a blockchain tip and fans them
 // out with per-subscriber nonce ranges, a share-verification pipeline
 // running a bounded pool of hashing sessions, per-miner accounting, and a
-// newline-delimited JSON-over-TCP protocol (a stratum-like dialect) with
-// an HTTP /stats endpoint. The client half subscribes to a pool server
-// and drives a miner over its assigned nonce window.
+// newline-delimited JSON-over-TCP protocol (a stratum-like dialect), and
+// a JSON stats handler that hcpoold serves at /stats on its debug
+// address. The client half subscribes to a pool server and drives a
+// miner over its assigned nonce window.
 //
 // This is the deployment shape the paper assumes: many small
 // general-purpose machines coordinating through a pool, with server-side

@@ -26,9 +26,6 @@ type Config struct {
 	// Addr is the TCP listen address for the miner protocol, e.g.
 	// "127.0.0.1:3333". Use port 0 to let the OS pick (tests).
 	Addr string
-	// HTTPAddr is the listen address for the /stats endpoint; empty
-	// disables HTTP.
-	HTTPAddr string
 	// PoolName tags the pool in handshakes, coinbases and stats.
 	// Default "hcpool".
 	PoolName string
@@ -69,8 +66,8 @@ type Config struct {
 	// default from SubmitRate.
 	SubmitBurst int
 	// Metrics receives the pool_* instruments. When nil the server
-	// creates a private registry, so /stats always reads from the same
-	// instrument set regardless of whether telemetry is exported.
+	// creates a private registry, so StatsHandler always reads from the
+	// same instrument set regardless of whether telemetry is exported.
 	Metrics *telemetry.Registry
 	// Journal, when non-nil, receives pool events (rate-limited miners).
 	Journal *telemetry.Journal
@@ -119,7 +116,7 @@ func (c *Config) fillDefaults() {
 
 // Server is a mining-pool server: it owns the job manager, the
 // admission pre-check tier, the sharded verification fleet, the miner
-// ledger and the two listeners. Create with NewServer, start with
+// ledger and the miner-protocol listener. Create with NewServer, start with
 // Start, stop with Shutdown.
 type Server struct {
 	cfg      Config
@@ -138,9 +135,7 @@ type Server struct {
 	// immediate clean job instead of relying on timer polling.
 	watcher TipWatcher
 
-	ln     net.Listener
-	httpLn net.Listener
-	httpSv *http.Server
+	ln net.Listener
 
 	mu       sync.Mutex
 	conns    map[*serverConn]struct{}
@@ -197,8 +192,8 @@ func NewServer(cfg Config, hasher Hasher, src TemplateSource) (*Server, error) {
 	return s, nil
 }
 
-// Start opens the listeners and begins serving. It returns once both
-// listeners are bound (use Addr / StatsAddr for the resolved addresses).
+// Start opens the miner-protocol listener and begins serving. It returns
+// once the listener is bound (use Addr for the resolved address).
 func (s *Server) Start() error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -210,24 +205,6 @@ func (s *Server) Start() error {
 		return err
 	}
 	s.ln = ln
-	if s.cfg.HTTPAddr != "" {
-		httpLn, err := net.Listen("tcp", s.cfg.HTTPAddr)
-		if err != nil {
-			ln.Close()
-			return err
-		}
-		s.httpLn = httpLn
-		mux := http.NewServeMux()
-		mux.HandleFunc("/stats", s.handleStats)
-		s.httpSv = &http.Server{Handler: mux}
-		s.wg.Add(1)
-		go func() {
-			defer s.wg.Done()
-			if err := s.httpSv.Serve(httpLn); err != nil && !errors.Is(err, http.ErrServerClosed) {
-				s.cfg.Logf("pool: http server: %v", err)
-			}
-		}()
-	}
 	s.started = true
 
 	s.wg.Add(1)
@@ -254,17 +231,6 @@ func (s *Server) Addr() string {
 		return ""
 	}
 	return s.ln.Addr().String()
-}
-
-// StatsAddr returns the HTTP listen address ("" if disabled or before
-// Start).
-func (s *Server) StatsAddr() string {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if s.httpLn == nil {
-		return ""
-	}
-	return s.httpLn.Addr().String()
 }
 
 // Accounting exposes the share ledger (for tests and embedding).
@@ -323,12 +289,7 @@ func (s *Server) Shutdown(ctx context.Context) error {
 	for c := range s.conns {
 		c.close()
 	}
-	httpSv := s.httpSv
 	s.mu.Unlock()
-
-	if httpSv != nil {
-		_ = httpSv.Shutdown(ctx)
-	}
 
 	done := make(chan struct{})
 	go func() {
@@ -577,35 +538,38 @@ type statsReply struct {
 	Miners      []MinerSnapshot `json:"miners"`
 }
 
-// handleStats serves the legacy JSON stats document. Every numeric
-// field with a pool_* instrument is read back from the registry, so
-// /stats and /metrics can never disagree; only the per-miner ledger and
-// job description come from their owning structures.
-func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {
-	regInt := func(name string) int {
-		v, _ := s.reg.Value(name)
-		return int(v)
-	}
-	reply := statsReply{
-		Pool:        s.cfg.PoolName,
-		Hasher:      s.hasher.Name(),
-		Blocks:      s.Blocks(),
-		Connections: regInt("pool_connections"),
-		QueueDepth:  regInt("pool_verify_queue_depth"),
-		SeenShares:  regInt("pool_seen_shares"),
-		Totals:      s.acct.Totals(),
-		Miners:      s.acct.Snapshot(),
-	}
-	if job := s.jm.Current(); job != nil {
-		reply.JobID = job.ID
-		reply.Height = job.Height
-		reply.ShareBits = job.ShareBits
-		reply.BlockBits = job.BlockBits
-	}
-	w.Header().Set("Content-Type", "application/json")
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	_ = enc.Encode(reply)
+// StatsHandler serves the JSON stats document; hcpoold mounts it at
+// /stats on its debug plane, beside /metrics. Every numeric field with a
+// pool_* instrument is read back from the registry, so /stats and
+// /metrics can never disagree; only the per-miner ledger and job
+// description come from their owning structures.
+func (s *Server) StatsHandler() http.Handler {
+	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		regInt := func(name string) int {
+			v, _ := s.reg.Value(name)
+			return int(v)
+		}
+		reply := statsReply{
+			Pool:        s.cfg.PoolName,
+			Hasher:      s.hasher.Name(),
+			Blocks:      s.Blocks(),
+			Connections: regInt("pool_connections"),
+			QueueDepth:  regInt("pool_verify_queue_depth"),
+			SeenShares:  regInt("pool_seen_shares"),
+			Totals:      s.acct.Totals(),
+			Miners:      s.acct.Snapshot(),
+		}
+		if job := s.jm.Current(); job != nil {
+			reply.JobID = job.ID
+			reply.Height = job.Height
+			reply.ShareBits = job.ShareBits
+			reply.BlockBits = job.BlockBits
+		}
+		w.Header().Set("Content-Type", "application/json")
+		enc := json.NewEncoder(w)
+		enc.SetIndent("", "  ")
+		_ = enc.Encode(reply)
+	})
 }
 
 // outMsg is one queued outbound message: either an owned envelope or a

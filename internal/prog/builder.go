@@ -20,9 +20,9 @@ import (
 // branch diamond declares its arms and its join, then fills them one after
 // the other; the assembler and the wire decoder read blocks in order — and
 // it lets Emit write each instruction once, validated and in its final
-// place in Program.Code, leaving Build only the block starts and the
-// branch targets' PCs to resolve. The builder is the one writer of a
-// program's derived fields (Instr.Class, Instr.PC, the block table).
+// place in Program.Code, leaving Build only the block starts to lay out
+// and the branch targets to check. The builder is the one writer of a
+// program's derived fields (Instr.Class, the block table).
 //
 // Code and the block table grow to a high-water capacity and are reused
 // across Reset, so a generation loop that recycles one builder reaches a
@@ -99,7 +99,7 @@ func (b *Builder) SetBlock(l Label) {
 
 // Emit appends a raw instruction to the current block: validated (the
 // checks are Program.Validate's) and given its Class on the spot;
-// whatever the caller left in ins.Class and ins.PC is overwritten. It is
+// whatever the caller left in ins.Class is overwritten. It is
 // the single hottest call in widget generation, entered once per generated
 // instruction through the Op3/Op2/immediate wrappers. The first failure is
 // latched and reported by Build; whatever is emitted after it is dropped.
@@ -111,8 +111,7 @@ func (b *Builder) Emit(ins Instr) {
 		b.emitInvalid(ins)
 		return
 	}
-	// PC is resolved from Target by Build, when every block's start is known.
-	ins.PC, ins.Class = 0, meta.Class()
+	ins.Class = meta.Class()
 	b.program.Code = append(b.program.Code, ins)
 	b.program.Blocks[b.current].Len++
 	b.sealed = meta&isa.MetaControl != 0
@@ -212,7 +211,7 @@ func (b *Builder) fail(err error) {
 
 // finish completes the program Emit has been writing: it lays the blocks
 // out (a block's start is only known when every block before it is
-// complete), resolves each branch target's PC, and checks what cannot be
+// complete) and checks what cannot be
 // checked per instruction — size limits, the memory declaration, target
 // ranges, halt reachability. Together with Emit's checks these are exactly
 // Program.Validate's, so BuildInto need not run a second sweep on the hot
@@ -245,7 +244,7 @@ func (b *Builder) finish() error {
 	}
 
 	// Control instructions are block terminators (Emit refuses anything
-	// after one), so the terminators are all there is to resolve.
+	// after one), so the terminators are all there is to check.
 	haveHalt := false
 	term := isa.OpInvalid
 	for bi := range p.Blocks {
@@ -265,7 +264,6 @@ func (b *Builder) finish() error {
 		if int(ins.Target) >= nb {
 			return fmt.Errorf("%w: block %d -> %d (have %d blocks)", ErrBadTarget, bi, ins.Target, nb)
 		}
-		ins.PC = p.Blocks[ins.Target].Start
 	}
 	return checkHalts(term, haveHalt)
 }

@@ -29,7 +29,7 @@ var ErrBadFormat = errors.New("prog: malformed widget binary")
 
 // Encode serializes p into the binary widget format. The program should be
 // validated first; Encode does not check semantics. The derived fields
-// (Instr.PC, Instr.Class, the block starts) are not serialized.
+// (Instr.Class, the block starts) are not serialized.
 func (p *Program) Encode() []byte {
 	out := make([]byte, 0, 20+4*len(p.Blocks)+instrSize*len(p.Code))
 	out = append(out, magic[:]...)

@@ -35,21 +35,18 @@ const (
 // Target is the destination block index of a branch or jump — zero on
 // every other instruction, halt included.
 //
-// PC and Class are derived: Class is Op.ClassOf(), and PC is the index in
-// Program.Code of the first instruction of block Target (zero wherever
-// Target is). Builder fills them, whatever the caller put there, and
-// Validate checks them, so readers never recompute either.
+// Class is derived: it is Op.ClassOf(). Builder fills it, whatever the
+// caller put there, and Validate checks it, so readers never recompute it.
 //
-// The fields are ordered widest first, so the record packs into 24 bytes
-// and Op, Class, Dst, A, B share one aligned 8-byte word (internal/jit
-// reads them with one load and asserts that where it does).
+// The record packs into 24 bytes, and Op, Class, Dst, A, B share one
+// 8-aligned word (internal/jit reads them with one load and asserts that
+// where it does).
 type Instr struct {
 	Imm       int64
-	PC        uint32
-	Target    uint32
 	Op        isa.Opcode
 	Class     isa.Class
 	Dst, A, B uint8
+	Target    uint32
 }
 
 // Block is one row of a program's block table: where the basic block's
@@ -101,7 +98,7 @@ var (
 // Validate checks the structural well-formedness of p in one sweep: the
 // block table tiles Code, every opcode is valid,
 // register indices are in range, control instructions end their blocks and
-// target existing blocks, Class and PC are what Op and Target imply, the
+// target existing blocks, Class is what Op implies, the
 // memory declaration is legal, and a halt exists. A validated program can
 // be executed without any per-instruction bound check failing, and every
 // derived field in it can be trusted.
@@ -142,20 +139,17 @@ func (p *Program) Validate() error {
 			if ins.Dst >= meta.LimDst() || ins.A >= meta.LimA() || ins.B >= meta.LimB() {
 				return fmt.Errorf("%w: block %d instr %d (%s)", ErrBadRegister, bi, ii, ins.Op)
 			}
-			pc := uint32(0)
 			if takesTarget(ins.Op, meta) {
 				if int(ins.Target) >= nb {
 					return fmt.Errorf("%w: block %d -> %d (have %d blocks)", ErrBadTarget, bi, ins.Target, nb)
 				}
-				// A forward target's Start is checked when the sweep gets there.
-				pc = p.Blocks[ins.Target].Start
 			} else if ins.Target != 0 {
 				return fmt.Errorf("%w: block %d instr %d (%s takes no target, has %d)",
 					ErrBadTarget, bi, ii, ins.Op, ins.Target)
 			}
-			if ins.Class != meta.Class() || ins.PC != pc {
-				return fmt.Errorf("%w: block %d instr %d (%s): class %d pc %d, want %d and %d",
-					ErrBadDerived, bi, ii, ins.Op, ins.Class, ins.PC, meta.Class(), pc)
+			if ins.Class != meta.Class() {
+				return fmt.Errorf("%w: block %d instr %d (%s): class %d, want %d",
+					ErrBadDerived, bi, ii, ins.Op, ins.Class, meta.Class())
 			}
 			if control {
 				term = ins.Op

@@ -8,6 +8,7 @@ import (
 	"slices"
 	"testing"
 	"testing/quick"
+	"unsafe"
 
 	"hashcore/internal/isa"
 	"hashcore/internal/rng"
@@ -25,7 +26,7 @@ func tinyValid() *Program {
 }
 
 // handBuilt lays a program out from its blocks' instructions without the
-// Builder: the tests' own derivation of the block table, Class and PC, so
+// Builder: the tests' own derivation of the block table and Class, so
 // that Validate and the Builder are each checked against something other
 // than themselves.
 func handBuilt(memSize int, blocks ...[]Instr) *Program {
@@ -34,16 +35,18 @@ func handBuilt(memSize int, blocks ...[]Instr) *Program {
 		p.Blocks = append(p.Blocks, Block{Start: uint32(len(p.Code)), Len: uint32(len(instrs))})
 		p.Code = append(p.Code, instrs...)
 	}
-	for bi := range p.Blocks {
-		for i := range p.Instrs(bi) {
-			ins := &p.Instrs(bi)[i]
-			ins.Class = ins.Op.ClassOf()
-			if ins.Op.IsControl() && ins.Op != isa.OpHalt && int(ins.Target) < len(p.Blocks) {
-				ins.PC = p.Blocks[ins.Target].Start
-			}
-		}
+	for i := range p.Code {
+		p.Code[i].Class = p.Code[i].Op.ClassOf()
 	}
 	return p
+}
+
+// Dropping a field must not grow the record: the engines and the stamp
+// loop walk Code in 24-byte strides, and the next size up is 32.
+func TestInstrIs24Bytes(t *testing.T) {
+	if n := unsafe.Sizeof(Instr{}); n != 24 {
+		t.Fatalf("prog.Instr is %d bytes, want 24", n)
+	}
 }
 
 func TestValidateAcceptsMinimal(t *testing.T) {
@@ -192,10 +195,9 @@ func TestBuilderMultiBlockControlFlow(t *testing.T) {
 	if got := p.NumInstrs(); got != 6 {
 		t.Errorf("NumInstrs = %d, want 6", got)
 	}
-	// The body's branch: block index in Target, the body's first instruction
-	// (after the entry's two) in PC.
+	// The body's branch: block index in Target.
 	term := p.Instrs(1)[2]
-	if term.Op != isa.OpBne || Label(term.Target) != body || term.PC != 2 {
+	if term.Op != isa.OpBne || Label(term.Target) != body {
 		t.Fatalf("body terminator = %+v", term)
 	}
 	want := handBuilt(DefaultMemSize,
@@ -372,12 +374,10 @@ func TestValidateRejectsLyingStats(t *testing.T) {
 		{"code beyond the last block", func(p *Program) { p.Code = append(p.Code, p.Code[2]) }},
 		{"a block table row missing", func(p *Program) {
 			p.Blocks = p.Blocks[:1]
-			p.Code[1].Target, p.Code[1].PC = 0, 0 // block 1 is gone: jump to block 0 instead
+			p.Code[1].Target = 0 // block 1 is gone: jump to block 0 instead
 		}},
 		{"wrong class", func(p *Program) { p.Code[0].Class = isa.ClassFPALU }},
 		{"no class", func(p *Program) { p.Code[2].Class = 0 }},
-		{"wrong pc", func(p *Program) { p.Code[1].PC = 1 }},
-		{"pc on an instruction without a target", func(p *Program) { p.Code[0].PC = 2 }},
 	} {
 		t.Run(tt.name, func(t *testing.T) {
 			p := build()

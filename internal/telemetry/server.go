@@ -19,10 +19,13 @@ import (
 //	/healthz  — 200 "ok" while healthz() returns nil, else 503 + error
 //	/debug/pprof/* — the standard runtime profiles
 //
-// reg, journal, and healthz may each be nil: a nil registry exposes
-// nothing, a nil journal streams nothing, a nil healthz is always
-// healthy.
+// The process gauges (registerProcessMetrics) are added to reg. A daemon
+// mounts its own pages on the returned mux (hcpoold's /stats) before
+// passing it to Serve. reg, journal, and healthz may each be nil: a nil
+// registry exposes nothing, a nil journal streams nothing, a nil healthz
+// is always healthy.
 func NewMux(reg *Registry, journal *Journal, healthz func() error) *http.ServeMux {
+	registerProcessMetrics(reg)
 	mux := http.NewServeMux()
 	mux.HandleFunc("/metrics", func(w http.ResponseWriter, r *http.Request) {
 		w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
@@ -63,9 +66,9 @@ func NewMux(reg *Registry, journal *Journal, healthz func() error) *http.ServeMu
 	return mux
 }
 
-// RegisterProcessMetrics adds the runtime gauges every daemon wants —
+// registerProcessMetrics adds the runtime gauges every daemon wants —
 // goroutine count, heap bytes, GC totals, uptime — to reg.
-func RegisterProcessMetrics(reg *Registry) {
+func registerProcessMetrics(reg *Registry) {
 	if reg == nil {
 		return
 	}
@@ -98,17 +101,15 @@ type Server struct {
 	srv *http.Server
 }
 
-// Serve starts the debug plane on addr (e.g. "127.0.0.1:6060") and
-// returns immediately; process metrics are registered on reg as a side
-// effect. Close shuts it down.
-func Serve(addr string, reg *Registry, journal *Journal, healthz func() error) (*Server, error) {
+// Serve starts the debug plane h (a NewMux) on addr (e.g.
+// "127.0.0.1:6060") and returns immediately. Close shuts it down.
+func Serve(addr string, h http.Handler) (*Server, error) {
 	ln, err := net.Listen("tcp", addr)
 	if err != nil {
 		return nil, fmt.Errorf("telemetry: listen %s: %w", addr, err)
 	}
-	RegisterProcessMetrics(reg)
 	srv := &http.Server{
-		Handler:           NewMux(reg, journal, healthz),
+		Handler:           h,
 		ReadHeaderTimeout: 5 * time.Second,
 	}
 	go func() { _ = srv.Serve(ln) }()

@@ -117,7 +117,7 @@ func TestPprofMounted(t *testing.T) {
 
 func TestServeLifecycle(t *testing.T) {
 	reg := NewRegistry()
-	s, err := Serve("127.0.0.1:0", reg, nil, nil)
+	s, err := Serve("127.0.0.1:0", NewMux(reg, nil, nil))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -126,7 +126,7 @@ func TestServeLifecycle(t *testing.T) {
 	if code != 200 {
 		t.Fatalf("status %d", code)
 	}
-	// Serve registers the process gauges as a side effect.
+	// NewMux registers the process gauges.
 	if !strings.Contains(body, "process_goroutines") || !strings.Contains(body, "process_uptime_seconds") {
 		t.Fatalf("process metrics missing in:\n%s", body)
 	}

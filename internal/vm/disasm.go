@@ -84,9 +84,9 @@ func decodeFusedParts(fi *prog.Instr) (first, second prog.Instr) {
 	}
 	first = prog.Instr{Op: fop, Dst: fi.Dst, A: fi.A, B: fi.B}
 	if sop.IsCondBranch() {
-		second = prog.Instr{Op: sop, A: uint8(fi.PC), B: uint8(fi.PC >> 8), Target: fi.Target}
+		second = prog.Instr{Op: sop, A: uint8(fi.Imm), B: uint8(fi.Imm >> 8), Target: fi.Target}
 	} else {
-		second = prog.Instr{Op: sop, Dst: uint8(fi.PC), A: uint8(fi.PC >> 8), B: uint8(fi.PC >> 16)}
+		second = prog.Instr{Op: sop, Dst: uint8(fi.Imm), A: uint8(fi.Imm >> 8), B: uint8(fi.Imm >> 16)}
 	}
 	return first, second
 }

@@ -73,8 +73,8 @@ func (m *Machine) FusedBuilt() bool { return m.fusedGen == m.loadGen }
 // into their pairs, and a jmp appended where hadJmp says the block ended
 // in one — the stream does not record whether a successor was a jump or a
 // fall-through, because executing it does not depend on that. The derived
-// fields (Class, PC) are left zero: the stream does not keep them for a
-// pair's halves.
+// field Class is left zero: the stream does not keep it for a pair's
+// halves.
 func (m *Machine) ExpandFused(bi int, hadJmp bool) []prog.Instr {
 	m.ensureFused()
 	meta := &m.fblocks[bi]

@@ -27,13 +27,13 @@ import (
 // see isa — and this file owns how a pair packs into one slot. The stream
 // is vm's own format, built by copying, and reuses prog.Instr as its slot:
 // an unfused slot is the program's instruction as it stands, and a fused
-// one keeps the record's meanings except for PC, which no engine reads in
-// this stream and which carries the second half's registers instead:
+// one keeps the record's meanings except for Imm, which no fused pair
+// carries and which holds the second half's registers instead:
 //
-//	cmplt+bne  Dst,A,B = the compare; PC = x | y<<8 (the branch's
+//	cmplt+bne  Dst,A,B = the compare; Imm = x | y<<8 (the branch's
 //	           registers); Target = the branch's target block
 //	ALU pairs  (ror+and, {add,sub,xor}²) Dst,A,B = the first op;
-//	           PC = d2 | a2<<8 | b2<<16 (the second)
+//	           Imm = d2 | a2<<8 | b2<<16 (the second)
 //
 // Target is a block index here as everywhere: the block-batched loop
 // transfers between blocks. Fusion never crosses a block boundary; a
@@ -51,10 +51,10 @@ func tryFuse(a, b *prog.Instr) (prog.Instr, bool) {
 	}
 	fi := prog.Instr{Op: op, Dst: a.Dst, A: a.A, B: a.B}
 	if b.Op.IsCondBranch() {
-		fi.PC = uint32(b.A) | uint32(b.B)<<8
+		fi.Imm = int64(b.A) | int64(b.B)<<8
 		fi.Target = b.Target
 	} else {
-		fi.PC = uint32(b.Dst) | uint32(b.A)<<8 | uint32(b.B)<<16
+		fi.Imm = int64(b.Dst) | int64(b.A)<<8 | int64(b.B)<<16
 	}
 	return fi, true
 }

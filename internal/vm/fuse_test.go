@@ -209,7 +209,7 @@ func TestDecodeFusedPartsRoundTrip(t *testing.T) {
 				got := m.ExpandFused(bi, endsInJmp(p, bi))
 				want := slices.Clone(p.Instrs(bi))
 				for i := range want {
-					want[i].Class, want[i].PC = 0, 0 // derived; ExpandFused leaves them out
+					want[i].Class = 0 // derived; ExpandFused leaves it out
 				}
 				if !slices.Equal(got, want) {
 					t.Fatalf("block %d expands to\n %+v\nwant\n %+v", bi, got, want)

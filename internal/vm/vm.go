@@ -562,48 +562,48 @@ blockLoop:
 				intRegs[ins.Dst] = va[0] ^ va[1] ^ va[2] ^ va[3]
 
 			// Fused superinstructions (fuse.go): exactly "first half, then
-			// second half", the second half's operands unpacked from PC.
+			// second half", the second half's operands unpacked from Imm.
 			case isa.OpFuseCmpLTBne:
 				var v uint64
 				if intRegs[ins.A] < intRegs[ins.B] {
 					v = 1
 				}
 				intRegs[ins.Dst] = v
-				if intRegs[uint8(ins.PC)] != intRegs[uint8(ins.PC>>8)] {
+				if intRegs[uint8(ins.Imm)] != intRegs[uint8(ins.Imm>>8)] {
 					next = ins.Target
 				}
 			case isa.OpFuseRorAnd:
 				k := intRegs[ins.B] & 63
 				v := intRegs[ins.A]
 				intRegs[ins.Dst] = (v >> k) | (v << ((64 - k) & 63))
-				intRegs[uint8(ins.PC)] = intRegs[uint8(ins.PC>>8)] & intRegs[uint8(ins.PC>>16)]
+				intRegs[uint8(ins.Imm)] = intRegs[uint8(ins.Imm>>8)] & intRegs[uint8(ins.Imm>>16)]
 			case isa.OpFuseAddAdd:
 				intRegs[ins.Dst] = intRegs[ins.A] + intRegs[ins.B]
-				intRegs[uint8(ins.PC)] = intRegs[uint8(ins.PC>>8)] + intRegs[uint8(ins.PC>>16)]
+				intRegs[uint8(ins.Imm)] = intRegs[uint8(ins.Imm>>8)] + intRegs[uint8(ins.Imm>>16)]
 			case isa.OpFuseAddSub:
 				intRegs[ins.Dst] = intRegs[ins.A] + intRegs[ins.B]
-				intRegs[uint8(ins.PC)] = intRegs[uint8(ins.PC>>8)] - intRegs[uint8(ins.PC>>16)]
+				intRegs[uint8(ins.Imm)] = intRegs[uint8(ins.Imm>>8)] - intRegs[uint8(ins.Imm>>16)]
 			case isa.OpFuseAddXor:
 				intRegs[ins.Dst] = intRegs[ins.A] + intRegs[ins.B]
-				intRegs[uint8(ins.PC)] = intRegs[uint8(ins.PC>>8)] ^ intRegs[uint8(ins.PC>>16)]
+				intRegs[uint8(ins.Imm)] = intRegs[uint8(ins.Imm>>8)] ^ intRegs[uint8(ins.Imm>>16)]
 			case isa.OpFuseSubAdd:
 				intRegs[ins.Dst] = intRegs[ins.A] - intRegs[ins.B]
-				intRegs[uint8(ins.PC)] = intRegs[uint8(ins.PC>>8)] + intRegs[uint8(ins.PC>>16)]
+				intRegs[uint8(ins.Imm)] = intRegs[uint8(ins.Imm>>8)] + intRegs[uint8(ins.Imm>>16)]
 			case isa.OpFuseSubSub:
 				intRegs[ins.Dst] = intRegs[ins.A] - intRegs[ins.B]
-				intRegs[uint8(ins.PC)] = intRegs[uint8(ins.PC>>8)] - intRegs[uint8(ins.PC>>16)]
+				intRegs[uint8(ins.Imm)] = intRegs[uint8(ins.Imm>>8)] - intRegs[uint8(ins.Imm>>16)]
 			case isa.OpFuseSubXor:
 				intRegs[ins.Dst] = intRegs[ins.A] - intRegs[ins.B]
-				intRegs[uint8(ins.PC)] = intRegs[uint8(ins.PC>>8)] ^ intRegs[uint8(ins.PC>>16)]
+				intRegs[uint8(ins.Imm)] = intRegs[uint8(ins.Imm>>8)] ^ intRegs[uint8(ins.Imm>>16)]
 			case isa.OpFuseXorAdd:
 				intRegs[ins.Dst] = intRegs[ins.A] ^ intRegs[ins.B]
-				intRegs[uint8(ins.PC)] = intRegs[uint8(ins.PC>>8)] + intRegs[uint8(ins.PC>>16)]
+				intRegs[uint8(ins.Imm)] = intRegs[uint8(ins.Imm>>8)] + intRegs[uint8(ins.Imm>>16)]
 			case isa.OpFuseXorSub:
 				intRegs[ins.Dst] = intRegs[ins.A] ^ intRegs[ins.B]
-				intRegs[uint8(ins.PC)] = intRegs[uint8(ins.PC>>8)] - intRegs[uint8(ins.PC>>16)]
+				intRegs[uint8(ins.Imm)] = intRegs[uint8(ins.Imm>>8)] - intRegs[uint8(ins.Imm>>16)]
 			case isa.OpFuseXorXor:
 				intRegs[ins.Dst] = intRegs[ins.A] ^ intRegs[ins.B]
-				intRegs[uint8(ins.PC)] = intRegs[uint8(ins.PC>>8)] ^ intRegs[uint8(ins.PC>>16)]
+				intRegs[uint8(ins.Imm)] = intRegs[uint8(ins.Imm>>8)] ^ intRegs[uint8(ins.Imm>>16)]
 			}
 		}
 		bi = next
