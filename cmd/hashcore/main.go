@@ -181,11 +181,12 @@ func dumpWidget(h *hashcore.Hasher, input []byte) error {
 		fmt.Print(native)
 	}
 
-	// The sparsity the memory model relies on, for this widget, and what
-	// holding the written words costs.
+	// The sparsity the memory model relies on, for this widget, what
+	// holding the written words costs, and how full the written filter is.
 	res := m.Run(vm.Params{}, nil)
 	st := m.LastRunStats()
-	fmt.Printf("; ---- run: %d instructions retired, %d of %d scratch-memory words written (table: %d slots, %d bytes) ----\n",
-		res.Retired, st.WordsWritten, p.MemSize/8, st.TableSlots, st.TableSlots*16)
+	set, of := m.FilterBitsSet()
+	fmt.Printf("; ---- run: %d instructions retired, %d of %d scratch-memory words written (table: %d slots, %d bytes; filter: %d of %d bits set) ----\n",
+		res.Retired, st.WordsWritten, p.MemSize/8, st.TableSlots, st.TableSlots*16, set, of)
 	return nil
 }

@@ -200,9 +200,9 @@ func checkDump(t *testing.T, dump, widget string) {
 	if arch := dump[at[1]+len(sections[1]) : at[2]]; arch != widget {
 		t.Errorf("architectural section (%d bytes) is not the program `hashcore widget` prints (%d bytes)", len(arch), len(widget))
 	}
-	var retired, written, words, slots, bytes uint64
-	if _, err := fmt.Sscanf(dump[at[4]:], "; ---- run: %d instructions retired, %d of %d scratch-memory words written (table: %d slots, %d bytes)",
-		&retired, &written, &words, &slots, &bytes); err != nil {
+	var retired, written, words, slots, bytes, bitsSet, filterBits uint64
+	if _, err := fmt.Sscanf(dump[at[4]:], "; ---- run: %d instructions retired, %d of %d scratch-memory words written (table: %d slots, %d bytes; filter: %d of %d bits set) ----\n",
+		&retired, &written, &words, &slots, &bytes, &bitsSet, &filterBits); err != nil {
 		t.Fatalf("run line %q: %v", dump[at[4]:], err)
 	}
 	if retired == 0 || written == 0 || written >= words {
@@ -210,5 +210,10 @@ func checkDump(t *testing.T, dump, widget string) {
 	}
 	if slots < 2*written || bytes != 16*slots {
 		t.Errorf("run line reports a table of %d slots, %d bytes for %d words; want at least two slots a word, 16 bytes a slot", slots, bytes, written)
+	}
+	// A word sets one bit, words 2^18 apart the same one: an image of up to
+	// 2^18 words has a bit per written word, a larger one at most that.
+	if filterBits != 1<<18 || bitsSet == 0 || bitsSet > written || words <= filterBits && bitsSet != written {
+		t.Errorf("run line reports %d of %d filter bits set for %d of %d words written", bitsSet, filterBits, written, words)
 	}
 }

@@ -3,6 +3,7 @@ package main
 import (
 	"context"
 	"fmt"
+	"io"
 	"net"
 	"sync"
 	"sync/atomic"
@@ -26,7 +27,7 @@ type loadStats struct {
 // at scale. Each connection subscribes under "<name>-<i>" and counts
 // the messages it receives; aggregate rates print periodically until
 // interrupted.
-func runLoadGen(ctx context.Context, poolAddr, name string, conns int) error {
+func runLoadGen(ctx context.Context, out io.Writer, poolAddr, name string, conns int) error {
 	if name == "" {
 		name = "load"
 	}
@@ -84,7 +85,7 @@ func runLoadGen(ctx context.Context, poolAddr, name string, conns int) error {
 		}(i)
 	}
 
-	fmt.Printf("hcminer: load generator — %d subscriber conns against %s (no mining)\n", conns, poolAddr)
+	fmt.Fprintf(out, "hcminer: load generator — %d subscriber conns against %s (no mining)\n", conns, poolAddr)
 	ticker := time.NewTicker(5 * time.Second)
 	defer ticker.Stop()
 	last := int64(0)
@@ -93,7 +94,7 @@ func runLoadGen(ctx context.Context, poolAddr, name string, conns int) error {
 		select {
 		case <-ctx.Done():
 			wg.Wait()
-			fmt.Printf("hcminer: load generator done — %d notifies, %d results, %d errors (%d dial failures)\n",
+			fmt.Fprintf(out, "hcminer: load generator done — %d notifies, %d results, %d errors (%d dial failures)\n",
 				st.notifies.Load(), st.results.Load(), st.errors.Load(), dialErrs.Load())
 			return nil
 		case <-ticker.C:
@@ -101,7 +102,7 @@ func runLoadGen(ctx context.Context, poolAddr, name string, conns int) error {
 			total := st.notifies.Load()
 			rate := float64(total-last) / now.Sub(lastAt).Seconds()
 			last, lastAt = total, now
-			fmt.Printf("hcminer: conns=%d notifies=%d (%.0f/s) results=%d errors=%d\n",
+			fmt.Fprintf(out, "hcminer: conns=%d notifies=%d (%.0f/s) results=%d errors=%d\n",
 				st.connected.Load(), total, rate, st.results.Load(), st.errors.Load())
 		}
 	}

@@ -17,8 +17,10 @@ package main
 
 import (
 	"context"
+	"errors"
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"os/signal"
 	"runtime"
@@ -30,67 +32,71 @@ import (
 )
 
 func main() {
-	poolAddr := flag.String("pool", "127.0.0.1:3333", "pool server address")
-	name := flag.String("name", "", "miner name for pool accounting (default server-assigned)")
-	workers := flag.Int("workers", runtime.NumCPU(), "mining worker goroutines")
-	profileName := flag.String("profile", "leela", "reference workload profile")
-	quiet := flag.Bool("quiet", false, "suppress per-share output")
-	metricsAddr := flag.String("metrics-addr", "", "debug HTTP listen address: /metrics, /events, /healthz, pprof (empty disables)")
-	backendFlag := flag.String("backend", "auto", "widget execution engine: auto, native or interp (HASHCORE_BACKEND also applies)")
-	conns := flag.Int("conns", 0, "load-generator mode: open this many subscriber connections and count notifies instead of mining")
-	flag.Parse()
-
-	if *conns > 0 {
-		ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
-		defer stop()
-		if err := runLoadGen(ctx, *poolAddr, *name, *conns); err != nil {
-			fmt.Fprintln(os.Stderr, "hcminer:", err)
-			os.Exit(1)
-		}
+	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
+	defer stop()
+	err := run(ctx, os.Args[1:], os.Stdout)
+	if errors.Is(err, flag.ErrHelp) {
 		return
 	}
-
-	if err := run(*poolAddr, *name, *profileName, *metricsAddr, *backendFlag, *workers, *quiet); err != nil {
+	if err != nil {
 		fmt.Fprintln(os.Stderr, "hcminer:", err)
 		os.Exit(1)
 	}
 }
 
-func run(poolAddr, name, profileName, metricsAddr, backendMode string, workers int, quiet bool) error {
+// run mines for the pool — or, with -conns, generates subscriber load —
+// until ctx ends, then prints its summary and returns.
+func run(ctx context.Context, args []string, out io.Writer) error {
+	fs := flag.NewFlagSet("hcminer", flag.ContinueOnError)
+	poolAddr := fs.String("pool", "127.0.0.1:3333", "pool server address")
+	name := fs.String("name", "", "miner name for pool accounting (default server-assigned)")
+	workers := fs.Int("workers", runtime.NumCPU(), "mining worker goroutines")
+	profileName := fs.String("profile", "leela", "reference workload profile")
+	quiet := fs.Bool("quiet", false, "suppress per-share output")
+	metricsAddr := fs.String("metrics-addr", "", "debug HTTP listen address: /metrics, /events, /healthz, pprof (empty disables)")
+	backendMode := fs.String("backend", "auto", "widget execution engine: auto, native or interp (HASHCORE_BACKEND also applies)")
+	conns := fs.Int("conns", 0, "load-generator mode: open this many subscriber connections and count notifies instead of mining")
+	if err := fs.Parse(args); err != nil {
+		return err
+	}
+	if *conns > 0 {
+		return runLoadGen(ctx, out, *poolAddr, *name, *conns)
+	}
+
 	var reg *telemetry.Registry
-	if metricsAddr != "" {
+	if *metricsAddr != "" {
 		reg = telemetry.NewRegistry()
 	}
-	h, err := hashcore.New(hashcore.WithProfile(profileName), hashcore.WithTelemetry(reg),
-		hashcore.WithBackend(backendMode))
+	h, err := hashcore.New(hashcore.WithProfile(*profileName), hashcore.WithTelemetry(reg),
+		hashcore.WithBackend(*backendMode))
 	if err != nil {
 		return err
 	}
-	if metricsAddr != "" {
-		dbg, err := telemetry.Serve(metricsAddr, telemetry.NewMux(reg, nil, nil))
+	if *metricsAddr != "" {
+		dbg, err := telemetry.Serve(*metricsAddr, telemetry.NewMux(reg, nil, nil))
 		if err != nil {
 			return err
 		}
 		defer dbg.Close()
-		fmt.Printf("hcminer: debug server on http://%s (/metrics /healthz /debug/pprof)\n", dbg.Addr())
+		fmt.Fprintf(out, "hcminer: debug server on http://%s (/metrics /healthz /debug/pprof)\n", dbg.Addr())
 	}
 
 	cfg := pool.ClientConfig{
-		Addr:      poolAddr,
-		MinerName: name,
+		Addr:      *poolAddr,
+		MinerName: *name,
 		Agent:     "hcminer/1 " + h.Name(),
-		Workers:   workers,
+		Workers:   *workers,
 	}
-	if !quiet {
+	if !*quiet {
 		cfg.OnJob = func(j pool.JobNotify) {
-			fmt.Printf("hcminer: job %s height %d nonces [%d, %d)\n",
+			fmt.Fprintf(out, "hcminer: job %s height %d nonces [%d, %d)\n",
 				j.ID, j.Height, j.NonceStart, j.NonceEnd)
 		}
 		cfg.OnResult = func(r pool.ShareResult) {
 			if r.Status.Accepted() {
-				fmt.Printf("hcminer: share accepted (job %s nonce %d, %s)\n", r.JobID, r.Nonce, r.Status)
+				fmt.Fprintf(out, "hcminer: share accepted (job %s nonce %d, %s)\n", r.JobID, r.Nonce, r.Status)
 			} else {
-				fmt.Printf("hcminer: share rejected: %s (%s)\n", r.Status, r.Reason)
+				fmt.Fprintf(out, "hcminer: share rejected: %s (%s)\n", r.Status, r.Reason)
 			}
 		}
 	}
@@ -99,13 +105,11 @@ func run(poolAddr, name, profileName, metricsAddr, backendMode string, workers i
 	if err != nil {
 		return err
 	}
-	fmt.Printf("hcminer: mining %s for pool %s with %d workers\n", h.Name(), poolAddr, workers)
+	fmt.Fprintf(out, "hcminer: mining %s for pool %s with %d workers\n", h.Name(), *poolAddr, *workers)
 
-	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
-	defer stop()
 	err = client.Run(ctx)
 	st := client.Stats()
-	fmt.Printf("hcminer: done — %d jobs, %d submitted, %d accepted (%d blocks), %d rejected\n",
+	fmt.Fprintf(out, "hcminer: done — %d jobs, %d submitted, %d accepted (%d blocks), %d rejected\n",
 		st.Jobs, st.Submitted, st.Accepted, st.Blocks, st.Rejected)
 	if err != nil && ctx.Err() == nil {
 		return err

@@ -12,7 +12,7 @@ import (
 // runnable on the interpreter without a fault, and stable under the
 // textual round trip — its disassembly assembles, to a program whose
 // disassembly is the same text. Every accepted program runs, whatever
-// memory it declares (prog.MaxMemSize costs the VM a 4 MiB written map).
+// memory it declares (the VM's written filter is 32 KiB at any size).
 // The seed corpus (testdata/fuzz/FuzzAssemble) holds one shrunken
 // generated widget per family — integer, floating point, vector — and one
 // program declaring prog.MaxMemSize.

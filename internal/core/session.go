@@ -66,8 +66,8 @@ type PhaseTimings struct {
 	CompileNs int64
 	// FillNs is nanoseconds spent resetting the VM's scratch memory (a
 	// subset of ExecNs). The name predates the sparse memory model: the
-	// image is never filled now, and the reset is clearing the written
-	// map, one bit per image word, and starting a new epoch of the
+	// image is never filled now, and the reset is clearing the 32 KiB
+	// written filter, whatever the image, and starting a new epoch of the
 	// written-word table (vm.Machine).
 	FillNs int64
 	// LoadNs is nanoseconds spent loading generated programs into the VM

@@ -9,7 +9,7 @@ import (
 	"hashcore/internal/vm"
 )
 
-// TestReusedSessionMatchesFresh: a session carries its VM — written map,
+// TestReusedSessionMatchesFresh: a session carries its VM — written filter,
 // written-word table, compiled code — from hash to hash and from one
 // image size to another; every digest must equal the one a session that
 // has never run anything computes. Two profiles with different working

@@ -29,7 +29,7 @@
 //
 //	R15  Frame pointer (all unmapped state is addressed off it)
 //	R14  written-word table base
-//	R13  written map base
+//	R13  written filter base
 //	R12  run-segment countdown (budget, snapshot, table headroom; see emitPrologue)
 //	RBX RBP RSI RDI R8 R9 R10 R11   the 8 most-referenced widget integer
 //	                                registers of this program (chosen per
@@ -527,7 +527,7 @@ func (c *Compiler) emitPrologueTail() {
 	// how far it fell (LimStart keeps the entry value). Entry always has
 	// retired <= maxInstr (both engines check budgets before running a
 	// block), so the subtraction cannot wrap. R13 and R14 hold the bases of
-	// the written map and the written-word table, which the memory routines
+	// the written filter and the written-word table, which the memory routines
 	// would otherwise reload from the Frame on every call.
 	c.opRM(0x8B, r12, r15, offMaxInstr)
 	c.opRM(0x2B, r12, r15, offRetired)
@@ -921,18 +921,20 @@ func (c *Compiler) emitAddr(a uint8, imm int64) {
 // load returns the word in RDX: rng.SplitMix64At(memSeed, index) =
 // mix64(SeedGamma + index*Gamma) when the written bit is clear — what a
 // materialized image would hold there, and where nearly every load goes —
-// and otherwise the value in the word's table slot, probing from its home
-// until the key matches (a set bit means the word is in the table). store
-// takes the value in RDX and sets the bit; if the bit was clear the word
-// is new and takes the first empty slot from its home (a key below Epoch,
-// i.e. left by an earlier run), counted in Inserts, and otherwise it
-// overwrites the word's slot. The bit tests use the register forms of
-// BT/BTS on the loaded map word (the count is taken mod 64); the memory
-// forms with a register offset are microcoded. The map's base is in R13
-// and the table's in R14 (the prologue loads both), and the pristine
-// path's three multipliers come from a constant pool ahead of the
-// routines (the table probes' Gamma is the same pool word), so a load
-// reads nothing from the Frame but the mask and SeedGamma.
+// and otherwise probes the table from the word's home: the value in the
+// slot whose key matches, or, at an empty slot (a key below Epoch, i.e.
+// left by an earlier run), the pristine word after all — only a word
+// sharing the bit was stored. store takes the value in RDX, sets the bit
+// and probes the same way: it overwrites the word's slot, or takes the
+// empty slot the probe ends at, counted in Inserts. The filter word is
+// (index >> 6) & (FilterWords-1), a constant mask; the bit tests use the
+// register forms of BT/BTS on the loaded filter word (the count is taken
+// mod 64); the memory forms with a register offset are microcoded. The
+// filter's base is in R13 and the table's in R14 (the prologue loads
+// both), and the pristine path's three multipliers come from a constant
+// pool ahead of the routines (the table probes' Gamma is the same pool
+// word), so a load reads nothing from the Frame but the mask and
+// SeedGamma, and Epoch when its probe misses.
 func (c *Compiler) emitMemRoutines() {
 	c.ensure(regionMax)
 	pool := c.pos
@@ -943,7 +945,8 @@ func (c *Compiler) emitMemRoutines() {
 	c.routine[callLoad] = c.pos
 	c.opRM(0x23, rAX, r15, offMask) // AND rax, [mask]: aligned byte address
 	c.opRR(0x8B, rDX, rAX)
-	c.shrImm(rDX, 9)                      // map word index: address / 8 / 64
+	c.shrImm(rDX, 9)                      // address / 8 / 64
+	c.aluImm(4, rDX, FilterWords-1)       // AND rdx, FilterWords-1: filter word index
 	c.emit5(0x49, 0x8B, 0x4C, 0xD5, 0x00) // MOV rcx, [r13+rdx*8]
 	c.opRR(0x8B, rDX, rAX)
 	c.shrImm(rDX, 3)                // word index
@@ -951,7 +954,8 @@ func (c *Compiler) emitMemRoutines() {
 	// Pristine is the fall-through: a widget reads far more words than it
 	// ever writes (DESIGN.md has the counts per profile).
 	written := c.jccLocal(0x82) // JC
-	c.imulRIP(rDX, pool)        // index * Gamma
+	pristine := c.pos
+	c.imulRIP(rDX, pool) // index * Gamma
 	c.opRM(0x03, rDX, r15, offSeedGamma)
 	for _, step := range [...]struct {
 		shift byte
@@ -973,7 +977,13 @@ func (c *Compiler) emitMemRoutines() {
 	c.emit5(0x49, 0x8B, 0x54, 0x06, 0x08) // MOV rdx, [r14+rax+8]
 	c.emit1(0xC3)
 	c.bind(next)
+	c.opRM(0x8B, rDX, r15, offEpoch)
+	c.emit4(0x49, 0x39, 0x14, 0x06) // CMP [r14+rax], rdx
+	empty := c.jccLocal(0x82)       // JB: an empty slot, the word is pristine
 	c.emitNextSlot(probe)
+	c.bind(empty)
+	c.emit2(0x89, 0xCA) // MOV edx, ecx: the word index, the key's low half
+	c.jmpTo(pristine)
 
 	c.ensure(regionMax)
 	c.routine[callStore] = c.pos
@@ -981,36 +991,29 @@ func (c *Compiler) emitMemRoutines() {
 	c.opRM(0x23, rAX, r15, offMask)
 	c.shrImm(rAX, 3) // word index
 	c.opRR(0x8B, rDX, rAX)
-	c.shrImm(rDX, 6)                      // map word index
+	c.shrImm(rDX, 6)
+	c.aluImm(4, rDX, FilterWords-1)       // filter word index
 	c.emit5(0x49, 0x8D, 0x4C, 0xD5, 0x00) // LEA rcx, [r13+rdx*8]
 	c.emit3(0x48, 0x8B, 0x11)             // MOV rdx, [rcx]
 	c.emit4(0x48, 0x0F, 0xAB, 0xC2)       // BTS rdx, rax
 	c.emit3(0x48, 0x89, 0x11)             // MOV [rcx], rdx
-	c.opRR(0x8B, rDX, rAX)                // MOV leaves BTS's carry: the old bit
-	rewrite := c.jccLocal(0x82)           // JC
-	// A new word: the first slot from its home whose key is below Epoch.
+	c.opRR(0x8B, rDX, rAX)
+	// The word's slot, or the first slot from its home whose key is below
+	// Epoch, where the word is new.
 	c.emitHomeKey(pool)
 	c.opRM(0x8B, rDX, r15, offEpoch)
-	insert := c.pos
-	c.emit4(0x49, 0x39, 0x14, 0x06) // CMP [r14+rax], rdx
-	taken := c.jccLocal(0x83)       // JAE: a key of this run
-	c.emit4(0x49, 0x89, 0x0C, 0x06) // MOV [r14+rax], rcx
-	c.addMem1(offInserts)
-	toPut := c.jmpLocal()
-	c.bind(taken)
-	c.emitNextSlot(insert)
-	// A word stored before: its slot.
-	c.ensure(regionMax)
-	c.bind(rewrite)
-	c.emitHomeKey(pool)
 	find := c.pos
 	c.emit4(0x49, 0x3B, 0x0C, 0x06) // CMP rcx, [r14+rax]
-	next = c.jccLocal(0x85)         // JNE
-	c.bind(toPut)
+	found := c.jccLocal(0x84)       // JE
+	c.emit4(0x49, 0x39, 0x14, 0x06) // CMP [r14+rax], rdx
+	taken := c.jccLocal(0x83)       // JAE: another word of this run
+	c.emit4(0x49, 0x89, 0x0C, 0x06) // MOV [r14+rax], rcx
+	c.addMem1(offInserts)
+	c.bind(found)
 	c.emit5(0x66, 0x48, 0x0F, 0x7E, 0xC2) // MOVQ rdx, xmm0
 	c.emit5(0x49, 0x89, 0x54, 0x06, 0x08) // MOV [r14+rax+8], rdx
 	c.emit1(0xC3)
-	c.bind(next)
+	c.bind(taken)
 	c.emitNextSlot(find)
 }
 
@@ -1033,8 +1036,13 @@ func (c *Compiler) emitHomeKey(gamma int) {
 func (c *Compiler) emitNextSlot(loop int) {
 	c.aluImm(0, rAX, 16)
 	c.opRM(0x23, rAX, r15, offTableMask)
-	c.emit1(0xE9) // JMP loop
-	c.u32(uint32(int32(loop - (c.pos + 4))))
+	c.jmpTo(loop)
+}
+
+// jmpTo emits JMP rel32 to an already emitted position.
+func (c *Compiler) jmpTo(target int) {
+	c.emit1(0xE9)
+	c.u32(uint32(int32(target - (c.pos + 4))))
 }
 
 // call emits CALL rel32 to an already emitted position.

@@ -349,8 +349,9 @@ func TestAllocRegsPinsMostUsed(t *testing.T) {
 	}
 }
 
-// memFrame is a Frame over a small scratch memory of its own, laid out as
-// vm lays out a Machine's: a written map of one bit per word and a
+// memFrame is a Frame over a scratch memory of its own, laid out as vm
+// lays out a Machine's: a written filter of FilterWords words, which the
+// routines index up to its last word whatever the image, and a
 // written-word table of 16-byte {key, value} slots.
 type memFrame struct {
 	f       *Frame
@@ -367,7 +368,7 @@ const (
 
 func newMemFrame(words, slots int) *memFrame {
 	mf := &memFrame{
-		written: make([]uint64, (words+63)/64),
+		written: make([]uint64, FilterWords),
 		table:   make([]tableSlot, slots),
 	}
 	mf.f = newFrame()
@@ -398,11 +399,14 @@ func home(w uint64, slots int) int {
 //   - words sharing a home slot — the table's last, so the probe wraps to
 //     slot 0 — take consecutive slots and read back through the probe;
 //   - a slot keyed by an earlier epoch is empty, whatever index it names;
+//   - in this 4 MiB image word 72 + 2^18 shares word 72's filter bit: its
+//     load probes to an empty slot and computes the pristine word, its
+//     store inserts it, and word 72 keeps its own value;
 //   - addresses wrap to the image and align down;
 //   - the value register may be the address register, and neither routine
 //     disturbs a pinned or a frame-resident register it was not asked to
 //     write;
-//   - both routines reach the map through R13, which the prologue loads
+//   - both routines reach the filter through R13, which the prologue loads
 //     with Frame.Written, and never read Frame.Written themselves; the
 //     pristine path takes its three multipliers RIP-relative from the pool
 //     ahead of the load routine, and neither routine has a 64-bit
@@ -411,11 +415,12 @@ func home(w uint64, slots int) int {
 // The whole table is compared with the hand-kept one at the end, so a
 // store that lands in any other slot fails too.
 func TestMemRoutines(t *testing.T) {
-	const words, slots = 4096, 256 // a 32 KiB image, 64 map words
+	const words, slots = 1 << 19, 256 // a 4 MiB image: two words a filter bit
+	const alias = 72 + 1<<18          // shares word 72's bit
 	// Three words whose home is the last slot, and a word whose home
 	// holds a stale key of its own: none of them anything else the program
 	// touches.
-	used := map[uint64]bool{5: true, 6: true, 15: true, 16: true, 70: true, 72: true, 73: true}
+	used := map[uint64]bool{5: true, 6: true, 15: true, 16: true, 70: true, 72: true, 73: true, alias: true}
 	var wrap []uint64
 	stale := uint64(0)
 	for w := uint64(100); w < words && (len(wrap) < 3 || stale == 0); w++ {
@@ -475,7 +480,15 @@ func TestMemRoutines(t *testing.T) {
 			prog.Instr{Op: isa.OpMovI, Dst: 6, Imm: at(wrap[i])},
 			prog.Instr{Op: isa.OpFLoad, Dst: uint8(i), A: 6})
 	}
-	instrs = append(instrs, prog.Instr{Op: isa.OpHalt})
+	instrs = append(instrs, []prog.Instr{
+		{Op: isa.OpMovI, Dst: 6, Imm: at(alias)}, //
+		{Op: isa.OpLoad, Dst: 7, A: 6},           // pristine, though its bit is set
+		{Op: isa.OpStore, A: 6, B: 6},            // alias := its address, inserted
+		{Op: isa.OpFLoad, Dst: 3, A: 6},          // f3 := it
+		{Op: isa.OpMovI, Dst: 6, Imm: at(72)},    //
+		{Op: isa.OpLoad, Dst: 5, A: 6},           // word 72, untouched by the alias
+		{Op: isa.OpHalt},
+	}...)
 	if n := len(instrs); n >= slots/2 {
 		t.Fatalf("a %d-instruction block does not fit under the table's headroom", n)
 	}
@@ -525,6 +538,7 @@ func TestMemRoutines(t *testing.T) {
 	for _, w := range wrap {
 		insert(w, 8*w)
 	}
+	insert(alias, 8*alias)
 
 	pristine := func(w uint64) uint64 { return rng.SplitMix64At(memFrameSeed, w) }
 	f := mf.f
@@ -543,7 +557,10 @@ func TestMemRoutines(t *testing.T) {
 		{"fload of the first word homed at the last slot", f.FPRegs[0], 8 * wrap[0]},
 		{"fload of the second, past the table's end", f.FPRegs[1], 8 * wrap[1]},
 		{"fload of the third", f.FPRegs[2], 8 * wrap[2]},
-		{"inserts", f.Inserts, 7},
+		{"load of the word sharing word 72's bit", f.IntRegs[7], pristine(alias)},
+		{"fload of that word once stored", f.FPRegs[3], 8 * alias},
+		{"load of word 72 after its alias was stored", f.IntRegs[5], 0x3333},
+		{"inserts", f.Inserts, 8},
 		{"address register r9 after the stores", f.IntRegs[9], 8 * (words + 5)},
 		{"value register r2 after the store", f.IntRegs[2], 0x3333},
 	} {
@@ -563,10 +580,14 @@ func TestMemRoutines(t *testing.T) {
 			m &= m - 1
 		}
 	}
-	wantBits := append([]uint64{5, 15, 72}, append(wrap, stale)...)
+	var wantBits []uint64 // each stored word's bit: its index mod 2^18
+	for _, w := range append([]uint64{5, 15, 72, stale, alias}, wrap...) {
+		wantBits = append(wantBits, w%(FilterWords*64))
+	}
 	slices.Sort(wantBits)
+	wantBits = slices.Compact(wantBits)
 	if !slices.Equal(bitsSet, wantBits) {
-		t.Errorf("written map marks words %v, want %v", bitsSet, wantBits)
+		t.Errorf("written filter sets bits %v, want %v", bitsSet, wantBits)
 	}
 	// fload canonicalizes a pristine word only if it encodes a NaN.
 	if w := pristine(16); w&0x7ff0000000000000 != 0x7ff0000000000000 && f.FPRegs[5] != w {
@@ -618,10 +639,10 @@ func TestMemRoutines(t *testing.T) {
 		}
 	}
 	if !bytes.Contains(load, []byte{0x49, 0x8B, 0x4C, 0xD5, 0x00}) { // MOV rcx, [r13+rdx*8]
-		t.Errorf("load routine does not read the map word through R13: % x", load)
+		t.Errorf("load routine does not read the filter word through R13: % x", load)
 	}
 	if !bytes.Contains(store, []byte{0x49, 0x8D, 0x4C, 0xD5, 0x00}) { // LEA rcx, [r13+rdx*8]
-		t.Errorf("store routine does not address the map word through R13: % x", store)
+		t.Errorf("store routine does not address the filter word through R13: % x", store)
 	}
 }
 

@@ -42,13 +42,14 @@
 // unknown PC is simply not a safe point) and needs only a minimal
 // assembly trampoline to enter.
 //
-// Scratch memory is vm's sparse overlay (see vm.Machine): a
-// one-bit-per-word written map plus a hash table of the words stored.
-// Stores set the bit and insert or overwrite the word's slot; loads probe
-// the table where the bit is set and otherwise compute the pristine word,
-// rng.SplitMix64At(memSeed, index). Both live in two routines emitted once
-// per program, which every load and store site calls, so the per-site code
-// is no larger than a plain memory access was.
+// Scratch memory is vm's sparse overlay (see vm.Machine): a fixed written
+// filter of FilterWords words plus a hash table of the words stored.
+// Stores set the word's bit and insert or overwrite the word's slot; loads
+// probe the table where the bit is set — until the word's key, or an empty
+// slot if only a word sharing the bit was stored — and otherwise compute
+// the pristine word, rng.SplitMix64At(memSeed, index). Both live in two
+// routines emitted once per program, which every load and store site
+// calls, so the per-site code is no larger than a plain memory access was.
 //
 // On non-amd64 (or non-linux) platforms the package compiles to a stub
 // whose Supported() reports false; callers keep the interpreter.
@@ -121,9 +122,9 @@ type Frame struct {
 
 	// Cold state, touched only by the prologue/epilogue or the Go driver.
 	// MaxInstr is the run's instruction budget. Table and Written are the
-	// base addresses of vm's written-word table and of its written map (one
-	// bit per 8-byte word of the image), both loaded into registers on
-	// entry. Retired and UntilSnap mirror vm.execState and are
+	// base addresses of vm's written-word table and of its written filter
+	// (FilterWords words, whatever the image), both loaded into registers
+	// on entry. Retired and UntilSnap mirror vm.execState and are
 	// register-shadowed while native code runs. Resume is the absolute
 	// address of the block head to enter — the prologue jumps through it,
 	// which is how the driver re-enters at an arbitrary block after a
@@ -158,6 +159,12 @@ type Frame struct {
 	// The vector register file.
 	VecRegs [isa.NumVecRegs][isa.VecLanes]uint64
 }
+
+// FilterWords is the length, in uint64s, of vm's written filter: word i of
+// the image owns bit i&63 of filter word (i>>6)&(FilterWords-1), so the
+// filter has a bit per word up to a 2 MiB image and words 2^18 apart share
+// one beyond. The memory routines mask with it as a constant.
+const FilterWords = 4096
 
 // Compilation limits. Programs beyond these bounds (far beyond anything
 // the generator emits) are refused with ErrTooLarge rather than risking

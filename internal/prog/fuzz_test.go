@@ -13,8 +13,8 @@ import (
 // it accepts must be a program in full: valid, loadable, runnable on the
 // interpreter without a fault, and the one program that encodes to those
 // bytes. Every accepted program runs, whatever memory it declares: the VM
-// keeps a map of one bit per declared word and a table of the words
-// stored, so prog.MaxMemSize costs a 4 MiB map. The seed corpus
+// keeps a fixed 32 KiB written filter and a table of the words stored, so
+// prog.MaxMemSize costs no more than a small image. The seed corpus
 // (testdata/fuzz/FuzzDecode) holds one shrunken generated widget per
 // family — integer, floating point, vector — and one program declaring
 // prog.MaxMemSize.

@@ -74,7 +74,7 @@ type RunStats struct {
 	// interpreter, and records why.
 	FallbackErr error
 	// ResetNs is the time the run spent making its scratch memory pristine
-	// (clearing the written map, starting a table epoch) and WordsWritten
+	// (clearing the written filter, starting a table epoch) and WordsWritten
 	// the number of distinct 8-byte words it then stored to — the table's
 	// insert count, i.e. how much of the image ever existed. TableSlots is
 	// the table's capacity after the run (16 bytes a slot; see memory.go).

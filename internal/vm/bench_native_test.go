@@ -77,7 +77,7 @@ func BenchmarkNativeLoadCompile(b *testing.B) {
 
 // benchCycle is the full production cycle of one profile's widgets under
 // one backend: load, compile (native) or fuse (interpreter), reset the
-// written map and run.
+// written filter and run.
 func benchCycle(b *testing.B, backend vm.Backend, profile string) {
 	widgets := benchWidgets(b, profile)
 	var m vm.Machine
@@ -125,8 +125,9 @@ func BenchmarkInterpCycle(b *testing.B) {
 
 // BenchmarkNativeRunOnly is generated-code speed, per profile: the cycle
 // of BenchmarkNativeCycle with only the run timed — the reset of the
-// written map and the native run of a widget compiled just before it, as
-// a session runs one. ns/op is per run; ns/instr per retired instruction.
+// 32 KiB written filter and the native run of a widget compiled just
+// before it, as a session runs one. ns/op is per run; ns/instr per
+// retired instruction.
 func BenchmarkNativeRunOnly(b *testing.B) {
 	requireNative(b)
 	for _, profile := range workload.Names() {

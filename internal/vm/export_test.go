@@ -38,9 +38,9 @@ func (m *Machine) MaxKeyEpoch() uint32 {
 	return e
 }
 
-// ScratchBytes is what m retains for its scratch memory: the written map's
-// and the table's storage.
-func (m *Machine) ScratchBytes() int { return cap(m.written)*8 + cap(m.table.slots)*16 }
+// ScratchBytes is what m retains for its scratch memory: the written
+// filter's and the table's storage.
+func (m *Machine) ScratchBytes() int { return len(m.written)*8 + cap(m.table.slots)*16 }
 
 // FusedBlock describes one block as the fast loop executes it.
 type FusedBlock struct {

@@ -3,13 +3,26 @@ package vm
 import (
 	"math/bits"
 
+	"hashcore/internal/jit"
 	"hashcore/internal/rng"
 )
 
-// The scratch memory (Machine documents the model): a written map of one
-// bit per word of the image, and a table of the words a run stored. This
-// file is both halves and the reset; native code reads and writes the same
-// two structures through jit.Frame (the layout below is that ABI).
+// The scratch memory (Machine documents the model): a fixed written filter
+// in which word i owns bit i mod filterBits, and a table of the words a run
+// stored. This file is both halves and the reset; native code reads and
+// writes the same two structures through jit.Frame (the layout below is
+// that ABI).
+
+// writtenFilter is the written filter, 32 KiB whatever the image: word i
+// owns bit i&63 of filter word (i>>6)&filterMask. An image of up to
+// filterBits words (2 MiB) has a bit per word; in a larger one the words
+// filterBits apart share a bit.
+type writtenFilter [jit.FilterWords]uint64
+
+const (
+	filterMask = jit.FilterWords - 1
+	filterBits = jit.FilterWords * 64
+)
 
 // tableSlot is one entry of the written-word table. key is the run's epoch
 // in its top 32 bits and the word index (below 2^25, prog.MaxMemSize/8)
@@ -35,9 +48,9 @@ var tableSlack = DefaultSnapshotInterval
 // shifted into the top half) holds a previous run's word and counts as
 // empty, so reset only bumps the epoch, and only a wrap of the 32-bit
 // epoch clears the slots. Within a run nothing is deleted, so linear
-// probing stays exact: a word whose map bit is set is in the table — a
-// lookup probes until its key matches — and a word whose bit is clear is
-// not, so an insert takes the first empty slot from its home.
+// probing stays exact: a probe from a word's home meets the word's key
+// or, if this run never stored the word, an empty slot — where a store
+// inserts it.
 //
 // The table never holds more than half its slots, and outside native code
 // it has room for tableSlack more words: whatever inserts — a Go store, or
@@ -72,19 +85,26 @@ func (t *wordTable) home(w uint64) uint64 { return w * rng.SplitMix64Gamma >> t.
 // half full.
 func (t *wordTable) headroom() int { return len(t.slots)/2 - t.count }
 
-// find returns word w's slot; w must be in the table.
-func (t *wordTable) find(w uint64) *tableSlot {
+// lookup returns the slot a probe from word w's home ends at: w's own if
+// this run stored w, else the first empty slot, where w would go.
+func (t *wordTable) lookup(w uint64) *tableSlot {
 	key, mask := t.epoch|w, uint64(len(t.slots)-1)
 	for h := t.home(w); ; h = (h + 1) & mask {
-		if s := &t.slots[h]; s.key == key {
+		if s := &t.slots[h]; s.key == key || s.key < t.epoch {
 			return s
 		}
 	}
 }
 
-// insert adds word w, which must not be in the table.
-func (t *wordTable) insert(w, v uint64) {
-	t.place(t.epoch|w, v)
+// store writes v as word w: over w's slot, or into the empty slot its
+// probe ends at, which inserts w.
+func (t *wordTable) store(w, v uint64) {
+	s := t.lookup(w)
+	if s.key == t.epoch|w {
+		s.val = v
+		return
+	}
+	*s = tableSlot{t.epoch | w, v}
 	t.count++
 	t.fit()
 }
@@ -125,80 +145,82 @@ func (t *wordTable) resize(n int) {
 	}
 }
 
-// resetMemory makes the scratch memory a pristine image of size bytes: no
-// word written. That is a new table epoch and clearing the written map
-// (O(size/64) bytes). The clear covers the previous image's map — the only
-// extent a run could have marked — so an image smaller or larger than the
-// last one starts clean too; every bit beyond len(written), up to its
-// capacity, is always zero, so resizing between images costs nothing.
-func (m *Machine) resetMemory(size int) {
-	if !m.memClean {
-		clear(m.written)
-		m.memClean = true
+// resetMemory makes the scratch memory pristine: no word written. That is
+// clearing the filter (32 KiB, whatever the image) and a new table epoch.
+func (m *Machine) resetMemory() {
+	switch {
+	case m.written == nil:
+		m.written = new(writtenFilter)
+	case !m.memClean:
+		clear(m.written[:])
 	}
-	if n := mapWords(size); cap(m.written) < n {
-		m.written = make([]uint64, n)
-	} else {
-		m.written = m.written[:n]
-	}
+	m.memClean = true
 	m.table.reset()
 }
-
-// mapWords is the length of the written map, in uint64s, of a size-byte
-// image: one bit per 8-byte word.
-func mapWords(size int) int { return (size + 511) / 512 }
 
 // loadWord returns the word at the aligned byte address addr of the
 // scratch memory: the table's if this run stored to it, else the pristine
 // image's, computed — exactly the value a filled image would hold there.
-func loadWord(t *wordTable, written []uint64, seed, addr uint64) uint64 {
+func loadWord(t *wordTable, written *writtenFilter, seed, addr uint64) uint64 {
 	if v, ok := pristineWord(written, seed, addr); ok {
 		return v
 	}
-	return t.load(addr >> 3)
+	return t.load(seed, addr>>3)
 }
 
 // pristineWord is loadWord's side that nearly every load ends on: the
-// pristine word at addr, or false if this run stored to it and the table
-// has it (wordTable.load). It costs the inliner little enough to inline
-// where loadWord, with its call into the table, does not — into the fast
-// loop, which spells loadWord out as these two steps.
-func pristineWord(written []uint64, seed, addr uint64) (uint64, bool) {
+// pristine word at addr, or false if its filter bit is set, when the table
+// must be asked (wordTable.load). It costs the inliner little enough to
+// inline where loadWord, with its call into the table, does not — into
+// the fast loop, which spells loadWord out as these two steps.
+func pristineWord(written *writtenFilter, seed, addr uint64) (uint64, bool) {
 	w := addr >> 3
-	if written[w>>6]&(1<<(w&63)) != 0 {
+	if written[w>>6&filterMask]&(1<<(w&63)) != 0 {
 		return 0, false
 	}
 	return rng.SplitMix64At(seed, w), true
 }
 
-// load returns word w's value; w must be in the table. It stays out of
-// line so that the fast loop's inlined pristineWord has only a call here
-// beside it.
+// load returns word w's value: the table's if this run stored w, else —
+// the filter bit was set by a word sharing it — the pristine word. It
+// stays out of line so that the fast loop's inlined pristineWord has only
+// a call here beside it.
 //
 //go:noinline
-func (t *wordTable) load(w uint64) uint64 { return t.find(w).val }
-
-// storeWord writes v at the aligned byte address addr: the first store to
-// a word marks it written and inserts it, later ones overwrite its slot.
-// Every store reaches the table, so there is no cheap side to inline.
-func storeWord(t *wordTable, written []uint64, addr, v uint64) {
-	w := addr >> 3
-	bit := uint64(1) << (w & 63)
-	if written[w>>6]&bit != 0 {
-		t.find(w).val = v
-		return
+func (t *wordTable) load(seed, w uint64) uint64 {
+	if s := t.lookup(w); s.key == t.epoch|w {
+		return s.val
 	}
-	written[w>>6] |= bit
-	t.insert(w, v)
+	return rng.SplitMix64At(seed, w)
 }
 
-// PrepareMemory resets the scratch memory for an image of size bytes ahead
-// of the run that will use it; that run's own reset then finds the map
-// clean and skips the clear. It is a shim kept for the benchmark's
-// decomposed replay, which times the reset as a phase of its own: there
-// is no image to fill any more, so the seed argument is unused — the
-// loaded program's MemSeed defines the content — and a size other than
-// the program's is simply resized by the run.
-func (m *Machine) PrepareMemory(size int, _ uint64) {
-	m.resetMemory(size)
+// storeWord writes v at the aligned byte address addr: it sets the word's
+// filter bit and stores the word in the table. Every store reaches the
+// table, so there is no cheap side to inline.
+func storeWord(t *wordTable, written *writtenFilter, addr, v uint64) {
+	w := addr >> 3
+	written[w>>6&filterMask] |= 1 << (w & 63)
+	t.store(w, v)
+}
+
+// FilterBitsSet reports how many bits of the written filter the last run
+// set, of how many: a popcount for hashcore dump-widget, off the hash path.
+func (m *Machine) FilterBitsSet() (set, of int) {
+	if m.written != nil {
+		for _, w := range m.written {
+			set += bits.OnesCount64(w)
+		}
+	}
+	return set, filterBits
+}
+
+// PrepareMemory resets the scratch memory ahead of the run that will use
+// it; that run's own reset then finds the filter clean and skips the
+// clear. It is a shim kept for the benchmark's decomposed replay, which
+// times the reset as a phase of its own: there is no image to fill any
+// more and the filter's size does not depend on the image, so both
+// arguments are unused — the loaded program's MemSize and MemSeed define
+// the image.
+func (m *Machine) PrepareMemory(int, uint64) {
+	m.resetMemory()
 }

@@ -27,19 +27,16 @@ func edgeProgram(t *testing.T, size int, memSeed uint64) *prog.Program {
 	return p
 }
 
-// TestWrittenMapSizing pins the map's geometry at both ends of the legal
-// image range — one bit per 8-byte word: 8 uint64s for prog.MinMemSize,
-// 4 MiB for prog.MaxMemSize — and that the last word of each image has a
-// bit of its own, on both engines.
+// TestWrittenMapSizing pins the filter's geometry: 4,096 uint64s — a bit
+// per 8-byte word of a 2 MiB image — for every image size from
+// prog.MinMemSize to prog.MaxMemSize, in which the last word of the image
+// sets exactly the bit it owns, its index mod 2^18, on both engines.
 func TestWrittenMapSizing(t *testing.T) {
-	for _, tc := range []struct {
-		size, words int
-	}{
-		{prog.MinMemSize, 8},
-		{prog.MaxMemSize, 4 << 20 / 8},
-	} {
+	for size := prog.MinMemSize; size <= prog.MaxMemSize; size *= 2 {
 		const memSeed = 77
-		p := edgeProgram(t, tc.size, memSeed)
+		p := edgeProgram(t, size, memSeed)
+		lastWord := uint64(size/8 - 1)
+		bit := lastWord % (1 << 18)
 		for _, be := range []Backend{BackendInterp, BackendAuto} {
 			m := &Machine{}
 			m.SetBackend(be)
@@ -47,48 +44,49 @@ func TestWrittenMapSizing(t *testing.T) {
 				t.Fatal(err)
 			}
 			m.Run(Params{}, nil)
-			if len(m.written) != tc.words {
-				t.Fatalf("%d-byte image on %v: %d map words, want %d", tc.size, be, len(m.written), tc.words)
+			if len(m.written) != 4096 {
+				t.Fatalf("%d-byte image on %v: %d filter words, want 4096", size, be, len(m.written))
 			}
-			if last := m.written[tc.words-1]; last != 1<<63 {
-				t.Errorf("%d-byte image on %v: last map word = %#x, want only its top bit", tc.size, be, last)
+			for i, w := range m.written {
+				want := uint64(0)
+				if uint64(i) == bit>>6 {
+					want = 1 << (bit & 63)
+				}
+				if w != want {
+					t.Errorf("%d-byte image on %v: filter word %d = %#x, want %#x", size, be, i, w, want)
+				}
 			}
 			if st := m.LastRunStats(); st.WordsWritten != 1 {
-				t.Errorf("%d-byte image on %v: WordsWritten = %d, want 1", tc.size, be, st.WordsWritten)
+				t.Errorf("%d-byte image on %v: WordsWritten = %d, want 1", size, be, st.WordsWritten)
 			}
-			lastWord := uint64(tc.size/8 - 1)
 			want := [3]uint64{0x5eed, rng.SplitMix64At(memSeed, lastWord-1), rng.SplitMix64At(memSeed, 0)}
 			if got := [3]uint64(m.intRegs[3:6]); got != want {
-				t.Errorf("%d-byte image on %v: loaded %#x, want %#x", tc.size, be, got, want)
+				t.Errorf("%d-byte image on %v: loaded %#x, want %#x", size, be, got, want)
 			}
 		}
 	}
 }
 
-// TestResetClearsPreviousExtent: after a run on a large image, a reset for
-// a small one must leave no bit anywhere in the map's capacity — the
-// invariant that makes growing back free.
+// TestResetClearsPreviousExtent: whatever image the last run had — a large
+// one, whose words set bits all over the filter, then a small one — a
+// reset leaves no bit set anywhere in the filter.
 func TestResetClearsPreviousExtent(t *testing.T) {
-	big := edgeProgram(t, 1<<20, 1)
 	m := &Machine{}
 	m.SetBackend(BackendInterp)
-	m.LoadTrusted(big)
+	m.LoadTrusted(edgeProgram(t, 64<<20, 1))
 	m.Run(Params{}, nil)
 	m.LoadTrusted(edgeProgram(t, prog.MinMemSize, 1))
 	m.Run(Params{}, nil)
 	m.PrepareMemory(prog.MinMemSize, 1)
-	for i, w := range m.written[:cap(m.written)] {
+	for i, w := range m.written {
 		if w != 0 {
-			t.Fatalf("map word %d of %d still holds %#x after resets", i, cap(m.written), w)
+			t.Fatalf("filter word %d still holds %#x after resets", i, w)
 		}
-	}
-	if cap(m.written) != mapWords(1<<20) {
-		t.Fatalf("map capacity %d, want the large image's %d kept", cap(m.written), mapWords(1<<20))
 	}
 }
 
 // TestRerunClearsWrittenMap: a Machine that runs the same load again — the
-// miner's re-hash pattern — starts from a clean written map each time. The
+// miner's re-hash pattern — starts from a clean written filter each time. The
 // program's first action reads a word its previous run stored to, so a bit
 // that survived the reset would hand it that run's stored word instead of
 // the pristine one. (Reuse across image sizes and seeds, the other half of
@@ -124,12 +122,14 @@ func TestRerunClearsWrittenMap(t *testing.T) {
 
 // TestLoadStoreWord checks the pair every interpreter memory opcode goes
 // through, word by word: pristine loads compute the image, a store marks
-// exactly its own word and inserts it once, an overwrite keeps its slot,
-// and a marked word reads back from the table.
+// exactly its own word's bit and inserts it once, an overwrite keeps its
+// slot, and a marked word reads back from the table. Word 64 + 2^18 shares
+// word 64's bit: it still loads pristine, its store inserts it, and both
+// words read back and take overwrites apart.
 func TestLoadStoreWord(t *testing.T) {
 	var tab wordTable
 	tab.reset()
-	written := make([]uint64, mapWords(1024))
+	written := new(writtenFilter)
 	const seed = 5
 	for _, addr := range []uint64{0, 8, 504, 512, 1016} {
 		if got, want := loadWord(&tab, written, seed, addr), rng.SplitMix64At(seed, addr/8); got != want {
@@ -137,8 +137,8 @@ func TestLoadStoreWord(t *testing.T) {
 		}
 	}
 	storeWord(&tab, written, 512, 0xabc)
-	if written[0] != 0 || written[1] != 1 {
-		t.Fatalf("store at byte 512 marked %#x %#x, want word 64 only", written[0], written[1])
+	if written[0] != 0 || written[1] != 1 || written[2] != 0 {
+		t.Fatalf("store at byte 512 marked %#x %#x %#x, want word 64 only", written[0], written[1], written[2])
 	}
 	storeWord(&tab, written, 512, 0xdef)
 	if got := loadWord(&tab, written, seed, 512); got != 0xdef || tab.count != 1 {
@@ -146,6 +146,20 @@ func TestLoadStoreWord(t *testing.T) {
 	}
 	if got, want := loadWord(&tab, written, seed, 520), rng.SplitMix64At(seed, 65); got != want {
 		t.Fatalf("neighbour of a stored word = %#x, want pristine %#x", got, want)
+	}
+
+	const alias = 512 + 8*filterBits // word 64 + 2^18
+	if got, want := loadWord(&tab, written, seed, alias), rng.SplitMix64At(seed, alias/8); got != want {
+		t.Fatalf("load of the word sharing a stored word's bit = %#x, want pristine %#x", got, want)
+	}
+	storeWord(&tab, written, alias, 0x123)
+	if written[1] != 1 || tab.count != 2 {
+		t.Fatalf("store to the alias: filter word %#x, %d words inserted; want the shared bit and 2", written[1], tab.count)
+	}
+	storeWord(&tab, written, 512, 0x456)
+	storeWord(&tab, written, alias, 0x789)
+	if a, b := loadWord(&tab, written, seed, 512), loadWord(&tab, written, seed, alias); a != 0x456 || b != 0x789 || tab.count != 2 {
+		t.Fatalf("after overwriting both: %#x and %#x with %d words inserted, want 0x456, 0x789 and 2", a, b, tab.count)
 	}
 }
 
@@ -159,7 +173,7 @@ func TestWordTableGrowsAndForgets(t *testing.T) {
 	start := len(tab.slots)
 	const n = 5000
 	for w := uint64(0); w < n; w++ {
-		tab.insert(w*977, w)
+		tab.store(w*977, w)
 		if tab.headroom() < tableSlack {
 			t.Fatalf("after %d inserts: %d slots, headroom %d, want at least %d", tab.count, len(tab.slots), tab.headroom(), tableSlack)
 		}
@@ -168,7 +182,7 @@ func TestWordTableGrowsAndForgets(t *testing.T) {
 		t.Fatalf("%d inserts left the table at %d slots", n, len(tab.slots))
 	}
 	for w := uint64(0); w < n; w++ {
-		if got := tab.find(w * 977).val; got != w {
+		if got := tab.lookup(w * 977).val; got != w {
 			t.Fatalf("word %d reads %d after growing to %d slots", w*977, got, len(tab.slots))
 		}
 	}
@@ -188,17 +202,17 @@ func TestWordTableGrowsAndForgets(t *testing.T) {
 	for tab.home(w) != uint64(h) {
 		w += 977
 	}
-	if tab.insert(w, 1); tab.slots[h].key != tab.epoch|w {
+	if tab.store(w, 1); tab.slots[h].key != tab.epoch|w {
 		t.Fatalf("word %d homed at slot %d, which holds a stale key, went elsewhere", w, h)
 	}
 	for w := uint64(0); w < n; w++ {
-		tab.insert(w*977+1, ^w)
+		tab.store(w*977+1, ^w)
 	}
 	if len(tab.slots) != slots {
 		t.Fatalf("the same number of words grew the table again: %d slots, was %d", len(tab.slots), slots)
 	}
 	for w := uint64(0); w < n; w++ {
-		if got := tab.find(w*977 + 1).val; got != ^w {
+		if got := tab.lookup(w*977 + 1).val; got != ^w {
 			t.Fatalf("second run: word %d reads %#x", w*977+1, got)
 		}
 	}

@@ -8,6 +8,7 @@ package vm_test
 import (
 	"fmt"
 	"math"
+	"math/bits"
 	"slices"
 	"testing"
 
@@ -30,7 +31,7 @@ var sparseProfiles = []string{"leela", "mcf", "lbm"}
 // budget and snapshot parameters on every engine (the fused loop, native
 // code, the reference step alone) and on the dense reference; all results
 // must be bit-identical. One Machine serves every execution of the fuzz
-// process, so each input also runs on whatever table and written map the
+// process, so each input also runs on whatever table and written filter the
 // previous ones left behind. (In the committed corpus, seed-10 is an mcf
 // widget with a snapshot interval past its budget: no snapshot ends its
 // native segments, the written-word table's headroom does.)
@@ -233,7 +234,7 @@ func templateProgram(t *testing.T, tc templateCase) *prog.Program {
 	under(16)  // written in an earlier block
 	under(24)  // the same, by an fstore
 	under(40)  // never written (a store under test now writes it)
-	under(408) // never written, in the next word of the written map
+	under(408) // never written, in the next word of the written filter
 	b.Store(tc.addr, regOther, 48)
 	under(48) // written earlier in this block
 	under(56) // its unwritten neighbour
@@ -258,7 +259,7 @@ func templateProgram(t *testing.T, tc templateCase) *prog.Program {
 // program's end, which lands a boundary on, just before and just after
 // each memory instruction. The dense reference decides; the interpreter is
 // held to it too. A scratch register clobbered by the shared routines, or
-// a written map the two engines do not share across a bounce, shows as a
+// a written filter the two engines do not share across a bounce, shows as a
 // differing snapshot.
 func TestMemoryTemplates(t *testing.T) {
 	var cases []templateCase
@@ -444,9 +445,135 @@ func TestTableEpochWrap(t *testing.T) {
 	}
 }
 
+// TestFilterAliases: in a 4 MiB image words w and w + 2^18 share a bit of
+// the written filter. After a store to w a load of the alias is pristine;
+// storing the alias inserts it as a second word; both read back and both
+// take overwrites — on every engine, across every snapshot and budget
+// boundary, as the dense reference runs it.
+func TestFilterAliases(t *testing.T) {
+	const w, alias = 100, 100 + 1<<18
+	b := prog.NewBuilder(4<<20, 0xa11a5)
+	b.NewBlock()
+	b.MovI(1, 8*w)
+	b.MovI(2, 8*alias)
+	b.MovI(3, 0x1111)
+	b.MovI(4, 0x2222)
+	b.Store(1, 3, 0) // w
+	b.Load(5, 2, 0)  // the alias, pristine
+	b.NewBlock()
+	b.Store(2, 4, 0) // the alias, inserted
+	b.Load(6, 1, 0)  // w
+	b.Load(7, 2, 0)  // the alias
+	b.NewBlock()
+	b.Store(1, 4, 0) // both overwritten
+	b.Store(2, 3, 0)
+	b.Load(8, 1, 0)
+	b.Load(9, 2, 0)
+	b.Halt()
+	p, err := b.Build()
+	if err != nil {
+		t.Fatal(err)
+	}
+	m, err := vm.New(p)
+	if err != nil {
+		t.Fatal(err)
+	}
+	natural := checkSparseVsDense(t, m, p, vm.Params{}).Retired
+	for _, be := range sparseEngines() {
+		m.SetBackend(be)
+		m.Run(vm.Params{}, nil)
+		if st := m.LastRunStats(); st.WordsWritten != 2 {
+			t.Errorf("%v: WordsWritten = %d, want 2", be, st.WordsWritten)
+		}
+	}
+	for n := uint64(1); n <= natural; n++ {
+		checkSparseVsDense(t, m, p, vm.Params{SnapshotInterval: n})
+		checkSparseVsDense(t, m, p, vm.Params{MaxInstructions: n})
+	}
+}
+
+// filterTally is an observer that replays the written filter beside an
+// exact set of the words stored, and counts the loads whose bit is set
+// though their word was never stored — the loads that probe the table for
+// nothing. It is a tally for tests; the hash path counts nothing.
+type filterTally struct {
+	bits         [4096]uint64 // word w owns bit w mod 2^18, as in vm
+	stored       map[uint64]bool
+	loads, alias int
+}
+
+func (f *filterTally) OnRetire(ev *vm.Event) {
+	if !ev.IsMem {
+		return
+	}
+	w := ev.Addr >> 3
+	word, bit := w>>6&4095, uint64(1)<<(w&63)
+	switch ev.Op {
+	case isa.OpStore, isa.OpFStore:
+		f.bits[word] |= bit
+		f.stored[w] = true
+	default:
+		f.loads++
+		if f.bits[word]&bit != 0 && !f.stored[w] {
+			f.alias++
+		}
+	}
+}
+
+// TestFilterFalsePositives tallies, per profile over 64 generated widgets
+// on the interpreter, the share of loads whose filter bit is set although
+// their word was never stored — what the fixed filter costs over a bit per
+// word. It must be zero where the image has a bit per word (2 MiB and
+// under) and stays under 5 % elsewhere (DESIGN.md §16 has the shares).
+// The tally's own filter must set as many bits as the Machine's.
+func TestFilterFalsePositives(t *testing.T) {
+	if testing.Short() {
+		t.Skip("384 observed widget runs in -short mode")
+	}
+	for _, name := range workload.Names() {
+		w, err := workload.ByName(name)
+		if err != nil {
+			t.Fatal(err)
+		}
+		gen, err := perfprox.NewGenerator(w.Profile, perfprox.Params{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		var (
+			m            vm.Machine
+			res          vm.Result
+			loads, alias int
+			imageWords   int
+		)
+		for i := uint64(0); i < 64; i++ {
+			p, err := gen.Generate(seedFromWords(i, 0xf117e4))
+			if err != nil {
+				t.Fatal(err)
+			}
+			m.LoadTrusted(p)
+			tally := &filterTally{stored: map[uint64]bool{}}
+			m.RunInto(vm.Params{}, tally, &res)
+			loads, alias, imageWords = loads+tally.loads, alias+tally.alias, p.MemSize/8
+			set := 0
+			for _, w := range tally.bits {
+				set += bits.OnesCount64(w)
+			}
+			if got, _ := m.FilterBitsSet(); got != set {
+				t.Fatalf("%s widget %d: the machine's filter has %d bits set, the tally's %d", name, i, got, set)
+			}
+		}
+		share := float64(alias) / float64(max(loads, 1))
+		t.Logf("%s: %d-word image, %d of %d loads (%.2f %%) find their bit set and their word absent",
+			name, imageWords, alias, loads, 100*share)
+		if imageWords <= 1<<18 && alias != 0 || share >= 0.05 {
+			t.Errorf("%s: %.2f %% of loads probe the table for a word it does not hold", name, 100*share)
+		}
+	}
+}
+
 // TestMachineFootprint: what a Machine keeps for its scratch memory after
-// 50 hashes' worth of mcf widgets — a 64 MiB image each — is the written
-// map and the table, not an image-sized arena.
+// 50 hashes' worth of mcf widgets — a 64 MiB image each — is the 32 KiB
+// written filter and the table, under 1 MiB in all.
 func TestMachineFootprint(t *testing.T) {
 	w, err := workload.ByName("mcf")
 	if err != nil {
@@ -468,16 +595,17 @@ func TestMachineFootprint(t *testing.T) {
 		m.LoadTrusted(p)
 		m.RunInto(vm.Params{}, nil, &res)
 	}
-	if b := m.ScratchBytes(); b >= 4<<20 {
-		t.Errorf("after 50 mcf runs the machine retains %d bytes of scratch memory, want under 4 MiB", b)
+	slots := m.LastRunStats().TableSlots
+	if b := m.ScratchBytes(); b > 32<<10+16*slots || b >= 1<<20 {
+		t.Errorf("after 50 mcf runs the machine retains %d bytes of scratch memory (%d table slots), want at most 32 KiB more than the table and under 1 MiB", b, slots)
 	} else {
-		t.Logf("%d bytes of scratch memory (%d table slots)", b, m.LastRunStats().TableSlots)
+		t.Logf("%d bytes of scratch memory (%d table slots)", b, slots)
 	}
 }
 
 // TestFallbackSeesCleanMemory: when a program cannot be compiled — more
 // blocks than the compiler accepts — a native-backed Machine runs it on
-// the interpreter. That run must start from a clean map although the
+// the interpreter. That run must start from a clean filter although the
 // previous run's native code marked it, and must see the stores it makes
 // itself.
 func TestFallbackSeesCleanMemory(t *testing.T) {

@@ -164,17 +164,20 @@ type Machine struct {
 	// The scratch memory is a sparse overlay over an image that is never
 	// materialized: word i of the pristine image is by definition
 	// rng.SplitMix64At(MemSeed, i), which costs three multiplies — less than
-	// the cache miss that would fetch it — so loads compute it. written
-	// holds one bit per 8-byte word of the image, set by the first store to
-	// the word, and table holds the words stored, keyed by index (memory.go;
-	// sized by what a hash writes — some ten thousand of mcf's eight
-	// million words — not by the image). A load whose bit is clear computes
-	// the pristine word; one whose bit is set reads the table. Native code
+	// the cache miss that would fetch it — so loads compute it. table
+	// holds the words stored, keyed by index (memory.go; sized by what a
+	// hash writes — some ten thousand of mcf's eight million words — not by
+	// the image), and written is a 32 KiB filter in front of it: word i
+	// owns bit i mod 2^18, set by every store to the word. A load whose bit
+	// is clear computes the pristine word; one whose bit is set probes the
+	// table, which has the word or, if a word sharing the bit was stored
+	// instead, an empty slot, and then it computes the pristine word after
+	// all. Up to a 2 MiB image every word has a bit of its own. Native code
 	// tests and sets the same bits and probes the same table, because
 	// boundary blocks bounce between the two engines mid-run. Resetting
-	// memory is clearing the map and starting a new table epoch. memClean
-	// records that no run has started since the last clear.
-	written  []uint64
+	// memory is clearing the filter and starting a new table epoch.
+	// memClean records that no run has started since the last clear.
+	written  *writtenFilter
 	table    wordTable
 	memClean bool
 
@@ -277,13 +280,13 @@ func (m *Machine) ensureFused() {
 
 // reset restores the architectural state for a fresh run: registers are
 // zeroed (FP registers hold +0.0) and the scratch memory is made pristine,
-// which is clearing the written map (O(memSize/64) bytes) and starting a
-// new table epoch, not touching the image.
+// which is clearing the written filter (32 KiB) and starting a new table
+// epoch, not touching the image.
 func (m *Machine) reset() {
 	m.intRegs = [isa.NumIntRegs]uint64{}
 	m.fpRegs = [isa.NumFPRegs]uint64{}
 	m.vecRegs = [isa.NumVecRegs][isa.VecLanes]uint64{}
-	m.resetMemory(m.prog.MemSize)
+	m.resetMemory()
 }
 
 // Run executes the program to completion (halt or budget) and returns a
@@ -495,14 +498,14 @@ blockLoop:
 				addr := (intRegs[ins.A] + uint64(ins.Imm)) & mask &^ 7
 				v, ok := pristineWord(written, seed, addr)
 				if !ok {
-					v = tab.load(addr >> 3)
+					v = tab.load(seed, addr>>3)
 				}
 				intRegs[ins.Dst] = v
 			case isa.OpFLoad:
 				addr := (intRegs[ins.A] + uint64(ins.Imm)) & mask &^ 7
 				v, ok := pristineWord(written, seed, addr)
 				if !ok {
-					v = tab.load(addr >> 3)
+					v = tab.load(seed, addr>>3)
 				}
 				fpRegs[ins.Dst] = canonFPBits(v)
 			case isa.OpStore:
