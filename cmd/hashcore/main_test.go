@@ -150,7 +150,7 @@ func TestRunDumpWidget(t *testing.T) {
 	}
 	for _, profile := range []string{"leela", "mcf"} {
 		t.Run(profile, func(t *testing.T) {
-			t.Setenv("HASHCORE_BACKEND", "") // auto, whatever the suite runs under
+			t.Setenv("HASHCORE_BACKEND", "") // native, whatever the suite runs under
 			widget := runOutput(t, "widget", "-profile", profile, "dump input")
 			dump := runOutput(t, "dump-widget", "-profile", profile, "dump input")
 			checkDump(t, dump, widget)

@@ -13,7 +13,6 @@
 package main
 
 import (
-	"context"
 	"flag"
 	"fmt"
 	"io"
@@ -103,9 +102,6 @@ var arms = []struct {
 			return "", err
 		}
 		return experiments.RenderThroughput(results), nil
-	}},
-	{"mine", "End-to-end mining demo", false, func(b *bench) (string, error) {
-		return experiments.MineDemo(context.Background(), b.profile, 3, vm.Params{})
 	}},
 }
 

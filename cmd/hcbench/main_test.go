@@ -26,7 +26,7 @@ func TestRunTable1AndFig1(t *testing.T) {
 func TestRunRejectsUnknownNames(t *testing.T) {
 	// The measurement arms moved to benchmark/; their names must not
 	// linger as accepted no-ops, nor in the list of valid ones.
-	gone := []string{"vm", "pool", "chain", "sync", "telemetry"}
+	gone := []string{"vm", "pool", "chain", "sync", "telemetry", "mine"}
 	for _, name := range append([]string{"fig22", "", "table1,nope"}, gone...) {
 		var out bytes.Buffer
 		err := run([]string{"-run", name}, &out)

@@ -1,8 +1,9 @@
-// Command hcchain is a HashCore blockchain node. Standalone it mines a
-// toy chain (the original demo); with -listen/-connect it becomes a
-// networked daemon: it serves headers and blocks to peers, follows the
-// network's heaviest tip through header-first sync, optionally mines on
-// top of it, and persists the chain across restarts with -datadir.
+// Command hcchain is a HashCore blockchain node. It mines onto its own
+// chain, persists it across restarts with -datadir, and with
+// -listen/-connect joins the network: it serves headers and blocks to
+// peers, follows the network's heaviest tip through header-first sync,
+// and mines on top of it. Both ways it is the same node (same hasher,
+// store, templates and miner); networking only adds peers.
 //
 // Usage:
 //
@@ -18,14 +19,15 @@
 // on pass: partition, churn, flood, eclipse, orphan-flood,
 // handshake-abuse. "-simnet list" prints the catalog.
 //
-// Without networking flags the original in-process demo runs (mine
-// -blocks blocks, print the chain, exit). With -listen and/or -connect
-// the process runs until SIGINT/SIGTERM: it keeps one persistent
-// session per -connect address (re-dialing with backoff), accepts
-// inbound peers on -listen, announces every tip move, and — when
-// -blocks > 0 — mines that many blocks onto the network tip, restarting
-// the search whenever a peer's block arrives first. A two-node network
-// is therefore just:
+// Without networking flags the node mines -blocks blocks, prints its
+// tip and exits; -zero-bits defaults to 8 there, so a run takes
+// seconds. With -listen and/or -connect the process runs until
+// SIGINT/SIGTERM at the network's difficulty (-zero-bits 14, which
+// hcpoold's -block-zero-bits matches): it keeps one persistent session
+// per -connect address (re-dialing with backoff), accepts inbound peers
+// on -listen, announces every tip move, and — when -blocks > 0 — mines
+// that many blocks onto the network tip, restarting the search whenever
+// a peer's block arrives first. A two-node network is therefore just:
 //
 //	hcchain -listen 127.0.0.1:9444 -blocks 10 -datadir ./a
 //	hcchain -listen 127.0.0.1:9445 -connect 127.0.0.1:9444 -datadir ./b
@@ -38,92 +40,200 @@ package main
 
 import (
 	"context"
+	"errors"
 	"flag"
 	"fmt"
-	"log"
+	"io"
 	"os"
 	"os/signal"
 	"path/filepath"
 	"runtime"
-	"strings"
 	"syscall"
 	"time"
 
 	"hashcore"
 	"hashcore/internal/blockchain"
-	"hashcore/internal/experiments"
 	"hashcore/internal/p2p"
 	"hashcore/internal/pool"
 	"hashcore/internal/pow"
 	"hashcore/internal/simnet/lab"
 	"hashcore/internal/telemetry"
-	"hashcore/internal/vm"
 )
 
 func main() {
-	blocks := flag.Int("blocks", 5, "number of blocks to mine (0 with networking = sync/serve only)")
-	profileName := flag.String("profile", "leela", "reference workload profile")
-	datadir := flag.String("datadir", "", "chain data directory (empty = in-memory, no persistence)")
-	listen := flag.String("listen", "", "p2p listen address (enables networking)")
-	connect := flag.String("connect", "", "comma-separated peer addresses to keep sessions with (enables networking)")
-	network := flag.String("network", "hashcore", "network name pinned in handshakes")
-	zeroBits := flag.Uint("zero-bits", 14, "network difficulty: leading zero bits (networked mode)")
-	fsyncBatch := flag.Int("fsync-batch", 0, "group-commit: fsync once per N appends (0 = every append)")
-	fsyncInterval := flag.Duration("fsync-interval", 0, "group-commit: flush deadline for a partial batch")
-	workers := flag.Int("workers", 0, "mining parallelism (0 = GOMAXPROCS)")
-	banThreshold := flag.Int("ban-threshold", 0, "misbehavior score that bans a peer host (0 = default 100, negative disables)")
-	banDuration := flag.Duration("ban-duration", 0, "how long a peer ban lasts (0 = default 10m)")
-	msgRate := flag.Float64("msg-rate", 0, "per-peer inbound messages/sec before disconnect (0 = default 500, negative disables)")
-	simnetScenario := flag.String("simnet", "", "run a network-lab scenario instead of a node (see -simnet list)")
-	simnetNodes := flag.Int("simnet-nodes", 0, "cluster size for -simnet (0 = scenario default)")
-	metricsAddr := flag.String("metrics-addr", "", "debug HTTP listen address: /metrics, /events, /healthz, pprof (networked mode; empty disables)")
-	backendFlag := flag.String("backend", "auto", "widget execution engine: auto, native or interp (HASHCORE_BACKEND also applies)")
-	flag.Parse()
-
-	backend, err := vm.ParseBackend(*backendFlag)
+	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
+	defer stop()
+	err := run(ctx, os.Args[1:], os.Stdout)
+	if errors.Is(err, flag.ErrHelp) {
+		return
+	}
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "hcchain:", err)
-		os.Exit(2)
-	}
-
-	if *simnetScenario != "" {
-		if err := runSimnet(*simnetScenario, *simnetNodes); err != nil {
-			fmt.Fprintln(os.Stderr, "hcchain:", err)
-			os.Exit(1)
-		}
-		return
-	}
-
-	if *listen == "" && *connect == "" {
-		// Original standalone demo, unchanged.
-		out, err := experiments.MineDemoAt(context.Background(), *profileName, *blocks, *datadir, vm.Params{}, backend)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "hcchain:", err)
-			os.Exit(1)
-		}
-		fmt.Print(out)
-		return
-	}
-
-	if err := runDaemon(*blocks, *profileName, *datadir, *listen, *connect, *network,
-		*zeroBits, *fsyncBatch, *fsyncInterval, *workers,
-		*banThreshold, *banDuration, *msgRate, *metricsAddr, *backendFlag); err != nil {
-		fmt.Fprintln(os.Stderr, "hcchain:", err)
 		os.Exit(1)
+	}
+}
+
+// standaloneZeroBits is the difficulty of a run without peers that does
+// not set -zero-bits: ~256 hashes a block.
+const standaloneZeroBits = 8
+
+// run is the node. Without networking it returns once -blocks blocks
+// are mined (or ctx ends); with it, it serves until ctx ends. Mining and
+// tip narration both write to out, so a networked run needs an out that
+// takes concurrent writes (os.Stdout, an io.Pipe).
+func run(ctx context.Context, args []string, out io.Writer) error {
+	fs := flag.NewFlagSet("hcchain", flag.ContinueOnError)
+	blocks := fs.Int("blocks", 5, "number of blocks to mine (0 with networking = sync/serve only)")
+	profileName := fs.String("profile", "leela", "reference workload profile")
+	datadir := fs.String("datadir", "", "chain data directory (empty = in-memory, no persistence)")
+	listen := fs.String("listen", "", "p2p listen address (enables networking)")
+	connect := fs.String("connect", "", "comma-separated peer addresses to keep sessions with (enables networking)")
+	network := fs.String("network", "hashcore", "network name pinned in handshakes")
+	zeroBits := fs.Uint("zero-bits", 14, fmt.Sprintf("genesis difficulty: leading zero bits (unset without -listen/-connect: %d)", standaloneZeroBits))
+	fsyncBatch := fs.Int("fsync-batch", 0, "group-commit: fsync once per N appends (0 = every append)")
+	fsyncInterval := fs.Duration("fsync-interval", 0, "group-commit: flush deadline for a partial batch")
+	workers := fs.Int("workers", 0, "mining parallelism (0 = GOMAXPROCS)")
+	banThreshold := fs.Int("ban-threshold", 0, "misbehavior score that bans a peer host (0 = default 100, negative disables)")
+	banDuration := fs.Duration("ban-duration", 0, "how long a peer ban lasts (0 = default 10m)")
+	msgRate := fs.Float64("msg-rate", 0, "per-peer inbound messages/sec before disconnect (0 = default 500, negative disables)")
+	simnetScenario := fs.String("simnet", "", "run a network-lab scenario instead of a node (see -simnet list)")
+	simnetNodes := fs.Int("simnet-nodes", 0, "cluster size for -simnet (0 = scenario default)")
+	metricsAddr := fs.String("metrics-addr", "", "debug HTTP listen address: /metrics, /events, /healthz, pprof (empty disables)")
+	backendMode := fs.String("backend", "native", "widget execution engine: native (interpreter where unsupported) or interp (HASHCORE_BACKEND also applies)")
+	if err := fs.Parse(args); err != nil {
+		return err
+	}
+	networked := *listen != "" || *connect != ""
+	bits := *zeroBits
+	if !networked {
+		bits = standaloneZeroBits
+		fs.Visit(func(f *flag.Flag) {
+			if f.Name == "zero-bits" {
+				bits = *zeroBits
+			}
+		})
+	}
+
+	// One registry and journal feed every layer; the debug server (when
+	// enabled) exposes them at /metrics and /events.
+	var reg *telemetry.Registry
+	var journal *telemetry.Journal
+	if *metricsAddr != "" {
+		reg = telemetry.NewRegistry()
+		journal = telemetry.NewJournal(1024)
+	}
+	h, err := hashcore.New(hashcore.WithProfile(*profileName), hashcore.WithTelemetry(reg),
+		hashcore.WithJournal(journal), hashcore.WithBackend(*backendMode))
+	if err != nil {
+		return err
+	}
+	if *simnetScenario != "" {
+		return runSimnet(out, *simnetScenario, *simnetNodes)
+	}
+
+	params := blockchain.DefaultParams()
+	params.GenesisBits = pow.TargetToCompact(pow.Target(hashcore.TargetWithZeroBits(bits)))
+	store, fstore, err := openStore(*datadir, *fsyncBatch, *fsyncInterval, reg)
+	if err != nil {
+		return err
+	}
+	node, err := blockchain.OpenNode(blockchain.NodeConfig{
+		Params:  params,
+		Hasher:  h,
+		Store:   store,
+		Metrics: reg,
+		Journal: journal,
+	})
+	if err != nil {
+		return err
+	}
+	defer node.Close()
+	if *metricsAddr != "" {
+		dbg, err := telemetry.Serve(*metricsAddr, telemetry.NewMux(reg, journal, node.Err))
+		if err != nil {
+			return fmt.Errorf("metrics server: %w", err)
+		}
+		defer dbg.Close()
+		fmt.Fprintf(out, "hcchain: debug server on http://%s (/metrics /events /healthz /debug/pprof)\n", dbg.Addr())
+	}
+	if fstore != nil {
+		if fstore.RecoveredTruncation() {
+			fmt.Fprintln(out, "hcchain: block log had a damaged tail record (crash mid-append?); dropped it")
+		}
+		tip := node.TipID()
+		fmt.Fprintf(out, "hcchain: chain at %s: height %d, tip %x…, %d blocks replayed\n",
+			*datadir, node.Height(), tip[:8], node.Replayed())
+	}
+
+	if !networked {
+		err := mineLoop(ctx, out, node, h, *blocks, *network, *workers)
+		tip := node.TipID()
+		fmt.Fprintf(out, "hcchain: done — height %d, tip %x…\n", node.Height(), tip[:8])
+		return err
+	}
+
+	mgr, err := p2p.StartNetworkCfg(p2p.Config{
+		Node:         node,
+		Network:      *network,
+		Agent:        "hcchain/1",
+		ListenAddr:   *listen,
+		BanThreshold: *banThreshold,
+		BanDuration:  *banDuration,
+		MsgRate:      *msgRate,
+		Metrics:      reg,
+		Journal:      journal,
+	}, *connect)
+	if err != nil {
+		return err
+	}
+
+	// Narrate tip movement from before the miner starts until shutdown.
+	events, cancel := node.Subscribe(16)
+	defer cancel()
+	mineDone := make(chan struct{})
+	go func() {
+		defer close(mineDone)
+		if err := mineLoop(ctx, out, node, h, *blocks, *network, *workers); err != nil {
+			fmt.Fprintf(out, "hcchain: mining stopped: %v\n", err)
+		}
+	}()
+	for {
+		select {
+		case <-ctx.Done():
+			fmt.Fprintln(out, "hcchain: shutting down")
+			closeCtx, closeCancel := context.WithTimeout(context.Background(), 10*time.Second)
+			defer closeCancel()
+			if err := mgr.Close(closeCtx); err != nil {
+				return fmt.Errorf("p2p close: %w", err)
+			}
+			<-mineDone
+			tip := node.TipID()
+			fmt.Fprintf(out, "hcchain: done — height %d, tip %x…, %d peers at exit\n",
+				node.Height(), tip[:8], mgr.PeerCount())
+			return nil
+		case ev := <-events:
+			kind := "tip"
+			if ev.Reorg {
+				kind = "REORG"
+			}
+			fmt.Fprintf(out, "hcchain: %s -> %x… height %d\n", kind, ev.NewTip[:8], ev.Height)
+		}
 	}
 }
 
 // runSimnet executes one adversarial-lab scenario ("list" prints the
 // catalog) and reports its verdict; a failed scenario is an error so
 // the process exits non-zero.
-func runSimnet(name string, nodes int) error {
+func runSimnet(out io.Writer, name string, nodes int) error {
 	if name == "list" {
 		for _, n := range lab.Scenarios() {
-			fmt.Printf("%-16s %s\n", n, lab.Describe(n))
+			fmt.Fprintf(out, "%-16s %s\n", n, lab.Describe(n))
 		}
 		return nil
 	}
-	res, err := lab.Run(name, nodes, log.Printf)
+	res, err := lab.Run(name, nodes, func(format string, args ...any) {
+		fmt.Fprintf(out, format+"\n", args...)
+	})
 	if err != nil {
 		return err
 	}
@@ -131,7 +241,7 @@ func runSimnet(name string, nodes int) error {
 	if !res.OK {
 		status = "FAIL"
 	}
-	fmt.Printf("simnet %s: %s (%d nodes, %s): %s\n",
+	fmt.Fprintf(out, "simnet %s: %s (%d nodes, %s): %s\n",
 		res.Name, status, res.Nodes, res.Duration.Round(time.Millisecond), res.Detail)
 	if !res.OK {
 		return fmt.Errorf("scenario %s failed", res.Name)
@@ -159,125 +269,12 @@ func openStore(datadir string, fsyncBatch int, fsyncInterval time.Duration, reg 
 	return fs, fs, nil
 }
 
-func runDaemon(blocks int, profileName, datadir, listen, connect, network string,
-	zeroBits uint, fsyncBatch int, fsyncInterval time.Duration, workers int,
-	banThreshold int, banDuration time.Duration, msgRate float64, metricsAddr, backendMode string) error {
-	// One registry and journal feed every layer; the debug server (when
-	// enabled) exposes them at /metrics and /events.
-	var reg *telemetry.Registry
-	var journal *telemetry.Journal
-	if metricsAddr != "" {
-		reg = telemetry.NewRegistry()
-		journal = telemetry.NewJournal(1024)
-	}
-	h, err := hashcore.New(hashcore.WithProfile(profileName), hashcore.WithTelemetry(reg),
-		hashcore.WithJournal(journal), hashcore.WithBackend(backendMode))
-	if err != nil {
-		return err
-	}
-	params := blockchain.DefaultParams()
-	params.GenesisBits = pow.TargetToCompact(pow.Target(hashcore.TargetWithZeroBits(zeroBits)))
-
-	store, fs, err := openStore(datadir, fsyncBatch, fsyncInterval, reg)
-	if err != nil {
-		return err
-	}
-	node, err := blockchain.OpenNode(blockchain.NodeConfig{
-		Params:  params,
-		Hasher:  h,
-		Store:   store,
-		Metrics: reg,
-		Journal: journal,
-	})
-	if err != nil {
-		return err
-	}
-	defer node.Close()
-	if metricsAddr != "" {
-		dbg, err := telemetry.Serve(metricsAddr, telemetry.NewMux(reg, journal, node.Err))
-		if err != nil {
-			return fmt.Errorf("metrics server: %w", err)
-		}
-		defer dbg.Close()
-		log.Printf("hcchain: debug server on http://%s (/metrics /events /healthz /debug/pprof)", dbg.Addr())
-	}
-	if fs != nil {
-		if fs.RecoveredTruncation() {
-			log.Printf("hcchain: block log had a damaged tail record (crash mid-append?); dropped it")
-		}
-		tip := node.TipID()
-		log.Printf("hcchain: chain at %s: height %d, tip %x…, %d blocks replayed",
-			datadir, node.Height(), tip[:8], node.Replayed())
-	}
-
-	mgr, err := p2p.New(p2p.Config{
-		Node:         node,
-		Network:      network,
-		Agent:        "hcchain/1",
-		ListenAddr:   listen,
-		BanThreshold: banThreshold,
-		BanDuration:  banDuration,
-		MsgRate:      msgRate,
-		Metrics:      reg,
-		Journal:      journal,
-	})
-	if err != nil {
-		return err
-	}
-	if err := mgr.Start(); err != nil {
-		return err
-	}
-	for _, addr := range strings.Split(connect, ",") {
-		if addr = strings.TrimSpace(addr); addr != "" {
-			mgr.Connect(addr)
-		}
-	}
-
-	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
-	defer stop()
-
-	mineDone := make(chan struct{})
-	if blocks > 0 {
-		go func() {
-			defer close(mineDone)
-			mineLoop(ctx, node, h, blocks, network, workers)
-		}()
-	} else {
-		close(mineDone)
-	}
-
-	// Narrate tip movement until shutdown.
-	events, cancel := node.Subscribe(16)
-	defer cancel()
-	for {
-		select {
-		case <-ctx.Done():
-			log.Printf("hcchain: shutting down")
-			closeCtx, closeCancel := context.WithTimeout(context.Background(), 10*time.Second)
-			defer closeCancel()
-			if err := mgr.Close(closeCtx); err != nil {
-				return fmt.Errorf("p2p close: %w", err)
-			}
-			<-mineDone
-			tip := node.TipID()
-			fmt.Printf("hcchain: done — height %d, tip %x…, %d peers at exit\n",
-				node.Height(), tip[:8], mgr.PeerCount())
-			return nil
-		case ev := <-events:
-			kind := "tip"
-			if ev.Reorg {
-				kind = "REORG"
-			}
-			log.Printf("hcchain: %s -> %x… height %d", kind, ev.NewTip[:8], ev.Height)
-		}
-	}
-}
-
 // mineLoop mines n blocks onto the node's best tip, re-templating
 // whenever the tip moves underneath the search (a peer's block won the
 // race). Templates and submissions reuse the pool's chain source so
-// mined blocks carry a proper coinbase commitment.
-func mineLoop(ctx context.Context, node *blockchain.Node, h *hashcore.Hasher, n int, tag string, workers int) {
+// mined blocks carry a proper coinbase commitment. It returns nil once
+// n blocks are mined or ctx ends.
+func mineLoop(ctx context.Context, out io.Writer, node *blockchain.Node, h *hashcore.Hasher, n int, tag string, workers int) error {
 	if workers < 1 {
 		workers = runtime.GOMAXPROCS(0)
 	}
@@ -299,13 +296,11 @@ func mineLoop(ctx context.Context, node *blockchain.Node, h *hashcore.Hasher, n 
 		drain() // stale events (often our own last block) must not cancel this round
 		header, height, err := src.Template()
 		if err != nil {
-			log.Printf("hcchain: template: %v", err)
-			return
+			return fmt.Errorf("template: %w", err)
 		}
 		target, err := pow.CompactToTarget(header.Bits)
 		if err != nil {
-			log.Printf("hcchain: bad bits: %v", err)
-			return
+			return fmt.Errorf("bad bits: %w", err)
 		}
 		mctx, mcancel := context.WithCancel(ctx)
 		stopWatch := make(chan struct{})
@@ -324,11 +319,12 @@ func mineLoop(ctx context.Context, node *blockchain.Node, h *hashcore.Hasher, n 
 		}
 		header.Nonce = res.Nonce
 		if err := src.SubmitBlock(header); err != nil {
-			log.Printf("hcchain: mined block rejected: %v", err)
+			fmt.Fprintf(out, "hcchain: mined block rejected: %v\n", err)
 			continue
 		}
 		mined++
-		log.Printf("hcchain: mined block %d/%d at height %d (nonce %d, %d attempts)",
+		fmt.Fprintf(out, "hcchain: mined block %d/%d at height %d (nonce %d, %d attempts)\n",
 			mined, n, height, res.Nonce, res.Attempts)
 	}
+	return nil
 }

@@ -54,7 +54,7 @@ func run(ctx context.Context, args []string, out io.Writer) error {
 	profileName := fs.String("profile", "leela", "reference workload profile")
 	quiet := fs.Bool("quiet", false, "suppress per-share output")
 	metricsAddr := fs.String("metrics-addr", "", "debug HTTP listen address: /metrics, /events, /healthz, pprof (empty disables)")
-	backendMode := fs.String("backend", "auto", "widget execution engine: auto, native or interp (HASHCORE_BACKEND also applies)")
+	backendMode := fs.String("backend", "native", "widget execution engine: native (interpreter where unsupported) or interp (HASHCORE_BACKEND also applies)")
 	conns := fs.Int("conns", 0, "load-generator mode: open this many subscriber connections and count notifies instead of mining")
 	if err := fs.Parse(args); err != nil {
 		return err

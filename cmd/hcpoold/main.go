@@ -76,7 +76,7 @@ func run(ctx context.Context, args []string, out io.Writer) error {
 	connect := fs.String("connect", "", "comma-separated p2p peer addresses to keep sessions with")
 	network := fs.String("network", "hashcore", "p2p network name pinned in handshakes")
 	metricsAddr := fs.String("metrics-addr", "127.0.0.1:3334", "debug HTTP listen address: /stats, /metrics, /events, /healthz, pprof (empty disables)")
-	backendMode := fs.String("backend", "auto", "widget execution engine: auto, native or interp (HASHCORE_BACKEND also applies)")
+	backendMode := fs.String("backend", "native", "widget execution engine: native (interpreter where unsupported) or interp (HASHCORE_BACKEND also applies)")
 	if err := fs.Parse(args); err != nil {
 		return err
 	}

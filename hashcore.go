@@ -139,10 +139,11 @@ func WithLoopTrips(trips int) Option {
 	}
 }
 
-// WithBackend selects the widget execution engine: "auto" (the default —
-// native machine code where the platform supports it, the fused
-// interpreter elsewhere), "native" or "interp". Digests are bit-identical
-// across backends; only throughput differs. The HASHCORE_BACKEND
+// WithBackend selects the widget execution engine: "native" (the
+// default — native machine code where the platform supports it, the
+// fused interpreter elsewhere; "" and "auto" mean the same) or
+// "interp". Digests are bit-identical across backends; only throughput
+// differs. The HASHCORE_BACKEND
 // environment variable, when set, overrides this option — an operational
 // escape hatch to force the interpreter fleet-wide without a rebuild.
 func WithBackend(mode string) Option {
@@ -157,8 +158,8 @@ func WithBackend(mode string) Option {
 }
 
 // NativeBackendSupported reports whether this platform can execute
-// widgets as native machine code ("auto" and "native" fall back to the
-// interpreter elsewhere).
+// widgets as native machine code ("native" falls back to the interpreter
+// elsewhere).
 func NativeBackendSupported() bool { return vm.NativeSupported() }
 
 // WithJournal routes structured events (currently jit_fallback, emitted

@@ -24,14 +24,9 @@ func newBackendFunc(t *testing.T, b vm.Backend, reg *telemetry.Registry, j *tele
 // TestBackendDigestsIdentical is the facade-level determinism check: the
 // same input hashed under every backend setting yields the same digest.
 func TestBackendDigestsIdentical(t *testing.T) {
-	auto := newBackendFunc(t, vm.BackendAuto, nil, nil)
 	interp := newBackendFunc(t, vm.BackendInterp, nil, nil)
 	native := newBackendFunc(t, vm.BackendNative, nil, nil)
 	for _, in := range []string{"", "a", "hashcore block header"} {
-		da, err := auto.Hash([]byte(in))
-		if err != nil {
-			t.Fatal(err)
-		}
 		di, err := interp.Hash([]byte(in))
 		if err != nil {
 			t.Fatal(err)
@@ -40,7 +35,7 @@ func TestBackendDigestsIdentical(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if da != di || da != dn {
+		if di != dn {
 			t.Fatalf("digests diverge across backends for %q", in)
 		}
 	}
@@ -68,7 +63,7 @@ func TestBackendMetrics(t *testing.T) {
 		return
 	}
 	reg = telemetry.NewRegistry()
-	f = newBackendFunc(t, vm.BackendAuto, reg, nil)
+	f = newBackendFunc(t, vm.BackendNative, reg, nil)
 	for i := 0; i < n; i++ {
 		if _, err := f.Hash([]byte{byte(i)}); err != nil {
 			t.Fatal(err)
@@ -87,7 +82,7 @@ func TestBackendMetrics(t *testing.T) {
 // emit jit_fallback (both on the native path and the explicitly forced
 // interpreter, which is a choice, not a fallback).
 func TestJournalNoFallbackOnHealthyPath(t *testing.T) {
-	for _, b := range []vm.Backend{vm.BackendAuto, vm.BackendInterp} {
+	for _, b := range []vm.Backend{vm.BackendNative, vm.BackendInterp} {
 		j := telemetry.NewJournal(8)
 		f := newBackendFunc(t, b, nil, j)
 		if _, err := f.Hash([]byte("x")); err != nil {

@@ -47,8 +47,8 @@ type Options struct {
 	// uses one but notes "multiple widgets could be generated ... and
 	// executed sequentially"). Defaults to 1.
 	Widgets int
-	// Backend selects the widget execution engine (vm.BackendAuto, the
-	// zero value, picks native code where supported and falls back to the
+	// Backend selects the widget execution engine (vm.BackendNative, the
+	// zero value, runs native code where supported and falls back to the
 	// fused interpreter). Digests are bit-identical across backends.
 	Backend vm.Backend
 	// Metrics, when non-nil, instruments every hash through this
@@ -116,9 +116,6 @@ func New(opts Options) (*Func, error) {
 	f.sessions.New = func() any { return f.NewSession() }
 	return f, nil
 }
-
-// Backend reports the configured execution backend.
-func (f *Func) Backend() vm.Backend { return f.backend }
 
 // noteFallback journals the first native-to-interpreter fallback of this
 // Func's lifetime. Every session of a Func compiles the same instruction

@@ -19,7 +19,7 @@ func TestReusedSessionMatchesFresh(t *testing.T) {
 	wide := tinyProfile()
 	wide.Name = "tiny-wide"
 	wide.WorkingSet = 32 << 10
-	for _, backend := range []vm.Backend{vm.BackendInterp, vm.BackendAuto} {
+	for _, backend := range []vm.Backend{vm.BackendInterp, vm.BackendNative} {
 		funcs := []*Func{
 			tinyFunc(t, Options{Backend: backend}),
 			tinyFunc(t, Options{Backend: backend, Profile: wide}),

@@ -1,7 +1,6 @@
 package experiments
 
 import (
-	"context"
 	"fmt"
 	"math"
 	"time"
@@ -234,28 +233,4 @@ func RandomXPopulation(n int, masterSeed uint64, vp vm.Params) (*DistReport, err
 		ipcs = append(ipcs, r.IPC)
 	}
 	return distReport("RandomX-lite widget IPC (uniform generation)", ipcs, math.NaN()), nil
-}
-
-// MineDemo mines a handful of blocks with HashCore as the PoW function
-// and returns a rendered log — the end-to-end integration the paper's
-// motivation describes. Difficulty is kept low so the demo completes in
-// seconds.
-func MineDemo(ctx context.Context, profileName string, blocks int, vp vm.Params) (string, error) {
-	return MineDemoAt(ctx, profileName, blocks, "", vp, vm.BackendAuto)
-}
-
-// MineDemoAt is MineDemo with optional persistence and an explicit
-// execution backend: a non-empty datadir backs the chain with an
-// append-only block log there, and successive runs resume from the
-// recovered tip.
-func MineDemoAt(ctx context.Context, profileName string, blocks int, datadir string, vp vm.Params, backend vm.Backend) (string, error) {
-	w, err := workload.ByName(profileName)
-	if err != nil {
-		return "", err
-	}
-	hc, err := core.New(core.Options{Profile: w.Profile, VMParams: vp, Backend: backend})
-	if err != nil {
-		return "", err
-	}
-	return mineChain(ctx, coreHasher{hc}, blocks, datadir)
 }

@@ -1,7 +1,6 @@
 package experiments
 
 import (
-	"context"
 	"math"
 	"strings"
 	"testing"
@@ -172,22 +171,6 @@ func TestBaselineThroughput(t *testing.T) {
 	}
 	if out := RenderThroughput(results); !strings.Contains(out, "sha256d") {
 		t.Error("render missing baseline")
-	}
-}
-
-func TestMineDemo(t *testing.T) {
-	if testing.Short() {
-		t.Skip("mining demo in -short mode")
-	}
-	// Use the tiny end of generation so the demo stays fast: reuse the
-	// leela profile but cap the dynamic length via VM budget would
-	// truncate; instead just mine 2 blocks at trivial difficulty.
-	out, err := MineDemo(context.Background(), "leela", 1, vm.Params{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !strings.Contains(out, "block 1") || !strings.Contains(out, "chain height 1") {
-		t.Errorf("unexpected demo output:\n%s", out)
 	}
 }
 

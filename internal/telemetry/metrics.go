@@ -1,7 +1,7 @@
 // Package telemetry is the repository's dependency-free observability
-// layer: a process-wide metrics registry (atomic counters, gauges and
-// fixed-bucket histograms whose record path allocates nothing — safe to
-// call from the hashing and verification hot loops), Prometheus
+// layer: metrics registries (atomic counters, gauges and fixed-bucket
+// histograms whose record path allocates nothing — safe to call from the
+// hashing and verification hot loops), Prometheus
 // text-format exposition, a bounded structured event journal, and the
 // debug HTTP plane (/metrics, /events, /healthz, pprof) every daemon
 // mounts behind -metrics-addr.
@@ -17,8 +17,8 @@
 //     with a nil *Registry is simply uninstrumented — no conditional
 //     plumbing at call sites, one predictable branch per record.
 //   - Registries are values, not global state: libraries take one in
-//     their config, daemons pass Default(), tests and the simnet lab
-//     mint one per node with NewRegistry.
+//     their config; each daemon, test and simnet-lab node mints its own
+//     with NewRegistry.
 package telemetry
 
 import (
@@ -281,12 +281,6 @@ type Registry struct {
 func NewRegistry() *Registry {
 	return &Registry{byKey: make(map[string]*entry)}
 }
-
-// defaultRegistry is the process-wide registry the daemons share.
-var defaultRegistry = NewRegistry()
-
-// Default returns the process-wide registry.
-func Default() *Registry { return defaultRegistry }
 
 // renderLabels builds the canonical {k="v",...} form, sorted by key.
 func renderLabels(labels []Label) string {

@@ -17,43 +17,34 @@ import (
 type Backend uint8
 
 const (
-	// BackendAuto runs native code when the platform supports it and the
-	// program compiles, falling back to the fused interpreter otherwise.
-	// This is the zero value, so an unconfigured Machine picks the fastest
-	// engine automatically.
-	BackendAuto Backend = iota
-	// BackendNative requires the native engine (still falls back on
-	// compile failure — the contract is semantic, not mechanical — but
-	// LastRunStats reports the fallback so callers and tests can detect
-	// it).
-	BackendNative
+	// BackendNative runs native code when the platform supports it and
+	// the program compiles, falling back to the fused interpreter
+	// otherwise (LastRunStats reports a compile fallback, so callers and
+	// tests can detect it). This is the zero value, so an unconfigured
+	// Machine picks the fastest engine.
+	BackendNative Backend = iota
 	// BackendInterp forces the fused interpreter (the portable reference
 	// executor).
 	BackendInterp
 )
 
 func (b Backend) String() string {
-	switch b {
-	case BackendNative:
-		return "native"
-	case BackendInterp:
+	if b == BackendInterp {
 		return "interp"
-	default:
-		return "auto"
 	}
+	return "native"
 }
 
-// ParseBackend parses the -backend flag / HASHCORE_BACKEND values.
+// ParseBackend parses the -backend flag / HASHCORE_BACKEND values. ""
+// and "auto" are accepted as spellings of native.
 func ParseBackend(s string) (Backend, error) {
 	switch s {
-	case "", "auto":
-		return BackendAuto, nil
-	case "native":
+	case "", "auto", "native":
 		return BackendNative, nil
 	case "interp":
 		return BackendInterp, nil
 	}
-	return BackendAuto, fmt.Errorf("vm: unknown backend %q (want auto, native or interp)", s)
+	return BackendNative, fmt.Errorf("vm: unknown backend %q (want native or interp)", s)
 }
 
 // NativeSupported reports whether this platform has a native code backend.
@@ -61,17 +52,16 @@ func NativeSupported() bool { return jit.Supported() }
 
 // RunStats describes how the most recent RunInto executed.
 type RunStats struct {
-	// Backend is the engine that actually ran: BackendNative or
-	// BackendInterp (never BackendAuto).
+	// Backend is the engine that actually ran.
 	Backend Backend
 	// Compiled reports that this run (re)compiled the program to native
 	// code; CompileNs is that compilation's wall time. A cached native run
 	// has Compiled == false and CompileNs == 0.
 	Compiled  bool
 	CompileNs int64
-	// FallbackErr is set when a native backend was requested (native or
-	// auto on a supported platform) but the run fell back to the
-	// interpreter, and records why.
+	// FallbackErr is set when the native backend was requested on a
+	// supported platform but the run fell back to the interpreter, and
+	// records why.
 	FallbackErr error
 	// ResetNs is the time the run spent making its scratch memory pristine
 	// (clearing the written filter, starting a table epoch) and WordsWritten

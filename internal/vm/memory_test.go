@@ -37,7 +37,7 @@ func TestWrittenMapSizing(t *testing.T) {
 		p := edgeProgram(t, size, memSeed)
 		lastWord := uint64(size/8 - 1)
 		bit := lastWord % (1 << 18)
-		for _, be := range []Backend{BackendInterp, BackendAuto} {
+		for _, be := range []Backend{BackendInterp, BackendNative} {
 			m := &Machine{}
 			m.SetBackend(be)
 			if err := m.Load(p); err != nil {
@@ -104,7 +104,7 @@ func TestRerunClearsWrittenMap(t *testing.T) {
 	b.Halt()
 	p := b.MustBuild()
 	want := rng.SplitMix64At(seed, 8)
-	for _, be := range []Backend{BackendInterp, BackendAuto} {
+	for _, be := range []Backend{BackendInterp, BackendNative} {
 		m := &Machine{}
 		m.SetBackend(be)
 		if err := m.Load(p); err != nil {

@@ -200,23 +200,28 @@ func TestParseBackend(t *testing.T) {
 		want vm.Backend
 		ok   bool
 	}{
-		{"", vm.BackendAuto, true},
-		{"auto", vm.BackendAuto, true},
+		{"", vm.BackendNative, true},
+		{"auto", vm.BackendNative, true},
 		{"native", vm.BackendNative, true},
 		{"interp", vm.BackendInterp, true},
-		{"jit", vm.BackendAuto, false},
-		{"NATIVE", vm.BackendAuto, false},
+		{"jit", vm.BackendNative, false},
+		{"NATIVE", vm.BackendNative, false},
 	} {
 		got, err := vm.ParseBackend(tc.in)
 		if (err == nil) != tc.ok || got != tc.want {
 			t.Errorf("ParseBackend(%q) = %v, %v; want %v, ok=%v", tc.in, got, err, tc.want, tc.ok)
 		}
 	}
-	for _, b := range []vm.Backend{vm.BackendAuto, vm.BackendNative, vm.BackendInterp} {
+	for _, b := range []vm.Backend{vm.BackendNative, vm.BackendInterp} {
 		rt, err := vm.ParseBackend(b.String())
 		if err != nil || rt != b {
 			t.Errorf("ParseBackend(%v.String()) = %v, %v, want round-trip", b, rt, err)
 		}
+	}
+	// The zero value is native-where-supported, and "auto" is only ever
+	// read, never written.
+	if b := vm.Backend(0); b != vm.BackendNative || b.String() != "native" {
+		t.Errorf("zero Backend = %v, want native", b)
 	}
 }
 
