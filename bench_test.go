@@ -10,6 +10,7 @@ package hashcore
 import (
 	"context"
 	"math"
+	"runtime"
 	"testing"
 
 	"hashcore/internal/experiments"
@@ -175,6 +176,50 @@ func testHashZeroAlloc(t *testing.T, backend, profile string) {
 	}
 	if allocs != 0 {
 		t.Errorf("pooled Hash allocated %.1f objects/op in steady state, want 0", allocs)
+	}
+}
+
+// TestSessionFootprint: what a warm native leela session holds on the
+// heap — generator scratch, program, VM scratch memory, the recycled
+// snapshot buffer — sized by what its hashes used, not by the
+// instruction budget's worst case. Eight sessions are warmed and measured
+// together; the bound is on their mean.
+func TestSessionFootprint(t *testing.T) {
+	if testing.Short() {
+		t.Skip("heap measurement skipped in -short mode")
+	}
+	if raceEnabled {
+		t.Skip("the race detector's shadow allocations distort the heap")
+	}
+	h, err := New(WithBackend("native"), WithProfile("leela"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	warm := func(s *Session) {
+		for i := 0; i < 3; i++ {
+			if _, err := s.Hash([]byte{byte(i), 'f', 'p'}); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	warm(h.NewSession()) // process-wide tables (the compiler's templates) are built once, here
+
+	const n = 8
+	var before, after runtime.MemStats
+	runtime.GC()
+	runtime.ReadMemStats(&before)
+	sessions := make([]*Session, n)
+	for i := range sessions {
+		sessions[i] = h.NewSession()
+		warm(sessions[i])
+	}
+	runtime.GC()
+	runtime.ReadMemStats(&after)
+	runtime.KeepAlive(sessions)
+	per := (int64(after.HeapAlloc) - int64(before.HeapAlloc)) / n
+	t.Logf("a warm leela session holds %d KiB of heap", per>>10)
+	if per > 640<<10 {
+		t.Errorf("a warm leela session holds %d KiB of heap, want at most 640 KiB", per>>10)
 	}
 }
 

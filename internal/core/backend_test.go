@@ -78,6 +78,26 @@ func TestBackendMetrics(t *testing.T) {
 	}
 }
 
+// TestSessionsCreatedMetric: every NewSession — a caller's own or a
+// refill of Func.Hash's session pool — counts one session created.
+func TestSessionsCreatedMetric(t *testing.T) {
+	reg := telemetry.NewRegistry()
+	f := newBackendFunc(t, vm.BackendInterp, reg, nil)
+	const n = 3
+	for i := 0; i < n; i++ {
+		f.NewSession()
+	}
+	if got, _ := reg.Value("hashcore_sessions_created_total"); got != n {
+		t.Fatalf("hashcore_sessions_created_total = %v after %d NewSession calls, want %d", got, n, n)
+	}
+	if _, err := f.Hash([]byte("x")); err != nil { // the pool is empty: one more
+		t.Fatal(err)
+	}
+	if got, _ := reg.Value("hashcore_sessions_created_total"); got != n+1 {
+		t.Fatalf("hashcore_sessions_created_total = %v after a pooled hash, want %d", got, n+1)
+	}
+}
+
 // TestJournalNoFallbackOnHealthyPath: a working configuration must not
 // emit jit_fallback (both on the native path and the explicitly forced
 // interpreter, which is a choice, not a fallback).

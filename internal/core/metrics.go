@@ -39,6 +39,10 @@ type hashMetrics struct {
 	// them, so a fleet dashboard shows at a glance which backend is live.
 	hashesNative *telemetry.Counter
 	hashesInterp *telemetry.Counter
+	// sessionsCreated counts NewSession calls: set-ups and the refills of
+	// Func.Hash's sync.Pool after a GC emptied it. Each one is a session's
+	// buffers allocated afresh, churn a hash-rate graph does not show.
+	sessionsCreated *telemetry.Counter
 }
 
 // newHashMetrics resolves the instrument set against reg (nil reg = nil
@@ -74,6 +78,8 @@ func newHashMetrics(reg *telemetry.Registry) *hashMetrics {
 		hashesInterp: reg.Counter("hashcore_hashes_total",
 			"Hashes computed, by execution backend.",
 			telemetry.Label{Key: "backend", Value: "interp"}),
+		sessionsCreated: reg.Counter("hashcore_sessions_created_total",
+			"Hashing sessions created (set-ups and session-pool refills)."),
 	}
 }
 

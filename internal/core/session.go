@@ -39,6 +39,9 @@ type Session struct {
 func (f *Func) NewSession() *Session {
 	s := &Session{f: f, m: &vm.Machine{}}
 	s.m.SetBackend(f.backend)
+	if f.met != nil {
+		f.met.sessionsCreated.Inc()
+	}
 	return s
 }
 

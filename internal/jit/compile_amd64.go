@@ -5,12 +5,16 @@
 // byte by byte. The encoder does not run per hash: template_amd64.go runs
 // it once per process to build a table of byte templates and stamps
 // programs from that table, and the tests hold the stamped code to the
-// encoder's. One Compiler owns an emit scratch buffer and one executable
-// mapping, both reused across Compile calls, so per-program compilation
-// reaches a zero-allocation steady state (the production session compiles
-// one fresh widget per hash).
+// encoder's. One Compiler owns one executable mapping, reused across
+// Compile calls, and stamps code straight into it through a second,
+// writable view of its pages: there is no separate emit buffer and no
+// copy to install. The mapping grows (doubling, 64 KiB at least) only
+// when a program outgrows it, so per-program compilation reaches a
+// zero-allocation, syscall-free steady state (the production session
+// compiles one fresh widget per hash) at the size of the largest program
+// it compiled, rounded up to a power of two.
 //
-// Code layout of a compiled program:
+// Code layout of a compiled program (in the mapping, from offset 0):
 //
 //	prologue            load mapped registers from the Frame, JMP [Resume]
 //	ftoi, vmul          the clamp and the four-lane multiply (emitRoutines)
@@ -254,15 +258,21 @@ func (code *Code) Run(f *Frame, block uint32) {
 }
 
 // Compiler compiles Programs. Not safe for concurrent use; all scratch
-// (emit buffer, fixups, executable mapping) is reused between calls.
+// (code mapping, fixups) is reused between calls.
 type Compiler struct {
-	buf    []byte // emit arena; len(buf) is capacity, pos the cursor
-	pos    int    // bytes emitted so far (the current code position)
+	// buf is the emit arena: the read+write view of the code mapping, so
+	// code is stamped where it will run and nothing is copied to install
+	// it. len(buf) is the capacity, pos the cursor. mapped is the
+	// read+execute view of the same pages (what runs). When no mapping
+	// could be made, buf is heap scratch, mapped is nil and mapErr says
+	// why (see grow).
+	buf    []byte
+	pos    int // bytes emitted so far (the current code position)
+	mapped []byte
+	mapErr error
 	heads  []int32
 	slow   []int32
 	fix    []fixup
-	mapped []byte // read+execute view of the code mapping (what runs)
-	wview  []byte // read+write alias of the same pages (what install writes)
 	code   Code
 	// regMap[r] is the amd64 register holding widget integer register r,
 	// or -1 when r lives in the Frame. Filled by allocRegs per Compile.
@@ -352,14 +362,12 @@ func NewCompiler() *Compiler {
 }
 
 func (c *Compiler) release() {
-	if c.wview != nil {
-		syscall.Munmap(c.wview)
-		c.wview = nil
-	}
 	if c.mapped != nil {
+		syscall.Munmap(c.buf)
 		syscall.Munmap(c.mapped)
 		c.mapped = nil
 	}
+	c.buf = nil
 }
 
 // Compile lowers p to native code and installs it in the compiler's
@@ -441,24 +449,22 @@ func (c *Compiler) resolve(epiPos int32) error {
 	return nil
 }
 
-// install copies the emitted code into the executable mapping through its
-// write view, growing the mapping when the program outgrows it; no
-// syscall runs in steady state. Stores through the write alias hit the
+// install makes the emitted code the installed code. It is already in
+// place: the stamps went through the mapping's write view, which hits the
 // same physical pages the execute view fetches from; x86 keeps
 // instruction fetch coherent with stores to the same physical address,
 // and the return/indirect call between install and entry provides the
-// required branch.
+// required branch. What is left is the size check, and the error of a
+// mapping grow could not make (the code went to heap scratch then, which
+// is dropped so the next Compile tries to map again).
 func (c *Compiler) install() error {
-	n := c.pos
-	if n > maxCodeBytes {
+	if c.pos > maxCodeBytes {
 		return ErrTooLarge
 	}
-	if len(c.mapped) < n {
-		if err := c.grow((n*2 + 0xfff) &^ 0xfff); err != nil { // headroom halves remap churn
-			return err
-		}
+	if c.mapped == nil {
+		c.buf = nil
+		return c.mapErr
 	}
-	copy(c.wview, c.buf[:n])
 	return nil
 }
 
@@ -468,37 +474,61 @@ const (
 	mfdCloexec     = 0x1
 )
 
-// grow (re)creates the code mapping with room for size bytes: a memfd
-// mapped twice, one read+write view install copies through and one
-// read+execute view the session runs, so W^X holds — no page is ever
-// writable and executable at once (the two protections live on distinct
-// virtual mappings of the pages). Where memfd_create is unavailable the
-// error reaches the machine, which runs the program on the interpreter
-// (vm's jit_fallback).
-func (c *Compiler) grow(size int) error {
+// grow replaces the code mapping with one that has room for n more bytes
+// plus put's slack past the cursor — doubling, 64 KiB at least — and
+// carries the emitted prefix across. Kept out of ensure's fast path; the
+// mapping keeps its high-water size across Compile calls, so steady-state
+// compilation never lands here and runs no syscall.
+//
+// Where no mapping can be made (memfd_create unavailable, say) emission
+// goes on into heap scratch, so no emitter checks an error; install then
+// reports it, and the machine runs the program on the interpreter (vm's
+// jit_fallback). The template builder, which never installs, does not
+// mind either way.
+//
+//go:noinline
+func (c *Compiler) grow(n int) {
+	size := max(2*len(c.buf), 1<<16)
+	for size-c.pos < n+8 {
+		size *= 2
+	}
+	rx, rw, err := mapCode(size)
+	c.mapErr = err
+	if err != nil {
+		rw = make([]byte, size)
+	}
+	copy(rw, c.buf[:c.pos])
 	c.release()
+	c.buf, c.mapped = rw, rx
+}
+
+// mapCode creates a code mapping of size bytes: a memfd mapped twice, a
+// read+write view the compiler stamps through and a read+execute view the
+// session runs, so W^X holds — no page is ever writable and executable at
+// once (the two protections live on distinct virtual mappings of the
+// pages).
+func mapCode(size int) (rx, rw []byte, err error) {
 	name, _ := syscall.BytePtrFromString("hashcore-jit")
 	fd, _, errno := syscall.Syscall(sysMemfdCreate, uintptr(unsafe.Pointer(name)), mfdCloexec, 0)
 	if errno != 0 {
-		return fmt.Errorf("jit: memfd_create: %w", errno)
+		return nil, nil, fmt.Errorf("jit: memfd_create: %w", errno)
 	}
 	// The mappings keep the pages alive on their own; the fd is only
 	// needed to create them.
 	defer syscall.Close(int(fd))
 	if err := syscall.Ftruncate(int(fd), int64(size)); err != nil {
-		return fmt.Errorf("jit: ftruncate: %w", err)
+		return nil, nil, fmt.Errorf("jit: ftruncate: %w", err)
 	}
-	rx, err := syscall.Mmap(int(fd), 0, size, syscall.PROT_READ|syscall.PROT_EXEC, syscall.MAP_SHARED)
+	rx, err = syscall.Mmap(int(fd), 0, size, syscall.PROT_READ|syscall.PROT_EXEC, syscall.MAP_SHARED)
 	if err != nil {
-		return fmt.Errorf("jit: mmap rx: %w", err)
+		return nil, nil, fmt.Errorf("jit: mmap rx: %w", err)
 	}
-	rw, err := syscall.Mmap(int(fd), 0, size, syscall.PROT_READ|syscall.PROT_WRITE, syscall.MAP_SHARED)
+	rw, err = syscall.Mmap(int(fd), 0, size, syscall.PROT_READ|syscall.PROT_WRITE, syscall.MAP_SHARED)
 	if err != nil {
 		syscall.Munmap(rx)
-		return fmt.Errorf("jit: mmap rw: %w", err)
+		return nil, nil, fmt.Errorf("jit: mmap rw: %w", err)
 	}
-	c.mapped, c.wview = rx, rw
-	return nil
+	return rx, rw, nil
 }
 
 // ---- block and instruction lowering ----
@@ -1148,8 +1178,8 @@ func (c *Compiler) canonStore(dst uint8) {
 // helper compiles to one wide store plus a cursor bump instead of n
 // byte stores and a 3-word slice-header write-back. Byte emission
 // dominates compile time and compilation is on the hash path, which is
-// why the buffer is a fixed-length arena driven by c.pos rather than an
-// append target.
+// why the buffer is a fixed-length arena (the code mapping itself) driven
+// by c.pos rather than an append target.
 func (c *Compiler) put(v uint64, n int) {
 	p := c.pos
 	// Direct unaligned store: this file is amd64-only, so little-endian
@@ -1170,7 +1200,7 @@ func (c *Compiler) put(v uint64, n int) {
 // case.
 func (c *Compiler) ensure(n int) {
 	if len(c.buf)-c.pos < n+8 {
-		c.growBuf(n)
+		c.grow(n)
 	}
 }
 
@@ -1178,22 +1208,6 @@ func (c *Compiler) ensure(n int) {
 // instruction (at most tmplBytes), a block head, each shared routine, the
 // prologue's and the epilogue's tails all fit well under it.
 const regionMax = 256
-
-// growBuf grows the emit arena (doubling, by at least a 64 KiB step) until
-// n more bytes fit, preserving the emitted prefix. Kept out of ensure's
-// fast path; the arena holds its high-water size across Compile calls, so
-// steady-state compilation never lands here.
-//
-//go:noinline
-func (c *Compiler) growBuf(n int) {
-	newCap := max(2*len(c.buf), 1<<16)
-	for newCap-c.pos < n+8 {
-		newCap *= 2
-	}
-	nb := make([]byte, newCap)
-	copy(nb, c.buf[:c.pos])
-	c.buf = nb
-}
 
 // Fixed-arity emit helpers over put.
 func (c *Compiler) emit1(b0 byte)     { c.put(uint64(b0), 1) }

@@ -302,7 +302,7 @@ func TestFToIRoutine(t *testing.T) {
 }
 
 // TestRecompileReusesMapping compiles twice through one Compiler and runs
-// the second program: the copy through the mapping's write view must
+// the second program: the stamps through the mapping's write view must
 // fully replace the old code.
 func TestRecompileReusesMapping(t *testing.T) {
 	c := NewCompiler()
@@ -321,6 +321,56 @@ func TestRecompileReusesMapping(t *testing.T) {
 	if f.Status != StatusHalt || f.IntRegs[3] != 42 {
 		t.Errorf("recompiled code: Status=%d r3=%d, want halt with 42", f.Status, f.IntRegs[3])
 	}
+}
+
+// TestArenaIsTheMapping: the compiler stamps into the writable view of
+// its code mapping — there is no second buffer to copy from — and a
+// program that outgrows the mapping moves it, mid-stamp, to one twice as
+// large with what was stamped so far carried across.
+func TestArenaIsTheMapping(t *testing.T) {
+	c := NewCompiler()
+	compile := func(p *prog.Program, wantSize int) {
+		t.Helper()
+		code, err := c.Compile(p)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(c.buf) != wantSize || len(c.mapped) != wantSize {
+			t.Fatalf("arena %d bytes, executable view %d, want both %d", len(c.buf), len(c.mapped), wantSize)
+		}
+		if &c.buf[0] == &c.mapped[0] {
+			t.Fatal("the arena is the executable view itself: one page both writable and executable")
+		}
+		// A byte stored through the arena is what the executable view reads.
+		at := code.Size()
+		c.buf[at] ^= 0xA5
+		seen := c.mapped[at]
+		c.buf[at] ^= 0xA5
+		if seen != c.buf[at]^0xA5 {
+			t.Fatal("a store through the arena is not seen through the executable view")
+		}
+		ref := NewCompiler()
+		ref.regMap = c.regMap
+		want, err := ref.encodeProgram(p)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(code.Text(), want) {
+			t.Fatalf("installed code differs from the encoder's: %s", firstDifference(code.Text(), want))
+		}
+		f := newFrame()
+		code.Run(f, 0)
+		if f.Status != StatusHalt || f.IntRegs[2] != 1 {
+			t.Fatalf("Status=%d r2=%d, want halt with 1", f.Status, f.IntRegs[2])
+		}
+	}
+	addOne := prog.Instr{Op: isa.OpAddI, Dst: 2, A: 2, Imm: 1}
+	compile(sweepProgram(addOne, 0, 10), 1<<16)
+	compile(sweepProgram(addOne, 0, 1<<12), 1<<17)
+	if size := c.code.Size(); size <= 1<<16 {
+		t.Fatalf("the large program is %d bytes: it does not outgrow the first mapping", size)
+	}
+	compile(sweepProgram(addOne, 0, 10), 1<<17) // the mapping keeps its high-water size
 }
 
 // TestAllocRegsPinsMostUsed pins the register-assignment policy other

@@ -379,6 +379,7 @@ const sampleTail = 5 << 20
 func buildTemplates() *tmplTable {
 	t := &tmplTable{nTmpl: 1}
 	g := &Compiler{routine: sampleRoutines}
+	defer g.release() // the encoder emits into a code mapping, as Compile does
 	tb := &tmplBuilder{g: g}
 	for r := range t.dispKind {
 		off := intOff(uint8(r))

@@ -573,7 +573,9 @@ func TestFilterFalsePositives(t *testing.T) {
 
 // TestMachineFootprint: what a Machine keeps for its scratch memory after
 // 50 hashes' worth of mcf widgets — a 64 MiB image each — is the 32 KiB
-// written filter and the table, under 1 MiB in all.
+// written filter and the table, under 1 MiB in all; and the recycled
+// Result's snapshot buffer is sized by the outputs the runs wrote, not by
+// the instruction budget's worst case.
 func TestMachineFootprint(t *testing.T) {
 	w, err := workload.ByName("mcf")
 	if err != nil {
@@ -584,8 +586,9 @@ func TestMachineFootprint(t *testing.T) {
 		t.Fatal(err)
 	}
 	var (
-		m   vm.Machine
-		res vm.Result
+		m       vm.Machine
+		res     vm.Result
+		longest int
 	)
 	for i := uint64(0); i < 50; i++ {
 		p, err := gen.Generate(seedFromWords(i, 0xf007))
@@ -594,6 +597,10 @@ func TestMachineFootprint(t *testing.T) {
 		}
 		m.LoadTrusted(p)
 		m.RunInto(vm.Params{}, nil, &res)
+		longest = max(longest, len(res.Output))
+	}
+	if c := cap(res.Output); c > 2*longest {
+		t.Errorf("the snapshot buffer holds %d bytes after outputs of at most %d, want at most twice that", c, longest)
 	}
 	slots := m.LastRunStats().TableSlots
 	if b := m.ScratchBytes(); b > 32<<10+16*slots || b >= 1<<20 {

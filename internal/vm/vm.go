@@ -304,8 +304,9 @@ func (m *Machine) Run(params Params, obs Observer) *Result {
 
 // RunInto executes the program to completion (halt or budget), writing
 // the outcome into res. res is fully overwritten; its Output storage is
-// reused, so a Result that is recycled across calls reaches a steady
-// state where execution performs no allocation.
+// reused and grows by append to the longest output it has held, so a
+// Result that is recycled across calls reaches a steady state where
+// execution performs no allocation.
 //
 // With obs == nil a fast engine runs — native code, or the block-batched
 // superinstruction loop (runUnobserved) — and only boundary blocks take
@@ -321,13 +322,6 @@ func (m *Machine) RunInto(params Params, obs Observer, res *Result) {
 	resetNs := time.Since(start).Nanoseconds()
 	m.memClean = false // whichever engine runs may store from here on
 	res.reset()
-	if res.Output == nil {
-		estSnaps := int(params.MaxInstructions/params.SnapshotInterval) + 2
-		if estSnaps > 2048 {
-			estSnaps = 2048
-		}
-		res.Output = make([]byte, 0, estSnaps*SnapshotSize)
-	}
 	m.lastStats = RunStats{Backend: BackendInterp, ResetNs: resetNs}
 	if obs == nil {
 		// Unobserved runs may take the native backend (see backend.go);
