@@ -119,7 +119,7 @@ func WithSnapshotInterval(interval uint64) Option {
 // adds to widget instruction-class budgets (default 0.5).
 func WithNoise(noise float64) Option {
 	return func(c *config) error {
-		if noise < 0 || noise > 4 {
+		if !(noise >= 0 && noise <= 4) { // NaN fails too
 			return fmt.Errorf("hashcore: noise %v out of range [0,4]", noise)
 		}
 		c.noise = noise

@@ -3,6 +3,7 @@ package hashcore
 import (
 	"context"
 	"errors"
+	"math"
 	"strings"
 	"testing"
 
@@ -12,8 +13,10 @@ import (
 
 // fastOpts builds a hasher with a small custom profile so public-API tests
 // stay quick.
-func fastOpts() Option {
-	return WithCustomProfile(&profile.Profile{
+func fastOpts() Option { return WithCustomProfile(fastProfile()) }
+
+func fastProfile() *profile.Profile {
+	return &profile.Profile{
 		Name: "fast",
 		Mix: map[isa.Class]float64{
 			isa.ClassIntALU: 0.55,
@@ -28,7 +31,7 @@ func fastOpts() Option {
 		MemSequential: 0.4, MemStrided: 0.2, MemRandom: 0.3, MemPointerChase: 0.1,
 		WorkingSet: 4 << 10, BlockMean: 5, BlockStd: 2, DepDist: 3,
 		TargetDynamic: 2000,
-	})
+	}
 }
 
 func TestNewDefaults(t *testing.T) {
@@ -45,13 +48,17 @@ func TestNewDefaults(t *testing.T) {
 }
 
 func TestOptionValidation(t *testing.T) {
+	nan := fastProfile()
+	nan.BlockStd = math.NaN()
 	cases := map[string][]Option{
 		"unknown profile": {WithProfile("nope")},
 		"nil profile":     {WithCustomProfile(nil)},
 		"bad widgets":     {WithWidgets(0)},
 		"bad snapshot":    {WithSnapshotInterval(0)},
 		"bad noise":       {WithNoise(-1)},
+		"NaN noise":       {WithNoise(math.NaN())},
 		"bad loop trips":  {WithLoopTrips(1)},
+		"NaN profile":     {WithCustomProfile(nan)},
 	}
 	for name, opts := range cases {
 		t.Run(name, func(t *testing.T) {

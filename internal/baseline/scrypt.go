@@ -9,8 +9,8 @@ import (
 // Key derives a dkLen-byte key from password and salt using scrypt
 // (RFC 7914) with cost parameters N (CPU/memory, power of two), r (block
 // size) and p (parallelization). It is implemented from scratch on top of
-// this repository's PBKDF2-HMAC-SHA256 (internal/sha2) and verified
-// against the RFC test vectors.
+// this repository's PBKDF2-HMAC-SHA256 (internal/sha2, which only this
+// baseline uses) and verified against the RFC test vectors.
 //
 // It panics on invalid parameters; PoW callers fix them at configuration
 // time.

@@ -151,8 +151,8 @@ func (f *Func) Hash(input []byte) (Digest, error) {
 }
 
 // HashObserved is Hash with a VM observer attached to every widget
-// execution (used by the experiment harness to collect timing metrics
-// from real PoW evaluations).
+// execution: each run takes the per-instruction reference step, which
+// reports every retirement to obs. The digest is Hash's.
 func (f *Func) HashObserved(input []byte, obs vm.Observer) (Digest, error) {
 	s := f.session()
 	d, err := s.hash(input, obs, nil)

@@ -2,7 +2,9 @@ package core
 
 import (
 	"bytes"
+	"crypto/sha256"
 	"encoding/binary"
+	"strconv"
 	"sync"
 	"testing"
 
@@ -256,12 +258,100 @@ func TestAccessors(t *testing.T) {
 	}
 }
 
+// truncatedGate is a deliberately weakened gate for testing the Theorem 1
+// reduction: it keeps only Bits bits of SHA-256 entropy (the rest of the
+// digest is a deterministic expansion of those bits). Collisions can be
+// found by brute force in about 2^(Bits/2) queries, which lets tests
+// exercise the collision-extraction algorithm B from the paper's appendix.
+// It is NOT collision resistant by construction, so it lives here, beside
+// its one user.
+type truncatedGate struct {
+	// Bits is the number of effective entropy bits, 1..64 (0 means 16).
+	Bits uint
+}
+
+var _ gate.Gate = truncatedGate{}
+
+func (t truncatedGate) bits() uint {
+	if t.Bits == 0 || t.Bits > 64 {
+		return 16
+	}
+	return t.Bits
+}
+
+// Sum truncates SHA-256(msg) to t.Bits bits and re-expands them to 32
+// bytes through SHA-256, so downstream code sees a full-size seed that
+// depends only on the kept bits.
+func (t truncatedGate) Sum(msg []byte) [gate.SeedSize]byte {
+	full := sha256.Sum256(msg)
+	kept := binary.BigEndian.Uint64(full[:8])
+	if b := t.bits(); b < 64 {
+		kept &= (1 << b) - 1
+	}
+	return sha256.Sum256(binary.BigEndian.AppendUint64(nil, kept))
+}
+
+// Name records the truncation width.
+func (t truncatedGate) Name() string {
+	return "sha256-truncated-" + strconv.FormatUint(uint64(t.bits()), 10)
+}
+
+func TestTruncatedIsDeterministic(t *testing.T) {
+	g := truncatedGate{Bits: 8}
+	a := g.Sum([]byte("x"))
+	b := g.Sum([]byte("x"))
+	if a != b {
+		t.Fatal("truncated gate is not deterministic")
+	}
+	for _, tt := range []struct {
+		g    truncatedGate
+		want string
+	}{
+		{truncatedGate{Bits: 12}, "sha256-truncated-12"},
+		{truncatedGate{}, "sha256-truncated-16"},
+	} {
+		if got := tt.g.Name(); got != tt.want {
+			t.Errorf("Name() = %q, want %q", got, tt.want)
+		}
+	}
+}
+
+// TestTruncatedCollidesQuickly verifies the gate is actually weak: with 8
+// bits of entropy there are at most 256 distinct outputs, so 257 distinct
+// inputs must contain a collision (pigeonhole).
+func TestTruncatedCollidesQuickly(t *testing.T) {
+	g := truncatedGate{Bits: 8}
+	seen := make(map[[gate.SeedSize]byte][]byte)
+	for i := 0; i < 257; i++ {
+		msg := []byte{byte(i), byte(i >> 8), 0xaa}
+		d := g.Sum(msg)
+		if _, ok := seen[d]; ok {
+			return // collision found, as expected
+		}
+		seen[d] = msg
+	}
+	t.Fatal("no collision among 257 inputs to an 8-bit gate")
+}
+
+// TestTruncatedOutputCount verifies the number of distinct outputs is
+// bounded by 2^Bits.
+func TestTruncatedOutputCount(t *testing.T) {
+	g := truncatedGate{Bits: 4}
+	outputs := make(map[[gate.SeedSize]byte]bool)
+	for i := 0; i < 4096; i++ {
+		outputs[g.Sum([]byte{byte(i), byte(i >> 8)})] = true
+	}
+	if len(outputs) > 16 {
+		t.Fatalf("4-bit truncated gate produced %d distinct outputs, want <= 16", len(outputs))
+	}
+}
+
 // TestTheorem1Reduction is the executable version of the paper's security
 // proof: with a deliberately weakened gate we can find collisions on H by
 // brute force, and algorithm B (ExtractGateCollision) must then produce a
 // collision on G itself.
 func TestTheorem1Reduction(t *testing.T) {
-	weak := gate.Truncated{Bits: 12}
+	weak := truncatedGate{Bits: 12}
 	f := tinyFunc(t, Options{Gate: weak})
 
 	// Brute-force a collision on H (about 2^6 expected queries for a
@@ -310,7 +400,7 @@ func TestExtractGateCollisionRejectsNonCollisions(t *testing.T) {
 }
 
 func TestTheorem1ReductionChained(t *testing.T) {
-	weak := gate.Truncated{Bits: 10}
+	weak := truncatedGate{Bits: 10}
 	f := tinyFunc(t, Options{Gate: weak, Widgets: 2})
 	seen := make(map[Digest][]byte)
 	var x0, x1 []byte

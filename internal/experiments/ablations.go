@@ -10,7 +10,6 @@ import (
 	"hashcore/internal/gate"
 	"hashcore/internal/perfprox"
 	"hashcore/internal/pow"
-	"hashcore/internal/profile"
 	"hashcore/internal/randomxlite"
 	"hashcore/internal/selection"
 	"hashcore/internal/stats"
@@ -226,7 +225,7 @@ func RandomXPopulation(n int, masterSeed uint64, vp vm.Params) (*DistReport, err
 		if err != nil {
 			return nil, err
 		}
-		r, err := profile.Measure("rxl", p, uarch.IvyBridge(), vp)
+		r, err := uarch.Measure("rxl", p, uarch.IvyBridge(), vp)
 		if err != nil {
 			return nil, err
 		}

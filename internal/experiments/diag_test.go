@@ -4,7 +4,6 @@ import (
 	"testing"
 
 	"hashcore/internal/perfprox"
-	"hashcore/internal/profile"
 	"hashcore/internal/uarch"
 	"hashcore/internal/vm"
 	"hashcore/internal/workload"
@@ -21,7 +20,7 @@ func TestDiagnosticCacheBehaviour(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ref, err := profile.Measure("leela", refProg, uarch.IvyBridge(), vm.Params{})
+	ref, err := uarch.Measure("leela", refProg, uarch.IvyBridge(), vm.Params{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -38,7 +37,7 @@ func TestDiagnosticCacheBehaviour(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	wr, err := profile.Measure("widget", wp, uarch.IvyBridge(), vm.Params{})
+	wr, err := uarch.Measure("widget", wp, uarch.IvyBridge(), vm.Params{})
 	if err != nil {
 		t.Fatal(err)
 	}

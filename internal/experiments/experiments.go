@@ -77,7 +77,7 @@ type WidgetSample struct {
 type Population struct {
 	Config    Config
 	Samples   []WidgetSample
-	Reference *profile.Report // the reference workload, same simulator
+	Reference *uarch.Report // the reference workload, same simulator
 	Elapsed   time.Duration
 }
 
@@ -101,11 +101,11 @@ func RunPopulation(cfg Config) (*Population, error) {
 	if err != nil {
 		return nil, err
 	}
-	var ref *profile.Report
+	var ref *uarch.Report
 	if cfg.SkipTiming {
-		ref, err = profile.MeasureFunctional(w.Name, refProg, cfg.VMParams)
+		ref, err = uarch.MeasureFunctional(w.Name, refProg, cfg.VMParams)
 	} else {
-		ref, err = profile.Measure(w.Name, refProg, uarch.IvyBridge(), cfg.VMParams)
+		ref, err = uarch.Measure(w.Name, refProg, uarch.IvyBridge(), cfg.VMParams)
 	}
 	if err != nil {
 		return nil, err
@@ -152,11 +152,11 @@ func measureWidget(gen *perfprox.Generator, seed perfprox.Seed, prof *profile.Pr
 	if err != nil {
 		return WidgetSample{}, err
 	}
-	var r *profile.Report
+	var r *uarch.Report
 	if cfg.SkipTiming {
-		r, err = profile.MeasureFunctional("widget", p, cfg.VMParams)
+		r, err = uarch.MeasureFunctional("widget", p, cfg.VMParams)
 	} else {
-		r, err = profile.Measure("widget", p, uarch.IvyBridge(), cfg.VMParams)
+		r, err = uarch.Measure("widget", p, uarch.IvyBridge(), cfg.VMParams)
 	}
 	if err != nil {
 		return WidgetSample{}, err
@@ -167,7 +167,7 @@ func measureWidget(gen *perfprox.Generator, seed perfprox.Seed, prof *profile.Pr
 		MPKI:           r.MPKI,
 		OutputBytes:    r.OutputBytes,
 		Dynamic:        r.DynamicInstructions,
-		MixDistance:    profile.MixDistance(r.Mix, prof.Mix),
+		MixDistance:    uarch.MixDistance(r.Mix, prof.Mix),
 		BranchFraction: r.Mix[isa.ClassBranch],
 	}, nil
 }

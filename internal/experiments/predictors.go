@@ -4,7 +4,6 @@ import (
 	"fmt"
 
 	"hashcore/internal/perfprox"
-	"hashcore/internal/profile"
 	"hashcore/internal/stats"
 	"hashcore/internal/uarch"
 	"hashcore/internal/vm"
@@ -51,7 +50,7 @@ func PredictorAblation(profileName string, seedWord uint64, vp vm.Params) ([]Pre
 	for _, kind := range kinds {
 		cfg := uarch.IvyBridge()
 		cfg.Predictor = kind
-		r, err := profile.Measure(string(kind), widget, cfg, vp)
+		r, err := uarch.Measure(string(kind), widget, cfg, vp)
 		if err != nil {
 			return nil, err
 		}

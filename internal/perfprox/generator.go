@@ -52,7 +52,7 @@ func NewGenerator(prof *profile.Profile, params Params) (*Generator, error) {
 		return nil, fmt.Errorf("perfprox: %w", err)
 	}
 	p := params.withDefaults()
-	if p.Noise < 0 || p.Noise > 4 {
+	if !(p.Noise >= 0 && p.Noise <= 4) { // NaN fails too
 		return nil, fmt.Errorf("perfprox: noise amplitude %v out of range [0,4]", p.Noise)
 	}
 	if p.LoopTrips < 2 || p.LoopTrips > 1<<16 {

@@ -3,6 +3,7 @@ package perfprox
 import (
 	"bytes"
 	"encoding/binary"
+	"math"
 	"slices"
 	"testing"
 	"testing/quick"
@@ -11,6 +12,7 @@ import (
 	"hashcore/internal/isa"
 	"hashcore/internal/profile"
 	"hashcore/internal/prog"
+	"hashcore/internal/uarch"
 	"hashcore/internal/vm"
 	"hashcore/internal/workload"
 )
@@ -88,6 +90,9 @@ func TestNewGeneratorValidation(t *testing.T) {
 	if _, err := NewGenerator(prof, Params{Noise: -1}); err == nil {
 		t.Error("negative noise accepted")
 	}
+	if _, err := NewGenerator(prof, Params{Noise: math.NaN()}); err == nil {
+		t.Error("NaN noise accepted")
+	}
 	if _, err := NewGenerator(prof, Params{LoopTrips: 1}); err == nil {
 		t.Error("loop trips 1 accepted")
 	}
@@ -98,6 +103,11 @@ func TestNewGeneratorValidation(t *testing.T) {
 	bad.Mix[isa.ClassIntALU] = 5
 	if _, err := NewGenerator(bad, Params{}); err == nil {
 		t.Error("invalid profile accepted")
+	}
+	nan := prof.Clone()
+	nan.DepDist = math.NaN()
+	if _, err := NewGenerator(nan, Params{}); err == nil {
+		t.Error("NaN dependency distance accepted")
 	}
 }
 
@@ -165,11 +175,11 @@ func TestZeroSeedMatchesBaseProfile(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	r, err := profile.MeasureFunctional("zero", p, vm.Params{})
+	r, err := uarch.MeasureFunctional("zero", p, vm.Params{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if d := profile.MixDistance(r.Mix, prof.Mix); d > 0.06 {
+	if d := uarch.MixDistance(r.Mix, prof.Mix); d > 0.06 {
 		t.Errorf("zero-noise mix distance = %.4f, want <= 0.06\nmeasured: %v", d, r.Mix)
 	}
 	ratio := float64(r.DynamicInstructions) / float64(prof.TargetDynamic)
@@ -192,7 +202,7 @@ func TestPositiveNoiseOnly(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	var baseCount profile.Counter
+	var baseCount uarch.Counter
 	baseRes, err := vm.Run(base, vm.Params{}, &baseCount)
 	if err != nil {
 		t.Fatal(err)
@@ -209,7 +219,7 @@ func TestPositiveNoiseOnly(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		var count profile.Counter
+		var count uarch.Counter
 		res, err := vm.Run(p, vm.Params{}, &count)
 		if err != nil {
 			t.Fatal(err)
@@ -262,7 +272,7 @@ func TestBranchTakenRateTracksProfile(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	r, err := profile.MeasureFunctional("w", p, vm.Params{})
+	r, err := uarch.MeasureFunctional("w", p, vm.Params{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -413,12 +423,12 @@ func TestAllWorkloadProfilesGenerate(t *testing.T) {
 			if res.Truncated {
 				t.Fatal("widget truncated")
 			}
-			r, err := profile.MeasureFunctional(w.Name, p, vm.Params{})
+			r, err := uarch.MeasureFunctional(w.Name, p, vm.Params{})
 			if err != nil {
 				t.Fatal(err)
 			}
 			// Noised mixes shift, but must stay in the neighbourhood.
-			if d := profile.MixDistance(r.Mix, w.Profile.Mix); d > 0.25 {
+			if d := uarch.MixDistance(r.Mix, w.Profile.Mix); d > 0.25 {
 				t.Errorf("mix distance %.3f too large\nmeasured %v", d, r.Mix)
 			}
 		})

@@ -2,12 +2,10 @@ package profile
 
 import (
 	"errors"
+	"math"
 	"testing"
 
 	"hashcore/internal/isa"
-	"hashcore/internal/prog"
-	"hashcore/internal/uarch"
-	"hashcore/internal/vm"
 )
 
 func validProfile() *Profile {
@@ -61,6 +59,15 @@ func TestValidateRejections(t *testing.T) {
 		{"block mean tiny", func(p *Profile) { p.BlockMean = 1 }, ErrBadShape},
 		{"dep dist zero", func(p *Profile) { p.DepDist = 0 }, ErrBadShape},
 		{"target too small", func(p *Profile) { p.TargetDynamic = 10 }, ErrBadShape},
+		{"NaN mix", func(p *Profile) { p.Mix[isa.ClassIntALU] = math.NaN() }, ErrBadMix},
+		{"NaN branch taken", func(p *Profile) { p.BranchTaken = math.NaN() }, ErrBadFraction},
+		{"NaN mem fraction", func(p *Profile) { p.MemRandom = math.NaN() }, ErrBadFraction},
+		{"NaN block mean", func(p *Profile) { p.BlockMean = math.NaN() }, ErrBadShape},
+		{"NaN block std", func(p *Profile) { p.BlockStd = math.NaN() }, ErrBadShape},
+		{"+Inf block std", func(p *Profile) { p.BlockStd = math.Inf(1) }, ErrBadShape},
+		{"huge block std", func(p *Profile) { p.BlockStd = 1e300 }, ErrBadShape},
+		{"NaN dep dist", func(p *Profile) { p.DepDist = math.NaN() }, ErrBadShape},
+		{"+Inf dep dist", func(p *Profile) { p.DepDist = math.Inf(1) }, ErrBadShape},
 	}
 	for _, tt := range tests {
 		t.Run(tt.name, func(t *testing.T) {
@@ -73,109 +80,11 @@ func TestValidateRejections(t *testing.T) {
 	}
 }
 
-func TestNormalize(t *testing.T) {
-	p := validProfile()
-	for c := range p.Mix {
-		p.Mix[c] *= 3 // break normalization uniformly
-	}
-	p.MemSequential, p.MemStrided, p.MemRandom, p.MemPointerChase = 2, 2, 2, 2
-	p.Normalize()
-	if err := p.Validate(); err != nil {
-		t.Fatalf("normalized profile still invalid: %v", err)
-	}
-	if p.MemSequential != 0.25 {
-		t.Errorf("MemSequential = %v, want 0.25", p.MemSequential)
-	}
-}
-
 func TestCloneIsDeep(t *testing.T) {
 	p := validProfile()
 	q := p.Clone()
 	q.Mix[isa.ClassIntALU] = 0.99
 	if p.Mix[isa.ClassIntALU] == 0.99 {
 		t.Fatal("Clone shares the Mix map")
-	}
-}
-
-func TestMixDistance(t *testing.T) {
-	a := map[isa.Class]float64{isa.ClassIntALU: 1}
-	b := map[isa.Class]float64{isa.ClassBranch: 1}
-	if d := MixDistance(a, a); d != 0 {
-		t.Errorf("distance(a,a) = %v, want 0", d)
-	}
-	if d := MixDistance(a, b); d != 2 {
-		t.Errorf("distance(disjoint) = %v, want 2", d)
-	}
-}
-
-func testProgram(t *testing.T) *prog.Program {
-	t.Helper()
-	b := prog.NewBuilder(prog.MinMemSize, 1)
-	entry := b.NewBlock()
-	loop := b.NewBlock()
-	exit := b.NewBlock()
-	b.SetBlock(entry)
-	b.MovI(15, 100)
-	b.MovI(14, 0)
-	b.Jmp(loop)
-	b.SetBlock(loop)
-	b.Load(1, 15, 0)
-	b.Op3(isa.OpAdd, 2, 2, 1)
-	b.AddI(15, 15, -1)
-	b.Branch(isa.OpBne, 15, 14, loop)
-	b.SetBlock(exit)
-	b.Halt()
-	return b.MustBuild()
-}
-
-func TestMeasureFunctional(t *testing.T) {
-	r, err := MeasureFunctional("t", testProgram(t), vm.Params{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if r.DynamicInstructions == 0 {
-		t.Fatal("no instructions measured")
-	}
-	if r.IPC != 0 {
-		t.Error("functional measurement should not report IPC")
-	}
-	if r.Mix[isa.ClassLoad] == 0 {
-		t.Error("load fraction missing from mix")
-	}
-	if r.BranchTaken <= 0.9 {
-		t.Errorf("loop branch taken rate = %v, want ~0.99", r.BranchTaken)
-	}
-	var sum float64
-	for _, class := range isa.Classes {
-		sum += r.Mix[class]
-	}
-	if sum < 0.999 || sum > 1.001 {
-		t.Errorf("measured mix sums to %v, want 1", sum)
-	}
-}
-
-func TestMeasureWithTiming(t *testing.T) {
-	r, err := Measure("t", testProgram(t), uarch.IvyBridge(), vm.Params{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if r.IPC <= 0 {
-		t.Error("timing measurement missing IPC")
-	}
-	if r.Cycles <= 0 {
-		t.Error("timing measurement missing cycles")
-	}
-	if r.BranchAccuracy <= 0 {
-		t.Error("timing measurement missing branch accuracy")
-	}
-}
-
-func TestMeasureRejectsInvalidProgram(t *testing.T) {
-	bad := &prog.Program{MemSize: 7}
-	if _, err := MeasureFunctional("bad", bad, vm.Params{}); err == nil {
-		t.Error("MeasureFunctional accepted an invalid program")
-	}
-	if _, err := Measure("bad", bad, uarch.IvyBridge(), vm.Params{}); err == nil {
-		t.Error("Measure accepted an invalid program")
 	}
 }

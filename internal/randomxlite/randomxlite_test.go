@@ -6,7 +6,7 @@ import (
 	"testing"
 
 	"hashcore/internal/isa"
-	"hashcore/internal/profile"
+	"hashcore/internal/uarch"
 	"hashcore/internal/vm"
 )
 
@@ -64,7 +64,7 @@ func TestUniformMix(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	r, err := profile.MeasureFunctional("rxl", p, vm.Params{})
+	r, err := uarch.MeasureFunctional("rxl", p, vm.Params{})
 	if err != nil {
 		t.Fatal(err)
 	}

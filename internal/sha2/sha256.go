@@ -1,12 +1,9 @@
 // Package sha2 is a from-scratch implementation of SHA-256 (FIPS 180-4)
 // together with HMAC-SHA256 (RFC 2104) and PBKDF2 (RFC 2898).
 //
-// HashCore's security argument (Theorem 1 in the paper) reduces the
-// collision resistance of the whole PoW function to that of the hash gate,
-// so the repository keeps its own auditable gate primitive. The production
-// gate in internal/gate cross-checks this implementation against
-// crypto/sha256; the scrypt baseline in internal/baseline builds on the
-// HMAC and PBKDF2 implementations here.
+// Only the scrypt baseline in internal/baseline uses it, for its HMAC and
+// PBKDF2; no digest does. The hash gate (internal/gate) is the standard
+// library's crypto/sha256, and this package is outside the consensus set.
 package sha2
 
 import "encoding/binary"

@@ -16,6 +16,11 @@
 // slot-scheduled ports). These effects shift absolute IPC but preserve the
 // distribution *shape* over widget populations, which is what Figures 2
 // and 3 of the paper measure.
+//
+// It is also the measuring side of profiles: Measure and MeasureFunctional
+// run a program into a Report, the signature a profile.Profile targets.
+// Nothing here can change a digest, so the package stays outside the
+// consensus set.
 package uarch
 
 // CacheConfig describes one cache level.

@@ -8,7 +8,7 @@ package vm_test
 // overlay computes on load, this fetches; if the two ever disagree on one
 // word, a snapshot differs. It also counts, per instruction, what the VM
 // leaves to observers — retirements per class, conditional branches and
-// those taken — and is the reference profile.Counter is held to.
+// those taken — and is the reference uarch.Counter is held to.
 
 import (
 	"bytes"
@@ -19,7 +19,6 @@ import (
 
 	"hashcore/internal/isa"
 	"hashcore/internal/perfprox"
-	"hashcore/internal/profile"
 	"hashcore/internal/prog"
 	"hashcore/internal/rng"
 	"hashcore/internal/uarch"
@@ -247,7 +246,7 @@ func sameResult(a *vm.Result, b *denseRun) (string, bool) {
 
 // sameCounts reports whether a Counter counted what the dense reference
 // did.
-func sameCounts(c *profile.Counter, want *denseRun) bool {
+func sameCounts(c *uarch.Counter, want *denseRun) bool {
 	return c.Classes == want.classes && c.CondBranches == want.condBranches && c.TakenBranches == want.takenBranches
 }
 
@@ -261,7 +260,7 @@ func sparseEngines() []vm.Backend {
 
 // checkSparseVsDense runs the program loaded in m on every engine the
 // package has — the fused interpreter loop, native code, and the
-// per-instruction reference step on its own (a profile.Counter attached,
+// per-instruction reference step on its own (a uarch.Counter attached,
 // which must count what the dense reference counted) — and requires each
 // result to equal the dense reference's run of p: the program m holds, or
 // the one it was derived from.
@@ -285,7 +284,7 @@ func checkSparseVsDense(t *testing.T, m *vm.Machine, p *prog.Program, params vm.
 		check(be.String(), &got)
 	}
 	var got vm.Result
-	var c profile.Counter
+	var c uarch.Counter
 	m.RunInto(params, &c, &got)
 	check("reference step", &got)
 	if !sameCounts(&c, want) {
@@ -304,7 +303,7 @@ func summary(r *vm.Result) vm.Result {
 
 // TestProfilerCountsMatchDense holds the profiler to the dense reference:
 // on one full-size widget of each profile, the class mix and the
-// branch-taken rate that MeasureFunctional (a profile.Counter) and Measure
+// branch-taken rate that MeasureFunctional (a uarch.Counter) and Measure
 // (the timing core) report are the dense reference's per-instruction
 // counts over its retirements, to the last bit.
 func TestProfilerCountsMatchDense(t *testing.T) {
@@ -322,15 +321,15 @@ func TestProfilerCountsMatchDense(t *testing.T) {
 			t.Fatal(err)
 		}
 		dense := runDense(p, vm.Params{})
-		functional, err := profile.MeasureFunctional(name, p, vm.Params{})
+		functional, err := uarch.MeasureFunctional(name, p, vm.Params{})
 		if err != nil {
 			t.Fatal(err)
 		}
-		timed, err := profile.Measure(name, p, uarch.IvyBridge(), vm.Params{})
+		timed, err := uarch.Measure(name, p, uarch.IvyBridge(), vm.Params{})
 		if err != nil {
 			t.Fatal(err)
 		}
-		for _, r := range []*profile.Report{functional, timed} {
+		for _, r := range []*uarch.Report{functional, timed} {
 			if r.DynamicInstructions != dense.Retired {
 				t.Fatalf("%s: report retired %d, dense %d", name, r.DynamicInstructions, dense.Retired)
 			}

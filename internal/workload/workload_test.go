@@ -6,7 +6,7 @@ import (
 	"testing"
 
 	"hashcore/internal/isa"
-	"hashcore/internal/profile"
+	"hashcore/internal/uarch"
 	"hashcore/internal/vm"
 )
 
@@ -73,7 +73,7 @@ func TestMeasuredSignatureMatchesDeclared(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			r, err := profile.MeasureFunctional(w.Name, p, vm.Params{})
+			r, err := uarch.MeasureFunctional(w.Name, p, vm.Params{})
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -86,7 +86,7 @@ func TestMeasuredSignatureMatchesDeclared(t *testing.T) {
 				r.Mix[isa.ClassLoad], r.Mix[isa.ClassStore], r.Mix[isa.ClassBranch],
 				r.Mix[isa.ClassVector])
 
-			if d := profile.MixDistance(r.Mix, w.Profile.Mix); d > 0.10 {
+			if d := uarch.MixDistance(r.Mix, w.Profile.Mix); d > 0.10 {
 				t.Errorf("mix distance measured-vs-declared = %.3f, want <= 0.10", d)
 			}
 			if diff := math.Abs(r.BranchTaken - w.Profile.BranchTaken); diff > 0.10 {
