@@ -12,7 +12,8 @@
 // on its debug address (hcpoold -metrics-addr). With -conns N it instead
 // becomes a pool load generator: N subscribed connections that drain
 // every job broadcast without mining, for exercising fan-out at scale.
-// Stop with SIGINT/SIGTERM.
+// A miner whose pool connection drops re-dials with backoff and
+// resubscribes, so it outlives a pool restart. Stop with SIGINT/SIGTERM.
 package main
 
 import (
@@ -86,6 +87,10 @@ func run(ctx context.Context, args []string, out io.Writer) error {
 		MinerName: *name,
 		Agent:     "hcminer/1 " + h.Name(),
 		Workers:   *workers,
+		Reconnect: true,
+		OnDisconnect: func(err error) {
+			fmt.Fprintf(out, "hcminer: lost the pool (%v); reconnecting\n", err)
+		},
 	}
 	if !*quiet {
 		cfg.OnJob = func(j pool.JobNotify) {

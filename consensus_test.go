@@ -13,7 +13,7 @@ import (
 // closure of the hasher (.) and the node (internal/blockchain). It is the
 // list `go list -deps . ./internal/blockchain | grep '^hashcore'` prints,
 // sorted, and CI's "No fused FP ops off amd64" step derives its package
-// list the same way. Code outside it (the uarch timing model, the sha2
+// list the same way. Code outside it (the uarch timing model, the scrypt
 // baseline, the experiment harness, the pool and the network) can change
 // no digest. A package that joins it joins the code every platform must
 // run bit-identically; grow this list on purpose, never in passing.

@@ -1,6 +1,8 @@
 package baseline
 
 import (
+	"bytes"
+	"crypto/hmac"
 	"crypto/sha256"
 	"encoding/hex"
 	"testing"
@@ -104,6 +106,101 @@ func TestKeyLengths(t *testing.T) {
 		if got := len(Key([]byte("p"), []byte("s"), 16, 1, 1, dkLen)); got != dkLen {
 			t.Errorf("dkLen %d: got %d bytes", dkLen, got)
 		}
+	}
+}
+
+// RFC 4231 HMAC-SHA256 test vectors (cases 1, 2 and 6): the standard
+// library's HMAC-SHA256, the PRF under pbkdf2SHA256.
+func TestHMACRFC4231(t *testing.T) {
+	tests := []struct {
+		name      string
+		key, data []byte
+		want      string
+	}{
+		{
+			"case1",
+			bytes.Repeat([]byte{0x0b}, 20),
+			[]byte("Hi There"),
+			"b0344c61d8db38535ca8afceaf0bf12b881dc200c9833da726e9376c2e32cff7",
+		},
+		{
+			"case2",
+			[]byte("Jefe"),
+			[]byte("what do ya want for nothing?"),
+			"5bdcc146bf60754e6a042426089575c75a003f089d2739839dec58b964ec3843",
+		},
+		{
+			"case6-long-key",
+			bytes.Repeat([]byte{0xaa}, 131),
+			[]byte("Test Using Larger Than Block-Size Key - Hash Key First"),
+			"60e431591ee0b67f0d8a26aacbf5b77f8e0bc6213728c5140546040f0ee37f54",
+		},
+	}
+	for _, tt := range tests {
+		t.Run(tt.name, func(t *testing.T) {
+			m := hmac.New(sha256.New, tt.key)
+			m.Write(tt.data)
+			if got := hex.EncodeToString(m.Sum(nil)); got != tt.want {
+				t.Errorf("HMAC = %s, want %s", got, tt.want)
+			}
+		})
+	}
+}
+
+// RFC 7914 section 11 PBKDF2-HMAC-SHA256 test vectors.
+func TestPBKDF2RFC7914(t *testing.T) {
+	tests := []struct {
+		name           string
+		password, salt string
+		c, dkLen       int
+		want           string
+	}{
+		{
+			"passwd-c1", "passwd", "salt", 1, 64,
+			"55ac046e56e3089fec1691c22544b605f94185216dde0465e68b9d57c20dacbc" +
+				"49ca9cccf179b645991664b39d77ef317c71b845b1e30bd509112041d3a19783",
+		},
+		{
+			"password-c80000", "Password", "NaCl", 80000, 64,
+			"4ddcd8f60b98be21830cee5ef22701f9641a4418d04c0414aeff08876b34ab56" +
+				"a1d425a1225833549adb841b51c9b3176a272bdebba1d078478f62b397f33c8d",
+		},
+	}
+	for _, tt := range tests {
+		t.Run(tt.name, func(t *testing.T) {
+			if tt.c > 1000 && testing.Short() {
+				t.Skip("skipping high-iteration vector in -short mode")
+			}
+			got := pbkdf2SHA256([]byte(tt.password), []byte(tt.salt), tt.c, tt.dkLen)
+			if hex.EncodeToString(got) != tt.want {
+				t.Errorf("PBKDF2 = %x, want %s", got, tt.want)
+			}
+		})
+	}
+}
+
+func TestPBKDF2Lengths(t *testing.T) {
+	for _, dkLen := range []int{1, 31, 32, 33, 64, 100} {
+		dk := pbkdf2SHA256([]byte("p"), []byte("s"), 2, dkLen)
+		if len(dk) != dkLen {
+			t.Errorf("dkLen %d: got %d bytes", dkLen, len(dk))
+		}
+	}
+}
+
+func TestPBKDF2PanicsOnBadArgs(t *testing.T) {
+	for name, fn := range map[string]func(){
+		"zero-iterations": func() { pbkdf2SHA256([]byte("p"), []byte("s"), 0, 32) },
+		"zero-length":     func() { pbkdf2SHA256([]byte("p"), []byte("s"), 1, 0) },
+	} {
+		t.Run(name, func(t *testing.T) {
+			defer func() {
+				if recover() == nil {
+					t.Fatal("expected panic")
+				}
+			}()
+			fn()
+		})
 	}
 }
 

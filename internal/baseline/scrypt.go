@@ -1,16 +1,16 @@
 package baseline
 
 import (
+	"crypto/pbkdf2"
+	"crypto/sha256"
 	"encoding/binary"
-
-	"hashcore/internal/sha2"
 )
 
 // Key derives a dkLen-byte key from password and salt using scrypt
 // (RFC 7914) with cost parameters N (CPU/memory, power of two), r (block
-// size) and p (parallelization). It is implemented from scratch on top of
-// this repository's PBKDF2-HMAC-SHA256 (internal/sha2, which only this
-// baseline uses) and verified against the RFC test vectors.
+// size) and p (parallelization). ROMix, BlockMix and Salsa20/8 are
+// implemented here; PBKDF2-HMAC-SHA256 comes from crypto/pbkdf2 and
+// crypto/sha256. It is verified against the RFC test vectors.
 //
 // It panics on invalid parameters; PoW callers fix them at configuration
 // time.
@@ -23,11 +23,26 @@ func Key(password, salt []byte, n, r, p, dkLen int) []byte {
 	}
 
 	blockBytes := 128 * r
-	b := sha2.PBKDF2(password, salt, 1, p*blockBytes)
+	b := pbkdf2SHA256(password, salt, 1, p*blockBytes)
 	for i := 0; i < p; i++ {
 		roMix(b[i*blockBytes:(i+1)*blockBytes], n, r)
 	}
-	return sha2.PBKDF2(password, b, 1, dkLen)
+	return pbkdf2SHA256(password, b, 1, dkLen)
+}
+
+// pbkdf2SHA256 derives dkLen bytes from password and salt with c
+// iterations of HMAC-SHA256 (RFC 8018). It panics if c < 1, which
+// crypto/pbkdf2 would read as 1, and on crypto/pbkdf2's error (dkLen < 1
+// or too long).
+func pbkdf2SHA256(password, salt []byte, c, dkLen int) []byte {
+	if c < 1 {
+		panic("baseline: PBKDF2 iteration count must be >= 1")
+	}
+	dk, err := pbkdf2.Key(sha256.New, string(password), salt, c, dkLen)
+	if err != nil {
+		panic("baseline: " + err.Error())
+	}
+	return dk
 }
 
 // roMix is scryptROMix: sequential memory-hard mixing of one 128r-byte

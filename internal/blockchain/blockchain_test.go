@@ -74,57 +74,6 @@ func TestMerkleRootProperties(t *testing.T) {
 	}
 }
 
-func TestMerkleProofs(t *testing.T) {
-	txs := [][]byte{[]byte("t0"), []byte("t1"), []byte("t2"), []byte("t3"), []byte("t4")}
-	root := MerkleRoot(txs)
-	for i := range txs {
-		proof, err := BuildMerkleProof(txs, i)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !VerifyMerkleProof(root, txs[i], proof) {
-			t.Errorf("valid proof for tx %d rejected", i)
-		}
-		if VerifyMerkleProof(root, []byte("forged"), proof) {
-			t.Errorf("forged tx accepted at index %d", i)
-		}
-		// Index tampering is only detectable when the leaf has a distinct
-		// sibling; the final odd leaf pairs with itself at every level
-		// (the classic duplicate-node quirk of Bitcoin-style trees), so
-		// its proof is index-ambiguous by construction.
-		if i%2 == 0 && i+1 < len(txs) {
-			wrong := proof
-			wrong.Index++
-			if VerifyMerkleProof(root, txs[i], wrong) {
-				t.Errorf("proof with wrong index accepted for tx %d", i)
-			}
-		}
-	}
-	if _, err := BuildMerkleProof(txs, 9); err == nil {
-		t.Error("out-of-range proof index accepted")
-	}
-}
-
-func TestMerkleProofQuick(t *testing.T) {
-	f := func(seed uint8, count uint8) bool {
-		n := int(count%16) + 1
-		txs := make([][]byte, n)
-		for i := range txs {
-			txs[i] = []byte{seed, byte(i), byte(i * 3)}
-		}
-		root := MerkleRoot(txs)
-		idx := int(seed) % n
-		proof, err := BuildMerkleProof(txs, idx)
-		if err != nil {
-			return false
-		}
-		return VerifyMerkleProof(root, txs[idx], proof)
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 100}); err != nil {
-		t.Fatal(err)
-	}
-}
-
 // mineBlock finds a valid block on top of the given parent.
 func mineBlock(t *testing.T, c *Chain, parentID Hash, time uint64, txs [][]byte) Block {
 	t.Helper()

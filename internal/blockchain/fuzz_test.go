@@ -40,58 +40,6 @@ func FuzzHeaderRoundTrip(f *testing.F) {
 	})
 }
 
-// FuzzVerifyMerkleProof: a freshly built proof must verify, and any
-// single-bit mutation of a path element — or any substitution of the
-// transaction — must not. (Index mutations are excluded: the final odd
-// leaf self-pairs at every level, making its proof index-ambiguous by
-// construction; the unit tests pin the even-index cases.)
-func FuzzVerifyMerkleProof(f *testing.F) {
-	f.Add(uint8(1), uint8(1), uint8(0), uint8(0), uint8(0))
-	f.Add(uint8(7), uint8(5), uint8(3), uint8(2), uint8(11))
-	f.Add(uint8(0), uint8(16), uint8(15), uint8(31), uint8(7))
-
-	f.Fuzz(func(t *testing.T, seed, count, pick, flipByte, flipBit uint8) {
-		n := int(count%16) + 1
-		txs := make([][]byte, n)
-		for i := range txs {
-			txs[i] = []byte{seed, byte(i), byte(i * 5)}
-		}
-		root := MerkleRoot(txs)
-		idx := int(pick) % n
-		proof, err := BuildMerkleProof(txs, idx)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !VerifyMerkleProof(root, txs[idx], proof) {
-			t.Fatal("valid proof rejected")
-		}
-
-		// A different transaction under the same proof must fail.
-		if VerifyMerkleProof(root, append([]byte{0xfe}, txs[idx]...), proof) {
-			t.Fatal("forged transaction verified")
-		}
-
-		// Flipping one bit anywhere in the path must fail: the sibling
-		// hashes are inputs to the root computation at every level.
-		if len(proof.Path) > 0 {
-			mutated := MerkleProof{Index: proof.Index, Path: make([]Hash, len(proof.Path))}
-			copy(mutated.Path, proof.Path)
-			elem := int(flipByte) % len(mutated.Path)
-			mutated.Path[elem][int(flipBit)%HashSize] ^= 1 << (flipBit % 8)
-			if VerifyMerkleProof(root, txs[idx], mutated) {
-				t.Fatalf("proof with mutated path element %d verified", elem)
-			}
-		}
-
-		// A proof against the wrong root must fail.
-		wrongRoot := root
-		wrongRoot[0] ^= 0x80
-		if VerifyMerkleProof(wrongRoot, txs[idx], proof) {
-			t.Fatal("proof verified against a different root")
-		}
-	})
-}
-
 // FuzzBlockRecordRoundTrip: the block-log payload codec must round-trip
 // what it wrote and never crash on damaged input — the file store feeds
 // it raw disk bytes after a crash.

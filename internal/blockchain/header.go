@@ -105,68 +105,6 @@ func MerkleRoot(txs [][]byte) Hash {
 	return level[0]
 }
 
-// MerkleProof is an inclusion proof for one transaction.
-type MerkleProof struct {
-	// Index is the transaction's position among the leaves.
-	Index int
-	// Path holds the sibling hashes from leaf level to the root.
-	Path []Hash
-}
-
-// BuildMerkleProof constructs the proof for transaction index i.
-func BuildMerkleProof(txs [][]byte, i int) (MerkleProof, error) {
-	if i < 0 || i >= len(txs) {
-		return MerkleProof{}, fmt.Errorf("blockchain: proof index %d out of range", i)
-	}
-	proof := MerkleProof{Index: i}
-	level := make([]Hash, len(txs))
-	for j, tx := range txs {
-		level[j] = sha256d(tx)
-	}
-	pos := i
-	for len(level) > 1 {
-		sibling := pos ^ 1
-		if sibling >= len(level) {
-			sibling = pos // odd node pairs with itself
-		}
-		proof.Path = append(proof.Path, level[sibling])
-		next := make([]Hash, 0, (len(level)+1)/2)
-		for j := 0; j < len(level); j += 2 {
-			left := level[j]
-			right := left
-			if j+1 < len(level) {
-				right = level[j+1]
-			}
-			var buf [2 * HashSize]byte
-			copy(buf[:], left[:])
-			copy(buf[HashSize:], right[:])
-			next = append(next, sha256d(buf[:]))
-		}
-		level = next
-		pos /= 2
-	}
-	return proof, nil
-}
-
-// VerifyMerkleProof checks that tx is committed at proof.Index under root.
-func VerifyMerkleProof(root Hash, tx []byte, proof MerkleProof) bool {
-	h := sha256d(tx)
-	pos := proof.Index
-	for _, sibling := range proof.Path {
-		var buf [2 * HashSize]byte
-		if pos%2 == 0 {
-			copy(buf[:], h[:])
-			copy(buf[HashSize:], sibling[:])
-		} else {
-			copy(buf[:], sibling[:])
-			copy(buf[HashSize:], h[:])
-		}
-		h = sha256d(buf[:])
-		pos /= 2
-	}
-	return h == root
-}
-
 func sha256d(data []byte) Hash {
 	first := sha256.Sum256(data)
 	return sha256.Sum256(first[:])

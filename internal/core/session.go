@@ -141,7 +141,6 @@ func (s *Session) runWidget(seed perfprox.Seed, obs vm.Observer, t *PhaseTimings
 		st := s.m.LastRunStats()
 		if t != nil {
 			t.ExecNs += time.Since(s.execMark).Nanoseconds()
-			t.CompileNs += st.CompileNs
 			t.FillNs += st.ResetNs
 			t.Retired += s.res.Retired
 			t.WordsWritten += st.WordsWritten
@@ -149,9 +148,6 @@ func (s *Session) runWidget(seed perfprox.Seed, obs vm.Observer, t *PhaseTimings
 		if met := f.met; met != nil {
 			met.wordsWritten.Add(st.WordsWritten)
 			met.slowBounces.Add(st.SlowBounces)
-			if st.Compiled {
-				met.jitCompileSeconds.Observe(float64(st.CompileNs) / 1e9)
-			}
 		}
 		if st.FallbackErr != nil {
 			f.noteFallback(st.FallbackErr)
@@ -189,10 +185,9 @@ func (s *Session) loadWidget(seed perfprox.Seed, obs vm.Observer, t *PhaseTiming
 		t.LoadNs += time.Since(s.execMark).Nanoseconds()
 	}
 	// Compile now rather than lazily inside the first run, so the compile
-	// is a phase of its own. It is cached against the program load; the
-	// run's own stats then report zero compile time, so the eager
-	// compile's cost (and its telemetry observation) is accounted here
-	// instead. A compile failure is left for the run to discover — it
+	// is a phase of its own. It is cached against the program load, so
+	// the run never compiles: the compile's cost and its telemetry
+	// observation are accounted here and nowhere else. A compile failure is left for the run to discover — it
 	// falls back to the interpreter and reports the cached error as
 	// FallbackErr, same as the lazy path.
 	if obs == nil && s.m.BackendSelected() == vm.BackendNative {

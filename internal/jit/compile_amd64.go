@@ -1357,11 +1357,6 @@ func (c *Compiler) jccLocal(cc byte) int {
 	return c.pos - 4
 }
 
-func (c *Compiler) jmpLocal() int {
-	c.put(0xE9, 5)
-	return c.pos - 4
-}
-
 func (c *Compiler) bind(pos int) {
 	binary.LittleEndian.PutUint32(c.buf[pos:], uint32(c.pos-(pos+4)))
 }

@@ -206,20 +206,9 @@ type Manager struct {
 	wg         sync.WaitGroup
 }
 
-// StartNetwork is the command-line bring-up the daemons share: build a
-// manager on node, start it, and keep a persistent session to every
+// StartNetworkCfg is the command-line bring-up the daemons share: build a
+// manager from cfg, start it, and keep a persistent session to every
 // address in the comma-separated connect list.
-func StartNetwork(node *blockchain.Node, network, agent, listen, connectCSV string) (*Manager, error) {
-	return StartNetworkCfg(Config{
-		Node:       node,
-		Network:    network,
-		Agent:      agent,
-		ListenAddr: listen,
-	}, connectCSV)
-}
-
-// StartNetworkCfg is StartNetwork for daemons that need the full Config
-// (telemetry registry, hardening knobs) rather than the shorthand.
 func StartNetworkCfg(cfg Config, connectCSV string) (*Manager, error) {
 	m, err := New(cfg)
 	if err != nil {

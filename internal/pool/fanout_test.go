@@ -3,6 +3,7 @@ package pool
 import (
 	"bufio"
 	"context"
+	"encoding/hex"
 	"encoding/json"
 	"fmt"
 	"net"
@@ -31,7 +32,7 @@ func TestNotifyFrameMatchesJSON(t *testing.T) {
 		for _, win := range [][2]uint64{{0, 1 << 16}, {1 << 40, 1<<40 + 1<<16}, {0, 0}} {
 			env := Envelope{Type: TypeNotify, Job: &JobNotify{
 				ID:         job.ID,
-				Prefix:     hexPrefix(job),
+				Prefix:     hex.EncodeToString(job.Prefix),
 				ShareBits:  job.ShareBits,
 				BlockBits:  job.BlockBits,
 				NonceStart: win[0],

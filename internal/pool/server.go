@@ -2,7 +2,6 @@ package pool
 
 import (
 	"context"
-	"encoding/hex"
 	"encoding/json"
 	"errors"
 	"fmt"
@@ -811,7 +810,3 @@ func (c *serverConn) handleShare(jobID []byte, nonce uint64) bool {
 	}
 	return true
 }
-
-// hexPrefix is kept for tests and embedders that build JobNotify values
-// directly; the broadcast path uses the marshal-once notifyFrame.
-func hexPrefix(job *Job) string { return hex.EncodeToString(job.Prefix) }

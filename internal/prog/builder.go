@@ -9,8 +9,8 @@ import (
 
 // Builder incrementally constructs a Program block by block. Every program
 // is written through one: by the widget generator, the hand-written
-// reference workloads, the assembler and the wire decoder. Builders are
-// not safe for concurrent use.
+// reference workloads and the assembler. Builders are not safe for
+// concurrent use.
 //
 // Blocks are identified by the labels returned from NewBlock, so code can
 // reference a block before its instructions are emitted (needed for forward
@@ -18,7 +18,7 @@ import (
 // but must be filled in index order: once a block has received an
 // instruction, no block before it can. Every caller works that way — a
 // branch diamond declares its arms and its join, then fills them one after
-// the other; the assembler and the wire decoder read blocks in order — and
+// the other; the assembler reads blocks in order — and
 // it lets Emit write each instruction once, validated and in its final
 // place in Program.Code, leaving Build only the block starts to lay out
 // and the branch targets to check. The builder is the one writer of a

@@ -1,14 +1,12 @@
 package prog
 
-import (
-	"encoding/binary"
-	"errors"
-	"fmt"
+import "encoding/binary"
 
-	"hashcore/internal/isa"
-)
-
-// Binary widget format:
+// Binary widget format (HCW1), the canonical byte form of a program. It is
+// write-only: selection.Pool.StorageBytes counts it and tests compare
+// programs by it, but nothing parses it back; asm.Assemble is the one way
+// a program enters from outside.
+//
 //
 //	magic   [4]byte  "HCW1"
 //	memSize uint32   log2 of memory size
@@ -23,9 +21,6 @@ var magic = [4]byte{'H', 'C', 'W', '1'}
 
 // instrSize is the encoded size of one instruction in bytes.
 const instrSize = 16
-
-// ErrBadFormat is returned by Decode for malformed widget binaries.
-var ErrBadFormat = errors.New("prog: malformed widget binary")
 
 // Encode serializes p into the binary widget format. The program should be
 // validated first; Encode does not check semantics. The derived fields
@@ -46,56 +41,6 @@ func (p *Program) Encode() []byte {
 		}
 	}
 	return out
-}
-
-// Decode parses a binary widget produced by Encode, writing it through a
-// Builder — which validates it and derives what the format leaves out. A
-// program Decode accepts re-encodes to the bytes it came from.
-func Decode(data []byte) (*Program, error) {
-	if len(data) < 20 || [4]byte(data[:4]) != magic {
-		return nil, fmt.Errorf("%w: bad magic or truncated header", ErrBadFormat)
-	}
-	memLog := binary.LittleEndian.Uint32(data[4:])
-	if memLog > 28 { // 256 MiB
-		return nil, fmt.Errorf("%w: memory size 2^%d out of range", ErrBadFormat, memLog)
-	}
-	nBlocks := binary.LittleEndian.Uint32(data[16:])
-	if nBlocks > MaxBlocks {
-		return nil, fmt.Errorf("%w: %d blocks", ErrBadFormat, nBlocks)
-	}
-	// The counts come from outside: reserve no more than the bytes that
-	// follow could hold (4 a block header, instrSize an instruction).
-	body := len(data) - 20
-	var b Builder
-	b.program.Blocks = make([]Block, 0, min(int(nBlocks), body/4))
-	b.program.Code = make([]Instr, 0, body/instrSize)
-	b.Reset(1<<memLog, binary.LittleEndian.Uint64(data[8:]))
-	off := 20
-	for bi := uint32(0); bi < nBlocks; bi++ {
-		if off+4 > len(data) {
-			return nil, fmt.Errorf("%w: truncated block header", ErrBadFormat)
-		}
-		n := binary.LittleEndian.Uint32(data[off:])
-		off += 4
-		if n > MaxBlockInstrs || off+int(n)*instrSize > len(data) {
-			return nil, fmt.Errorf("%w: truncated block body", ErrBadFormat)
-		}
-		b.NewBlock()
-		for end := off + int(n)*instrSize; off < end; off += instrSize {
-			b.Emit(Instr{
-				Op:     isa.Opcode(data[off]),
-				Dst:    data[off+1],
-				A:      data[off+2],
-				B:      data[off+3],
-				Target: binary.LittleEndian.Uint32(data[off+4:]),
-				Imm:    int64(binary.LittleEndian.Uint64(data[off+8:])),
-			})
-		}
-	}
-	if off != len(data) {
-		return nil, fmt.Errorf("%w: %d trailing bytes", ErrBadFormat, len(data)-off)
-	}
-	return b.Build()
 }
 
 func log2(n int) int {

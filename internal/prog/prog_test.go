@@ -1,17 +1,12 @@
 package prog
 
 import (
-	"bytes"
-	"encoding/binary"
 	"errors"
-	"runtime"
 	"slices"
 	"testing"
-	"testing/quick"
 	"unsafe"
 
 	"hashcore/internal/isa"
-	"hashcore/internal/rng"
 )
 
 // tinyValid returns a minimal valid program: one block computing a bit and
@@ -206,113 +201,6 @@ func TestBuilderMultiBlockControlFlow(t *testing.T) {
 		[]Instr{{Op: isa.OpHalt}})
 	if !slices.Equal(p.Code, want.Code) || !slices.Equal(p.Blocks, want.Blocks) {
 		t.Errorf("built\n %+v\n %+v\nwant\n %+v\n %+v", p.Code, p.Blocks, want.Code, want.Blocks)
-	}
-}
-
-func TestEncodeDecodeRoundTrip(t *testing.T) {
-	p := tinyValid()
-	data := p.Encode()
-	got, err := Decode(data)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got.MemSize != p.MemSize || got.MemSeed != p.MemSeed {
-		t.Errorf("memory decl mismatch: got %d/%d, want %d/%d",
-			got.MemSize, got.MemSeed, p.MemSize, p.MemSeed)
-	}
-	if !slices.Equal(got.Code, p.Code) || !slices.Equal(got.Blocks, p.Blocks) {
-		t.Fatalf("decoded\n %+v\n %+v\nwant\n %+v\n %+v", got.Code, got.Blocks, p.Code, p.Blocks)
-	}
-}
-
-// TestEncodeDecodeRandomPrograms round-trips randomly built (but valid)
-// programs through the binary format.
-func TestEncodeDecodeRandomPrograms(t *testing.T) {
-	f := func(seed uint64) bool {
-		x := rng.NewXoshiro256(seed)
-		b := NewBuilder(1<<uint(12+x.Intn(8)), x.Next())
-		nBlocks := 1 + x.Intn(5)
-		for i := 0; i < nBlocks; i++ {
-			b.NewBlock()
-			for j := x.Intn(10); j > 0; j-- {
-				b.Op3(isa.OpXor, uint8(x.Intn(16)), uint8(x.Intn(16)), uint8(x.Intn(16)))
-			}
-			if i == nBlocks-1 {
-				b.Halt()
-			} else {
-				b.Jmp(Label(x.Intn(nBlocks)))
-			}
-		}
-		p, err := b.Build()
-		if err != nil {
-			return false
-		}
-		q, err := Decode(p.Encode())
-		if err != nil {
-			return false
-		}
-		return slices.Equal(q.Code, p.Code) && slices.Equal(q.Blocks, p.Blocks) && bytes.Equal(q.Encode(), p.Encode())
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 50}); err != nil {
-		t.Fatal(err)
-	}
-}
-
-func TestDecodeRejectsCorruption(t *testing.T) {
-	valid := tinyValid().Encode()
-
-	tests := []struct {
-		name   string
-		mutate func([]byte) []byte
-	}{
-		{"bad magic", func(d []byte) []byte { d[0] = 'X'; return d }},
-		{"truncated", func(d []byte) []byte { return d[:len(d)-3] }},
-		{"trailing garbage", func(d []byte) []byte { return append(d, 0xff) }},
-		{"huge mem", func(d []byte) []byte { d[4] = 60; return d }},
-		{"empty", func(d []byte) []byte { return nil }},
-		{
-			"invalid opcode inside",
-			func(d []byte) []byte { d[24] = 255; return d },
-		},
-		{
-			"target on a non-branch", // movi, the first instruction
-			func(d []byte) []byte { d[28] = 1; return d },
-		},
-		{
-			// A header alone that claims the most blocks the format allows:
-			// rejected for what is missing, not after reserving room for it.
-			"block count beyond the input",
-			func(d []byte) []byte { return binary.LittleEndian.AppendUint32(d[:16], MaxBlocks) },
-		},
-	}
-	for _, tt := range tests {
-		t.Run(tt.name, func(t *testing.T) {
-			data := tt.mutate(bytes.Clone(valid))
-			var before, after runtime.MemStats
-			runtime.ReadMemStats(&before)
-			_, err := Decode(data)
-			runtime.ReadMemStats(&after)
-			if err == nil {
-				t.Error("Decode accepted corrupted input")
-			}
-			// No rejection may cost more memory than the input could justify.
-			if got := after.TotalAlloc - before.TotalAlloc; got > 64<<10 {
-				t.Errorf("Decode allocated %d bytes rejecting %d bytes of input", got, len(data))
-			}
-		})
-	}
-}
-
-func TestDecodeValidates(t *testing.T) {
-	// Build an encoding of a structurally broken program by hand: a
-	// branch to a nonexistent block.
-	b := NewBuilder(DefaultMemSize, 0)
-	b.NewBlock()
-	b.Halt()
-	p := b.MustBuild()
-	p.Code[0] = Instr{Op: isa.OpJmp, Target: 7}
-	if _, err := Decode(p.Encode()); err == nil {
-		t.Fatal("Decode accepted a program with a dangling branch target")
 	}
 }
 

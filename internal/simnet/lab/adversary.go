@@ -78,17 +78,6 @@ func (a *Adversary) FloodInvs(victim string, n int) int {
 	return sent
 }
 
-// SendGarbage opens a session and writes raw non-protocol bytes.
-func (a *Adversary) SendGarbage(victim string) {
-	wp, nc, err := a.session(victim)
-	if err != nil {
-		return
-	}
-	defer wp.Close()
-	_, _ = nc.Write([]byte("this is not NDJSON at all\n"))
-	time.Sleep(20 * time.Millisecond) // let the victim read it before we vanish
-}
-
 // HoldHandshake dials the victim and never says hello, squatting a
 // pending-handshake slot until the victim's handshake timeout fires or
 // the returned closer is called.

@@ -243,25 +243,6 @@ func (c *Cluster) Metric(i int, name string) float64 {
 	return v
 }
 
-// SumMetric totals a metric across the whole cluster.
-func (c *Cluster) SumMetric(name string) float64 {
-	var total float64
-	for i := range c.Nodes {
-		total += c.Metric(i, name)
-	}
-	return total
-}
-
-// MetricsSnapshot gathers every node's full instrument state, keyed by
-// node name — the cluster-wide observability picture at one instant.
-func (c *Cluster) MetricsSnapshot() map[string][]telemetry.Sample {
-	out := make(map[string][]telemetry.Sample, len(c.Nodes))
-	for _, n := range c.Nodes {
-		out[n.Name] = n.Reg.Gather()
-	}
-	return out
-}
-
 // HeaviestTip returns the tip of the node with the most total work
 // (ties go to the lowest index), for partition-heal assertions.
 func (c *Cluster) HeaviestTip() blockchain.Hash {

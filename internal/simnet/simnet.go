@@ -145,13 +145,6 @@ func (n *Network) SetLink(a, b string, link LinkConfig) {
 	n.links[linkKey(a, b)] = link
 }
 
-// SetDefaultLink replaces the default link configuration.
-func (n *Network) SetDefaultLink(link LinkConfig) {
-	n.mu.Lock()
-	defer n.mu.Unlock()
-	n.cfg.DefaultLink = link
-}
-
 // Partition splits the network into the given host groups: connections
 // between hosts in different groups are severed (both ends see a reset)
 // and new cross-group dials are refused. Hosts not named in any group
@@ -202,14 +195,6 @@ func (n *Network) Up(host string) {
 	n.mu.Lock()
 	delete(n.down, host)
 	n.mu.Unlock()
-}
-
-// ConnCount returns the number of live connection endpoints (two per
-// established connection).
-func (n *Network) ConnCount() int {
-	n.mu.Lock()
-	defer n.mu.Unlock()
-	return len(n.conns)
 }
 
 // crossPartitionConnsLocked returns the endpoints whose two hosts are now
