@@ -1,31 +1,27 @@
-package core
+package hashcore
 
 import (
 	"testing"
 
 	"hashcore/internal/telemetry"
 	"hashcore/internal/vm"
-	"hashcore/internal/workload"
 )
 
-func newBackendFunc(t *testing.T, b vm.Backend, reg *telemetry.Registry, j *telemetry.Journal) *Func {
+// newBackendHasher builds a leela hasher pinned to engine b.
+func newBackendHasher(t *testing.T, b vm.Backend, reg *telemetry.Registry, j *telemetry.Journal) *Hasher {
 	t.Helper()
-	w, err := workload.ByName("leela")
+	h, err := New(WithTelemetry(reg), WithJournal(j))
 	if err != nil {
 		t.Fatal(err)
 	}
-	f, err := New(Options{Profile: w.Profile, Backend: b, Metrics: reg, Journal: j})
-	if err != nil {
-		t.Fatal(err)
-	}
-	return f
+	return onBackend(h, b)
 }
 
 // TestBackendDigestsIdentical is the facade-level determinism check: the
 // same input hashed under every backend setting yields the same digest.
 func TestBackendDigestsIdentical(t *testing.T) {
-	interp := newBackendFunc(t, vm.BackendInterp, nil, nil)
-	native := newBackendFunc(t, vm.BackendNative, nil, nil)
+	interp := newBackendHasher(t, vm.BackendInterp, nil, nil)
+	native := newBackendHasher(t, vm.BackendNative, nil, nil)
 	for _, in := range []string{"", "a", "hashcore block header"} {
 		di, err := interp.Hash([]byte(in))
 		if err != nil {
@@ -45,10 +41,10 @@ func TestBackendDigestsIdentical(t *testing.T) {
 // compile-latency histogram.
 func TestBackendMetrics(t *testing.T) {
 	reg := telemetry.NewRegistry()
-	f := newBackendFunc(t, vm.BackendInterp, reg, nil)
+	h := newBackendHasher(t, vm.BackendInterp, reg, nil)
 	const n = 2
 	for i := 0; i < n; i++ {
-		if _, err := f.Hash([]byte{byte(i)}); err != nil {
+		if _, err := h.Hash([]byte{byte(i)}); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -63,9 +59,9 @@ func TestBackendMetrics(t *testing.T) {
 		return
 	}
 	reg = telemetry.NewRegistry()
-	f = newBackendFunc(t, vm.BackendNative, reg, nil)
+	h = newBackendHasher(t, vm.BackendNative, reg, nil)
 	for i := 0; i < n; i++ {
-		if _, err := f.Hash([]byte{byte(i)}); err != nil {
+		if _, err := h.Hash([]byte{byte(i)}); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -79,18 +75,18 @@ func TestBackendMetrics(t *testing.T) {
 }
 
 // TestSessionsCreatedMetric: every NewSession — a caller's own or a
-// refill of Func.Hash's session pool — counts one session created.
+// refill of Hasher.Hash's session pool — counts one session created.
 func TestSessionsCreatedMetric(t *testing.T) {
 	reg := telemetry.NewRegistry()
-	f := newBackendFunc(t, vm.BackendInterp, reg, nil)
+	h := newBackendHasher(t, vm.BackendInterp, reg, nil)
 	const n = 3
 	for i := 0; i < n; i++ {
-		f.NewSession()
+		h.NewSession()
 	}
 	if got, _ := reg.Value("hashcore_sessions_created_total"); got != n {
 		t.Fatalf("hashcore_sessions_created_total = %v after %d NewSession calls, want %d", got, n, n)
 	}
-	if _, err := f.Hash([]byte("x")); err != nil { // the pool is empty: one more
+	if _, err := h.Hash([]byte("x")); err != nil { // the pool is empty: one more
 		t.Fatal(err)
 	}
 	if got, _ := reg.Value("hashcore_sessions_created_total"); got != n+1 {
@@ -104,8 +100,8 @@ func TestSessionsCreatedMetric(t *testing.T) {
 func TestJournalNoFallbackOnHealthyPath(t *testing.T) {
 	for _, b := range []vm.Backend{vm.BackendNative, vm.BackendInterp} {
 		j := telemetry.NewJournal(8)
-		f := newBackendFunc(t, b, nil, j)
-		if _, err := f.Hash([]byte("x")); err != nil {
+		h := newBackendHasher(t, b, nil, j)
+		if _, err := h.Hash([]byte("x")); err != nil {
 			t.Fatal(err)
 		}
 		if evs := j.Events(8); len(evs) != 0 {

@@ -21,7 +21,6 @@ import (
 
 	"hashcore/internal/experiments"
 	"hashcore/internal/perfprox"
-	"hashcore/internal/vm"
 )
 
 func main() {
@@ -56,7 +55,7 @@ var arms = []struct {
 		return experiments.Table1(s), nil
 	}},
 	{"fig1", "Figure 1: pipeline stage timing", false, func(b *bench) (string, error) {
-		st, err := experiments.Figure1(b.profile, []byte("hcbench"), perfprox.Params{}, vm.Params{})
+		st, err := experiments.Figure1(b.profile, []byte("hcbench"))
 		if err != nil {
 			return "", err
 		}
@@ -76,28 +75,28 @@ var arms = []struct {
 		return experiments.BranchFractions(b.pop).Render(), nil
 	}},
 	{"genvssel", "§VI-A ablation: generation vs selection", false, func(b *bench) (string, error) {
-		results, err := experiments.GenVsSel(b.profile, []int{16, 64, 256}, 8, vm.Params{})
+		results, err := experiments.GenVsSel(b.profile, []int{16, 64, 256}, 8)
 		if err != nil {
 			return "", err
 		}
 		return experiments.RenderGenVsSel(results), nil
 	}},
 	{"predictors", "Predictor ablation: widget branch behaviour per predictor family", false, func(b *bench) (string, error) {
-		results, err := experiments.PredictorAblation(b.profile, b.seed, vm.Params{})
+		results, err := experiments.PredictorAblation(b.profile, b.seed)
 		if err != nil {
 			return "", err
 		}
 		return experiments.RenderPredictorAblation(results), nil
 	}},
 	{"randomx", "§VI-C ablation: RandomX-lite (uniform generation) IPC", false, func(b *bench) (string, error) {
-		rep, err := experiments.RandomXPopulation(min(b.n, 50), b.seed, vm.Params{})
+		rep, err := experiments.RandomXPopulation(min(b.n, 50), b.seed)
 		if err != nil {
 			return "", err
 		}
 		return rep.Render(), nil
 	}},
 	{"baselines", "Baseline PoW throughput", false, func(b *bench) (string, error) {
-		results, err := experiments.BaselineThroughput(b.profile, 20, vm.Params{})
+		results, err := experiments.BaselineThroughput(b.profile, 20)
 		if err != nil {
 			return "", err
 		}

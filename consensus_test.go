@@ -21,7 +21,6 @@ var consensusSet = []string{
 	"hashcore",
 	"hashcore/internal/asm",
 	"hashcore/internal/blockchain",
-	"hashcore/internal/core",
 	"hashcore/internal/gate",
 	"hashcore/internal/isa",
 	"hashcore/internal/jit",

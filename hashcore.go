@@ -7,12 +7,19 @@
 // short program — a widget — whose execution profile matches a reference
 // CPU workload perturbed by that seed ("inverted benchmarking"),
 // (3) executing the widget and collecting its register-snapshot output,
-// and (4) gating seed‖output into the final digest:
+// and (4) gating seed‖output into the final digest (Figure 1 of the
+// paper):
 //
-//	H(x) = G(s || W(s)),   s = G(x)
+//	input ──G──> seed s ──(widget generation W)──> widget output
+//	                │                                   │
+//	                └────────────── s ║ W(s) ──────G──> digest
 //
-// Collision resistance of H reduces to that of G (Theorem 1 of the paper)
-// regardless of how widgets behave.
+// Formally H(x) = G(s || W(s)) with s = G(x), where G is the hash gate and
+// W is widget generation + execution. Theorem 1 of the paper proves H is
+// collision-resistant when G is, regardless of how widgets behave;
+// extractGateCollision implements the constructive reduction (algorithm B)
+// from that proof, and the tests run it against a deliberately weakened
+// gate.
 //
 // This reproduction runs widgets on a deterministic synthetic machine
 // rather than native x86 (see DESIGN.md for the substitution argument),
@@ -34,25 +41,28 @@ import (
 	"fmt"
 	"math/big"
 	"os"
+	"sync"
 
-	"hashcore/internal/core"
+	"hashcore/internal/asm"
 	"hashcore/internal/gate"
 	"hashcore/internal/perfprox"
 	"hashcore/internal/pow"
 	"hashcore/internal/profile"
+	"hashcore/internal/prog"
 	"hashcore/internal/telemetry"
 	"hashcore/internal/vm"
 	"hashcore/internal/workload"
 )
 
 // DigestSize is the digest size in bytes.
-const DigestSize = core.DigestSize
+const DigestSize = gate.SeedSize
 
 // Digest is a HashCore digest.
-type Digest = core.Digest
+type Digest = [DigestSize]byte
 
 // config collects the functional-option state.
 type config struct {
+	gate        gate.Gate
 	profileName string
 	prof        *profile.Profile
 	widgets     int
@@ -91,7 +101,8 @@ func WithCustomProfile(p *profile.Profile) Option {
 }
 
 // WithWidgets chains n widgets sequentially per hash (default 1, as in
-// the paper's Figure 1; the paper notes multiple widgets are possible).
+// the paper's Figure 1; the paper notes "multiple widgets could be
+// generated ... and executed sequentially").
 func WithWidgets(n int) Option {
 	return func(c *config) error {
 		if n < 1 || n > 64 {
@@ -186,16 +197,28 @@ func WithTelemetry(reg *telemetry.Registry) Option {
 	}
 }
 
-// Hasher is an instantiated HashCore function. It is immutable and safe
-// for concurrent use, and satisfies the PoW-hasher shape used by Mine.
+// Hasher is an instantiated HashCore function. Its configuration is
+// immutable and it is safe for concurrent use: each Hash call checks a
+// reusable execution context (Session) out of an internal pool, so
+// steady-state hashing allocates nothing while the API stays a plain
+// function call. It satisfies the PoW-hasher shape used by Mine.
 type Hasher struct {
-	f *core.Func
+	gate    gate.Gate
+	gen     *perfprox.Generator
+	vparams vm.Params
+	widgets int
+	backend vm.Backend
+	met     *hashMetrics       // nil when telemetry is disabled
+	journal *telemetry.Journal // nil-safe; jit_fallback events
+
+	fellBack sync.Once // jit_fallback is journaled once per Hasher
+	sessions sync.Pool // of *Session
 }
 
 // New builds a HashCore hasher. With no options it targets the Leela
 // profile with the paper's defaults.
 func New(opts ...Option) (*Hasher, error) {
-	cfg := config{profileName: "leela"}
+	cfg := config{gate: gate.SHA256{}, profileName: "leela", widgets: 1}
 	for _, opt := range opts {
 		if err := opt(&cfg); err != nil {
 			return nil, err
@@ -216,83 +239,134 @@ func New(opts ...Option) (*Hasher, error) {
 		}
 		prof = w.Profile
 	}
-	f, err := core.New(core.Options{
-		Gate:    gate.SHA256{},
-		Profile: prof,
-		GenParams: perfprox.Params{
-			Noise:     cfg.noise,
-			LoopTrips: cfg.loopTrips,
-		},
-		VMParams: vm.Params{SnapshotInterval: cfg.snapshot},
-		Widgets:  cfg.widgets,
-		Backend:  cfg.backend,
-		Metrics:  cfg.metrics,
-		Journal:  cfg.journal,
-	})
+	gen, err := perfprox.NewGenerator(prof, perfprox.Params{Noise: cfg.noise, LoopTrips: cfg.loopTrips})
 	if err != nil {
-		return nil, err
+		return nil, fmt.Errorf("hashcore: %w", err)
 	}
-	return &Hasher{f: f}, nil
+	h := &Hasher{
+		gate:    cfg.gate,
+		gen:     gen,
+		vparams: vm.Params{SnapshotInterval: cfg.snapshot},
+		widgets: cfg.widgets,
+		backend: cfg.backend,
+		met:     newHashMetrics(cfg.metrics),
+		journal: cfg.journal,
+	}
+	h.sessions.New = func() any { return h.NewSession() }
+	return h, nil
 }
 
-// Hash computes the HashCore digest of input. Calls are serviced from an
-// internal pool of execution contexts, so repeated hashing allocates
-// nothing in the steady state.
-func (h *Hasher) Hash(input []byte) (Digest, error) { return h.f.Hash(input) }
-
-// Session is a single-goroutine hashing context: it owns the widget
-// generator scratch, the VM and all buffers, reusing them across Hash
-// calls. Digests are identical to Hasher.Hash; the difference is purely
-// that a Session skips the internal pool round-trip, which matters in
-// tight per-core loops (the miner holds one per worker). A Session is
-// not safe for concurrent use.
-type Session struct {
-	s *core.Session
+// noteFallback journals the first native-to-interpreter fallback of this
+// Hasher's lifetime. Every session of a Hasher compiles the same
+// instruction set, so one event carries all the signal without flooding
+// the journal at hash rate.
+func (h *Hasher) noteFallback(err error) {
+	h.fellBack.Do(func() {
+		h.journal.Emit("jit_fallback", map[string]any{
+			"error":   err.Error(),
+			"profile": h.gen.Profile().Name,
+		})
+	})
 }
 
-// NewSession returns a dedicated hashing context for this hasher.
-func (h *Hasher) NewSession() *Session {
-	return &Session{s: h.f.NewSession()}
+// Hash computes H(x) = G(s || W(s)) with s = G(x). With WithWidgets(n)
+// the construction is iterated: s_{i+1} = G(s_i || W(s_i)), and the final
+// digest is the last gate output.
+//
+// Hash services the call from a pooled Session, so concurrent and
+// repeated calls reach a zero-allocation steady state without the caller
+// managing sessions explicitly.
+func (h *Hasher) Hash(input []byte) (Digest, error) {
+	s := h.session()
+	d, err := s.hash(input, nil, nil)
+	h.sessions.Put(s)
+	return d, err
 }
 
-// Hash computes the HashCore digest of input using the session's
-// reusable state.
-func (s *Session) Hash(input []byte) (Digest, error) { return s.s.Hash(input) }
-
-// Close is an idempotent no-op, kept so that holders written against the
-// session that owned a scratch-memory fill goroutine (the benchmark among
-// them) keep compiling: the VM's scratch memory is never filled any
-// more, so a session owns nothing but garbage-collected memory.
-func (s *Session) Close() {}
-
-// PhaseTimings accumulates the generation/execution wall-clock split of
-// the widget pipeline across HashTimed calls (see core.PhaseTimings). The
-// benchmark harness uses it to attribute hash latency to the generator
-// versus the execution engine.
-type PhaseTimings = core.PhaseTimings
-
-// HashTimed is Session.Hash with per-phase instrumentation accumulated
-// into t: widget-generation and VM-execution nanoseconds plus retired
-// widget instructions. Digests are identical to Hash; the overhead is a
-// few clock reads per widget.
-func (s *Session) HashTimed(input []byte, t *PhaseTimings) (Digest, error) {
-	return s.s.HashTimed(input, t)
+func (h *Hasher) session() *Session {
+	return h.sessions.Get().(*Session)
 }
 
 // Sum is Hash without the error return; it panics only on internal
-// invariant violations (never on any input value).
-func (h *Hasher) Sum(input []byte) Digest { return h.f.Sum(input) }
+// invariant violations — resource exhaustion or a bug (the generator
+// always emits valid programs — property-tested), never on any input
+// value.
+func (h *Hasher) Sum(input []byte) Digest {
+	d, err := h.Hash(input)
+	if err != nil {
+		panic(fmt.Sprintf("hashcore: internal pipeline failure: %v", err))
+	}
+	return d
+}
 
 // Name identifies the hasher, e.g. "hashcore-leela".
-func (h *Hasher) Name() string { return "hashcore-" + h.f.ProfileName() }
+func (h *Hasher) Name() string { return "hashcore-" + h.ProfileName() }
 
 // ProfileName returns the target profile's name.
-func (h *Hasher) ProfileName() string { return h.f.ProfileName() }
+func (h *Hasher) ProfileName() string { return h.gen.Profile().Name }
+
+// trace holds every intermediate of a hash computation. Source, Widget
+// and Result describe the first widget in the chain; Digest always equals
+// Hash of the input.
+type trace struct {
+	Seed   perfprox.Seed
+	Source string
+	Widget *prog.Program
+	Result *vm.Result
+	Digest Digest
+}
+
+// trace runs the full pipeline for input, retaining intermediates. Where
+// Hash runs the generator's program directly, trace takes the textual
+// chain — generate, render as source, assemble, run: the analogue of the
+// paper's script -> C -> binary pipeline — so Source is the exact text
+// that was compiled and executed. Both reach the same digest
+// (TestSourcePipelineMatchesDirect).
+func (h *Hasher) trace(input []byte) (*trace, error) {
+	seedArr := h.gate.Sum(input)
+	seed := perfprox.Seed(seedArr)
+	src, err := h.gen.GenerateSource(seed)
+	if err != nil {
+		return nil, err
+	}
+	widget, err := asm.Assemble(src)
+	if err != nil {
+		return nil, fmt.Errorf("hashcore: compiling generated source: %w", err)
+	}
+	m := &vm.Machine{}
+	m.SetBackend(h.backend)
+	if err := m.Load(widget); err != nil {
+		return nil, err
+	}
+	res := m.Run(h.vparams, nil)
+	buf := make([]byte, 0, len(seedArr)+len(res.Output))
+	buf = append(buf, seedArr[:]...)
+	buf = append(buf, res.Output...)
+	cur := h.gate.Sum(buf)
+
+	// Iterate the remaining widgets if chaining is configured, so the
+	// reported digest always equals Hash(input).
+	for i := 1; i < h.widgets; i++ {
+		msg, err := h.gateMessage(cur)
+		if err != nil {
+			return nil, err
+		}
+		cur = h.gate.Sum(msg)
+	}
+
+	return &trace{
+		Seed:   seed,
+		Source: src,
+		Widget: widget,
+		Result: res,
+		Digest: cur,
+	}, nil
+}
 
 // WidgetSource returns the assembly text of the widget that input selects
 // — the reproduction's analogue of the generated C program.
 func (h *Hasher) WidgetSource(input []byte) (string, error) {
-	tr, err := h.f.Trace(input)
+	tr, err := h.trace(input)
 	if err != nil {
 		return "", err
 	}
@@ -315,7 +389,7 @@ type Inspection struct {
 
 // Inspect runs the pipeline for input and reports its intermediates.
 func (h *Hasher) Inspect(input []byte) (*Inspection, error) {
-	tr, err := h.f.Trace(input)
+	tr, err := h.trace(input)
 	if err != nil {
 		return nil, err
 	}
@@ -326,6 +400,77 @@ func (h *Hasher) Inspect(input []byte) (*Inspection, error) {
 		OutputBytes:         len(tr.Result.Output),
 		Digest:              tr.Digest,
 	}, nil
+}
+
+// extractGateCollision is algorithm B from the paper's Theorem 1 proof:
+// given a collision (x0, x1) on H, it produces a collision on the hash
+// gate G with certainty. It returns ok=false if (x0, x1) is not actually a
+// collision on H.
+//
+//	Case 1: G(x0) == G(x1) -> (x0, x1) collide on G directly.
+//	Case 2: seeds differ   -> (s0||W(s0), s1||W(s1)) collide on the
+//	                          second gate application (walking the chain
+//	                          for multi-widget configurations).
+func (h *Hasher) extractGateCollision(x0, x1 []byte) (a, b []byte, ok bool, err error) {
+	if string(x0) == string(x1) {
+		return nil, nil, false, nil
+	}
+	h0, err := h.Hash(x0)
+	if err != nil {
+		return nil, nil, false, err
+	}
+	h1, err := h.Hash(x1)
+	if err != nil {
+		return nil, nil, false, err
+	}
+	if h0 != h1 {
+		return nil, nil, false, nil
+	}
+
+	s0 := h.gate.Sum(x0)
+	s1 := h.gate.Sum(x1)
+	if s0 == s1 {
+		// Case 1: the first gate collided.
+		return append([]byte(nil), x0...), append([]byte(nil), x1...), true, nil
+	}
+	// Case 2: some later gate application collided; walk the chain until
+	// the gate outputs meet (guaranteed by H(x0) == H(x1)).
+	m0, err := h.gateMessage(s0)
+	if err != nil {
+		return nil, nil, false, err
+	}
+	m1, err := h.gateMessage(s1)
+	if err != nil {
+		return nil, nil, false, err
+	}
+	for i := 1; i < h.widgets; i++ {
+		c0, c1 := h.gate.Sum(m0), h.gate.Sum(m1)
+		if c0 == c1 {
+			break
+		}
+		m0, err = h.gateMessage(c0)
+		if err != nil {
+			return nil, nil, false, err
+		}
+		m1, err = h.gateMessage(c1)
+		if err != nil {
+			return nil, nil, false, err
+		}
+	}
+	return m0, m1, true, nil
+}
+
+// gateMessage returns s || W(s), the message fed to the next gate, in a
+// buffer of its own. Cold paths (trace, the collision reduction) use it
+// on a pooled session; the hot path stays on Session.runWidget.
+func (h *Hasher) gateMessage(s Digest) ([]byte, error) {
+	ses := h.session()
+	defer h.sessions.Put(ses)
+	if err := ses.runWidget(perfprox.Seed(s), nil, nil); err != nil {
+		return nil, err
+	}
+	out := ses.res.Output
+	return append(append(make([]byte, 0, len(s)+len(out)), s[:]...), out...), nil
 }
 
 // Profiles lists the built-in reference workload profiles.
@@ -352,23 +497,9 @@ func TargetWithZeroBits(bits uint) [32]byte {
 
 // powAdapter adapts Hasher to pow.SessionHasher, so miner workers each
 // run on a dedicated execution context.
-type powAdapter struct{ h *Hasher }
+type powAdapter struct{ *Hasher }
 
-func (a powAdapter) Hash(header []byte) ([32]byte, error) { return a.h.Hash(header) }
-func (a powAdapter) Name() string                         { return a.h.Name() }
-
-func (a powAdapter) NewSession() pow.Hasher {
-	return sessionAdapter{s: a.h.NewSession(), name: a.h.Name()}
-}
-
-// sessionAdapter adapts Session to pow.Hasher for one miner worker.
-type sessionAdapter struct {
-	s    *Session
-	name string
-}
-
-func (a sessionAdapter) Hash(header []byte) ([32]byte, error) { return a.s.Hash(header) }
-func (a sessionAdapter) Name() string                         { return a.name }
+func (a powAdapter) NewSession() pow.Hasher { return a.Hasher.NewSession() }
 
 // ErrExhausted is returned by MineRange when the attempt budget was spent
 // without finding a valid digest.

@@ -69,6 +69,54 @@ func TestOptionValidation(t *testing.T) {
 	}
 }
 
+// TestNewValidation: New refuses a widget chain over the limit and a
+// custom profile that fails its own validation.
+func TestNewValidation(t *testing.T) {
+	if _, err := New(fastOpts(), WithWidgets(100)); err == nil {
+		t.Error("New accepted 100 widgets")
+	}
+	bad := fastProfile()
+	bad.TargetDynamic = 1
+	if _, err := New(WithCustomProfile(bad)); err == nil {
+		t.Error("New accepted invalid profile")
+	}
+}
+
+func TestWidgetChainingOption(t *testing.T) {
+	h1, err := New(fastOpts(), WithWidgets(1))
+	if err != nil {
+		t.Fatal(err)
+	}
+	h2, err := New(fastOpts(), WithWidgets(2))
+	if err != nil {
+		t.Fatal(err)
+	}
+	in := []byte("chained")
+	if h1.Sum(in) == h2.Sum(in) {
+		t.Fatal("widget chaining had no effect")
+	}
+}
+
+// TestInspectMatchesHash: Inspect takes the textual pipeline (generate,
+// render, assemble, run) and must report the digest Hash computes
+// directly, under either backend.
+func TestInspectMatchesHash(t *testing.T) {
+	for _, backend := range []string{"interp", "native"} {
+		h, err := New(fastOpts(), WithBackend(backend))
+		if err != nil {
+			t.Fatal(err)
+		}
+		in := []byte("path equivalence")
+		ins, err := h.Inspect(in)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if ins.Digest != h.Sum(in) {
+			t.Fatalf("%s: the source pipeline changed the digest", backend)
+		}
+	}
+}
+
 func TestSumDeterministicAcrossInstances(t *testing.T) {
 	h1, err := New(fastOpts())
 	if err != nil {
@@ -218,41 +266,6 @@ func TestTargetWithZeroBits(t *testing.T) {
 	}
 	if TargetWithZeroBits(300) == ([32]byte{}) {
 		t.Error("clamped target should be non-zero")
-	}
-}
-
-func TestWidgetChainingOption(t *testing.T) {
-	h1, err := New(fastOpts(), WithWidgets(1))
-	if err != nil {
-		t.Fatal(err)
-	}
-	h2, err := New(fastOpts(), WithWidgets(2))
-	if err != nil {
-		t.Fatal(err)
-	}
-	in := []byte("chained")
-	if h1.Sum(in) == h2.Sum(in) {
-		t.Fatal("widget chaining had no effect")
-	}
-}
-
-// TestInspectMatchesHash: Inspect takes the textual pipeline (generate,
-// render, assemble, run) and must report the digest Hash computes
-// directly, under either backend.
-func TestInspectMatchesHash(t *testing.T) {
-	for _, backend := range []string{"interp", "native"} {
-		h, err := New(fastOpts(), WithBackend(backend))
-		if err != nil {
-			t.Fatal(err)
-		}
-		in := []byte("path equivalence")
-		ins, err := h.Inspect(in)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if ins.Digest != h.Sum(in) {
-			t.Fatalf("%s: the source pipeline changed the digest", backend)
-		}
 	}
 }
 

@@ -5,8 +5,8 @@ import (
 	"math"
 	"time"
 
+	"hashcore"
 	"hashcore/internal/baseline"
-	"hashcore/internal/core"
 	"hashcore/internal/gate"
 	"hashcore/internal/perfprox"
 	"hashcore/internal/pow"
@@ -32,7 +32,7 @@ type GenVsSelResult struct {
 
 // GenVsSel measures the generation-vs-selection trade-off for the given
 // pool sizes, returning one result per size.
-func GenVsSel(profileName string, poolSizes []int, trials int, vp vm.Params) ([]GenVsSelResult, error) {
+func GenVsSel(profileName string, poolSizes []int, trials int) ([]GenVsSelResult, error) {
 	w, err := workload.ByName(profileName)
 	if err != nil {
 		return nil, err
@@ -57,7 +57,7 @@ func GenVsSel(profileName string, poolSizes []int, trials int, vp vm.Params) ([]
 			return nil, err
 		}
 		t1 := time.Now()
-		if _, err := vm.Run(p, vp, nil); err != nil {
+		if _, err := vm.Run(p, vm.Params{}, nil); err != nil {
 			return nil, err
 		}
 		genTotal += t1.Sub(t0)
@@ -69,7 +69,7 @@ func GenVsSel(profileName string, poolSizes []int, trials int, vp vm.Params) ([]
 	g := gate.SHA256{}
 	results := make([]GenVsSelResult, 0, len(poolSizes))
 	for _, size := range poolSizes {
-		pool, err := selection.NewPool(w.Profile, perfprox.Params{}, size, 7, nil, vp)
+		pool, err := selection.NewPool(w.Profile, size, 7)
 		if err != nil {
 			return nil, err
 		}
@@ -84,7 +84,7 @@ func GenVsSel(profileName string, poolSizes []int, trials int, vp vm.Params) ([]
 			s := g.Sum(header)
 			inst := pool.Instance(perfprox.Seed(s))
 			t1 := time.Now()
-			if _, err := vm.Run(inst, vp, nil); err != nil {
+			if _, err := vm.Run(inst, vm.Params{}, nil); err != nil {
 				return nil, err
 			}
 			t2 := time.Now()
@@ -143,16 +143,12 @@ type ThroughputResult struct {
 // each: SHA-256d, scrypt, RandomX-lite and HashCore. The absolute numbers
 // are not the point (HashCore is supposed to be slow per hash — that IS
 // the work); the comparison contextualizes the related-work discussion.
-func BaselineThroughput(profileName string, hashes int, vp vm.Params) ([]ThroughputResult, error) {
-	w, err := workload.ByName(profileName)
+func BaselineThroughput(profileName string, hashes int) ([]ThroughputResult, error) {
+	hc, err := hashcore.New(hashcore.WithProfile(profileName))
 	if err != nil {
 		return nil, err
 	}
-	hc, err := core.New(core.Options{Profile: w.Profile, VMParams: vp})
-	if err != nil {
-		return nil, err
-	}
-	rxl, err := randomxlite.NewHasher(randomxlite.Params{}, nil, vp)
+	rxl, err := randomxlite.NewHasher(randomxlite.Params{})
 	if err != nil {
 		return nil, err
 	}
@@ -160,7 +156,7 @@ func BaselineThroughput(profileName string, hashes int, vp vm.Params) ([]Through
 		baseline.SHA256d{},
 		baseline.NewScrypt(1024, 1, 1),
 		rxl,
-		coreHasher{hc},
+		hc,
 	}
 	results := make([]ThroughputResult, 0, len(hashers))
 	for _, h := range hashers {
@@ -192,12 +188,6 @@ func BaselineThroughput(profileName string, hashes int, vp vm.Params) ([]Through
 	return results, nil
 }
 
-// coreHasher adapts core.Func to pow.Hasher.
-type coreHasher struct{ f *core.Func }
-
-func (c coreHasher) Hash(header []byte) ([32]byte, error) { return c.f.Hash(header) }
-func (c coreHasher) Name() string                         { return "hashcore-" + c.f.ProfileName() }
-
 // RenderThroughput formats throughput results.
 func RenderThroughput(results []ThroughputResult) string {
 	t := stats.NewTable("pow function", "hashes", "elapsed", "hashes/sec")
@@ -212,7 +202,7 @@ func RenderThroughput(results []ThroughputResult) string {
 // RandomXPopulation measures a population of uniform random-program
 // widgets (the §VI-C alternative) with the same metrics as RunPopulation,
 // so its IPC distribution can be contrasted with the profile-targeted one.
-func RandomXPopulation(n int, masterSeed uint64, vp vm.Params) (*DistReport, error) {
+func RandomXPopulation(n int, masterSeed uint64) (*DistReport, error) {
 	gen, err := randomxlite.NewGenerator(randomxlite.Params{})
 	if err != nil {
 		return nil, err
@@ -225,7 +215,7 @@ func RandomXPopulation(n int, masterSeed uint64, vp vm.Params) (*DistReport, err
 		if err != nil {
 			return nil, err
 		}
-		r, err := uarch.Measure("rxl", p, uarch.IvyBridge(), vp)
+		r, err := uarch.Measure("rxl", p, uarch.IvyBridge(), vm.Params{})
 		if err != nil {
 			return nil, err
 		}

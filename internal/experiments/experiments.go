@@ -15,9 +15,7 @@ import (
 	"sync"
 	"time"
 
-	"hashcore/internal/asm"
-	"hashcore/internal/core"
-	"hashcore/internal/gate"
+	"hashcore"
 	"hashcore/internal/isa"
 	"hashcore/internal/perfprox"
 	"hashcore/internal/profile"
@@ -37,10 +35,6 @@ type Config struct {
 	ProfileName string
 	// MasterSeed derives the N hash seeds.
 	MasterSeed uint64
-	// GenParams tunes the generator.
-	GenParams perfprox.Params
-	// VMParams tunes execution.
-	VMParams vm.Params
 	// Workers bounds parallelism (default NumCPU).
 	Workers int
 	// SkipTiming disables the uarch model (functional metrics only),
@@ -91,7 +85,7 @@ func RunPopulation(cfg Config) (*Population, error) {
 	if err != nil {
 		return nil, err
 	}
-	gen, err := perfprox.NewGenerator(w.Profile, cfg.GenParams)
+	gen, err := perfprox.NewGenerator(w.Profile, perfprox.Params{})
 	if err != nil {
 		return nil, err
 	}
@@ -103,9 +97,9 @@ func RunPopulation(cfg Config) (*Population, error) {
 	}
 	var ref *uarch.Report
 	if cfg.SkipTiming {
-		ref, err = uarch.MeasureFunctional(w.Name, refProg, cfg.VMParams)
+		ref, err = uarch.MeasureFunctional(w.Name, refProg, vm.Params{})
 	} else {
-		ref, err = uarch.Measure(w.Name, refProg, uarch.IvyBridge(), cfg.VMParams)
+		ref, err = uarch.Measure(w.Name, refProg, uarch.IvyBridge(), vm.Params{})
 	}
 	if err != nil {
 		return nil, err
@@ -154,9 +148,9 @@ func measureWidget(gen *perfprox.Generator, seed perfprox.Seed, prof *profile.Pr
 	}
 	var r *uarch.Report
 	if cfg.SkipTiming {
-		r, err = uarch.MeasureFunctional("widget", p, cfg.VMParams)
+		r, err = uarch.MeasureFunctional("widget", p, vm.Params{})
 	} else {
-		r, err = uarch.Measure("widget", p, uarch.IvyBridge(), cfg.VMParams)
+		r, err = uarch.Measure("widget", p, uarch.IvyBridge(), vm.Params{})
 	}
 	if err != nil {
 		return WidgetSample{}, err
@@ -311,56 +305,36 @@ type StageTiming struct {
 	Compile  time.Duration
 	Execute  time.Duration
 	Total    time.Duration
-	Digest   core.Digest
+	Digest   hashcore.Digest
 }
 
-// Figure1 runs the end-to-end pipeline once and reports per-stage timing:
-// hash gate, widget source generation, compilation (assembly), execution —
-// the reproduction's analogue of the paper's script/gcc/binary chain.
-func Figure1(profileName string, input []byte, genParams perfprox.Params, vmParams vm.Params) (*StageTiming, error) {
-	w, err := workload.ByName(profileName)
+// Figure1 times one hash evaluation on a warmed session and splits it
+// along Figure 1's pipeline: the two gate applications, widget
+// generation, compilation to native code (zero where the interpreter
+// runs the widget) and execution — the reproduction's analogue of the
+// paper's script/gcc/binary chain, measured where the hash runs it.
+func Figure1(profileName string, input []byte) (*StageTiming, error) {
+	h, err := hashcore.New(hashcore.WithProfile(profileName))
 	if err != nil {
 		return nil, err
 	}
-	f, err := core.New(core.Options{Profile: w.Profile, GenParams: genParams, VMParams: vmParams})
-	if err != nil {
+	s := h.NewSession()
+	if _, err := s.Hash(input); err != nil { // reach the session's warm state
 		return nil, err
 	}
-	gen, err := perfprox.NewGenerator(w.Profile, genParams)
-	if err != nil {
-		return nil, err
-	}
-	g := gate.SHA256{}
-
+	var pt hashcore.PhaseTimings
 	start := time.Now()
-	t0 := time.Now()
-	seedArr := g.Sum(input)
-	t1 := time.Now()
-	src, err := gen.GenerateSource(perfprox.Seed(seedArr))
-	if err != nil {
-		return nil, err
-	}
-	t2 := time.Now()
-	widget, err := asm.Assemble(src)
-	if err != nil {
-		return nil, err
-	}
-	t3 := time.Now()
-	if _, err := vm.Run(widget, vmParams, nil); err != nil {
-		return nil, err
-	}
-	t4 := time.Now()
-
-	digest, err := f.Hash(input)
+	digest, err := s.HashTimed(input, &pt)
+	total := time.Since(start)
 	if err != nil {
 		return nil, err
 	}
 	return &StageTiming{
-		Gate:     t1.Sub(t0),
-		Generate: t2.Sub(t1),
-		Compile:  t3.Sub(t2),
-		Execute:  t4.Sub(t3),
-		Total:    t4.Sub(start),
+		Gate:     total - time.Duration(pt.GenNs+pt.ExecNs),
+		Generate: time.Duration(pt.GenNs),
+		Compile:  time.Duration(pt.CompileNs),
+		Execute:  time.Duration(pt.ExecNs - pt.CompileNs),
+		Total:    total,
 		Digest:   digest,
 	}, nil
 }

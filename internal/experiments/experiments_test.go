@@ -2,9 +2,11 @@ package experiments
 
 import (
 	"math"
+	"os"
 	"strings"
 	"testing"
 
+	"hashcore"
 	"hashcore/internal/perfprox"
 	"hashcore/internal/vm"
 )
@@ -108,21 +110,36 @@ func TestTable1Rendering(t *testing.T) {
 	}
 }
 
+// TestFigure1StageTiming: Figure 1 times the hash itself — its digest is
+// Hash's, its stages fit inside its total, and it reports a compile stage
+// exactly when the widget ran as native code.
 func TestFigure1StageTiming(t *testing.T) {
-	st, err := Figure1("leela", []byte("block"), perfprox.Params{}, vm.Params{})
+	input := []byte("block")
+	st, err := Figure1("leela", input)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if st.Generate <= 0 || st.Compile <= 0 || st.Execute <= 0 {
-		t.Errorf("stage timings not all positive: %+v", st)
+	h, err := hashcore.New()
+	if err != nil {
+		t.Fatal(err)
 	}
-	if st.Digest == ([32]byte{}) {
-		t.Error("zero digest")
+	if want := h.Sum(input); st.Digest != want {
+		t.Errorf("Figure 1 digest %x, want Hash's %x", st.Digest, want)
+	}
+	if st.Gate < 0 || st.Generate <= 0 || st.Execute <= 0 || st.Gate+st.Generate+st.Compile+st.Execute > st.Total {
+		t.Errorf("stages do not fit the total: %+v", st)
+	}
+	backend, err := vm.ParseBackend(os.Getenv("HASHCORE_BACKEND"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if native := backend == vm.BackendNative && hashcore.NativeBackendSupported(); native != (st.Compile > 0) {
+		t.Errorf("native = %v, but compile took %v", native, st.Compile)
 	}
 }
 
 func TestGenVsSelAblation(t *testing.T) {
-	results, err := GenVsSel("leela", []int{2, 4}, 3, vm.Params{})
+	results, err := GenVsSel("leela", []int{2, 4}, 3)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -149,7 +166,7 @@ func TestBaselineThroughput(t *testing.T) {
 	if testing.Short() {
 		t.Skip("throughput race in -short mode")
 	}
-	results, err := BaselineThroughput("leela", 3, vm.Params{})
+	results, err := BaselineThroughput("leela", 3)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -178,7 +195,7 @@ func TestRandomXPopulation(t *testing.T) {
 	if testing.Short() {
 		t.Skip("randomx population in -short mode")
 	}
-	rep, err := RandomXPopulation(4, 1, vm.Params{})
+	rep, err := RandomXPopulation(4, 1)
 	if err != nil {
 		t.Fatal(err)
 	}

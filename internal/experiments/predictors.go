@@ -25,7 +25,7 @@ type PredictorResult struct {
 // branches must stay hard for *every* standard predictor family, or an
 // ASIC could strip the front-end down to a cheaper predictor without
 // losing performance.
-func PredictorAblation(profileName string, seedWord uint64, vp vm.Params) ([]PredictorResult, error) {
+func PredictorAblation(profileName string, seedWord uint64) ([]PredictorResult, error) {
 	w, err := workload.ByName(profileName)
 	if err != nil {
 		return nil, err
@@ -50,7 +50,7 @@ func PredictorAblation(profileName string, seedWord uint64, vp vm.Params) ([]Pre
 	for _, kind := range kinds {
 		cfg := uarch.IvyBridge()
 		cfg.Predictor = kind
-		r, err := uarch.Measure(string(kind), widget, cfg, vp)
+		r, err := uarch.Measure(string(kind), widget, cfg, vm.Params{})
 		if err != nil {
 			return nil, err
 		}

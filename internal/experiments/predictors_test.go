@@ -5,14 +5,13 @@ import (
 	"testing"
 
 	"hashcore/internal/uarch"
-	"hashcore/internal/vm"
 )
 
 func TestPredictorAblation(t *testing.T) {
 	if testing.Short() {
 		t.Skip("predictor ablation in -short mode")
 	}
-	results, err := PredictorAblation("leela", 99, vm.Params{})
+	results, err := PredictorAblation("leela", 99)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -54,7 +53,7 @@ func TestPredictorAblation(t *testing.T) {
 }
 
 func TestPredictorAblationUnknownProfile(t *testing.T) {
-	if _, err := PredictorAblation("nope", 1, vm.Params{}); err == nil {
+	if _, err := PredictorAblation("nope", 1); err == nil {
 		t.Fatal("unknown profile accepted")
 	}
 }

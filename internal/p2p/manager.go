@@ -15,6 +15,14 @@ import (
 	"hashcore/internal/wire"
 )
 
+// dialTimeout bounds one outbound TCP dial; scoreHalfLife is the
+// misbehavior score's exponential decay half-life, so old offenses are
+// forgiven.
+const (
+	dialTimeout   = 10 * time.Second
+	scoreHalfLife = 10 * time.Minute
+)
+
 // Config parameterizes a peer manager. Zero values select the
 // documented defaults.
 type Config struct {
@@ -46,8 +54,6 @@ type Config struct {
 	BlocksPerBatch int
 	// WriteTimeout bounds one protocol write. Default 10s.
 	WriteTimeout time.Duration
-	// DialTimeout bounds one outbound TCP dial. Default 10s.
-	DialTimeout time.Duration
 	// ReconnectWait and ReconnectMax shape the outbound dialer's
 	// exponential backoff. Defaults 1s / 30s.
 	ReconnectWait time.Duration
@@ -69,9 +75,6 @@ type Config struct {
 	BanThreshold int
 	// BanDuration is how long a ban lasts. Default 10m.
 	BanDuration time.Duration
-	// ScoreHalfLife is the misbehavior score's exponential decay
-	// half-life, so old offenses are forgiven. Default 10m.
-	ScoreHalfLife time.Duration
 	// MaxInboundPerHost caps concurrent inbound sessions per remote
 	// host, so one machine cannot fill the peer table from many ports.
 	// Default 2.
@@ -124,9 +127,6 @@ func (c *Config) fillDefaults() error {
 	if c.WriteTimeout <= 0 {
 		c.WriteTimeout = 10 * time.Second
 	}
-	if c.DialTimeout <= 0 {
-		c.DialTimeout = 10 * time.Second
-	}
 	if c.ReconnectWait <= 0 {
 		c.ReconnectWait = time.Second
 	}
@@ -144,9 +144,6 @@ func (c *Config) fillDefaults() error {
 	}
 	if c.BanDuration <= 0 {
 		c.BanDuration = 10 * time.Minute
-	}
-	if c.ScoreHalfLife <= 0 {
-		c.ScoreHalfLife = 10 * time.Minute
 	}
 	if c.MaxInboundPerHost < 1 {
 		c.MaxInboundPerHost = 2
@@ -234,7 +231,7 @@ func New(cfg Config) (*Manager, error) {
 		cfg:     cfg,
 		node:    cfg.Node,
 		genesis: hashToHex(cfg.Node.GenesisID()),
-		scores:  newScoreboard(cfg.BanThreshold, cfg.BanDuration, cfg.ScoreHalfLife),
+		scores:  newScoreboard(cfg.BanThreshold, cfg.BanDuration, scoreHalfLife),
 		peers:   make(map[*peer]struct{}),
 		quit:    make(chan struct{}),
 		journal: cfg.Journal,
@@ -354,7 +351,7 @@ func (m *Manager) Connect(addr string) {
 			}
 			if m.scores.banned(hostOf(addr), time.Now()) {
 				m.cfg.Logf("p2p: not dialing banned peer %s", addr)
-			} else if nc, err := m.cfg.Dial(addr, m.cfg.DialTimeout); err == nil {
+			} else if nc, err := m.cfg.Dial(addr, dialTimeout); err == nil {
 				backoff.Reset()
 				if err := m.runPeer(nc, addr, false); err != nil {
 					m.cfg.Logf("p2p: session with %s ended: %v", addr, err)

@@ -206,7 +206,7 @@ func (st *genState) emitDiamond(ctx *emitCtx, kind diamondKind, totalFiller *int
 	b := &st.b
 
 	// Draw the arm's class multiset from the remaining budgets.
-	armLen := st.params.ArmSize
+	armLen := armSize
 	if armLen > *totalFiller {
 		armLen = *totalFiller
 	}

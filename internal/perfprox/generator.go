@@ -20,10 +20,10 @@ type Params struct {
 	// LoopTrips is the outer-loop trip count; the per-iteration static
 	// code size is TargetDynamic/LoopTrips. Default 64.
 	LoopTrips int
-	// ArmSize is the number of instructions in each branch-diamond arm.
-	// Default 3.
-	ArmSize int
 }
+
+// armSize is the number of instructions in each branch-diamond arm.
+const armSize = 3
 
 func (p Params) withDefaults() Params {
 	if p.Noise == 0 {
@@ -31,9 +31,6 @@ func (p Params) withDefaults() Params {
 	}
 	if p.LoopTrips == 0 {
 		p.LoopTrips = 64
-	}
-	if p.ArmSize == 0 {
-		p.ArmSize = 3
 	}
 	return p
 }
@@ -58,9 +55,6 @@ func NewGenerator(prof *profile.Profile, params Params) (*Generator, error) {
 	if p.LoopTrips < 2 || p.LoopTrips > 1<<16 {
 		return nil, fmt.Errorf("perfprox: loop trips %d out of range", p.LoopTrips)
 	}
-	if p.ArmSize < 1 || p.ArmSize > 64 {
-		return nil, fmt.Errorf("perfprox: arm size %d out of range", p.ArmSize)
-	}
 	return &Generator{prof: prof.Clone(), params: p}, nil
 }
 
@@ -73,7 +67,7 @@ func (g *Generator) Profile() *profile.Profile { return g.prof.Clone() }
 // reaches a steady state where generation performs no heap allocation;
 // the price is that each generated program is only valid until the next
 // GenerateInto on the same Scratch. A Scratch is not safe for concurrent
-// use — give each goroutine its own (core.Session does exactly that).
+// use — give each goroutine its own (hashcore.Session does exactly that).
 type Scratch struct {
 	st genState
 }

@@ -96,9 +96,6 @@ func TestNewGeneratorValidation(t *testing.T) {
 	if _, err := NewGenerator(prof, Params{LoopTrips: 1}); err == nil {
 		t.Error("loop trips 1 accepted")
 	}
-	if _, err := NewGenerator(prof, Params{ArmSize: 1000}); err == nil {
-		t.Error("giant arm size accepted")
-	}
 	bad := prof.Clone()
 	bad.Mix[isa.ClassIntALU] = 5
 	if _, err := NewGenerator(bad, Params{}); err == nil {

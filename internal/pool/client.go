@@ -23,6 +23,13 @@ type RangeMiner interface {
 	MineRange(ctx context.Context, prefix []byte, target [32]byte, workers int, start, maxAttempts uint64) (hashcore.MineResult, error)
 }
 
+// dialTimeout bounds one TCP dial to the pool; reconnectMax caps the
+// re-dial backoff.
+const (
+	dialTimeout  = 10 * time.Second
+	reconnectMax = 30 * time.Second
+)
+
 // ClientConfig parameterizes a pool client.
 type ClientConfig struct {
 	// Addr is the pool server's miner-protocol address.
@@ -35,18 +42,15 @@ type ClientConfig struct {
 	// Workers is the mining parallelism handed to the RangeMiner.
 	// Default 1.
 	Workers int
-	// DialTimeout bounds the TCP dial. Default 10s.
-	DialTimeout time.Duration
 	// Reconnect makes Run survive transport failures: instead of
 	// returning the error it re-dials with exponential backoff and
 	// resubscribes, so a miner outlives a pool daemon restart. Off by
 	// default (Run reports the first transport failure, the historical
 	// behavior).
 	Reconnect bool
-	// ReconnectWait is the initial re-dial backoff. Default 1s.
+	// ReconnectWait is the initial re-dial backoff, doubling up to
+	// reconnectMax. Default 1s.
 	ReconnectWait time.Duration
-	// ReconnectMax caps the re-dial backoff. Default 30s.
-	ReconnectMax time.Duration
 	// OnJob, if set, observes every job notification (before mining
 	// starts on it).
 	OnJob func(JobNotify)
@@ -91,16 +95,10 @@ func Dial(cfg ClientConfig, miner RangeMiner) (*Client, error) {
 	if cfg.Workers < 1 {
 		cfg.Workers = 1
 	}
-	if cfg.DialTimeout <= 0 {
-		cfg.DialTimeout = 10 * time.Second
-	}
 	if cfg.ReconnectWait <= 0 {
 		cfg.ReconnectWait = time.Second
 	}
-	if cfg.ReconnectMax <= 0 {
-		cfg.ReconnectMax = 30 * time.Second
-	}
-	conn, err := net.DialTimeout("tcp", cfg.Addr, cfg.DialTimeout)
+	conn, err := net.DialTimeout("tcp", cfg.Addr, dialTimeout)
 	if err != nil {
 		return nil, fmt.Errorf("pool: dialing %s: %w", cfg.Addr, err)
 	}
@@ -157,14 +155,14 @@ func (c *Client) Run(ctx context.Context) error {
 // redial re-establishes the connection with exponential backoff, giving
 // up only when ctx ends.
 func (c *Client) redial(ctx context.Context) (*wire.Conn, error) {
-	backoff := wire.NewBackoff(c.cfg.ReconnectWait, c.cfg.ReconnectMax)
+	backoff := wire.NewBackoff(c.cfg.ReconnectWait, reconnectMax)
 	for {
 		select {
 		case <-ctx.Done():
 			return nil, ctx.Err()
 		case <-time.After(backoff.Next()):
 		}
-		nc, err := net.DialTimeout("tcp", c.cfg.Addr, c.cfg.DialTimeout)
+		nc, err := net.DialTimeout("tcp", c.cfg.Addr, dialTimeout)
 		if err == nil {
 			conn := wire.NewConn(nc, connConfig(0))
 			c.mu.Lock()

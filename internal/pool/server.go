@@ -41,14 +41,10 @@ type Config struct {
 	// shard); a full shard blocks that miner's connection reader (TCP
 	// backpressure). Default 256.
 	QueueDepth int
-	// JobRetention is how many recent jobs stay submittable. Default 4.
-	JobRetention int
 	// RefreshInterval re-templates the current job (rolling its
 	// timestamp and handing out fresh nonce ranges) at this period.
 	// Default 10s; negative disables.
 	RefreshInterval time.Duration
-	// SeenCapacity bounds the duplicate-share set. Default 1<<16.
-	SeenCapacity int
 	// WriteTimeout bounds one protocol write to a client, so a stalled
 	// connection cannot block its writer forever. Default 5s.
 	WriteTimeout time.Duration
@@ -87,14 +83,8 @@ func (c *Config) fillDefaults() {
 	if c.QueueDepth < 1 {
 		c.QueueDepth = 256
 	}
-	if c.JobRetention < 1 {
-		c.JobRetention = 4
-	}
 	if c.RefreshInterval == 0 {
 		c.RefreshInterval = 10 * time.Second
-	}
-	if c.SeenCapacity < 1 {
-		c.SeenCapacity = 1 << 16
 	}
 	if c.WriteTimeout <= 0 {
 		c.WriteTimeout = 5 * time.Second
@@ -153,7 +143,7 @@ type Server struct {
 // fails here rather than at Start.
 func NewServer(cfg Config, hasher Hasher, src TemplateSource) (*Server, error) {
 	cfg.fillDefaults()
-	jm, err := NewJobManager(src, cfg.ShareBits, cfg.RangeSize, cfg.JobRetention)
+	jm, err := NewJobManager(src, cfg.ShareBits, cfg.RangeSize, jobRetention)
 	if err != nil {
 		return nil, err
 	}
@@ -162,7 +152,7 @@ func NewServer(cfg Config, hasher Hasher, src TemplateSource) (*Server, error) {
 		hasher: hasher,
 		jm:     jm,
 		src:    src,
-		seen:   NewSeenSet(cfg.SeenCapacity),
+		seen:   NewSeenSet(seenCapacity),
 		acct:   NewAccounting(),
 		conns:  make(map[*serverConn]struct{}),
 		quit:   make(chan struct{}),
@@ -458,6 +448,13 @@ func (t *fanoutTrack) done() {
 		t.met.fanout.ObserveSince(t.start)
 	}
 }
+
+// jobRetention is how many recent jobs stay submittable; seenCapacity
+// bounds the duplicate-share set.
+const (
+	jobRetention = 4
+	seenCapacity = 1 << 16
+)
 
 // fanoutChunk is how many connections one dispatcher goroutine handles
 // per broadcast; maxFanoutDispatchers bounds the dispatch tree's width.

@@ -146,38 +146,33 @@ func (g *Generator) emitUniform(b *prog.Builder, x *rng.Xoshiro256) {
 // Hasher is the RandomX-lite PoW function: H(x) = G(s || W(s)) with the
 // uniform generator as W. It satisfies pow.Hasher.
 type Hasher struct {
-	gen  *Generator
-	gate gate.Gate
-	vp   vm.Params
+	gen *Generator
 }
 
-// NewHasher builds the PoW function.
-func NewHasher(params Params, g gate.Gate, vp vm.Params) (*Hasher, error) {
+// NewHasher builds the PoW function, with SHA-256 as its gate.
+func NewHasher(params Params) (*Hasher, error) {
 	gen, err := NewGenerator(params)
 	if err != nil {
 		return nil, err
 	}
-	if g == nil {
-		g = gate.SHA256{}
-	}
-	return &Hasher{gen: gen, gate: g, vp: vp}, nil
+	return &Hasher{gen: gen}, nil
 }
 
 // Hash computes the PoW digest of header.
 func (h *Hasher) Hash(header []byte) ([32]byte, error) {
-	s := h.gate.Sum(header)
+	s := gate.SHA256{}.Sum(header)
 	p, err := h.gen.Generate(s)
 	if err != nil {
 		return [32]byte{}, err
 	}
-	res, err := vm.Run(p, h.vp, nil)
+	res, err := vm.Run(p, vm.Params{}, nil)
 	if err != nil {
 		return [32]byte{}, err
 	}
 	buf := make([]byte, 0, len(s)+len(res.Output))
 	buf = append(buf, s[:]...)
 	buf = append(buf, res.Output...)
-	return h.gate.Sum(buf), nil
+	return gate.SHA256{}.Sum(buf), nil
 }
 
 // Name returns "randomx-lite".

@@ -80,7 +80,7 @@ func TestUniformMix(t *testing.T) {
 }
 
 func TestHasher(t *testing.T) {
-	h, err := NewHasher(Params{Iterations: 16, ProgramSize: 64}, nil, vm.Params{})
+	h, err := NewHasher(Params{Iterations: 16, ProgramSize: 64})
 	if err != nil {
 		t.Fatal(err)
 	}

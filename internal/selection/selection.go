@@ -28,27 +28,23 @@ import (
 // after construction and safe for concurrent use.
 type Pool struct {
 	widgets []*prog.Program
-	gate    gate.Gate
-	vp      vm.Params
 	storage int
 }
 
-// NewPool pre-generates size widgets for the profile from a master seed.
-// The per-widget seeds are derived deterministically, so two pools built
-// with the same arguments are identical.
-func NewPool(prof *profile.Profile, params perfprox.Params, size int, masterSeed uint64, g gate.Gate, vp vm.Params) (*Pool, error) {
+// NewPool pre-generates size widgets for the profile from a master seed,
+// with the generator's default parameters. The per-widget seeds are
+// derived deterministically, so two pools built with the same arguments
+// are identical.
+func NewPool(prof *profile.Profile, size int, masterSeed uint64) (*Pool, error) {
 	if size < 1 || size > 1<<20 {
 		return nil, fmt.Errorf("selection: pool size %d out of range", size)
 	}
-	gen, err := perfprox.NewGenerator(prof, params)
+	gen, err := perfprox.NewGenerator(prof, perfprox.Params{})
 	if err != nil {
 		return nil, fmt.Errorf("selection: %w", err)
 	}
-	if g == nil {
-		g = gate.SHA256{}
-	}
 	sm := rng.NewSplitMix64(masterSeed)
-	p := &Pool{gate: g, vp: vp, widgets: make([]*prog.Program, 0, size)}
+	p := &Pool{widgets: make([]*prog.Program, 0, size)}
 	for i := 0; i < size; i++ {
 		var seed perfprox.Seed
 		for off := 0; off < len(seed); off += 8 {
@@ -90,18 +86,18 @@ func (p *Pool) Instance(seed perfprox.Seed) *prog.Program {
 
 // Hash computes the selection-variant PoW: s = G(x) picks a widget, the
 // widget runs with its memory reseeded from s, and the digest is
-// G(s || output). Satisfies pow.Hasher.
+// G(s || output), with SHA-256 as G. Satisfies pow.Hasher.
 func (p *Pool) Hash(header []byte) ([32]byte, error) {
-	s := p.gate.Sum(header)
+	s := gate.SHA256{}.Sum(header)
 	w := p.Instance(perfprox.Seed(s))
-	res, err := vm.Run(w, p.vp, nil)
+	res, err := vm.Run(w, vm.Params{}, nil)
 	if err != nil {
 		return [32]byte{}, err
 	}
 	buf := make([]byte, 0, len(s)+len(res.Output))
 	buf = append(buf, s[:]...)
 	buf = append(buf, res.Output...)
-	return p.gate.Sum(buf), nil
+	return gate.SHA256{}.Sum(buf), nil
 }
 
 // Name returns "hashcore-select".

@@ -6,7 +6,6 @@ import (
 	"hashcore/internal/isa"
 	"hashcore/internal/perfprox"
 	"hashcore/internal/profile"
-	"hashcore/internal/vm"
 )
 
 func tinyProfile() *profile.Profile {
@@ -29,7 +28,7 @@ func tinyProfile() *profile.Profile {
 
 func newPool(t testing.TB, size int) *Pool {
 	t.Helper()
-	p, err := NewPool(tinyProfile(), perfprox.Params{}, size, 42, nil, vm.Params{})
+	p, err := NewPool(tinyProfile(), size, 42)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -58,12 +57,12 @@ func TestPoolDeterministicConstruction(t *testing.T) {
 }
 
 func TestPoolSizeValidation(t *testing.T) {
-	if _, err := NewPool(tinyProfile(), perfprox.Params{}, 0, 1, nil, vm.Params{}); err == nil {
+	if _, err := NewPool(tinyProfile(), 0, 1); err == nil {
 		t.Error("zero pool accepted")
 	}
 	bad := tinyProfile()
 	bad.TargetDynamic = 1
-	if _, err := NewPool(bad, perfprox.Params{}, 2, 1, nil, vm.Params{}); err == nil {
+	if _, err := NewPool(bad, 2, 1); err == nil {
 		t.Error("invalid profile accepted")
 	}
 }

@@ -21,7 +21,7 @@
 // Machines are reusable: Load adopts a new program in place — a
 // prog.Program is already the form every engine reads, so there is no
 // decoding and no copy — keeping the scratch-memory storage, and RunInto
-// appends output into a caller-owned Result, so a hot loop (core.Session,
+// appends output into a caller-owned Result, so a hot loop (hashcore.Session,
 // the miner) executes arbitrarily many widgets without allocating.
 //
 // The instruction set's semantics are written down twice in this package

@@ -1,4 +1,4 @@
-package core
+package hashcore
 
 import (
 	"time"
@@ -8,7 +8,7 @@ import (
 )
 
 // hashMetrics is the hashing hot loop's instrument set, resolved once at
-// Func construction. All fields are nil-safe, so a Func built without a
+// Hasher construction. All fields are nil-safe, so a Hasher built without a
 // registry carries a nil *hashMetrics and pays a single predictable
 // branch per hash.
 type hashMetrics struct {
@@ -40,7 +40,7 @@ type hashMetrics struct {
 	hashesNative *telemetry.Counter
 	hashesInterp *telemetry.Counter
 	// sessionsCreated counts NewSession calls: set-ups and the refills of
-	// Func.Hash's sync.Pool after a GC emptied it. Each one is a session's
+	// Hasher.Hash's sync.Pool after a GC emptied it. Each one is a session's
 	// buffers allocated afresh, churn a hash-rate graph does not show.
 	sessionsCreated *telemetry.Counter
 }

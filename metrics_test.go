@@ -1,4 +1,4 @@
-package core
+package hashcore
 
 import (
 	"reflect"
@@ -7,28 +7,24 @@ import (
 
 	"hashcore/internal/telemetry"
 	"hashcore/internal/vm"
-	"hashcore/internal/workload"
 )
 
-func newMetricFunc(t *testing.T, reg *telemetry.Registry) *Func {
+// newMetricHasher builds a leela hasher instrumented through reg.
+func newMetricHasher(t *testing.T, reg *telemetry.Registry) *Hasher {
 	t.Helper()
-	w, err := workload.ByName("leela")
+	h, err := New(WithTelemetry(reg))
 	if err != nil {
 		t.Fatal(err)
 	}
-	f, err := New(Options{Profile: w.Profile, Metrics: reg})
-	if err != nil {
-		t.Fatal(err)
-	}
-	return f
+	return h
 }
 
 // Telemetry must not change digests: the instrumented path wraps the
 // same pipeline.
 func TestMetricsDigestsUnchanged(t *testing.T) {
 	reg := telemetry.NewRegistry()
-	plain := newMetricFunc(t, nil)
-	instr := newMetricFunc(t, reg)
+	plain := newMetricHasher(t, nil)
+	instr := newMetricHasher(t, reg)
 	for _, in := range []string{"", "a", "hashcore block header"} {
 		a, err := plain.Hash([]byte(in))
 		if err != nil {
@@ -47,10 +43,10 @@ func TestMetricsDigestsUnchanged(t *testing.T) {
 // Every hash must land in the histograms and counters.
 func TestMetricsRecorded(t *testing.T) {
 	reg := telemetry.NewRegistry()
-	f := newMetricFunc(t, reg)
+	h := newMetricHasher(t, reg)
 	const n = 3
 	for i := 0; i < n; i++ {
-		if _, err := f.Hash([]byte{byte(i)}); err != nil {
+		if _, err := h.Hash([]byte{byte(i)}); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -86,21 +82,13 @@ func machineGen(s *Session, field string) uint64 {
 // it exactly once per load — and only the architectural series is
 // exported.
 func TestTelemetryDoesNotFuseOnNative(t *testing.T) {
-	w, err := workload.ByName("leela")
-	if err != nil {
-		t.Fatal(err)
-	}
 	const n = 5
 	for _, be := range []vm.Backend{vm.BackendNative, vm.BackendInterp} {
 		if be == vm.BackendNative && !vm.NativeSupported() {
 			continue
 		}
 		reg := telemetry.NewRegistry()
-		f, err := New(Options{Profile: w.Profile, Metrics: reg, Backend: be})
-		if err != nil {
-			t.Fatal(err)
-		}
-		s := f.NewSession()
+		s := newBackendHasher(t, be, reg, nil).NewSession()
 		for i := 0; i < n; i++ {
 			if _, err := s.Hash([]byte{byte(i)}); err != nil {
 				t.Fatal(err)
@@ -134,8 +122,8 @@ func TestTelemetryDoesNotFuseOnNative(t *testing.T) {
 // zero-allocation in the steady state, same as without.
 func TestSessionHashZeroAllocWithTelemetry(t *testing.T) {
 	reg := telemetry.NewRegistry()
-	f := newMetricFunc(t, reg)
-	s := f.NewSession()
+	h := newMetricHasher(t, reg)
+	s := h.NewSession()
 	input := []byte("alloc probe")
 	// Warm up to high-water buffer capacity.
 	for i := 0; i < 8; i++ {

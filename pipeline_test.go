@@ -1,4 +1,4 @@
-package core
+package hashcore
 
 import (
 	"bytes"
@@ -9,82 +9,50 @@ import (
 	"testing"
 
 	"hashcore/internal/gate"
-	"hashcore/internal/isa"
 	"hashcore/internal/perfprox"
-	"hashcore/internal/profile"
 	"hashcore/internal/vm"
-	"hashcore/internal/workload"
 )
 
-// tinyProfile is a fast profile for collision-search tests: widgets of
-// ~2000 dynamic instructions over a 4 KiB working set.
-func tinyProfile() *profile.Profile {
-	return &profile.Profile{
-		Name: "tiny",
-		Mix: map[isa.Class]float64{
-			isa.ClassIntALU: 0.55,
-			isa.ClassIntMul: 0.05,
-			isa.ClassFPALU:  0.05,
-			isa.ClassLoad:   0.12,
-			isa.ClassStore:  0.05,
-			isa.ClassBranch: 0.15,
-			isa.ClassVector: 0.03,
-		},
-		BranchTaken:     0.6,
-		BranchDataDep:   0.4,
-		BranchBias:      0.5,
-		MemSequential:   0.4,
-		MemStrided:      0.2,
-		MemRandom:       0.3,
-		MemPointerChase: 0.1,
-		WorkingSet:      4 << 10,
-		BlockMean:       5,
-		BlockStd:        2,
-		DepDist:         3,
-		TargetDynamic:   2000,
+// withGate swaps the hash gate G. Only the Theorem 1 tests do, to run the
+// reduction against a deliberately weakened gate; no exported option can.
+func withGate(g gate.Gate) Option {
+	return func(c *config) error {
+		c.gate = g
+		return nil
 	}
 }
 
-func tinyFunc(t testing.TB, opts Options) *Func {
+// fastHasher builds a hasher on fastProfile (unless opts replace it).
+func fastHasher(t testing.TB, opts ...Option) *Hasher {
 	t.Helper()
-	if opts.Profile == nil {
-		opts.Profile = tinyProfile()
-	}
-	f, err := New(opts)
+	h, err := New(append([]Option{fastOpts()}, opts...)...)
 	if err != nil {
 		t.Fatal(err)
 	}
-	return f
+	return h
 }
 
-func TestNewValidation(t *testing.T) {
-	if _, err := New(Options{}); err == nil {
-		t.Error("New accepted missing profile")
-	}
-	if _, err := New(Options{Profile: tinyProfile(), Widgets: 100}); err == nil {
-		t.Error("New accepted 100 widgets")
-	}
-	bad := tinyProfile()
-	bad.TargetDynamic = 1
-	if _, err := New(Options{Profile: bad}); err == nil {
-		t.Error("New accepted invalid profile")
-	}
+// onBackend pins h to engine b whatever HASHCORE_BACKEND says, for the
+// tests that are about one engine. Call it before h makes a session.
+func onBackend(h *Hasher, b vm.Backend) *Hasher {
+	h.backend = b
+	return h
 }
 
 func TestHashDeterministic(t *testing.T) {
-	f := tinyFunc(t, Options{})
-	a, err := f.Hash([]byte("block header"))
+	h := fastHasher(t)
+	a, err := h.Hash([]byte("block header"))
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := f.Hash([]byte("block header"))
+	b, err := h.Hash([]byte("block header"))
 	if err != nil {
 		t.Fatal(err)
 	}
 	if a != b {
 		t.Fatal("same input hashed to different digests")
 	}
-	c, err := f.Hash([]byte("block headeR"))
+	c, err := h.Hash([]byte("block headeR"))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -94,15 +62,15 @@ func TestHashDeterministic(t *testing.T) {
 }
 
 func TestHashConcurrentUse(t *testing.T) {
-	f := tinyFunc(t, Options{})
-	want := f.Sum([]byte("shared"))
+	h := fastHasher(t)
+	want := h.Sum([]byte("shared"))
 	var wg sync.WaitGroup
 	errs := make(chan error, 8)
 	for i := 0; i < 8; i++ {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			got, err := f.Hash([]byte("shared"))
+			got, err := h.Hash([]byte("shared"))
 			if err != nil {
 				errs <- err
 				return
@@ -122,8 +90,8 @@ func TestHashConcurrentUse(t *testing.T) {
 // TestStructuralEquation verifies H(x) == G(s || W(s)) by recomputing the
 // final gate application from Trace intermediates.
 func TestStructuralEquation(t *testing.T) {
-	f := tinyFunc(t, Options{})
-	tr, err := f.Trace([]byte("x"))
+	h := fastHasher(t)
+	tr, err := h.trace([]byte("x"))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -133,7 +101,7 @@ func TestStructuralEquation(t *testing.T) {
 	if manual != tr.Digest {
 		t.Fatal("Trace digest != G(s || W(s))")
 	}
-	direct, err := f.Hash([]byte("x"))
+	direct, err := h.Hash([]byte("x"))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -146,8 +114,8 @@ func TestStructuralEquation(t *testing.T) {
 }
 
 func TestTraceFields(t *testing.T) {
-	f := tinyFunc(t, Options{})
-	tr, err := f.Trace([]byte("inspect me"))
+	h := fastHasher(t)
+	tr, err := h.trace([]byte("inspect me"))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -160,29 +128,25 @@ func TestTraceFields(t *testing.T) {
 	if tr.Result == nil || len(tr.Result.Output) == 0 {
 		t.Error("trace has no execution result")
 	}
-	want := perfprox.Split(tr.Seed)
-	if tr.Fields != want {
-		t.Error("trace fields do not match Split(seed)")
-	}
-	if binary.BigEndian.Uint32(tr.Seed[0:4]) != want.IntALU {
+	if binary.BigEndian.Uint32(tr.Seed[0:4]) != perfprox.Split(tr.Seed).IntALU {
 		t.Error("field/seed byte mismatch")
 	}
 }
 
-// TestSourcePipelineMatchesDirect: the textual chain Trace takes (generate,
+// TestSourcePipelineMatchesDirect: the textual chain trace takes (generate,
 // render, assemble, run) reaches the digest Hash computes from the
 // generator's program directly, on either backend and with widgets chained
-// (Trace runs the first widget through source, the rest directly).
+// (trace runs the first widget through source, the rest directly).
 func TestSourcePipelineMatchesDirect(t *testing.T) {
 	for _, backend := range []vm.Backend{vm.BackendInterp, vm.BackendNative} {
 		for _, widgets := range []int{1, 2} {
-			f := tinyFunc(t, Options{Backend: backend, Widgets: widgets})
+			h := onBackend(fastHasher(t, WithWidgets(widgets)), backend)
 			for _, input := range []string{"", "a", "block 42"} {
-				direct, err := f.Hash([]byte(input))
+				direct, err := h.Hash([]byte(input))
 				if err != nil {
 					t.Fatal(err)
 				}
-				tr, err := f.Trace([]byte(input))
+				tr, err := h.trace([]byte(input))
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -194,9 +158,11 @@ func TestSourcePipelineMatchesDirect(t *testing.T) {
 	}
 }
 
+// TestWidgetChaining: WithWidgets(2) changes the digest, deterministically,
+// and trace follows the chain to Hash's digest.
 func TestWidgetChaining(t *testing.T) {
-	one := tinyFunc(t, Options{Widgets: 1})
-	two := tinyFunc(t, Options{Widgets: 2})
+	one := fastHasher(t, WithWidgets(1))
+	two := fastHasher(t, WithWidgets(2))
 	in := []byte("chained")
 	d1, err := one.Hash(in)
 	if err != nil {
@@ -216,26 +182,26 @@ func TestWidgetChaining(t *testing.T) {
 	if d2 != d2b {
 		t.Fatal("chained hashing is nondeterministic")
 	}
-	trTwo, err := two.Trace(in)
+	trTwo, err := two.trace(in)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if trTwo.Digest != d2 {
-		t.Fatal("chained Trace digest != Hash")
+		t.Fatal("chained trace digest != Hash")
 	}
 }
 
 func TestHashObserved(t *testing.T) {
-	f := tinyFunc(t, Options{})
+	h := fastHasher(t)
 	var count countObserver
-	d, err := f.HashObserved([]byte("obs"), &count)
+	d, err := h.NewSession().hash([]byte("obs"), &count, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if count == 0 {
 		t.Fatal("observer saw no events")
 	}
-	plain, err := f.Hash([]byte("obs"))
+	plain, err := h.Hash([]byte("obs"))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -249,12 +215,12 @@ type countObserver int
 func (c *countObserver) OnRetire(*vm.Event) { *c++ }
 
 func TestAccessors(t *testing.T) {
-	f := tinyFunc(t, Options{})
-	if f.GateName() != "sha256" {
-		t.Errorf("GateName = %q", f.GateName())
+	h := fastHasher(t)
+	if got := h.gate.Name(); got != "sha256" {
+		t.Errorf("gate name = %q", got)
 	}
-	if f.ProfileName() != "tiny" {
-		t.Errorf("ProfileName = %q", f.ProfileName())
+	if h.ProfileName() != "fast" {
+		t.Errorf("ProfileName = %q", h.ProfileName())
 	}
 }
 
@@ -348,11 +314,11 @@ func TestTruncatedOutputCount(t *testing.T) {
 
 // TestTheorem1Reduction is the executable version of the paper's security
 // proof: with a deliberately weakened gate we can find collisions on H by
-// brute force, and algorithm B (ExtractGateCollision) must then produce a
+// brute force, and algorithm B (extractGateCollision) must then produce a
 // collision on G itself.
 func TestTheorem1Reduction(t *testing.T) {
 	weak := truncatedGate{Bits: 12}
-	f := tinyFunc(t, Options{Gate: weak})
+	h := fastHasher(t, withGate(weak))
 
 	// Brute-force a collision on H (about 2^6 expected queries for a
 	// 12-bit gate via birthday).
@@ -360,26 +326,26 @@ func TestTheorem1Reduction(t *testing.T) {
 	var x0, x1 []byte
 	for i := 0; i < 1<<14 && x1 == nil; i++ {
 		input := binary.BigEndian.AppendUint32(nil, uint32(i))
-		h, err := f.Hash(input)
+		d, err := h.Hash(input)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if prev, ok := seen[h]; ok {
+		if prev, ok := seen[d]; ok {
 			x0, x1 = prev, input
 			break
 		}
-		seen[h] = input
+		seen[d] = input
 	}
 	if x1 == nil {
 		t.Fatal("no collision found on H with a 12-bit gate — that should be easy")
 	}
 
-	a, b, ok, err := f.ExtractGateCollision(x0, x1)
+	a, b, ok, err := h.extractGateCollision(x0, x1)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if !ok {
-		t.Fatal("ExtractGateCollision rejected a genuine H collision")
+		t.Fatal("extractGateCollision rejected a genuine H collision")
 	}
 	if bytes.Equal(a, b) {
 		t.Fatal("reduction returned identical messages")
@@ -390,36 +356,36 @@ func TestTheorem1Reduction(t *testing.T) {
 }
 
 func TestExtractGateCollisionRejectsNonCollisions(t *testing.T) {
-	f := tinyFunc(t, Options{})
-	if _, _, ok, err := f.ExtractGateCollision([]byte("a"), []byte("b")); err != nil || ok {
+	h := fastHasher(t)
+	if _, _, ok, err := h.extractGateCollision([]byte("a"), []byte("b")); err != nil || ok {
 		t.Fatalf("non-collision accepted (ok=%v, err=%v)", ok, err)
 	}
-	if _, _, ok, err := f.ExtractGateCollision([]byte("same"), []byte("same")); err != nil || ok {
+	if _, _, ok, err := h.extractGateCollision([]byte("same"), []byte("same")); err != nil || ok {
 		t.Fatalf("identical inputs accepted (ok=%v, err=%v)", ok, err)
 	}
 }
 
 func TestTheorem1ReductionChained(t *testing.T) {
 	weak := truncatedGate{Bits: 10}
-	f := tinyFunc(t, Options{Gate: weak, Widgets: 2})
+	h := fastHasher(t, withGate(weak), WithWidgets(2))
 	seen := make(map[Digest][]byte)
 	var x0, x1 []byte
 	for i := 0; i < 1<<13 && x1 == nil; i++ {
 		input := binary.BigEndian.AppendUint32(nil, uint32(i))
-		h, err := f.Hash(input)
+		d, err := h.Hash(input)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if prev, ok := seen[h]; ok {
+		if prev, ok := seen[d]; ok {
 			x0, x1 = prev, input
 			break
 		}
-		seen[h] = input
+		seen[d] = input
 	}
 	if x1 == nil {
 		t.Fatal("no collision found on chained H with a 10-bit gate")
 	}
-	a, b, ok, err := f.ExtractGateCollision(x0, x1)
+	a, b, ok, err := h.extractGateCollision(x0, x1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -432,15 +398,11 @@ func TestLeelaProfileHash(t *testing.T) {
 	if testing.Short() {
 		t.Skip("full-size widget hash in -short mode")
 	}
-	w, err := workload.ByName("leela")
+	h, err := New(WithProfile("leela"))
 	if err != nil {
 		t.Fatal(err)
 	}
-	f, err := New(Options{Profile: w.Profile})
-	if err != nil {
-		t.Fatal(err)
-	}
-	d, err := f.Hash([]byte("full scale"))
+	d, err := h.Hash([]byte("full scale"))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -450,29 +412,11 @@ func TestLeelaProfileHash(t *testing.T) {
 }
 
 func BenchmarkHashTiny(b *testing.B) {
-	f := tinyFunc(b, Options{})
+	h := fastHasher(b)
 	var input [8]byte
 	for i := 0; i < b.N; i++ {
 		binary.BigEndian.PutUint64(input[:], uint64(i))
-		if _, err := f.Hash(input[:]); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-func BenchmarkHashLeela(b *testing.B) {
-	w, err := workload.ByName("leela")
-	if err != nil {
-		b.Fatal(err)
-	}
-	f, err := New(Options{Profile: w.Profile})
-	if err != nil {
-		b.Fatal(err)
-	}
-	var input [8]byte
-	for i := 0; i < b.N; i++ {
-		binary.BigEndian.PutUint64(input[:], uint64(i))
-		if _, err := f.Hash(input[:]); err != nil {
+		if _, err := h.Hash(input[:]); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -482,15 +426,12 @@ func BenchmarkHashLeela(b *testing.B) {
 // bit-identical digests to the plain one and accumulates a sane phase
 // split: both phases nonzero, retired counted, one accumulation per call.
 func TestHashTimedMatchesHash(t *testing.T) {
-	f, err := New(Options{Profile: tinyProfile()})
-	if err != nil {
-		t.Fatal(err)
-	}
-	s := f.NewSession()
+	h := fastHasher(t)
+	s := h.NewSession()
 	var pt PhaseTimings
 	for i := 0; i < 3; i++ {
 		input := []byte{byte(i), 1, 2, 3}
-		want, err := f.Hash(input)
+		want, err := h.Hash(input)
 		if err != nil {
 			t.Fatal(err)
 		}

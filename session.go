@@ -1,4 +1,4 @@
-package core
+package hashcore
 
 import (
 	"time"
@@ -7,23 +7,21 @@ import (
 	"hashcore/internal/vm"
 )
 
-// Session is a reusable execution context for one HashCore function: it
-// owns the generator scratch (PRNGs, budgets, program builder), the VM
-// (the adopted program and scratch memory), the execution result (snapshot
-// output buffer) and the gate concatenation buffer. After a few warm-up
-// hashes every buffer has reached its high-water capacity and further
-// Hash calls allocate nothing.
+// Session is a single-goroutine hashing context: it owns the generator
+// scratch (PRNGs, budgets, program builder), the VM (the adopted program
+// and scratch memory), the execution result (snapshot output buffer) and
+// the gate concatenation buffer. After a few warm-up hashes every buffer
+// has reached its high-water capacity and further Hash calls allocate
+// nothing.
 //
-// A Session is bound to the Func that created it and is NOT safe for
-// concurrent use; Func.Hash maintains a sync.Pool of sessions so ordinary
-// callers never touch this type. Hold a Session directly when a single
-// goroutine hashes in a tight loop (miner workers do this) and the pool
-// round-trip is unwanted.
-//
-// Digests computed through a Session are bit-identical to the
-// allocate-per-call pipeline; the golden-vector tests lock this in.
+// A Session is bound to the Hasher that created it and is NOT safe for
+// concurrent use; Hasher.Hash maintains a sync.Pool of sessions so
+// ordinary callers never touch this type. Hold a Session directly when a
+// single goroutine hashes in a tight loop (miner workers do this) and the
+// pool round-trip is unwanted. Digests are identical to Hasher.Hash; the
+// golden-vector tests lock this in.
 type Session struct {
-	f   *Func
+	h   *Hasher
 	gen perfprox.Scratch
 	m   *vm.Machine
 	res vm.Result
@@ -35,21 +33,31 @@ type Session struct {
 	execMark time.Time
 }
 
-// NewSession returns a fresh execution context for f.
-func (f *Func) NewSession() *Session {
-	s := &Session{f: f, m: &vm.Machine{}}
-	s.m.SetBackend(f.backend)
-	if f.met != nil {
-		f.met.sessionsCreated.Inc()
+// NewSession returns a dedicated hashing context for this hasher.
+func (h *Hasher) NewSession() *Session {
+	s := &Session{h: h, m: &vm.Machine{}}
+	s.m.SetBackend(h.backend)
+	if h.met != nil {
+		h.met.sessionsCreated.Inc()
 	}
 	return s
 }
 
-// Hash computes the HashCore digest of input using the session's reusable
-// state. It is equivalent to (but does not allocate like) Func.Hash.
+// Hash computes the HashCore digest of input using the session's
+// reusable state.
 func (s *Session) Hash(input []byte) (Digest, error) {
 	return s.hash(input, nil, nil)
 }
+
+// Name identifies the session's hasher, e.g. "hashcore-leela", so that a
+// Session is a pow.Hasher of its own.
+func (s *Session) Name() string { return s.h.Name() }
+
+// Close is an idempotent no-op, kept so that holders written against the
+// session that owned a scratch-memory fill goroutine (the benchmark among
+// them) keep compiling: the VM's scratch memory is never filled any
+// more, so a session owns nothing but garbage-collected memory.
+func (s *Session) Close() {}
 
 // PhaseTimings accumulates the wall-clock split of the widget pipeline
 // across HashTimed calls: generation (hash seed -> validated program),
@@ -86,9 +94,10 @@ type PhaseTimings struct {
 	Hashes uint64
 }
 
-// HashTimed is Hash with per-phase instrumentation: the generation and
-// execution wall time and retired-instruction count of every widget are
-// accumulated into t. Digests are identical to Hash.
+// HashTimed is Hash with per-phase instrumentation accumulated into t:
+// widget-generation and VM-execution nanoseconds plus retired widget
+// instructions. Digests are identical to Hash; the overhead is a few
+// clock reads per widget.
 func (s *Session) HashTimed(input []byte, t *PhaseTimings) (Digest, error) {
 	t.Hashes++
 	return s.hash(input, nil, t)
@@ -96,11 +105,11 @@ func (s *Session) HashTimed(input []byte, t *PhaseTimings) (Digest, error) {
 
 // hash runs the full pipeline: s = G(x), then widgets chained through the
 // gate. obs may be nil (the VM then takes its specialized unobserved
-// loop); t may be nil (no timing instrumentation — unless the Func has
+// loop); t may be nil (no timing instrumentation — unless the Hasher has
 // telemetry enabled, in which case a stack-local PhaseTimings keeps the
 // per-phase clocks running so the histograms can observe the split).
 func (s *Session) hash(input []byte, obs vm.Observer, t *PhaseTimings) (Digest, error) {
-	if met := s.f.met; met != nil {
+	if met := s.h.met; met != nil {
 		var local PhaseTimings
 		if t == nil {
 			t = &local
@@ -117,14 +126,14 @@ func (s *Session) hash(input []byte, obs vm.Observer, t *PhaseTimings) (Digest, 
 }
 
 func (s *Session) hashInner(input []byte, obs vm.Observer, t *PhaseTimings) (Digest, error) {
-	f := s.f
-	seed := f.gate.Sum(input)
-	for i := 0; i < f.widgets; i++ {
+	h := s.h
+	seed := h.gate.Sum(input)
+	for i := 0; i < h.widgets; i++ {
 		if err := s.runWidget(perfprox.Seed(seed), obs, t); err != nil {
 			return Digest{}, err
 		}
 		s.buf = append(append(s.buf[:0], seed[:]...), s.res.Output...)
-		seed = f.gate.Sum(s.buf)
+		seed = h.gate.Sum(s.buf)
 	}
 	return seed, nil
 }
@@ -132,12 +141,12 @@ func (s *Session) hashInner(input []byte, obs vm.Observer, t *PhaseTimings) (Dig
 // runWidget executes W(s) into s.res: generate the widget, load it into
 // the session VM, compile it, run it.
 func (s *Session) runWidget(seed perfprox.Seed, obs vm.Observer, t *PhaseTimings) error {
-	f := s.f
+	h := s.h
 	if err := s.loadWidget(seed, obs, t); err != nil {
 		return err
 	}
-	s.m.RunInto(f.vparams, obs, &s.res)
-	if t != nil || f.journal != nil {
+	s.m.RunInto(h.vparams, obs, &s.res)
+	if t != nil || h.journal != nil {
 		st := s.m.LastRunStats()
 		if t != nil {
 			t.ExecNs += time.Since(s.execMark).Nanoseconds()
@@ -145,12 +154,12 @@ func (s *Session) runWidget(seed perfprox.Seed, obs vm.Observer, t *PhaseTimings
 			t.Retired += s.res.Retired
 			t.WordsWritten += st.WordsWritten
 		}
-		if met := f.met; met != nil {
+		if met := h.met; met != nil {
 			met.wordsWritten.Add(st.WordsWritten)
 			met.slowBounces.Add(st.SlowBounces)
 		}
 		if st.FallbackErr != nil {
-			f.noteFallback(st.FallbackErr)
+			h.noteFallback(st.FallbackErr)
 		}
 	}
 	return nil
@@ -160,12 +169,12 @@ func (s *Session) runWidget(seed perfprox.Seed, obs vm.Observer, t *PhaseTimings
 // On return the session VM holds the widget for seed, compiled when a
 // native backend will run it.
 func (s *Session) loadWidget(seed perfprox.Seed, obs vm.Observer, t *PhaseTimings) error {
-	f := s.f
+	h := s.h
 	var mark time.Time
 	if t != nil {
 		mark = time.Now()
 	}
-	widget, err := f.gen.GenerateInto(seed, &s.gen)
+	widget, err := h.gen.GenerateInto(seed, &s.gen)
 	if err != nil {
 		return err
 	}
@@ -178,7 +187,7 @@ func (s *Session) loadWidget(seed perfprox.Seed, obs vm.Observer, t *PhaseTiming
 	// The builder validated the program as it wrote it; skip the VM's
 	// second structural pass.
 	s.m.LoadTrusted(widget)
-	if met := f.met; met != nil {
+	if met := h.met; met != nil {
 		met.archInstrs.Add(uint64(widget.NumInstrs()))
 	}
 	if t != nil {
@@ -196,7 +205,7 @@ func (s *Session) loadWidget(seed perfprox.Seed, obs vm.Observer, t *PhaseTiming
 			if t != nil {
 				t.CompileNs += st.CompileNs
 			}
-			if met := f.met; met != nil {
+			if met := h.met; met != nil {
 				met.jitCompileSeconds.Observe(float64(st.CompileNs) / 1e9)
 			}
 		}

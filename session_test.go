@@ -1,4 +1,4 @@
-package core
+package hashcore
 
 import (
 	"encoding/binary"
@@ -16,26 +16,26 @@ import (
 // sets alternate on each backend, so the reused machines shrink and grow
 // between runs.
 func TestReusedSessionMatchesFresh(t *testing.T) {
-	wide := tinyProfile()
-	wide.Name = "tiny-wide"
+	wide := fastProfile()
+	wide.Name = "fast-wide"
 	wide.WorkingSet = 32 << 10
 	for _, backend := range []vm.Backend{vm.BackendInterp, vm.BackendNative} {
-		funcs := []*Func{
-			tinyFunc(t, Options{Backend: backend}),
-			tinyFunc(t, Options{Backend: backend, Profile: wide}),
+		hashers := []*Hasher{
+			onBackend(fastHasher(t), backend),
+			onBackend(fastHasher(t, WithCustomProfile(wide)), backend),
 		}
-		// One machine serves both funcs' sessions in turn: swap it in.
+		// One machine serves both hashers' sessions in turn: swap it in.
 		shared := &vm.Machine{}
 		shared.SetBackend(backend)
 		input := make([]byte, 16)
 		for i := 0; i < 24; i++ {
-			f := funcs[i%2]
+			h := hashers[i%2]
 			binary.LittleEndian.PutUint64(input, uint64(i))
-			want, err := f.NewSession().Hash(input)
+			want, err := h.NewSession().Hash(input)
 			if err != nil {
 				t.Fatal(err)
 			}
-			reused := f.NewSession()
+			reused := h.NewSession()
 			reused.m = shared
 			got, err := reused.Hash(input)
 			if err != nil {
@@ -52,9 +52,9 @@ func TestReusedSessionMatchesFresh(t *testing.T) {
 // TestSessionOwnsNoGoroutine: a session is plain memory — making one and
 // hashing on it starts nothing that would need a Close.
 func TestSessionOwnsNoGoroutine(t *testing.T) {
-	f := tinyFunc(t, Options{})
+	h := fastHasher(t)
 	before := runtime.NumGoroutine()
-	s := f.NewSession()
+	s := h.NewSession()
 	if _, err := s.Hash([]byte("x")); err != nil {
 		t.Fatal(err)
 	}
@@ -70,8 +70,8 @@ func TestSessionOwnsNoGoroutine(t *testing.T) {
 // insert count, which costs nothing to keep.
 func TestWordsWrittenReported(t *testing.T) {
 	reg := telemetry.NewRegistry()
-	f := newMetricFunc(t, reg)
-	s := f.NewSession()
+	h := newMetricHasher(t, reg)
+	s := h.NewSession()
 	var pt PhaseTimings
 	const n = 3
 	for i := 0; i < n; i++ {
@@ -84,7 +84,7 @@ func TestWordsWrittenReported(t *testing.T) {
 		t.Fatalf("hashcore_vm_words_written_total = %v, PhaseTimings.WordsWritten = %d; want equal and > 0",
 			got, pt.WordsWritten)
 	}
-	if imageWords := uint64(n * f.gen.Profile().WorkingSet / 8); pt.WordsWritten >= imageWords/2 {
+	if imageWords := uint64(n * h.gen.Profile().WorkingSet / 8); pt.WordsWritten >= imageWords/2 {
 		t.Errorf("%d words written of %d: the image is not sparse", pt.WordsWritten, imageWords)
 	}
 	if pt.FillNs <= 0 || pt.FillNs >= pt.ExecNs {
@@ -99,7 +99,7 @@ func TestWordsWrittenReported(t *testing.T) {
 		t.Errorf("hashcore_vm_slow_bounces_total = %v over %d retired instructions, want about %v", bounces, pt.Retired, want)
 	}
 
-	bare := newMetricFunc(t, nil).NewSession()
+	bare := newMetricHasher(t, nil).NewSession()
 	if _, err := bare.Hash([]byte("x")); err != nil {
 		t.Fatal(err)
 	}
