@@ -380,8 +380,11 @@ func (op Opcode) HasImm() bool { return opTable[op].meta&metaImm != 0 }
 
 // Operands describes the register files of an opcode's dst, a and b
 // operands (RegNone when unused).
-func (op Opcode) Operands() (dst, a, b RegFile) {
-	m := opTable[op].meta
+func (op Opcode) Operands() (dst, a, b RegFile) { return opTable[op].meta.Files() }
+
+// Files returns the register files of the dst, a and b operands (RegNone
+// when unused).
+func (m OpMeta) Files() (dst, a, b RegFile) {
 	return RegFile(m >> 40 & 3), RegFile(m >> 42 & 3), RegFile(m >> 44 & 3)
 }
 

@@ -96,9 +96,10 @@ const (
 	offVecRegs    = 256
 )
 
-// prog.Instr as the stamp loop addresses it (stamp_amd64.s): go_asm.h
-// carries field offsets only for types this package declares, but every
-// constant of the package, so the offsets are spelled as constants.
+// prog.Instr and prog.Block as the stamp loop addresses them
+// (stamp_amd64.s): go_asm.h carries field offsets only for types this
+// package declares, but every constant of the package, so the offsets are
+// spelled as constants.
 const (
 	instrImm    = unsafe.Offsetof(prog.Instr{}.Imm)
 	instrTarget = unsafe.Offsetof(prog.Instr{}.Target)
@@ -107,13 +108,12 @@ const (
 	instrA      = unsafe.Offsetof(prog.Instr{}.A)
 	instrB      = unsafe.Offsetof(prog.Instr{}.B)
 	instrSize   = unsafe.Sizeof(prog.Instr{})
+	blockLen    = unsafe.Offsetof(prog.Block{}.Len)
 )
 
 func init() {
-	// allocRegs and the stamp loop fetch an instruction's opcode and its
-	// three operand bytes with one 8-byte load at &Instr.Op.
-	if instrOp%8 != 0 || instrSize < instrOp+8 || instrDst != instrOp+2 || instrA != instrOp+3 || instrB != instrOp+4 {
-		panic("jit: prog.Instr does not keep Op, Class, Dst, A, B in one aligned word")
+	if unsafe.Sizeof(prog.Block{}) != 8 {
+		panic("jit: prog.Block is not the 8 bytes stamp_amd64.s indexes by")
 	}
 	if offFPRegs != 0 || frameBias != 168 {
 		// call_amd64.s hardcodes the bias; the layout must keep the FP
@@ -311,29 +311,14 @@ var intUseMask = [64]uint8{
 }
 
 // allocRegs assigns physPool to the most-referenced widget integer
-// registers of p. The count is static, but the generated programs repeat
-// their loop bodies enough that static and dynamic ranking agree on the
-// registers that matter (the loop-carried counters and accumulators).
-// Ties break toward the lower register index, keeping the choice — and
-// therefore the generated code — deterministic.
+// registers of p, by the static counts p.Uses carries (whoever wrote the
+// program counted them; Validate checks them). The count is static, but
+// the generated programs repeat their loop bodies enough that static and
+// dynamic ranking agree on the registers that matter (the loop-carried
+// counters and accumulators). Ties break toward the lower register index,
+// keeping the choice — and therefore the generated code — deterministic.
 func (c *Compiler) allocRegs(p *prog.Program) {
-	// One counter array per operand field: an instruction often names one
-	// register twice (the in-place forms) and the next one names it again,
-	// and increments of one counter would queue up behind each other's
-	// stores.
-	var perField [3][isa.NumIntRegs]int32
-	for i := range p.Code {
-		// One load brings the opcode and the three operand bytes.
-		w := *(*uint64)(unsafe.Pointer(&p.Code[i].Op))
-		m := intUseMask[w&63]
-		perField[0][w>>16&(isa.NumIntRegs-1)] += int32(m & 1)
-		perField[1][w>>24&(isa.NumIntRegs-1)] += int32(m >> 1 & 1)
-		perField[2][w>>32&(isa.NumIntRegs-1)] += int32(m >> 2)
-	}
-	var uses [isa.NumIntRegs]int32
-	for r := range uses {
-		uses[r] = perField[0][r] + perField[1][r] + perField[2][r]
-	}
+	uses := &p.Uses
 	for r := range c.regMap {
 		c.regMap[r] = -1
 	}

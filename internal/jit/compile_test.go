@@ -376,21 +376,22 @@ func TestArenaIsTheMapping(t *testing.T) {
 // TestAllocRegsPinsMostUsed pins the register-assignment policy other
 // suites build on (vm's TestMemoryTemplates chooses its pinned and
 // frame-resident registers by it): the eight most-referenced integer
-// registers get hardware registers, ties going to the lower index.
+// registers, as the builder counts them in Program.Uses, get hardware
+// registers, ties going to the lower index.
 func TestAllocRegsPinsMostUsed(t *testing.T) {
-	var instrs []prog.Instr
+	b := prog.NewBuilder(prog.MinMemSize, 0)
+	b.NewBlock()
 	for r := uint8(8); r < 14; r++ { // six heavy users among the high registers
 		for i := 0; i < 5; i++ {
-			instrs = append(instrs, prog.Instr{Op: isa.OpMov, Dst: r, A: r})
+			b.Op2(isa.OpMov, r, r)
 		}
 	}
-	instrs = append(instrs,
-		prog.Instr{Op: isa.OpLoad, Dst: 2, A: 3},  // r2, r3: one reference each
-		prog.Instr{Op: isa.OpStore, A: 3, B: 2},   // ...now two
-		prog.Instr{Op: isa.OpFLoad, Dst: 5, A: 0}, // Dst names an FP register: only r0 counts
-		prog.Instr{Op: isa.OpHalt})
+	b.Load(2, 3, 0)  // r2, r3: one reference each
+	b.Store(3, 2, 0) // ...now two
+	b.FLoad(5, 0, 0) // Dst names an FP register: only r0 counts
+	b.Halt()
 	c := NewCompiler()
-	c.allocRegs(&prog.Program{Code: instrs})
+	c.allocRegs(b.MustBuild())
 	for r, phys := range c.regMap {
 		want := r >= 8 && r < 14 || r == 2 || r == 3
 		if (phys >= 0) != want {

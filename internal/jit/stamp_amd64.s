@@ -3,53 +3,53 @@
 #include "textflag.h"
 #include "go_asm.h"
 
-// func stampRun(c *Compiler, t *tmplTable, ins *prog.Instr, n int, buf unsafe.Pointer, pos, room int, fixp unsafe.Pointer, callBase *[8]int32) (next *prog.Instr, newPos int, newFixp unsafe.Pointer)
+// func stampBlocks(c *Compiler, t *tmplTable, code *prog.Instr, blocks *prog.Block, nb int, heads *int32, bi, i, end int, buf unsafe.Pointer, pos, room int, fixp unsafe.Pointer, callBase *[8]int32) (newBi, newI, newEnd, newPos int, newFixp unsafe.Pointer)
 //
-// The stamp loop proper (template_amd64.go describes what a stamp is):
-// it stamps ins[0:n] at buf+pos until an instruction has no template or
-// pos passes room, and returns the first instruction it did not stamp
-// with the cursors as they then stand. It is assembly because the loop is
-// the per-hash compiler — some hundred and fifty instructions an
-// iteration as the Go compiler lays it out, under a hundred here — and it
-// needs every register: field offsets come from go_asm.h (prog.Instr's as
-// the package's instr* constants), and TestStampedEqualsEncoded holds every
-// template it can stamp to the encoder's bytes.
+// The stamp loop proper (template_amd64.go describes what a stamp is): it
+// stamps the program's blocks at buf+pos, each block's head and then its
+// instructions, until every block is done (newBi = nb), an instruction
+// has no template, or pos passes room, and returns the cursors as they
+// then stand. The state is block bi, stamped up to byte offset i of code,
+// whose instructions end at byte offset end; a caller starts it at
+// bi = -1 and i = end = 0, which stamps block 0's head first, and passes
+// back what it was returned to go on. heads[bi] receives each head's
+// position. It is assembly because the loop is the per-hash compiler —
+// some hundred and fifty instructions an iteration as the Go compiler
+// lays it out, under a hundred here — and it needs every register: field
+// offsets come from go_asm.h (prog.Instr's and prog.Block's as the
+// package's instr* and block* constants), and TestStampedEqualsEncoded
+// holds every template it can stamp to the encoder's bytes.
 //
 //	SI  instruction     R8   pos       R10  c      R12  buf
-//	R13 end of ins      R9   fixp      R11  t      BX   template
+//	R13 end of block    R9   fixp      R11  t      BX   template
 //	DI  shape, then the stamp's address; AX CX DX R14 R15 scratch
-TEXT ·stampRun(SB), NOSPLIT, $16-96
+TEXT ·stampBlocks(SB), NOSPLIT, $16-152
 	MOVQ R14, save14-8(SP)
 	MOVQ R15, save15-16(SP)
 	MOVQ c+0(FP), R10
 	MOVQ t+8(FP), R11
-	MOVQ ins+16(FP), SI
-	MOVQ n+24(FP), R13
-	IMULQ $const_instrSize, R13
-	ADDQ SI, R13
-	MOVQ buf+32(FP), R12
-	MOVQ pos+40(FP), R8
-	MOVQ fixp+56(FP), R9
+	MOVQ code+16(FP), AX
+	MOVQ i+56(FP), SI
+	ADDQ AX, SI
+	MOVQ end+64(FP), R13
+	ADDQ AX, R13
+	MOVQ buf+72(FP), R12
+	MOVQ pos+80(FP), R8
+	MOVQ fixp+96(FP), R9
 
 loop:
 	CMPQ SI, R13
-	JAE  done
-	CMPQ R8, room+48(FP)
+	JAE  nextBlock
+	CMPQ R8, room+88(FP)
 	JGT  done
 
-	// Opcode and operand bytes in one load: op, class, dst, a, b.
-	MOVQ const_instrOp(SI), AX
-	MOVBLZX AL, BX
+	// The opcode and the operand bytes.
+	MOVBLZX const_instrOp(SI), BX
 	CMPL BX, $const_numOps
 	JAE  done
-	MOVQ AX, CX
-	SHRQ $16, CX
-	MOVBLZX CL, CX // dst
-	MOVQ AX, DX
-	SHRQ $24, DX
-	MOVBLZX DL, DX // a
-	SHRQ $32, AX
-	MOVBLZX AL, AX // b
+	MOVBLZX const_instrDst(SI), CX
+	MOVBLZX const_instrA(SI), DX
+	MOVBLZX const_instrB(SI), AX
 
 	// The shape's register half (regShape): 3|eq masks Dst's kind.
 	MOVL CX, DI
@@ -114,7 +114,7 @@ loop:
 
 	// The CALL's displacement: routine - (site + 4).
 	MOVBLZX template_callSel(BX), AX
-	MOVQ callBase+64(FP), CX
+	MOVQ callBase+104(FP), CX
 	MOVL (CX)(AX*4), DX
 	MOVBLZX template_callOff(BX), AX
 	SUBL R8, DX
@@ -156,10 +156,58 @@ loop:
 	ADDQ $const_instrSize, SI
 	JMP  loop
 
+nextBlock:
+	// The head of block bi+1, if there is one and room for it.
+	MOVQ bi+48(FP), AX
+	INCQ AX
+	CMPQ AX, nb+32(FP)
+	JAE  finished
+	CMPQ R8, room+88(FP)
+	JGT  done
+	MOVQ AX, bi+48(FP)
+	MOVQ heads+40(FP), CX
+	MOVL R8, (CX)(AX*4)
+	MOVQ blocks+24(FP), CX
+	MOVL const_blockLen(CX)(AX*8), DX // the instruction count (prog.Block is 8 bytes)
+	IMUL3Q $const_instrSize, DX, CX
+	LEAQ (SI)(CX*1), R13
+
+	// The head's form (blockForm): whether the count needs four bytes.
+	XORL CX, CX
+	CMPL DX, $127
+	SETHI CL
+	IMULQ $blockTmpl__size, CX
+	LEAQ tmplTable_heads(R11)(CX*1), BX
+
+	// Copy, and the count stored whole over the template's own bytes (a
+	// head has no block index: blockTmpl.stamp's second store rewrites
+	// copied bytes).
+	LEAQ (R12)(R8*1), DI
+	MOVOU 0(BX), X0
+	MOVOU 16(BX), X1
+	MOVOU X0, 0(DI)
+	MOVOU X1, 16(DI)
+	MOVBLZX blockTmpl_countOff(BX), CX
+	ANDL blockTmpl_countMask(BX), DX
+	ORL  (BX)(CX*1), DX
+	MOVL DX, (DI)(CX*1)
+	MOVBLZX blockTmpl_n(BX), CX
+	ADDQ CX, R8
+	JMP  loop
+
+finished:
+	MOVQ AX, bi+48(FP)
+
 done:
-	MOVQ SI, next+72(FP)
-	MOVQ R8, newPos+80(FP)
-	MOVQ R9, newFixp+88(FP)
+	MOVQ bi+48(FP), AX
+	MOVQ AX, newBi+112(FP)
+	MOVQ code+16(FP), AX
+	SUBQ AX, SI
+	MOVQ SI, newI+120(FP)
+	SUBQ AX, R13
+	MOVQ R13, newEnd+128(FP)
+	MOVQ R8, newPos+136(FP)
+	MOVQ R9, newFixp+144(FP)
 	MOVQ save14-8(SP), R14
 	MOVQ save15-16(SP), R15
 	RET

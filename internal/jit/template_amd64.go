@@ -27,9 +27,10 @@
 // straddling reads of just-written code stall on store forwarding, which
 // cost more than the encoder did). A site a template lacks is a patch of
 // zero into the slack past the template, which keeps the stamp loop free
-// of per-site branches. That loop — shape, lookup, copy, patches, once per
-// widget instruction — is stampRun in stamp_amd64.s; the block loop around
-// it and everything stamped once per block or per program are below.
+// of per-site branches. That loop — a block's head, then shape, lookup,
+// copy and patches once per widget instruction, for the whole program in
+// one call — is stampBlocks in stamp_amd64.s; everything stamped once per
+// program, and the slow stubs, are below.
 //
 // Every shape of every opcode of the ISA has a template
 // (TestEveryInstructionStamps), because the lowerings are written to fit
@@ -268,10 +269,12 @@ func (c *Compiler) stampBlocks(p *prog.Program) error {
 		callBase[sel] = int32(c.routine[sel]) - 4
 	}
 
-	// The cursors live in locals, the slices behind raw pointers (stampRun
-	// takes them so): pos is the code position, buf c.buf's base, room the
-	// last position with a full region of room after it, fixp the next
-	// fixup slot. reserve grows the buffer under them.
+	// The cursors live in locals, the slices behind raw pointers (the
+	// stamp loop takes them so): pos is the code position, buf c.buf's
+	// base, room the last position with a full region of room after it,
+	// fixp the next fixup slot, and bi, i and end where the loop stands
+	// in the program (see stampBlocks in stamp_amd64.s). reserve grows the
+	// buffer under them.
 	pos, fixp := c.pos, unsafe.Pointer(unsafe.SliceData(c.fix[len(c.fix):cap(c.fix)]))
 	var buf unsafe.Pointer
 	var room int
@@ -281,45 +284,36 @@ func (c *Compiler) stampBlocks(p *prog.Program) error {
 		buf, room = unsafe.Pointer(unsafe.SliceData(c.buf)), len(c.buf)-regionMax-8
 	}
 	reserve()
-	for bi := range p.Blocks {
-		b := &p.Blocks[bi]
-		instrs := p.Instrs(bi)
-		if pos > room {
-			reserve()
+	nb := len(p.Blocks)
+	for bi, i, end := -1, 0, 0; ; {
+		bi, i, end, pos, fixp = stampBlocks(c, t, unsafe.SliceData(p.Code), unsafe.SliceData(p.Blocks), nb,
+			unsafe.SliceData(c.heads), bi, i, end, buf, pos, room, fixp, &callBase)
+		if bi == nb {
+			break
 		}
-		c.heads[bi] = int32(pos)
-		ht := &t.heads[blockForm(b.Len)]
-		ht.stamp(unsafe.Add(buf, pos), b.Len, 0)
-		pos += int(ht.n)
-
-		for len(instrs) > 0 {
-			var next *prog.Instr
-			next, pos, fixp = stampRun(c, t, &instrs[0], len(instrs), buf, pos, room, fixp, &callBase)
-			instrs = instrs[(uintptr(unsafe.Pointer(next))-uintptr(unsafe.Pointer(&instrs[0])))/instrSize:]
-			if len(instrs) == 0 {
-				break
-			}
-			// stampRun stopped at an instruction: the buffer is short, or
-			// (with room for any lowering) it has no template.
-			if pos <= room {
-				return errOpcode(instrs[0].Op)
-			}
-			reserve()
+		// The loop stopped short: the buffer is short, or (with room for
+		// any lowering) the instruction at i has no template.
+		if pos <= room {
+			return errOpcode(p.Code[i/int(instrSize)].Op)
 		}
+		reserve()
 	}
 	c.pos = pos
 	c.fix = c.fix[:(uintptr(fixp)-uintptr(unsafe.Pointer(unsafe.SliceData(c.fix))))/unsafe.Sizeof(fixup(0))]
 	return nil
 }
 
-// stampRun is the stamp loop proper, in stamp_amd64.s: it stamps ins[0:n]
-// at buf+pos until an instruction has no template or pos passes room, and
-// returns the first instruction it did not stamp with the cursors as they
-// then stand. callBase[sel] is the position a template's CALL (callSel)
-// reaches, less the four bytes of its displacement.
+// stampBlocks is the stamp loop proper, in stamp_amd64.s: it stamps the
+// blocks of a program (code, blocks[:nb]) at buf+pos — block bi's
+// instructions from byte offset i of code to end, then each later block's
+// head and instructions — recording each head's position in heads, until
+// every block is done (newBi = nb), an instruction has no template or pos
+// passes room; the cursors are returned as they then stand. callBase[sel]
+// is the position a template's CALL (callSel) reaches, less the four
+// bytes of its displacement.
 //
 //go:noescape
-func stampRun(c *Compiler, t *tmplTable, ins *prog.Instr, n int, buf unsafe.Pointer, pos, room int, fixp unsafe.Pointer, callBase *[8]int32) (next *prog.Instr, newPos int, newFixp unsafe.Pointer)
+func stampBlocks(c *Compiler, t *tmplTable, code *prog.Instr, blocks *prog.Block, nb int, heads *int32, bi, i, end int, buf unsafe.Pointer, pos, room int, fixp unsafe.Pointer, callBase *[8]int32) (newBi, newI, newEnd, newPos int, newFixp unsafe.Pointer)
 
 // stampStubs stamps the slow tail and every block's slow stub at c.pos,
 // and points each head's guard branch at its stub.

@@ -41,6 +41,16 @@ func (p Params) withDefaults() Params {
 type Generator struct {
 	prof   *profile.Profile
 	params Params
+
+	// The profile's draws in integer form (rng.FloatCut, rng.PickCuts),
+	// computed once: the 1/DepDist coin of a source register, the coin
+	// that makes a load or store a float one, and the access-pattern draws
+	// of loads and of stores (which fold the chase share into random,
+	// since a "store chase" is not a meaningful pattern).
+	depCut    uint64
+	floadCut  uint64
+	loadCuts  [3]uint64
+	storeCuts [3]uint64
 }
 
 // NewGenerator validates the profile and returns a widget generator.
@@ -55,15 +65,28 @@ func NewGenerator(prof *profile.Profile, params Params) (*Generator, error) {
 	if p.LoopTrips < 2 || p.LoopTrips > 1<<16 {
 		return nil, fmt.Errorf("perfprox: loop trips %d out of range", p.LoopTrips)
 	}
-	return &Generator{prof: prof.Clone(), params: p}, nil
+	g := &Generator{prof: prof.Clone(), params: p}
+	// Validate holds DepDist to [1, +Inf), so the coin's probability is
+	// positive and the coin is always drawn.
+	g.depCut = rng.FloatCut(1 / prof.DepDist)
+	// FP flavouring of memory ops tracks the FP intensity of the profile.
+	g.floadCut = rng.FloatCut(min(prof.Mix[isa.ClassFPALU]*2, 0.6))
+	// Validate holds the four pattern fractions to a sum of 1, so both
+	// vectors have a positive total.
+	loadW := []float64{prof.MemSequential, prof.MemStrided, prof.MemRandom, prof.MemPointerChase}
+	storeW := []float64{prof.MemSequential, prof.MemStrided, prof.MemRandom + prof.MemPointerChase}
+	rng.PickCuts(g.loadCuts[:0], rng.CumWeights(nil, loadW))
+	rng.PickCuts(g.storeCuts[:0], rng.CumWeights(nil, storeW))
+	g.storeCuts[2] = 1 << 53 // no fourth pattern: see memAccess
+	return g, nil
 }
 
 // Profile returns (a copy of) the target profile.
 func (g *Generator) Profile() *profile.Profile { return g.prof.Clone() }
 
 // Scratch holds every piece of mutable state one widget generation needs:
-// the PRNGs, class budgets, program builder and the output program. The
-// zero value is ready to use. Reusing a Scratch across GenerateInto calls
+// the PRNGs, class budgets and the output program's storage. The zero
+// value is ready to use. Reusing a Scratch across GenerateInto calls
 // reaches a steady state where generation performs no heap allocation;
 // the price is that each generated program is only valid until the next
 // GenerateInto on the same Scratch. A Scratch is not safe for concurrent
@@ -82,11 +105,12 @@ func (g *Generator) Generate(seed Seed) (*prog.Program, error) {
 // GenerateInto builds the widget program for the given hash seed using
 // (and mutating) sc's storage. The returned program aliases sc and is
 // invalidated by the next GenerateInto call on the same Scratch; callers
-// needing longer-lived programs should use Generate, which returns the
-// same program for every seed (TestGeneratedProgramsAreWhole).
+// needing a longer-lived program should use Generate, which returns the
+// same program for that seed in storage of its own
+// (TestGeneratedProgramsAreWhole).
 func (g *Generator) GenerateInto(seed Seed, sc *Scratch) (*prog.Program, error) {
 	st := &sc.st
-	st.reset(g.prof, g.params, Split(seed))
+	st.reset(g, Split(seed))
 	p, err := st.run()
 	if err != nil {
 		return nil, fmt.Errorf("perfprox: generating widget: %w", err)
@@ -137,25 +161,22 @@ const (
 // genState carries all mutable state for one widget generation. It is
 // embedded in Scratch and fully re-initialized by reset, so the same
 // value can drive any number of generations; the PRNGs, budgets and
-// recency rings are fixed-size values (no maps, no per-generation
-// allocation — per-class state is indexed arrays, which also keeps the
-// emission loop free of map-hashing overhead).
+// recency registers are fixed-size values (no maps, no per-generation
+// allocation), and the output's storage keeps its capacity.
 type genState struct {
+	g      *Generator
 	prof   *profile.Profile
 	params Params
 	fields Fields
 
-	bbv       rng.Xoshiro256 // code structure decisions
-	mem       rng.Xoshiro256 // memory pattern decisions
+	bbv       rng.Lookahead  // code structure decisions
+	mem       rng.Lookahead  // memory pattern decisions
 	branchRng rng.Xoshiro256 // branch behaviour decisions
 
-	b prog.Builder
-
-	// Per-iteration static budgets by class (branch handled separately),
-	// the one-time residuals, and the emitBody working copy.
+	// Per-iteration static budgets by class (branch handled separately)
+	// and the one-time residuals.
 	budget   [isa.NumClasses]int
 	residual [isa.NumClasses]int
-	work     [isa.NumClasses]int
 
 	nDiamonds  int // diamonds per iteration
 	nDataDep   int // of which data-dependent
@@ -165,54 +186,41 @@ type genState struct {
 	thresh int64 // data-dep comparison threshold (0..255)
 
 	// Rotating static displacement counters so accesses spread out.
-	seqOff, strideOff int
+	seqOff, strideOff int64
 
-	// Dependency-distance machinery: the most recent destination of each
-	// pool (the only recency depth pickSrc's 1/DepDist draw ever reads),
-	// plus that probability precomputed once per generation so the source
-	// pickers avoid a float divide per drawn operand.
-	lastIntDst uint8
-	lastFPDst  uint8
-	lastVecDst uint8
-	invDepDist float64
+	// The most recent destination of each register file's pool, by
+	// isa.RegFile: the register a source draw's 1/DepDist coin picks.
+	last [4]uint8
 
-	floadProb  float64 // probability a load is an fload
-	fstoreProb float64 // probability a store is an fstore
+	// The body's remaining filler budgets in fillerClasses order, none
+	// negative, and their total (see pickClass).
+	work  [numFiller]int
+	total int
 
-	// Cumulative access-pattern weights (see rng.PickCum), hoisted out of
-	// the per-instruction emit paths by planMemory: the weights are fixed
-	// per profile, and rebuilding + summing the vectors per emitted load
-	// and store was a measurable share of generation time.
-	loadPatCum  [4]float64
-	storePatCum [3]float64
+	diamonds []diamond
 
-	// Reusable emission scratch (capacity retained across generations).
-	kinds      []diamondKind
-	armClasses []isa.Class
-	out        prog.Program
+	// The program being written: code[:n] so far, out.Blocks and
+	// out.Uses as they stand.
+	code []prog.Instr
+	n    int
+	out  prog.Program
 }
 
-// reset re-initializes every generation-scoped field; storage-bearing
-// fields (builder, kinds, armClasses, out) keep their capacity.
-func (st *genState) reset(prof *profile.Profile, params Params, fields Fields) {
-	st.prof = prof
-	st.params = params
-	st.fields = fields
+// reset re-initializes every generation-scoped field; the storage-bearing
+// ones (diamonds, code, the block table) keep their capacity.
+func (st *genState) reset(g *Generator, fields Fields) {
+	st.g, st.prof, st.params, st.fields = g, g.prof, g.params, fields
 	st.bbv.Seed(uint64(fields.BBV))
 	st.mem.Seed(uint64(fields.Mem))
 	st.branchRng.Seed(uint64(fields.Branch))
 	st.budget = [isa.NumClasses]int{}
 	st.residual = [isa.NumClasses]int{}
-	st.work = [isa.NumClasses]int{}
 	st.nDiamonds, st.nDataDep, st.nStaticTkn, st.nStatic = 0, 0, 0, 0
 	st.thresh = 0
 	st.seqOff, st.strideOff = 0, 0
-	st.lastIntDst, st.lastFPDst, st.lastVecDst = 0, 0, 0
-	st.invDepDist = 0
-	if prof.DepDist > 0 {
-		st.invDepDist = 1 / prof.DepDist
-	}
-	st.floadProb, st.fstoreProb = 0, 0
+	st.last = [4]uint8{}
+	st.n = 0
+	st.out = prog.Program{Blocks: st.out.Blocks[:0], MemSize: g.prof.WorkingSet, MemSeed: expandMemSeed(fields.Mem)}
 }
 
 var errBudget = errors.New("perfprox: class budgets infeasible for structure overhead")
@@ -223,24 +231,45 @@ func (st *genState) run() (*prog.Program, error) {
 	if err := st.planBranches(); err != nil {
 		return nil, err
 	}
-	st.planMemory()
 
-	st.b.Reset(st.prof.WorkingSet, st.memSeed())
-	st.b.NewBlock() // entry; falls through to the loop head
+	// Room for every instruction the widget can have: the entry's 40 and
+	// its residuals, each body filler once and each arm filler twice,
+	// each diamond's condition (at most four) and two jumps, the tail's
+	// eight and the halt — and three to spare, which a static diamond's
+	// condition, written as four, may write into.
+	need := 40 + 9 + (4+2+armSize)*st.nDiamonds + 3
+	for _, class := range fillerClasses {
+		need += st.residual[class] + st.budget[class]
+	}
+	if cap(st.code) < need {
+		st.code = make([]prog.Instr, need)
+	}
+	st.code = st.code[:cap(st.code)]
+
 	st.emitEntry()
-	if err := st.emitBody(); err != nil {
-		return nil, err
-	}
-	if err := st.b.BuildInto(&st.out); err != nil {
-		return nil, err
-	}
-	return &st.out, nil
+	st.emitBody()
+	return st.finish()
 }
 
-// memSeed expands the 32-bit memory field into the 64-bit scratch-memory
-// content seed.
-func (st *genState) memSeed() uint64 {
-	return expandMemSeed(st.fields.Mem)
+// finish completes the block table and checks what the program's size
+// limits ask; everything else prog.Validate checks holds by construction.
+func (st *genState) finish() (*prog.Program, error) {
+	p := &st.out
+	p.Code = st.code[:st.n]
+	if len(p.Blocks) > prog.MaxBlocks || len(p.Code) > prog.MaxTotalStatic {
+		return nil, prog.ErrTooLarge
+	}
+	for bi := range p.Blocks {
+		b := &p.Blocks[bi]
+		end := uint32(st.n)
+		if bi+1 < len(p.Blocks) {
+			end = p.Blocks[bi+1].Start
+		}
+		if b.Len = end - b.Start; b.Len > prog.MaxBlockInstrs {
+			return nil, fmt.Errorf("%w: block %d has %d instructions", prog.ErrTooLarge, bi, b.Len)
+		}
+	}
+	return p, nil
 }
 
 // expandMemSeed is the single definition of the memory-field expansion,
@@ -335,31 +364,4 @@ func (st *genState) planBranches() error {
 			errBudget, st.budget[isa.ClassIntALU]+overhead, overhead)
 	}
 	return nil
-}
-
-// planMemory derives per-access-pattern probabilities. Each emitted load
-// chooses its pattern from the memory PRNG with the profile's fractions
-// (stores fold the chase share into random, since a "store chase" is not a
-// meaningful pattern).
-func (st *genState) planMemory() {
-	// FP flavouring of memory ops tracks the FP intensity of the profile.
-	fpIntensity := st.prof.Mix[isa.ClassFPALU]
-	st.floadProb = fpIntensity * 2
-	if st.floadProb > 0.6 {
-		st.floadProb = 0.6
-	}
-	st.fstoreProb = st.floadProb
-
-	// Materialize the cumulative pattern-weight tables the emit paths
-	// sample per access (accumulated exactly as rng.Pick would, so the
-	// drawn patterns are bit-identical to the former per-call vectors).
-	loadW := [4]float64{
-		st.prof.MemSequential, st.prof.MemStrided, st.prof.MemRandom, st.prof.MemPointerChase,
-	}
-	storeW := [3]float64{
-		st.prof.MemSequential, st.prof.MemStrided,
-		st.prof.MemRandom + st.prof.MemPointerChase, // chase folds into random
-	}
-	rng.CumWeights(st.loadPatCum[:0], loadW[:])
-	rng.CumWeights(st.storePatCum[:0], storeW[:])
 }

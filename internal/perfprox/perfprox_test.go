@@ -465,15 +465,36 @@ func BenchmarkGenerate(b *testing.B) {
 }
 
 // BenchmarkGenerateInto is generation as a hashing session does it: one
-// scratch reused, a fresh seed every time.
+// scratch reused, a fresh seed every time — 64 of them in rotation, so the
+// branch predictor cannot learn one widget — on every profile. ns/instr is
+// per generated instruction, the unit BenchmarkCompile reports in.
 func BenchmarkGenerateInto(b *testing.B) {
-	g := newLeelaGen(b)
-	var sc Scratch
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		if _, err := g.GenerateInto(seedFromUint64(uint64(i)), &sc); err != nil {
-			b.Fatal(err)
-		}
+	for _, w := range workload.All() {
+		b.Run(w.Name, func(b *testing.B) {
+			g, err := NewGenerator(w.Profile, Params{})
+			if err != nil {
+				b.Fatal(err)
+			}
+			var seeds [64]Seed
+			instrs := 0
+			for i := range seeds {
+				seeds[i] = seedFromUint64(uint64(i))
+				p, err := g.Generate(seeds[i])
+				if err != nil {
+					b.Fatal(err)
+				}
+				instrs += p.NumInstrs()
+			}
+			var sc Scratch
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				if _, err := g.GenerateInto(seeds[i%len(seeds)], &sc); err != nil {
+					b.Fatal(err)
+				}
+			}
+			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/(float64(instrs)/float64(len(seeds))), "ns/instr")
+		})
 	}
 }
 

@@ -7,10 +7,11 @@ import (
 	"hashcore/internal/isa"
 )
 
-// Builder incrementally constructs a Program block by block. Every program
-// is written through one: by the widget generator, the hand-written
-// reference workloads and the assembler. Builders are not safe for
-// concurrent use.
+// Builder incrementally constructs a Program block by block, checking
+// every instruction: the hand-written reference workloads and the
+// assembler write through one. (The widget generator writes its programs
+// itself, valid by construction: see internal/perfprox.) Builders are not
+// safe for concurrent use.
 //
 // Blocks are identified by the labels returned from NewBlock, so code can
 // reference a block before its instructions are emitted (needed for forward
@@ -21,11 +22,11 @@ import (
 // the other; the assembler reads blocks in order — and
 // it lets Emit write each instruction once, validated and in its final
 // place in Program.Code, leaving Build only the block starts to lay out
-// and the branch targets to check. The builder is the one writer of a
-// program's derived fields (Instr.Class, the block table).
+// and the branch targets to check. The builder writes the program's
+// derived fields (Instr.Class, the block table, Uses).
 //
 // Code and the block table grow to a high-water capacity and are reused
-// across Reset, so a generation loop that recycles one builder reaches a
+// across Reset, so a loop that recycles one builder reaches a
 // zero-allocation steady state even though individual block shapes differ
 // from program to program.
 type Builder struct {
@@ -98,11 +99,10 @@ func (b *Builder) SetBlock(l Label) {
 }
 
 // Emit appends a raw instruction to the current block: validated (the
-// checks are Program.Validate's) and given its Class on the spot;
-// whatever the caller left in ins.Class is overwritten. It is
-// the single hottest call in widget generation, entered once per generated
-// instruction through the Op3/Op2/immediate wrappers. The first failure is
-// latched and reported by Build; whatever is emitted after it is dropped.
+// checks are Program.Validate's), given its Class on the spot (whatever
+// the caller left in ins.Class is overwritten) and counted in Uses. The
+// first failure is latched and reported by Build; whatever is emitted
+// after it is dropped.
 func (b *Builder) Emit(ins Instr) {
 	meta := isa.MetaOf(ins.Op)
 	if b.current < 0 || b.sealed || b.err != nil || meta&isa.MetaValid == 0 ||
@@ -112,6 +112,7 @@ func (b *Builder) Emit(ins Instr) {
 		return
 	}
 	ins.Class = meta.Class()
+	countUses(&b.program.Uses, ins, meta)
 	b.program.Code = append(b.program.Code, ins)
 	b.program.Blocks[b.current].Len++
 	b.sealed = meta&isa.MetaControl != 0

@@ -35,12 +35,11 @@ const (
 // Target is the destination block index of a branch or jump — zero on
 // every other instruction, halt included.
 //
-// Class is derived: it is Op.ClassOf(). Builder fills it, whatever the
-// caller put there, and Validate checks it, so readers never recompute it.
+// Class is derived: it is Op.ClassOf(). Whoever writes the program fills
+// it (Builder, whatever the caller put there, or the widget generator's
+// emit loop) and Validate checks it, so readers never recompute it.
 //
-// The record packs into 24 bytes, and Op, Class, Dst, A, B share one
-// 8-aligned word (internal/jit reads them with one load and asserts that
-// where it does).
+// The record packs into 24 bytes.
 type Instr struct {
 	Imm       int64
 	Op        isa.Opcode
@@ -66,11 +65,18 @@ type Block struct {
 // deterministically defines the scratch memory contents. A program built
 // through a reused Builder aliases the builder's storage until its next
 // Reset.
+//
+// Uses is derived, like Instr.Class: Uses[r] is how many operand fields of
+// Code name integer register r (the native compiler pins the most-used
+// ones to hardware registers). Whoever writes Code fills it — Builder's
+// Emit, or the widget generator's emit loop, which touches every operand
+// anyway — and Validate checks it.
 type Program struct {
 	Code    []Instr
 	Blocks  []Block
 	MemSize int
 	MemSeed uint64
+	Uses    [isa.NumIntRegs]uint32
 }
 
 // Instrs returns the instructions of block bi, a sub-slice of p.Code.
@@ -98,8 +104,8 @@ var (
 // Validate checks the structural well-formedness of p in one sweep: the
 // block table tiles Code, every opcode is valid,
 // register indices are in range, control instructions end their blocks and
-// target existing blocks, Class is what Op implies, the
-// memory declaration is legal, and a halt exists. A validated program can
+// target existing blocks, Class is what Op implies, Uses counts the
+// integer operands, the memory declaration is legal, and a halt exists. A validated program can
 // be executed without any per-instruction bound check failing, and every
 // derived field in it can be trusted.
 func (p *Program) Validate() error {
@@ -116,6 +122,7 @@ func (p *Program) Validate() error {
 	haveHalt := false
 	term := isa.OpInvalid // the newest block's terminator, if it has one
 	next := uint32(0)     // where the next block must start
+	var uses [isa.NumIntRegs]uint32
 	for bi := range p.Blocks {
 		b := &p.Blocks[bi]
 		if b.Len > MaxBlockInstrs {
@@ -155,12 +162,33 @@ func (p *Program) Validate() error {
 				term = ins.Op
 				haveHalt = haveHalt || ins.Op == isa.OpHalt
 			}
+			countUses(&uses, ins, meta)
 		}
 	}
 	if int(next) != len(p.Code) {
 		return fmt.Errorf("%w: blocks cover %d of %d instructions", ErrBadDerived, next, len(p.Code))
 	}
+	if uses != p.Uses {
+		return fmt.Errorf("%w: integer register uses %v, want %v", ErrBadDerived, p.Uses, uses)
+	}
 	return checkHalts(term, haveHalt)
+}
+
+// countUses adds the integer registers ins names (its opcode's table entry
+// is meta) to uses. The operands are in range: past Validate's or Emit's
+// register check.
+func countUses(uses *[isa.NumIntRegs]uint32, ins Instr, meta isa.OpMeta) {
+	dst, a, b := meta.Files()
+	uses[ins.Dst&(isa.NumIntRegs-1)] += b2u(dst == isa.RegInt)
+	uses[ins.A&(isa.NumIntRegs-1)] += b2u(a == isa.RegInt)
+	uses[ins.B&(isa.NumIntRegs-1)] += b2u(b == isa.RegInt)
+}
+
+func b2u(c bool) uint32 {
+	if c {
+		return 1
+	}
+	return 0
 }
 
 // takesTarget reports whether op (whose table entry is meta) transfers to

@@ -21,7 +21,7 @@ func tinyValid() *Program {
 }
 
 // handBuilt lays a program out from its blocks' instructions without the
-// Builder: the tests' own derivation of the block table and Class, so
+// Builder: the tests' own derivation of the block table, Class and Uses, so
 // that Validate and the Builder are each checked against something other
 // than themselves.
 func handBuilt(memSize int, blocks ...[]Instr) *Program {
@@ -32,6 +32,13 @@ func handBuilt(memSize int, blocks ...[]Instr) *Program {
 	}
 	for i := range p.Code {
 		p.Code[i].Class = p.Code[i].Op.ClassOf()
+		in := &p.Code[i]
+		dst, a, b := in.Op.Operands()
+		for k, f := range []isa.RegFile{dst, a, b} {
+			if f == isa.RegInt {
+				p.Uses[[]uint8{in.Dst, in.A, in.B}[k]]++
+			}
+		}
 	}
 	return p
 }
@@ -266,6 +273,8 @@ func TestValidateRejectsLyingStats(t *testing.T) {
 		}},
 		{"wrong class", func(p *Program) { p.Code[0].Class = isa.ClassFPALU }},
 		{"no class", func(p *Program) { p.Code[2].Class = 0 }},
+		{"uses miscounted", func(p *Program) { p.Uses[1]++ }},
+		{"uses on the wrong register", func(p *Program) { p.Uses[1], p.Uses[2] = 0, 1 }},
 	} {
 		t.Run(tt.name, func(t *testing.T) {
 			p := build()

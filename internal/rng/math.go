@@ -14,3 +14,7 @@ import "math"
 func sqrt(x float64) float64 { return math.Sqrt(x) }
 
 func ln(x float64) float64 { return math.Log(x) }
+
+// ceil is exact everywhere: rounding up to an integer needs no
+// approximation.
+func ceil(x float64) float64 { return math.Ceil(x) }

@@ -73,8 +73,14 @@ func SplitMix64At(seed, i uint64) uint64 {
 // Construct it with NewXoshiro256; the zero value would be an all-zero
 // state, which is the one invalid state, so NewXoshiro256 guarantees a
 // non-zero state by seeding through SplitMix64.
+//
+// The state is four words rather than an array of them so that a
+// Xoshiro256 held in a local variable can live in registers (Go keeps a
+// struct of up to four scalar fields in registers, never an array of
+// more than one): Lookahead's refill steps such a copy without touching
+// memory.
 type Xoshiro256 struct {
-	s [4]uint64
+	s0, s1, s2, s3 uint64
 }
 
 // NewXoshiro256 returns a xoshiro256** generator whose state is derived
@@ -91,13 +97,14 @@ func NewXoshiro256(seed uint64) *Xoshiro256 {
 // reseeded without allocating.
 func (x *Xoshiro256) Seed(seed uint64) {
 	sm := SplitMix64{state: seed}
-	for i := range x.s {
-		x.s[i] = sm.Next()
-	}
+	x.s0 = sm.Next()
+	x.s1 = sm.Next()
+	x.s2 = sm.Next()
+	x.s3 = sm.Next()
 	// SplitMix64 is a bijection walked from four distinct states, so at
 	// least one word is non-zero for every seed; guard anyway.
-	if x.s == [4]uint64{} {
-		x.s[0] = SplitMix64Gamma
+	if *x == (Xoshiro256{}) {
+		x.s0 = SplitMix64Gamma
 	}
 }
 
@@ -107,16 +114,24 @@ func rotl(x uint64, k uint) uint64 {
 
 // Next returns the next 64 bits of the stream.
 func (x *Xoshiro256) Next() uint64 {
-	result := rotl(x.s[1]*5, 7) * 9
-	t := x.s[1] << 17
+	v, next := x.step()
+	*x = next
+	return v
+}
 
-	x.s[2] ^= x.s[0]
-	x.s[3] ^= x.s[1]
-	x.s[1] ^= x.s[2]
-	x.s[0] ^= x.s[3]
-	x.s[2] ^= t
-	x.s[3] = rotl(x.s[3], 45)
-	return result
+// step returns what Next would return and the state Next would leave,
+// without changing x.
+func (x Xoshiro256) step() (uint64, Xoshiro256) {
+	result := rotl(x.s1*5, 7) * 9
+	t := x.s1 << 17
+
+	x.s2 ^= x.s0
+	x.s3 ^= x.s1
+	x.s1 ^= x.s2
+	x.s0 ^= x.s3
+	x.s2 ^= t
+	x.s3 = rotl(x.s3, 45)
+	return result, x
 }
 
 // Uint32 returns the next 32 bits of the stream.
@@ -166,16 +181,112 @@ func (x *Xoshiro256) Float64() float64 {
 // fusing the two into a multiply-add on the architectures that have one.
 func (x *Xoshiro256) NormFloat64() float64 {
 	for {
-		u := float64(2*x.Float64()) - 1
-		v := float64(2*x.Float64()) - 1
-		s := float64(u*u) + float64(v*v)
-		if s >= 1 || s == 0 {
-			continue
+		if z, ok := polar(x.Float64(), x.Float64()); ok {
+			return z
 		}
-		// ln and sqrt on float64 are correctly rounded or
-		// platform-identical in Go's math package for these inputs.
-		f := sqrt(-2 * ln(s) / s)
-		return u * f
+	}
+}
+
+// polar is one attempt of the polar method on two uniform draws a and b:
+// the normal deviate, or ok false when the point they make falls outside
+// the unit disc (or on its centre) and two more draws are needed.
+func polar(a, b float64) (z float64, ok bool) {
+	u := float64(2*a) - 1
+	v := float64(2*b) - 1
+	s := float64(u*u) + float64(v*v)
+	if s >= 1 || s == 0 {
+		return 0, false
+	}
+	// ln and sqrt on float64 are correctly rounded or
+	// platform-identical in Go's math package for these inputs.
+	f := sqrt(-2 * ln(s) / s)
+	return u * f, true
+}
+
+// LookaheadSize is the length of a Lookahead's window.
+const LookaheadSize = 128
+
+// Lookahead is a Xoshiro256 stream read through a window of its coming
+// outputs. A consumer that decides from the draws themselves how many to
+// take — a coin that, when it fails, takes a second draw — can read both
+// before deciding and then advance by one or by two, with no branch on
+// the coin; the window is what it indexes. Its Next, Float64 and
+// NormFloat64 consume the stream exactly as Xoshiro256's consume the
+// generator's: the draws and their order are the generator's, whoever
+// reads them.
+type Lookahead struct {
+	// Buf[Pos:] are the stream's next outputs; x is the generator after
+	// the last of them.
+	Buf [LookaheadSize]uint64
+	Pos int
+	// Zero is at most the position in Buf of the first output at or past
+	// Pos that is 0 — LookaheadSize when there is none — so a consumer to
+	// whom a zero draw is special (Intn's rejection, for an odd bound)
+	// tests a whole stretch of the window with one comparison. It does not
+	// move when the zero is consumed.
+	Zero int
+	x    Xoshiro256
+}
+
+// Seed starts the stream of NewXoshiro256(seed), with an empty window.
+func (l *Lookahead) Seed(seed uint64) {
+	l.x.Seed(seed)
+	l.Pos, l.Zero = LookaheadSize, LookaheadSize
+}
+
+// Window makes sure at least n outputs (n ≤ LookaheadSize) lie in
+// Buf[Pos:] and returns Pos. A consumer reads Buf from there and stores
+// the position after the outputs it took back into Pos.
+func (l *Lookahead) Window(n int) int {
+	if l.Pos > LookaheadSize-n {
+		l.refill()
+	}
+	return l.Pos
+}
+
+// refill moves the unread outputs to the front of the window and fills
+// the rest of it from the generator.
+func (l *Lookahead) refill() {
+	n := copy(l.Buf[:], l.Buf[l.Pos:])
+	l.Pos, l.Zero = 0, LookaheadSize
+	for i, v := range l.Buf[:n] {
+		if v == 0 {
+			l.Zero = i
+			break
+		}
+	}
+	x := l.x // in registers
+	for i := n; i < LookaheadSize; i++ {
+		var v uint64
+		v, x = x.step()
+		l.Buf[i] = v
+		if v == 0 {
+			l.Zero = min(l.Zero, i)
+		}
+	}
+	l.x = x
+}
+
+// Next returns the next 64 bits of the stream.
+func (l *Lookahead) Next() uint64 {
+	if l.Pos >= LookaheadSize {
+		l.refill()
+	}
+	l.Pos++
+	return l.Buf[l.Pos-1]
+}
+
+// Float64 is Xoshiro256.Float64 on the stream.
+func (l *Lookahead) Float64() float64 {
+	return float64(float64(l.Next()>>11) / (1 << 53))
+}
+
+// NormFloat64 is Xoshiro256.NormFloat64 on the stream.
+func (l *Lookahead) NormFloat64() float64 {
+	for {
+		if z, ok := polar(l.Float64(), l.Float64()); ok {
+			return z
+		}
 	}
 }
 
@@ -241,6 +352,48 @@ func CumWeights(dst, weights []float64) []float64 {
 			acc += w
 		}
 		dst = append(dst, acc)
+	}
+	return dst
+}
+
+// FloatCut is the comparison Float64() < p on the integer a draw is made
+// of: for every state, x.Float64() < p exactly when x.Next()>>11 <
+// FloatCut(p). Float64 is that integer times 2^-53, an exact scaling, so
+// the cut is p·2^53 (exact too) rounded up.
+func FloatCut(p float64) uint64 {
+	switch {
+	case !(p > 0):
+		return 0
+	case p >= 1:
+		return 1 << 53
+	}
+	return uint64(ceil(p * (1 << 53)))
+}
+
+// PickCuts is PickCum's comparisons on the integer a draw is made of: for
+// a cumulative vector cum of positive total, the index PickCum(cum)
+// returns is the number of the cuts that x.Next()>>11 reaches — the same
+// index, draw for draw. Cut i is the least 53-bit integer whose target,
+// fl(u·total), reaches cum[i] (the target is monotone in the draw), or
+// 2^53 if none does; the last entry of cum needs no cut, because PickCum
+// returns the last index both when the target falls below it and when it
+// rounds up to the total. The cuts are appended to dst.
+func PickCuts(dst []uint64, cum []float64) []uint64 {
+	total := cum[len(cum)-1]
+	if !(total > 0) {
+		panic("rng: PickCuts of a vector with no positive weight")
+	}
+	for _, c := range cum[:len(cum)-1] {
+		lo, hi := uint64(0), uint64(1<<53) // the cut is in [lo, hi]
+		for lo < hi {
+			mid := lo + (hi-lo)/2
+			if float64(float64(mid)/(1<<53))*total >= c {
+				hi = mid
+			} else {
+				lo = mid + 1
+			}
+		}
+		dst = append(dst, lo)
 	}
 	return dst
 }
