@@ -54,7 +54,7 @@ var goldenVectors = []struct {
 	{"deepsjeng-default", []Option{WithProfile("deepsjeng")}, "block header \x00\x01\x02\x03", "d5ed9ce09848575a57d6ff5fb3ebc88fd56b6e2e0655feb5d50ef95f8241da88"},
 
 	// The source pipeline must agree with the direct pipeline: this row is
-	// hashed through Inspect (generate, render, assemble, run).
+	// hashed through hashViaSource (generate, render, assemble, run).
 	{"leela-srcpipe", nil, "abc", "5e1b1d3982d3cd7c62ed235f77441bd2725f59f93017dfd77c150e3a8e07aa12"},
 	// Chained widgets and non-default snapshot intervals exercise the
 	// session reuse paths (output buffers of different sizes per widget).
@@ -121,13 +121,7 @@ func replayGolden(t *testing.T, backend string, rounds int) {
 			}
 			hash := h.Hash
 			if v.name == "leela-srcpipe" {
-				hash = func(input []byte) (Digest, error) {
-					ins, err := h.Inspect(input)
-					if err != nil {
-						return Digest{}, err
-					}
-					return ins.Digest, nil
-				}
+				hash = func(input []byte) (Digest, error) { return hashViaSource(h, input) }
 			}
 			got, err := hash([]byte(v.input))
 			if err != nil {

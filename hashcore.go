@@ -43,7 +43,6 @@ import (
 	"os"
 	"sync"
 
-	"hashcore/internal/asm"
 	"hashcore/internal/gate"
 	"hashcore/internal/perfprox"
 	"hashcore/internal/pow"
@@ -64,11 +63,9 @@ type Digest = [DigestSize]byte
 type config struct {
 	gate        gate.Gate
 	profileName string
-	prof        *profile.Profile
+	prof        *profile.Profile // overrides profileName; set only by tests
 	widgets     int
 	snapshot    uint64
-	noise       float64
-	loopTrips   int
 	backend     vm.Backend
 	metrics     *telemetry.Registry
 	journal     *telemetry.Journal
@@ -79,23 +76,12 @@ type Option func(*config) error
 
 // WithProfile selects a built-in reference workload profile by name
 // (see Profiles). The default is "leela", the workload the paper's
-// experiments use.
+// experiments use. The profile is part of the function: targeting another
+// GPP (the paper's §VI-B) means shipping another built-in profile, which
+// is a consensus change, not a runtime option.
 func WithProfile(name string) Option {
 	return func(c *config) error {
 		c.profileName = name
-		return nil
-	}
-}
-
-// WithCustomProfile supplies a caller-constructed profile (advanced use:
-// targeting a different GPP per the paper's §VI-B is done by swapping the
-// profile).
-func WithCustomProfile(p *profile.Profile) Option {
-	return func(c *config) error {
-		if p == nil {
-			return errors.New("hashcore: nil profile")
-		}
-		c.prof = p.Clone()
 		return nil
 	}
 }
@@ -122,30 +108,6 @@ func WithSnapshotInterval(interval uint64) Option {
 			return errors.New("hashcore: snapshot interval must be positive")
 		}
 		c.snapshot = interval
-		return nil
-	}
-}
-
-// WithNoise overrides the maximum fractional positive noise the hash seed
-// adds to widget instruction-class budgets (default 0.5).
-func WithNoise(noise float64) Option {
-	return func(c *config) error {
-		if !(noise >= 0 && noise <= 4) { // NaN fails too
-			return fmt.Errorf("hashcore: noise %v out of range [0,4]", noise)
-		}
-		c.noise = noise
-		return nil
-	}
-}
-
-// WithLoopTrips overrides the widget outer-loop trip count (default 64),
-// trading static code footprint against per-iteration work.
-func WithLoopTrips(trips int) Option {
-	return func(c *config) error {
-		if trips < 2 || trips > 1<<16 {
-			return fmt.Errorf("hashcore: loop trips %d out of range", trips)
-		}
-		c.loopTrips = trips
 		return nil
 	}
 }
@@ -239,7 +201,7 @@ func New(opts ...Option) (*Hasher, error) {
 		}
 		prof = w.Profile
 	}
-	gen, err := perfprox.NewGenerator(prof, perfprox.Params{Noise: cfg.noise, LoopTrips: cfg.loopTrips})
+	gen, err := perfprox.NewGenerator(prof, perfprox.Params{})
 	if err != nil {
 		return nil, fmt.Errorf("hashcore: %w", err)
 	}
@@ -305,75 +267,21 @@ func (h *Hasher) Name() string { return "hashcore-" + h.ProfileName() }
 // ProfileName returns the target profile's name.
 func (h *Hasher) ProfileName() string { return h.gen.Profile().Name }
 
-// trace holds every intermediate of a hash computation. Source, Widget
-// and Result describe the first widget in the chain; Digest always equals
-// Hash of the input.
-type trace struct {
-	Seed   perfprox.Seed
-	Source string
-	Widget *prog.Program
-	Result *vm.Result
-	Digest Digest
-}
-
-// trace runs the full pipeline for input, retaining intermediates. Where
-// Hash runs the generator's program directly, trace takes the textual
-// chain — generate, render as source, assemble, run: the analogue of the
-// paper's script -> C -> binary pipeline — so Source is the exact text
-// that was compiled and executed. Both reach the same digest
-// (TestSourcePipelineMatchesDirect).
-func (h *Hasher) trace(input []byte) (*trace, error) {
-	seedArr := h.gate.Sum(input)
-	seed := perfprox.Seed(seedArr)
-	src, err := h.gen.GenerateSource(seed)
-	if err != nil {
-		return nil, err
-	}
-	widget, err := asm.Assemble(src)
-	if err != nil {
-		return nil, fmt.Errorf("hashcore: compiling generated source: %w", err)
-	}
-	m := &vm.Machine{}
-	m.SetBackend(h.backend)
-	if err := m.Load(widget); err != nil {
-		return nil, err
-	}
-	res := m.Run(h.vparams, nil)
-	buf := make([]byte, 0, len(seedArr)+len(res.Output))
-	buf = append(buf, seedArr[:]...)
-	buf = append(buf, res.Output...)
-	cur := h.gate.Sum(buf)
-
-	// Iterate the remaining widgets if chaining is configured, so the
-	// reported digest always equals Hash(input).
-	for i := 1; i < h.widgets; i++ {
-		msg, err := h.gateMessage(cur)
-		if err != nil {
-			return nil, err
-		}
-		cur = h.gate.Sum(msg)
-	}
-
-	return &trace{
-		Seed:   seed,
-		Source: src,
-		Widget: widget,
-		Result: res,
-		Digest: cur,
-	}, nil
-}
-
 // WidgetSource returns the assembly text of the widget that input selects
-// — the reproduction's analogue of the generated C program.
+// — the reproduction's analogue of the generated C program. The text is
+// rendered from the program Hash runs; hashing never parses it back.
 func (h *Hasher) WidgetSource(input []byte) (string, error) {
-	tr, err := h.trace(input)
+	p, err := h.gen.Generate(perfprox.Seed(h.gate.Sum(input)))
 	if err != nil {
 		return "", err
 	}
-	return tr.Source, nil
+	return prog.Disassemble(p), nil
 }
 
-// Inspection describes one hash evaluation's intermediates.
+// Inspection describes one hash evaluation's intermediates. Its widget
+// fields (StaticInstructions, DynamicInstructions, OutputBytes) describe
+// the first widget of the chain; Digest follows the whole chain and
+// always equals Hash of the input.
 type Inspection struct {
 	// Seed is the hash seed G(input).
 	Seed [32]byte
@@ -387,19 +295,32 @@ type Inspection struct {
 	Digest Digest
 }
 
-// Inspect runs the pipeline for input and reports its intermediates.
+// Inspect runs the hashing path for input on a pooled session and reports
+// its intermediates.
 func (h *Hasher) Inspect(input []byte) (*Inspection, error) {
-	tr, err := h.trace(input)
+	ses := h.session()
+	defer h.sessions.Put(ses)
+	seed := h.gate.Sum(input)
+	// The static size is the generated program's own; runWidget generates
+	// the same program again, into the same scratch, from the same seed.
+	p, err := h.gen.GenerateInto(perfprox.Seed(seed), &ses.gen)
 	if err != nil {
 		return nil, err
 	}
-	return &Inspection{
-		Seed:                tr.Seed,
-		StaticInstructions:  tr.Widget.NumInstrs(),
-		DynamicInstructions: tr.Result.Retired,
-		OutputBytes:         len(tr.Result.Output),
-		Digest:              tr.Digest,
-	}, nil
+	ins := &Inspection{Seed: seed, StaticInstructions: p.NumInstrs()}
+	for i := 0; i < h.widgets; i++ {
+		if err := ses.runWidget(perfprox.Seed(seed), nil, nil); err != nil {
+			return nil, err
+		}
+		if i == 0 {
+			ins.DynamicInstructions = ses.res.Retired
+			ins.OutputBytes = len(ses.res.Output)
+		}
+		ses.buf = append(append(ses.buf[:0], seed[:]...), ses.res.Output...)
+		seed = h.gate.Sum(ses.buf)
+	}
+	ins.Digest = seed
+	return ins, nil
 }
 
 // extractGateCollision is algorithm B from the paper's Theorem 1 proof:
@@ -461,8 +382,8 @@ func (h *Hasher) extractGateCollision(x0, x1 []byte) (a, b []byte, ok bool, err 
 }
 
 // gateMessage returns s || W(s), the message fed to the next gate, in a
-// buffer of its own. Cold paths (trace, the collision reduction) use it
-// on a pooled session; the hot path stays on Session.runWidget.
+// buffer of its own. The collision reduction uses it on a pooled session;
+// the hot path stays on Session.runWidget.
 func (h *Hasher) gateMessage(s Digest) ([]byte, error) {
 	ses := h.session()
 	defer h.sessions.Put(ses)

@@ -11,9 +11,19 @@ import (
 	"hashcore/internal/profile"
 )
 
+// withProfile makes the hasher target p. No exported option can: a profile
+// is part of the function, and WithProfile picks a built-in one. Tests use
+// it for profiles of their own, small ones so that they stay quick.
+func withProfile(p *profile.Profile) Option {
+	return func(c *config) error {
+		c.prof = p.Clone()
+		return nil
+	}
+}
+
 // fastOpts builds a hasher with a small custom profile so public-API tests
 // stay quick.
-func fastOpts() Option { return WithCustomProfile(fastProfile()) }
+func fastOpts() Option { return withProfile(fastProfile()) }
 
 func fastProfile() *profile.Profile {
 	return &profile.Profile{
@@ -52,13 +62,9 @@ func TestOptionValidation(t *testing.T) {
 	nan.BlockStd = math.NaN()
 	cases := map[string][]Option{
 		"unknown profile": {WithProfile("nope")},
-		"nil profile":     {WithCustomProfile(nil)},
 		"bad widgets":     {WithWidgets(0)},
 		"bad snapshot":    {WithSnapshotInterval(0)},
-		"bad noise":       {WithNoise(-1)},
-		"NaN noise":       {WithNoise(math.NaN())},
-		"bad loop trips":  {WithLoopTrips(1)},
-		"NaN profile":     {WithCustomProfile(nan)},
+		"NaN profile":     {withProfile(nan)},
 	}
 	for name, opts := range cases {
 		t.Run(name, func(t *testing.T) {
@@ -77,7 +83,7 @@ func TestNewValidation(t *testing.T) {
 	}
 	bad := fastProfile()
 	bad.TargetDynamic = 1
-	if _, err := New(WithCustomProfile(bad)); err == nil {
+	if _, err := New(withProfile(bad)); err == nil {
 		t.Error("New accepted invalid profile")
 	}
 }
@@ -97,9 +103,8 @@ func TestWidgetChainingOption(t *testing.T) {
 	}
 }
 
-// TestInspectMatchesHash: Inspect takes the textual pipeline (generate,
-// render, assemble, run) and must report the digest Hash computes
-// directly, under either backend.
+// TestInspectMatchesHash: Inspect must report the digest Hash computes,
+// under either backend.
 func TestInspectMatchesHash(t *testing.T) {
 	for _, backend := range []string{"interp", "native"} {
 		h, err := New(fastOpts(), WithBackend(backend))
@@ -112,7 +117,7 @@ func TestInspectMatchesHash(t *testing.T) {
 			t.Fatal(err)
 		}
 		if ins.Digest != h.Sum(in) {
-			t.Fatalf("%s: the source pipeline changed the digest", backend)
+			t.Fatalf("%s: Inspect's digest differs from Hash's", backend)
 		}
 	}
 }

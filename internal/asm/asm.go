@@ -1,12 +1,12 @@
-// Package asm converts widget programs between their in-memory form
-// (prog.Program) and a human-readable assembly text.
+// Package asm parses the assembly text of a widget program back into a
+// validated prog.Program: the inverse of prog.Disassemble.
 //
 // The paper's widget pipeline is generator script → C source → compiler →
-// native binary. This reproduction keeps the same three-stage shape: the
-// perfprox generator emits assembly *text*, this package compiles it to a
-// validated program, and the VM executes it. The textual stage is what the
-// CLI shows when asked to dump a widget, and round-tripping through it is
-// property-tested.
+// native binary. Here the text is only a view: the generator's program is
+// what hashing runs, and prog.Disassemble renders it for humans. Parsing
+// the text back is for hashcore dump-widget and for tests, which check
+// that the rendering loses nothing (round-trip property, fuzzed). Nothing
+// that can change a digest imports this package.
 //
 // Grammar (one statement per line, ';' starts a comment):
 //
@@ -48,7 +48,7 @@ func errf(line int, format string, args ...any) error {
 }
 
 // Assemble parses source text into a validated program, writing it through
-// a prog.Builder like every other producer of programs.
+// a prog.Builder, which checks every instruction as it goes.
 func Assemble(src string) (*prog.Program, error) {
 	b := prog.NewBuilder(prog.DefaultMemSize, 0)
 	sawMem := false

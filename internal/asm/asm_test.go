@@ -83,7 +83,7 @@ func TestRoundTripSample(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	text := Disassemble(p)
+	text := prog.Disassemble(p)
 	q, err := Assemble(text)
 	if err != nil {
 		t.Fatalf("re-assembling disassembly: %v\n%s", err, text)
@@ -155,7 +155,7 @@ func TestRoundTripRandomPrograms(t *testing.T) {
 		if err != nil {
 			return false
 		}
-		q, err := Assemble(Disassemble(p))
+		q, err := Assemble(prog.Disassemble(p))
 		if err != nil {
 			return false
 		}
@@ -265,7 +265,7 @@ func TestDisassembleIsExecutableDocumentation(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	text := Disassemble(p)
+	text := prog.Disassemble(p)
 	for _, want := range []string{".mem 4096 0xbeef", ".block 2", "halt", "load r7, [r6+16]", "fload f4, [r6-8]"} {
 		if !strings.Contains(text, want) {
 			t.Errorf("disassembly missing %q:\n%s", want, text)
@@ -278,7 +278,7 @@ func BenchmarkAssemble(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	text := Disassemble(p)
+	text := prog.Disassemble(p)
 	b.SetBytes(int64(len(text)))
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {

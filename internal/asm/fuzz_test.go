@@ -4,6 +4,7 @@ import (
 	"testing"
 
 	"hashcore/internal/asm"
+	"hashcore/internal/prog"
 	"hashcore/internal/vm"
 )
 
@@ -30,12 +31,12 @@ func FuzzAssemble(f *testing.F) {
 		if err := p.Validate(); err != nil {
 			t.Fatalf("Assemble accepted a program that does not validate: %v", err)
 		}
-		text := asm.Disassemble(p)
+		text := prog.Disassemble(p)
 		q, err := asm.Assemble(text)
 		if err != nil {
 			t.Fatalf("the disassembly of an accepted program does not assemble: %v\n%s", err, text)
 		}
-		if again := asm.Disassemble(q); again != text {
+		if again := prog.Disassemble(q); again != text {
 			t.Fatalf("disassembly is not a fixed point:\n%s\nthen\n%s", text, again)
 		}
 		if err := m.Load(p); err != nil {

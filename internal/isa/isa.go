@@ -255,9 +255,9 @@ const (
 	RegVec
 )
 
-// OpMeta packs every per-opcode fact into one word, so hot
-// per-instruction loops (prog.Builder's Emit runs once per generated
-// instruction per hash) pay a single table load for all of them. Layout:
+// OpMeta packs every per-opcode fact into one word, so per-instruction
+// loops (prog.Validate's sweep, prog.Builder's Emit) pay a single table
+// load for all of them. Layout:
 // bytes 0-2 hold the exclusive dst/a/b operand bounds, byte 3 the class,
 // bits 32-35 the flags below and bits 40-45 the dst/a/b register files.
 type OpMeta uint64

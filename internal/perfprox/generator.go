@@ -4,7 +4,6 @@ import (
 	"errors"
 	"fmt"
 
-	"hashcore/internal/asm"
 	"hashcore/internal/isa"
 	"hashcore/internal/profile"
 	"hashcore/internal/prog"
@@ -13,10 +12,6 @@ import (
 
 // Params tunes the generator. The zero value selects defaults.
 type Params struct {
-	// Noise is the maximum fractional positive noise added to each
-	// noise-carrying instruction class (0.5 means a class budget can grow
-	// by up to 50%). Default 0.5.
-	Noise float64
 	// LoopTrips is the outer-loop trip count; the per-iteration static
 	// code size is TargetDynamic/LoopTrips. Default 64.
 	LoopTrips int
@@ -25,10 +20,11 @@ type Params struct {
 // armSize is the number of instructions in each branch-diamond arm.
 const armSize = 3
 
+// noiseAmp is the maximum fractional positive noise the seed adds to each
+// noise-carrying instruction class: a class budget can grow by up to 50%.
+const noiseAmp = 0.5
+
 func (p Params) withDefaults() Params {
-	if p.Noise == 0 {
-		p.Noise = 0.5
-	}
 	if p.LoopTrips == 0 {
 		p.LoopTrips = 64
 	}
@@ -59,9 +55,6 @@ func NewGenerator(prof *profile.Profile, params Params) (*Generator, error) {
 		return nil, fmt.Errorf("perfprox: %w", err)
 	}
 	p := params.withDefaults()
-	if !(p.Noise >= 0 && p.Noise <= 4) { // NaN fails too
-		return nil, fmt.Errorf("perfprox: noise amplitude %v out of range [0,4]", p.Noise)
-	}
 	if p.LoopTrips < 2 || p.LoopTrips > 1<<16 {
 		return nil, fmt.Errorf("perfprox: loop trips %d out of range", p.LoopTrips)
 	}
@@ -127,17 +120,6 @@ func (g *Generator) GenerateInto(seed Seed, sc *Scratch) (*prog.Program, error) 
 // vm.Machine.PrepareMemory, for the benchmark's decomposed replay.
 func (g *Generator) MemoryPlan(seed Seed) (size int, memSeed uint64) {
 	return g.prof.WorkingSet, expandMemSeed(Split(seed).Mem)
-}
-
-// GenerateSource builds the widget and renders it as assembly text — the
-// analogue of the paper's generated C source. Compile it back with
-// asm.Assemble.
-func (g *Generator) GenerateSource(seed Seed) (string, error) {
-	p, err := g.Generate(seed)
-	if err != nil {
-		return "", err
-	}
-	return asm.Disassemble(p), nil
 }
 
 // Register conventions inside generated widgets. r0..r4 form the general
@@ -290,7 +272,7 @@ func (st *genState) computeBudgets() {
 	// conversion, here and below: Go may otherwise fuse the two into one
 	// multiply-add, which rounds once, on the architectures that have one
 	// (not amd64), and a one-ulp difference can move an int(...) below.
-	noise := func(field uint32) float64 { return 1 + float64(st.params.Noise*Unit(field)) }
+	noise := func(field uint32) float64 { return 1 + float64(noiseAmp*Unit(field)) }
 	set := func(class isa.Class, d float64) {
 		per := int(d) / L
 		st.budget[class] = per

@@ -150,7 +150,7 @@ func (st *refGenState) computeBudgets() {
 	// conversion, here and below: Go may otherwise fuse the two into one
 	// multiply-add, which rounds once, on the architectures that have one
 	// (not amd64), and a one-ulp difference can move an int(...) below.
-	noise := func(field uint32) float64 { return 1 + float64(st.params.Noise*Unit(field)) }
+	noise := func(field uint32) float64 { return 1 + float64(0.5*Unit(field)) }
 	set := func(class isa.Class, d float64) {
 		per := int(d) / L
 		st.budget[class] = per
@@ -793,7 +793,7 @@ func checkAgainstReference(t *testing.T, g *Generator, sc *Scratch, seed Seed) {
 
 // TestGenerateMatchesReference holds the generator to the reference
 // pipeline on every profile: 2,000 seeds at the default parameters, and
-// fewer at non-default noise amplitudes and trip counts.
+// fewer at non-default trip counts.
 func TestGenerateMatchesReference(t *testing.T) {
 	seeds := 2000
 	if testing.Short() {
@@ -806,9 +806,9 @@ func TestGenerateMatchesReference(t *testing.T) {
 				n int
 			}{
 				{Params{}, seeds},
-				{Params{Noise: 1e-9, LoopTrips: 32}, seeds / 20},
-				{Params{Noise: 4, LoopTrips: 16}, seeds / 20},
-				{Params{Noise: 0.75, LoopTrips: 256}, seeds / 20},
+				{Params{LoopTrips: 32}, seeds / 20},
+				{Params{LoopTrips: 16}, seeds / 20},
+				{Params{LoopTrips: 256}, seeds / 20},
 			} {
 				g, err := NewGenerator(w.Profile, params.p)
 				if err != nil {
@@ -823,18 +823,18 @@ func TestGenerateMatchesReference(t *testing.T) {
 	}
 }
 
-// FuzzGenerateVsReference fuzzes the seed, the profile and the parameters.
+// FuzzGenerateVsReference fuzzes the seed, the profile and the trip count.
 func FuzzGenerateVsReference(f *testing.F) {
-	f.Add(make([]byte, SeedSize), uint8(0), 0.0, uint16(0))
-	f.Add(bytes.Repeat([]byte{0xff}, SeedSize), uint8(3), 4.0, uint16(2))
-	f.Add([]byte("a seed of thirty-two bytes, ok!!"), uint8(5), 0.3, uint16(200))
+	f.Add(make([]byte, SeedSize), uint8(0), uint16(0))
+	f.Add(bytes.Repeat([]byte{0xff}, SeedSize), uint8(3), uint16(2))
+	f.Add([]byte("a seed of thirty-two bytes, ok!!"), uint8(5), uint16(200))
 	all := workload.All()
-	f.Fuzz(func(t *testing.T, seedBytes []byte, profile uint8, noise float64, trips uint16) {
+	f.Fuzz(func(t *testing.T, seedBytes []byte, profile uint8, trips uint16) {
 		var seed Seed
 		copy(seed[:], seedBytes)
-		g, err := NewGenerator(all[int(profile)%len(all)].Profile, Params{Noise: noise, LoopTrips: int(trips)})
+		g, err := NewGenerator(all[int(profile)%len(all)].Profile, Params{LoopTrips: int(trips)})
 		if err != nil {
-			return // parameters out of range
+			return // trip count out of range
 		}
 		var sc Scratch
 		checkAgainstReference(t, g, &sc, seed)

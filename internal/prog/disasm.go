@@ -1,16 +1,18 @@
-package asm
+package prog
 
 import (
 	"fmt"
 	"strings"
 
 	"hashcore/internal/isa"
-	"hashcore/internal/prog"
 )
 
-// Disassemble renders a program as assembly text that Assemble parses back
-// into an identical program (round-trip property, tested).
-func Disassemble(p *prog.Program) string {
+// Disassemble renders a program as assembly text, the reproduction's
+// analogue of the paper's generated C source. The text is a view of the
+// program, never an input to hashing: only hashcore dump-widget and tests
+// parse it back (asm.Assemble, which returns an identical program —
+// round-trip property, tested).
+func Disassemble(p *Program) string {
 	var b strings.Builder
 	fmt.Fprintf(&b, "; widget: %d blocks, %d instructions\n", len(p.Blocks), p.NumInstrs())
 	fmt.Fprintf(&b, ".mem %d 0x%x\n", p.MemSize, p.MemSeed)
@@ -26,7 +28,7 @@ func Disassemble(p *prog.Program) string {
 }
 
 // FormatInstr renders a single instruction in assembly syntax.
-func FormatInstr(ins prog.Instr) string {
+func FormatInstr(ins Instr) string {
 	if ins.Op == isa.OpHalt {
 		return "halt"
 	}
@@ -39,13 +41,13 @@ func FormatInstr(ins prog.Instr) string {
 // branch targets and displacements read exactly as in the unfused
 // listing); callers that execute fused code reconstruct them from the
 // packed encoding. Example: cmplt.bne r3, r1, r2 | r3, r0, @7.
-func FormatFusedPair(op isa.Opcode, first, second prog.Instr) string {
+func FormatFusedPair(op isa.Opcode, first, second Instr) string {
 	return op.String() + " " + operands(first) + " | " + operands(second)
 }
 
 // operands renders an instruction's operand list (everything after the
 // mnemonic).
-func operands(ins prog.Instr) string {
+func operands(ins Instr) string {
 	op := ins.Op
 	switch {
 	case op == isa.OpHalt:

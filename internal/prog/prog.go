@@ -2,12 +2,13 @@
 // program shape. A Program is every instruction of every basic block in
 // one slice, a block table that cuts that slice into straight-line blocks
 // connected by block-indexed control flow, and a scratch-memory
-// declaration. The generator writes it once (Builder) and the assembler,
-// the interpreter, the native compiler and the test oracle all read it in
-// place: there is no second, decoded form. The package also provides
-// structural validation (what makes a program safe to execute without
-// per-instruction bound checks) and a compact binary serialization (used
-// for widget pools and the CLI).
+// declaration. It is written once — by the widget generator, or through a
+// Builder — and the interpreter, the native compiler and the test oracle
+// all read it in place: there is no second, decoded form. The package
+// also provides structural validation (what makes a program safe to
+// execute without per-instruction bound checks), the program's assembly
+// text (Disassemble; package asm parses it back) and a compact binary
+// serialization (which widget pools count).
 package prog
 
 import (

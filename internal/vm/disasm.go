@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"strings"
 
-	"hashcore/internal/asm"
 	"hashcore/internal/isa"
 	"hashcore/internal/prog"
 )
@@ -14,7 +13,7 @@ import (
 // back into its architectural pair and each block headed by its successor
 // — where control goes when no slot redirects it, which is how a trailing
 // jmp appears here: folded into the header, in no slot. This is the
-// codegen-debugging companion to asm.Disassemble: that one shows the
+// codegen-debugging companion to prog.Disassemble: that one shows the
 // architectural program, this one shows what actually dispatches. Branch
 // targets are block indices, as in the program itself.
 func (m *Machine) DisassembleFused() string {
@@ -34,9 +33,9 @@ func (m *Machine) DisassembleFused() string {
 			b.WriteString("\t")
 			if fi.Op.IsFused() {
 				first, second := decodeFusedParts(fi)
-				b.WriteString(asm.FormatFusedPair(fi.Op, first, second))
+				b.WriteString(prog.FormatFusedPair(fi.Op, first, second))
 			} else {
-				b.WriteString(asm.FormatInstr(*fi))
+				b.WriteString(prog.FormatInstr(*fi))
 			}
 			b.WriteString("\n")
 		}

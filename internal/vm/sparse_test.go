@@ -81,7 +81,7 @@ func TestSparseVsDenseOnProfiles(t *testing.T) {
 			if err := direct.Load(p); err != nil {
 				t.Fatal(err)
 			}
-			q, err := asm.Assemble(asm.Disassemble(p))
+			q, err := asm.Assemble(prog.Disassemble(p))
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -113,7 +113,7 @@ func TestLoadAdoptsProgram(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		q, err := asm.Assemble(asm.Disassemble(p))
+		q, err := asm.Assemble(prog.Disassemble(p))
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -230,17 +230,17 @@ func (m *Machine) CodeSize() (arch, fused int) {
 }
 
 // LoadTrusted is Load without the validation pass, for programs that are
-// already known to be structurally valid (e.g. just returned by
-// prog.Builder, which validates as it writes). Loading an unvalidated
-// program may make Run panic with an out-of-range access.
+// already known to be structurally valid (e.g. just returned by the widget
+// generator, whose programs are valid by construction). Loading an
+// unvalidated program may make Run panic with an out-of-range access.
 //
 // There is nothing to decode: a program's instructions and block table
 // are already what the reference step and the native compiler read, so
 // loading adopts them where they lie, whoever built the program, and costs
 // the same for 10 instructions as for 10,000. The adopted slices follow
-// the program's lifetime contract (a reused builder's storage is valid
-// until its next Reset), which matches the load-then-run-then-regenerate
-// cycle of the hashing session. The fused stream the fast interpreter loop
+// the program's lifetime contract (a reused generator scratch's storage is
+// valid until its next GenerateInto), which matches the
+// load-then-run-then-regenerate cycle of the hashing session. The fused stream the fast interpreter loop
 // dispatches is derived on first use (see ensureFused): the native backend
 // executes the program as it is, so a native-backed load/run cycle never
 // pays the peephole pass.

@@ -4,10 +4,12 @@ import (
 	"bytes"
 	"crypto/sha256"
 	"encoding/binary"
+	"fmt"
 	"strconv"
 	"sync"
 	"testing"
 
+	"hashcore/internal/asm"
 	"hashcore/internal/gate"
 	"hashcore/internal/perfprox"
 	"hashcore/internal/vm"
@@ -87,56 +89,108 @@ func TestHashConcurrentUse(t *testing.T) {
 	}
 }
 
+// hashViaSource computes Hash(input) the long way round, through the
+// widget's text: WidgetSource(input), asm.Assemble, a fresh vm.Machine on
+// h's backend, run, gate, and the remaining widgets through gateMessage.
+// It is the paper's script -> C -> binary chain kept as a check that the
+// rendered text loses nothing that hashing reads; hashing never takes it.
+func hashViaSource(h *Hasher, input []byte) (Digest, error) {
+	src, err := h.WidgetSource(input)
+	if err != nil {
+		return Digest{}, err
+	}
+	p, err := asm.Assemble(src)
+	if err != nil {
+		return Digest{}, err
+	}
+	m := &vm.Machine{}
+	m.SetBackend(h.backend)
+	if err := m.Load(p); err != nil {
+		return Digest{}, err
+	}
+	res := m.Run(h.vparams, nil)
+	seed := h.gate.Sum(input)
+	cur := h.gate.Sum(append(seed[:], res.Output...))
+	for i := 1; i < h.widgets; i++ {
+		msg, err := h.gateMessage(cur)
+		if err != nil {
+			return Digest{}, err
+		}
+		cur = h.gate.Sum(msg)
+	}
+	return cur, nil
+}
+
 // TestStructuralEquation verifies H(x) == G(s || W(s)) by recomputing the
-// final gate application from Trace intermediates.
+// final gate application from s = G(x) and the widget's output.
 func TestStructuralEquation(t *testing.T) {
 	h := fastHasher(t)
-	tr, err := h.trace([]byte("x"))
+	g := gate.SHA256{}
+	s := g.Sum([]byte("x"))
+	msg, err := h.gateMessage(s)
 	if err != nil {
 		t.Fatal(err)
 	}
-	g := gate.SHA256{}
-	msg := append(append([]byte(nil), tr.Seed[:]...), tr.Result.Output...)
 	manual := g.Sum(msg)
-	if manual != tr.Digest {
-		t.Fatal("Trace digest != G(s || W(s))")
+	ins, err := h.Inspect([]byte("x"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if manual != ins.Digest {
+		t.Fatal("Inspect digest != G(s || W(s))")
 	}
 	direct, err := h.Hash([]byte("x"))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if direct != tr.Digest {
-		t.Fatal("Trace digest != Hash digest")
+	if direct != manual {
+		t.Fatal("Hash digest != G(s || W(s))")
 	}
-	if tr.Seed != g.Sum([]byte("x")) {
-		t.Fatal("Trace seed != G(x)")
+	if ins.Seed != s {
+		t.Fatal("Inspect seed != G(x)")
+	}
+	if ins.OutputBytes != len(msg)-len(s) {
+		t.Fatalf("Inspect reports %d output bytes, W(s) has %d", ins.OutputBytes, len(msg)-len(s))
 	}
 }
 
+// TestTraceFields: Inspect's fields describe the widget input selects —
+// its static size is the generated program's, it ran and wrote output, and
+// the seed splits into the Table I fields.
 func TestTraceFields(t *testing.T) {
 	h := fastHasher(t)
-	tr, err := h.trace([]byte("inspect me"))
+	in := []byte("inspect me")
+	ins, err := h.Inspect(in)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if tr.Source == "" {
-		t.Error("trace has no source text")
+	src, err := h.WidgetSource(in)
+	if err != nil {
+		t.Fatal(err)
 	}
-	if tr.Widget == nil || tr.Widget.NumInstrs() == 0 {
-		t.Error("trace has no widget")
+	if src == "" {
+		t.Error("no source text")
 	}
-	if tr.Result == nil || len(tr.Result.Output) == 0 {
-		t.Error("trace has no execution result")
+	p, err := h.gen.Generate(perfprox.Seed(ins.Seed))
+	if err != nil {
+		t.Fatal(err)
 	}
-	if binary.BigEndian.Uint32(tr.Seed[0:4]) != perfprox.Split(tr.Seed).IntALU {
+	if ins.StaticInstructions == 0 || ins.StaticInstructions != p.NumInstrs() {
+		t.Errorf("StaticInstructions = %d, the widget has %d", ins.StaticInstructions, p.NumInstrs())
+	}
+	if ins.DynamicInstructions == 0 || ins.OutputBytes == 0 {
+		t.Errorf("no execution result: %d retired, %d output bytes", ins.DynamicInstructions, ins.OutputBytes)
+	}
+	if binary.BigEndian.Uint32(ins.Seed[0:4]) != perfprox.Split(ins.Seed).IntALU {
 		t.Error("field/seed byte mismatch")
 	}
 }
 
-// TestSourcePipelineMatchesDirect: the textual chain trace takes (generate,
-// render, assemble, run) reaches the digest Hash computes from the
-// generator's program directly, on either backend and with widgets chained
-// (trace runs the first widget through source, the rest directly).
+// TestSourcePipelineMatchesDirect: the textual chain (generate, render,
+// assemble, run on a fresh machine) reaches the digest Hash computes from
+// the generator's program directly, on either backend and with widgets
+// chained (hashViaSource runs the first widget through source, the rest
+// directly).
 func TestSourcePipelineMatchesDirect(t *testing.T) {
 	for _, backend := range []vm.Backend{vm.BackendInterp, vm.BackendNative} {
 		for _, widgets := range []int{1, 2} {
@@ -146,11 +200,11 @@ func TestSourcePipelineMatchesDirect(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
-				tr, err := h.trace([]byte(input))
+				viaSource, err := hashViaSource(h, []byte(input))
 				if err != nil {
 					t.Fatal(err)
 				}
-				if tr.Digest != direct {
+				if viaSource != direct {
 					t.Fatalf("%s, %d widgets, input %q: source pipeline digest differs from direct", backend, widgets, input)
 				}
 			}
@@ -158,8 +212,65 @@ func TestSourcePipelineMatchesDirect(t *testing.T) {
 	}
 }
 
+// TestInspectSharesThePool: Inspect checks sessions out of the pool Hash
+// uses, so the two interleave on shared sessions. Run them together from
+// several goroutines on one hasher, with 1 and 2 widgets on each backend;
+// every digest must equal the serial Hash's. (The root package runs under
+// -race in CI.)
+func TestInspectSharesThePool(t *testing.T) {
+	inputs := [][]byte{[]byte(""), []byte("a"), []byte("block 42"), []byte("pool")}
+	for _, backend := range []vm.Backend{vm.BackendInterp, vm.BackendNative} {
+		for _, widgets := range []int{1, 2} {
+			h := onBackend(fastHasher(t, WithWidgets(widgets)), backend)
+			want := make([]Digest, len(inputs))
+			for i, in := range inputs {
+				want[i] = h.Sum(in)
+			}
+			var wg sync.WaitGroup
+			errs := make(chan error, 4*len(inputs))
+			for g := 0; g < 4; g++ {
+				wg.Add(1)
+				go func() {
+					defer wg.Done()
+					for r := 0; r < 3; r++ {
+						for i, in := range inputs {
+							var got Digest
+							if (g+r+i)%2 == 0 {
+								ins, err := h.Inspect(in)
+								if err != nil {
+									errs <- err
+									return
+								}
+								got = ins.Digest
+							} else {
+								d, err := h.Hash(in)
+								if err != nil {
+									errs <- err
+									return
+								}
+								got = d
+							}
+							if got != want[i] {
+								errs <- fmt.Errorf("%s, %d widgets, input %q: concurrent digest %x, serial %x",
+									backend, widgets, in, got[:8], want[i][:8])
+								return
+							}
+						}
+					}
+				}()
+			}
+			wg.Wait()
+			close(errs)
+			for err := range errs {
+				t.Error(err)
+			}
+		}
+	}
+}
+
 // TestWidgetChaining: WithWidgets(2) changes the digest, deterministically,
-// and trace follows the chain to Hash's digest.
+// and Inspect follows the chain to Hash's digest, which is the gate
+// applied twice: G(s1 || W(s1)) with s1 = G(s || W(s)), s = G(x).
 func TestWidgetChaining(t *testing.T) {
 	one := fastHasher(t, WithWidgets(1))
 	two := fastHasher(t, WithWidgets(2))
@@ -182,12 +293,26 @@ func TestWidgetChaining(t *testing.T) {
 	if d2 != d2b {
 		t.Fatal("chained hashing is nondeterministic")
 	}
-	trTwo, err := two.trace(in)
+	insTwo, err := two.Inspect(in)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if trTwo.Digest != d2 {
-		t.Fatal("chained trace digest != Hash")
+	if insTwo.Digest != d2 {
+		t.Fatal("chained Inspect digest != Hash")
+	}
+	insOne, err := one.Inspect(in)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if insOne.Digest != d1 || insTwo.OutputBytes != insOne.OutputBytes || insTwo.DynamicInstructions != insOne.DynamicInstructions {
+		t.Fatal("chained Inspect does not describe the first widget")
+	}
+	msg, err := two.gateMessage(d1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if two.gate.Sum(msg) != d2 {
+		t.Fatal("chained digest != G(s1 || W(s1))")
 	}
 }
 

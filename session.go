@@ -8,11 +8,11 @@ import (
 )
 
 // Session is a single-goroutine hashing context: it owns the generator
-// scratch (PRNGs, budgets, program builder), the VM (the adopted program
-// and scratch memory), the execution result (snapshot output buffer) and
-// the gate concatenation buffer. After a few warm-up hashes every buffer
-// has reached its high-water capacity and further Hash calls allocate
-// nothing.
+// scratch (PRNGs, budgets, the storage the widget program is written
+// into), the VM (the adopted program and scratch memory), the execution
+// result (snapshot output buffer) and the gate concatenation buffer. After
+// a few warm-up hashes every buffer has reached its high-water capacity
+// and further Hash calls allocate nothing.
 //
 // A Session is bound to the Hasher that created it and is NOT safe for
 // concurrent use; Hasher.Hash maintains a sync.Pool of sessions so
@@ -82,7 +82,7 @@ type PhaseTimings struct {
 	// written-word table (vm.Machine).
 	FillNs int64
 	// LoadNs is nanoseconds spent loading generated programs into the VM
-	// (a subset of ExecNs): the VM adopts the program where the builder
+	// (a subset of ExecNs): the VM adopts the program where the generator
 	// wrote it, so this is a few stores and a clock read.
 	LoadNs int64
 	// Retired is the total number of retired widget instructions.
@@ -184,8 +184,8 @@ func (s *Session) loadWidget(seed perfprox.Seed, obs vm.Observer, t *PhaseTiming
 		mark = now
 	}
 	s.execMark = mark
-	// The builder validated the program as it wrote it; skip the VM's
-	// second structural pass.
+	// The generator's programs are valid by construction (property-tested:
+	// TestGeneratedProgramsAreWhole); skip the VM's structural pass.
 	s.m.LoadTrusted(widget)
 	if met := h.met; met != nil {
 		met.archInstrs.Add(uint64(widget.NumInstrs()))

@@ -22,7 +22,7 @@ func TestReusedSessionMatchesFresh(t *testing.T) {
 	for _, backend := range []vm.Backend{vm.BackendInterp, vm.BackendNative} {
 		hashers := []*Hasher{
 			onBackend(fastHasher(t), backend),
-			onBackend(fastHasher(t, WithCustomProfile(wide)), backend),
+			onBackend(fastHasher(t, withProfile(wide)), backend),
 		}
 		// One machine serves both hashers' sessions in turn: swap it in.
 		shared := &vm.Machine{}
