@@ -22,7 +22,7 @@ import (
 	"strings"
 
 	"hashcore"
-	"hashcore/internal/asm"
+	"hashcore/internal/prog"
 	"hashcore/internal/vm"
 )
 
@@ -83,11 +83,11 @@ func dispatch(cmd string, h *hashcore.Hasher, input string, bits uint, workers i
 		fmt.Printf("%x\n", digest)
 		return nil
 	case "widget":
-		src, err := h.WidgetSource([]byte(input))
+		p, err := h.Widget([]byte(input))
 		if err != nil {
 			return err
 		}
-		fmt.Print(src)
+		fmt.Print(prog.Disassemble(p))
 		return nil
 	case "inspect":
 		info, err := h.Inspect([]byte(input))
@@ -140,16 +140,12 @@ func usageError() error {
 // it), and what the JIT compiles from the same block structure (its
 // shared scratch-memory routines and each block's code size) — for codegen
 // debugging, then runs it once to report how much of its scratch memory
-// it writes and the size of the VM's table of those words. It is the
-// widget Hash(input) runs first, so a digest divergence seen in the
-// differential tests can be replayed here and inspected instruction by
-// instruction.
+// it writes and the size of the VM's table of those words. It loads the
+// program Hash(input) runs first, as generated, so a digest divergence
+// seen in the differential tests can be replayed here and inspected
+// instruction by instruction.
 func dumpWidget(h *hashcore.Hasher, input []byte) error {
-	src, err := h.WidgetSource(input)
-	if err != nil {
-		return err
-	}
-	p, err := asm.Assemble(src)
+	p, err := h.Widget(input)
 	if err != nil {
 		return err
 	}
@@ -166,7 +162,7 @@ func dumpWidget(h *hashcore.Hasher, input []byte) error {
 
 	fmt.Printf("; profile=%s input=%q backend=%s\n", h.ProfileName(), input, m.BackendSelected())
 	fmt.Println("; ---- architectural stream ----")
-	fmt.Print(src)
+	fmt.Print(prog.Disassemble(p))
 	fmt.Println("; ---- fused stream (interpreter dispatch; block headers name the successor) ----")
 	fmt.Print(m.DisassembleFused())
 

@@ -14,8 +14,8 @@ import (
 // list `go list -deps . ./internal/blockchain | grep '^hashcore'` prints,
 // sorted, and CI's "No fused FP ops off amd64" step derives its package
 // list the same way. Code outside it (the uarch timing model, the scrypt
-// baseline, the experiment harness, the assembly parser, the pool and the
-// network) can change no digest. A package that joins it joins the code every platform must
+// baseline, the experiment harness, the pool and the network) can change
+// no digest. A package that joins it joins the code every platform must
 // run bit-identically; grow this list on purpose, never in passing.
 var consensusSet = []string{
 	"hashcore",

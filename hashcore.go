@@ -240,7 +240,7 @@ func (h *Hasher) noteFallback(err error) {
 // managing sessions explicitly.
 func (h *Hasher) Hash(input []byte) (Digest, error) {
 	s := h.session()
-	d, err := s.hash(input, nil, nil)
+	d, err := s.hash(input, nil)
 	h.sessions.Put(s)
 	return d, err
 }
@@ -267,15 +267,12 @@ func (h *Hasher) Name() string { return "hashcore-" + h.ProfileName() }
 // ProfileName returns the target profile's name.
 func (h *Hasher) ProfileName() string { return h.gen.Profile().Name }
 
-// WidgetSource returns the assembly text of the widget that input selects
-// — the reproduction's analogue of the generated C program. The text is
-// rendered from the program Hash runs; hashing never parses it back.
-func (h *Hasher) WidgetSource(input []byte) (string, error) {
-	p, err := h.gen.Generate(perfprox.Seed(h.gate.Sum(input)))
-	if err != nil {
-		return "", err
-	}
-	return prog.Disassemble(p), nil
+// Widget returns the program that input selects — the first widget Hash
+// runs for it, the reproduction's analogue of the paper's generated C
+// program — in storage the caller owns. prog.Disassemble renders it as
+// text; nothing reads that text back.
+func (h *Hasher) Widget(input []byte) (*prog.Program, error) {
+	return h.gen.Generate(perfprox.Seed(h.gate.Sum(input)))
 }
 
 // Inspection describes one hash evaluation's intermediates. Its widget
@@ -309,7 +306,7 @@ func (h *Hasher) Inspect(input []byte) (*Inspection, error) {
 	}
 	ins := &Inspection{Seed: seed, StaticInstructions: p.NumInstrs()}
 	for i := 0; i < h.widgets; i++ {
-		if err := ses.runWidget(perfprox.Seed(seed), nil, nil); err != nil {
+		if err := ses.runWidget(perfprox.Seed(seed), nil); err != nil {
 			return nil, err
 		}
 		if i == 0 {
@@ -387,7 +384,7 @@ func (h *Hasher) extractGateCollision(x0, x1 []byte) (a, b []byte, ok bool, err 
 func (h *Hasher) gateMessage(s Digest) ([]byte, error) {
 	ses := h.session()
 	defer h.sessions.Put(ses)
-	if err := ses.runWidget(perfprox.Seed(s), nil, nil); err != nil {
+	if err := ses.runWidget(perfprox.Seed(s), nil); err != nil {
 		return nil, err
 	}
 	out := ses.res.Output

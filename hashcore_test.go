@@ -1,6 +1,7 @@
 package hashcore
 
 import (
+	"bytes"
 	"context"
 	"errors"
 	"math"
@@ -9,6 +10,7 @@ import (
 
 	"hashcore/internal/isa"
 	"hashcore/internal/profile"
+	"hashcore/internal/prog"
 )
 
 // withProfile makes the hasher target p. No exported option can: a profile
@@ -153,19 +155,35 @@ func TestProfilesListsWorkloads(t *testing.T) {
 	}
 }
 
-func TestWidgetSourceIsCompilableText(t *testing.T) {
+// TestWidgetIsCallerOwned: Widget returns a whole program, rendered as
+// text by prog.Disassemble, in storage no later call or hash reuses.
+func TestWidgetIsCallerOwned(t *testing.T) {
 	h, err := New(fastOpts())
 	if err != nil {
 		t.Fatal(err)
 	}
-	src, err := h.WidgetSource([]byte("header"))
+	in := []byte("header")
+	p, err := h.Widget(in)
 	if err != nil {
 		t.Fatal(err)
 	}
+	if err := p.Validate(); err != nil {
+		t.Fatalf("the widget does not validate: %v", err)
+	}
+	src := prog.Disassemble(p)
 	for _, want := range []string{".mem", ".block 0", "halt"} {
 		if !strings.Contains(src, want) {
-			t.Errorf("widget source missing %q", want)
+			t.Errorf("widget text missing %q", want)
 		}
+	}
+	enc, digest := p.Encode(), h.Sum(in)
+	clear(p.Code)
+	again, err := h.Widget(in)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(again.Encode(), enc) || h.Sum(in) != digest {
+		t.Fatal("overwriting a returned widget changed a later Widget or Hash")
 	}
 }
 

@@ -85,8 +85,8 @@ func TestFileStoreForkSurvivesRestart(t *testing.T) {
 	n, _ := openFileNode(t, path)
 	mineInto(t, n, 3)
 	// A side branch off height 1.
-	hs := n.Headers(nil, 0)
-	side := mineOn(t, n, hashOfHeader(t, n, hs[0]), hs[0].Time+61, [][]byte{[]byte("side")})
+	hs := n.HeadersWithIDs(nil, 0)
+	side := mineOn(t, n, hs[0].ID, hs[0].Header.Time+61, [][]byte{[]byte("side")})
 	if _, err := n.AddBlock(side); err != nil {
 		t.Fatal(err)
 	}
@@ -100,19 +100,6 @@ func TestFileStoreForkSurvivesRestart(t *testing.T) {
 	}
 }
 
-// hashOfHeader recovers the chain ID of a header the node knows.
-func hashOfHeader(t *testing.T, n *Node, h Header) Hash {
-	t.Helper()
-	id, err := baseline.SHA256d{}.Hash(h.Marshal())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, ok := n.HeaderByID(id); !ok {
-		t.Fatal("header not known to node")
-	}
-	return id
-}
-
 // TestFileStoreTruncatedTailDropped is the crash-mid-append case: a
 // partial final record must be detected and dropped without corrupting
 // the chain, and the log must be clean for further appends.
@@ -120,7 +107,7 @@ func TestFileStoreTruncatedTailDropped(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "blocks.log")
 	n, _ := openFileNode(t, path)
 	mineInto(t, n, 5)
-	tipAt4 := n.Headers(nil, 0)[3] // header at height 4
+	tipAt4 := n.HeadersWithIDs(nil, 0)[3].Header // header at height 4
 	n.Close()
 
 	// Tear the final record: chop a few bytes off the file.

@@ -337,25 +337,13 @@ type AnnotatedHeader struct {
 	Header Header
 }
 
-// Headers returns up to max best-chain headers after the fork point the
-// locator describes — the seam node-to-node header sync drives. The
-// locator is a list of block IDs, newest first; the first one that is
-// known and on the best chain anchors the response (genesis if none
-// match). max is clamped to MaxHeadersPerRequest.
-func (n *Node) Headers(locator []Hash, max int) []Header {
-	page := n.HeadersWithIDs(locator, max)
-	if page == nil {
-		return nil
-	}
-	out := make([]Header, len(page))
-	for i, ah := range page {
-		out[i] = ah.Header
-	}
-	return out
-}
-
-// HeadersWithIDs is Headers plus each header's block identity — the
-// response shape the p2p getheaders handler serves.
+// HeadersWithIDs returns up to max best-chain headers after the fork
+// point the locator describes, each with its block identity — the seam
+// node-to-node header sync drives, and the response shape the p2p
+// getheaders handler serves. The locator is a list of block IDs, newest
+// first; the first one that is known and on the best chain anchors the
+// response (genesis if none match). max is clamped to
+// MaxHeadersPerRequest.
 func (n *Node) HeadersWithIDs(locator []Hash, max int) []AnnotatedHeader {
 	if max <= 0 || max > MaxHeadersPerRequest {
 		max = MaxHeadersPerRequest

@@ -288,28 +288,28 @@ func TestNodeHeadersAndLocator(t *testing.T) {
 	}
 
 	// Empty locator: everything after genesis.
-	hs := n.Headers(nil, 0)
+	hs := n.HeadersWithIDs(nil, 0)
 	if len(hs) != 10 {
 		t.Fatalf("full sync returned %d headers, want 10", len(hs))
 	}
-	if hs[0].PrevHash != n.GenesisID() || hs[9].PrevHash != ids[8] {
+	if hs[0].Header.PrevHash != n.GenesisID() || hs[9].Header.PrevHash != ids[8] {
 		t.Error("headers not in ascending chain order")
 	}
 
 	// Locator anchored at height 4: headers 5..10.
-	hs = n.Headers([]Hash{ids[3]}, 0)
-	if len(hs) != 6 || hs[0].PrevHash != ids[3] {
+	hs = n.HeadersWithIDs([]Hash{ids[3]}, 0)
+	if len(hs) != 6 || hs[0].Header.PrevHash != ids[3] {
 		t.Fatalf("locator at height 4: got %d headers", len(hs))
 	}
 
 	// Unknown hashes are skipped; max clamps the batch.
-	hs = n.Headers([]Hash{{0xff}, ids[5]}, 2)
-	if len(hs) != 2 || hs[0].PrevHash != ids[5] {
+	hs = n.HeadersWithIDs([]Hash{{0xff}, ids[5]}, 2)
+	if len(hs) != 2 || hs[0].Header.PrevHash != ids[5] {
 		t.Fatalf("bounded sync: got %d headers", len(hs))
 	}
 
 	// A peer at our exact tip gets nothing.
-	if hs := n.Headers(n.Locator(), 0); len(hs) != 0 {
+	if hs := n.HeadersWithIDs(n.Locator(), 0); len(hs) != 0 {
 		t.Errorf("up-to-date peer got %d headers", len(hs))
 	}
 
@@ -326,8 +326,8 @@ func TestNodeHeadersAndLocator(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	hs = n.Headers([]Hash{forkID, ids[4]}, 0)
-	if len(hs) != 5 || hs[0].PrevHash != ids[4] {
+	hs = n.HeadersWithIDs([]Hash{forkID, ids[4]}, 0)
+	if len(hs) != 5 || hs[0].Header.PrevHash != ids[4] {
 		t.Fatalf("fork locator: got %d headers, want 5 from the fork point", len(hs))
 	}
 }

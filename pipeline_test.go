@@ -9,7 +9,6 @@ import (
 	"sync"
 	"testing"
 
-	"hashcore/internal/asm"
 	"hashcore/internal/gate"
 	"hashcore/internal/perfprox"
 	"hashcore/internal/vm"
@@ -89,38 +88,6 @@ func TestHashConcurrentUse(t *testing.T) {
 	}
 }
 
-// hashViaSource computes Hash(input) the long way round, through the
-// widget's text: WidgetSource(input), asm.Assemble, a fresh vm.Machine on
-// h's backend, run, gate, and the remaining widgets through gateMessage.
-// It is the paper's script -> C -> binary chain kept as a check that the
-// rendered text loses nothing that hashing reads; hashing never takes it.
-func hashViaSource(h *Hasher, input []byte) (Digest, error) {
-	src, err := h.WidgetSource(input)
-	if err != nil {
-		return Digest{}, err
-	}
-	p, err := asm.Assemble(src)
-	if err != nil {
-		return Digest{}, err
-	}
-	m := &vm.Machine{}
-	m.SetBackend(h.backend)
-	if err := m.Load(p); err != nil {
-		return Digest{}, err
-	}
-	res := m.Run(h.vparams, nil)
-	seed := h.gate.Sum(input)
-	cur := h.gate.Sum(append(seed[:], res.Output...))
-	for i := 1; i < h.widgets; i++ {
-		msg, err := h.gateMessage(cur)
-		if err != nil {
-			return Digest{}, err
-		}
-		cur = h.gate.Sum(msg)
-	}
-	return cur, nil
-}
-
 // TestStructuralEquation verifies H(x) == G(s || W(s)) by recomputing the
 // final gate application from s = G(x) and the widget's output.
 func TestStructuralEquation(t *testing.T) {
@@ -164,14 +131,7 @@ func TestTraceFields(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	src, err := h.WidgetSource(in)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if src == "" {
-		t.Error("no source text")
-	}
-	p, err := h.gen.Generate(perfprox.Seed(ins.Seed))
+	p, err := h.Widget(in)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -183,32 +143,6 @@ func TestTraceFields(t *testing.T) {
 	}
 	if binary.BigEndian.Uint32(ins.Seed[0:4]) != perfprox.Split(ins.Seed).IntALU {
 		t.Error("field/seed byte mismatch")
-	}
-}
-
-// TestSourcePipelineMatchesDirect: the textual chain (generate, render,
-// assemble, run on a fresh machine) reaches the digest Hash computes from
-// the generator's program directly, on either backend and with widgets
-// chained (hashViaSource runs the first widget through source, the rest
-// directly).
-func TestSourcePipelineMatchesDirect(t *testing.T) {
-	for _, backend := range []vm.Backend{vm.BackendInterp, vm.BackendNative} {
-		for _, widgets := range []int{1, 2} {
-			h := onBackend(fastHasher(t, WithWidgets(widgets)), backend)
-			for _, input := range []string{"", "a", "block 42"} {
-				direct, err := h.Hash([]byte(input))
-				if err != nil {
-					t.Fatal(err)
-				}
-				viaSource, err := hashViaSource(h, []byte(input))
-				if err != nil {
-					t.Fatal(err)
-				}
-				if viaSource != direct {
-					t.Fatalf("%s, %d widgets, input %q: source pipeline digest differs from direct", backend, widgets, input)
-				}
-			}
-		}
 	}
 }
 
@@ -315,29 +249,6 @@ func TestWidgetChaining(t *testing.T) {
 		t.Fatal("chained digest != G(s1 || W(s1))")
 	}
 }
-
-func TestHashObserved(t *testing.T) {
-	h := fastHasher(t)
-	var count countObserver
-	d, err := h.NewSession().hash([]byte("obs"), &count, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if count == 0 {
-		t.Fatal("observer saw no events")
-	}
-	plain, err := h.Hash([]byte("obs"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if d != plain {
-		t.Fatal("observed hash differs from plain hash")
-	}
-}
-
-type countObserver int
-
-func (c *countObserver) OnRetire(*vm.Event) { *c++ }
 
 func TestAccessors(t *testing.T) {
 	h := fastHasher(t)

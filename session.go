@@ -46,7 +46,7 @@ func (h *Hasher) NewSession() *Session {
 // Hash computes the HashCore digest of input using the session's
 // reusable state.
 func (s *Session) Hash(input []byte) (Digest, error) {
-	return s.hash(input, nil, nil)
+	return s.hash(input, nil)
 }
 
 // Name identifies the session's hasher, e.g. "hashcore-leela", so that a
@@ -100,15 +100,14 @@ type PhaseTimings struct {
 // clock reads per widget.
 func (s *Session) HashTimed(input []byte, t *PhaseTimings) (Digest, error) {
 	t.Hashes++
-	return s.hash(input, nil, t)
+	return s.hash(input, t)
 }
 
 // hash runs the full pipeline: s = G(x), then widgets chained through the
-// gate. obs may be nil (the VM then takes its specialized unobserved
-// loop); t may be nil (no timing instrumentation — unless the Hasher has
+// gate. t may be nil (no timing instrumentation — unless the Hasher has
 // telemetry enabled, in which case a stack-local PhaseTimings keeps the
 // per-phase clocks running so the histograms can observe the split).
-func (s *Session) hash(input []byte, obs vm.Observer, t *PhaseTimings) (Digest, error) {
+func (s *Session) hash(input []byte, t *PhaseTimings) (Digest, error) {
 	if met := s.h.met; met != nil {
 		var local PhaseTimings
 		if t == nil {
@@ -116,20 +115,20 @@ func (s *Session) hash(input []byte, obs vm.Observer, t *PhaseTimings) (Digest, 
 		}
 		start := time.Now()
 		genNs, execNs, retired := t.GenNs, t.ExecNs, t.Retired
-		d, err := s.hashInner(input, obs, t)
+		d, err := s.hashInner(input, t)
 		if err == nil {
 			met.observeHash(start, t, genNs, execNs, retired, s.m.LastRunStats().Backend)
 		}
 		return d, err
 	}
-	return s.hashInner(input, obs, t)
+	return s.hashInner(input, t)
 }
 
-func (s *Session) hashInner(input []byte, obs vm.Observer, t *PhaseTimings) (Digest, error) {
+func (s *Session) hashInner(input []byte, t *PhaseTimings) (Digest, error) {
 	h := s.h
 	seed := h.gate.Sum(input)
 	for i := 0; i < h.widgets; i++ {
-		if err := s.runWidget(perfprox.Seed(seed), obs, t); err != nil {
+		if err := s.runWidget(perfprox.Seed(seed), t); err != nil {
 			return Digest{}, err
 		}
 		s.buf = append(append(s.buf[:0], seed[:]...), s.res.Output...)
@@ -140,12 +139,12 @@ func (s *Session) hashInner(input []byte, obs vm.Observer, t *PhaseTimings) (Dig
 
 // runWidget executes W(s) into s.res: generate the widget, load it into
 // the session VM, compile it, run it.
-func (s *Session) runWidget(seed perfprox.Seed, obs vm.Observer, t *PhaseTimings) error {
+func (s *Session) runWidget(seed perfprox.Seed, t *PhaseTimings) error {
 	h := s.h
-	if err := s.loadWidget(seed, obs, t); err != nil {
+	if err := s.loadWidget(seed, t); err != nil {
 		return err
 	}
-	s.m.RunInto(h.vparams, obs, &s.res)
+	s.m.RunInto(h.vparams, nil, &s.res)
 	if t != nil || h.journal != nil {
 		st := s.m.LastRunStats()
 		if t != nil {
@@ -168,7 +167,7 @@ func (s *Session) runWidget(seed perfprox.Seed, obs vm.Observer, t *PhaseTimings
 // loadWidget runs the generate/load/compile half of the widget pipeline.
 // On return the session VM holds the widget for seed, compiled when a
 // native backend will run it.
-func (s *Session) loadWidget(seed perfprox.Seed, obs vm.Observer, t *PhaseTimings) error {
+func (s *Session) loadWidget(seed perfprox.Seed, t *PhaseTimings) error {
 	h := s.h
 	var mark time.Time
 	if t != nil {
@@ -199,7 +198,7 @@ func (s *Session) loadWidget(seed perfprox.Seed, obs vm.Observer, t *PhaseTiming
 	// observation are accounted here and nowhere else. A compile failure is left for the run to discover — it
 	// falls back to the interpreter and reports the cached error as
 	// FallbackErr, same as the lazy path.
-	if obs == nil && s.m.BackendSelected() == vm.BackendNative {
+	if s.m.BackendSelected() == vm.BackendNative {
 		_, _ = s.m.CompileNative()
 		if st := s.m.LastRunStats(); st.Compiled {
 			if t != nil {
