@@ -87,7 +87,6 @@ func run(ctx context.Context, args []string, out io.Writer) error {
 		MinerName: *name,
 		Agent:     "hcminer/1 " + h.Name(),
 		Workers:   *workers,
-		Reconnect: true,
 		OnDisconnect: func(err error) {
 			fmt.Fprintf(out, "hcminer: lost the pool (%v); reconnecting\n", err)
 		},
@@ -112,12 +111,9 @@ func run(ctx context.Context, args []string, out io.Writer) error {
 	}
 	fmt.Fprintf(out, "hcminer: mining %s for pool %s with %d workers\n", h.Name(), *poolAddr, *workers)
 
-	err = client.Run(ctx)
+	client.Run(ctx)
 	st := client.Stats()
 	fmt.Fprintf(out, "hcminer: done — %d jobs, %d submitted, %d accepted (%d blocks), %d rejected\n",
 		st.Jobs, st.Submitted, st.Accepted, st.Blocks, st.Rejected)
-	if err != nil && ctx.Err() == nil {
-		return err
-	}
 	return nil
 }

@@ -87,7 +87,7 @@ var goldenVectors = []struct {
 	// session reuse paths (output buffers of different sizes per widget).
 	{"leela-widgets2", []Option{WithWidgets(2)}, "abc", "d0f9018ed1a0ae252bb9f56f2130f50c66ffd9d94de4ed7e7b666b347d48ebec",
 		"c743217fd858afc82f5b04da52890738ac3f82f9a4900a94451e29f899baf8e6"},
-	{"leela-snap512", []Option{WithSnapshotInterval(512)}, "abc", "d0f9018ed1a0ae252bb9f56f2130f50c66ffd9d94de4ed7e7b666b347d48ebec",
+	{"leela-snap512", []Option{withSnapshotInterval(512)}, "abc", "d0f9018ed1a0ae252bb9f56f2130f50c66ffd9d94de4ed7e7b666b347d48ebec",
 		"1944269f2b0021954c2a97fde257a565c015b8b44c735b69e0fca3fc2b794784"},
 }
 

@@ -31,13 +31,17 @@
 //	if err != nil { ... }
 //	digest := h.Sum([]byte("block header"))
 //
-// Use WithProfile to target another reference workload, and Mine /
-// VerifyNonce for blockchain-style usage.
+// Five options configure a hasher: WithProfile targets another built-in
+// reference workload and WithWidgets chains widgets (both change the
+// function), WithBackend picks the execution engine (digests are
+// identical on every engine), and WithTelemetry and WithJournal attach
+// instruments. The register-snapshot interval is part of the function
+// and fixed at 2,048 retired instructions. Use Mine / VerifyNonce for
+// blockchain-style usage.
 package hashcore
 
 import (
 	"context"
-	"errors"
 	"fmt"
 	"math/big"
 	"os"
@@ -65,7 +69,7 @@ type config struct {
 	profileName string
 	prof        *profile.Profile // overrides profileName; set only by tests
 	widgets     int
-	snapshot    uint64
+	snapshot    uint64 // set only by tests
 	backend     vm.Backend
 	metrics     *telemetry.Registry
 	journal     *telemetry.Journal
@@ -95,19 +99,6 @@ func WithWidgets(n int) Option {
 			return fmt.Errorf("hashcore: widget count %d out of range [1,64]", n)
 		}
 		c.widgets = n
-		return nil
-	}
-}
-
-// WithSnapshotInterval overrides the register-snapshot interval (retired
-// instructions between snapshots). Smaller intervals produce larger widget
-// outputs. The default (2048) lands outputs in the paper's 20-38 KB band.
-func WithSnapshotInterval(interval uint64) Option {
-	return func(c *config) error {
-		if interval == 0 {
-			return errors.New("hashcore: snapshot interval must be positive")
-		}
-		c.snapshot = interval
 		return nil
 	}
 }

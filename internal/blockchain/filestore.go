@@ -70,9 +70,8 @@ const DefaultBatchDelay = 50 * time.Millisecond
 // validation on open, so silent corruption cannot reach the tip.
 //
 // Load also builds an in-memory record index (one offset per block), so
-// the store implements BlockReader: BlockAt re-reads any record with one
-// pread, letting the node serve full blocks to syncing peers without
-// keeping bodies in memory.
+// BlockAt re-reads any record with one pread, letting the node serve
+// full blocks to syncing peers without keeping bodies in memory.
 type FileStore struct {
 	path string
 	opts FileStoreOptions
@@ -326,7 +325,7 @@ func (fs *FileStore) Flush() error {
 	return fs.flushLocked()
 }
 
-// BlockAt re-reads the index-th record from disk (BlockReader). The
+// BlockAt re-reads the index-th record from disk. The
 // read is a positioned pread plus CRC re-verification, safe to run from
 // concurrent node read-snapshots.
 func (fs *FileStore) BlockAt(index int) (Block, error) {

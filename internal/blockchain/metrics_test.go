@@ -3,6 +3,7 @@ package blockchain
 import (
 	"path/filepath"
 	"testing"
+	"time"
 
 	"hashcore/internal/baseline"
 	"hashcore/internal/telemetry"
@@ -123,7 +124,7 @@ func TestFileStoreMetrics(t *testing.T) {
 	reg := telemetry.NewRegistry()
 	fs, err := OpenFileStoreWith(filepath.Join(t.TempDir(), "blocks.log"), FileStoreOptions{
 		BatchAppends: 4,
-		BatchDelay:   DefaultBatchDelay,
+		BatchDelay:   time.Hour, // only the fourth append may commit
 		Metrics:      reg,
 	})
 	if err != nil {

@@ -61,12 +61,9 @@ type Node struct {
 	feed    *tipFeed
 
 	// Block-body access for serving peers: every persisted block is
-	// indexed by identity. With a random-access store (BlockReader) the
-	// index maps to append positions and bodies are re-read on demand;
-	// otherwise bodies stay in memory.
+	// indexed by identity to its append position, and its body is read
+	// back through the store on demand.
 	index    map[Hash]int
-	reader   BlockReader
-	bodies   map[Hash]Block
 	appended int // records in the store = replayed + successful appends
 
 	replaying bool // true only inside OpenNode's store replay
@@ -110,18 +107,13 @@ func OpenNode(cfg NodeConfig) (*Node, error) {
 		feed:    newTipFeed(),
 		index:   make(map[Hash]int),
 	}
-	if r, ok := store.(BlockReader); ok {
-		n.reader = r
-	} else {
-		n.bodies = make(map[Hash]Block)
-	}
 	n.replaying = true
 	err = store.Load(func(b Block) error {
 		id, err := chain.AddBlock(b)
 		if err != nil {
 			return fmt.Errorf("blockchain: replaying block log at height %d: %w", chain.Height()+1, err)
 		}
-		n.recordBody(id, b)
+		n.recordBody(id)
 		n.replayed++
 		return nil
 	})
@@ -195,7 +187,7 @@ func (n *Node) AddBlockFrom(b Block, origin string) (Hash, error) {
 	}
 	perr := n.persist(b)
 	if perr == nil {
-		n.recordBody(id, b)
+		n.recordBody(id)
 		n.connectOrphans(id)
 	}
 
@@ -252,12 +244,8 @@ func (n *Node) persist(b Block) error {
 // so BlockByHash can find it again. Caller holds n.mu; the append index
 // mirrors the store's record order exactly because both are driven by
 // the same serialized sequence of persists.
-func (n *Node) recordBody(id Hash, b Block) {
-	if n.reader != nil {
-		n.index[id] = n.appended
-	} else {
-		n.bodies[id] = b
-	}
+func (n *Node) recordBody(id Hash) {
+	n.index[id] = n.appended
 	n.appended++
 	if !n.replaying && n.met != nil {
 		n.met.accepted.Inc()
@@ -282,7 +270,7 @@ func (n *Node) connectOrphans(parent Hash) {
 			if n.persist(b) != nil {
 				return
 			}
-			n.recordBody(cid, b)
+			n.recordBody(cid)
 			queue = append(queue, cid)
 		}
 	}
@@ -399,15 +387,11 @@ func (n *Node) BlockByHash(id Hash) (Block, bool) {
 
 // blockByHashLocked serves one body under an already-held read lock.
 func (n *Node) blockByHashLocked(id Hash) (Block, bool) {
-	if n.reader == nil {
-		b, ok := n.bodies[id]
-		return b, ok
-	}
 	idx, ok := n.index[id]
 	if !ok {
 		return Block{}, false
 	}
-	b, err := n.reader.BlockAt(idx)
+	b, err := n.store.BlockAt(idx)
 	if err != nil {
 		return Block{}, false
 	}

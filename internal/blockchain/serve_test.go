@@ -87,23 +87,35 @@ func TestBlockServingFileStore(t *testing.T) {
 	testBlockServing(t, fs)
 }
 
-// TestBlockServingSurvivesRestart reopens a file-backed node and checks
-// replayed blocks are served with the same bodies.
+// TestBlockServingSurvivesRestart reopens a node over each store and
+// checks replayed blocks are served with the same bodies: the file
+// store re-reads its log, and the in-memory store serves through the
+// index the replay rebuilt.
 func TestBlockServingSurvivesRestart(t *testing.T) {
-	path := filepath.Join(t.TempDir(), "blocks.log")
-	fs, err := OpenFileStore(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	node := newTestNode(t, fs)
+	t.Run("file", func(t *testing.T) {
+		path := filepath.Join(t.TempDir(), "blocks.log")
+		testServingAfterReopen(t, func() Store {
+			fs, err := OpenFileStore(path)
+			if err != nil {
+				t.Fatal(err)
+			}
+			return fs
+		})
+	})
+	t.Run("mem", func(t *testing.T) {
+		ms := NewMemStore()
+		testServingAfterReopen(t, func() Store { return ms })
+	})
+}
+
+// testServingAfterReopen grows a node over open(), closes it, opens a
+// second node over open() again and checks every body it serves.
+func testServingAfterReopen(t *testing.T, open func() Store) {
+	node := newTestNode(t, open())
 	ids, blocks := growServed(t, node, 5)
 	node.Close()
 
-	fs2, err := OpenFileStore(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	node2 := newTestNode(t, fs2)
+	node2 := newTestNode(t, open())
 	if node2.Replayed() != 5 {
 		t.Fatalf("replayed %d, want 5", node2.Replayed())
 	}

@@ -9,32 +9,25 @@ import (
 // A Node replays the store on open (re-validating every block through
 // the chain rules) and appends each newly accepted block, so the store
 // never has to understand consensus: it is a dumb, ordered block log.
-// Implementations need not be safe for concurrent use; the Node
-// serializes access.
+// It also serves its records back by append index, which is how the
+// Node answers syncing peers (BlockByHash/Blocks) without holding every
+// body in memory. Implementations need not be safe for concurrent use;
+// the Node serializes access — except that BlockAt may be called from
+// concurrent read-snapshots, so it must be safe for concurrent use with
+// itself (both in-repo stores are: a slice read and a pread).
 type Store interface {
 	// Load replays every stored block in append order. It is called
 	// once, at node open, before any Append.
 	Load(fn func(Block) error) error
 	// Append durably records a block the chain has accepted.
 	Append(b Block) error
-	// Close releases the store's resources. The Node calls it from
-	// Node.Close.
-	Close() error
-}
-
-// BlockReader is optionally implemented by stores that can random-access
-// their records by append index. The Node uses it to serve full blocks
-// to syncing peers (BlockByHash/Blocks) without holding every body in
-// memory; a store without it costs the node an in-memory body cache.
-// Like Store, implementations are read under the Node's lock — but
-// BlockAt may be called from concurrent read-snapshots, so it must be
-// safe for concurrent use with itself (both in-repo stores are: a slice
-// read and a pread).
-type BlockReader interface {
 	// BlockAt returns the index-th appended block (replay order). The
 	// index is dense: Load replays blocks 0..n-1 and the next Append is
 	// block n.
 	BlockAt(index int) (Block, error)
+	// Close releases the store's resources. The Node calls it from
+	// Node.Close.
+	Close() error
 }
 
 // MemStore is the trivial Store: an in-memory slice. A node backed by

@@ -37,9 +37,9 @@ type Config struct {
 	MasterSeed uint64
 	// Workers bounds parallelism (default NumCPU).
 	Workers int
-	// SkipTiming disables the uarch model (functional metrics only),
-	// which is ~20x faster.
-	SkipTiming bool
+	// skipTiming disables the uarch model (functional metrics only),
+	// which is ~20x faster. Only tests set it.
+	skipTiming bool
 }
 
 func (c Config) withDefaults() Config {
@@ -96,7 +96,7 @@ func RunPopulation(cfg Config) (*Population, error) {
 		return nil, err
 	}
 	var ref *uarch.Report
-	if cfg.SkipTiming {
+	if cfg.skipTiming {
 		ref, err = uarch.MeasureFunctional(w.Name, refProg, vm.Params{})
 	} else {
 		ref, err = uarch.Measure(w.Name, refProg, uarch.IvyBridge(), vm.Params{})
@@ -147,7 +147,7 @@ func measureWidget(gen *perfprox.Generator, seed perfprox.Seed, prof *profile.Pr
 		return WidgetSample{}, err
 	}
 	var r *uarch.Report
-	if cfg.SkipTiming {
+	if cfg.skipTiming {
 		r, err = uarch.MeasureFunctional("widget", p, vm.Params{})
 	} else {
 		r, err = uarch.Measure("widget", p, uarch.IvyBridge(), vm.Params{})

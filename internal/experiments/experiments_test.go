@@ -74,7 +74,7 @@ func TestPopulationFigures(t *testing.T) {
 }
 
 func TestPopulationFunctionalOnly(t *testing.T) {
-	pop, err := RunPopulation(Config{N: 6, MasterSeed: 3, SkipTiming: true})
+	pop, err := RunPopulation(Config{N: 6, MasterSeed: 3, skipTiming: true})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -139,7 +139,7 @@ func TestMalformedPeerAccumulatesToBan(t *testing.T) {
 }
 
 func TestRateLimitedPeerIsPenalized(t *testing.T) {
-	m := hardenedManager(t, Config{MsgRate: 20, MsgBurst: 10})
+	m := hardenedManager(t, Config{MsgRate: 20})
 
 	wp, err := rawClient(t, m)
 	if err != nil {

@@ -46,12 +46,13 @@ type Config struct {
 	// SyncTimeout abandons an unanswered sync request and restarts the
 	// peer's sync from scratch. Default 30s.
 	SyncTimeout time.Duration
-	// HeadersPerPage bounds one requested header page. Default (and
-	// cap) MaxHeadersPerMsg.
-	HeadersPerPage int
-	// BlocksPerBatch bounds one body download batch — the sync engine's
-	// in-flight window. Default (and cap) MaxBlocksPerMsg.
-	BlocksPerBatch int
+	// headersPerPage bounds one requested header page. Default (and
+	// cap) MaxHeadersPerMsg; only tests make it smaller.
+	headersPerPage int
+	// blocksPerBatch bounds one body download batch — the sync engine's
+	// in-flight window. Default (and cap) MaxBlocksPerMsg; only tests
+	// make it smaller.
+	blocksPerBatch int
 	// WriteTimeout bounds one protocol write. Default 10s.
 	WriteTimeout time.Duration
 	// ReconnectWait and ReconnectMax shape the outbound dialer's
@@ -64,11 +65,9 @@ type Config struct {
 	HandshakeTimeout time.Duration
 	// MsgRate bounds each peer's inbound messages per second at the
 	// wire layer; a peer exceeding it is disconnected and penalized
-	// PointsRateLimited. Default 500 (bursts to MsgBurst); negative
+	// PointsRateLimited. Default 500 (bursts to 4x MsgRate); negative
 	// disables the limit.
 	MsgRate float64
-	// MsgBurst is the rate limiter's bucket depth. Default 4x MsgRate.
-	MsgBurst int
 	// BanThreshold is the misbehavior score at which a host is banned.
 	// Default 100 (one invalid block); negative disables scoring and
 	// bans entirely.
@@ -118,11 +117,11 @@ func (c *Config) fillDefaults() error {
 	if c.SyncTimeout <= 0 {
 		c.SyncTimeout = 30 * time.Second
 	}
-	if c.HeadersPerPage < 1 || c.HeadersPerPage > MaxHeadersPerMsg {
-		c.HeadersPerPage = MaxHeadersPerMsg
+	if c.headersPerPage < 1 || c.headersPerPage > MaxHeadersPerMsg {
+		c.headersPerPage = MaxHeadersPerMsg
 	}
-	if c.BlocksPerBatch < 1 || c.BlocksPerBatch > MaxBlocksPerMsg {
-		c.BlocksPerBatch = MaxBlocksPerMsg
+	if c.blocksPerBatch < 1 || c.blocksPerBatch > MaxBlocksPerMsg {
+		c.blocksPerBatch = MaxBlocksPerMsg
 	}
 	if c.WriteTimeout <= 0 {
 		c.WriteTimeout = 10 * time.Second
@@ -454,7 +453,6 @@ func (m *Manager) runPeer(nc net.Conn, name string, inbound bool) error {
 		PingInterval:     m.cfg.PingInterval,
 		HandshakeTimeout: m.cfg.HandshakeTimeout,
 		MsgRate:          m.cfg.MsgRate,
-		MsgBurst:         m.cfg.MsgBurst,
 	})
 	remote, err := wp.Handshake()
 	if inbound {

@@ -20,8 +20,8 @@ func newMeteredManager(t *testing.T, node *blockchain.Node) (*Manager, *telemetr
 		ListenAddr:     "127.0.0.1:0",
 		PingInterval:   50 * time.Millisecond,
 		SyncTimeout:    5 * time.Second,
-		HeadersPerPage: 8,
-		BlocksPerBatch: 4,
+		headersPerPage: 8,
+		blocksPerBatch: 4,
 		ReconnectWait:  50 * time.Millisecond,
 		Logf:           t.Logf,
 		Metrics:        reg,

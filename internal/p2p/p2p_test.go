@@ -75,8 +75,8 @@ func newManagerCfg(t *testing.T, node *blockchain.Node, ping time.Duration) *Man
 		ListenAddr:     "127.0.0.1:0",
 		PingInterval:   ping,
 		SyncTimeout:    5 * time.Second,
-		HeadersPerPage: 8,
-		BlocksPerBatch: 4,
+		headersPerPage: 8,
+		blocksPerBatch: 4,
 		ReconnectWait:  50 * time.Millisecond,
 		Logf:           t.Logf,
 	})

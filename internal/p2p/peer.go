@@ -256,7 +256,7 @@ func (p *peer) triggerSync() {
 // requestHeadersLocked sends the next getheaders. Caller holds p.mu.
 func (p *peer) requestHeadersLocked() error {
 	locator := p.m.node.Locator()
-	msg := GetHeadersMsg{Max: p.m.cfg.HeadersPerPage}
+	msg := GetHeadersMsg{Max: p.m.cfg.headersPerPage}
 	if p.anchor != nil {
 		msg.Locator = append(msg.Locator, hashToHex(*p.anchor))
 	}
@@ -271,7 +271,7 @@ func (p *peer) requestHeadersLocked() error {
 // requestBlocksLocked sends the next body batch from the want queue.
 // Caller holds p.mu.
 func (p *peer) requestBlocksLocked() error {
-	n := p.m.cfg.BlocksPerBatch
+	n := p.m.cfg.blocksPerBatch
 	if n > len(p.want) {
 		n = len(p.want)
 	}
@@ -350,7 +350,7 @@ func (p *peer) handleHeaders(msg HeadersMsg) error {
 		p.wantSet[id] = struct{}{}
 		p.want = append(p.want, id)
 	}
-	p.morePages = len(msg.Headers) == p.m.cfg.HeadersPerPage && !truncated
+	p.morePages = len(msg.Headers) == p.m.cfg.headersPerPage && !truncated
 	if truncated {
 		p.retrigger = true
 	}
@@ -399,7 +399,7 @@ func (p *peer) handleBlocks(msg BlocksMsg) error {
 	if p.state != syncBlocks {
 		return p.unsolicitedLocked("blocks")
 	}
-	n := p.m.cfg.BlocksPerBatch
+	n := p.m.cfg.blocksPerBatch
 	if n > len(p.want) {
 		n = len(p.want)
 	}

@@ -42,23 +42,16 @@ type ClientConfig struct {
 	// Workers is the mining parallelism handed to the RangeMiner.
 	// Default 1.
 	Workers int
-	// Reconnect makes Run survive transport failures: instead of
-	// returning the error it re-dials with exponential backoff and
-	// resubscribes, so a miner outlives a pool daemon restart. Off by
-	// default (Run reports the first transport failure, the historical
-	// behavior).
-	Reconnect bool
-	// ReconnectWait is the initial re-dial backoff, doubling up to
-	// reconnectMax. Default 1s.
-	ReconnectWait time.Duration
+	// reconnectWait is the initial re-dial backoff, doubling up to
+	// reconnectMax. Default 1s; only tests shorten it.
+	reconnectWait time.Duration
 	// OnJob, if set, observes every job notification (before mining
 	// starts on it).
 	OnJob func(JobNotify)
 	// OnResult, if set, observes every share verdict.
 	OnResult func(ShareResult)
 	// OnDisconnect, if set, observes every transport failure the
-	// reconnect loop is about to retry (never called when Reconnect is
-	// off).
+	// reconnect loop is about to retry.
 	OnDisconnect func(err error)
 }
 
@@ -95,8 +88,8 @@ func Dial(cfg ClientConfig, miner RangeMiner) (*Client, error) {
 	if cfg.Workers < 1 {
 		cfg.Workers = 1
 	}
-	if cfg.ReconnectWait <= 0 {
-		cfg.ReconnectWait = time.Second
+	if cfg.reconnectWait <= 0 {
+		cfg.reconnectWait = time.Second
 	}
 	conn, err := net.DialTimeout("tcp", cfg.Addr, dialTimeout)
 	if err != nil {
@@ -124,42 +117,36 @@ func (c *Client) current() *wire.Conn {
 	return c.conn
 }
 
-// Run subscribes and mines until ctx ends or the connection fails
-// unrecoverably. Without Reconnect it returns the first transport
-// failure (nil only for a context-initiated exit); with Reconnect it
-// re-dials with exponential backoff and resubscribes, returning only
-// when ctx ends. The current connection is always closed before
-// returning.
-func (c *Client) Run(ctx context.Context) error {
+// Run subscribes and mines until ctx ends. A transport failure does
+// not end it: Run re-dials with exponential backoff and resubscribes,
+// so a miner outlives a pool daemon restart. The current connection is
+// always closed before returning.
+func (c *Client) Run(ctx context.Context) {
 	conn := c.current()
 	for {
 		err := c.runConn(ctx, conn)
 		conn.Close()
 		if ctx.Err() != nil {
-			return nil
-		}
-		if !c.cfg.Reconnect {
-			return err
+			return
 		}
 		if c.cfg.OnDisconnect != nil {
 			c.cfg.OnDisconnect(err)
 		}
-		conn, err = c.redial(ctx)
-		if err != nil {
-			return nil // only reachable via ctx cancellation
+		if conn = c.redial(ctx); conn == nil {
+			return // ctx ended while re-dialing
 		}
 		c.reconnects.Add(1)
 	}
 }
 
 // redial re-establishes the connection with exponential backoff, giving
-// up only when ctx ends.
-func (c *Client) redial(ctx context.Context) (*wire.Conn, error) {
-	backoff := wire.NewBackoff(c.cfg.ReconnectWait, reconnectMax)
+// up (nil) only when ctx ends.
+func (c *Client) redial(ctx context.Context) *wire.Conn {
+	backoff := wire.NewBackoff(c.cfg.reconnectWait, reconnectMax)
 	for {
 		select {
 		case <-ctx.Done():
-			return nil, ctx.Err()
+			return nil
 		case <-time.After(backoff.Next()):
 		}
 		nc, err := net.DialTimeout("tcp", c.cfg.Addr, dialTimeout)
@@ -168,7 +155,7 @@ func (c *Client) redial(ctx context.Context) (*wire.Conn, error) {
 			c.mu.Lock()
 			c.conn = conn
 			c.mu.Unlock()
-			return conn, nil
+			return conn
 		}
 	}
 }

@@ -38,7 +38,7 @@ func newReconnectServer(t *testing.T, addr string) *Server {
 }
 
 // TestClientReconnectSurvivesServerRestart kills the pool daemon under a
-// Reconnect-enabled client and restarts it on the same address: the
+// client and restarts it on the same address: the
 // client must re-dial with backoff, resubscribe, and receive a job from
 // the new server instance instead of dying with the dropped connection.
 func TestClientReconnectSurvivesServerRestart(t *testing.T) {
@@ -49,8 +49,7 @@ func TestClientReconnectSurvivesServerRestart(t *testing.T) {
 	client, err := Dial(ClientConfig{
 		Addr:          addr,
 		MinerName:     "phoenix",
-		Reconnect:     true,
-		ReconnectWait: 20 * time.Millisecond,
+		reconnectWait: 20 * time.Millisecond,
 		OnDisconnect:  func(err error) { disconnects <- err },
 	}, blockingMiner{})
 	if err != nil {
@@ -58,8 +57,8 @@ func TestClientReconnectSurvivesServerRestart(t *testing.T) {
 	}
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
-	clientDone := make(chan error, 1)
-	go func() { clientDone <- client.Run(ctx) }()
+	clientDone := make(chan struct{})
+	go func() { client.Run(ctx); close(clientDone) }()
 
 	waitFor := func(desc string, cond func() bool) {
 		t.Helper()
@@ -69,8 +68,8 @@ func TestClientReconnectSurvivesServerRestart(t *testing.T) {
 				t.Fatalf("timeout waiting for %s (stats %+v)", desc, client.Stats())
 			}
 			select {
-			case err := <-clientDone:
-				t.Fatalf("client exited while waiting for %s: %v", desc, err)
+			case <-clientDone:
+				t.Fatalf("client exited while waiting for %s", desc)
 			case <-time.After(10 * time.Millisecond):
 			}
 		}
@@ -87,8 +86,8 @@ func TestClientReconnectSurvivesServerRestart(t *testing.T) {
 	shutdownCancel()
 	select {
 	case <-disconnects:
-	case err := <-clientDone:
-		t.Fatalf("client died instead of reconnecting: %v", err)
+	case <-clientDone:
+		t.Fatal("client died instead of reconnecting")
 	case <-time.After(30 * time.Second):
 		t.Fatal("no disconnect observed after server shutdown")
 	}
@@ -107,45 +106,8 @@ func TestClientReconnectSurvivesServerRestart(t *testing.T) {
 
 	cancel()
 	select {
-	case err := <-clientDone:
-		if err != nil {
-			t.Fatalf("client exit after cancel: %v", err)
-		}
+	case <-clientDone:
 	case <-time.After(30 * time.Second):
 		t.Fatal("client did not exit on context cancel")
-	}
-}
-
-// TestClientNoReconnectDiesOnDrop pins the historical default: without
-// Reconnect, a dropped server connection ends Run with the transport
-// error.
-func TestClientNoReconnectDiesOnDrop(t *testing.T) {
-	srv := newReconnectServer(t, "127.0.0.1:0")
-	client, err := Dial(ClientConfig{Addr: srv.Addr()}, blockingMiner{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	clientDone := make(chan error, 1)
-	go func() { clientDone <- client.Run(context.Background()) }()
-
-	deadline := time.Now().Add(30 * time.Second)
-	for client.Stats().Jobs == 0 {
-		if time.Now().After(deadline) {
-			t.Fatal("no job before shutdown")
-		}
-		time.Sleep(5 * time.Millisecond)
-	}
-	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
-	defer cancel()
-	if err := srv.Shutdown(ctx); err != nil {
-		t.Fatal(err)
-	}
-	select {
-	case err := <-clientDone:
-		if err == nil {
-			t.Fatal("Run returned nil after a dropped connection without Reconnect")
-		}
-	case <-time.After(30 * time.Second):
-		t.Fatal("client did not exit after server shutdown")
 	}
 }

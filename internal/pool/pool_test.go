@@ -18,7 +18,8 @@ import (
 )
 
 // stubSource is a TemplateSource over a fixed difficulty, bumping the
-// template timestamp per call like a real chain source would.
+// template timestamp per call like a real chain source would, and
+// announcing every accepted block to its tip subscribers.
 type stubSource struct {
 	mu        sync.Mutex
 	bits      uint32
@@ -26,6 +27,7 @@ type stubSource struct {
 	time      uint64
 	submitted []blockchain.Header
 	submitErr error
+	subs      []chan blockchain.TipEvent
 }
 
 func (s *stubSource) Template() (blockchain.Header, int, error) {
@@ -42,7 +44,31 @@ func (s *stubSource) SubmitBlock(h blockchain.Header) error {
 		return s.submitErr
 	}
 	s.submitted = append(s.submitted, h)
+	for _, ch := range s.subs {
+		select {
+		case ch <- blockchain.TipEvent{Height: s.height}:
+		default: // a pending event already asks for the clean job
+		}
+	}
 	return nil
+}
+
+func (s *stubSource) SubscribeTips(buffer int) (<-chan blockchain.TipEvent, func()) {
+	ch := make(chan blockchain.TipEvent, max(buffer, 1))
+	s.mu.Lock()
+	s.subs = append(s.subs, ch)
+	s.mu.Unlock()
+	return ch, func() {
+		s.mu.Lock()
+		defer s.mu.Unlock()
+		for i, c := range s.subs {
+			if c == ch {
+				s.subs = append(s.subs[:i], s.subs[i+1:]...)
+				close(ch)
+				return
+			}
+		}
+	}
 }
 
 func (s *stubSource) blocks() int {

@@ -119,11 +119,6 @@ type Server struct {
 	reg      *telemetry.Registry
 	met      *poolMetrics
 
-	// watcher is non-nil when src can push tip-change events; the
-	// server then reacts to reorgs and competing blocks with an
-	// immediate clean job instead of relying on timer polling.
-	watcher TipWatcher
-
 	ln net.Listener
 
 	mu       sync.Mutex
@@ -156,9 +151,6 @@ func NewServer(cfg Config, hasher Hasher, src TemplateSource) (*Server, error) {
 		acct:   NewAccounting(),
 		conns:  make(map[*serverConn]struct{}),
 		quit:   make(chan struct{}),
-	}
-	if w, ok := src.(TipWatcher); ok {
-		s.watcher = w
 	}
 	validator := NewShareValidator(jm, s.seen, s.acct, s.onBlock)
 	s.pipe = NewPipeline(validator, hasher, cfg.VerifyWorkers, cfg.QueueDepth)
@@ -202,11 +194,9 @@ func (s *Server) Start() error {
 		s.wg.Add(1)
 		go s.refreshLoop()
 	}
-	if s.watcher != nil {
-		events, cancel := s.watcher.SubscribeTips(16)
-		s.wg.Add(1)
-		go s.tipLoop(events, cancel)
-	}
+	events, cancel := s.src.SubscribeTips(16)
+	s.wg.Add(1)
+	go s.tipLoop(events, cancel)
 	s.cfg.Logf("pool %q serving %s on %s (share bits %#x, %d verify shards)",
 		s.cfg.PoolName, s.hasher.Name(), ln.Addr(), s.cfg.ShareBits, s.cfg.VerifyWorkers)
 	return nil
@@ -412,11 +402,9 @@ func (s *Server) tipLoop(events <-chan blockchain.TipEvent, cancel func()) {
 	}
 }
 
-// onBlock runs on a verification worker when a share solves a block:
-// submit it upstream, then cut a clean job on the new tip. With an
-// event-driven source the submission itself triggers a tip event and
-// tipLoop cuts the clean job; the explicit refresh here is only the
-// fallback for sources that cannot push tip changes.
+// onBlock runs on a verification worker when a share solves a block and
+// submits it upstream. The accepted block moves the source's tip, and
+// tipLoop cuts the clean job on the new tip from that event.
 func (s *Server) onBlock(job *Job, digest [32]byte, nonce uint64) {
 	header := job.Header
 	header.Nonce = nonce
@@ -427,12 +415,6 @@ func (s *Server) onBlock(job *Job, digest [32]byte, nonce uint64) {
 	s.met.blocks.Inc()
 	s.cfg.Logf("pool: block solved at height %d (job %s nonce %d digest %x…)",
 		job.Height, job.ID, nonce, digest[:8])
-	if s.watcher != nil {
-		return
-	}
-	if err := s.RefreshNow(true); err != nil {
-		s.cfg.Logf("pool: job refresh after block: %v", err)
-	}
 }
 
 // fanoutTrack follows one broadcast across the per-conn writers: the

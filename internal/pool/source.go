@@ -9,8 +9,9 @@ import (
 	"hashcore/internal/blockchain"
 )
 
-// TemplateSource supplies block templates for jobs and accepts solved
-// blocks back. Implementations must be safe for concurrent use.
+// TemplateSource supplies block templates for jobs, accepts solved
+// blocks back and announces every tip change. Implementations must be
+// safe for concurrent use.
 type TemplateSource interface {
 	// Template returns a header for the next block with a zero nonce,
 	// plus the height that block would occupy. Every call must return a
@@ -21,20 +22,15 @@ type TemplateSource interface {
 	// SubmitBlock submits a header whose PoW meets its own Bits. The
 	// source reattaches the transactions it committed to in Template.
 	SubmitBlock(h blockchain.Header) error
-}
-
-// TipWatcher is optionally implemented by template sources backed by a
-// live consensus node. The server subscribes and reacts to every tip
-// change — a solved block, a competing miner's block, a reorg — with an
-// immediate clean job instead of waiting for a poll interval.
-type TipWatcher interface {
-	// SubscribeTips registers for tip-change events; the cancel function
-	// unregisters and closes the channel.
+	// SubscribeTips registers for tip-change events — a solved block, a
+	// competing miner's block, a reorg — which the server answers with
+	// an immediate clean job. The cancel function unregisters and closes
+	// the channel.
 	SubscribeTips(buffer int) (<-chan blockchain.TipEvent, func())
 }
 
-// ChainSource adapts a blockchain.Node into a TemplateSource +
-// TipWatcher. Templates commit to a single synthetic coinbase
+// ChainSource adapts a blockchain.Node into a TemplateSource.
+// Templates commit to a single synthetic coinbase
 // transaction tagged with the pool name, height and a monotonic
 // extranonce; the transactions behind each Merkle root are retained
 // (bounded) so solved headers can be reassembled into full blocks.

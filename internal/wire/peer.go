@@ -51,12 +51,12 @@ type PeerConfig struct {
 	// PingInterval is the keepalive period. Default 15s; negative
 	// disables pings (tests).
 	PingInterval time.Duration
-	// IdleTimeout drops the session when nothing arrives for this long.
+	// idleTimeout drops the session when nothing arrives for this long.
 	// It is a per-read deadline, so it must also comfortably exceed the
 	// transfer time of the largest single message the protocol can
-	// carry. Default 4x the ping interval (or 60s when pings are
-	// disabled).
-	IdleTimeout time.Duration
+	// carry. Always 4x the ping interval (or 60s when pings are
+	// disabled); only tests shorten it.
+	idleTimeout time.Duration
 	// HandshakeTimeout bounds the hello exchange. Default 10s.
 	HandshakeTimeout time.Duration
 	// MsgRate bounds inbound messages per second (every frame counts,
@@ -64,9 +64,9 @@ type PeerConfig struct {
 	// exceeding it ends the session with ErrRateLimited. Zero disables
 	// the limit (the historical behavior).
 	MsgRate float64
-	// MsgBurst is the rate limiter's bucket depth: how far above MsgRate
-	// a short burst may go. Default 4x MsgRate.
-	MsgBurst int
+	// msgBurst is the rate limiter's bucket depth: how far above MsgRate
+	// a short burst may go. 4x MsgRate unless a test sets it.
+	msgBurst int
 }
 
 // DefaultPingInterval is the keepalive period when PeerConfig leaves it
@@ -77,18 +77,18 @@ func (c *PeerConfig) fillDefaults() {
 	if c.PingInterval == 0 {
 		c.PingInterval = DefaultPingInterval
 	}
-	if c.IdleTimeout <= 0 {
+	if c.idleTimeout <= 0 {
 		if c.PingInterval > 0 {
-			c.IdleTimeout = 4 * c.PingInterval
+			c.idleTimeout = 4 * c.PingInterval
 		} else {
-			c.IdleTimeout = time.Minute
+			c.idleTimeout = time.Minute
 		}
 	}
 	if c.HandshakeTimeout <= 0 {
 		c.HandshakeTimeout = 10 * time.Second
 	}
-	if c.MsgRate > 0 && c.MsgBurst < 1 {
-		c.MsgBurst = int(4 * c.MsgRate)
+	if c.MsgRate > 0 && c.msgBurst < 1 {
+		c.msgBurst = int(4 * c.MsgRate)
 	}
 }
 
@@ -121,7 +121,7 @@ func NewPeer(nc net.Conn, cfg PeerConfig) *Peer {
 		quit: make(chan struct{}),
 	}
 	if cfg.MsgRate > 0 {
-		p.limiter = NewTokenBucket(cfg.MsgRate, cfg.MsgBurst)
+		p.limiter = NewTokenBucket(cfg.MsgRate, cfg.msgBurst)
 	}
 	return p
 }
@@ -205,7 +205,7 @@ func (p *Peer) Run(handler func(Envelope) error) error {
 	defer p.closeQuit()
 
 	for {
-		_ = p.conn.SetReadDeadline(time.Now().Add(p.cfg.IdleTimeout))
+		_ = p.conn.SetReadDeadline(time.Now().Add(p.cfg.idleTimeout))
 		line, err := p.conn.ReadLine()
 		if err != nil {
 			if p.closing.Load() {

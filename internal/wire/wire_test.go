@@ -229,8 +229,8 @@ func TestPeerPingKeepsIdleSessionAlive(t *testing.T) {
 	// session alive; with pings disabled on both sides the same session
 	// idles out.
 	pa, pb := peerPair(t,
-		PeerConfig{PingInterval: 20 * time.Millisecond, IdleTimeout: 300 * time.Millisecond},
-		PeerConfig{PingInterval: 20 * time.Millisecond, IdleTimeout: 300 * time.Millisecond},
+		PeerConfig{PingInterval: 20 * time.Millisecond, idleTimeout: 300 * time.Millisecond},
+		PeerConfig{PingInterval: 20 * time.Millisecond, idleTimeout: 300 * time.Millisecond},
 	)
 	done := make(chan error, 2)
 	go func() { done <- pa.Run(func(Envelope) error { return nil }) }()
@@ -248,7 +248,7 @@ func TestPeerPingKeepsIdleSessionAlive(t *testing.T) {
 func TestPeerIdleTimeout(t *testing.T) {
 	_, pb := peerPair(t,
 		PeerConfig{PingInterval: -1},
-		PeerConfig{PingInterval: -1, IdleTimeout: 50 * time.Millisecond},
+		PeerConfig{PingInterval: -1, idleTimeout: 50 * time.Millisecond},
 	)
 	done := make(chan error, 1)
 	go func() { done <- pb.Run(func(Envelope) error { return nil }) }()
@@ -361,7 +361,7 @@ func TestTokenBucket(t *testing.T) {
 func TestPeerRateLimitEndsFloodingSession(t *testing.T) {
 	pa, pb := peerPair(t,
 		PeerConfig{PingInterval: -1},
-		PeerConfig{PingInterval: -1, MsgRate: 50, MsgBurst: 10},
+		PeerConfig{PingInterval: -1, MsgRate: 50, msgBurst: 10},
 	)
 	done := make(chan error, 1)
 	go func() { done <- pb.Run(func(Envelope) error { return nil }) }()
