@@ -7,6 +7,7 @@ import (
 	"hashcore/internal/uarch"
 	"hashcore/internal/vm"
 	"hashcore/internal/workload"
+	"hashcore/internal/workload/refprog"
 )
 
 // TestDiagnosticCacheBehaviour logs the full memory/branch picture for the
@@ -16,7 +17,7 @@ func TestDiagnosticCacheBehaviour(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	refProg, err := w.Build()
+	refProg, err := refprog.Build(w.Name)
 	if err != nil {
 		t.Fatal(err)
 	}

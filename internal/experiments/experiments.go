@@ -24,6 +24,7 @@ import (
 	"hashcore/internal/uarch"
 	"hashcore/internal/vm"
 	"hashcore/internal/workload"
+	"hashcore/internal/workload/refprog"
 )
 
 // Config parameterizes a population run.
@@ -91,7 +92,7 @@ func RunPopulation(cfg Config) (*Population, error) {
 	}
 
 	// Reference measurement (the "original workload" lines in Figs 2-3).
-	refProg, err := w.Build()
+	refProg, err := refprog.Build(w.Name)
 	if err != nil {
 		return nil, err
 	}

@@ -22,6 +22,7 @@ import (
 	"hashcore/internal/isa"
 	"hashcore/internal/prog"
 	"hashcore/internal/rng"
+	"hashcore/internal/workload/refprog"
 )
 
 // twoBlockProgram is MovI r0,7; MovI r9,5; Add r2,r0,r9; Jmp b1 / Halt:
@@ -379,7 +380,7 @@ func TestArenaIsTheMapping(t *testing.T) {
 // registers, as the builder counts them in Program.Uses, get hardware
 // registers, ties going to the lower index.
 func TestAllocRegsPinsMostUsed(t *testing.T) {
-	b := prog.NewBuilder(prog.MinMemSize, 0)
+	b := refprog.NewBuilder(prog.MinMemSize, 0)
 	b.NewBlock()
 	for r := uint8(8); r < 14; r++ { // six heavy users among the high registers
 		for i := 0; i < 5; i++ {

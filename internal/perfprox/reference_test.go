@@ -11,14 +11,15 @@ import (
 	"hashcore/internal/prog"
 	"hashcore/internal/rng"
 	"hashcore/internal/workload"
+	"hashcore/internal/workload/refprog"
 )
 
 // The reference generator, a test-only oracle in the way vm keeps its
 // dense executor: the straightforward pipeline the flat emit loop
 // (emit.go) must reproduce — planning, emitBody, emitDiamond, the
 // emitFiller call tree, one rng method call per draw — with its
-// package-level names prefixed "ref", writing through prog.Builder's
-// checked Emit. TestGenerateMatchesReference and FuzzGenerateVsReference
+// package-level names prefixed "ref", writing through one refprog.Builder
+// per program, whose Build runs prog.Validate. TestGenerateMatchesReference and FuzzGenerateVsReference
 // hold the generator to it instruction for instruction.
 
 // referenceGenerate is GenerateInto on the reference pipeline, with a
@@ -34,11 +35,10 @@ func referenceGenerate(prof *profile.Profile, params Params, seed Seed) (*prog.P
 }
 
 // refGenState carries all mutable state for one widget generation. It is
-// fully re-initialized by reset, so the same
-// value can drive any number of generations; the PRNGs, budgets and
-// recency rings are fixed-size values (no maps, no per-generation
-// allocation — per-class state is indexed arrays, which also keeps the
-// emission loop free of map-hashing overhead).
+// fully re-initialized by reset, so the same value can drive any number of
+// generations; the PRNGs, budgets and recency rings are fixed-size values
+// (per-class state is indexed arrays, which keeps the emission loop free
+// of map-hashing overhead).
 type refGenState struct {
 	prof   *profile.Profile
 	params Params
@@ -48,7 +48,7 @@ type refGenState struct {
 	mem       rng.Xoshiro256 // memory pattern decisions
 	branchRng rng.Xoshiro256 // branch behaviour decisions
 
-	b prog.Builder
+	b *refprog.Builder
 
 	// Per-iteration static budgets by class (branch handled separately),
 	// the one-time residuals, and the emitBody working copy.
@@ -88,11 +88,10 @@ type refGenState struct {
 	// Reusable emission scratch (capacity retained across generations).
 	kinds      []refDiamondKind
 	armClasses []isa.Class
-	out        prog.Program
 }
 
-// reset re-initializes every generation-scoped field; storage-bearing
-// fields (builder, kinds, armClasses, out) keep their capacity.
+// reset re-initializes every generation-scoped field; the scratch slices
+// (kinds, armClasses) keep their capacity.
 func (st *refGenState) reset(prof *profile.Profile, params Params, fields Fields) {
 	st.prof = prof
 	st.params = params
@@ -122,16 +121,13 @@ func (st *refGenState) run() (*prog.Program, error) {
 	}
 	st.planMemory()
 
-	st.b.Reset(st.prof.WorkingSet, st.memSeed())
+	st.b = refprog.NewBuilder(st.prof.WorkingSet, st.memSeed())
 	st.b.NewBlock() // entry; falls through to the loop head
 	st.emitEntry()
 	if err := st.emitBody(); err != nil {
 		return nil, err
 	}
-	if err := st.b.BuildInto(&st.out); err != nil {
-		return nil, err
-	}
-	return &st.out, nil
+	return st.b.Build()
 }
 
 // memSeed expands the 32-bit memory field into the 64-bit scratch-memory
@@ -272,14 +268,14 @@ var refFillerClasses = [...]isa.Class{
 // cur tracks the block currently being emitted into; refGenState.emit* keep it
 // up to date.
 type refEmitCtx struct {
-	cur prog.Label
+	cur refprog.Label
 }
 
 // emitEntry writes the initialization block: register pools, role
 // registers, residual instructions (class budget remainders that do not
 // divide evenly by the trip count), then falls through to the body.
 func (st *refGenState) emitEntry() {
-	b := &st.b
+	b := st.b
 	b.MovI(regCounter, int64(st.params.LoopTrips))
 	b.MovI(regZero, 0)
 	b.MovI(regMask, 255)
@@ -319,7 +315,7 @@ func (st *refGenState) emitEntry() {
 // blocks, diamonds spread evenly through the stream, then the bookkeeping
 // tail and the exit block.
 func (st *refGenState) emitBody() error {
-	b := &st.b
+	b := st.b
 
 	// Working copies of the per-iteration budgets for filler classes.
 	st.work = [isa.NumClasses]int{}
@@ -451,7 +447,7 @@ func (st *refGenState) pickClass(total int) isa.Class {
 // arms with identical class multisets, so the dynamic instruction counts
 // are independent of the branch direction.
 func (st *refGenState) emitDiamond(ctx *refEmitCtx, kind refDiamondKind, totalFiller *int) {
-	b := &st.b
+	b := st.b
 
 	// Draw the arm's class multiset from the remaining budgets.
 	armLen := armSize

@@ -5,7 +5,7 @@ import "encoding/binary"
 // Binary widget format (HCW1), the canonical byte form of a program. It is
 // write-only: selection.Pool.StorageBytes counts it and tests compare and
 // pin programs by it, but nothing parses it back. No program enters from
-// outside the process: the generator and prog.Builder make them all.
+// outside the process: the generator and refprog.Builder make them all.
 //
 //	magic   [4]byte  "HCW1"
 //	memSize uint32   log2 of memory size

@@ -2,13 +2,14 @@
 // program shape. A Program is every instruction of every basic block in
 // one slice, a block table that cuts that slice into straight-line blocks
 // connected by block-indexed control flow, and a scratch-memory
-// declaration. It is written once — by the widget generator, or through a
-// Builder — and the interpreter, the native compiler and the test oracle
-// all read it in place: there is no second, decoded form. The package
-// also provides structural validation (what makes a program safe to
-// execute without per-instruction bound checks), the program's assembly
-// text (Disassemble; package asm parses it back) and a compact binary
-// serialization (which widget pools count).
+// declaration. It is written once — by the widget generator, or through
+// refprog.Builder (the reference programs, randomxlite and tests) — and
+// the interpreter, the native compiler and the test oracle all read it in
+// place: there is no second, decoded form. The package also provides
+// structural validation (what makes a program safe to execute without
+// per-instruction bound checks), the program's text form (Disassemble, a
+// view nothing parses back) and a compact binary serialization (which
+// widget pools count).
 package prog
 
 import (
@@ -37,8 +38,9 @@ const (
 // every other instruction, halt included.
 //
 // Class is derived: it is Op.ClassOf(). Whoever writes the program fills
-// it (Builder, whatever the caller put there, or the widget generator's
-// emit loop) and Validate checks it, so readers never recompute it.
+// it (refprog.Builder, whatever the caller put there, or the widget
+// generator's emit loop) and Validate checks it, so readers never
+// recompute it.
 //
 // The record packs into 24 bytes.
 type Instr struct {
@@ -63,15 +65,13 @@ type Block struct {
 // in block order, Blocks cuts it up (block i is Code[Start:Start+Len], and
 // the blocks tile Code without gaps), and execution starts at block 0.
 // MemSize must be a power of two in [MinMemSize, MaxMemSize]; MemSeed
-// deterministically defines the scratch memory contents. A program built
-// through a reused Builder aliases the builder's storage until its next
-// Reset.
+// deterministically defines the scratch memory contents.
 //
 // Uses is derived, like Instr.Class: Uses[r] is how many operand fields of
 // Code name integer register r (the native compiler pins the most-used
-// ones to hardware registers). Whoever writes Code fills it — Builder's
-// Emit, or the widget generator's emit loop, which touches every operand
-// anyway — and Validate checks it.
+// ones to hardware registers). Whoever writes Code fills it — the widget
+// generator's emit loop, which touches every operand anyway, or
+// refprog.Builder's Build through CountUses — and Validate checks it.
 type Program struct {
 	Code    []Instr
 	Blocks  []Block
@@ -175,9 +175,18 @@ func (p *Program) Validate() error {
 	return checkHalts(term, haveHalt)
 }
 
+// CountUses returns the Uses that code derives: how many operand fields
+// name each integer register. Validate counts the same way.
+func CountUses(code []Instr) (uses [isa.NumIntRegs]uint32) {
+	for _, ins := range code {
+		countUses(&uses, ins, isa.MetaOf(ins.Op))
+	}
+	return uses
+}
+
 // countUses adds the integer registers ins names (its opcode's table entry
-// is meta) to uses. The operands are in range: past Validate's or Emit's
-// register check.
+// is meta) to uses. Register indices are masked into range, so an operand
+// Validate would reject still counts somewhere rather than panicking.
 func countUses(uses *[isa.NumIntRegs]uint32, ins Instr, meta isa.OpMeta) {
 	dst, a, b := meta.Files()
 	uses[ins.Dst&(isa.NumIntRegs-1)] += b2u(dst == isa.RegInt)
@@ -198,9 +207,9 @@ func takesTarget(op isa.Opcode, meta isa.OpMeta) bool {
 	return meta&isa.MetaControl != 0 && op != isa.OpHalt
 }
 
-// checkHalts is the end-of-program rule Validate and Builder share. The
-// last block (its terminator is lastTerm, OpInvalid if it has none) must
-// not fall through off the end of the program — not even conditionally: a
+// checkHalts is Validate's end-of-program rule. The last block (its
+// terminator is lastTerm, OpInvalid if it has none) must not fall through
+// off the end of the program — not even conditionally: a
 // last block terminated by a conditional branch would fall off the end
 // whenever the branch is not taken, so only the unconditional terminators
 // (halt, jmp) are acceptable. And some block must halt.

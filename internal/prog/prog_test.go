@@ -2,7 +2,6 @@ package prog
 
 import (
 	"errors"
-	"slices"
 	"testing"
 	"unsafe"
 
@@ -12,19 +11,15 @@ import (
 // tinyValid returns a minimal valid program: one block computing a bit and
 // halting.
 func tinyValid() *Program {
-	b := NewBuilder(DefaultMemSize, 1)
-	b.NewBlock()
-	b.MovI(1, 42)
-	b.Op3(isa.OpAdd, 2, 1, 1)
-	b.Halt()
-	return b.MustBuild()
+	return HandBuilt(DefaultMemSize,
+		[]Instr{{Op: isa.OpMovI, Dst: 1, Imm: 42}, {Op: isa.OpAdd, Dst: 2, A: 1, B: 1}, {Op: isa.OpHalt}})
 }
 
-// handBuilt lays a program out from its blocks' instructions without the
-// Builder: the tests' own derivation of the block table, Class and Uses, so
-// that Validate and the Builder are each checked against something other
-// than themselves.
-func handBuilt(memSize int, blocks ...[]Instr) *Program {
+// HandBuilt lays a program out from its blocks' instructions: the tests'
+// own derivation of the block table, Class and Uses, so that Validate and
+// refprog.Builder (builder_test.go) are each checked against something
+// other than themselves.
+func HandBuilt(memSize int, blocks ...[]Instr) *Program {
 	p := &Program{MemSize: memSize}
 	for _, instrs := range blocks {
 		p.Blocks = append(p.Blocks, Block{Start: uint32(len(p.Code)), Len: uint32(len(instrs))})
@@ -134,126 +129,13 @@ func TestValidateRejections(t *testing.T) {
 	}
 }
 
-func TestBuilderErrors(t *testing.T) {
-	t.Run("emit before block", func(t *testing.T) {
-		b := NewBuilder(DefaultMemSize, 0)
-		b.MovI(0, 1)
-		if _, err := b.Build(); err == nil {
-			t.Fatal("expected error for Emit before NewBlock")
-		}
-	})
-	t.Run("branch with non-branch opcode", func(t *testing.T) {
-		b := NewBuilder(DefaultMemSize, 0)
-		l := b.NewBlock()
-		b.Branch(isa.OpAdd, 0, 0, l)
-		if _, err := b.Build(); err == nil {
-			t.Fatal("expected error for Branch(OpAdd)")
-		}
-	})
-	t.Run("target on a non-branch", func(t *testing.T) {
-		b := NewBuilder(DefaultMemSize, 0)
-		b.NewBlock()
-		b.Emit(Instr{Op: isa.OpAdd, Target: 1})
-		b.Halt()
-		if _, err := b.Build(); !errors.Is(err, ErrBadTarget) {
-			t.Fatalf("Build = %v, want ErrBadTarget", err)
-		}
-	})
-	t.Run("setblock out of range", func(t *testing.T) {
-		b := NewBuilder(DefaultMemSize, 0)
-		b.NewBlock()
-		b.SetBlock(5)
-		if _, err := b.Build(); err == nil {
-			t.Fatal("expected error for SetBlock out of range")
-		}
-	})
-}
-
-func TestBuilderMultiBlockControlFlow(t *testing.T) {
-	b := NewBuilder(DefaultMemSize, 7)
-	entry := b.NewBlock()
-	body := b.NewBlock()
-	exit := b.NewBlock()
-
-	b.SetBlock(entry)
-	b.MovI(1, 10)
-	b.Jmp(body)
-
-	b.SetBlock(body)
-	b.AddI(1, 1, -1)
-	b.MovI(2, 0)
-	b.Branch(isa.OpBne, 1, 2, body)
-
-	b.SetBlock(exit)
-	b.Halt()
-
-	p, err := b.Build()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(p.Blocks) != 3 {
-		t.Fatalf("got %d blocks, want 3", len(p.Blocks))
-	}
-	if got := p.NumInstrs(); got != 6 {
-		t.Errorf("NumInstrs = %d, want 6", got)
-	}
-	// The body's branch: block index in Target.
-	term := p.Instrs(1)[2]
-	if term.Op != isa.OpBne || Label(term.Target) != body {
-		t.Fatalf("body terminator = %+v", term)
-	}
-	want := handBuilt(DefaultMemSize,
-		[]Instr{{Op: isa.OpMovI, Dst: 1, Imm: 10}, {Op: isa.OpJmp, Target: 1}},
-		[]Instr{{Op: isa.OpAddI, Dst: 1, A: 1, Imm: -1}, {Op: isa.OpMovI, Dst: 2}, {Op: isa.OpBne, A: 1, B: 2, Target: 1}},
-		[]Instr{{Op: isa.OpHalt}})
-	if !slices.Equal(p.Code, want.Code) || !slices.Equal(p.Blocks, want.Blocks) {
-		t.Errorf("built\n %+v\n %+v\nwant\n %+v\n %+v", p.Code, p.Blocks, want.Code, want.Blocks)
-	}
-}
-
-func TestBuilderFillsBlockStats(t *testing.T) {
-	b := NewBuilder(MinMemSize, 7)
-	entry := b.NewBlock()
-	body := b.NewBlock()
-	b.SetBlock(entry)
-	b.MovI(1, 5)
-	b.Op3(isa.OpMul, 2, 1, 1)
-	b.Load(3, 1, 8)
-	b.Jmp(body)
-	b.SetBlock(body)
-	b.Op3(isa.OpFAdd, 1, 0, 0)
-	b.Store(1, 2, 0)
-	b.Halt()
-	p, err := b.Build()
-	if err != nil {
-		t.Fatal(err)
-	}
-	// The block table must equal an independent recomputation.
-	want := handBuilt(MinMemSize,
-		[]Instr{{Op: isa.OpMovI, Dst: 1, Imm: 5}, {Op: isa.OpMul, Dst: 2, A: 1, B: 1}, {Op: isa.OpLoad, Dst: 3, A: 1, Imm: 8}, {Op: isa.OpJmp, Target: 1}},
-		[]Instr{{Op: isa.OpFAdd, Dst: 1}, {Op: isa.OpStore, A: 1, B: 2}, {Op: isa.OpHalt}})
-	if !slices.Equal(p.Blocks, want.Blocks) || !slices.Equal(p.Code, want.Code) {
-		t.Errorf("builder wrote\n %+v\n %+v\nrecomputed\n %+v\n %+v", p.Blocks, p.Code, want.Blocks, want.Code)
-	}
-	if e := p.Blocks[0]; e.Start != 0 || e.Len != 4 {
-		t.Errorf("entry block wrong: %+v", e)
-	}
-	if e := p.Blocks[1]; e.Start != 4 || e.Len != 3 {
-		t.Errorf("body block wrong: %+v", e)
-	}
-}
-
 // TestValidateRejectsLyingStats: every derived field of a validated
 // program can be trusted, so each one, when it lies, must fail Validate.
 func TestValidateRejectsLyingStats(t *testing.T) {
 	build := func() *Program {
-		b := NewBuilder(MinMemSize, 7)
-		b.NewBlock()
-		b.MovI(1, 5)
-		b.Jmp(1)
-		b.NewBlock()
-		b.Halt()
-		return b.MustBuild()
+		return HandBuilt(MinMemSize,
+			[]Instr{{Op: isa.OpMovI, Dst: 1, Imm: 5}, {Op: isa.OpJmp, Target: 1}},
+			[]Instr{{Op: isa.OpHalt}})
 	}
 	if err := build().Validate(); err != nil {
 		t.Fatalf("valid program rejected: %v", err)
@@ -286,37 +168,10 @@ func TestValidateRejectsLyingStats(t *testing.T) {
 	}
 }
 
-func TestBuilderResetInvalidatesStats(t *testing.T) {
-	b := NewBuilder(MinMemSize, 1)
-	b.NewBlock()
-	b.MovI(1, 2)
-	b.Halt()
-	var out Program
-	if err := b.BuildInto(&out); err != nil {
-		t.Fatal(err)
-	}
-	first := out.Blocks[0]
-
-	b.Reset(MinMemSize, 2)
-	b.NewBlock()
-	b.Op3(isa.OpFAdd, 1, 0, 0)
-	b.Op3(isa.OpFMul, 2, 1, 1)
-	b.Halt()
-	if err := b.BuildInto(&out); err != nil {
-		t.Fatal(err)
-	}
-	if got := out.Blocks[0]; got.Len != 3 || out.Code[0].Class != isa.ClassFPALU || out.Code[1].Class != isa.ClassFPALU {
-		t.Errorf("rebuilt block wrong: %+v (previous %+v)", got, first)
-	}
-	if err := out.Validate(); err != nil {
-		t.Errorf("rebuilt program: %v", err)
-	}
-}
-
 func TestValidateRejectsCondBranchLastBlock(t *testing.T) {
 	// {b0: jmp->2, b1: halt, b2: bne->1}: statically contains a halt, but
 	// the last block falls off the end whenever its branch is not taken.
-	p := handBuilt(MinMemSize,
+	p := HandBuilt(MinMemSize,
 		[]Instr{{Op: isa.OpJmp, Target: 2}},
 		[]Instr{{Op: isa.OpHalt}},
 		[]Instr{{Op: isa.OpBne, A: 0, B: 0, Target: 1}})
@@ -324,7 +179,7 @@ func TestValidateRejectsCondBranchLastBlock(t *testing.T) {
 		t.Errorf("Validate(cond-branch last block) = %v, want ErrNoHalt", err)
 	}
 	// A jmp-terminated last block cannot fall off the end and stays valid.
-	p = handBuilt(MinMemSize,
+	p = HandBuilt(MinMemSize,
 		[]Instr{{Op: isa.OpJmp, Target: 2}},
 		[]Instr{{Op: isa.OpHalt}},
 		[]Instr{{Op: isa.OpJmp, Target: 1}})

@@ -19,6 +19,7 @@ import (
 	"hashcore/internal/prog"
 	"hashcore/internal/rng"
 	"hashcore/internal/vm"
+	"hashcore/internal/workload/refprog"
 )
 
 // Params configures the random-program generator.
@@ -90,7 +91,7 @@ func (g *Generator) Generate(seed [32]byte) (*prog.Program, error) {
 	}
 	x := rng.NewXoshiro256(mix)
 
-	b := prog.NewBuilder(g.params.ScratchSize, x.Next())
+	b := refprog.NewBuilder(g.params.ScratchSize, x.Next())
 	b.NewBlock()
 	b.MovI(15, int64(g.params.Iterations))
 	b.MovI(14, 0)
@@ -118,7 +119,7 @@ func (g *Generator) Generate(seed [32]byte) (*prog.Program, error) {
 }
 
 // emitUniform emits one instruction with the class drawn uniformly.
-func (g *Generator) emitUniform(b *prog.Builder, x *rng.Xoshiro256) {
+func (g *Generator) emitUniform(b *refprog.Builder, x *rng.Xoshiro256) {
 	pool := func() uint8 { return uint8(x.Intn(8)) }
 	switch classes[x.Intn(len(classes))] {
 	case isa.ClassIntALU:

@@ -197,8 +197,8 @@ func polar(a, b float64) (z float64, ok bool) {
 	if s >= 1 || s == 0 {
 		return 0, false
 	}
-	// ln and sqrt on float64 are correctly rounded or
-	// platform-identical in Go's math package for these inputs.
+	// sqrt is correctly rounded everywhere, and ln (math.go) runs the
+	// same operations on every GOARCH for this s, in (0, 1) and normal.
 	f := sqrt(-2 * ln(s) / s)
 	return u * f, true
 }

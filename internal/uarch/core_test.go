@@ -6,13 +6,14 @@ import (
 	"hashcore/internal/isa"
 	"hashcore/internal/prog"
 	"hashcore/internal/vm"
+	"hashcore/internal/workload/refprog"
 )
 
 // loopProgram builds a program that runs `body` inside a counted loop of
 // the given trip count, so instruction-cache and predictor state warm up.
-func loopProgram(t *testing.T, trips int64, memSize int, body func(b *prog.Builder)) *prog.Program {
+func loopProgram(t *testing.T, trips int64, memSize int, body func(b *refprog.Builder)) *prog.Program {
 	t.Helper()
-	b := prog.NewBuilder(memSize, 99)
+	b := refprog.NewBuilder(memSize, 99)
 	entry := b.NewBlock()
 	loop := b.NewBlock()
 	exit := b.NewBlock()
@@ -49,7 +50,7 @@ func measure(t *testing.T, p *prog.Program) Metrics {
 func TestIndependentALUOpsReachPortLimit(t *testing.T) {
 	// 3 integer ALU units, fetch width 4: independent adds should sustain
 	// close to 3 IPC once warm.
-	p := loopProgram(t, 200, prog.MinMemSize, func(b *prog.Builder) {
+	p := loopProgram(t, 200, prog.MinMemSize, func(b *refprog.Builder) {
 		for i := 0; i < 120; i++ {
 			dst := uint8(1 + i%12)
 			b.Op3(isa.OpAdd, dst, dst, 13)
@@ -63,7 +64,7 @@ func TestIndependentALUOpsReachPortLimit(t *testing.T) {
 
 func TestDependentChainSerializes(t *testing.T) {
 	// A single dependence chain of 1-cycle adds cannot exceed 1 IPC.
-	p := loopProgram(t, 200, prog.MinMemSize, func(b *prog.Builder) {
+	p := loopProgram(t, 200, prog.MinMemSize, func(b *refprog.Builder) {
 		for i := 0; i < 120; i++ {
 			b.Op3(isa.OpAdd, 1, 1, 1)
 		}
@@ -78,7 +79,7 @@ func TestNonPipelinedDividerThroughput(t *testing.T) {
 	// fdiv is non-pipelined with latency 14; even independent divides are
 	// limited to ~1/14 IPC by the single FP divider... plus the loop
 	// bookkeeping instructions, so just assert it is very low.
-	p := loopProgram(t, 100, prog.MinMemSize, func(b *prog.Builder) {
+	p := loopProgram(t, 100, prog.MinMemSize, func(b *refprog.Builder) {
 		for i := 0; i < 30; i++ {
 			b.Op3(isa.OpFDiv, uint8(1+i%8), 9, 10)
 		}
@@ -90,7 +91,7 @@ func TestNonPipelinedDividerThroughput(t *testing.T) {
 }
 
 func TestMulLatencyBetweenALUAndDiv(t *testing.T) {
-	pChain := loopProgram(t, 200, prog.MinMemSize, func(b *prog.Builder) {
+	pChain := loopProgram(t, 200, prog.MinMemSize, func(b *refprog.Builder) {
 		for i := 0; i < 60; i++ {
 			b.Op3(isa.OpMul, 1, 1, 2)
 		}
@@ -107,7 +108,7 @@ func TestPointerChaseMemoryBound(t *testing.T) {
 	// deep-hierarchy latency. Compare against a tiny working set where
 	// loads hit L1.
 	mkChase := func(memSize int) *prog.Program {
-		return loopProgram(t, 400, memSize, func(b *prog.Builder) {
+		return loopProgram(t, 400, memSize, func(b *refprog.Builder) {
 			for i := 0; i < 10; i++ {
 				b.Load(1, 1, 0) // r1 = mem[r1] — serial chain
 			}
@@ -133,7 +134,7 @@ func TestBranchMispredictionHurtsIPC(t *testing.T) {
 	// Use a 1 MiB scratch so the loaded stream never wraps: with a tiny
 	// memory the "random" bits repeat and history predictors memorize them.
 	mk := func(randomCond bool) *prog.Program {
-		b := prog.NewBuilder(prog.DefaultMemSize, 7)
+		b := refprog.NewBuilder(prog.DefaultMemSize, 7)
 		entry := b.NewBlock()
 		loop := b.NewBlock()
 		then := b.NewBlock()
@@ -196,7 +197,7 @@ func TestROBLimitsMemoryParallelism(t *testing.T) {
 	// Independent long-latency loads beyond the ROB window cannot all
 	// overlap: a tiny ROB should be slower than the real one.
 	mk := func(robSize int) Metrics {
-		p := loopProgram(t, 300, 64<<20, func(b *prog.Builder) {
+		p := loopProgram(t, 300, 64<<20, func(b *refprog.Builder) {
 			for i := 0; i < 12; i++ {
 				dst := uint8(1 + i%10)
 				// Independent strided loads: address = r13 + stride*i
@@ -221,7 +222,7 @@ func TestROBLimitsMemoryParallelism(t *testing.T) {
 }
 
 func TestMetricsBookkeeping(t *testing.T) {
-	p := loopProgram(t, 50, prog.MinMemSize, func(b *prog.Builder) {
+	p := loopProgram(t, 50, prog.MinMemSize, func(b *refprog.Builder) {
 		b.Op3(isa.OpAdd, 1, 1, 2)
 		b.Load(3, 1, 0)
 		b.Store(1, 3, 64)
@@ -248,7 +249,7 @@ func TestMetricsBookkeeping(t *testing.T) {
 }
 
 func TestCoreReset(t *testing.T) {
-	p := loopProgram(t, 100, prog.MinMemSize, func(b *prog.Builder) {
+	p := loopProgram(t, 100, prog.MinMemSize, func(b *refprog.Builder) {
 		b.Op3(isa.OpAdd, 1, 1, 2)
 	})
 	core := NewCore(IvyBridge())
@@ -272,13 +273,13 @@ func TestCoreReset(t *testing.T) {
 func TestICachePressureSlowsLargeFootprint(t *testing.T) {
 	// A loop body larger than L1I (32 KiB / 16 B = 2048 instructions)
 	// should run at lower IPC than a small body with the same mix.
-	small := measure(t, loopProgram(t, 600, prog.MinMemSize, func(b *prog.Builder) {
+	small := measure(t, loopProgram(t, 600, prog.MinMemSize, func(b *refprog.Builder) {
 		for i := 0; i < 100; i++ {
 			dst := uint8(1 + i%12)
 			b.Op3(isa.OpAdd, dst, dst, 13)
 		}
 	}))
-	big := measure(t, loopProgram(t, 20, prog.MinMemSize, func(b *prog.Builder) {
+	big := measure(t, loopProgram(t, 20, prog.MinMemSize, func(b *refprog.Builder) {
 		for i := 0; i < 3000; i++ {
 			dst := uint8(1 + i%12)
 			b.Op3(isa.OpAdd, dst, dst, 13)
@@ -296,7 +297,7 @@ func TestICachePressureSlowsLargeFootprint(t *testing.T) {
 }
 
 func BenchmarkCoreSimulation(b *testing.B) {
-	bd := prog.NewBuilder(prog.DefaultMemSize, 1)
+	bd := refprog.NewBuilder(prog.DefaultMemSize, 1)
 	entry := bd.NewBlock()
 	loop := bd.NewBlock()
 	exit := bd.NewBlock()

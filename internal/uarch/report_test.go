@@ -6,6 +6,7 @@ import (
 	"hashcore/internal/isa"
 	"hashcore/internal/prog"
 	"hashcore/internal/vm"
+	"hashcore/internal/workload/refprog"
 )
 
 func TestMixDistance(t *testing.T) {
@@ -21,7 +22,7 @@ func TestMixDistance(t *testing.T) {
 
 func reportProgram(t *testing.T) *prog.Program {
 	t.Helper()
-	b := prog.NewBuilder(prog.MinMemSize, 1)
+	b := refprog.NewBuilder(prog.MinMemSize, 1)
 	entry := b.NewBlock()
 	loop := b.NewBlock()
 	exit := b.NewBlock()

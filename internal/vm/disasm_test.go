@@ -6,6 +6,7 @@ import (
 
 	"hashcore/internal/isa"
 	"hashcore/internal/prog"
+	"hashcore/internal/workload/refprog"
 )
 
 // TestDisassembleFused sanity-checks the listing on a program with both
@@ -13,7 +14,7 @@ import (
 // successor, one line per fused slot, fused pairs rendered with both
 // halves, a trailing jmp in the header and in no slot.
 func TestDisassembleFused(t *testing.T) {
-	b := prog.NewBuilder(prog.MinMemSize, 7)
+	b := refprog.NewBuilder(prog.MinMemSize, 7)
 	entry := b.NewBlock()
 	exit := b.NewBlock()
 	last := b.NewBlock()
@@ -23,7 +24,7 @@ func TestDisassembleFused(t *testing.T) {
 	b.Op3(isa.OpXor, 4, 2, 1) //
 	b.Op2(isa.OpFCvt, 0, 2)   // unfused slot
 	b.Op3(isa.OpCmpLT, 3, 1, 2)
-	b.Branch(isa.OpBne, 3, 0, prog.Label(exit)) // cmp+branch fuses
+	b.Branch(isa.OpBne, 3, 0, exit) // cmp+branch fuses
 	b.SetBlock(exit)
 	b.Op3(isa.OpSub, 2, 2, 1)
 	b.Jmp(last) // folded into the block header

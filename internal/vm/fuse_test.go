@@ -14,6 +14,7 @@ import (
 	"hashcore/internal/prog"
 	"hashcore/internal/vm"
 	"hashcore/internal/workload"
+	"hashcore/internal/workload/refprog"
 )
 
 // pairCase is an adjacent instruction pair and what the fuser makes of it.
@@ -71,7 +72,7 @@ const (
 // conditional branches go the other way.
 func pairProgram(t *testing.T, pc pairCase, variant int) *prog.Program {
 	t.Helper()
-	b := prog.NewBuilder(prog.MinMemSize, 99)
+	b := refprog.NewBuilder(prog.MinMemSize, 99)
 	for i := 0; i <= pairExit; i++ {
 		b.NewBlock()
 	}
@@ -224,7 +225,7 @@ func TestDecodeFusedPartsRoundTrip(t *testing.T) {
 // a block that jumps to itself (with and without a body) until the budget
 // ends the run, and a conditional terminator, which folds nothing.
 func TestFoldedJumps(t *testing.T) {
-	b := prog.NewBuilder(prog.MinMemSize, 3)
+	b := refprog.NewBuilder(prog.MinMemSize, 3)
 	const (
 		entry = iota
 		toNext
@@ -297,7 +298,7 @@ func TestFoldedJumps(t *testing.T) {
 	}
 
 	// And a block that is only a jump to itself.
-	b = prog.NewBuilder(prog.MinMemSize, 3)
+	b = refprog.NewBuilder(prog.MinMemSize, 3)
 	b.NewBlock()
 	b.MovI(1, 1)
 	spin := b.NewBlock()
@@ -322,7 +323,7 @@ func TestFoldedJumps(t *testing.T) {
 // TestFuseRespectsBlockBoundaries asserts a fusible-looking pair split
 // across two blocks is NOT fused (a branch target may land between them).
 func TestFuseRespectsBlockBoundaries(t *testing.T) {
-	b := prog.NewBuilder(prog.MinMemSize, 1)
+	b := refprog.NewBuilder(prog.MinMemSize, 1)
 	first := b.NewBlock()
 	second := b.NewBlock()
 	b.SetBlock(first)
@@ -373,7 +374,7 @@ func endsInJmp(p *prog.Program, bi int) bool {
 // still retires — on a hand-built block of each kind and on a generated
 // widget of every family.
 func TestFusedBlockArchLengthPreserved(t *testing.T) {
-	b := prog.NewBuilder(prog.MinMemSize, 5)
+	b := refprog.NewBuilder(prog.MinMemSize, 5)
 	b.NewBlock()
 	b.Op3(isa.OpAdd, 1, 2, 3)
 	b.Op3(isa.OpAdd, 2, 3, 4)

@@ -5,13 +5,14 @@ import (
 
 	"hashcore/internal/prog"
 	"hashcore/internal/rng"
+	"hashcore/internal/workload/refprog"
 )
 
 // edgeProgram stores to the last word of a size-byte image, loads it back
 // together with the pristine word before it and word 0, and halts.
 func edgeProgram(t *testing.T, size int, memSeed uint64) *prog.Program {
 	t.Helper()
-	b := prog.NewBuilder(size, memSeed)
+	b := refprog.NewBuilder(size, memSeed)
 	b.NewBlock()
 	b.MovI(1, int64(size-8))
 	b.MovI(2, 0x5eed)
@@ -94,7 +95,7 @@ func TestResetClearsPreviousExtent(t *testing.T) {
 // TestResetClearsPreviousExtent.)
 func TestRerunClearsWrittenMap(t *testing.T) {
 	const seed = 99
-	b := prog.NewBuilder(prog.MinMemSize, seed)
+	b := refprog.NewBuilder(prog.MinMemSize, seed)
 	b.NewBlock()
 	b.Load(3, 0, 64) // read word 8 before overwriting it
 	b.MovI(1, 64)    //

@@ -17,6 +17,7 @@ import (
 	"hashcore/internal/prog"
 	"hashcore/internal/vm"
 	"hashcore/internal/workload"
+	"hashcore/internal/workload/refprog"
 )
 
 // sparseProfiles are the workload families the fixed differential sweeps
@@ -168,7 +169,7 @@ func templateProgram(t *testing.T, tc templateCase) *prog.Program {
 	t.Helper()
 	// An unaligned base far beyond the image: every access wraps and aligns.
 	const base = 0x1234567
-	b := prog.NewBuilder(prog.MinMemSize, 0xfeed)
+	b := refprog.NewBuilder(prog.MinMemSize, 0xfeed)
 	b.NewBlock()
 	for r := uint8(0); r < 8; r++ {
 		b.MovI(r, int64(r)*0x1111+7)
@@ -278,7 +279,7 @@ func TestMemoryTemplates(t *testing.T) {
 // back, and halts.
 func scribble(t *testing.T, size int, memSeed uint64, count int) *prog.Program {
 	t.Helper()
-	b := prog.NewBuilder(size, memSeed)
+	b := refprog.NewBuilder(size, memSeed)
 	b.NewBlock()
 	b.MovI(0, int64(count))
 	b.MovI(1, 0)
@@ -435,7 +436,7 @@ func TestTableEpochWrap(t *testing.T) {
 // boundary, as the dense reference runs it.
 func TestFilterAliases(t *testing.T) {
 	const w, alias = 100, 100 + 1<<18
-	b := prog.NewBuilder(4<<20, 0xa11a5)
+	b := refprog.NewBuilder(4<<20, 0xa11a5)
 	b.NewBlock()
 	b.MovI(1, 8*w)
 	b.MovI(2, 8*alias)
@@ -613,7 +614,7 @@ func TestFallbackSeesCleanMemory(t *testing.T) {
 	}
 
 	const tooManyBlocks = 1<<18 + 1 // jit.maxBlocks + 1, well inside prog.MaxBlocks
-	b := prog.NewBuilder(prog.MinMemSize, 7)
+	b := refprog.NewBuilder(prog.MinMemSize, 7)
 	b.NewBlock()
 	b.MovI(1, 0)
 	for disp := int64(0); disp < 4096; disp += 104 { // words the first run wrote, and others

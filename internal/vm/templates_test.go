@@ -12,6 +12,7 @@ import (
 	"hashcore/internal/isa"
 	"hashcore/internal/prog"
 	"hashcore/internal/vm"
+	"hashcore/internal/workload/refprog"
 )
 
 // Residence kinds of an integer operand as the native compiler's templates
@@ -72,7 +73,7 @@ func opcodeProgram(t *testing.T, tc opcodeCase) (*prog.Program, uint64) {
 	if tc.dstIsA {
 		dst = a
 	}
-	bld := prog.NewBuilder(prog.MinMemSize, 0xc0de)
+	bld := refprog.NewBuilder(prog.MinMemSize, 0xc0de)
 	bld.NewBlock()
 	for r := uint8(0); r < isa.NumIntRegs; r++ {
 		bld.MovI(r, int64(r+1)*0x0123456789abcdf+int64(r)) // all 64 bits, and odd shift counts

@@ -9,12 +9,13 @@ import (
 	"hashcore/internal/isa"
 	"hashcore/internal/prog"
 	"hashcore/internal/rng"
+	"hashcore/internal/workload/refprog"
 )
 
 // build runs fn against a fresh builder and returns the built program.
-func build(t *testing.T, fn func(b *prog.Builder)) *prog.Program {
+func build(t *testing.T, fn func(b *refprog.Builder)) *prog.Program {
 	t.Helper()
-	b := prog.NewBuilder(prog.MinMemSize, 12345)
+	b := refprog.NewBuilder(prog.MinMemSize, 12345)
 	b.NewBlock()
 	fn(b)
 	b.Halt()
@@ -27,7 +28,7 @@ func build(t *testing.T, fn func(b *prog.Builder)) *prog.Program {
 
 // exec builds, runs, and returns the machine (for register inspection) and
 // result.
-func exec(t *testing.T, fn func(b *prog.Builder)) (*Machine, *Result) {
+func exec(t *testing.T, fn func(b *refprog.Builder)) (*Machine, *Result) {
 	t.Helper()
 	p := build(t, fn)
 	m, err := New(p)
@@ -57,7 +58,7 @@ func TestIntALUSemantics(t *testing.T) {
 	}
 	for _, tt := range tests {
 		t.Run(tt.op.String(), func(t *testing.T) {
-			m, _ := exec(t, func(bld *prog.Builder) {
+			m, _ := exec(t, func(bld *refprog.Builder) {
 				bld.MovI(1, int64(a))
 				bld.MovI(2, int64(b))
 				bld.Op3(tt.op, 3, 1, 2)
@@ -70,7 +71,7 @@ func TestIntALUSemantics(t *testing.T) {
 }
 
 func TestMulH(t *testing.T) {
-	m, _ := exec(t, func(b *prog.Builder) {
+	m, _ := exec(t, func(b *refprog.Builder) {
 		b.MovI(1, -1) // 0xffff...ffff
 		b.MovI(2, -1)
 		b.Op3(isa.OpMulH, 3, 1, 2)
@@ -81,7 +82,7 @@ func TestMulH(t *testing.T) {
 }
 
 func TestMovAndImmediates(t *testing.T) {
-	m, _ := exec(t, func(b *prog.Builder) {
+	m, _ := exec(t, func(b *refprog.Builder) {
 		b.MovI(1, -7)
 		b.Op2(isa.OpMov, 2, 1)
 		b.AddI(3, 2, 10)
@@ -95,7 +96,7 @@ func TestMovAndImmediates(t *testing.T) {
 }
 
 func TestCmpResults(t *testing.T) {
-	m, _ := exec(t, func(b *prog.Builder) {
+	m, _ := exec(t, func(b *refprog.Builder) {
 		b.MovI(1, 5)
 		b.MovI(2, 9)
 		b.Op3(isa.OpCmpLT, 3, 1, 2) // 5 < 9 -> 1
@@ -109,7 +110,7 @@ func TestCmpResults(t *testing.T) {
 }
 
 func TestFPArithmetic(t *testing.T) {
-	m, _ := exec(t, func(b *prog.Builder) {
+	m, _ := exec(t, func(b *refprog.Builder) {
 		b.MovI(1, 3)
 		b.MovI(2, 4)
 		b.Op2(isa.OpFCvt, 1, 1) // f1 = 3.0
@@ -139,7 +140,7 @@ func TestFPArithmetic(t *testing.T) {
 }
 
 func TestFPNaNCanonicalization(t *testing.T) {
-	m, _ := exec(t, func(b *prog.Builder) {
+	m, _ := exec(t, func(b *refprog.Builder) {
 		// f0 = 0.0, f1 = 0.0; f2 = 0/0 = NaN
 		b.Op3(isa.OpFDiv, 2, 0, 1)
 		// NaN + anything = NaN, also canonicalized
@@ -154,7 +155,7 @@ func TestFPNaNCanonicalization(t *testing.T) {
 }
 
 func TestFPDivByZeroIsInf(t *testing.T) {
-	m, _ := exec(t, func(b *prog.Builder) {
+	m, _ := exec(t, func(b *refprog.Builder) {
 		b.MovI(1, 1)
 		b.Op2(isa.OpFCvt, 1, 1) // f1 = 1.0
 		b.Op3(isa.OpFDiv, 2, 1, 0)
@@ -187,7 +188,7 @@ func TestFToIClamping(t *testing.T) {
 }
 
 func TestLoadStoreRoundTrip(t *testing.T) {
-	m, _ := exec(t, func(b *prog.Builder) {
+	m, _ := exec(t, func(b *refprog.Builder) {
 		b.MovI(1, 0x123456789abcdef0 & ^int64(0)) // value
 		b.MovI(2, 64)                             // address
 		b.Store(2, 1, 0)
@@ -199,7 +200,7 @@ func TestLoadStoreRoundTrip(t *testing.T) {
 }
 
 func TestAddressMaskingAndAlignment(t *testing.T) {
-	m, _ := exec(t, func(b *prog.Builder) {
+	m, _ := exec(t, func(b *refprog.Builder) {
 		b.MovI(1, 0x55aa)
 		// Address far beyond memory size wraps via masking; +3 offset is
 		// aligned down to an 8-byte boundary.
@@ -216,7 +217,7 @@ func TestAddressMaskingAndAlignment(t *testing.T) {
 func TestMemoryInitializationDeterministic(t *testing.T) {
 	// A fresh load at address 0 must equal the first SplitMix64 output of
 	// the memory seed.
-	m, _ := exec(t, func(b *prog.Builder) {
+	m, _ := exec(t, func(b *refprog.Builder) {
 		b.Load(1, 0, 0)
 	})
 	want := rng.NewSplitMix64(12345).Next()
@@ -228,7 +229,7 @@ func TestMemoryInitializationDeterministic(t *testing.T) {
 func TestFLoadCanonicalizesNaN(t *testing.T) {
 	// Find a memory word that is a NaN pattern and verify the loaded
 	// register holds the canonical NaN. We store a NaN pattern manually.
-	m, _ := exec(t, func(b *prog.Builder) {
+	m, _ := exec(t, func(b *refprog.Builder) {
 		b.MovI(1, int64(uint64(0x7ff8dead00000001))) // a non-canonical NaN
 		b.MovI(2, 128)
 		b.Store(2, 1, 0)
@@ -240,7 +241,7 @@ func TestFLoadCanonicalizesNaN(t *testing.T) {
 }
 
 func TestLoopExecutesExactTripCount(t *testing.T) {
-	b := prog.NewBuilder(prog.MinMemSize, 0)
+	b := refprog.NewBuilder(prog.MinMemSize, 0)
 	entry := b.NewBlock()
 	body := b.NewBlock()
 	exit := b.NewBlock()
@@ -292,7 +293,7 @@ func TestLoopExecutesExactTripCount(t *testing.T) {
 }
 
 func TestInstructionBudgetTruncates(t *testing.T) {
-	b := prog.NewBuilder(prog.MinMemSize, 0)
+	b := refprog.NewBuilder(prog.MinMemSize, 0)
 	spin := b.NewBlock()
 	b.Op3(isa.OpAdd, 1, 1, 1)
 	b.Jmp(spin)
@@ -317,7 +318,7 @@ func TestInstructionBudgetTruncates(t *testing.T) {
 func TestSnapshotCadenceAndSize(t *testing.T) {
 	// 25 straight-line instructions + halt = 26 retired; interval 10 ->
 	// snapshots at 10, 20, plus the final one = 3.
-	p := build(t, func(b *prog.Builder) {
+	p := build(t, func(b *refprog.Builder) {
 		for i := 0; i < 25; i++ {
 			b.Op3(isa.OpAdd, 1, 1, 1)
 		}
@@ -338,7 +339,7 @@ func TestSnapshotCadenceAndSize(t *testing.T) {
 }
 
 func TestOutputEncodesFinalRegisters(t *testing.T) {
-	m, res := exec(t, func(b *prog.Builder) {
+	m, res := exec(t, func(b *refprog.Builder) {
 		b.MovI(5, 0x1234)
 	})
 	last := res.Output[len(res.Output)-SnapshotSize:]
@@ -353,7 +354,7 @@ func TestOutputEncodesFinalRegisters(t *testing.T) {
 }
 
 func TestVectorOps(t *testing.T) {
-	m, _ := exec(t, func(b *prog.Builder) {
+	m, _ := exec(t, func(b *refprog.Builder) {
 		b.MovI(1, 100)
 		b.Op2(isa.OpVBcast, 0, 1) // v0 = [100,101,102,103]
 		b.Op3(isa.OpVAdd, 1, 0, 0)
@@ -371,7 +372,7 @@ func TestVectorOps(t *testing.T) {
 }
 
 func TestDeterministicReplay(t *testing.T) {
-	p := build(t, func(b *prog.Builder) {
+	p := build(t, func(b *refprog.Builder) {
 		b.MovI(1, 7)
 		for i := 0; i < 50; i++ {
 			b.Op3(isa.OpMul, 1, 1, 1)
@@ -400,7 +401,7 @@ func TestDeterministicReplay(t *testing.T) {
 
 func TestSingleInstructionChangesOutput(t *testing.T) {
 	mk := func(imm int64) *Result {
-		p := build(t, func(b *prog.Builder) {
+		p := build(t, func(b *refprog.Builder) {
 			b.MovI(1, imm)
 			for i := 0; i < 20; i++ {
 				b.Op3(isa.OpMul, 1, 1, 1)
@@ -421,7 +422,7 @@ func TestSingleInstructionChangesOutput(t *testing.T) {
 // TestClassCounts: the events an observer is shown carry each retired
 // instruction's class, which is what per-class counts are made of.
 func TestClassCounts(t *testing.T) {
-	p := build(t, func(b *prog.Builder) {
+	p := build(t, func(b *refprog.Builder) {
 		b.MovI(1, 1)              // intalu
 		b.Op3(isa.OpMul, 2, 1, 1) // intmul
 		b.Op3(isa.OpFAdd, 1, 0, 0)
@@ -461,7 +462,7 @@ type eventCollector struct {
 func (c *eventCollector) OnRetire(ev *Event) { c.events = append(c.events, *ev) }
 
 func TestObserverEvents(t *testing.T) {
-	p := build(t, func(b *prog.Builder) {
+	p := build(t, func(b *refprog.Builder) {
 		b.MovI(1, 16)
 		b.Load(2, 1, 8) // addr = 24
 	})
@@ -489,7 +490,7 @@ func TestObserverEvents(t *testing.T) {
 }
 
 func TestObserverBranchOutcomes(t *testing.T) {
-	b := prog.NewBuilder(prog.MinMemSize, 0)
+	b := refprog.NewBuilder(prog.MinMemSize, 0)
 	entry := b.NewBlock()
 	exit := b.NewBlock()
 	final := b.NewBlock()
@@ -534,7 +535,7 @@ func TestNewRejectsInvalidProgram(t *testing.T) {
 }
 
 func BenchmarkVMThroughput(b *testing.B) {
-	bd := prog.NewBuilder(prog.DefaultMemSize, 1)
+	bd := refprog.NewBuilder(prog.DefaultMemSize, 1)
 	entry := bd.NewBlock()
 	body := bd.NewBlock()
 	exit := bd.NewBlock()

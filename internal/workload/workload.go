@@ -1,12 +1,13 @@
-// Package workload provides the reference workloads that stand in for
-// SPEC CPU 2017 in this reproduction.
+// Package workload declares the six execution profiles HashCore's widget
+// generator can be given, one per stand-in for a SPEC CPU 2017 member.
 //
 // The paper profiles SPEC CPU 2017 benchmarks (its experiments use the
 // Leela integer speed workload) and generates widgets matching the profile.
 // SPEC itself is proprietary and its binaries cannot be executed on this
-// repository's synthetic machine, so each workload here is a small,
-// deterministic program written directly in the widget ISA whose execution
-// signature mirrors the qualitative character of a SPEC member:
+// repository's synthetic machine, so each profile here was measured from a
+// small, deterministic reference program written directly in the widget
+// ISA, whose execution signature mirrors the qualitative character of a
+// SPEC member:
 //
 //   - leela      (MCTS game search: integer, branchy, hard-to-predict)
 //   - mcf        (network simplex: pointer chasing, memory bound)
@@ -16,77 +17,44 @@
 //   - exchange2  (recursive puzzle solver: integer, tiny footprint,
 //     highly predictable branches)
 //
-// Each workload also declares the Profile handed to the widget generator.
-// The declared numbers were obtained by running the profiler over the
-// workload on the Ivy-Bridge-like timing model — the same
-// measure-then-generate flow the paper uses with hardware counters.
+// The declared numbers were obtained by running the profiler over each
+// reference program on the Ivy-Bridge-like timing model — the same
+// measure-then-generate flow the paper uses with hardware counters. A
+// digest depends on the numbers alone, so this package is data: the
+// programs live in package refprog, outside the consensus set.
 package workload
 
 import (
 	"fmt"
-	"sort"
 
 	"hashcore/internal/profile"
-	"hashcore/internal/prog"
 )
 
-// Workload couples a reference program with its declared profile.
+// Workload names a declared profile.
 type Workload struct {
 	// Name is the short SPEC-like identifier.
 	Name string
 	// Description says what the workload imitates.
 	Description string
-	// Build constructs the reference program.
-	Build func() (*prog.Program, error)
 	// Profile is the declared execution profile (generator input).
 	Profile *profile.Profile
 }
 
-// registry holds all workloads keyed by name. It is populated once at
-// package initialization time via the all() constructor (no mutable global
-// state is exposed).
-func registry() map[string]Workload {
-	list := []Workload{
-		leela(),
-		mcf(),
-		lbm(),
-		x264(),
-		deepsjeng(),
-		exchange2(),
-	}
-	m := make(map[string]Workload, len(list))
-	for _, w := range list {
-		m[w.Name] = w
-	}
-	return m
-}
-
 // ByName returns the named workload.
 func ByName(name string) (Workload, error) {
-	w, ok := registry()[name]
-	if !ok {
-		return Workload{}, fmt.Errorf("workload: unknown workload %q (have %v)", name, Names())
+	for _, w := range All() {
+		if w.Name == name {
+			return w, nil
+		}
 	}
-	return w, nil
+	return Workload{}, fmt.Errorf("workload: unknown workload %q (have %v)", name, Names())
 }
 
 // Names returns all workload names in sorted order.
 func Names() []string {
-	r := registry()
-	names := make([]string, 0, len(r))
-	for n := range r {
-		names = append(names, n)
+	var names []string
+	for _, w := range All() {
+		names = append(names, w.Name)
 	}
-	sort.Strings(names)
 	return names
-}
-
-// All returns every workload, sorted by name.
-func All() []Workload {
-	r := registry()
-	out := make([]Workload, 0, len(r))
-	for _, n := range Names() {
-		out = append(out, r[n])
-	}
-	return out
 }

@@ -1,17 +1,22 @@
-package workload
+package workload_test
 
 import (
 	"bytes"
+	"go/build"
 	"math"
+	"slices"
+	"strings"
 	"testing"
 
 	"hashcore/internal/isa"
 	"hashcore/internal/uarch"
 	"hashcore/internal/vm"
+	"hashcore/internal/workload"
+	"hashcore/internal/workload/refprog"
 )
 
 func TestNamesAndRegistry(t *testing.T) {
-	names := Names()
+	names := workload.Names()
 	want := []string{"deepsjeng", "exchange2", "lbm", "leela", "mcf", "x264"}
 	if len(names) != len(want) {
 		t.Fatalf("Names() = %v, want %v", names, want)
@@ -21,21 +26,43 @@ func TestNamesAndRegistry(t *testing.T) {
 			t.Errorf("Names()[%d] = %q, want %q", i, names[i], want[i])
 		}
 	}
-	if len(All()) != len(want) {
-		t.Errorf("All() returned %d workloads", len(All()))
+	if len(workload.All()) != len(want) {
+		t.Errorf("All() returned %d workloads", len(workload.All()))
 	}
-	if _, err := ByName("leela"); err != nil {
+	if _, err := workload.ByName("leela"); err != nil {
 		t.Errorf("ByName(leela): %v", err)
 	}
-	if _, err := ByName("nope"); err == nil {
+	if _, err := workload.ByName("nope"); err == nil {
 		t.Error("ByName(nope) should fail")
 	}
 }
 
+// TestImportsOnlyData keeps the package what the hasher needs of it, the
+// declared profiles: its non-test code imports nothing of this module but
+// the opcode classes and the profile type, so the reference programs (and
+// the program builder they need) cannot drift back into the consensus set.
+func TestImportsOnlyData(t *testing.T) {
+	pkg, err := build.ImportDir(".", 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var got []string
+	for _, imp := range pkg.Imports {
+		if strings.HasPrefix(imp, "hashcore/") {
+			got = append(got, imp)
+		}
+	}
+	if want := []string{"hashcore/internal/isa", "hashcore/internal/profile"}; !slices.Equal(got, want) {
+		t.Errorf("workload imports %v of this module, want only %v", got, want)
+	}
+}
+
+// The reference programs (package refprog) are checked here, beside the
+// tables they were measured for.
 func TestAllWorkloadsBuildAndValidate(t *testing.T) {
-	for _, w := range All() {
+	for _, w := range workload.All() {
 		t.Run(w.Name, func(t *testing.T) {
-			p, err := w.Build()
+			p, err := refprog.Build(w.Name)
 			if err != nil {
 				t.Fatalf("build: %v", err)
 			}
@@ -50,7 +77,7 @@ func TestAllWorkloadsBuildAndValidate(t *testing.T) {
 }
 
 func TestDeclaredProfilesValid(t *testing.T) {
-	for _, w := range All() {
+	for _, w := range workload.All() {
 		t.Run(w.Name, func(t *testing.T) {
 			if err := w.Profile.Validate(); err != nil {
 				t.Errorf("declared profile invalid: %v", err)
@@ -67,9 +94,9 @@ func TestDeclaredProfilesValid(t *testing.T) {
 // actually measures from the reference program, the same way the paper's
 // profiles come from counters. Logged values are the calibration data.
 func TestMeasuredSignatureMatchesDeclared(t *testing.T) {
-	for _, w := range All() {
+	for _, w := range workload.All() {
 		t.Run(w.Name, func(t *testing.T) {
-			p, err := w.Build()
+			p, err := refprog.Build(w.Name)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -104,9 +131,9 @@ func TestMeasuredSignatureMatchesDeclared(t *testing.T) {
 }
 
 func TestWorkloadsAreDeterministic(t *testing.T) {
-	for _, w := range All() {
+	for _, w := range workload.All() {
 		t.Run(w.Name, func(t *testing.T) {
-			p, err := w.Build()
+			p, err := refprog.Build(w.Name)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -130,8 +157,8 @@ func TestWorkloadsAreDeterministic(t *testing.T) {
 
 func TestWorkloadsProduceDistinctOutputs(t *testing.T) {
 	seen := make(map[string]string)
-	for _, w := range All() {
-		p, err := w.Build()
+	for _, w := range workload.All() {
+		p, err := refprog.Build(w.Name)
 		if err != nil {
 			t.Fatal(err)
 		}
