@@ -404,19 +404,15 @@ func TargetWithZeroBits(bits uint) [32]byte {
 	return [32]byte(t)
 }
 
-// powAdapter adapts Hasher to pow.SessionHasher, so miner workers each
-// run on a dedicated execution context.
-type powAdapter struct{ *Hasher }
-
-func (a powAdapter) NewSession() pow.Hasher { return a.Hasher.NewSession() }
-
 // ErrExhausted is returned by MineRange when the attempt budget was spent
 // without finding a valid digest.
 var ErrExhausted = pow.ErrExhausted
 
 // Mine searches for a nonce such that Hash(prefix || nonce_le64) meets the
 // target, using the given number of worker goroutines. It returns early
-// with ctx.Err() on cancellation.
+// with ctx.Err() on cancellation. The workers hash through h.Hash, so they
+// take the hasher's pooled sessions: a call builds none once the pool
+// holds as many as there are workers.
 func (h *Hasher) Mine(ctx context.Context, prefix []byte, target [32]byte, workers int) (MineResult, error) {
 	return h.MineRange(ctx, prefix, target, workers, 0, 0)
 }
@@ -429,7 +425,7 @@ func (h *Hasher) Mine(ctx context.Context, prefix []byte, target [32]byte, worke
 // at the window edge) within [start, end). Result.Attempts is the exact
 // number of hash evaluations performed.
 func (h *Hasher) MineRange(ctx context.Context, prefix []byte, target [32]byte, workers int, start, maxAttempts uint64) (MineResult, error) {
-	miner := pow.NewMiner(powAdapter{h}, workers)
+	miner := pow.NewMiner(h, workers)
 	res, err := miner.Mine(ctx, prefix, pow.Target(target), start, maxAttempts)
 	if err != nil {
 		return MineResult{}, err
@@ -440,5 +436,5 @@ func (h *Hasher) MineRange(ctx context.Context, prefix []byte, target [32]byte, 
 // VerifyNonce checks a previously mined nonce — the cheap path a
 // validating node runs.
 func (h *Hasher) VerifyNonce(prefix []byte, nonce uint64, target [32]byte) (bool, error) {
-	return pow.Verify(powAdapter{h}, prefix, nonce, pow.Target(target))
+	return pow.Verify(h, prefix, nonce, pow.Target(target))
 }

@@ -5,12 +5,15 @@ import (
 	"context"
 	"errors"
 	"math"
+	"runtime"
+	"runtime/debug"
 	"strings"
 	"testing"
 
 	"hashcore/internal/isa"
 	"hashcore/internal/profile"
 	"hashcore/internal/prog"
+	"hashcore/internal/telemetry"
 )
 
 // withProfile makes the hasher target p. No exported option can: a profile
@@ -273,6 +276,39 @@ func TestMineRangeRespectsWindow(t *testing.T) {
 	}
 	if res.Attempts == 0 {
 		t.Error("no attempts recorded")
+	}
+}
+
+// TestMineRangeReusesSessions: MineRange hashes through the hasher's
+// pooled sessions, so once one call has filled the pool, later calls
+// build no session — no JIT mapping, word table or generator scratch — as
+// a pool miner calling it once per share relies on. One worker on one P
+// with the collector off keeps the pool's contents where the next call
+// looks for them.
+func TestMineRangeReusesSessions(t *testing.T) {
+	if raceEnabled {
+		t.Skip("sync.Pool drops a share of what it is given under the race detector")
+	}
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	defer debug.SetGCPercent(debug.SetGCPercent(-1))
+	reg := telemetry.NewRegistry()
+	h, err := New(fastOpts(), WithTelemetry(reg))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var impossible [32]byte
+	mine := func(start uint64) {
+		if _, err := h.MineRange(context.Background(), []byte("reuse"), impossible, 1, start, 16); !errors.Is(err, ErrExhausted) {
+			t.Fatalf("err = %v, want ErrExhausted", err)
+		}
+	}
+	mine(0)
+	warm, _ := reg.Value("hashcore_sessions_created_total")
+	for i := uint64(1); i <= 5; i++ {
+		mine(16 * i)
+	}
+	if got, _ := reg.Value("hashcore_sessions_created_total"); got != warm || warm == 0 {
+		t.Errorf("sessions created: %v after the warm-up call, %v after five more; want the same, above 0", warm, got)
 	}
 }
 

@@ -16,7 +16,7 @@
 //
 // Code layout of a compiled program (in the mapping, from offset 0):
 //
-//	prologue            load mapped registers from the Frame, JMP [Resume]
+//	prologue            load pinned registers from the Frame, JMP [Resume]
 //	ftoi, vmul          the clamp and the four-lane multiply (emitRoutines)
 //	constant pool       SplitMix64's three multipliers (24 bytes, read RIP-relative)
 //	load, store         the two shared scratch-memory routines (emitMemRoutines)
@@ -27,7 +27,7 @@
 //	                    ends in a jmp or a halt)
 //	slow tail           write NextBlock/Status=slow, JMP epilogue
 //	slow stub per block undo the head's charge, name the block, JMP slow tail
-//	epilogue            store mapped registers back, RET
+//	epilogue            store pinned registers back, RET
 //
 // Register assignment while native code runs:
 //
@@ -35,9 +35,7 @@
 //	R14  written-word table base
 //	R13  written filter base
 //	R12  run-segment countdown (budget, snapshot, table headroom; see emitPrologue)
-//	RBX RBP RSI RDI R8 R9 R10 R11   the 8 most-referenced widget integer
-//	                                registers of this program (chosen per
-//	                                compile by static use count)
+//	RBX RBP RSI RDI R8 R9 R10 R11   widget r0 r1 r2 r3 r4 r9 r10 r14 (pinMap)
 //	RAX RCX RDX, XMM0 XMM1          scratch
 //
 // The other 8 widget integer registers, the FP and vector files, and the
@@ -166,13 +164,15 @@ const (
 	r15 = 15
 )
 
-// physPool is the set of amd64 registers available for widget integer
-// registers. Which widget registers get them is decided per program by
-// allocRegs: the widget ISA has 16 integer registers but the generator
-// concentrates loop-carried state in a handful of them, and pinning those
-// to hardware registers (instead of a fixed r0..r7 mapping) keeps the hot
-// loop out of the frame.
-var physPool = [8]int{rBX, rBP, rSI, rDI, r8, r9, r10, r11}
+// pinMap is the one register map of every widget: pinMap[r] is the amd64
+// register holding widget integer register r while native code runs, or
+// -1 when r lives in its Frame slot. The generator draws its integer
+// operands from r0..r4 and gives r9, r10 and r14 the diamonds' condition
+// scratch, the pointer chase and the zero register, so these eight carry
+// most integer operands of every profile's widgets. Pinning r0..r4 also
+// keeps every frame-resident slot within a one-byte displacement (see
+// frameBias), which buildTemplates checks.
+var pinMap = [isa.NumIntRegs]int8{rBX, rBP, rSI, rDI, r8, -1, -1, -1, -1, r9, r10, -1, -1, -1, r11, -1}
 
 func intOff(r uint8) int32 { return offIntRegs + int32(r)*8 }
 func fpOff(r uint8) int32  { return offFPRegs + int32(r)*8 }
@@ -275,20 +275,13 @@ type Compiler struct {
 	fix    []fixup
 	code   Code
 	// regMap[r] is the amd64 register holding widget integer register r,
-	// or -1 when r lives in the Frame. Filled by allocRegs per Compile.
+	// or -1 when r lives in the Frame: pinMap, except in the template
+	// builder's encoder, which pins its sample operands.
 	regMap [isa.NumIntRegs]int8
 	// Code positions of the shared routines (emitRoutines), by call kind;
 	// they precede every block, so call sites know them at emission.
 	routine [numCalls]int
-
-	// What the stamp loop reads per operand (bindRegs): the shape kind of
-	// widget integer register r, shifted to each operand field's place in
-	// the shape, and patch[layout<<4|r], the byte an operand site of that
-	// layout takes for register r. All are indexed by raw operand bytes,
-	// hence the 256 entries.
-	t                     *tmplTable
-	kindDst, kindA, kindB [256]uint8
-	patch                 [256]uint8
+	t       *tmplTable // the process-wide templates (templates())
 }
 
 // physOf returns the hardware register mapped to widget integer register
@@ -297,51 +290,10 @@ type Compiler struct {
 // prog.Validate; the generated code is garbage either way).
 func (c *Compiler) physOf(r uint8) int8 { return c.regMap[r&(isa.NumIntRegs-1)] }
 
-// intUseMask records, per opcode, which operand fields name integer
-// registers (bit 0: Dst, bit 1: A, bit 2: B); zero for opcodes whose
-// operands live in the float or vector files.
-var intUseMask = [64]uint8{
-	isa.OpAdd: 7, isa.OpSub: 7, isa.OpAnd: 7, isa.OpOr: 7, isa.OpXor: 7,
-	isa.OpShl: 7, isa.OpShr: 7, isa.OpRor: 7, isa.OpCmpLT: 7, isa.OpCmpEQ: 7,
-	isa.OpMul: 7, isa.OpMulH: 7,
-	isa.OpMov: 3, isa.OpAddI: 3, isa.OpLoad: 3,
-	isa.OpMovI: 1, isa.OpFToI: 1, isa.OpVRed: 1,
-	isa.OpFCvt: 2, isa.OpFLoad: 2, isa.OpFStore: 2, isa.OpVBcast: 2,
-	isa.OpStore: 6, isa.OpBeq: 6, isa.OpBne: 6, isa.OpBlt: 6, isa.OpBge: 6,
-}
-
-// allocRegs assigns physPool to the most-referenced widget integer
-// registers of p, by the static counts p.Uses carries (whoever wrote the
-// program counted them; Validate checks them). The count is static, but
-// the generated programs repeat their loop bodies enough that static and
-// dynamic ranking agree on the registers that matter (the loop-carried
-// counters and accumulators). Ties break toward the lower register index,
-// keeping the choice — and therefore the generated code — deterministic.
-func (c *Compiler) allocRegs(p *prog.Program) {
-	uses := &p.Uses
-	for r := range c.regMap {
-		c.regMap[r] = -1
-	}
-	for _, phys := range physPool {
-		best := -1
-		for r := 0; r < isa.NumIntRegs; r++ {
-			if c.regMap[r] < 0 && (best < 0 || uses[r] > uses[best]) {
-				best = r
-			}
-		}
-		c.regMap[best] = int8(phys)
-	}
-}
-
 // NewCompiler returns an empty compiler. The executable mapping it will
 // own is released when the compiler is garbage collected.
 func NewCompiler() *Compiler {
-	c := &Compiler{t: templates()}
-	for r := uint8(0); r < isa.NumIntRegs; r++ {
-		c.patch[layDisp<<4|r] = uint8(intOff(r))
-		c.patch[layFP<<4|r] = uint8(fpOff(r))
-		c.patch[layVec<<4|r] = uint8(vecOff(r))
-	}
+	c := &Compiler{t: templates(), regMap: pinMap}
 	runtime.SetFinalizer(c, (*Compiler).release)
 	return c
 }
@@ -377,7 +329,6 @@ func (c *Compiler) Compile(p *prog.Program) (*Code, error) {
 	if last := p.Instrs(nb - 1); len(last) == 0 || last[len(last)-1].Op != isa.OpJmp && last[len(last)-1].Op != isa.OpHalt {
 		return nil, errFallsOff
 	}
-	c.allocRegs(p)
 	blocksAt, stubsAt, err := c.stampProgram(p)
 	if err != nil {
 		return nil, err
@@ -518,8 +469,8 @@ func mapCode(size int) (rx, rw []byte, err error) {
 
 // ---- block and instruction lowering ----
 
-// emitPrologue loads the mapped state from the Frame and jumps through
-// Frame.Resume to the requested block head.
+// emitPrologue loads the pinned registers and the countdown from the
+// Frame and jumps through Frame.Resume to the requested block head.
 func (c *Compiler) emitPrologue() {
 	c.ensure(regionMax)
 	for r := 0; r < isa.NumIntRegs; r++ {
@@ -527,12 +478,6 @@ func (c *Compiler) emitPrologue() {
 			c.opRM(0x8B, int(p), r15, intOff(uint8(r)))
 		}
 	}
-	c.emitPrologueTail()
-}
-
-// emitPrologueTail is the part of the prologue no register assignment
-// changes.
-func (c *Compiler) emitPrologueTail() {
 	// R12 is the run-segment countdown: min(maxInstr - retired, untilSnap,
 	// headroom), the number of instructions that may retire before
 	// SOMETHING — budget exhaustion, a snapshot, or a written-word table
@@ -558,8 +503,8 @@ func (c *Compiler) emitPrologueTail() {
 	c.modMem(4, r15, offResume)
 }
 
-// emitEpilogue stores the mapped state back into the Frame and returns to
-// the trampoline.
+// emitEpilogue stores the pinned registers back into the Frame, settles
+// the retirement counters and returns to the trampoline.
 func (c *Compiler) emitEpilogue() {
 	c.ensure(regionMax)
 	for r := 0; r < isa.NumIntRegs; r++ {
@@ -567,10 +512,6 @@ func (c *Compiler) emitEpilogue() {
 			c.opRM(0x89, int(p), r15, intOff(uint8(r)))
 		}
 	}
-	c.emitEpilogueTail()
-}
-
-func (c *Compiler) emitEpilogueTail() {
 	c.opRM(0x8B, rAX, r15, offLimStart)
 	c.opRR(0x2B, rAX, r12)               // spent = limStart - countdown
 	c.opRM(0x01, rAX, r15, offRetired)   // retired += spent

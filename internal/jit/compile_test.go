@@ -22,7 +22,6 @@ import (
 	"hashcore/internal/isa"
 	"hashcore/internal/prog"
 	"hashcore/internal/rng"
-	"hashcore/internal/workload/refprog"
 )
 
 // twoBlockProgram is MovI r0,7; MovI r9,5; Add r2,r0,r9; Jmp b1 / Halt:
@@ -151,8 +150,7 @@ func TestHeadGuards(t *testing.T) {
 // operand.
 func TestHeadsAndBranchesKeepNoBooks(t *testing.T) {
 	// Twenty blocks, one of them too long for an 8-bit count, each some
-	// adds and a bne back to itself; the last halts. r2 and r3 are the most
-	// used registers, so they are pinned.
+	// adds and a bne back to itself; the last halts. r2 and r3 are pinned.
 	p := &prog.Program{}
 	const nb = 20
 	for bi := 0; bi < nb; bi++ {
@@ -181,9 +179,8 @@ func TestHeadsAndBranchesKeepNoBooks(t *testing.T) {
 	}
 	text := code.Text()
 	rel32 := func(at int) int { return at + 4 + int(int32(binary.LittleEndian.Uint32(text[at:]))) }
-	// The encoder's lowering of the add, under the same register map.
+	// The encoder's lowering of the add.
 	ref := NewCompiler()
-	ref.regMap = c.regMap
 	ref.ensure(regionMax)
 	if err := ref.emitInstr(&p.Code[0], nb); err != nil {
 		t.Fatal(err)
@@ -350,9 +347,7 @@ func TestArenaIsTheMapping(t *testing.T) {
 		if seen != c.buf[at]^0xA5 {
 			t.Fatal("a store through the arena is not seen through the executable view")
 		}
-		ref := NewCompiler()
-		ref.regMap = c.regMap
-		want, err := ref.encodeProgram(p)
+		want, err := NewCompiler().encodeProgram(p)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -374,29 +369,48 @@ func TestArenaIsTheMapping(t *testing.T) {
 	compile(sweepProgram(addOne, 0, 10), 1<<17) // the mapping keeps its high-water size
 }
 
-// TestAllocRegsPinsMostUsed pins the register-assignment policy other
-// suites build on (vm's TestMemoryTemplates chooses its pinned and
-// frame-resident registers by it): the eight most-referenced integer
-// registers, as the builder counts them in Program.Uses, get hardware
-// registers, ties going to the lower index.
-func TestAllocRegsPinsMostUsed(t *testing.T) {
-	b := refprog.NewBuilder(prog.MinMemSize, 0)
-	b.NewBlock()
-	for r := uint8(8); r < 14; r++ { // six heavy users among the high registers
-		for i := 0; i < 5; i++ {
-			b.Op2(isa.OpMov, r, r)
+// TestPinMap pins the one register map every Compiler uses: widget
+// r0..r4, r9, r10 and r14 in the eight pool registers RBX, RBP, RSI, RDI
+// and R8..R11, each in its own, and every other register in a frame slot
+// a signed byte reaches — so no template needs a four-byte frame
+// displacement, and none has one: every shape's operand kinds are pinned
+// low, pinned high or a one-byte frame slot. The stamp loop's operand
+// tables agree with the map.
+func TestPinMap(t *testing.T) {
+	pinned := map[int]bool{0: true, 1: true, 2: true, 3: true, 4: true, 9: true, 10: true, 14: true}
+	pool := map[int8]bool{rBX: true, rBP: true, rSI: true, rDI: true, r8: true, r9: true, r10: true, r11: true}
+	c, tab := NewCompiler(), templates()
+	if c.regMap != pinMap {
+		t.Fatalf("NewCompiler's map %v, want pinMap %v", c.regMap, pinMap)
+	}
+	for r, p := range pinMap {
+		switch off := intOff(uint8(r)); {
+		case pinned[r] != (p >= 0):
+			t.Errorf("r%d pinned = %v, want %v", r, p >= 0, pinned[r])
+		case p >= 0 && !pool[p]:
+			t.Errorf("r%d in hardware register %d: not a pool register, or taken twice", r, p)
+		case p < 0 && off != int32(int8(off)):
+			t.Errorf("frame-resident r%d at displacement %d needs four bytes", r, off)
+		}
+		delete(pool, p)
+		kind := uint8(kindFrame8)
+		if p >= 0 {
+			kind = uint8(p >> 3)
+		}
+		if tab.kindA[r] != kind<<2 || tab.kindB[r] != kind<<4 || tab.kindDst[r]&3 != kind {
+			t.Errorf("r%d: operand kinds %d/%d/%d, want %d", r, tab.kindDst[r]&3, tab.kindA[r]>>2, tab.kindB[r]>>4, kind)
 		}
 	}
-	b.Load(2, 3, 0)  // r2, r3: one reference each
-	b.Store(3, 2, 0) // ...now two
-	b.FLoad(5, 0, 0) // Dst names an FP register: only r0 counts
-	b.Halt()
-	c := NewCompiler()
-	c.allocRegs(b.MustBuild())
-	for r, phys := range c.regMap {
-		want := r >= 8 && r < 14 || r == 2 || r == 3
-		if (phys >= 0) != want {
-			t.Errorf("r%d pinned = %v, want %v (map %v)", r, phys >= 0, want, c.regMap)
+	for op := isa.Opcode(0); op < numOps; op++ {
+		for shape := uint32(0); shape < 1<<shapeBits; shape++ {
+			if tab.index[uint32(op)<<shapeBits|shape] == 0 {
+				continue
+			}
+			for f := 0; f < 3; f++ {
+				if k := shape >> (2 * f) & 3; k >= numKinds {
+					t.Errorf("%v shape %#x: operand %d of kind %d has a template", op, shape, f, k)
+				}
+			}
 		}
 	}
 }
@@ -492,53 +506,48 @@ func TestMemRoutines(t *testing.T) {
 		}
 	}
 
-	// Ten references to each of r0..r7 pin those; r8..r10 stay in the
-	// frame, and r11..r15 are bystanders.
-	var instrs []prog.Instr
-	for r := uint8(0); r < 8; r++ {
-		for i := 0; i < 5; i++ {
-			instrs = append(instrs, prog.Instr{Op: isa.OpMov, Dst: r, A: r})
-		}
-	}
+	// r0..r4, r9, r10 and r14 are pinned and r5..r7 frame-resident; r8,
+	// r11..r13 and r15 are bystanders (frame-resident too).
+	bystanders := []int{8, 11, 12, 13, 15}
 	at := func(w uint64) int64 { return int64(8 * w) }
-	instrs = append(instrs, []prog.Instr{
+	instrs := []prog.Instr{
 		{Op: isa.OpMovI, Dst: 1, Imm: 8*70 + 3},        // unaligned: word 70
-		{Op: isa.OpMovI, Dst: 9, Imm: 8 * (words + 5)}, // past the end: wraps to word 5
+		{Op: isa.OpMovI, Dst: 6, Imm: 8 * (words + 5)}, // past the end: wraps to word 5
 		{Op: isa.OpMovI, Dst: 2, Imm: 0x2222},
 		{Op: isa.OpLoad, Dst: 3, A: 1},           // pristine word 70
-		{Op: isa.OpLoad, Dst: 10, A: 9, Imm: 8},  // pristine word 6, frame registers
+		{Op: isa.OpLoad, Dst: 7, A: 6, Imm: 8},   // pristine word 6, frame registers
 		{Op: isa.OpStore, A: 1, B: 2, Imm: 16},   // word 72 := 0x2222, inserted
-		{Op: isa.OpStore, A: 9, B: 9},            // word 5 := its own address
+		{Op: isa.OpStore, A: 6, B: 6},            // word 5 := its own address
 		{Op: isa.OpLoad, Dst: 4, A: 1, Imm: 16},  // word 72 back
 		{Op: isa.OpMovI, Dst: 2, Imm: 0x3333},    //
 		{Op: isa.OpStore, A: 1, B: 2, Imm: 16},   // word 72 := 0x3333, overwritten
 		{Op: isa.OpLoad, Dst: 0, A: 1, Imm: 16},  // word 72 back again
 		{Op: isa.OpLoad, Dst: 1, A: 1, Imm: 24},  // pristine word 73, into the address register
-		{Op: isa.OpFStore, A: 9, B: 7, Imm: 80},  // word 15 := f7
-		{Op: isa.OpFLoad, Dst: 6, A: 9, Imm: 80}, // f6 := word 15
-		{Op: isa.OpFLoad, Dst: 5, A: 9, Imm: 88}, // f5 := pristine word 16
-		{Op: isa.OpMovI, Dst: 5, Imm: at(stale)}, //
-		{Op: isa.OpLoad, Dst: 8, A: 5},           // pristine, past the stale slot of its own index
-		{Op: isa.OpStore, A: 5, B: 2},            // stale word := 0x3333, into the stale slot
-		{Op: isa.OpFLoad, Dst: 4, A: 5},          // f4 := it
-	}...)
+		{Op: isa.OpFStore, A: 6, B: 7, Imm: 80},  // word 15 := f7
+		{Op: isa.OpFLoad, Dst: 6, A: 6, Imm: 80}, // f6 := word 15
+		{Op: isa.OpFLoad, Dst: 5, A: 6, Imm: 88}, // f5 := pristine word 16
+		{Op: isa.OpMovI, Dst: 9, Imm: at(stale)}, //
+		{Op: isa.OpLoad, Dst: 5, A: 9},           // pristine, past the stale slot of its own index
+		{Op: isa.OpStore, A: 9, B: 2},            // stale word := 0x3333, into the stale slot
+		{Op: isa.OpFLoad, Dst: 4, A: 9},          // f4 := it
+	}
 	for _, w := range wrap { // each word := its address; then read back in reverse
 		instrs = append(instrs,
-			prog.Instr{Op: isa.OpMovI, Dst: 6, Imm: at(w)},
-			prog.Instr{Op: isa.OpStore, A: 6, B: 6})
+			prog.Instr{Op: isa.OpMovI, Dst: 10, Imm: at(w)},
+			prog.Instr{Op: isa.OpStore, A: 10, B: 10})
 	}
 	for i := len(wrap) - 1; i >= 0; i-- {
 		instrs = append(instrs,
-			prog.Instr{Op: isa.OpMovI, Dst: 6, Imm: at(wrap[i])},
-			prog.Instr{Op: isa.OpFLoad, Dst: uint8(i), A: 6})
+			prog.Instr{Op: isa.OpMovI, Dst: 10, Imm: at(wrap[i])},
+			prog.Instr{Op: isa.OpFLoad, Dst: uint8(i), A: 10})
 	}
 	instrs = append(instrs, []prog.Instr{
-		{Op: isa.OpMovI, Dst: 6, Imm: at(alias)}, //
-		{Op: isa.OpLoad, Dst: 7, A: 6},           // pristine, though its bit is set
-		{Op: isa.OpStore, A: 6, B: 6},            // alias := its address, inserted
-		{Op: isa.OpFLoad, Dst: 3, A: 6},          // f3 := it
-		{Op: isa.OpMovI, Dst: 6, Imm: at(72)},    //
-		{Op: isa.OpLoad, Dst: 5, A: 6},           // word 72, untouched by the alias
+		{Op: isa.OpMovI, Dst: 10, Imm: at(alias)}, //
+		{Op: isa.OpLoad, Dst: 14, A: 10},          // pristine, though its bit is set
+		{Op: isa.OpStore, A: 10, B: 10},           // alias := its address, inserted
+		{Op: isa.OpFLoad, Dst: 3, A: 10},          // f3 := it
+		{Op: isa.OpMovI, Dst: 10, Imm: at(72)},    //
+		{Op: isa.OpLoad, Dst: 9, A: 10},           // word 72, untouched by the alias
 		{Op: isa.OpHalt},
 	}...)
 	if n := len(instrs); n >= slots/2 {
@@ -550,8 +559,8 @@ func TestMemRoutines(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if c.regMap[1] < 0 || c.regMap[2] < 0 || c.regMap[5] < 0 || c.regMap[6] < 0 || c.regMap[9] >= 0 || c.regMap[10] >= 0 || c.regMap[8] >= 0 {
-		t.Fatalf("register map %v: want r1, r2, r5, r6 pinned and r8, r9, r10 frame-resident", c.regMap)
+	if c.regMap[1] < 0 || c.regMap[2] < 0 || c.regMap[9] < 0 || c.regMap[10] < 0 || c.regMap[5] >= 0 || c.regMap[6] >= 0 || c.regMap[7] >= 0 {
+		t.Fatalf("register map %v: want r1, r2, r9, r10 pinned and r5, r6, r7 frame-resident", c.regMap)
 	}
 	mf := newMemFrame(words, slots)
 	// Stale slots no load may see and every insert may take: the stale
@@ -563,10 +572,8 @@ func TestMemRoutines(t *testing.T) {
 	mf.table[0] = tableSlot{3<<32 | 70, 0xdead}
 	want := slices.Clone(mf.table)
 	mf.f.FPRegs[7] = 0x4045000000000000 // 42.0
-	for r := range mf.f.IntRegs {
-		if r > 10 {
-			mf.f.IntRegs[r] = 0xf00 + uint64(r) // bystanders
-		}
+	for _, r := range bystanders {
+		mf.f.IntRegs[r] = 0xf00 + uint64(r)
 	}
 	code.Run(mf.f, 0)
 	if mf.f.Status != StatusHalt {
@@ -599,21 +606,21 @@ func TestMemRoutines(t *testing.T) {
 		got, want uint64
 	}{
 		{"load of pristine word 70 (unaligned address)", f.IntRegs[3], pristine(70)},
-		{"load of pristine word 6 (wrapped address, frame registers)", f.IntRegs[10], pristine(6)},
+		{"load of pristine word 6 (wrapped address, frame registers)", f.IntRegs[7], pristine(6)},
 		{"load of stored word 72", f.IntRegs[4], 0x2222},
 		{"load of overwritten word 72", f.IntRegs[0], 0x3333},
 		{"load into its own address register", f.IntRegs[1], pristine(73)},
 		{"fload of stored word 15", f.FPRegs[6], 0x4045000000000000},
-		{"load of a word with a stale slot of its own", f.IntRegs[8], pristine(stale)},
+		{"load of a word with a stale slot of its own", f.IntRegs[5], pristine(stale)},
 		{"fload of that word once stored", f.FPRegs[4], 0x3333},
 		{"fload of the first word homed at the last slot", f.FPRegs[0], 8 * wrap[0]},
 		{"fload of the second, past the table's end", f.FPRegs[1], 8 * wrap[1]},
 		{"fload of the third", f.FPRegs[2], 8 * wrap[2]},
-		{"load of the word sharing word 72's bit", f.IntRegs[7], pristine(alias)},
+		{"load of the word sharing word 72's bit", f.IntRegs[14], pristine(alias)},
 		{"fload of that word once stored", f.FPRegs[3], 8 * alias},
-		{"load of word 72 after its alias was stored", f.IntRegs[5], 0x3333},
+		{"load of word 72 after its alias was stored", f.IntRegs[9], 0x3333},
 		{"inserts", f.Inserts, 8},
-		{"address register r9 after the stores", f.IntRegs[9], 8 * (words + 5)},
+		{"address register r6 after the stores", f.IntRegs[6], 8 * (words + 5)},
 		{"value register r2 after the store", f.IntRegs[2], 0x3333},
 	} {
 		if chk.got != chk.want {
@@ -645,7 +652,7 @@ func TestMemRoutines(t *testing.T) {
 	if w := pristine(16); w&0x7ff0000000000000 != 0x7ff0000000000000 && f.FPRegs[5] != w {
 		t.Errorf("fload of pristine word 16 = %#x, want %#x", f.FPRegs[5], w)
 	}
-	for r := 11; r < isa.NumIntRegs; r++ {
+	for _, r := range bystanders {
 		if f.IntRegs[r] != 0xf00+uint64(r) {
 			t.Errorf("bystander r%d = %#x, want %#x", r, f.IntRegs[r], 0xf00+uint64(r))
 		}
@@ -698,25 +705,10 @@ func TestMemRoutines(t *testing.T) {
 	}
 }
 
-// sweepRegMap is a register assignment with every residency kind present
-// twice: r2, r3 in low hardware registers, r8, r9 in high ones, r5, r6 in
-// frame slots a short displacement reaches and r0, r1 in slots that need a
-// long one.
-func sweepRegMap() [isa.NumIntRegs]int8 {
-	var m [isa.NumIntRegs]int8
-	for r := range m {
-		m[r] = -1
-	}
-	m[2], m[3], m[12], m[13] = rBX, rBP, rSI, rDI
-	m[8], m[9], m[14], m[15] = r8, r9, r10, r11
-	return m
-}
-
-// stampedVsEncoded lays p out under regMap by stamping (on c) and by the
-// encoder alone (on ref) and returns both results.
-func stampedVsEncoded(t testing.TB, c, ref *Compiler, regMap [isa.NumIntRegs]int8, p *prog.Program) (stamped, encoded []byte) {
+// stampedVsEncoded lays p out by stamping (on c) and by the encoder alone
+// (on ref) and returns both results.
+func stampedVsEncoded(t testing.TB, c, ref *Compiler, p *prog.Program) (stamped, encoded []byte) {
 	t.Helper()
-	c.regMap, ref.regMap = regMap, regMap
 	encoded, refErr := ref.encodeProgram(p)
 	_, _, err := c.stampProgram(p)
 	if (err != nil) != (refErr != nil) {
@@ -729,17 +721,17 @@ func stampedVsEncoded(t testing.TB, c, ref *Compiler, regMap [isa.NumIntRegs]int
 }
 
 // TestStampedEqualsEncoded sweeps every opcode over every combination of
-// operand residency — each of Dst, A and B pinned low, pinned high, in a
-// short-displacement and in a long-displacement frame slot, with Dst == A
-// and without — and over immediates on both sides of every width
+// operand residency — each of Dst, A and B pinned low, pinned high or in a
+// frame slot (two registers of each, the lowest and the highest), with
+// Dst == A and without — and over immediates on both sides of every width
 // boundary, and requires the stamped code to equal the encoder's byte for
 // byte. Each instruction is its own program, so a failure names it; the
 // block it sits in varies in index and (padded with halts) in length, to
 // cover every head and stub form. TestStampedEqualsEncodedOnWidgets does
 // the same for whole generated programs.
 func TestStampedEqualsEncoded(t *testing.T) {
-	c, ref, regMap := NewCompiler(), NewCompiler(), sweepRegMap()
-	regs := []uint8{2, 3, 8, 9, 5, 6, 0, 1}
+	c, ref := NewCompiler(), NewCompiler()
+	regs := []uint8{0, 3, 4, 14, 5, 15}
 	imms := []int64{0, 1, -1, 127, -128, 128, -129, 1<<31 - 1, -1 << 31, 1 << 31, -1<<31 - 1, 1<<63 - 1, -1 << 63}
 	shapes := []struct{ before, pad int }{{0, 0}, {20, 0}, {3, 130}, {17, 200}}
 	n := 0
@@ -754,7 +746,7 @@ func TestStampedEqualsEncoded(t *testing.T) {
 						sh := shapes[n%len(shapes)]
 						n++
 						p := sweepProgram(prog.Instr{Op: op, Dst: d, A: a, B: b, Imm: imm, Target: uint32(sh.before)}, sh.before, sh.pad)
-						got, want := stampedVsEncoded(t, c, ref, regMap, p)
+						got, want := stampedVsEncoded(t, c, ref, p)
 						if !bytes.Equal(got, want) {
 							t.Fatalf("%v dst=r%d a=r%d b=r%d imm=%#x in block %d of %d instructions: %s",
 								op, d, a, b, imm, sh.before, 1+sh.pad, firstDifference(got, want))
@@ -808,7 +800,7 @@ func TestStampedDegenerateBlocks(t *testing.T) {
 		Code:   []prog.Instr{{Op: isa.OpMovI, Dst: 2, Imm: 9}, {Op: isa.OpHalt}},
 		Blocks: []prog.Block{{Start: 0, Len: 0}, {Start: 0, Len: 1}, {Start: 1, Len: 0}, {Start: 1, Len: 0}, {Start: 1, Len: 1}},
 	}
-	got, want := stampedVsEncoded(t, c, ref, sweepRegMap(), empty)
+	got, want := stampedVsEncoded(t, c, ref, empty)
 	if len(got) == 0 || !bytes.Equal(got, want) {
 		t.Errorf("empty blocks: %s", firstDifference(got, want))
 	}
@@ -906,31 +898,20 @@ func TestCompileZeroAlloc(t *testing.T) {
 	}
 }
 
-// FuzzStampedVsEncoded draws an instruction, a register assignment and a
-// block position from the input and requires the stamped code to equal the
-// encoder's. Eight bytes choose which widget registers are pinned (to the
-// pool registers in order); the rest are the instruction.
+// FuzzStampedVsEncoded draws an instruction and a block position from the
+// input and requires the stamped code to equal the encoder's.
 func FuzzStampedVsEncoded(f *testing.F) {
-	f.Add([]byte{0, 1, 2, 3, 4, 5, 6, 7}, uint8(isa.OpAdd), uint8(1), uint8(1), uint8(9), int64(0), uint16(0))
-	f.Add([]byte{15, 14, 13, 12, 3, 2, 1, 0}, uint8(isa.OpLoad), uint8(2), uint8(15), uint8(0), int64(-129), uint16(40))
-	f.Add([]byte{1, 1, 1, 1, 1, 1, 1, 1}, uint8(isa.OpBne), uint8(0), uint8(1), uint8(5), int64(1)<<40, uint16(300))
-	f.Add([]byte{9, 8, 7, 6, 5, 4, 3, 2}, uint8(isa.OpFSqrt), uint8(15), uint8(15), uint8(15), int64(7), uint16(16))
+	f.Add(uint8(isa.OpAdd), uint8(1), uint8(1), uint8(9), int64(0), uint16(0))
+	f.Add(uint8(isa.OpLoad), uint8(2), uint8(15), uint8(0), int64(-129), uint16(40))
+	f.Add(uint8(isa.OpBne), uint8(0), uint8(1), uint8(5), int64(1)<<40, uint16(300))
+	f.Add(uint8(isa.OpFSqrt), uint8(15), uint8(15), uint8(15), int64(7), uint16(16))
 	c, ref := NewCompiler(), NewCompiler()
-	f.Fuzz(func(t *testing.T, pins []byte, op, dst, a, b uint8, imm int64, where uint16) {
-		var regMap [isa.NumIntRegs]int8
-		for r := range regMap {
-			regMap[r] = -1
-		}
-		for i, r := range pins {
-			if i < len(physPool) && regMap[r%isa.NumIntRegs] < 0 {
-				regMap[r%isa.NumIntRegs] = int8(physPool[i])
-			}
-		}
+	f.Fuzz(func(t *testing.T, op, dst, a, b uint8, imm int64, where uint16) {
 		before, pad := int(where%64), int(where/64%4)*60
 		ins := prog.Instr{Op: isa.Opcode(op), Dst: dst % 16, A: a % 16, B: b % 16, Imm: imm, Target: uint32(where % 3)}
-		got, want := stampedVsEncoded(t, c, ref, regMap, sweepProgram(ins, before, pad))
+		got, want := stampedVsEncoded(t, c, ref, sweepProgram(ins, before, pad))
 		if !bytes.Equal(got, want) {
-			t.Fatalf("%+v under %v in block %d of %d: %s", ins, regMap, before, 1+pad, firstDifference(got, want))
+			t.Fatalf("%+v in block %d of %d: %s", ins, before, 1+pad, firstDifference(got, want))
 		}
 	})
 }

@@ -7,10 +7,9 @@ import "hashcore/internal/prog"
 // What the external tests (package jit_test, which may import the widget
 // generator where this package's own tests cannot) need of the internals.
 
-// EncodeReference assigns registers for p and lowers it with the encoder
-// alone (see encodeProgram): the bytes Compile must install.
+// EncodeReference lowers p with the encoder alone (see encodeProgram):
+// the bytes Compile must install.
 func (c *Compiler) EncodeReference(p *prog.Program) ([]byte, error) {
-	c.allocRegs(p)
 	return c.encodeProgram(p)
 }
 

@@ -34,8 +34,9 @@
 // All communication happens through a Frame: a plain Go struct holding the
 // full architectural register file, the retirement counters, and the
 // entry/exit plumbing. Generated code addresses the Frame through a single
-// pinned pointer register, maps the 8 hottest widget integer registers
-// onto amd64 registers, and calls nothing but its own shared routines
+// pinned pointer register, keeps eight widget integer registers — r0..r4,
+// r9, r10 and r14, the same eight for every widget — in amd64 registers,
+// and calls nothing but its own shared routines
 // (scratch memory's load and store, ftoi's clamp, vmul's four lanes: one
 // return address of stack, inside the trampoline's NOSPLIT
 // allowance), so it is safe under the Go runtime's async preemption (an
@@ -93,9 +94,10 @@ const (
 // retired per class or how its branches went is for an observer, and an
 // observed run never comes here.
 type Frame struct {
-	// The architectural integer file. IntRegs[0:8] are shadowed by amd64
-	// registers while native code runs (the prologue loads them, the
-	// epilogue stores them back); r8..r15 live here permanently.
+	// The architectural integer file. r0..r4, r9, r10 and r14 are
+	// shadowed by amd64 registers while native code runs (the prologue
+	// loads them, the epilogue stores them back); the other eight live
+	// here permanently.
 	IntRegs [isa.NumIntRegs]uint64
 
 	// The sparse scratch memory's scalars, read by the two shared memory

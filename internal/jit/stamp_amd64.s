@@ -3,7 +3,7 @@
 #include "textflag.h"
 #include "go_asm.h"
 
-// func stampBlocks(c *Compiler, t *tmplTable, code *prog.Instr, blocks *prog.Block, nb int, heads *int32, bi, i, end int, buf unsafe.Pointer, pos, room int, fixp unsafe.Pointer, callBase *[8]int32) (newBi, newI, newEnd, newPos int, newFixp unsafe.Pointer)
+// func stampBlocks(t *tmplTable, code *prog.Instr, blocks *prog.Block, nb int, heads *int32, bi, i, end int, buf unsafe.Pointer, pos, room int, fixp unsafe.Pointer, callBase *[8]int32) (newBi, newI, newEnd, newPos int, newFixp unsafe.Pointer)
 //
 // The stamp loop proper (template_amd64.go describes what a stamp is): it
 // stamps the program's blocks at buf+pos, each block's head and then its
@@ -20,27 +20,26 @@
 // package's instr* and block* constants), and TestStampedEqualsEncoded
 // holds every template it can stamp to the encoder's bytes.
 //
-//	SI  instruction     R8   pos       R10  c      R12  buf
-//	R13 end of block    R9   fixp      R11  t      BX   template
+//	SI  instruction     R8   pos       R11  t      R12  buf
+//	R13 end of block    R9   fixp      BX   template
 //	DI  shape, then the stamp's address; AX CX DX R14 R15 scratch
-TEXT ·stampBlocks(SB), NOSPLIT, $16-152
+TEXT ·stampBlocks(SB), NOSPLIT, $16-144
 	MOVQ R14, save14-8(SP)
 	MOVQ R15, save15-16(SP)
-	MOVQ c+0(FP), R10
-	MOVQ t+8(FP), R11
-	MOVQ code+16(FP), AX
-	MOVQ i+56(FP), SI
+	MOVQ t+0(FP), R11
+	MOVQ code+8(FP), AX
+	MOVQ i+48(FP), SI
 	ADDQ AX, SI
-	MOVQ end+64(FP), R13
+	MOVQ end+56(FP), R13
 	ADDQ AX, R13
-	MOVQ buf+72(FP), R12
-	MOVQ pos+80(FP), R8
-	MOVQ fixp+96(FP), R9
+	MOVQ buf+64(FP), R12
+	MOVQ pos+72(FP), R8
+	MOVQ fixp+88(FP), R9
 
 loop:
 	CMPQ SI, R13
 	JAE  nextBlock
-	CMPQ R8, room+88(FP)
+	CMPQ R8, room+80(FP)
 	JGT  done
 
 	// The opcode and the operand bytes.
@@ -58,11 +57,11 @@ loop:
 	SHRL $25, DI
 	ANDL $const_shapeEq, DI
 	ORL  $3, DI
-	MOVBLZX Compiler_kindDst(R10)(CX*1), R14
+	MOVBLZX tmplTable_kindDst(R11)(CX*1), R14
 	ANDL R14, DI
-	MOVBLZX Compiler_kindA(R10)(DX*1), R14
+	MOVBLZX tmplTable_kindA(R11)(DX*1), R14
 	ORL  R14, DI
-	MOVBLZX Compiler_kindB(R10)(AX*1), R14
+	MOVBLZX tmplTable_kindB(R11)(AX*1), R14
 	ORL  R14, DI
 
 	// The immediate's width class (immClass): one for each of non-zero,
@@ -114,7 +113,7 @@ loop:
 
 	// The CALL's displacement: routine - (site + 4).
 	MOVBLZX template_callSel(BX), AX
-	MOVQ callBase+104(FP), CX
+	MOVQ callBase+96(FP), CX
 	MOVL (CX)(AX*4), DX
 	MOVBLZX template_callOff(BX), AX
 	SUBL R8, DX
@@ -125,19 +124,19 @@ loop:
 	MOVBLZX const_instrDst(SI), CX
 	MOVBLZX template_lay+0(BX), AX
 	ORL  CX, AX
-	MOVBLZX Compiler_patch(R10)(AX*1), AX
+	MOVBLZX tmplTable_patch(R11)(AX*1), AX
 	MOVBLZX template_off+0(BX), CX
 	ORB  AL, (DI)(CX*1)
 	MOVBLZX const_instrA(SI), CX
 	MOVBLZX template_lay+1(BX), AX
 	ORL  CX, AX
-	MOVBLZX Compiler_patch(R10)(AX*1), AX
+	MOVBLZX tmplTable_patch(R11)(AX*1), AX
 	MOVBLZX template_off+1(BX), CX
 	ORB  AL, (DI)(CX*1)
 	MOVBLZX const_instrB(SI), CX
 	MOVBLZX template_lay+2(BX), AX
 	ORL  CX, AX
-	MOVBLZX Compiler_patch(R10)(AX*1), AX
+	MOVBLZX tmplTable_patch(R11)(AX*1), AX
 	MOVBLZX template_off+2(BX), CX
 	ORB  AL, (DI)(CX*1)
 
@@ -158,16 +157,16 @@ loop:
 
 nextBlock:
 	// The head of block bi+1, if there is one and room for it.
-	MOVQ bi+48(FP), AX
+	MOVQ bi+40(FP), AX
 	INCQ AX
-	CMPQ AX, nb+32(FP)
+	CMPQ AX, nb+24(FP)
 	JAE  finished
-	CMPQ R8, room+88(FP)
+	CMPQ R8, room+80(FP)
 	JGT  done
-	MOVQ AX, bi+48(FP)
-	MOVQ heads+40(FP), CX
+	MOVQ AX, bi+40(FP)
+	MOVQ heads+32(FP), CX
 	MOVL R8, (CX)(AX*4)
-	MOVQ blocks+24(FP), CX
+	MOVQ blocks+16(FP), CX
 	MOVL const_blockLen(CX)(AX*8), DX // the instruction count (prog.Block is 8 bytes)
 	IMUL3Q $const_instrSize, DX, CX
 	LEAQ (SI)(CX*1), R13
@@ -196,18 +195,18 @@ nextBlock:
 	JMP  loop
 
 finished:
-	MOVQ AX, bi+48(FP)
+	MOVQ AX, bi+40(FP)
 
 done:
-	MOVQ bi+48(FP), AX
-	MOVQ AX, newBi+112(FP)
-	MOVQ code+16(FP), AX
+	MOVQ bi+40(FP), AX
+	MOVQ AX, newBi+104(FP)
+	MOVQ code+8(FP), AX
 	SUBQ AX, SI
-	MOVQ SI, newI+120(FP)
+	MOVQ SI, newI+112(FP)
 	SUBQ AX, R13
-	MOVQ R13, newEnd+128(FP)
-	MOVQ R8, newPos+136(FP)
-	MOVQ R9, newFixp+144(FP)
+	MOVQ R13, newEnd+120(FP)
+	MOVQ R8, newPos+128(FP)
+	MOVQ R9, newFixp+136(FP)
 	MOVQ save14-8(SP), R14
 	MOVQ save15-16(SP), R15
 	RET

@@ -2,13 +2,13 @@
 
 // Copy-and-patch compilation. Lowering a widget instruction is a fixed
 // translation: the bytes depend only on the opcode, on where each operand
-// lives (a low or a high hardware register, a frame slot with a short or a
-// long displacement) and on how wide the immediate is. So the encoder in
-// compile_amd64.go runs once per process over every such shape and leaves
-// a table of byte templates, each with the sites where the operands go
-// recorded; Compile then looks a template up, copies a fixed number of
-// bytes and patches the operands in — no opcode switch, no residency test,
-// no byte-at-a-time emission on the hash path.
+// lives (a low or a high hardware register, or a frame slot) and on how
+// wide the immediate is. So the encoder in compile_amd64.go runs once per
+// process over every such shape and leaves a table of byte templates,
+// each with the sites where the operands go recorded; Compile then looks
+// a template up, copies a fixed number of bytes and patches the operands
+// in — no opcode switch, no residency test, no byte-at-a-time emission on
+// the hash path.
 //
 // Patch sites are found by differential encoding: the builder encodes a
 // shape twice with one operand changed and takes the bytes that moved.
@@ -29,8 +29,8 @@
 // zero into the slack past the template, which keeps the stamp loop free
 // of per-site branches. That loop — a block's head, then shape, lookup,
 // copy and patches once per widget instruction, for the whole program in
-// one call — is stampBlocks in stamp_amd64.s; everything stamped once per
-// program, and the slow stubs, are below.
+// one call — is stampBlocks in stamp_amd64.s; the prologue and epilogue
+// are constant bytes, and they and the slow stubs are stamped below.
 //
 // Every shape of every opcode of the ISA has a template
 // (TestEveryInstructionStamps), because the lowerings are written to fit
@@ -73,7 +73,7 @@ const (
 	kindPinLow  = 0 // in one of the low eight hardware registers
 	kindPinHigh = 1 // in r8..r15: the same encodings with a REX bit set
 	kindFrame8  = 2 // frame slot within a signed 8-bit displacement
-	kindFrame32 = 3 // frame slot needing a 32-bit displacement
+	numKinds    = 3 // a frame slot past that reach has no template (see pinMap)
 
 	shapeEq       = 1 << 6
 	shapeImmShift = 7
@@ -88,10 +88,10 @@ const (
 )
 
 // Operand layouts: what a register operand's byte site takes
-// (Compiler.patch).
+// (tmplTable.patch).
 const (
 	layNone   = 0
-	layDisp   = 1 // frame slot: low byte of intOff(r)
+	layDisp   = 1 // frame slot: intOff(r), a one-byte displacement
 	layFP     = 2 // float register: fpOff(r)
 	layPinRM  = 3 // pinned, in ModRM.rm or the low bits of an opcode: p&7
 	layPinReg = 4 // pinned, in ModRM.reg: p&7 << 3
@@ -107,7 +107,7 @@ type template struct {
 	fix     uint32   // fixOff | kind<<fixKindShift: added to the position, a fixup's low half
 	n       uint8    // code length
 	off     [3]uint8 // byte site of operand field Dst, A, B ...
-	lay     [3]uint8 // ... and its layout, pre-shifted to index Compiler.patch
+	lay     [3]uint8 // ... and its layout, pre-shifted to index tmplTable.patch
 	immOff  uint8
 	callOff uint8 // site of a CALL's rel32
 	callSel uint8 // which routine it calls (callLoad...), 0 for none
@@ -155,22 +155,25 @@ type tmplTable struct {
 	templates [maxTemplates]template
 	nTmpl     int
 
-	dispKind [isa.NumIntRegs]uint8 // kindFrame8 or kindFrame32: the slot's reach
+	// What the stamp loop reads per operand under pinMap: the shape kind of
+	// widget integer register r, shifted to each operand field's place in
+	// the shape, and patch[layout<<4|r], the byte an operand site of that
+	// layout takes for register r. All are indexed by raw operand bytes,
+	// hence the 256 entries.
+	kindDst, kindA, kindB [256]uint8
+	patch                 [256]uint8
 
 	// heads and stubs are indexed by blockForm, the width of the count.
 	heads, stubs [2]blockTmpl
 
-	// proLoad and epiStore move one pinned register from or to its frame
-	// slot, indexed by the register's pinned kind and its slot's dispKind.
-	// entry is what follows the loads: the rest of the prologue and the
-	// shared routines (routine sel at routineAt[sel]); slowTail has one
-	// fixup to the epilogue at slowTailFix.
-	proLoad, epiStore [2][2]template
-	entry             []byte
-	routineAt         [numCalls]int
-	slowTail          []byte
-	slowTailFix       int
-	epiTail           []byte
+	// entry is the prologue and the shared routines (routine sel at
+	// routineAt[sel]), the code every program starts with; slowTail has
+	// one fixup to the epilogue at slowTailFix.
+	entry       []byte
+	routineAt   [numCalls]int
+	slowTail    []byte
+	slowTailFix int
+	epilogue    []byte
 }
 
 var (
@@ -187,13 +190,14 @@ func templates() *tmplTable {
 
 // ---- stamping (per hash) ----
 
-// stampProgram lays the whole program out in c.buf[:c.pos] under the
-// register assignment in c.regMap, and returns where the blocks and the
-// slow stubs start.
+// stampProgram lays the whole program out in c.buf[:c.pos] under pinMap,
+// and returns where the blocks and the slow stubs start.
 func (c *Compiler) stampProgram(p *prog.Program) (blocksAt, stubsAt int, err error) {
+	t := c.t
 	c.reset(len(p.Blocks))
-	c.bindRegs()
-	c.stampPrologue()
+	c.ensure(len(t.entry))
+	c.pos = copy(c.buf, t.entry)
+	c.routine = t.routineAt
 	blocksAt = c.pos
 	if err := c.stampBlocks(p); err != nil {
 		return 0, 0, err
@@ -201,59 +205,9 @@ func (c *Compiler) stampProgram(p *prog.Program) (blocksAt, stubsAt int, err err
 	stubsAt = c.pos
 	c.stampStubs(p)
 	epiPos := int32(c.pos)
-	c.stampEpilogue()
+	c.ensure(len(t.epilogue))
+	c.pos += copy(c.buf[c.pos:], t.epilogue)
 	return blocksAt, stubsAt, c.resolve(epiPos)
-}
-
-// bindRegs derives from the register assignment what the stamp loop reads
-// per operand: its shape kind in each field's position, and for a pinned
-// register its low bits as the two pinned layouts place them.
-func (c *Compiler) bindRegs() {
-	for r := 0; r < isa.NumIntRegs; r++ {
-		kind, pinned := c.t.dispKind[r], uint8(0)
-		if p := c.regMap[r]; p >= 0 {
-			kind, pinned = uint8(p>>3), shapeEq // kindPinLow or kindPinHigh
-			c.patch[layPinRM<<4|r] = uint8(p & 7)
-			c.patch[layPinReg<<4|r] = uint8(p&7) << 3
-		}
-		c.kindDst[r], c.kindA[r], c.kindB[r] = kind|pinned, kind<<2, kind<<4
-	}
-}
-
-// stampReg stamps one of the prologue/epilogue register moves for widget
-// register r: Dst is its hardware register, A its frame slot.
-func (c *Compiler) stampReg(tp *[2][2]template, r int) {
-	t := &tp[c.kindDst[r]&1][c.t.dispKind[r]-kindFrame8]
-	dst := unsafe.Pointer(&c.buf[c.pos])
-	*(*[tmplBytes]byte)(dst) = t.code
-	*(*uint8)(unsafe.Add(dst, t.off[0])) |= c.patch[t.lay[0]|uint8(r)]
-	*(*uint8)(unsafe.Add(dst, t.off[1])) |= c.patch[t.lay[1]|uint8(r)]
-	c.pos += int(t.n)
-}
-
-func (c *Compiler) stampPrologue() {
-	t := c.t
-	c.ensure(isa.NumIntRegs*tmplBytes + len(t.entry))
-	for r := 0; r < isa.NumIntRegs; r++ {
-		if c.regMap[r] >= 0 {
-			c.stampReg(&t.proLoad, r)
-		}
-	}
-	for sel := range c.routine {
-		c.routine[sel] = c.pos + t.routineAt[sel]
-	}
-	c.pos += copy(c.buf[c.pos:], t.entry)
-}
-
-func (c *Compiler) stampEpilogue() {
-	t := c.t
-	c.ensure(isa.NumIntRegs*tmplBytes + len(t.epiTail))
-	for r := 0; r < isa.NumIntRegs; r++ {
-		if c.regMap[r] >= 0 {
-			c.stampReg(&t.epiStore, r)
-		}
-	}
-	c.pos += copy(c.buf[c.pos:], t.epiTail)
 }
 
 // stampBlocks stamps every block's head and body at c.pos.
@@ -286,7 +240,7 @@ func (c *Compiler) stampBlocks(p *prog.Program) error {
 	reserve()
 	nb := len(p.Blocks)
 	for bi, i, end := -1, 0, 0; ; {
-		bi, i, end, pos, fixp = stampBlocks(c, t, unsafe.SliceData(p.Code), unsafe.SliceData(p.Blocks), nb,
+		bi, i, end, pos, fixp = stampBlocks(t, unsafe.SliceData(p.Code), unsafe.SliceData(p.Blocks), nb,
 			unsafe.SliceData(c.heads), bi, i, end, buf, pos, room, fixp, &callBase)
 		if bi == nb {
 			break
@@ -313,7 +267,7 @@ func (c *Compiler) stampBlocks(p *prog.Program) error {
 // bytes of its displacement.
 //
 //go:noescape
-func stampBlocks(c *Compiler, t *tmplTable, code *prog.Instr, blocks *prog.Block, nb int, heads *int32, bi, i, end int, buf unsafe.Pointer, pos, room int, fixp unsafe.Pointer, callBase *[8]int32) (newBi, newI, newEnd, newPos int, newFixp unsafe.Pointer)
+func stampBlocks(t *tmplTable, code *prog.Instr, blocks *prog.Block, nb int, heads *int32, bi, i, end int, buf unsafe.Pointer, pos, room int, fixp unsafe.Pointer, callBase *[8]int32) (newBi, newI, newEnd, newPos int, newFixp unsafe.Pointer)
 
 // stampStubs stamps the slow tail and every block's slow stub at c.pos,
 // and points each head's guard branch at its stub.
@@ -354,16 +308,16 @@ type tmplBuilder struct {
 // Sample operands. fieldRegs[f] is the widget register standing in operand
 // field f when that field is pinned — to hardware register 0 or 8 by its
 // kind, and to 7 or 15 for the second sample, which differs in all three
-// low bits — or in the frame, where fieldAlt is the second sample: a
-// register of the same kind that no field uses. The registers are distinct
-// per field, so only an Eq shape has Dst == A. Immediates are sampled as a
-// value and its complement, so a difference spans the full width of the
-// site.
+// low bits — or in the frame, where frameAlt is the second sample: a
+// frame register that no field uses. The registers are distinct per field,
+// so only an Eq shape has Dst == A. Immediates are sampled as a value and
+// its complement, so a difference spans the full width of the site.
 var (
-	fieldRegs  = [4][3]uint8{kindPinLow: {12, 13, 14}, kindPinHigh: {12, 13, 14}, kindFrame8: {5, 6, 7}, kindFrame32: {0, 1, 2}}
-	fieldAlt   = [4]uint8{kindFrame8: 8, kindFrame32: 3}
+	fieldRegs  = [numKinds][3]uint8{kindPinLow: {12, 13, 14}, kindPinHigh: {12, 13, 14}, kindFrame8: {5, 6, 7}}
 	immSamples = [4]int64{immI8: 0x11, immI32: 0x11111111, immI64: 0x1111111111111111}
 )
+
+const frameAlt = 8
 
 // Stand-ins for the shared routines' positions and for the slow tail's.
 var sampleRoutines = [numCalls]int{callLoad: 1 << 20, callStore: 2 << 20, callFToI: 3 << 20, callVMul: 4 << 20}
@@ -375,16 +329,22 @@ func buildTemplates() *tmplTable {
 	g := &Compiler{routine: sampleRoutines}
 	defer g.release() // the encoder emits into a code mapping, as Compile does
 	tb := &tmplBuilder{g: g}
-	for r := range t.dispKind {
-		off := intOff(uint8(r))
-		t.dispKind[r] = kindFrame32
-		if off == int32(int8(off)) {
-			t.dispKind[r] = kindFrame8
+	// The operand tables under pinMap. A frame operand is patched as its
+	// one-byte displacement: a frame-resident register whose slot a signed
+	// byte does not reach would need a template family of its own.
+	for r := uint8(0); r < isa.NumIntRegs; r++ {
+		kind, pinned := uint8(kindFrame8), uint8(0)
+		if p := pinMap[r]; p >= 0 {
+			kind, pinned = uint8(p>>3), shapeEq // kindPinLow or kindPinHigh
+			t.patch[layPinRM<<4|r] = uint8(p & 7)
+			t.patch[layPinReg<<4|r] = uint8(p&7) << 3
+		} else if off := intOff(r); off != int32(int8(off)) {
+			panic(fmt.Sprintf("jit: frame-resident r%d is at displacement %d, beyond a signed byte", r, off))
 		}
-		// A frame operand is patched in its displacement's low byte only.
-		if off>>8 != -1 {
-			panic("jit: integer register slots are not within 256 bytes below the frame pointer")
-		}
+		t.kindDst[r], t.kindA[r], t.kindB[r] = kind|pinned, kind<<2, kind<<4
+		t.patch[layDisp<<4|r] = uint8(intOff(r))
+		t.patch[layFP<<4|r] = uint8(fpOff(r))
+		t.patch[layVec<<4|r] = uint8(vecOff(r))
 	}
 
 	lower := func(g *Compiler, ins *prog.Instr) error { return g.emitInstr(ins, 2) }
@@ -392,10 +352,11 @@ func buildTemplates() *tmplTable {
 		if !op.Valid() {
 			continue
 		}
-		use := intUseMask[op]
+		var files [3]isa.RegFile
+		files[0], files[1], files[2] = op.Operands()
 		mask := uint32(0)
-		for f := 0; f < 3; f++ {
-			if use>>f&1 != 0 {
+		for f, file := range files {
+			if file == isa.RegInt {
 				mask |= 3 << (2 * f)
 			}
 		}
@@ -411,7 +372,7 @@ func buildTemplates() *tmplTable {
 			if shape&^mask != 0 || !validShape(shape) {
 				continue
 			}
-			tp, ok := tb.derive(lower, prog.Instr{Op: op}, use, shape)
+			tp, ok := tb.derive(lower, prog.Instr{Op: op}, shape)
 			if !ok {
 				panic(fmt.Sprintf("jit: %v in shape %#x does not fit a template", op, shape))
 			}
@@ -421,35 +382,17 @@ func buildTemplates() *tmplTable {
 		}
 	}
 
-	// The prologue's loads and the epilogue's stores: Dst names the pinned
-	// register, A the frame slot (the stamper passes one register as both).
-	move := func(op byte) func(g *Compiler, ins *prog.Instr) error {
-		return func(g *Compiler, ins *prog.Instr) error {
-			g.opRM(op, int(g.regMap[ins.Dst]), r15, intOff(ins.A))
-			return nil
-		}
-	}
-	for pin := range t.proLoad {
-		for k := range t.proLoad[pin] {
-			shape := uint32(pin | (kindFrame8+k)<<2)
-			var ok1, ok2 bool
-			t.proLoad[pin][k], ok1 = tb.derive(move(0x8B), prog.Instr{}, 3, shape)
-			t.epiStore[pin][k], ok2 = tb.derive(move(0x89), prog.Instr{}, 3, shape)
-			if !ok1 || !ok2 {
-				panic("jit: no template for the prologue/epilogue register moves")
-			}
-		}
-	}
-
+	// The code every program starts and ends with, under pinMap.
 	blob := func(emit func()) []byte {
 		code, _ := tb.run(emit)
 		return bytes.Clone(code)
 	}
-	t.entry = blob(func() { g.emitPrologueTail(); g.emitRoutines() })
+	g.regMap = pinMap
+	t.entry = blob(func() { g.emitPrologue(); g.emitRoutines() })
 	t.routineAt, g.routine = g.routine, sampleRoutines
 	t.slowTail = blob(g.emitSlowTail)
 	t.slowTailFix = int(g.fix[0].pos())
-	t.epiTail = blob(g.emitEpilogueTail)
+	t.epilogue = blob(g.emitEpilogue)
 
 	// Block heads and slow stubs, one per count width (see tmplTable). The
 	// sample pairs differ in every byte of their width.
@@ -462,10 +405,14 @@ func buildTemplates() *tmplTable {
 	return t
 }
 
-// validShape reports whether a shape can occur: Eq is only ever set for a
-// pinned Dst, whose kind A then shares.
+// validShape reports whether a shape can occur: every kind is one of
+// numKinds, and Eq is only ever set for a pinned Dst, whose kind A then
+// shares.
 func validShape(shape uint32) bool {
-	kd, ka := shape&3, shape>>2&3
+	kd, ka, kb := shape&3, shape>>2&3, shape>>4&3
+	if kd >= numKinds || ka >= numKinds || kb >= numKinds {
+		return false
+	}
 	return shape&shapeEq == 0 || (kd == ka && kd <= kindPinHigh)
 }
 
@@ -512,12 +459,10 @@ func site(a, b []byte) (off, n int, ok bool) {
 // widthMask returns the mask selecting the low n bytes.
 func widthMask(n int) uint64 { return ^uint64(0) >> (64 - 8*uint(n)) }
 
-// derive builds the template of one shape of one lowering: use says which
-// operand fields of ins name integer registers (the others are float or
-// vector registers, or unused). It fails when the lowering does not fit a
-// template: too long, an operand in more than one place, or more than one
-// fixup.
-func (tb *tmplBuilder) derive(lower func(*Compiler, *prog.Instr) error, ins prog.Instr, use uint8, shape uint32) (tp template, ok bool) {
+// derive builds the template of one shape of one lowering. It fails when
+// the lowering does not fit a template: too long, an operand in more than
+// one place, or more than one fixup.
+func (tb *tmplBuilder) derive(lower func(*Compiler, *prog.Instr) error, ins prog.Instr, shape uint32) (tp template, ok bool) {
 	g := tb.g
 	for r := range g.regMap {
 		g.regMap[r] = -1
@@ -526,13 +471,13 @@ func (tb *tmplBuilder) derive(lower func(*Compiler, *prog.Instr) error, ins prog
 	files[0], files[1], files[2] = ins.Op.Operands()
 	kinds := [3]uint32{shape & 3, shape >> 2 & 3, shape >> 4 & 3}
 	field := func(ins *prog.Instr, f int) *uint8 { return [3]*uint8{&ins.Dst, &ins.A, &ins.B}[f] }
-	isInt := func(f int) bool { return use>>f&1 != 0 }
+	isInt := func(f int) bool { return files[f] == isa.RegInt }
 	pinned := func(f int) bool { return isInt(f) && kinds[f] <= kindPinHigh }
 	var alt [3]uint8
 	for f := 0; f < 3; f++ {
 		alt[f] = 7 // registers 0 and 7 exist in every file
 		if isInt(f) {
-			*field(&ins, f), alt[f] = fieldRegs[kinds[f]][f], fieldAlt[kinds[f]]
+			*field(&ins, f), alt[f] = fieldRegs[kinds[f]][f], frameAlt
 			if pinned(f) {
 				g.regMap[*field(&ins, f)] = int8(kinds[f] * 8)
 			}
@@ -586,8 +531,9 @@ func (tb *tmplBuilder) derive(lower func(*Compiler, *prog.Instr) error, ins prog
 		}
 		switch moved := base[off] ^ code[off]; {
 		case !pinned(f):
-			// The low byte of a displacement, whatever its width: a frame
-			// slot's, a float register's or a vector register's first lane's.
+			// A one-byte displacement, or the low byte of a four-byte one:
+			// a frame slot's, a float register's or a vector register's
+			// first lane's.
 			switch tp.lay[f] = layDisp << 4; files[f] {
 			case isa.RegFP:
 				tp.lay[f] = layFP << 4

@@ -9,17 +9,16 @@ import (
 )
 
 // The emit loop. A widget is written front to back, in one pass, straight
-// into its prog.Program: the code, the block table and the integer use
-// counts (Program.Uses) as it goes, every instruction valid by
-// construction, so there is no builder and no per-instruction check. A
-// filler instruction is a class draw against the remaining budgets, an
-// opcode draw through an integer cut table, and one pass over the
-// opcode's operands that reads its draws off a window of the stream
-// (rng.Lookahead), choosing between them without branching on the draws.
-// A diamond's condition is copied from a skeleton per kind. Every draw is
-// the one the pipeline this replaced made, from the same stream in the
-// same order (TestGenerateMatchesReference holds it to that pipeline,
-// kept in reference_test.go).
+// into its prog.Program: the code and the block table as it goes, every
+// instruction valid by construction, so there is no builder and no
+// per-instruction check. A filler instruction is a class draw against the
+// remaining budgets, an opcode draw through an integer cut table, and one
+// pass over the opcode's operands that reads its draws off a window of
+// the stream (rng.Lookahead), choosing between them without branching on
+// the draws. A diamond's condition is copied from a skeleton per kind.
+// Every draw is the one the pipeline this replaced made, from the same
+// stream in the same order (TestGenerateMatchesReference holds it to that
+// pipeline, kept in reference_test.go).
 
 // diamondKind classifies the conditional branch of a diamond.
 type diamondKind uint8
@@ -57,13 +56,12 @@ const (
 
 // fillerOp is one opcode a register-class filler may take, with its
 // operands as the draws see them: the register file of each of dst, a and
-// b (isa.RegNone when unused) and the size of its pool (poolSize), which
-// of them name integer registers (put's intMask), whether there is a b
-// (an unused b takes no draw) and whether it draws an immediate.
+// b (isa.RegNone when unused) and the size of its pool (poolSize), whether
+// there is a b (an unused b takes no draw) and whether it draws an
+// immediate.
 type fillerOp struct {
 	op        isa.Opcode
 	class     isa.Class
-	ints      uint8
 	hasB, imm uint8
 	files     [3]isa.RegFile
 	pools     [3]uint64
@@ -131,7 +129,6 @@ var opTables = func() (t [numFiller]opTable) {
 			row := fillerOp{op: o.op, class: o.op.ClassOf()}
 			row.files[0], row.files[1], row.files[2] = o.op.Operands()
 			for k, file := range row.files {
-				row.ints |= uint8(b2u(file == isa.RegInt)) << k
 				row.pools[k] = poolSize[file]
 			}
 			row.hasB = uint8(b2u(row.files[2] != isa.RegNone))
@@ -186,19 +183,14 @@ const (
 	patChase
 )
 
-// put appends one instruction of class c, counting its integer operands
-// (intMask: bit 0 Dst, bit 1 A, bit 2 B).
-func (st *genState) put(op isa.Opcode, c isa.Class, intMask uint8, dst, a, b uint8, imm int64) {
+// put appends one instruction of class c.
+func (st *genState) put(op isa.Opcode, c isa.Class, dst, a, b uint8, imm int64) {
 	// Field by field: a composite literal is built on the stack and
 	// copied, and the copy's wide load of the narrow stores just made
 	// stalls.
 	in := &st.code[st.n]
 	in.Imm, in.Op, in.Class, in.Dst, in.A, in.B, in.Target = imm, op, c, dst, a, b, 0
 	st.n++
-	u := &st.out.Uses
-	u[dst&(isa.NumIntRegs-1)] += uint32(intMask & 1)
-	u[a&(isa.NumIntRegs-1)] += uint32(intMask >> 1 & 1)
-	u[b&(isa.NumIntRegs-1)] += uint32(intMask >> 2)
 }
 
 // newBlock starts a block at the next instruction.
@@ -281,7 +273,7 @@ func (st *genState) filler(f int) {
 
 	imm := (int64(w[j%fillerDraws]>>52) - 2048) & -int64(o.imm)
 	st.bbv.Pos = i + int(j) + int(o.imm)
-	st.put(o.op, o.class, o.ints, d, a, b, imm)
+	st.put(o.op, o.class, d, a, b, imm)
 }
 
 // fillerOneByOne is filler's operand draws for opcode o, one draw at a
@@ -300,7 +292,7 @@ func (st *genState) fillerOneByOne(o *fillerOp) {
 	if o.imm != 0 {
 		imm = int64(st.bbv.Next()>>52) - 2048
 	}
-	st.put(o.op, o.class, o.ints, d, a, b, imm)
+	st.put(o.op, o.class, d, a, b, imm)
 }
 
 // pool draws a register of file f at position i and returns it and the
@@ -386,12 +378,9 @@ func (st *genState) memOneByOne(i int, poolBase uint64, base uint8, load bool, f
 	return base, r
 }
 
-// memOps are a memory access's opcode and integer operands, by whether it
-// is a store and whether it is a float one.
-var memOps = [2][2]struct {
-	op   isa.Opcode
-	ints uint8
-}{{{isa.OpLoad, 3}, {isa.OpFLoad, 2}}, {{isa.OpStore, 6}, {isa.OpFStore, 2}}}
+// memOps are a memory access's opcode, by whether it is a store and
+// whether it is a float one.
+var memOps = [2][2]isa.Opcode{{isa.OpLoad, isa.OpFLoad}, {isa.OpStore, isa.OpFStore}}
 
 // emitLoad emits a load: its destination is a pool draw of the float
 // coin's file — except in the chase pattern's serial chain, where the
@@ -411,8 +400,7 @@ func (st *genState) emitLoad() {
 	default:
 		st.last[file] = d
 	}
-	o := memOps[0][fp]
-	st.put(o.op, isa.ClassLoad, o.ints, d, base, 0, disp)
+	st.put(memOps[0][fp], isa.ClassLoad, d, base, 0, disp)
 }
 
 // emitStore emits a store of a source of the float coin's file; the
@@ -427,8 +415,7 @@ func (st *genState) emitStore() {
 	if st.bbv.Zero < i+fillerDraws {
 		base, b = st.memOneByOne(i, poolBase, base, false, file)
 	}
-	o := memOps[1][fp]
-	st.put(o.op, isa.ClassStore, o.ints, 0, base, b, disp)
+	st.put(memOps[1][fp], isa.ClassStore, 0, base, b, disp)
 }
 
 // pickClass draws the class of the next filler instruction, weighted by
@@ -458,7 +445,7 @@ func (st *genState) pickClass() int {
 // divide evenly by the trip count), then falls through to the body.
 func (st *genState) emitEntry() {
 	st.newBlock()
-	movi := func(dst uint8, imm int64) { st.put(isa.OpMovI, isa.ClassIntALU, 1, dst, 0, 0, imm) }
+	movi := func(dst uint8, imm int64) { st.put(isa.OpMovI, isa.ClassIntALU, dst, 0, 0, imm) }
 	movi(regCounter, int64(st.params.LoopTrips))
 	movi(regZero, 0)
 	movi(regMask, 255)
@@ -478,10 +465,10 @@ func (st *genState) emitEntry() {
 		movi(uint8(i), int64(st.bbv.Next()))
 	}
 	for i := 0; i < isa.NumFPRegs; i++ {
-		st.put(isa.OpFCvt, isa.ClassFPALU, 2, uint8(i), uint8(i%regPoolSize), 0, 0)
+		st.put(isa.OpFCvt, isa.ClassFPALU, uint8(i), uint8(i%regPoolSize), 0, 0)
 	}
 	for i := 0; i < isa.NumVecRegs; i++ {
-		st.put(isa.OpVBcast, isa.ClassVector, 2, uint8(i), uint8(i%regPoolSize), 0, 0)
+		st.put(isa.OpVBcast, isa.ClassVector, uint8(i), uint8(i%regPoolSize), 0, 0)
 	}
 
 	// Residual instructions (executed once, not per iteration). Branch
@@ -570,18 +557,18 @@ func (st *genState) emitBody() {
 	// artificially cache-warm), advance the memory bases, close the loop.
 	st.newBlock()
 	alu := isa.ClassIntALU
-	st.put(isa.OpRor, alu, 7, regScratch, regEntropy, regShiftB, 0)
-	st.put(isa.OpAdd, alu, 7, regEntropy, regScratch, regSeq, 0)
-	st.put(isa.OpXor, alu, 7, 0, 0, regEntropy, 0)
-	st.put(isa.OpXor, alu, 7, regChase, regChase, regEntropy, 0)
-	st.put(isa.OpAddI, alu, 3, regSeq, regSeq, 0, int64(8*(st.budget[isa.ClassLoad]+1)))
-	st.put(isa.OpAddI, alu, 3, regStride, regStride, 0, 320)
-	st.put(isa.OpAddI, alu, 3, regCounter, regCounter, 0, -1)
-	st.put(isa.OpBne, isa.ClassBranch, 6, 0, regCounter, regZero, 0)
+	st.put(isa.OpRor, alu, regScratch, regEntropy, regShiftB, 0)
+	st.put(isa.OpAdd, alu, regEntropy, regScratch, regSeq, 0)
+	st.put(isa.OpXor, alu, 0, 0, regEntropy, 0)
+	st.put(isa.OpXor, alu, regChase, regChase, regEntropy, 0)
+	st.put(isa.OpAddI, alu, regSeq, regSeq, 0, int64(8*(st.budget[isa.ClassLoad]+1)))
+	st.put(isa.OpAddI, alu, regStride, regStride, 0, 320)
+	st.put(isa.OpAddI, alu, regCounter, regCounter, 0, -1)
+	st.put(isa.OpBne, isa.ClassBranch, 0, regCounter, regZero, 0)
 	st.code[st.n-1].Target = head
 
 	st.newBlock()
-	st.put(isa.OpHalt, isa.ClassBranch, 0, 0, 0, 0, 0)
+	st.put(isa.OpHalt, isa.ClassBranch, 0, 0, 0, 0)
 }
 
 // sampleBlockSize draws a basic-block size from the profile's
@@ -646,13 +633,6 @@ func (st *genState) emitDiamond(d diamond) {
 	c[0].A, c[0].B = sel(dd, st.last[isa.RegInt], regZero), sel(dd, d.shift, regZero)
 	c[cond.n-1].Target = uint32(len(st.out.Blocks) + 1) // the second arm
 	st.n += cond.n
-	u := &st.out.Uses
-	u[c[0].A]++
-	u[c[0].B]++
-	u[regScratch] += uint32(6 * dd)
-	u[regMask] += uint32(dd)
-	u[regThresh] += uint32(dd)
-	u[regZero] += uint32(dd)
 
 	// Both arms carry the same class multiset (different concrete
 	// instructions) and both end with an explicit jump, so either path

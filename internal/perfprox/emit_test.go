@@ -200,9 +200,9 @@ func TestFillerZeroDraws(t *testing.T) {
 			case f == fLoad && pat == patChase:
 				want = prog.Instr{Op: isa.OpLoad, Dst: regChase, A: regChase}
 			case f == fLoad:
-				want = prog.Instr{Op: memOps[0][b2u(fp)].op, Dst: m.dst(file), A: base, Imm: disp}
+				want = prog.Instr{Op: memOps[0][b2u(fp)], Dst: m.dst(file), A: base, Imm: disp}
 			default:
-				want = prog.Instr{Op: memOps[1][b2u(fp)].op, A: base, B: m.src(file), Imm: disp}
+				want = prog.Instr{Op: memOps[1][b2u(fp)], A: base, B: m.src(file), Imm: disp}
 			}
 		default:
 			o := opTables[f].draw(m.next())

@@ -181,8 +181,8 @@ type genState struct {
 
 	diamonds []diamond
 
-	// The program being written: code[:n] so far, out.Blocks and
-	// out.Uses as they stand.
+	// The program being written: code[:n] so far and out.Blocks as it
+	// stands.
 	code []prog.Instr
 	n    int
 	out  prog.Program

@@ -763,8 +763,6 @@ func sameProgram(got, want *prog.Program) string {
 			i++
 		}
 		return fmt.Sprintf("code differs at instruction %d of %d (want %d)", i, len(got.Code), len(want.Code))
-	case got.Uses != want.Uses:
-		return fmt.Sprintf("use counts %v, want %v", got.Uses, want.Uses)
 	}
 	return ""
 }

@@ -66,18 +66,11 @@ type Block struct {
 // the blocks tile Code without gaps), and execution starts at block 0.
 // MemSize must be a power of two in [MinMemSize, MaxMemSize]; MemSeed
 // deterministically defines the scratch memory contents.
-//
-// Uses is derived, like Instr.Class: Uses[r] is how many operand fields of
-// Code name integer register r (the native compiler pins the most-used
-// ones to hardware registers). Whoever writes Code fills it — the widget
-// generator's emit loop, which touches every operand anyway, or
-// refprog.Builder's Build through CountUses — and Validate checks it.
 type Program struct {
 	Code    []Instr
 	Blocks  []Block
 	MemSize int
 	MemSeed uint64
-	Uses    [isa.NumIntRegs]uint32
 }
 
 // Instrs returns the instructions of block bi, a sub-slice of p.Code.
@@ -105,8 +98,8 @@ var (
 // Validate checks the structural well-formedness of p in one sweep: the
 // block table tiles Code, every opcode is valid,
 // register indices are in range, control instructions end their blocks and
-// target existing blocks, Class is what Op implies, Uses counts the
-// integer operands, the memory declaration is legal, and a halt exists. A validated program can
+// target existing blocks, Class is what Op implies, the memory
+// declaration is legal, and a halt exists. A validated program can
 // be executed without any per-instruction bound check failing, and every
 // derived field in it can be trusted.
 func (p *Program) Validate() error {
@@ -123,7 +116,6 @@ func (p *Program) Validate() error {
 	haveHalt := false
 	term := isa.OpInvalid // the newest block's terminator, if it has one
 	next := uint32(0)     // where the next block must start
-	var uses [isa.NumIntRegs]uint32
 	for bi := range p.Blocks {
 		b := &p.Blocks[bi]
 		if b.Len > MaxBlockInstrs {
@@ -163,42 +155,12 @@ func (p *Program) Validate() error {
 				term = ins.Op
 				haveHalt = haveHalt || ins.Op == isa.OpHalt
 			}
-			countUses(&uses, ins, meta)
 		}
 	}
 	if int(next) != len(p.Code) {
 		return fmt.Errorf("%w: blocks cover %d of %d instructions", ErrBadDerived, next, len(p.Code))
 	}
-	if uses != p.Uses {
-		return fmt.Errorf("%w: integer register uses %v, want %v", ErrBadDerived, p.Uses, uses)
-	}
 	return checkHalts(term, haveHalt)
-}
-
-// CountUses returns the Uses that code derives: how many operand fields
-// name each integer register. Validate counts the same way.
-func CountUses(code []Instr) (uses [isa.NumIntRegs]uint32) {
-	for _, ins := range code {
-		countUses(&uses, ins, isa.MetaOf(ins.Op))
-	}
-	return uses
-}
-
-// countUses adds the integer registers ins names (its opcode's table entry
-// is meta) to uses. Register indices are masked into range, so an operand
-// Validate would reject still counts somewhere rather than panicking.
-func countUses(uses *[isa.NumIntRegs]uint32, ins Instr, meta isa.OpMeta) {
-	dst, a, b := meta.Files()
-	uses[ins.Dst&(isa.NumIntRegs-1)] += b2u(dst == isa.RegInt)
-	uses[ins.A&(isa.NumIntRegs-1)] += b2u(a == isa.RegInt)
-	uses[ins.B&(isa.NumIntRegs-1)] += b2u(b == isa.RegInt)
-}
-
-func b2u(c bool) uint32 {
-	if c {
-		return 1
-	}
-	return 0
 }
 
 // takesTarget reports whether op (whose table entry is meta) transfers to

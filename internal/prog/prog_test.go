@@ -16,7 +16,7 @@ func tinyValid() *Program {
 }
 
 // HandBuilt lays a program out from its blocks' instructions: the tests'
-// own derivation of the block table, Class and Uses, so that Validate and
+// own derivation of the block table and Class, so that Validate and
 // refprog.Builder (builder_test.go) are each checked against something
 // other than themselves.
 func HandBuilt(memSize int, blocks ...[]Instr) *Program {
@@ -27,13 +27,6 @@ func HandBuilt(memSize int, blocks ...[]Instr) *Program {
 	}
 	for i := range p.Code {
 		p.Code[i].Class = p.Code[i].Op.ClassOf()
-		in := &p.Code[i]
-		dst, a, b := in.Op.Operands()
-		for k, f := range []isa.RegFile{dst, a, b} {
-			if f == isa.RegInt {
-				p.Uses[[]uint8{in.Dst, in.A, in.B}[k]]++
-			}
-		}
 	}
 	return p
 }
@@ -155,8 +148,6 @@ func TestValidateRejectsLyingStats(t *testing.T) {
 		}},
 		{"wrong class", func(p *Program) { p.Code[0].Class = isa.ClassFPALU }},
 		{"no class", func(p *Program) { p.Code[2].Class = 0 }},
-		{"uses miscounted", func(p *Program) { p.Uses[1]++ }},
-		{"uses on the wrong register", func(p *Program) { p.Uses[1], p.Uses[2] = 0, 1 }},
 	} {
 		t.Run(tt.name, func(t *testing.T) {
 			p := build()

@@ -120,18 +120,16 @@ func TestLoadAdoptsProgram(t *testing.T) {
 	}
 }
 
-// Registers of the template programs. The native compiler pins the eight
-// most-referenced integer registers of a program to hardware registers,
-// ties going to the lower index (jit's TestAllocRegsPinsMostUsed holds it
-// to that); templateProgram's preamble references r0..r7 far more often
-// than anything else touches r8..r15, so the first set is pinned and the
-// second lives in the frame.
+// Registers of the template programs, pinned or in the frame under the
+// native compiler's one register map (jit's pinMap, which jit's
+// TestPinMap holds): r0..r4, r9, r10 and r14 live in hardware registers,
+// the rest in frame slots.
 const (
 	regPinnedAddr = 1
 	regPinnedData = 2
-	regFrameAddr  = 9
-	regFrameData  = 10
-	regFold       = 6 // every loaded value is folded in here
+	regFrameAddr  = 11
+	regFrameData  = 12
+	regFold       = 9 // every loaded value is folded in here
 	regOther      = 3 // pinned: the value of the set-up stores
 	fregData      = 3
 )
@@ -143,7 +141,7 @@ type templateCase struct {
 
 func (tc templateCase) String() string {
 	kind := func(r uint8) string {
-		if r < 8 {
+		if r == regPinnedAddr || r == regPinnedData {
 			return "pinned"
 		}
 		return "frame"
@@ -173,9 +171,6 @@ func templateProgram(t *testing.T, tc templateCase) *prog.Program {
 	b.NewBlock()
 	for r := uint8(0); r < 8; r++ {
 		b.MovI(r, int64(r)*0x1111+7)
-		for i := 0; i < 30; i++ { // 61 references each; r9 gets under 30
-			b.Op2(isa.OpMov, r, r)
-		}
 	}
 	b.MovI(regFrameData, 0x7a7a)
 	b.Op2(isa.OpFCvt, fregData, regOther)

@@ -1,6 +1,8 @@
 package refprog
 
 import (
+	"fmt"
+
 	"hashcore/internal/isa"
 	"hashcore/internal/prog"
 )
@@ -12,15 +14,29 @@ import (
 // Blocks are named by the labels NewBlock returns, so code can name a
 // block before its instructions are written (forward branches, loop
 // back-edges), and they may be filled in any order. Emit only appends;
-// Build lays the blocks out, counts Uses and returns what
+// Build lays the blocks out and returns what
 // prog.Program.Validate says of the result, the one check a program gets.
 // Emitting before the first NewBlock, or after SetBlock to a label
 // NewBlock never returned, panics.
+//
+// The instructions are kept in one slice in emission order, cut into runs
+// emitted into one block each, which Build lays out by block: a slice per
+// block would grow from nothing, allocation by allocation, for every
+// block of every program.
 type Builder struct {
-	blocks  [][]prog.Instr
+	code    []prog.Instr
+	runs    []run
+	nblocks int
 	current int
 	memSize int
 	memSeed uint64
+}
+
+// run is a stretch of Builder.code emitted into one block: from start to
+// the next run's start (or the end of the code).
+type run struct {
+	block Label
+	start int
 }
 
 // Label names a block created by NewBlock.
@@ -35,8 +51,8 @@ func NewBuilder(memSize int, memSeed uint64) *Builder {
 // NewBlock creates a new empty block and returns its label. The block
 // becomes the current emission target.
 func (b *Builder) NewBlock() Label {
-	b.blocks = append(b.blocks, nil)
-	b.current = len(b.blocks) - 1
+	b.current = b.nblocks
+	b.nblocks++
 	return Label(b.current)
 }
 
@@ -46,8 +62,14 @@ func (b *Builder) SetBlock(l Label) { b.current = int(l) }
 // Emit appends ins to the current block with its Class set (whatever the
 // caller left in ins.Class is overwritten).
 func (b *Builder) Emit(ins prog.Instr) {
+	if uint(b.current) >= uint(b.nblocks) {
+		panic(fmt.Sprintf("refprog: emit into block %d of %d", b.current, b.nblocks))
+	}
+	if n := len(b.runs); n == 0 || b.runs[n-1].block != Label(b.current) {
+		b.runs = append(b.runs, run{Label(b.current), len(b.code)})
+	}
 	ins.Class = ins.Op.ClassOf()
-	b.blocks[b.current] = append(b.blocks[b.current], ins)
+	b.code = append(b.code, ins)
 }
 
 // Op3 emits a three-register-operand instruction.
@@ -106,24 +128,42 @@ func (b *Builder) Halt() {
 }
 
 // Build lays the blocks out in label order and returns the program, or
-// why prog.Program.Validate rejects it. The program owns its storage; the
-// builder may go on emitting and build again.
+// why prog.Program.Validate rejects it. The program takes the builder's
+// instructions, so a Builder builds one program: code emitted block by
+// block in label order is handed over as it stands, and anything else is
+// copied out block by block.
 func (b *Builder) Build() (*prog.Program, error) {
-	n := 0
-	for _, code := range b.blocks {
-		n += len(code)
-	}
 	p := &prog.Program{
-		Code:    make([]prog.Instr, 0, n),
-		Blocks:  make([]prog.Block, 0, len(b.blocks)),
+		Code:    b.code,
+		Blocks:  make([]prog.Block, b.nblocks),
 		MemSize: b.memSize,
 		MemSeed: b.memSeed,
 	}
-	for _, code := range b.blocks {
-		p.Blocks = append(p.Blocks, prog.Block{Start: uint32(len(p.Code)), Len: uint32(len(code))})
-		p.Code = append(p.Code, code...)
+	end := func(i int) int {
+		if i+1 < len(b.runs) {
+			return b.runs[i+1].start
+		}
+		return len(b.code)
 	}
-	p.Uses = prog.CountUses(p.Code)
+	inOrder := true
+	for i, r := range b.runs {
+		p.Blocks[r.block].Len += uint32(end(i) - r.start)
+		inOrder = inOrder && (i == 0 || r.block > b.runs[i-1].block)
+	}
+	for l := 1; l < b.nblocks; l++ {
+		p.Blocks[l].Start = p.Blocks[l-1].Start + p.Blocks[l-1].Len
+	}
+	if !inOrder {
+		p.Code = make([]prog.Instr, len(b.code))
+		next := make([]uint32, b.nblocks) // where block l's next instruction goes
+		for l := range next {
+			next[l] = p.Blocks[l].Start
+		}
+		for i, r := range b.runs {
+			next[r.block] += uint32(copy(p.Code[next[r.block]:], b.code[r.start:end(i)]))
+		}
+	}
+	b.code, b.runs = nil, nil
 	if err := p.Validate(); err != nil {
 		return nil, err
 	}
