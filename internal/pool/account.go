@@ -28,11 +28,10 @@ type MinerStats struct {
 	lastAccepted  time.Time
 }
 
-// acctShards stripes the miner ledger. Writers (the precheck tier on
-// connection goroutines, the verification fleet on shard workers) shard
-// by the same miner hash as the fleet, so in steady state each cell has
-// essentially one writer; the stripes only bound the cost of the
-// cold-path map insert and of snapshot reads.
+// acctShards stripes the miner ledger's map by miner hash. Writers (the
+// precheck tier on connection goroutines, any verification worker) add
+// to a miner's cell atomically, so the stripes only bound the cost of
+// the cold-path map insert and of snapshot reads.
 const acctShards = 16
 
 // minerCell is the live ledger entry for one miner. Every counter is
@@ -107,8 +106,8 @@ func NewAccounting() *Accounting {
 	return a
 }
 
-// minerHash hashes a miner name (FNV-1a); the same hash routes a
-// miner's shares to its verification-fleet shard and its ledger stripe.
+// minerHash hashes a miner name (FNV-1a); it picks the miner's ledger
+// stripe and rate-limiter stripe.
 func minerHash(miner string) uint64 {
 	const (
 		offset64 = 14695981039346656037

@@ -171,7 +171,7 @@ func TestStalledConnNeverDelaysOthers(t *testing.T) {
 }
 
 // TestServeConnSharesVerify exercises the full ingest path over an
-// in-memory connection: admitted share → sharded fleet → verdict on
+// in-memory connection: admitted share → fleet → verdict on
 // the writer queue, plus the admission rejects for duplicates.
 func TestServeConnSharesVerify(t *testing.T) {
 	srv, err := NewServer(Config{

@@ -2,10 +2,12 @@ package pool
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"sync"
 	"sync/atomic"
 	"testing"
+	"time"
 
 	"hashcore/internal/baseline"
 )
@@ -80,7 +82,7 @@ func TestAccountingConcurrentSharded(t *testing.T) {
 }
 
 // TestIngestConcurrentEndToEnd drives the full tiered ingest — admission
-// pre-check on submitter goroutines, sharded fleet verification, ledger
+// pre-check on submitter goroutines, fleet verification, ledger
 // merge — from many miners at once, with duplicate traffic mixed in.
 // Exactly one submission per (job, nonce) pair may reach a hashing
 // session; the rest must be rejected at admission, whichever connection
@@ -174,37 +176,68 @@ func TestIngestConcurrentEndToEnd(t *testing.T) {
 	}
 }
 
-// TestPipelineShardPinning checks the sharding invariant the fleet's
-// ordering guarantee rests on: one miner's shares always land on the
-// same shard.
-func TestPipelineShardPinning(t *testing.T) {
-	v, _, _, _ := newTestValidator(t, zeroBitsCompact(0), impossibleCompact, nil)
-	p := NewPipeline(v, baseline.SHA256d{}, 4, 8)
+// rendezvousHasher's Hash returns only once two calls are inside it at
+// the same time, or once abort closes (then with an error).
+type rendezvousHasher struct {
+	mu      sync.Mutex
+	arrived int
+	both    chan struct{}
+	abort   chan struct{}
+}
+
+func (h *rendezvousHasher) Hash(b []byte) ([32]byte, error) {
+	h.mu.Lock()
+	if h.arrived++; h.arrived == 2 {
+		close(h.both)
+	}
+	h.mu.Unlock()
+	select {
+	case <-h.both:
+		return baseline.SHA256d{}.Hash(b)
+	case <-h.abort:
+		return [32]byte{}, errors.New("rendezvous aborted")
+	}
+}
+
+func (h *rendezvousHasher) Name() string { return "rendezvous" }
+
+// TestPipelineIgnoresMinerNames checks that any idle worker takes the
+// next share, whoever submitted it. Two miners whose names fall in one
+// class of minerHash mod 2 submit one share each to a two-worker
+// pipeline whose hasher lets a call finish only while the other is in
+// flight: a fleet that routed shares by miner name would hand both to
+// one worker and never finish either.
+func TestPipelineIgnoresMinerNames(t *testing.T) {
+	v, jm, _, _ := newTestValidator(t, zeroBitsCompact(0), impossibleCompact, nil)
+	h := &rendezvousHasher{both: make(chan struct{}), abort: make(chan struct{})}
+	p := NewPipeline(v, h, 2, 2)
 	defer p.Close()
-	if p.Shards() != 4 {
-		t.Fatalf("shards = %d, want 4", p.Shards())
-	}
-	seen := make(map[string]int)
-	for m := 0; m < 32; m++ {
-		miner := fmt.Sprintf("miner-%d", m)
-		first := p.shardFor(miner)
-		for trial := 0; trial < 8; trial++ {
-			if p.shardFor(miner) != first {
-				t.Fatalf("miner %q moved shards", miner)
-			}
-		}
-		for i := range p.shards {
-			if first == &p.shards[i] {
-				seen[miner] = i
-			}
+
+	miners := []string{"miner-0"}
+	for i := 1; len(miners) < 2; i++ {
+		name := fmt.Sprintf("miner-%d", i)
+		if minerHash(name)%2 == minerHash(miners[0])%2 {
+			miners = append(miners, name)
 		}
 	}
-	// Sanity: 32 miners should not all hash to one shard.
-	counts := make(map[int]int)
-	for _, s := range seen {
-		counts[s]++
+	verdicts := make(chan ShareResult, len(miners))
+	reply := func(r ShareResult) { verdicts <- r }
+	job := jm.Current()
+	for i, miner := range miners {
+		if err := p.SubmitAdmitted(context.Background(), miner, job, uint64(i), reply); err != nil {
+			t.Fatal(err)
+		}
 	}
-	if len(counts) < 2 {
-		t.Errorf("all 32 miners landed on one shard: %v", counts)
+	timeout := time.After(10 * time.Second)
+	for range miners {
+		select {
+		case r := <-verdicts:
+			if r.Status != StatusAccepted {
+				t.Fatalf("verdict = %+v, want accepted", r)
+			}
+		case <-timeout:
+			close(h.abort)
+			t.Fatalf("shares of %q were not verified at once by two workers", miners)
+		}
 	}
 }

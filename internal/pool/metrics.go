@@ -1,10 +1,6 @@
 package pool
 
-import (
-	"strconv"
-
-	"hashcore/internal/telemetry"
-)
+import "hashcore/internal/telemetry"
 
 // shareClasses enumerates every verdict a share can receive, so all the
 // labeled counters exist (at zero) from server construction — scrapes
@@ -73,12 +69,6 @@ func registerPoolMetrics(reg *telemetry.Registry, s *Server) *poolMetrics {
 		func() float64 { return float64(s.connCount()) })
 	reg.GaugeFunc("pool_verify_queue_depth", "Shares waiting for a verification worker.",
 		func() float64 { return float64(s.pipe.QueueDepth()) })
-	for i := 0; i < s.pipe.Shards(); i++ {
-		shard := i
-		reg.GaugeFunc("pool_shard_queue_depth", "Shares waiting on one verification-fleet shard.",
-			func() float64 { return float64(s.pipe.ShardDepth(shard)) },
-			telemetry.Label{Key: "shard", Value: strconv.Itoa(shard)})
-	}
 	reg.GaugeFunc("pool_seen_shares", "Entries in the duplicate-share set.",
 		func() float64 { return float64(s.seen.Len()) })
 	return pm

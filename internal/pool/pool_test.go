@@ -445,8 +445,8 @@ func TestPipelineConcurrentSubmits(t *testing.T) {
 }
 
 // BenchmarkPipelineVerify prices the verification fleet's width: admitted
-// shares from 64 miners (so every shard has work) verified by real leela
-// hashing sessions, at one worker and at one per CPU (DESIGN.md §15).
+// shares from 64 miners verified by real leela hashing sessions, at one
+// worker and at one per CPU (DESIGN.md §15).
 func BenchmarkPipelineVerify(b *testing.B) {
 	h, err := hashcore.New()
 	if err != nil {

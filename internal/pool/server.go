@@ -15,6 +15,7 @@ import (
 	"time"
 
 	"hashcore/internal/blockchain"
+	"hashcore/internal/pow"
 	"hashcore/internal/telemetry"
 	"hashcore/internal/wire"
 )
@@ -34,11 +35,12 @@ type Config struct {
 	// RangeSize is the nonce window assigned to each subscriber per job.
 	// Default DefaultRangeSize.
 	RangeSize uint64
-	// VerifyWorkers sets the verification-fleet width: shares shard by
-	// miner onto this many session-pinned workers. Default GOMAXPROCS.
+	// VerifyWorkers sets the verification-fleet width: this many
+	// workers, each with a private hashing session, drain one queue.
+	// Default GOMAXPROCS.
 	VerifyWorkers int
-	// QueueDepth bounds the queued shares across the fleet (split per
-	// shard); a full shard blocks that miner's connection reader (TCP
+	// QueueDepth bounds the shares waiting for a verification worker; a
+	// full queue blocks the submitting connection's reader (TCP
 	// backpressure). Default 256.
 	QueueDepth int
 	// RefreshInterval re-templates the current job (rolling its
@@ -104,12 +106,12 @@ func (c *Config) fillDefaults() {
 }
 
 // Server is a mining-pool server: it owns the job manager, the
-// admission pre-check tier, the sharded verification fleet, the miner
+// admission pre-check tier, the verification fleet, the miner
 // ledger and the miner-protocol listener. Create with NewServer, start with
 // Start, stop with Shutdown.
 type Server struct {
 	cfg      Config
-	hasher   Hasher
+	hasher   pow.Hasher
 	jm       *JobManager
 	src      TemplateSource
 	seen     *SeenSet
@@ -136,7 +138,7 @@ type Server struct {
 // private sessions when it implements pow.SessionHasher) over templates
 // from src. The first job is built immediately, so a nil-template source
 // fails here rather than at Start.
-func NewServer(cfg Config, hasher Hasher, src TemplateSource) (*Server, error) {
+func NewServer(cfg Config, hasher pow.Hasher, src TemplateSource) (*Server, error) {
 	cfg.fillDefaults()
 	jm, err := NewJobManager(src, cfg.ShareBits, cfg.RangeSize, jobRetention)
 	if err != nil {
@@ -197,7 +199,7 @@ func (s *Server) Start() error {
 	events, cancel := s.src.SubscribeTips(16)
 	s.wg.Add(1)
 	go s.tipLoop(events, cancel)
-	s.cfg.Logf("pool %q serving %s on %s (share bits %#x, %d verify shards)",
+	s.cfg.Logf("pool %q serving %s on %s (share bits %#x, %d verify workers)",
 		s.cfg.PoolName, s.hasher.Name(), ln.Addr(), s.cfg.ShareBits, s.cfg.VerifyWorkers)
 	return nil
 }
@@ -438,21 +440,12 @@ const (
 	seenCapacity = 1 << 16
 )
 
-// fanoutChunk is how many connections one dispatcher goroutine handles
-// per broadcast; maxFanoutDispatchers bounds the dispatch tree's width.
-const (
-	fanoutChunk          = 2048
-	maxFanoutDispatchers = 8
-)
-
 // broadcastJob notifies every subscribed connection, assigning each its
 // own nonce window. The job's notify payload is serialized exactly once
 // (notifyFrame); each connection's writer patches only its nonce window
 // into a scratch buffer. Dispatch enqueues onto the per-conn writer
-// queues without blocking — a stalled peer can never delay the others;
-// one that overflows its queue is dropped — and splits across a small
-// dispatcher tree so a 10k-conn fan-out is not serialized on the
-// calling goroutine (broadcasts originate on the verification path).
+// queues on the calling goroutine without blocking — a stalled peer can
+// never delay the others; one that overflows its queue is dropped.
 func (s *Server) broadcastJob(job *Job) {
 	s.mu.Lock()
 	conns := make([]*serverConn, 0, len(s.conns))
@@ -466,30 +459,13 @@ func (s *Server) broadcastJob(job *Job) {
 		s.met.fanout.ObserveSince(start)
 		return
 	}
-	job.notifyFrame() // marshal once, before any dispatcher runs
+	job.notifyFrame() // marshal once, before any writer renders it
 	track := &fanoutTrack{start: start, met: s.met}
 	track.pending.Store(int64(len(conns)))
-
-	dispatchers := (len(conns) + fanoutChunk - 1) / fanoutChunk
-	if dispatchers > maxFanoutDispatchers {
-		dispatchers = maxFanoutDispatchers
-	}
-	if dispatchers <= 1 {
-		s.dispatchNotify(conns, job, track)
-		return
-	}
-	per := (len(conns) + dispatchers - 1) / dispatchers
-	for w := 0; w < dispatchers; w++ {
-		lo := w * per
-		hi := lo + per
-		if hi > len(conns) {
-			hi = len(conns)
-		}
-		go s.dispatchNotify(conns[lo:hi], job, track)
-	}
+	s.dispatchNotify(conns, job, track)
 }
 
-// dispatchNotify enqueues one broadcast chunk onto the per-conn writers.
+// dispatchNotify enqueues one broadcast onto the per-conn writers.
 func (s *Server) dispatchNotify(conns []*serverConn, job *Job, track *fanoutTrack) {
 	for _, c := range conns {
 		if !c.subscribed.Load() {
@@ -758,7 +734,7 @@ func (c *serverConn) handleSubscribe(env *Envelope) {
 }
 
 // handleShare pushes one submitted share through the admission tier
-// and, if admitted, onto the miner's verification shard. The reply is
+// and, if admitted, onto the verification queue. The reply is
 // queued on the connection's writer either way. Returns false when the
 // connection should be dropped (submit before subscribe, or shutdown).
 func (c *serverConn) handleShare(jobID []byte, nonce uint64) bool {
@@ -780,7 +756,7 @@ func (c *serverConn) handleShare(jobID []byte, nonce uint64) bool {
 			Status: rej.Status, Reason: rej.Reason})
 		return true
 	}
-	// SubmitAdmitted blocks when the miner's shard is saturated; since
+	// SubmitAdmitted blocks when the verification queue is full; since
 	// this is the connection's read goroutine, the peer experiences TCP
 	// backpressure.
 	if err := c.s.pipe.SubmitAdmitted(context.Background(), miner, job, nonce, c.resultFn); err != nil {

@@ -77,7 +77,7 @@ func (v *ShareValidator) Verify(sess pow.Hasher, hdr *[]byte, miner, jobID strin
 // VerifyAdmitted judges a share the admission tier already resolved
 // and deduped: the *Job is live as of admission and the share's dedupe
 // key is consumed. Only staleness is re-checked — the job window can
-// move while the share waits in a shard queue — before the hash
+// move while the share waits in the queue — before the hash
 // evaluation. Verdict classes match Verify exactly (the admission tier
 // ran the same earlier checks, in the same order).
 func (v *ShareValidator) VerifyAdmitted(sess pow.Hasher, hdr *[]byte, miner string, job *Job, nonce uint64) ShareResult {
@@ -139,22 +139,22 @@ type submitTask struct {
 // ErrPipelineClosed is returned by SubmitAdmitted after Close.
 var ErrPipelineClosed = errors.New("pool: verification pipeline closed")
 
-// Pipeline is the sharded share-verification fleet. Shares shard by
-// miner onto session-pinned workers: each shard owns a private queue
-// and a private hashing session (minted via pow.SessionHasher when the
-// hasher offers it), so one miner's shares are verified in submission
-// order with no cross-shard contention — there is no global queue and
-// no lock shared between shards on the hot path. Ledger writes land in
-// the miner's accounting cell (same hash routing, lock-free adds) and
-// are merged only at read time.
+// Pipeline is the share-verification fleet: one bounded queue drained
+// by a fixed set of workers, each holding a private hashing session
+// (minted via pow.SessionHasher when the hasher offers it). Any idle
+// worker takes the next share, whoever submitted it, so the fleet is
+// busy whenever shares wait; verdicts may leave in a different order
+// than their shares arrived (readers match them by nonce). Ledger
+// writes land in the miner's accounting cell (lock-free adds) and are
+// merged only at read time.
 //
-// Each shard queue is bounded: SubmitAdmitted blocks when the miner's shard is
-// saturated, which propagates as TCP backpressure to the submitting
-// connection instead of unbounded memory growth — and only to miners
-// of the hot shard, not the whole pool.
+// The queue is bounded: SubmitAdmitted blocks when it is full, which
+// propagates as TCP backpressure to the submitting connection instead
+// of unbounded memory growth. Keeping one miner from filling it is the
+// admission tier's rate limit, not the fleet's.
 type Pipeline struct {
 	validator *ShareValidator
-	shards    []verifyShard
+	tasks     chan submitTask
 	wg        sync.WaitGroup
 
 	// met, when non-nil, receives per-share verdict counts and stage
@@ -168,45 +168,35 @@ type Pipeline struct {
 	closed bool
 }
 
-type verifyShard struct {
-	tasks chan submitTask
-}
-
-// NewPipeline starts a fleet of workers shards verifying against
-// validator. depth bounds the total queued shares, split across the
-// shards (minimum 1 per shard).
+// NewPipeline starts workers verification workers draining one queue
+// of depth shares (minimum 1 each).
 func NewPipeline(validator *ShareValidator, hasher pow.Hasher, workers, depth int) *Pipeline {
 	if workers < 1 {
 		workers = 1
 	}
-	perShard := depth / workers
-	if perShard < 1 {
-		perShard = 1
+	if depth < 1 {
+		depth = 1
 	}
 	p := &Pipeline{
 		validator: validator,
-		shards:    make([]verifyShard, workers),
+		tasks:     make(chan submitTask, depth),
 	}
-	for i := range p.shards {
-		p.shards[i].tasks = make(chan submitTask, perShard)
+	for i := 0; i < workers; i++ {
 		sess := hasher
 		if sh, ok := hasher.(pow.SessionHasher); ok {
 			sess = sh.NewSession()
 		}
 		p.wg.Add(1)
-		go p.worker(&p.shards[i], sess)
+		go p.worker(sess)
 	}
 	return p
 }
 
-// Shards reports the fleet width.
-func (p *Pipeline) Shards() int { return len(p.shards) }
-
-// worker drains one shard's queue.
-func (p *Pipeline) worker(sh *verifyShard, sess pow.Hasher) {
+// worker drains the queue through its private session.
+func (p *Pipeline) worker(sess pow.Hasher) {
 	defer p.wg.Done()
 	hdr := make([]byte, 0, 128)
-	for t := range sh.tasks {
+	for t := range p.tasks {
 		if p.met != nil {
 			p.met.queueWait.ObserveSince(t.enq)
 		}
@@ -222,16 +212,11 @@ func (p *Pipeline) worker(sh *verifyShard, sess pow.Hasher) {
 	}
 }
 
-// shardFor routes a miner to its session-pinned shard.
-func (p *Pipeline) shardFor(miner string) *verifyShard {
-	return &p.shards[minerHash(miner)%uint64(len(p.shards))]
-}
-
 // SubmitAdmitted enqueues a share the admission tier (Precheck.Admit)
 // resolved and deduped; reply (may be nil) is called from the worker
-// goroutine with the verdict. It blocks while the miner's shard queue is
-// full — that is the backpressure mechanism — and returns ctx.Err() if
-// the context ends first, or ErrPipelineClosed after Close.
+// goroutine with the verdict. It blocks while the queue is full — that
+// is the backpressure mechanism — and returns ctx.Err() if the context
+// ends first, or ErrPipelineClosed after Close.
 func (p *Pipeline) SubmitAdmitted(ctx context.Context, miner string, job *Job, nonce uint64, reply func(ShareResult)) error {
 	task := submitTask{miner: miner, job: job, nonce: nonce, reply: reply}
 	p.mu.RLock()
@@ -243,24 +228,15 @@ func (p *Pipeline) SubmitAdmitted(ctx context.Context, miner string, job *Job, n
 		task.enq = time.Now()
 	}
 	select {
-	case p.shardFor(task.miner).tasks <- task:
+	case p.tasks <- task:
 		return nil
 	case <-ctx.Done():
 		return ctx.Err()
 	}
 }
 
-// QueueDepth reports the shares currently waiting across all shards.
-func (p *Pipeline) QueueDepth() int {
-	total := 0
-	for i := range p.shards {
-		total += len(p.shards[i].tasks)
-	}
-	return total
-}
-
-// ShardDepth reports the queued shares on one shard (gauge surface).
-func (p *Pipeline) ShardDepth(i int) int { return len(p.shards[i].tasks) }
+// QueueDepth reports the shares currently waiting for a worker.
+func (p *Pipeline) QueueDepth() int { return len(p.tasks) }
 
 // Close drains queued shares (their replies still fire) and stops the
 // workers. Submissions racing Close may be verified or may return
@@ -272,9 +248,7 @@ func (p *Pipeline) Close() {
 		return
 	}
 	p.closed = true
-	for i := range p.shards {
-		close(p.shards[i].tasks)
-	}
+	close(p.tasks)
 	p.mu.Unlock()
 	p.wg.Wait()
 }

@@ -42,10 +42,9 @@ type ConnConfig struct {
 	// within it gets a write error (and is typically dropped by the
 	// caller). Zero means no deadline.
 	WriteTimeout time.Duration
-	// Tally, when non-nil, additionally accumulates this connection's
-	// byte/frame accounting into a shared total (one tally per daemon,
-	// exposed as the hc_net_* metrics). Per-connection numbers are
-	// always available via Conn.Stats.
+	// Tally, when non-nil, accumulates this connection's byte/frame
+	// accounting into a shared total (one tally per daemon, exposed as
+	// the hc_net_* metrics).
 	Tally *ConnTally
 }
 
@@ -58,7 +57,6 @@ type Conn struct {
 	nc    net.Conn
 	sc    *bufio.Scanner
 	cfg   ConnConfig
-	stats ConnTally  // this connection's own accounting
 	tally *ConnTally // optional shared accounting (cfg.Tally)
 
 	wmu sync.Mutex
@@ -85,9 +83,6 @@ func NewConn(nc net.Conn, cfg ConnConfig) *Conn {
 	return c
 }
 
-// Stats snapshots this connection's own byte/frame accounting.
-func (c *Conn) Stats() ConnStats { return c.stats.Snapshot() }
-
 // ReadLine returns the next non-empty line, without its terminator. The
 // returned slice is only valid until the next ReadLine. Oversized lines
 // return ErrLineTooLong; a cleanly closed connection returns io.EOF.
@@ -97,7 +92,6 @@ func (c *Conn) ReadLine() ([]byte, error) {
 		if len(line) == 0 {
 			continue
 		}
-		c.stats.frameIn()
 		c.tally.frameIn()
 		return line, nil
 	}
@@ -136,7 +130,6 @@ func (c *Conn) WriteJSON(v any) error {
 	if err == nil {
 		// Frames count only complete lines; a partial write leaves its
 		// byte prefix in the tally but no frame.
-		c.stats.frameOut()
 		c.tally.frameOut()
 	}
 	return err
@@ -158,7 +151,6 @@ func (c *Conn) WriteLine(line []byte) error {
 	}
 	_, err := countingWriter{c}.Write(line)
 	if err == nil {
-		c.stats.frameOut()
 		c.tally.frameOut()
 	}
 	return err

@@ -66,13 +66,12 @@ func (t *ConnTally) frameOut() {
 
 // countingReader feeds the conn's scanner, crediting every byte the
 // socket delivers (including protocol framing the scanner later strips)
-// to the per-conn stats and the shared tally.
+// to the shared tally.
 type countingReader struct{ c *Conn }
 
 func (r countingReader) Read(p []byte) (int, error) {
 	n, err := r.c.nc.Read(p)
 	if n > 0 {
-		r.c.stats.addBytesIn(uint64(n))
 		r.c.tally.addBytesIn(uint64(n))
 	}
 	return n, err
@@ -86,7 +85,6 @@ type countingWriter struct{ c *Conn }
 func (w countingWriter) Write(p []byte) (int, error) {
 	n, err := w.c.nc.Write(p)
 	if n > 0 {
-		w.c.stats.addBytesOut(uint64(n))
 		w.c.tally.addBytesOut(uint64(n))
 	}
 	return n, err

@@ -35,10 +35,10 @@ func (f *flakyConn) Close() error                     { return nil }
 func (f *flakyConn) SetWriteDeadline(time.Time) error { return nil }
 
 func TestConnStatsRoundTrip(t *testing.T) {
-	var tally ConnTally
+	var ta, tb ConnTally
 	a, b := net.Pipe()
-	ca := NewConn(a, ConnConfig{Tally: &tally})
-	cb := NewConn(b, ConnConfig{Tally: &tally})
+	ca := NewConn(a, ConnConfig{Tally: &ta})
+	cb := NewConn(b, ConnConfig{Tally: &tb})
 	defer ca.Close()
 	defer cb.Close()
 
@@ -56,17 +56,12 @@ func TestConnStatsRoundTrip(t *testing.T) {
 		t.Fatalf("got %+v", got)
 	}
 
-	as, bs := ca.Stats(), cb.Stats()
-	if as.FramesOut != 1 || as.BytesOut == 0 {
-		t.Fatalf("writer stats = %+v", as)
+	as, bs := ta.Snapshot(), tb.Snapshot()
+	if as.FramesOut != 1 || as.BytesOut == 0 || as.FramesIn != 0 || as.BytesIn != 0 {
+		t.Fatalf("writer tally = %+v", as)
 	}
-	if bs.FramesIn != 1 || bs.BytesIn != as.BytesOut {
-		t.Fatalf("reader stats = %+v vs writer %+v", bs, as)
-	}
-	// The shared tally aggregates both ends.
-	ts := tally.Snapshot()
-	if ts.FramesOut != 1 || ts.FramesIn != 1 || ts.BytesOut != as.BytesOut || ts.BytesIn != bs.BytesIn {
-		t.Fatalf("tally = %+v", ts)
+	if bs.FramesIn != 1 || bs.BytesIn != as.BytesOut || bs.FramesOut != 0 || bs.BytesOut != 0 {
+		t.Fatalf("reader tally = %+v vs writer %+v", bs, as)
 	}
 }
 
@@ -81,15 +76,12 @@ func TestConnStatsPartialWrite(t *testing.T) {
 	if !errors.Is(err, errWriteTorn) {
 		t.Fatalf("err = %v", err)
 	}
-	s := c.Stats()
+	s := tally.Snapshot()
 	if s.BytesOut != 5 {
 		t.Fatalf("BytesOut = %d, want 5 (the transmitted prefix)", s.BytesOut)
 	}
 	if s.FramesOut != 0 {
 		t.Fatalf("FramesOut = %d, want 0 (frame was torn)", s.FramesOut)
-	}
-	if ts := tally.Snapshot(); ts.BytesOut != 5 || ts.FramesOut != 0 {
-		t.Fatalf("tally = %+v", ts)
 	}
 	if len(fc.written) != 5 {
 		t.Fatalf("stub recorded %d bytes", len(fc.written))
@@ -99,10 +91,10 @@ func TestConnStatsPartialWrite(t *testing.T) {
 // Writes and reads on a closed connection must fail without moving any
 // counter.
 func TestConnStatsClosedConn(t *testing.T) {
-	var tally ConnTally
+	var ta, tb ConnTally
 	a, b := net.Pipe()
-	ca := NewConn(a, ConnConfig{Tally: &tally})
-	cb := NewConn(b, ConnConfig{Tally: &tally})
+	ca := NewConn(a, ConnConfig{Tally: &ta})
+	cb := NewConn(b, ConnConfig{Tally: &tb})
 	ca.Close()
 	cb.Close()
 
@@ -112,19 +104,16 @@ func TestConnStatsClosedConn(t *testing.T) {
 	if _, err := cb.ReadLine(); err == nil {
 		t.Fatal("ReadLine on closed conn succeeded")
 	}
-	if s := ca.Stats(); s != (ConnStats{}) {
-		t.Fatalf("writer stats moved: %+v", s)
+	if s := ta.Snapshot(); s != (ConnStats{}) {
+		t.Fatalf("writer tally moved: %+v", s)
 	}
-	if s := cb.Stats(); s != (ConnStats{}) {
-		t.Fatalf("reader stats moved: %+v", s)
-	}
-	if ts := tally.Snapshot(); ts != (ConnStats{}) {
-		t.Fatalf("tally moved: %+v", ts)
+	if s := tb.Snapshot(); s != (ConnStats{}) {
+		t.Fatalf("reader tally moved: %+v", s)
 	}
 }
 
-// A conn without a shared tally still keeps its own stats, and a nil
-// tally is inert.
+// A conn without a tally still carries frames, and a nil tally is
+// inert.
 func TestConnStatsNoTally(t *testing.T) {
 	a, b := net.Pipe()
 	ca := NewConn(a, ConnConfig{})
@@ -141,8 +130,8 @@ func TestConnStatsNoTally(t *testing.T) {
 	if err := <-done; err != nil {
 		t.Fatal(err)
 	}
-	if s := ca.Stats(); s.FramesOut != 1 {
-		t.Fatalf("stats = %+v", s)
+	if v["x"] != 1 {
+		t.Fatalf("got %v", v)
 	}
 	var nilTally *ConnTally
 	if nilTally.Snapshot() != (ConnStats{}) {

@@ -81,10 +81,6 @@ type PhaseTimings struct {
 	// written filter, whatever the image, and starting a new epoch of the
 	// written-word table (vm.Machine).
 	FillNs int64
-	// LoadNs is nanoseconds spent loading generated programs into the VM
-	// (a subset of ExecNs): the VM adopts the program where the generator
-	// wrote it, so this is a few stores and a clock read.
-	LoadNs int64
 	// Retired is the total number of retired widget instructions.
 	Retired uint64
 	// WordsWritten is the total number of distinct scratch-memory words
@@ -188,9 +184,6 @@ func (s *Session) loadWidget(seed perfprox.Seed, t *PhaseTimings) error {
 	s.m.LoadTrusted(widget)
 	if met := h.met; met != nil {
 		met.archInstrs.Add(uint64(widget.NumInstrs()))
-	}
-	if t != nil {
-		t.LoadNs += time.Since(s.execMark).Nanoseconds()
 	}
 	// Compile now rather than lazily inside the first run, so the compile
 	// is a phase of its own. It is cached against the program load, so
