@@ -1,34 +1,16 @@
 package hashcore
 
 // The hash's own benchmarks and its steady-state memory checks: the
-// Figure 1 pipeline through the pooled and the dedicated-session path,
-// other profiles and mining. The paper's tables, figures and ablations
-// are benchmarked in experiments_bench_test.go.
+// Figure 1 pipeline (gate -> widget generation -> execution -> gate)
+// through the pooled and the dedicated-session path, other profiles and
+// mining. The paper's tables, figures and ablations are printed by
+// `go run ./cmd/hcbench` and checked by internal/experiments' tests.
 
 import (
 	"context"
 	"runtime"
 	"testing"
 )
-
-// BenchmarkFigure1_Pipeline measures the full HashCore evaluation
-// (Figure 1: gate -> widget generation -> execution -> gate) on the
-// paper's Leela profile.
-func BenchmarkFigure1_Pipeline(b *testing.B) {
-	h, err := New()
-	if err != nil {
-		b.Fatal(err)
-	}
-	input := make([]byte, 80)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		input[0], input[1] = byte(i), byte(i>>8)
-		if _, err := h.Hash(input); err != nil {
-			b.Fatal(err)
-		}
-	}
-	b.ReportMetric(float64(b.N)/b.Elapsed().Seconds(), "hashes/s")
-}
 
 // BenchmarkHash measures the pooled steady-state hashing path — the
 // headline hashes/sec number. Allocations are reported; in steady state

@@ -289,18 +289,13 @@ func (h *Hasher) Inspect(input []byte) (*Inspection, error) {
 	ses := h.session()
 	defer h.sessions.Put(ses)
 	seed := h.gate.Sum(input)
-	// The static size is the generated program's own; runWidget generates
-	// the same program again, into the same scratch, from the same seed.
-	p, err := h.gen.GenerateInto(perfprox.Seed(seed), &ses.gen)
-	if err != nil {
-		return nil, err
-	}
-	ins := &Inspection{Seed: seed, StaticInstructions: p.NumInstrs()}
+	ins := &Inspection{Seed: seed}
 	for i := 0; i < h.widgets; i++ {
 		if err := ses.runWidget(perfprox.Seed(seed), nil); err != nil {
 			return nil, err
 		}
 		if i == 0 {
+			ins.StaticInstructions, _ = ses.m.CodeSize()
 			ins.DynamicInstructions = ses.res.Retired
 			ins.OutputBytes = len(ses.res.Output)
 		}

@@ -5,6 +5,7 @@ import (
 	"errors"
 	"net"
 	"strings"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -169,15 +170,8 @@ func TestInboundSlotsReserveOutbound(t *testing.T) {
 
 	// Six would-be eclipse peers connect in; only MaxPeers-reserved=2
 	// may hold sessions.
-	for i := 0; i < 6; i++ {
-		if _, err := rawClient(t, m); err != nil {
-			t.Logf("inbound %d refused during handshake: %v", i, err)
-		}
-	}
-	waitFor(t, "inbound cap reached", func() bool { return m.PeerCount() == 2 })
-	time.Sleep(100 * time.Millisecond) // let any stragglers be refused
-	if got := m.PeerCount(); got != 2 {
-		t.Fatalf("PeerCount = %d, want 2 (inbound slots)", got)
+	if got, closed := dialInbound(t, m, 6); got != 2 || closed != 4 {
+		t.Fatalf("PeerCount = %d with %d inbound sessions closed, want 2 (inbound slots) and 4", got, closed)
 	}
 	for _, pi := range m.Peers() {
 		if !pi.Inbound {
@@ -193,16 +187,36 @@ func TestInboundSlotsReserveOutbound(t *testing.T) {
 
 func TestInboundPerHostCap(t *testing.T) {
 	m := hardenedManager(t, Config{MaxInboundPerHost: 2})
-	for i := 0; i < 5; i++ {
-		if _, err := rawClient(t, m); err != nil {
-			t.Logf("inbound %d refused: %v", i, err)
+	if got, closed := dialInbound(t, m, 5); got != 2 || closed != 3 {
+		t.Fatalf("PeerCount = %d with %d inbound sessions closed, want MaxInboundPerHost=2 and 3", got, closed)
+	}
+}
+
+// dialInbound connects n raw clients to m one after another and waits
+// until each either holds a session or has seen the server close its
+// connection (refused in the handshake, or its read returned). It
+// returns m's peer count and the number closed at that moment, when
+// every client has its outcome, so a late admission cannot go unseen.
+func dialInbound(t *testing.T, m *Manager, n int) (peers, closed int) {
+	t.Helper()
+	var ended atomic.Int32
+	for i := 0; i < n; i++ {
+		wp, err := rawClient(t, m)
+		if err != nil {
+			t.Logf("inbound %d refused during handshake: %v", i, err)
+			ended.Add(1)
+			continue
 		}
+		go func() {
+			_ = wp.Run(func(wire.Envelope) error { return nil })
+			ended.Add(1)
+		}()
 	}
-	waitFor(t, "per-host cap reached", func() bool { return m.PeerCount() == 2 })
-	time.Sleep(100 * time.Millisecond)
-	if got := m.PeerCount(); got != 2 {
-		t.Fatalf("PeerCount = %d, want MaxInboundPerHost=2", got)
-	}
+	waitFor(t, "every inbound client held or closed", func() bool {
+		peers, closed = m.PeerCount(), int(ended.Load())
+		return peers+closed == n
+	})
+	return peers, closed
 }
 
 func TestUnsolicitedResponsesExhaustAllowance(t *testing.T) {

@@ -8,6 +8,7 @@ import (
 	"hashcore/internal/baseline"
 	"hashcore/internal/blockchain"
 	"hashcore/internal/pow"
+	"hashcore/internal/telemetry"
 )
 
 // newNode opens an in-memory sha256d node at the default (easy) params.
@@ -170,12 +171,14 @@ func TestHandshakeRejectsForeignChain(t *testing.T) {
 		t.Fatal(err)
 	}
 	t.Cleanup(func() { foreign.Close() })
+	reg := telemetry.NewRegistry()
 	mf, err := New(Config{
 		Node:          foreign,
 		PingInterval:  -1,
 		ReconnectWait: 10 * time.Millisecond,
 		ReconnectMax:  50 * time.Millisecond,
 		Logf:          t.Logf,
+		Metrics:       reg,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -190,8 +193,12 @@ func TestHandshakeRejectsForeignChain(t *testing.T) {
 	})
 	mf.Connect(ma.Addr())
 
-	// Give several dial attempts time to be refused.
-	time.Sleep(300 * time.Millisecond)
+	// Wait for two dial attempts to be refused, or for a session that
+	// should not exist; no session may be left on either side.
+	waitFor(t, "two refused handshakes", func() bool {
+		n, _ := reg.Value("p2p_handshake_failures_total")
+		return n >= 2 || ma.PeerCount()+mf.PeerCount() > 0
+	})
 	if got := ma.PeerCount(); got != 0 {
 		t.Fatalf("foreign-genesis peer admitted: PeerCount = %d", got)
 	}

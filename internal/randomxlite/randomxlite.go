@@ -7,7 +7,7 @@
 // machine's functional classes with no workload model. This package
 // reproduces that design point on the same ISA/VM substrate so the two
 // generation philosophies can be compared on identical footing
-// (BenchmarkAblation_RandomXLite and the hcbench randomx experiment).
+// (experiments.RandomXPopulation and the hcbench randomx experiment).
 package randomxlite
 
 import (

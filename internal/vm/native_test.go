@@ -1,16 +1,13 @@
 package vm_test
 
-// Differential tests for the native code backend: for arbitrary generated
-// widgets and arbitrary budget/snapshot parameters, a run compiled to
-// native code must produce exactly the Result the fused interpreter does —
-// output bytes, retired count, truncation flag and snapshot count.
-// These mirror the fused-vs-unfused suite one layer up: interpreter
-// correctness is anchored to the per-instruction reference step, and the
-// native backend is anchored to the interpreter (FuzzEnginesVsDense holds
-// all of them to the dense reference on fuzzed widgets).
+// Tests of the native code backend's own contract: when a run compiles,
+// hits the cache or falls back (RunStats), that the reload-compile-run
+// cycle allocates nothing, backend parsing, and what a bounce to the
+// reference step counts. Whether native code computes what the other
+// engines do is checkSparseVsDense's question (FuzzEnginesVsDense and
+// its fixed sweeps hold every engine to the dense reference).
 
 import (
-	"bytes"
 	"testing"
 
 	"hashcore/internal/vm"
@@ -21,95 +18,6 @@ func requireNative(tb testing.TB) {
 	if !vm.NativeSupported() {
 		tb.Skip("no native backend on this platform")
 	}
-}
-
-// checkNativeVsInterp runs m under the forced native backend and the
-// forced interpreter with identical params and fails on any divergence.
-func checkNativeVsInterp(t *testing.T, m *vm.Machine, params vm.Params) (native vm.Result) {
-	t.Helper()
-	var interp vm.Result
-	m.SetBackend(vm.BackendNative)
-	m.RunInto(params, nil, &native)
-	if st := m.LastRunStats(); st.Backend != vm.BackendNative {
-		t.Fatalf("params %+v: native run fell back to the interpreter: %v", params, st.FallbackErr)
-	}
-	m.SetBackend(vm.BackendInterp)
-	m.RunInto(params, nil, &interp)
-	if !bytes.Equal(native.Output, interp.Output) {
-		t.Fatalf("params %+v: native/interp outputs differ (%d vs %d bytes)",
-			params, len(native.Output), len(interp.Output))
-	}
-	if native.Retired != interp.Retired || native.Truncated != interp.Truncated ||
-		native.Snapshots != interp.Snapshots {
-		t.Fatalf("params %+v: result metadata diverged:\n native %+v\n interp %+v",
-			params, native, interp)
-	}
-	return native
-}
-
-// TestNativeMatchesInterpOnBoundaries sweeps generated widgets from every
-// workload family through budgets and snapshot intervals that land exactly
-// on, one before and one after the program's natural retirement — the
-// cases where native code must bounce boundary blocks to the interpreter's
-// reference step and re-enter at the right block with identical state.
-func TestNativeMatchesInterpOnBoundaries(t *testing.T) {
-	requireNative(t)
-	for _, name := range []string{"leela", "lbm"} {
-		gen := fullProfileGenerator(t, name)
-		for i := uint64(0); i < 4; i++ {
-			p, err := gen.Generate(seedFromWords(i, 0x7e57))
-			if err != nil {
-				t.Fatal(err)
-			}
-			m, err := vm.New(p)
-			if err != nil {
-				t.Fatal(err)
-			}
-			natural := checkNativeVsInterp(t, m, vm.Params{}).Retired
-
-			for _, b := range []uint64{natural, natural - 1, natural + 1, natural / 2, natural/3 + 1, 1, 2} {
-				if b == 0 {
-					continue
-				}
-				checkNativeVsInterp(t, m, vm.Params{MaxInstructions: b})
-			}
-			for _, iv := range []uint64{1, 2, 3, 7, natural - 1, natural, 64} {
-				if iv == 0 {
-					continue
-				}
-				checkNativeVsInterp(t, m, vm.Params{SnapshotInterval: iv})
-				checkNativeVsInterp(t, m, vm.Params{SnapshotInterval: iv, MaxInstructions: natural - 1})
-			}
-		}
-	}
-}
-
-// FuzzNativeVsFused generates a widget from fuzzed seed material and
-// executes it under fuzzed budget/snapshot parameters through the native
-// backend and the fused interpreter, requiring bit-identical Results.
-func FuzzNativeVsFused(f *testing.F) {
-	requireNative(f)
-	f.Add(uint64(1), uint64(2), uint16(0), uint8(0))
-	f.Add(uint64(3), uint64(4), uint16(1), uint8(1))
-	f.Add(uint64(0xdead), uint64(0xbeef), uint16(2048), uint8(3))
-	f.Add(uint64(42), uint64(1<<40), uint16(13), uint8(7))
-
-	gen := fuzzGenerator(f)
-	f.Fuzz(func(t *testing.T, seedLo, seedHi uint64, snapRaw uint16, budgetSel uint8) {
-		p, err := gen.Generate(seedFromWords(seedLo, seedHi))
-		if err != nil {
-			t.Skip() // infeasible parameter corner, not an execution bug
-		}
-		m, err := vm.New(p)
-		if err != nil {
-			t.Fatalf("generated program failed validation: %v", err)
-		}
-		params := vm.Params{SnapshotInterval: uint64(snapRaw)}
-		natural := checkNativeVsInterp(t, m, params).Retired
-
-		params.MaxInstructions = boundaryBudget(budgetSel, natural)
-		checkNativeVsInterp(t, m, params)
-	})
 }
 
 // TestNativeRunStats pins the RunStats contract: the first unobserved run

@@ -40,6 +40,9 @@ func FuzzEnginesVsDense(f *testing.F) {
 	f.Add(uint64(3), uint64(4), uint8(1), uint16(1), uint8(1))
 	f.Add(uint64(0xdead), uint64(0xbeef), uint8(2), uint16(2048), uint8(3))
 	f.Add(uint64(42), uint64(1<<40), uint8(1), uint16(13), uint8(7))
+	f.Add(uint64(3), uint64(4), uint8(0), uint16(1), uint8(1))
+	f.Add(uint64(0xdead), uint64(0xbeef), uint8(0), uint16(2048), uint8(3))
+	f.Add(uint64(42), uint64(1<<40), uint8(0), uint16(13), uint8(7))
 
 	// sparseProfiles first, so the committed corpus keeps its profiles.
 	profiles := append(slices.Clone(sparseProfiles), "x264", "exchange2", "deepsjeng")
@@ -63,28 +66,41 @@ func FuzzEnginesVsDense(f *testing.F) {
 	})
 }
 
-// TestSparseVsDenseOnProfiles is FuzzEnginesVsDense's fixed sweep, so a plain
-// `go test` compares the overlay with the dense reference on every
-// profile family and boundary kind.
+// TestSparseVsDenseOnProfiles is FuzzEnginesVsDense's fixed sweep, so a
+// plain `go test` holds every engine to the dense reference on every
+// profile family and boundary kind: budgets and snapshot intervals that
+// land exactly on, one before and one after a widget's natural
+// retirement, at a half or a third of it, and intervals that divide it.
 func TestSparseVsDenseOnProfiles(t *testing.T) {
+	widgets := []struct {
+		profiles []string
+		salt, n  uint64
+	}{
+		{sparseProfiles, 0x5ba5e, 3},
+		{[]string{"leela", "lbm"}, 0xabcd, 4},
+		{[]string{"leela", "lbm"}, 0x7e57, 4},
+	}
 	m := &vm.Machine{}
-	for _, name := range sparseProfiles {
-		gen := fullProfileGenerator(t, name)
-		for i := uint64(0); i < 3; i++ {
-			p, err := gen.Generate(seedFromWords(i, 0x5ba5e))
-			if err != nil {
-				t.Fatal(err)
-			}
-			if err := m.Load(p); err != nil {
-				t.Fatal(err)
-			}
-			natural := checkSparseVsDense(t, m, p, vm.Params{}).Retired
-			for sel := uint8(1); sel < 8; sel++ {
-				checkSparseVsDense(t, m, p, vm.Params{MaxInstructions: boundaryBudget(sel, natural)})
-			}
-			for _, iv := range []uint64{1, 2, 3, 7, 64, natural - 1, natural} {
-				checkSparseVsDense(t, m, p, vm.Params{SnapshotInterval: iv})
-				checkSparseVsDense(t, m, p, vm.Params{SnapshotInterval: iv, MaxInstructions: natural - 1})
+	for _, w := range widgets {
+		for _, name := range w.profiles {
+			gen := fullProfileGenerator(t, name)
+			for i := uint64(0); i < w.n; i++ {
+				p, err := gen.Generate(seedFromWords(i, w.salt))
+				if err != nil {
+					t.Fatal(err)
+				}
+				if err := m.Load(p); err != nil {
+					t.Fatal(err)
+				}
+				natural := checkSparseVsDense(t, m, p, vm.Params{}).Retired
+				for sel := uint8(1); sel < 8; sel++ {
+					checkSparseVsDense(t, m, p, vm.Params{MaxInstructions: boundaryBudget(sel, natural)})
+				}
+				checkSparseVsDense(t, m, p, vm.Params{MaxInstructions: natural / 2})
+				for _, iv := range []uint64{1, 2, 3, 7, 64, natural - 1, natural} {
+					checkSparseVsDense(t, m, p, vm.Params{SnapshotInterval: iv})
+					checkSparseVsDense(t, m, p, vm.Params{SnapshotInterval: iv, MaxInstructions: natural - 1})
+				}
 			}
 		}
 	}
