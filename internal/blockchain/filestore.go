@@ -73,7 +73,6 @@ const DefaultBatchDelay = 50 * time.Millisecond
 // BlockAt re-reads any record with one pread, letting the node serve
 // full blocks to syncing peers without keeping bodies in memory.
 type FileStore struct {
-	path string
 	opts FileStoreOptions
 	met  *storeMetrics // nil when telemetry is disabled
 
@@ -107,7 +106,7 @@ func OpenFileStoreWith(path string, opts FileStoreOptions) (*FileStore, error) {
 	if err != nil {
 		return nil, fmt.Errorf("blockchain: opening block log: %w", err)
 	}
-	fs := &FileStore{path: path, opts: opts, f: f, met: newStoreMetrics(opts.Metrics)}
+	fs := &FileStore{opts: opts, f: f, met: newStoreMetrics(opts.Metrics)}
 	info, err := f.Stat()
 	if err != nil {
 		f.Close()
@@ -133,9 +132,6 @@ func OpenFileStoreWith(path string, opts FileStoreOptions) (*FileStore, error) {
 	fs.off = int64(len(fileMagic))
 	return fs, nil
 }
-
-// Path returns the log's file path.
-func (fs *FileStore) Path() string { return fs.path }
 
 // RecoveredTruncation reports whether Load found and dropped a damaged
 // tail record (e.g. after a crash mid-append).

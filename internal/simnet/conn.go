@@ -13,10 +13,15 @@ import (
 // errBrokenPipe reports a write into a connection whose reader is gone.
 var errBrokenPipe = errors.New("simnet: broken pipe")
 
-// chunkBytes is the shaping granularity: one Write is split into chunks
-// so bandwidth caps, drops and backpressure act at packet-ish scale
-// rather than per whole (possibly multi-megabyte) protocol line.
+// chunkBytes is the write granularity: one Write is split into chunks
+// so backpressure and a partition or blackout declared mid-write act at
+// packet-ish scale rather than per whole (possibly multi-megabyte)
+// protocol line.
 const chunkBytes = 16 << 10
+
+// maxBuffered bounds one direction's in-flight bytes before writers
+// block (backpressure).
+const maxBuffered = 1 << 20
 
 // segment is one delivered-in-order chunk with its arrival time.
 type segment struct {
@@ -26,10 +31,8 @@ type segment struct {
 
 // halfConn is one direction of a connection: the receive buffer its
 // reader drains and its (single) writer fills. Arrival times implement
-// latency and bandwidth; the size cap implements backpressure.
+// latency; the size cap implements backpressure.
 type halfConn struct {
-	max int
-
 	mu        sync.Mutex
 	notify    chan struct{} // closed+replaced on every state change
 	segs      []segment
@@ -38,11 +41,10 @@ type halfConn struct {
 	err       error     // sticky fault: reset/refused; preempts queued data
 	rdeadline time.Time // reader's deadline
 	wdeadline time.Time // writer's deadline
-	arrival   time.Time // bandwidth cursor: when the link is next free
 }
 
-func newHalfConn(max int) *halfConn {
-	return &halfConn{max: max, notify: make(chan struct{})}
+func newHalfConn() *halfConn {
+	return &halfConn{notify: make(chan struct{})}
 }
 
 // signalLocked wakes every waiter. Caller holds h.mu.
@@ -113,8 +115,8 @@ type conn struct {
 // newConnPair wires both endpoints of a connection between from (the
 // dialer, with an ephemeral port) and the listener at addr.
 func newConnPair(n *Network, from, to, addr string, ephem int) (dialSide, acceptSide *conn) {
-	toDialer := newHalfConn(n.cfg.MaxBuffered)   // accept side writes, dialer reads
-	toAccepter := newHalfConn(n.cfg.MaxBuffered) // dialer writes, accept side reads
+	toDialer := newHalfConn()   // accept side writes, dialer reads
+	toAccepter := newHalfConn() // dialer writes, accept side reads
 	dialerAddr := address{str: from + ":" + "e" + strconv.Itoa(ephem)}
 	listenAddr := address{str: addr}
 	d := &conn{
@@ -180,10 +182,9 @@ func (c *conn) Read(p []byte) (int, error) {
 	}
 }
 
-// Write enqueues p for delayed delivery, chunk by chunk, applying the
-// link faults in force at write time. It blocks when the peer's receive
-// buffer is full (backpressure) and fails on deadline, reset, partition
-// or host blackout.
+// Write enqueues p for delayed delivery, chunk by chunk. It blocks when
+// the peer's receive buffer is full (backpressure) and fails on
+// deadline, reset, partition or host blackout.
 func (c *conn) Write(p []byte) (int, error) {
 	if c.closed.Load() {
 		return 0, net.ErrClosed
@@ -196,8 +197,8 @@ func (c *conn) Write(p []byte) (int, error) {
 		}
 		chunk := p[written:end]
 
-		// Faults are evaluated per chunk against the network's *current*
-		// state, so partitions and link changes hit live connections.
+		// Cuts are evaluated per chunk against the network's *current*
+		// state, so partitions and blackouts hit live connections.
 		c.net.mu.Lock()
 		cut := c.net.down[c.localHost] || c.net.down[c.remoteHost] ||
 			c.net.partitionedLocked(c.localHost, c.remoteHost)
@@ -206,16 +207,7 @@ func (c *conn) Write(p []byte) (int, error) {
 			c.reset(errPartitioned)
 			return written, errPartitioned
 		}
-		link := c.net.linkFor(c.localHost, c.remoteHost)
-		if c.net.chance(link.ResetRate) {
-			c.reset(errors.New("simnet: connection reset by link fault"))
-			return written, errors.New("simnet: connection reset by link fault")
-		}
-		if c.net.chance(link.DropRate) {
-			written = end // the chunk vanishes mid-stream
-			continue
-		}
-		n, err := c.enqueue(chunk, link)
+		n, err := c.enqueue(chunk)
 		written += n
 		if err != nil {
 			return written, err
@@ -226,9 +218,8 @@ func (c *conn) Write(p []byte) (int, error) {
 
 // enqueue places one chunk (possibly in parts, under backpressure) into
 // the peer's inbox with its computed arrival time.
-func (c *conn) enqueue(chunk []byte, link LinkConfig) (int, error) {
+func (c *conn) enqueue(chunk []byte) (int, error) {
 	h := c.out
-	jitter := c.net.jitterFor(link.Jitter)
 	h.mu.Lock()
 	defer h.mu.Unlock()
 	done := 0
@@ -243,7 +234,7 @@ func (c *conn) enqueue(chunk []byte, link LinkConfig) (int, error) {
 		if !h.wdeadline.IsZero() && !now.Before(h.wdeadline) {
 			return done, &timeoutError{op: "write", addr: c.remote.str}
 		}
-		space := h.max - h.size
+		space := maxBuffered - h.size
 		if space <= 0 {
 			h.wait(h.wdeadline)
 			continue
@@ -252,15 +243,7 @@ func (c *conn) enqueue(chunk []byte, link LinkConfig) (int, error) {
 		if m > space {
 			m = space
 		}
-		base := now
-		if h.arrival.After(base) {
-			base = h.arrival
-		}
-		if link.Bandwidth > 0 {
-			base = base.Add(time.Duration(int64(m) * int64(time.Second) / int64(link.Bandwidth)))
-		}
-		h.arrival = base
-		at := base.Add(link.Latency + jitter)
+		at := now.Add(c.net.cfg.Latency)
 		data := make([]byte, m)
 		copy(data, chunk[done:done+m])
 		h.segs = append(h.segs, segment{at: at, data: data})

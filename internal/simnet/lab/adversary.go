@@ -16,7 +16,7 @@ import (
 
 // Adversary is a misbehaving peer: it lives on its own simnet host and
 // speaks just enough of the protocol to attack a victim — floods,
-// malformed frames, fabricated orphan chains, handshake squatting.
+// fabricated orphan chains, handshake squatting, slot occupation.
 // Every attack is best-effort by design: the victim cutting us off is
 // the success condition, not an error.
 type Adversary struct {
@@ -55,6 +55,18 @@ func (a *Adversary) session(victim string) (*wire.Peer, net.Conn, error) {
 		return nil, nil, err
 	}
 	return wp, nc, nil
+}
+
+// sit reads wp's session, ignoring every frame, and returns a channel
+// that is closed once the session has ended: the victim cut it, or the
+// caller closed wp.
+func sit(wp *wire.Peer) <-chan struct{} {
+	ended := make(chan struct{})
+	go func() {
+		_ = wp.Run(func(wire.Envelope) error { return nil })
+		close(ended)
+	}()
+	return ended
 }
 
 // FloodInvs blasts up to n tip announcements as fast as the link
@@ -206,20 +218,26 @@ func (a *Adversary) ServeOrphanChain(victim string, depth, maxRounds int) {
 
 // OccupySlots launches k sessions from distinct attacker hosts that
 // handshake and then sit silent — the eclipse move. It returns the
-// number of sessions that were admitted long enough to hold a slot,
-// plus a closer for the survivors.
-func OccupySlots(c *Cluster, victim string, k int) (admitted int, closeAll func()) {
+// number of handshakes that completed; per attacker host, a channel
+// closed once that attacker's connection has ended (already closed when
+// its handshake failed); and a closer for the survivors.
+func OccupySlots(c *Cluster, victim string, k int) (admitted int, ended map[string]<-chan struct{}, closeAll func()) {
 	var peers []*wire.Peer
+	ended = make(map[string]<-chan struct{}, k)
 	for i := 0; i < k; i++ {
-		adv := NewAdversary(c, fmt.Sprintf("evil%d", i))
-		wp, _, err := adv.session(victim)
+		host := fmt.Sprintf("evil%d", i)
+		wp, _, err := NewAdversary(c, host).session(victim)
 		if err != nil {
+			refused := make(chan struct{})
+			close(refused)
+			ended[host] = refused
 			continue
 		}
 		peers = append(peers, wp)
+		ended[host] = sit(wp)
 		admitted++
 	}
-	return admitted, func() {
+	return admitted, ended, func() {
 		for _, wp := range peers {
 			wp.Close()
 		}

@@ -7,10 +7,11 @@
 //
 // A Cluster owns N nodes, each a full blockchain.Node plus p2p.Manager
 // listening on its own simnet host, wired into a ring-with-chords
-// topology. The simnet.Network underneath injects latency, loss, and
-// partitions; the Adversary type speaks just enough of the wire
+// topology. The simnet.Network underneath injects latency, partitions
+// and host blackouts; the Adversary type speaks just enough of the wire
 // protocol to flood, spam orphans, abuse handshakes, and squat peer
-// slots.
+// slots. The scenarios in scenarios.go are the lab's one definition of
+// each attack: hcchain -simnet and go test run the same bodies.
 package lab
 
 import (
@@ -36,10 +37,8 @@ type Options struct {
 	// 0 defaults to Nodes/3+1 when the cluster is big enough; negative
 	// disables (pure ring).
 	Chord int
-	// Link is the default link quality for every connection.
-	Link simnet.LinkConfig
-	// Seed seeds the fabric's fault randomness. Default 1.
-	Seed int64
+	// Latency is the one-way delay of every connection on the fabric.
+	Latency time.Duration
 	// P2P overrides manager settings. Node, ListenAddr, Dial, Listen
 	// and Logf are filled per node; everything else is passed through
 	// (zero values select p2p defaults). SyncTimeout, ReconnectWait and
@@ -90,10 +89,7 @@ func New(opts Options) (*Cluster, error) {
 	if opts.Logf == nil {
 		opts.Logf = func(string, ...any) {}
 	}
-	fabric := simnet.New(simnet.Config{
-		Seed:        opts.Seed,
-		DefaultLink: opts.Link,
-	})
+	fabric := simnet.New(simnet.Config{Latency: opts.Latency})
 	c := &Cluster{
 		Net:    fabric,
 		params: blockchain.DefaultParams(),
@@ -213,24 +209,20 @@ func (c *Cluster) Mine(i, count int) (blockchain.Hash, error) {
 }
 
 // Converged reports whether every node's tip equals want.
-func (c *Cluster) Converged(want blockchain.Hash) bool {
-	for _, n := range c.Nodes {
-		if n.Chain.TipID() != want {
-			return false
-		}
-	}
-	return true
-}
+func (c *Cluster) Converged(want blockchain.Hash) bool { return allAt(c.Nodes, want) }
 
 // WaitConverged polls until every node's tip is want or the timeout
 // passes, returning whether convergence happened.
 func (c *Cluster) WaitConverged(want blockchain.Hash, timeout time.Duration) bool {
-	deadline := time.Now().Add(timeout)
-	for !c.Converged(want) {
-		if time.Now().After(deadline) {
+	return waitUntil(timeout, func() bool { return c.Converged(want) })
+}
+
+// allAt reports whether every one of nodes has tip want.
+func allAt(nodes []*Node, want blockchain.Hash) bool {
+	for _, n := range nodes {
+		if n.Chain.TipID() != want {
 			return false
 		}
-		time.Sleep(10 * time.Millisecond)
 	}
 	return true
 }
@@ -241,18 +233,6 @@ func (c *Cluster) WaitConverged(want blockchain.Hash, timeout time.Duration) boo
 func (c *Cluster) Metric(i int, name string) float64 {
 	v, _ := c.Nodes[i].Reg.Value(name)
 	return v
-}
-
-// HeaviestTip returns the tip of the node with the most total work
-// (ties go to the lowest index), for partition-heal assertions.
-func (c *Cluster) HeaviestTip() blockchain.Hash {
-	best := 0
-	for i := 1; i < len(c.Nodes); i++ {
-		if c.Nodes[i].Chain.TotalWork().Cmp(c.Nodes[best].Chain.TotalWork()) > 0 {
-			best = i
-		}
-	}
-	return c.Nodes[best].Chain.TipID()
 }
 
 // Close tears the whole cluster down.

@@ -3,310 +3,23 @@ package lab
 import (
 	"testing"
 	"time"
-
-	"hashcore/internal/blockchain"
-	"hashcore/internal/p2p"
-	"hashcore/internal/simnet"
 )
 
-// waitFor polls cond until it holds or the deadline passes.
-func waitFor(t *testing.T, timeout time.Duration, what string, cond func() bool) {
-	t.Helper()
-	deadline := time.Now().Add(timeout)
-	for !cond() {
-		if time.Now().After(deadline) {
-			t.Fatalf("timeout waiting for %s", what)
-		}
-		time.Sleep(10 * time.Millisecond)
-	}
-}
-
-// TestPartitionHealAtScale runs the headline scenario: a 100-node
-// network with realistic (small) latency converges, splits into two
-// halves that each keep mining, and after healing converges again on
-// the heavier branch — end to end through reconnect dialers, header
-// sync, and fork choice.
-func TestPartitionHealAtScale(t *testing.T) {
-	c, err := New(Options{
-		Nodes: 100,
-		Link:  simnet.LinkConfig{Latency: time.Millisecond},
-		Logf:  nil, // 100 nodes of chatter helps nobody; failures surface via asserts
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer c.Close()
-
-	tip, err := c.Mine(0, 3)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !c.WaitConverged(tip, 60*time.Second) {
-		t.Fatal("initial convergence failed")
-	}
-
-	names := c.Names()
-	c.Net.Partition(names[:50], names[50:])
-
-	// Both sides keep mining; the right half mines more, so its branch
-	// is heavier and must win everywhere after the heal.
-	if _, err := c.Mine(10, 2); err != nil {
-		t.Fatal(err)
-	}
-	heavier, err := c.Mine(60, 4)
-	if err != nil {
-		t.Fatal(err)
-	}
-	leftTip := c.Nodes[10].Chain.TipID()
-	waitFor(t, 60*time.Second, "left half convergence", func() bool {
-		for _, n := range c.Nodes[:50] {
-			if n.Chain.TipID() != leftTip {
-				return false
-			}
-		}
-		return true
-	})
-
-	c.Net.Heal()
-	if !c.WaitConverged(heavier, 120*time.Second) {
-		t.Fatalf("post-heal convergence failed: heaviest %x", c.HeaviestTip())
-	}
-}
-
-// TestChurnUnderMining cycles nodes down and up while a stable node
-// keeps mining; everyone must converge once the churn stops.
-func TestChurnUnderMining(t *testing.T) {
-	c, err := New(Options{Nodes: 50})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer c.Close()
-
-	var tip blockchain.Hash
-	for round := 0; round < 3; round++ {
-		// Take down five deterministic victims (never the miner, n0).
-		down := []int{}
-		for k := 0; k < 5; k++ {
-			down = append(down, 1+(round*17+k*7)%49)
-		}
-		for _, i := range down {
-			c.Net.Down(c.Nodes[i].Name)
-		}
-		if tip, err = c.Mine(0, 2); err != nil {
-			t.Fatal(err)
-		}
-		time.Sleep(100 * time.Millisecond)
-		for _, i := range down {
-			c.Net.Up(c.Nodes[i].Name)
-		}
-	}
-	if !c.WaitConverged(tip, 120*time.Second) {
-		t.Fatal("post-churn convergence failed")
-	}
-}
-
-// TestFloodingPeerBannedWhileHonestConverge runs the flood-and-ban
-// scenario: an adversary floods one node with announcements until the
-// wire rate limit trips and the ban threshold is crossed, while honest
-// blocks keep propagating through the same victim.
-func TestFloodingPeerBannedWhileHonestConverge(t *testing.T) {
-	c, err := New(Options{
-		Nodes: 5,
-		P2P: p2p.Config{
-			MsgRate:      200,
-			BanThreshold: 50, // one rate-limit strike is a ban
-		},
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer c.Close()
-
-	adv := NewAdversary(c, "flooder")
-	sent := adv.FloodInvs(c.Nodes[0].Addr(), 50000)
-	t.Logf("flooder got %d invs through before being cut off", sent)
-	if sent >= 50000 {
-		t.Error("flood was never cut off")
-	}
-	waitFor(t, 30*time.Second, "flooder banned", func() bool {
-		return c.Nodes[0].Mgr.Banned("flooder")
-	})
-
-	// A banned host cannot come back for more.
-	if _, _, err := adv.session(c.Nodes[0].Addr()); err == nil {
-		waitFor(t, 10*time.Second, "banned session rejected", func() bool {
-			for _, pi := range c.Nodes[0].Mgr.Peers() {
-				if pi.Host == "flooder" {
-					return false
-				}
-			}
-			return true
-		})
-	}
-
-	// Meanwhile the network still works, through the ex-victim too.
-	tip, err := c.Mine(2, 3)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !c.WaitConverged(tip, 60*time.Second) {
-		t.Fatal("honest convergence failed after the flood")
-	}
-}
-
-// TestEclipseAttemptFailsToMonopolizeSlots runs the eclipse scenario:
-// twenty attacker hosts race to fill a victim's peer table, but the
-// inbound cap and outbound reserve keep the victim's own dials alive,
-// so it still syncs honest blocks.
-func TestEclipseAttemptFailsToMonopolizeSlots(t *testing.T) {
-	c, err := New(Options{
-		Nodes: 3,
-		Chord: -1,
-		P2P: p2p.Config{
-			MaxPeers:          8,
-			OutboundReserved:  2,
-			MaxInboundPerHost: 1,
-		},
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer c.Close()
-	victim := c.Nodes[0]
-
-	admitted, closeAll := OccupySlots(c, victim.Addr(), 20)
-	defer closeAll()
-	t.Logf("%d of 20 attacker handshakes completed", admitted)
-
-	// However many squeezed in, inbound can never exceed
-	// MaxPeers-OutboundReserved.
-	time.Sleep(200 * time.Millisecond)
-	inbound := 0
-	for _, pi := range victim.Mgr.Peers() {
-		if pi.Inbound {
-			inbound++
-		}
-	}
-	if inbound > 6 {
-		t.Fatalf("%d inbound sessions, want at most MaxPeers-OutboundReserved=6", inbound)
-	}
-
-	// The victim's own outbound session survives the squeeze and still
-	// syncs the network's blocks.
-	waitFor(t, 30*time.Second, "outbound session alive", func() bool {
-		for _, pi := range victim.Mgr.Peers() {
-			if !pi.Inbound {
-				return true
-			}
-		}
-		return false
-	})
-	tip, err := c.Mine(1, 2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	waitFor(t, 60*time.Second, "victim syncs despite eclipse attempt", func() bool {
-		return victim.Chain.TipID() == tip
-	})
-}
-
-// TestOrphanChainAdversaryBanned runs the parent-withholding scenario:
-// an adversary serves a fabricated descendancy whose parent never
-// arrives. The victim parks at most the per-peer orphan quota, scores
-// every unconnectable round, and bans the host.
-func TestOrphanChainAdversaryBanned(t *testing.T) {
-	c, err := New(Options{
-		Nodes:             2,
-		MaxOrphans:        32,
-		MaxOrphansPerPeer: 4,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer c.Close()
-	victim := c.Nodes[0]
-
-	adv := NewAdversary(c, "withholder")
-	go adv.ServeOrphanChain(victim.Addr(), 8, 200)
-
-	waitFor(t, 60*time.Second, "withholder banned", func() bool {
-		return victim.Mgr.Banned("withholder")
-	})
-	if got := victim.Chain.OrphanCountFrom("withholder"); got > 4 {
-		t.Errorf("adversary parked %d orphans, want at most the per-peer quota 4", got)
-	}
-	if got := victim.Chain.OrphanCount(); got > 4 {
-		t.Errorf("pool holds %d orphans, want at most 4", got)
-	}
-}
-
-// TestHandshakeAbuseDoesNotStarveHonestPeers runs the slot-squatting
-// scenario: connect-and-stall conns plus a slow-loris hello writer pile
-// up against the pending-handshake cap and the handshake timeout, and
-// an honest peer still gets a session once they time out.
-func TestHandshakeAbuseDoesNotStarveHonestPeers(t *testing.T) {
-	c, err := New(Options{
-		Nodes: 1,
-		P2P: p2p.Config{
-			MaxPeers:         4,
-			HandshakeTimeout: 200 * time.Millisecond,
-		},
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer c.Close()
-	victim := c.Nodes[0]
-
-	squat := NewAdversary(c, "squatter")
-	var closers []func()
-	for i := 0; i < 10; i++ {
-		if closer, err := squat.HoldHandshake(victim.Addr()); err == nil {
-			closers = append(closers, closer)
-		}
-	}
-	defer func() {
-		for _, cl := range closers {
-			cl()
-		}
-	}()
-	go NewAdversary(c, "loris").SlowLorisHello(victim.Addr(), 50*time.Millisecond)
-
-	// Once the handshake timeout clears the squatters, an honest
-	// session gets through.
-	honest := NewAdversary(c, "honest")
-	waitFor(t, 30*time.Second, "honest peer admitted past the squatters", func() bool {
-		wp, _, err := honest.session(victim.Addr())
-		if err != nil {
-			return false
-		}
-		defer wp.Close()
-		deadline := time.Now().Add(2 * time.Second)
-		for time.Now().Before(deadline) {
-			for _, pi := range victim.Mgr.Peers() {
-				if pi.Host == "honest" {
-					return true
-				}
-			}
-			time.Sleep(10 * time.Millisecond)
-		}
-		return false
-	})
-}
-
-// TestScenarioCatalogRuns drives every registered -simnet scenario at a
-// small size through the same entry point the CLI uses.
+// TestScenarioCatalogRuns drives every registered -simnet scenario at
+// its default size through the same entry point the CLI uses, one
+// subtest per name, so a failed defense is named in the test output.
 func TestScenarioCatalogRuns(t *testing.T) {
-	sizes := map[string]int{"partition": 8, "churn": 8}
 	for _, name := range Scenarios() {
-		res, err := Run(name, sizes[name], t.Logf)
-		if err != nil {
-			t.Fatalf("%s: %v", name, err)
-		}
-		if !res.OK {
-			t.Errorf("%s failed: %s", name, res.Detail)
-		}
-		t.Logf("%s (%d nodes, %s): %s", res.Name, res.Nodes, res.Duration.Round(time.Millisecond), res.Detail)
+		t.Run(name, func(t *testing.T) {
+			res, err := Run(name, 0, t.Logf)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !res.OK {
+				t.Fatalf("%s failed: %s", name, res.Detail)
+			}
+			t.Logf("%s (%d nodes, %s): %s", res.Name, res.Nodes, res.Duration.Round(time.Millisecond), res.Detail)
+		})
 	}
 }
 

@@ -6,7 +6,6 @@ import (
 	"time"
 
 	"hashcore/internal/p2p"
-	"hashcore/internal/simnet"
 )
 
 // Result is one scenario's outcome, shaped for the CLI runner: OK is
@@ -98,7 +97,7 @@ func runPartition(nodes int, logf func(string, ...any)) (bool, string) {
 	if nodes < 4 {
 		nodes = 4
 	}
-	c, err := New(Options{Nodes: nodes, Link: simnet.LinkConfig{Latency: time.Millisecond}})
+	c, err := New(Options{Nodes: nodes, Latency: time.Millisecond})
 	if err != nil {
 		return false, err.Error()
 	}
@@ -114,12 +113,18 @@ func runPartition(nodes int, logf func(string, ...any)) (bool, string) {
 	half := nodes / 2
 	names := c.Names()
 	c.Net.Partition(names[:half], names[half:])
-	if _, err := c.Mine(0, 2); err != nil {
+	// Both halves keep mining; the right one mines more, so its branch
+	// is heavier and must win everywhere after the heal.
+	leftTip, err := c.Mine(0, 2)
+	if err != nil {
 		return false, err.Error()
 	}
 	heavier, err := c.Mine(half, 4)
 	if err != nil {
 		return false, err.Error()
+	}
+	if !waitUntil(60*time.Second, func() bool { return allAt(c.Nodes[:half], leftTip) }) {
+		return false, "left half did not converge on its own tip while split"
 	}
 	logf("lab: healing; heavier branch is %x…", heavier[:8])
 	c.Net.Heal()
@@ -189,6 +194,16 @@ func runFlood(nodes int, logf func(string, ...any)) (bool, string) {
 	if bans := c.Metric(0, "p2p_bans_total"); bans < 1 {
 		return false, fmt.Sprintf("p2p_bans_total = %v, want >= 1", bans)
 	}
+	// A banned host cannot come back for more: the victim refuses it at
+	// accept, or ends any session it lets complete.
+	if wp, _, err := adv.session(c.Nodes[0].Addr()); err == nil {
+		select {
+		case <-sit(wp):
+		case <-time.After(10 * time.Second):
+			wp.Close()
+			return false, "banned flooder held a new session"
+		}
+	}
 	tip, err := c.Mine(nodes/2, 3)
 	if err != nil {
 		return false, err.Error()
@@ -210,18 +225,50 @@ func runEclipse(nodes int, logf func(string, ...any)) (bool, string) {
 	}
 	defer c.Close()
 	victim := c.Nodes[0]
-	admitted, closeAll := OccupySlots(c, victim.Addr(), 20)
+	admitted, ended, closeAll := OccupySlots(c, victim.Addr(), 20)
 	defer closeAll()
-	time.Sleep(200 * time.Millisecond)
+	// Wait for every attacker's outcome: listed as an inbound peer of
+	// the victim, or cut off. The victim applies the inbound cap under
+	// one lock as it admits a peer, so once all 20 have their outcome no
+	// attacker can still slip in and the count is final.
 	inbound := 0
-	for _, pi := range victim.Mgr.Peers() {
-		if pi.Inbound {
-			inbound++
+	settled := waitUntil(30*time.Second, func() bool {
+		listed := make(map[string]bool)
+		inbound = 0
+		for _, pi := range victim.Mgr.Peers() {
+			if pi.Inbound {
+				listed[pi.Host] = true
+				inbound++
+			}
 		}
+		for host, done := range ended {
+			select {
+			case <-done:
+			default:
+				if !listed[host] {
+					return false
+				}
+			}
+		}
+		return true
+	})
+	if !settled {
+		return false, "an attacker was neither admitted nor cut off"
 	}
 	logf("lab: %d attacker handshakes, %d inbound sessions held", admitted, inbound)
 	if inbound > 6 {
 		return false, fmt.Sprintf("%d inbound sessions exceed the 6-slot cap", inbound)
+	}
+	// The victim's own outbound session survives the squeeze.
+	if !waitUntil(30*time.Second, func() bool {
+		for _, pi := range victim.Mgr.Peers() {
+			if !pi.Inbound {
+				return true
+			}
+		}
+		return false
+	}) {
+		return false, "victim lost its outbound session"
 	}
 	tip, err := c.Mine(1, 2)
 	if err != nil {
@@ -248,6 +295,9 @@ func runOrphanFlood(nodes int, logf func(string, ...any)) (bool, string) {
 	logf("lab: withholder banned with %d orphans parked", parked)
 	if parked > 4 {
 		return false, fmt.Sprintf("%d orphans parked exceed the per-peer quota 4", parked)
+	}
+	if pooled := victim.Chain.OrphanCount(); pooled > 4 {
+		return false, fmt.Sprintf("the orphan pool holds %d, want at most 4", pooled)
 	}
 	return true, fmt.Sprintf("withholder banned; %d/4 orphan quota used", parked)
 }

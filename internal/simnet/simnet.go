@@ -1,64 +1,32 @@
 // Package simnet is an in-process network laboratory: an implementation
 // of the net.Conn / dial / listen seams the wire and p2p layers consume,
-// with injectable faults — latency, jitter, bandwidth caps, packet drops,
-// connection resets, dial failures, partitions, and whole-host blackouts
-// — so one test process can run hundreds of nodes through adversarial
-// scenarios (churn, partition+heal, eclipse, flooding) that would need a
-// fleet of machines otherwise.
+// with the faults the lab's scenarios inject — one propagation latency,
+// partitions, and whole-host blackouts — so one test process can run
+// hundreds of nodes through adversarial scenarios (churn, partition+heal,
+// eclipse, flooding) that would need a fleet of machines otherwise.
 //
 // Topology model: a Network holds named Hosts. A Host listens on
 // addresses of the form "host:service" and dials other hosts' addresses;
-// every connection is a full-duplex in-memory byte stream whose delivery
-// schedule is shaped by the LinkConfig in force between the two hosts.
-// Faults are injected at write time (so runtime changes to links,
-// partitions and host state apply to live connections immediately) and
-// at dial time. All fault randomness flows from one seeded PRNG, so a
-// scenario's fault schedule is reproducible.
+// every connection is a full-duplex in-memory byte stream whose bytes
+// arrive one Latency after they were written. Partitions and blackouts
+// are checked at write time (so they sever live connections
+// immediately) and at dial time. The fabric draws no random numbers.
 package simnet
 
 import (
 	"errors"
 	"fmt"
-	"math/rand"
 	"net"
 	"strings"
 	"sync"
 	"time"
 )
 
-// LinkConfig shapes traffic between a pair of hosts. The zero value is a
-// perfect link: no delay, unlimited bandwidth, no loss.
-type LinkConfig struct {
-	// Latency is the one-way propagation delay added to every delivery.
-	Latency time.Duration
-	// Jitter adds a uniform random [0, Jitter) to each delivery.
-	Jitter time.Duration
-	// Bandwidth caps the link in bytes/second (0 = unlimited). Transfers
-	// serialize: a large write occupies the link, delaying later writes.
-	Bandwidth int
-	// DropRate silently discards a written chunk with this probability.
-	// A dropped chunk tears a hole mid-stream — the reader sees the
-	// remaining bytes spliced together, exactly the garbage a framing
-	// layer must survive. [0, 1].
-	DropRate float64
-	// ResetRate kills the connection (both ends) with this probability
-	// per write, modeling RSTs from a flaky middlebox. [0, 1].
-	ResetRate float64
-	// DialFailRate makes a dial attempt fail with this probability. [0, 1].
-	DialFailRate float64
-}
-
 // Config parameterizes a Network.
 type Config struct {
-	// Seed fixes the fault PRNG (0 picks a fixed default, so runs are
-	// reproducible unless the caller varies it).
-	Seed int64
-	// DefaultLink applies between every pair of hosts without an explicit
-	// SetLink override.
-	DefaultLink LinkConfig
-	// MaxBuffered bounds one direction's in-flight bytes before writers
-	// block (backpressure). Default 1 MiB.
-	MaxBuffered int
+	// Latency is the one-way propagation delay added to every delivery
+	// and every dial.
+	Latency time.Duration
 }
 
 // Network is a simulated internetwork of named hosts. All methods are
@@ -68,31 +36,19 @@ type Network struct {
 	cfg       Config
 	listeners map[string]*listener // listen address -> listener
 	conns     map[*conn]struct{}   // every live endpoint
-	links     map[[2]string]LinkConfig
-	partition map[string]int // host -> group id; empty map = no partition
+	partition map[string]int       // host -> group id; empty map = no partition
 	down      map[string]bool
 	nextEphem int
-
-	rngMu sync.Mutex
-	rng   *rand.Rand
 }
 
 // New creates an empty network.
 func New(cfg Config) *Network {
-	if cfg.Seed == 0 {
-		cfg.Seed = 1
-	}
-	if cfg.MaxBuffered <= 0 {
-		cfg.MaxBuffered = 1 << 20
-	}
 	return &Network{
 		cfg:       cfg,
 		listeners: make(map[string]*listener),
 		conns:     make(map[*conn]struct{}),
-		links:     make(map[[2]string]LinkConfig),
 		partition: make(map[string]int),
 		down:      make(map[string]bool),
-		rng:       rand.New(rand.NewSource(cfg.Seed)),
 	}
 }
 
@@ -118,10 +74,10 @@ func (h *Host) Listen(addr string) (net.Listener, error) {
 	if hostOf(addr) != h.name {
 		return nil, fmt.Errorf("simnet: host %q cannot listen on %q", h.name, addr)
 	}
-	return h.net.listen(h.name, addr)
+	return h.net.listen(addr)
 }
 
-// Dial connects to a listener's address, subject to link faults,
+// Dial connects to a listener's address, subject to latency,
 // partitions and host state. timeout bounds the whole attempt.
 func (h *Host) Dial(addr string, timeout time.Duration) (net.Conn, error) {
 	return h.net.dial(h.name, addr, timeout)
@@ -135,14 +91,6 @@ func (h *Host) DialFunc() func(addr string, timeout time.Duration) (net.Conn, er
 // ListenFunc adapts Listen to the p2p.Config.Listen seam.
 func (h *Host) ListenFunc() func(addr string) (net.Listener, error) {
 	return h.Listen
-}
-
-// SetLink installs an explicit link configuration between hosts a and b
-// (both directions). Live connections pick it up on their next write.
-func (n *Network) SetLink(a, b string, link LinkConfig) {
-	n.mu.Lock()
-	defer n.mu.Unlock()
-	n.links[linkKey(a, b)] = link
 }
 
 // Partition splits the network into the given host groups: connections
@@ -214,43 +162,8 @@ func (n *Network) partitionedLocked(a, b string) bool {
 	return n.partition[a] != n.partition[b]
 }
 
-// linkFor returns the link configuration in force between two hosts.
-func (n *Network) linkFor(a, b string) LinkConfig {
-	n.mu.Lock()
-	defer n.mu.Unlock()
-	if link, ok := n.links[linkKey(a, b)]; ok {
-		return link
-	}
-	return n.cfg.DefaultLink
-}
-
-// chance draws one fault decision from the seeded PRNG.
-func (n *Network) chance(p float64) bool {
-	if p <= 0 {
-		return false
-	}
-	if p >= 1 {
-		return true
-	}
-	n.rngMu.Lock()
-	v := n.rng.Float64()
-	n.rngMu.Unlock()
-	return v < p
-}
-
-// jitterFor draws a uniform [0, j) delay.
-func (n *Network) jitterFor(j time.Duration) time.Duration {
-	if j <= 0 {
-		return 0
-	}
-	n.rngMu.Lock()
-	d := time.Duration(n.rng.Int63n(int64(j)))
-	n.rngMu.Unlock()
-	return d
-}
-
 // listen binds addr to a fresh listener.
-func (n *Network) listen(host, addr string) (net.Listener, error) {
+func (n *Network) listen(addr string) (net.Listener, error) {
 	n.mu.Lock()
 	defer n.mu.Unlock()
 	if _, taken := n.listeners[addr]; taken {
@@ -258,7 +171,6 @@ func (n *Network) listen(host, addr string) (net.Listener, error) {
 	}
 	l := &listener{
 		net:    n,
-		host:   host,
 		addr:   address{str: addr},
 		accept: make(chan *conn, 128),
 		done:   make(chan struct{}),
@@ -271,13 +183,11 @@ var (
 	errPartitioned = errors.New("simnet: connection reset (partition)")
 	errHostDown    = errors.New("simnet: connection reset (host down)")
 	errRefused     = errors.New("simnet: connection refused")
-	errDialDropped = errors.New("simnet: dial lost (link fault)")
 )
 
 // dial establishes a connection from host `from` to the listener at addr.
 func (n *Network) dial(from, addr string, timeout time.Duration) (net.Conn, error) {
 	to := hostOf(addr)
-	link := n.linkFor(from, to)
 
 	// Admission checks snapshot current network state.
 	n.mu.Lock()
@@ -290,7 +200,7 @@ func (n *Network) dial(from, addr string, timeout time.Duration) (net.Conn, erro
 
 	// Propagation delay applies even to failed dials (a SYN has to cross
 	// the link before anyone can refuse it).
-	delay := link.Latency + n.jitterFor(link.Jitter)
+	delay := n.cfg.Latency
 	if timeout > 0 && delay > timeout {
 		time.Sleep(timeout)
 		return nil, &timeoutError{op: "dial", addr: addr}
@@ -298,9 +208,6 @@ func (n *Network) dial(from, addr string, timeout time.Duration) (net.Conn, erro
 	time.Sleep(delay)
 	if refused {
 		return nil, fmt.Errorf("simnet: dial %s from %s: %w", addr, from, errRefused)
-	}
-	if n.chance(link.DialFailRate) {
-		return nil, fmt.Errorf("simnet: dial %s from %s: %w", addr, from, errDialDropped)
 	}
 
 	n.mu.Lock()
@@ -340,7 +247,6 @@ func (n *Network) drop(c *conn) {
 // listener implements net.Listener over the network's accept queue.
 type listener struct {
 	net       *Network
-	host      string
 	addr      address
 	accept    chan *conn
 	done      chan struct{}
@@ -399,12 +305,4 @@ func hostOf(addr string) string {
 		return addr[:i]
 	}
 	return addr
-}
-
-// linkKey canonicalizes an unordered host pair.
-func linkKey(a, b string) [2]string {
-	if a > b {
-		a, b = b, a
-	}
-	return [2]string{a, b}
 }

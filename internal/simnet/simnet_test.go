@@ -75,7 +75,7 @@ func TestRoundTripAndAddrs(t *testing.T) {
 
 func TestLatencyDelaysDelivery(t *testing.T) {
 	const lat = 50 * time.Millisecond
-	n := New(Config{DefaultLink: LinkConfig{Latency: lat}})
+	n := New(Config{Latency: lat})
 	a, b := pair(t, n, "a", "b")
 	defer a.Close()
 	defer b.Close()
@@ -90,31 +90,6 @@ func TestLatencyDelaysDelivery(t *testing.T) {
 	}
 	if elapsed := time.Since(start); elapsed < lat {
 		t.Fatalf("delivered in %v, want >= %v", elapsed, lat)
-	}
-}
-
-func TestBandwidthShapesThroughput(t *testing.T) {
-	// 64 KiB at 256 KiB/s must take at least ~250 ms.
-	n := New(Config{DefaultLink: LinkConfig{Bandwidth: 256 << 10}})
-	a, b := pair(t, n, "a", "b")
-	defer a.Close()
-	defer b.Close()
-
-	const size = 64 << 10
-	go func() {
-		a.Write(make([]byte, size))
-		a.Close()
-	}()
-	start := time.Now()
-	got, err := io.ReadAll(b)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(got) != size {
-		t.Fatalf("read %d bytes, want %d", len(got), size)
-	}
-	if elapsed := time.Since(start); elapsed < 200*time.Millisecond {
-		t.Fatalf("64 KiB at 256 KiB/s arrived in %v, want >= 200ms", elapsed)
 	}
 }
 
@@ -142,15 +117,15 @@ func TestReadDeadline(t *testing.T) {
 }
 
 func TestWriteDeadlineUnderBackpressure(t *testing.T) {
-	n := New(Config{MaxBuffered: 1024})
+	n := New(Config{})
 	a, b := pair(t, n, "a", "b")
 	defer a.Close()
 	defer b.Close()
 
 	a.SetWriteDeadline(time.Now().Add(50 * time.Millisecond))
-	// Nobody reads from b, so the 1 KiB buffer fills and the write must
+	// Nobody reads from b, so the 1 MiB buffer fills and the write must
 	// time out instead of blocking forever (the slow-loris defense seam).
-	_, err := a.Write(make([]byte, 64<<10))
+	_, err := a.Write(make([]byte, maxBuffered+64<<10))
 	var ne net.Error
 	if !errors.As(err, &ne) || !ne.Timeout() {
 		t.Fatalf("write into full buffer: err = %v, want timeout", err)
@@ -244,37 +219,6 @@ func TestDownHostRefusesAndSevers(t *testing.T) {
 	c.Close()
 }
 
-func TestResetRateKillsConn(t *testing.T) {
-	n := New(Config{Seed: 7, DefaultLink: LinkConfig{ResetRate: 1}})
-	a, b := pair(t, n, "a", "b")
-	defer a.Close()
-	defer b.Close()
-
-	if _, err := a.Write([]byte("doomed")); err == nil {
-		t.Fatal("write on ResetRate=1 link succeeded")
-	}
-	if _, err := b.Read(make([]byte, 1)); err == nil || errors.Is(err, io.EOF) {
-		t.Fatalf("peer of reset conn: err = %v, want reset", err)
-	}
-}
-
-func TestDropRateTearsStream(t *testing.T) {
-	// DropRate=1 swallows every chunk: the write "succeeds" but nothing
-	// is ever delivered.
-	n := New(Config{Seed: 3, DefaultLink: LinkConfig{DropRate: 1}})
-	a, b := pair(t, n, "a", "b")
-	defer a.Close()
-	defer b.Close()
-
-	if _, err := a.Write([]byte("vanishes")); err != nil {
-		t.Fatal(err)
-	}
-	b.SetReadDeadline(time.Now().Add(50 * time.Millisecond))
-	if _, err := b.Read(make([]byte, 8)); err == nil {
-		t.Fatal("read returned data on DropRate=1 link")
-	}
-}
-
 func TestDialUnknownAddressFails(t *testing.T) {
 	n := New(Config{})
 	if _, err := n.Host("a").Dial("nobody:1", 100*time.Millisecond); err == nil {
@@ -304,11 +248,11 @@ func TestListenerCloseUnblocksAccept(t *testing.T) {
 	}
 }
 
-// TestConcurrentTraffic hammers one network with many connections under
-// light faults; run with -race this is the transport's thread-safety
-// gate.
+// TestConcurrentTraffic hammers one network with many connections over
+// a link with latency; run with -race this is the transport's
+// thread-safety gate.
 func TestConcurrentTraffic(t *testing.T) {
-	n := New(Config{Seed: 11, DefaultLink: LinkConfig{Latency: time.Millisecond, Jitter: time.Millisecond}})
+	n := New(Config{Latency: time.Millisecond})
 	ln, err := n.Host("srv").Listen("srv:1")
 	if err != nil {
 		t.Fatal(err)
