@@ -15,11 +15,12 @@ import (
 	"hashcore/internal/wire"
 )
 
-// dialTimeout bounds one outbound TCP dial; scoreHalfLife is the
-// misbehavior score's exponential decay half-life, so old offenses are
-// forgiven.
+// dialTimeout bounds one outbound TCP dial and writeTimeout one
+// protocol write to a peer; scoreHalfLife is the misbehavior score's
+// exponential decay half-life, so old offenses are forgiven.
 const (
 	dialTimeout   = 10 * time.Second
+	writeTimeout  = 10 * time.Second
 	scoreHalfLife = 10 * time.Minute
 )
 
@@ -53,8 +54,6 @@ type Config struct {
 	// in-flight window. Default (and cap) MaxBlocksPerMsg; only tests
 	// make it smaller.
 	blocksPerBatch int
-	// WriteTimeout bounds one protocol write. Default 10s.
-	WriteTimeout time.Duration
 	// ReconnectWait and ReconnectMax shape the outbound dialer's
 	// exponential backoff. Defaults 1s / 30s.
 	ReconnectWait time.Duration
@@ -122,9 +121,6 @@ func (c *Config) fillDefaults() error {
 	}
 	if c.blocksPerBatch < 1 || c.blocksPerBatch > MaxBlocksPerMsg {
 		c.blocksPerBatch = MaxBlocksPerMsg
-	}
-	if c.WriteTimeout <= 0 {
-		c.WriteTimeout = 10 * time.Second
 	}
 	if c.ReconnectWait <= 0 {
 		c.ReconnectWait = time.Second
@@ -447,7 +443,7 @@ func (m *Manager) runPeer(nc net.Conn, name string, inbound bool) error {
 		},
 		Conn: wire.ConnConfig{
 			MaxLine:      MaxLineBytes,
-			WriteTimeout: m.cfg.WriteTimeout,
+			WriteTimeout: writeTimeout,
 			Tally:        m.tally,
 		},
 		PingInterval:     m.cfg.PingInterval,

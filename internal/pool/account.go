@@ -1,15 +1,13 @@
 package pool
 
 import (
-	"math"
 	"sort"
 	"sync"
-	"sync/atomic"
 	"time"
 )
 
 // MinerStats is one miner's share ledger, in snapshot form: a plain
-// value copied out of the live atomic cells at read time.
+// value copied out of the miner's record at read time.
 type MinerStats struct {
 	Accepted  uint64 `json:"accepted"`
 	Blocks    uint64 `json:"blocks"`
@@ -25,150 +23,103 @@ type MinerStats struct {
 	Hashrate float64 `json:"hashrate"`
 
 	firstAccepted time.Time
-	lastAccepted  time.Time
 }
 
-// acctShards stripes the miner ledger's map by miner hash. Writers (the
-// precheck tier on connection goroutines, any verification worker) add
-// to a miner's cell atomically, so the stripes only bound the cost of
-// the cold-path map insert and of snapshot reads.
-const acctShards = 16
-
-// minerCell is the live ledger entry for one miner. Every counter is
-// atomic, so the record hot path takes no lock at all: the enclosing
-// shard's RWMutex guards only map membership (first-share insert and
-// snapshot iteration), never the counts themselves.
-type minerCell struct {
-	accepted  atomic.Uint64
-	blocks    atomic.Uint64
-	stale     atomic.Uint64
-	duplicate atomic.Uint64
-	lowDiff   atomic.Uint64
-	invalid   atomic.Uint64
-	// workBits accumulates ShareWork as float64 bits via CAS.
-	workBits atomic.Uint64
-	// firstNano/lastNano are unix nanos of the first/last accepted
-	// share (0 = none yet).
-	firstNano atomic.Int64
-	lastNano  atomic.Int64
+// record is one miner's live state: its ledger and the admission
+// tier's token bucket for it.
+type record struct {
+	stats MinerStats
+	// tokens is the bucket's fill as of refill (zero time = bucket not
+	// yet used); limited marks a rate-limited episode, so the journal
+	// records one event per flood, not one per rejected share.
+	tokens  float64
+	refill  time.Time
+	limited bool
 }
 
-func (c *minerCell) addWork(w float64) {
-	for {
-		old := c.workBits.Load()
-		if c.workBits.CompareAndSwap(old, math.Float64bits(math.Float64frombits(old)+w)) {
-			return
-		}
-	}
-}
-
-// snapshot copies the cell into a plain MinerStats. Individual fields
-// are each atomically read; a snapshot racing a record may see a
-// partially applied share (e.g. the count without its work), which the
-// next snapshot repairs — the ledger itself never loses an update.
-func (c *minerCell) snapshot() MinerStats {
-	st := MinerStats{
-		Accepted:  c.accepted.Load(),
-		Blocks:    c.blocks.Load(),
-		Stale:     c.stale.Load(),
-		Duplicate: c.duplicate.Load(),
-		LowDiff:   c.lowDiff.Load(),
-		Invalid:   c.invalid.Load(),
-		ShareWork: math.Float64frombits(c.workBits.Load()),
-	}
-	if f := c.firstNano.Load(); f != 0 {
-		st.firstAccepted = time.Unix(0, f)
-	}
-	if l := c.lastNano.Load(); l != 0 {
-		st.lastAccepted = time.Unix(0, l)
-	}
-	return st
-}
-
-type acctShard struct {
-	mu sync.RWMutex
-	m  map[string]*minerCell
-}
-
-// Accounting tracks per-miner share statistics. Safe for concurrent
-// use; the record path is lock-free once a miner's cell exists.
+// Accounting tracks per-miner share statistics and per-miner
+// submission rate: one record per miner, all behind one mutex. Safe
+// for concurrent use.
 type Accounting struct {
-	shards [acctShards]acctShard
+	mu     sync.Mutex
+	miners map[string]*record
 	now    func() time.Time
 }
 
 // NewAccounting creates an empty ledger.
 func NewAccounting() *Accounting {
-	a := &Accounting{now: time.Now}
-	for i := range a.shards {
-		a.shards[i].m = make(map[string]*minerCell)
-	}
-	return a
+	return &Accounting{miners: make(map[string]*record), now: time.Now}
 }
 
-// minerHash hashes a miner name (FNV-1a); it picks the miner's ledger
-// stripe and rate-limiter stripe.
-func minerHash(miner string) uint64 {
-	const (
-		offset64 = 14695981039346656037
-		prime64  = 1099511628211
-	)
-	h := uint64(offset64)
-	for i := 0; i < len(miner); i++ {
-		h ^= uint64(miner[i])
-		h *= prime64
+// get returns miner's record, creating it on first sight. The caller
+// holds a.mu.
+func (a *Accounting) get(miner string) *record {
+	r := a.miners[miner]
+	if r == nil {
+		r = &record{}
+		a.miners[miner] = r
 	}
-	return h
-}
-
-// cell resolves (creating on first sight) the live ledger entry for
-// miner. Hot path: one shared-lock map hit.
-func (a *Accounting) cell(miner string) *minerCell {
-	sh := &a.shards[minerHash(miner)%acctShards]
-	sh.mu.RLock()
-	c := sh.m[miner]
-	sh.mu.RUnlock()
-	if c != nil {
-		return c
-	}
-	sh.mu.Lock()
-	if c = sh.m[miner]; c == nil {
-		c = &minerCell{}
-		sh.m[miner] = c
-	}
-	sh.mu.Unlock()
-	return c
+	return r
 }
 
 // Record books one share verdict for miner. work is the expected hash
 // evaluations an accepted share of its job represents (Job.ShareWork);
 // it is ignored for non-accepted statuses.
 func (a *Accounting) Record(miner string, status ShareStatus, work float64) {
-	c := a.cell(miner)
-	switch status {
-	case StatusAccepted, StatusBlock:
-		now := a.now().UnixNano()
-		c.firstNano.CompareAndSwap(0, now)
-		for {
-			old := c.lastNano.Load()
-			if old >= now || c.lastNano.CompareAndSwap(old, now) {
-				break
-			}
-		}
-		c.accepted.Add(1)
-		c.addWork(work)
-		if status == StatusBlock {
-			c.blocks.Add(1)
-		}
-	case StatusStale:
-		c.stale.Add(1)
-	case StatusDuplicate:
-		c.duplicate.Add(1)
-	case StatusLowDiff:
-		c.lowDiff.Add(1)
-	default:
-		c.invalid.Add(1)
+	accepted := status.Accepted()
+	var now time.Time
+	if accepted {
+		now = a.now()
 	}
+	a.mu.Lock()
+	defer a.mu.Unlock()
+	st := &a.get(miner).stats
+	switch {
+	case accepted:
+		if st.Accepted == 0 {
+			st.firstAccepted = now
+		}
+		st.Accepted++
+		st.ShareWork += work
+		if status == StatusBlock {
+			st.Blocks++
+		}
+	case status == StatusStale:
+		st.Stale++
+	case status == StatusDuplicate:
+		st.Duplicate++
+	case status == StatusLowDiff:
+		st.LowDiff++
+	default:
+		st.Invalid++
+	}
+}
+
+// spend takes one token from miner's bucket, which refills at rate per
+// second up to burst. A dry bucket books the share as invalid in the
+// same lock hold, so the limiter and the ledger always agree; episode
+// reports whether that reject opens a new rate-limited episode.
+func (a *Accounting) spend(miner string, rate, burst float64) (allowed, episode bool) {
+	now := a.now()
+	a.mu.Lock()
+	defer a.mu.Unlock()
+	r := a.get(miner)
+	if r.refill.IsZero() {
+		r.tokens, r.refill = burst, now
+	}
+	if dt := now.Sub(r.refill).Seconds(); dt > 0 {
+		r.tokens = min(r.tokens+dt*rate, burst)
+		r.refill = now
+	}
+	if r.tokens < 1 {
+		episode = !r.limited
+		r.limited = true
+		r.stats.Invalid++
+		return false, episode
+	}
+	r.tokens--
+	r.limited = false
+	return true, false
 }
 
 // hashrate estimates hashes/sec from the accepted-share work over the
@@ -185,42 +136,25 @@ func (st *MinerStats) hashrate(now time.Time) float64 {
 	return st.ShareWork / elapsed
 }
 
-// Hashrate returns the current hashrate estimate for miner (0 if
-// unknown).
-func (a *Accounting) Hashrate(miner string) float64 {
-	sh := &a.shards[minerHash(miner)%acctShards]
-	sh.mu.RLock()
-	c := sh.m[miner]
-	sh.mu.RUnlock()
-	if c == nil {
-		return 0
-	}
-	st := c.snapshot()
-	return st.hashrate(a.now())
-}
-
 // MinerSnapshot pairs a miner name with a copy of its stats.
 type MinerSnapshot struct {
 	Miner string `json:"miner"`
 	MinerStats
 }
 
-// Snapshot merges every stripe's cells into a copy of every miner's
-// stats, hashrate filled in, sorted by name for stable output. This is
-// the merge-at-read half of the sharded ledger: writers never
-// coordinate, readers pay the join.
+// Snapshot returns a copy of every miner's stats, hashrate filled in,
+// sorted by name for stable output. Each record is copied whole under
+// the lock, so a snapshot never holds part of a share.
 func (a *Accounting) Snapshot() []MinerSnapshot {
 	now := a.now()
-	var out []MinerSnapshot
-	for i := range a.shards {
-		sh := &a.shards[i]
-		sh.mu.RLock()
-		for name, c := range sh.m {
-			st := c.snapshot()
-			st.Hashrate = st.hashrate(now)
-			out = append(out, MinerSnapshot{Miner: name, MinerStats: st})
-		}
-		sh.mu.RUnlock()
+	a.mu.Lock()
+	out := make([]MinerSnapshot, 0, len(a.miners))
+	for name, r := range a.miners {
+		out = append(out, MinerSnapshot{Miner: name, MinerStats: r.stats})
+	}
+	a.mu.Unlock()
+	for i := range out {
+		out[i].Hashrate = out[i].hashrate(now)
 	}
 	sort.Slice(out, func(i, j int) bool { return out[i].Miner < out[j].Miner })
 	return out
@@ -229,23 +163,16 @@ func (a *Accounting) Snapshot() []MinerSnapshot {
 // Totals sums all miners' counters into one MinerStats (hashrate is the
 // sum of per-miner estimates).
 func (a *Accounting) Totals() MinerStats {
-	now := a.now()
 	var t MinerStats
-	for i := range a.shards {
-		sh := &a.shards[i]
-		sh.mu.RLock()
-		for _, c := range sh.m {
-			st := c.snapshot()
-			t.Accepted += st.Accepted
-			t.Blocks += st.Blocks
-			t.Stale += st.Stale
-			t.Duplicate += st.Duplicate
-			t.LowDiff += st.LowDiff
-			t.Invalid += st.Invalid
-			t.ShareWork += st.ShareWork
-			t.Hashrate += st.hashrate(now)
-		}
-		sh.mu.RUnlock()
+	for _, m := range a.Snapshot() {
+		t.Accepted += m.Accepted
+		t.Blocks += m.Blocks
+		t.Stale += m.Stale
+		t.Duplicate += m.Duplicate
+		t.LowDiff += m.LowDiff
+		t.Invalid += m.Invalid
+		t.ShareWork += m.ShareWork
+		t.Hashrate += m.Hashrate
 	}
 	return t
 }

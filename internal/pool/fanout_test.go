@@ -215,6 +215,55 @@ func TestServeConnSharesVerify(t *testing.T) {
 	}
 }
 
+// TestSubmitWithoutJobIDIsCounted sends submits with no job_id past the
+// miner's rate-limit burst. Each takes the admission path like any
+// other share: the ones within the burst are judged stale (no such
+// job), the rest rate limited, and the ledger books every one.
+func TestSubmitWithoutJobIDIsCounted(t *testing.T) {
+	const burst, sent = 4, 10
+	srv, err := NewServer(Config{
+		Addr:            "127.0.0.1:0",
+		ShareBits:       zeroBitsCompact(4),
+		VerifyWorkers:   1,
+		RefreshInterval: -1,
+		SubmitRate:      0.001, // no token refills while the test runs
+		SubmitBurst:     burst,
+		Logf:            func(string, ...any) {},
+	}, baseline.SHA256d{}, &stubSource{bits: zeroBitsCompact(8)})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := srv.Start(); err != nil {
+		t.Fatal(err)
+	}
+	defer srv.Shutdown(context.Background())
+
+	cl := newFanoutClient(t, srv, "alice")
+	for i := 1; i <= sent; i++ {
+		if _, err := fmt.Fprintf(cl.conn, "{\"type\":\"submit\",\"nonce\":%d}\n", i); err != nil {
+			t.Fatal(err)
+		}
+		env := cl.read()
+		want := StatusStale
+		if i > burst {
+			want = StatusInvalid
+		}
+		if env.Type != TypeResult || env.Status != want {
+			t.Fatalf("submit %d: got (%q, %q, %q), want %q", i, env.Type, env.Status, env.Reason, want)
+		}
+		if i > burst && env.Reason != "rate limited" {
+			t.Fatalf("submit %d past the burst: reason %q, want rate limited", i, env.Reason)
+		}
+	}
+	tot := srv.Accounting().Totals()
+	if tot.Stale != burst || tot.Invalid != sent-burst {
+		t.Errorf("ledger = %+v, want %d stale and %d invalid", tot, burst, sent-burst)
+	}
+	if v, _ := srv.Metrics().Value("pool_precheck_rejects_total"); v != sent {
+		t.Errorf("precheck rejects = %v, want %d", v, sent)
+	}
+}
+
 // BenchmarkBroadcastFanout times marshal-once broadcast fan-out: one
 // clean-less job refresh reaching every one of conns subscribers. The
 // subscribers sit on in-memory pipes, which need no file descriptors, so

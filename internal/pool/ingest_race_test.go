@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"hash/fnv"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -12,10 +13,10 @@ import (
 	"hashcore/internal/baseline"
 )
 
-// TestAccountingConcurrentSharded hammers the lock-free ledger from
-// many writers across few miners — maximal contention on the atomic
-// cells — while snapshot readers merge mid-flight. Run under -race in
-// CI; the final merge must be exact regardless of interleaving.
+// TestAccountingConcurrentSharded hammers the ledger from many writers
+// across few miners — maximal contention on its one lock — while
+// snapshot readers copy it mid-flight. Run under -race in CI; the final
+// totals must be exact regardless of interleaving.
 func TestAccountingConcurrentSharded(t *testing.T) {
 	acct := NewAccounting()
 	const (
@@ -39,7 +40,7 @@ func TestAccountingConcurrentSharded(t *testing.T) {
 				}
 				_ = acct.Snapshot()
 				_ = acct.Totals()
-				_ = acct.Hashrate("miner-0")
+				_ = hashrateOf(acct, "miner-0")
 			}
 		}()
 	}
@@ -78,6 +79,29 @@ func TestAccountingConcurrentSharded(t *testing.T) {
 	snap := acct.Snapshot()
 	if len(snap) != miners {
 		t.Fatalf("snapshot has %d miners, want %d", len(snap), miners)
+	}
+}
+
+// BenchmarkAccountingRecordParallel books accepted shares from every
+// P at once, on one miner (one record, full contention) and on 64.
+func BenchmarkAccountingRecordParallel(b *testing.B) {
+	for _, miners := range []int{1, 64} {
+		b.Run(fmt.Sprintf("miners=%d", miners), func(b *testing.B) {
+			acct := NewAccounting()
+			names := make([]string, miners)
+			for i := range names {
+				names[i] = fmt.Sprintf("miner-%d", i)
+			}
+			var next atomic.Int64
+			b.ReportAllocs()
+			b.RunParallel(func(pb *testing.PB) {
+				i := int(next.Add(1))
+				for pb.Next() {
+					acct.Record(names[i%miners], StatusAccepted, 1)
+					i++
+				}
+			})
+		})
 	}
 }
 
@@ -203,10 +227,11 @@ func (h *rendezvousHasher) Name() string { return "rendezvous" }
 
 // TestPipelineIgnoresMinerNames checks that any idle worker takes the
 // next share, whoever submitted it. Two miners whose names fall in one
-// class of minerHash mod 2 submit one share each to a two-worker
-// pipeline whose hasher lets a call finish only while the other is in
-// flight: a fleet that routed shares by miner name would hand both to
-// one worker and never finish either.
+// class of FNV-1a mod 2 (the hash the fleet once routed shares by)
+// submit one share each to a two-worker pipeline whose hasher lets a
+// call finish only while the other is in flight: a fleet that routed
+// shares by miner name would hand both to one worker and never finish
+// either.
 func TestPipelineIgnoresMinerNames(t *testing.T) {
 	v, jm, _, _ := newTestValidator(t, zeroBitsCompact(0), impossibleCompact, nil)
 	h := &rendezvousHasher{both: make(chan struct{}), abort: make(chan struct{})}
@@ -216,7 +241,7 @@ func TestPipelineIgnoresMinerNames(t *testing.T) {
 	miners := []string{"miner-0"}
 	for i := 1; len(miners) < 2; i++ {
 		name := fmt.Sprintf("miner-%d", i)
-		if minerHash(name)%2 == minerHash(miners[0])%2 {
+		if fnv1a(name)%2 == fnv1a(miners[0])%2 {
 			miners = append(miners, name)
 		}
 	}
@@ -240,4 +265,11 @@ func TestPipelineIgnoresMinerNames(t *testing.T) {
 			t.Fatalf("shares of %q were not verified at once by two workers", miners)
 		}
 	}
+}
+
+// fnv1a is FNV-1a over a miner name.
+func fnv1a(s string) uint64 {
+	h := fnv.New64a()
+	h.Write([]byte(s))
+	return h.Sum64()
 }

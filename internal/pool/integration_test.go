@@ -115,7 +115,7 @@ waitAccept:
 	}()
 
 	// The ledger must agree with the wire verdict.
-	if hr := srv.Accounting().Hashrate("itest-miner"); hr <= 0 {
+	if hr := hashrateOf(srv.Accounting(), "itest-miner"); hr <= 0 {
 		t.Errorf("hashrate estimate = %v, want > 0 after an accepted share", hr)
 	}
 

@@ -276,6 +276,17 @@ func TestShareTargetClampedToBlockTarget(t *testing.T) {
 	}
 }
 
+// hashrateOf reads miner's hashrate estimate from the ledger's
+// snapshot (0 for a miner the ledger has never seen).
+func hashrateOf(acct *Accounting, miner string) float64 {
+	for _, m := range acct.Snapshot() {
+		if m.Miner == miner {
+			return m.Hashrate
+		}
+	}
+	return 0
+}
+
 func TestHashrateEstimate(t *testing.T) {
 	acct := NewAccounting()
 	base := time.Unix(1_700_000_000, 0)
@@ -288,17 +299,17 @@ func TestHashrateEstimate(t *testing.T) {
 		now = now.Add(2 * time.Second) // shares at t=0,2,4,6,8; final now t=10
 	}
 	// 5 shares × 1000 expected hashes over 10 s → 500 H/s.
-	got := acct.Hashrate("alice")
+	got := hashrateOf(acct, "alice")
 	if got != 500 {
 		t.Errorf("hashrate = %v, want 500", got)
 	}
 	// Non-accepted statuses must not distort the estimate.
 	acct.Record("alice", StatusLowDiff, work)
 	acct.Record("alice", StatusStale, work)
-	if got := acct.Hashrate("alice"); got != 500 {
+	if got := hashrateOf(acct, "alice"); got != 500 {
 		t.Errorf("hashrate after rejects = %v, want 500", got)
 	}
-	if acct.Hashrate("nobody") != 0 {
+	if hashrateOf(acct, "nobody") != 0 {
 		t.Error("unknown miner should estimate 0")
 	}
 }
@@ -312,7 +323,7 @@ func TestHashrateSingleShareSane(t *testing.T) {
 	acct.now = func() time.Time { return now }
 	acct.Record("alice", StatusAccepted, 4096)
 	now = now.Add(10 * time.Millisecond)
-	if got := acct.Hashrate("alice"); got > 4096 {
+	if got := hashrateOf(acct, "alice"); got > 4096 {
 		t.Errorf("hashrate = %v exceeds the share's own work %v", got, 4096.0)
 	}
 }

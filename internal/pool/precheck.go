@@ -1,11 +1,6 @@
 package pool
 
-import (
-	"sync"
-	"time"
-
-	"hashcore/internal/telemetry"
-)
+import "hashcore/internal/telemetry"
 
 // Precheck reject reasons, as reported by the
 // pool_precheck_rejects_total counter. "malformed" is counted by the
@@ -23,8 +18,9 @@ const (
 // connection's read goroutine before the share is allowed to occupy a
 // verification-fleet slot. The tiers, in order of increasing cost:
 //
-//  1. per-miner token-bucket rate limit (~ns: one striped map hit and
-//     a couple of float ops) — flood shedding;
+//  1. per-miner token-bucket rate limit (~ns: one locked map hit and
+//     a couple of float ops on the miner's ledger record, which also
+//     books the reject) — flood shedding;
 //  2. job lookup (~ns: one locked map hit) — stale/unknown-job shares;
 //  3. sharded dedupe insert (~ns) — duplicate shares.
 //
@@ -35,10 +31,12 @@ const (
 // running every check inside the verification worker, because the
 // checks and their order are the same — they just moved earlier.
 type Precheck struct {
-	jobs    *JobManager
-	seen    *SeenSet
-	acct    *Accounting
-	limiter *minerLimiter // nil = no rate limiting
+	jobs *JobManager
+	seen *SeenSet
+	acct *Accounting
+	// rate is each miner's sustained submissions per second (0 = no
+	// rate limiting) and burst its token-bucket depth.
+	rate, burst float64
 
 	// met/journal are nil-safe: bare prechecks (tests, benchmark/) carry
 	// no instruments.
@@ -51,12 +49,17 @@ type Precheck struct {
 // per second (0 disables rate limiting); burst is the bucket depth
 // (defaulted from rate when 0).
 func NewPrecheck(jobs *JobManager, seen *SeenSet, acct *Accounting, rate float64, burst int) *Precheck {
-	return &Precheck{
-		jobs:    jobs,
-		seen:    seen,
-		acct:    acct,
-		limiter: newMinerLimiter(rate, burst),
+	p := &Precheck{jobs: jobs, seen: seen, acct: acct}
+	if rate > 0 {
+		p.rate, p.burst = rate, float64(burst)
+		if burst <= 0 {
+			// Default burst: a couple of seconds of sustained rate,
+			// floored so low rates still tolerate a miner flushing a few
+			// found shares back-to-back.
+			p.burst = max(2*rate, 8)
+		}
 	}
+	return p
 }
 
 // Admit runs the admission tier on one submitted share. When the share
@@ -68,15 +71,15 @@ func NewPrecheck(jobs *JobManager, seen *SeenSet, acct *Accounting, rate float64
 // straight from the decoded line; the rejection paths (which need the
 // string) are the only ones that copy it.
 func (p *Precheck) Admit(miner string, jobID []byte, nonce uint64) (*Job, ShareResult, bool) {
-	if p.limiter != nil {
-		allowed, transition := p.limiter.allow(miner)
-		if !allowed {
-			if transition {
+	if p.rate > 0 {
+		// spend books the reject in the ledger itself, in the same lock
+		// hold that found the bucket dry.
+		if allowed, episode := p.acct.spend(miner, p.rate, p.burst); !allowed {
+			if episode {
 				p.journal.Emit("pool_rate_limited", map[string]any{"miner": miner})
 			}
 			res := ShareResult{Miner: miner, JobID: string(jobID), Nonce: nonce,
 				Status: StatusInvalid, Reason: "rate limited"}
-			p.acct.Record(miner, StatusInvalid, 0)
 			p.reject(RejectRateLimited, StatusInvalid)
 			return nil, res, false
 		}
@@ -111,83 +114,4 @@ func (p *Precheck) reject(reason string, status ShareStatus) {
 		p.met.precheck[reason].Inc()
 		p.met.shares[status].Inc()
 	}
-}
-
-// limShards stripes the rate-limit buckets; miners hash across stripes
-// so a flood from one miner contends only with its own stripe.
-const limShards = 16
-
-// minerLimiter is a striped per-miner token bucket: each submission
-// spends one token, tokens refill at rate per second up to burst. The
-// limited flag tracks episode transitions so the journal records one
-// event per flood, not one per rejected share.
-type minerLimiter struct {
-	rate  float64
-	burst float64
-	now   func() time.Time
-
-	shards [limShards]limShard
-}
-
-type limShard struct {
-	mu sync.Mutex
-	m  map[string]*limBucket
-}
-
-type limBucket struct {
-	tokens  float64
-	last    time.Time
-	limited bool
-}
-
-// newMinerLimiter returns nil when rate <= 0 (rate limiting disabled).
-func newMinerLimiter(rate float64, burst int) *minerLimiter {
-	if rate <= 0 {
-		return nil
-	}
-	b := float64(burst)
-	if b <= 0 {
-		// Default burst: a couple of seconds of sustained rate, floored
-		// so low rates still tolerate a miner flushing a few found
-		// shares back-to-back.
-		b = 2 * rate
-		if b < 8 {
-			b = 8
-		}
-	}
-	l := &minerLimiter{rate: rate, burst: b, now: time.Now}
-	for i := range l.shards {
-		l.shards[i].m = make(map[string]*limBucket)
-	}
-	return l
-}
-
-// allow spends one token for miner, reporting whether the submission
-// is admitted and whether this rejection is the first of a new
-// limited episode (the journal trigger).
-func (l *minerLimiter) allow(miner string) (allowed, transition bool) {
-	now := l.now()
-	sh := &l.shards[minerHash(miner)%limShards]
-	sh.mu.Lock()
-	defer sh.mu.Unlock()
-	b := sh.m[miner]
-	if b == nil {
-		b = &limBucket{tokens: l.burst, last: now}
-		sh.m[miner] = b
-	}
-	if dt := now.Sub(b.last).Seconds(); dt > 0 {
-		b.tokens += dt * l.rate
-		if b.tokens > l.burst {
-			b.tokens = l.burst
-		}
-		b.last = now
-	}
-	if b.tokens < 1 {
-		transition = !b.limited
-		b.limited = true
-		return false, transition
-	}
-	b.tokens--
-	b.limited = false
-	return true, false
 }

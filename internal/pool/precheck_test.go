@@ -2,6 +2,8 @@ package pool
 
 import (
 	"encoding/json"
+	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -96,7 +98,7 @@ func TestPrecheckRateLimit(t *testing.T) {
 	pre := NewPrecheck(jm, v.seen, acct, 1, 2) // 1 share/s sustained, burst 2
 	pre.journal = journal
 	now := time.Unix(1_700_000_000, 0)
-	pre.limiter.now = func() time.Time { return now }
+	acct.now = func() time.Time { return now }
 	job := jm.Current()
 
 	// Burst admits two shares, then the bucket is dry.
@@ -142,6 +144,50 @@ func TestPrecheckRateLimit(t *testing.T) {
 	}
 	if tot := acct.Totals(); tot.Invalid != 4 {
 		t.Errorf("invalid total = %d, want 4 rate-limited shares", tot.Invalid)
+	}
+}
+
+// TestPrecheckRateLimitConcurrent floods one miner from many
+// goroutines on a frozen clock: the bucket and the ledger share one
+// record under one lock, so exactly burst shares pass, every other one
+// is booked as invalid, and the flood is one journal episode.
+func TestPrecheckRateLimitConcurrent(t *testing.T) {
+	v, jm, acct, _ := newTestValidator(t, zeroBitsCompact(4), impossibleCompact, nil)
+	journal := telemetry.NewJournal(16)
+	const (
+		goroutines = 8
+		perG       = 100
+		burst      = 16
+	)
+	pre := NewPrecheck(jm, v.seen, acct, 1, burst)
+	pre.journal = journal
+	now := time.Unix(1_700_000_000, 0)
+	acct.now = func() time.Time { return now }
+	id := []byte(jm.Current().ID)
+
+	var admitted atomic.Int64
+	var wg sync.WaitGroup
+	for g := 0; g < goroutines; g++ {
+		wg.Add(1)
+		go func(g int) {
+			defer wg.Done()
+			for i := 0; i < perG; i++ {
+				if _, _, ok := pre.Admit("alice", id, uint64(g*perG+i)); ok {
+					admitted.Add(1)
+				}
+			}
+		}(g)
+	}
+	wg.Wait()
+
+	if got := admitted.Load(); got != burst {
+		t.Errorf("admitted = %d, want %d (the burst)", got, burst)
+	}
+	if got, want := acct.Totals().Invalid, uint64(goroutines*perG-burst); got != want {
+		t.Errorf("ledger invalid = %d, want %d", got, want)
+	}
+	if evs := journal.Events(16); len(evs) != 1 || evs[0].Type != "pool_rate_limited" {
+		t.Errorf("journal events = %+v, want one pool_rate_limited", evs)
 	}
 }
 

@@ -745,11 +745,6 @@ func (c *serverConn) handleShare(jobID []byte, nonce uint64) bool {
 	c.subMu.Lock()
 	miner := c.miner
 	c.subMu.Unlock()
-	if len(jobID) == 0 {
-		c.send(&Envelope{Type: TypeResult, Nonce: nonce,
-			Status: StatusInvalid, Reason: "missing job_id"})
-		return true
-	}
 	job, rej, admitted := c.s.precheck.Admit(miner, jobID, nonce)
 	if !admitted {
 		c.send(&Envelope{Type: TypeResult, JobID: rej.JobID, Nonce: rej.Nonce,

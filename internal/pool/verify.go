@@ -144,9 +144,8 @@ var ErrPipelineClosed = errors.New("pool: verification pipeline closed")
 // (minted via pow.SessionHasher when the hasher offers it). Any idle
 // worker takes the next share, whoever submitted it, so the fleet is
 // busy whenever shares wait; verdicts may leave in a different order
-// than their shares arrived (readers match them by nonce). Ledger
-// writes land in the miner's accounting cell (lock-free adds) and are
-// merged only at read time.
+// than their shares arrived (readers match them by nonce). Each verdict
+// is one locked update of the miner's ledger record.
 //
 // The queue is bounded: SubmitAdmitted blocks when it is full, which
 // propagates as TCP backpressure to the submitting connection instead
