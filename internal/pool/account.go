@@ -144,12 +144,17 @@ type MinerSnapshot struct {
 
 // Snapshot returns a copy of every miner's stats, hashrate filled in,
 // sorted by name for stable output. Each record is copied whole under
-// the lock, so a snapshot never holds part of a share.
+// the lock, so a snapshot never holds part of a share. A miner with no
+// verdict booked yet (its first share admitted and still in the
+// verification queue) is left out.
 func (a *Accounting) Snapshot() []MinerSnapshot {
 	now := a.now()
 	a.mu.Lock()
 	out := make([]MinerSnapshot, 0, len(a.miners))
 	for name, r := range a.miners {
+		if st := &r.stats; st.Accepted+st.Stale+st.Duplicate+st.LowDiff+st.Invalid == 0 {
+			continue
+		}
 		out = append(out, MinerSnapshot{Miner: name, MinerStats: r.stats})
 	}
 	a.mu.Unlock()

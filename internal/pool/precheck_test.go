@@ -147,6 +147,26 @@ func TestPrecheckRateLimit(t *testing.T) {
 	}
 }
 
+// TestSnapshotOmitsMinersWithoutVerdicts pins that an admitted share
+// still waiting for its verdict does not list its miner: the token
+// bucket spent at admission creates the miner's record, but Snapshot
+// and Totals show a miner only once a verdict is booked.
+func TestSnapshotOmitsMinersWithoutVerdicts(t *testing.T) {
+	_, jm, acct, _ := newTestValidator(t, zeroBitsCompact(4), impossibleCompact, nil)
+	pre := NewPrecheck(jm, NewSeenSet(1<<10), acct, 100, 0)
+	job := jm.Current()
+	if _, _, admitted := pre.Admit("alice", []byte(job.ID), 1); !admitted {
+		t.Fatal("fresh share refused")
+	}
+	if snap := acct.Snapshot(); len(snap) != 0 {
+		t.Fatalf("snapshot before any verdict = %+v, want empty", snap)
+	}
+	acct.Record("alice", StatusAccepted, job.ShareWork)
+	if snap := acct.Snapshot(); len(snap) != 1 || snap[0].Miner != "alice" || snap[0].Accepted != 1 {
+		t.Fatalf("snapshot after the verdict = %+v, want alice with one accepted share", snap)
+	}
+}
+
 // TestPrecheckRateLimitConcurrent floods one miner from many
 // goroutines on a frozen clock: the bucket and the ledger share one
 // record under one lock, so exactly burst shares pass, every other one
@@ -317,6 +337,32 @@ func BenchmarkPrecheckDuplicateReject(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		pre.Admit("alice", id, 1)
+	}
+}
+
+// BenchmarkPrecheckRateLimitedReject times the reject a flood mostly
+// gets once its miner's bucket is dry: pool_flood's junk connection,
+// limited to 1,000 submits/s, sends about 200,000 a second, so nearly
+// all of them end here.
+func BenchmarkPrecheckRateLimitedReject(b *testing.B) {
+	src := &stubSource{bits: zeroBitsCompact(8)}
+	jm, err := NewJobManager(src, zeroBitsCompact(4), 1<<16, 2)
+	if err != nil {
+		b.Fatal(err)
+	}
+	if _, err := jm.Refresh(true); err != nil {
+		b.Fatal(err)
+	}
+	// A bucket of one token that refills about once in 30 years.
+	pre := NewPrecheck(jm, NewSeenSet(1<<16), NewAccounting(), 1e-9, 1)
+	id := []byte(jm.Current().ID)
+	pre.Admit("alice", id, 1)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, _, ok := pre.Admit("alice", id, uint64(i)+2); ok {
+			b.Fatal("share past the burst admitted")
+		}
 	}
 }
 

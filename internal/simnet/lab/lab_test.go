@@ -9,9 +9,19 @@ import (
 // its default size through the same entry point the CLI uses, one
 // subtest per name, so a failed defense is named in the test output.
 func TestScenarioCatalogRuns(t *testing.T) {
+	runCatalog(t, func(f func()) { f() })
+}
+
+// runCatalog runs every catalog scenario as its own subtest, each Run
+// call made inside wrap (a plain call, or a synctest bubble).
+func runCatalog(t *testing.T, wrap func(func())) {
 	for _, name := range Scenarios() {
 		t.Run(name, func(t *testing.T) {
-			res, err := Run(name, 0, t.Logf)
+			var (
+				res *Result
+				err error
+			)
+			wrap(func() { res, err = Run(name, 0, t.Logf) })
 			if err != nil {
 				t.Fatal(err)
 			}

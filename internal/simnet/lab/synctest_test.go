@@ -5,7 +5,6 @@ package lab
 import (
 	"testing"
 	"testing/synctest"
-	"time"
 )
 
 // TestScenarioCatalogSimulatedTime runs every catalog scenario, with
@@ -14,20 +13,5 @@ import (
 // blocked, so timeouts and rates no longer depend on how busy the host
 // is. Build with GOEXPERIMENT=synctest to run it.
 func TestScenarioCatalogSimulatedTime(t *testing.T) {
-	for _, name := range Scenarios() {
-		t.Run(name, func(t *testing.T) {
-			var (
-				res *Result
-				err error
-			)
-			synctest.Run(func() { res, err = Run(name, 0, t.Logf) })
-			if err != nil {
-				t.Fatal(err)
-			}
-			if !res.OK {
-				t.Fatalf("%s failed: %s", name, res.Detail)
-			}
-			t.Logf("%s (%d nodes, %s simulated): %s", res.Name, res.Nodes, res.Duration.Round(time.Millisecond), res.Detail)
-		})
-	}
+	runCatalog(t, synctest.Run)
 }
