@@ -182,7 +182,7 @@ type Manager struct {
 	node    *blockchain.Node
 	genesis string // hex, pinned in handshakes
 	scores  *scoreboard
-	met     *p2pMetrics        // nil when telemetry is disabled
+	met     *p2pMetrics        // nil instruments when telemetry is disabled
 	journal *telemetry.Journal // nil-safe
 	tally   *wire.ConnTally    // shared byte/frame accounting for all sessions
 
@@ -456,13 +456,13 @@ func (m *Manager) runPeer(nc net.Conn, name string, inbound bool) error {
 	}
 	if err != nil {
 		wp.Close()
-		m.met.handshakeFailure()
+		m.met.handshakeFailures.Inc()
 		m.penalize(host, PointsHandshake, err)
 		return err
 	}
 	if remote.Network != m.cfg.Network || remote.Genesis != m.genesis {
 		wp.Close()
-		m.met.handshakeFailure()
+		m.met.handshakeFailures.Inc()
 		m.penalize(host, PointsHandshake, "wrong network or genesis")
 		return fmt.Errorf("p2p: peer %s is on network %q genesis %.8s…, want %q %.8s…",
 			name, remote.Network, remote.Genesis, m.cfg.Network, m.genesis)
@@ -484,7 +484,7 @@ func (m *Manager) runPeer(nc net.Conn, name string, inbound bool) error {
 	p.triggerSync()
 	err = wp.Run(p.handle)
 	if errors.Is(err, wire.ErrRateLimited) {
-		m.met.rateLimited()
+		m.met.rateLimitDrops.Inc()
 	}
 	if pts := violationPoints(err); pts > 0 {
 		m.penalize(host, pts, err)
@@ -523,13 +523,13 @@ func (m *Manager) penalize(host string, points int, reason any) bool {
 		return false
 	}
 	score, banned := m.scores.add(host, points, time.Now())
-	m.met.penalized(points)
+	m.met.penaltyPoints.Add(uint64(points))
 	if !banned {
 		m.cfg.Logf("p2p: host %s penalized +%d (score %.0f): %v", host, points, score, reason)
 		return false
 	}
 	m.cfg.Logf("p2p: host %s BANNED for %s (score %.0f): %v", host, m.cfg.BanDuration, score, reason)
-	m.met.banned()
+	m.met.bans.Inc()
 	m.journal.Emit("ban", map[string]any{
 		"host": host, "score": score, "for": m.cfg.BanDuration.String(),
 	})

@@ -5,9 +5,9 @@ import (
 	"hashcore/internal/wire"
 )
 
-// p2pMetrics is the manager's instrument set, resolved once in New. A
-// nil *p2pMetrics (no registry configured) no-ops every method, so call
-// sites stay unconditional.
+// p2pMetrics is the manager's instrument set, resolved once in New.
+// Without a registry every instrument is nil, and a nil instrument
+// no-ops, so call sites stay unconditional.
 type p2pMetrics struct {
 	msgsIn  map[string]*telemetry.Counter
 	msgsOut map[string]*telemetry.Counter
@@ -31,9 +31,6 @@ var knownTypes = []string{TypeInv, TypeGetHeaders, TypeHeaders, TypeGetBlocks, T
 // scrape-time gauges (peer counts by direction) and byte/frame
 // CounterFuncs (over the manager's shared wire tally) off m.
 func registerP2PMetrics(reg *telemetry.Registry, m *Manager) *p2pMetrics {
-	if reg == nil {
-		return nil
-	}
 	pm := &p2pMetrics{
 		msgsIn:  make(map[string]*telemetry.Counter, len(knownTypes)),
 		msgsOut: make(map[string]*telemetry.Counter, len(knownTypes)),
@@ -90,62 +87,11 @@ func registerP2PMetrics(reg *telemetry.Registry, m *Manager) *p2pMetrics {
 	return pm
 }
 
+// msgIn counts one inbound message, an unknown type as "other".
 func (pm *p2pMetrics) msgIn(typ string) {
-	if pm == nil {
-		return
-	}
 	if c, ok := pm.msgsIn[typ]; ok {
 		c.Inc()
 		return
 	}
 	pm.otherIn.Inc()
-}
-
-func (pm *p2pMetrics) msgOut(typ string) {
-	if pm == nil {
-		return
-	}
-	pm.msgsOut[typ].Inc() // all sends use known types; nil Counter is safe anyway
-}
-
-func (pm *p2pMetrics) handshakeFailure() {
-	if pm != nil {
-		pm.handshakeFailures.Inc()
-	}
-}
-
-func (pm *p2pMetrics) rateLimited() {
-	if pm != nil {
-		pm.rateLimitDrops.Inc()
-	}
-}
-
-func (pm *p2pMetrics) banned() {
-	if pm != nil {
-		pm.bans.Inc()
-	}
-}
-
-func (pm *p2pMetrics) penalized(points int) {
-	if pm != nil {
-		pm.penaltyPoints.Add(uint64(points))
-	}
-}
-
-func (pm *p2pMetrics) syncRound() {
-	if pm != nil {
-		pm.syncRounds.Inc()
-	}
-}
-
-func (pm *p2pMetrics) headers(n int) {
-	if pm != nil {
-		pm.headersFetched.Add(uint64(n))
-	}
-}
-
-func (pm *p2pMetrics) blockFetched() {
-	if pm != nil {
-		pm.blocksFetched.Inc()
-	}
 }

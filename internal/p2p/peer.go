@@ -111,7 +111,7 @@ func (p *peer) sendInv(inv InvMsg) {
 // send is the peer's single outbound seam: every protocol write goes
 // through it so the per-type message counters see each frame.
 func (p *peer) send(typ string, v any) error {
-	p.m.met.msgOut(typ)
+	p.m.met.msgsOut[typ].Inc()
 	return p.wp.Send(typ, v)
 }
 
@@ -243,7 +243,7 @@ func (p *peer) triggerSync() {
 		p.mu.Unlock()
 		return
 	}
-	p.m.met.syncRound()
+	p.m.met.syncRounds.Inc()
 	err := p.requestHeadersLocked()
 	p.mu.Unlock()
 	if err != nil {
@@ -296,7 +296,7 @@ func (p *peer) advanceLocked() error {
 	case p.retrigger:
 		p.retrigger = false
 		p.anchor = nil
-		p.m.met.syncRound()
+		p.m.met.syncRounds.Inc()
 		return p.requestHeadersLocked()
 	default:
 		p.state = syncIdle
@@ -320,7 +320,7 @@ func (p *peer) handleHeaders(msg HeadersMsg) error {
 	if p.state != syncHeaders {
 		return p.unsolicitedLocked("headers")
 	}
-	p.m.met.headers(len(msg.Headers))
+	p.m.met.headersFetched.Add(uint64(len(msg.Headers)))
 	truncated := false
 	for _, ref := range msg.Headers {
 		id, err := hexToHash(ref.ID)
@@ -426,7 +426,7 @@ func (p *peer) handleBlocks(msg BlocksMsg) error {
 			}
 			return violation(PointsInvalidBlock, "p2p: peer %s sent invalid block: %w", p.name, err)
 		}
-		p.m.met.blockFetched()
+		p.m.met.blocksFetched.Inc()
 	}
 
 	// Settle the batch by post-state, not by response position: the
@@ -489,7 +489,7 @@ func (p *peer) armTimeoutLocked() {
 		p.anchor = nil
 		p.morePages = false
 		p.retrigger = false
-		p.m.met.syncRound()
+		p.m.met.syncRounds.Inc()
 		err := p.requestHeadersLocked()
 		p.mu.Unlock()
 		_ = err

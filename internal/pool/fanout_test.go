@@ -215,6 +215,66 @@ func TestServeConnSharesVerify(t *testing.T) {
 	}
 }
 
+// TestSubmitSpellingsShareOneVerdict sends one share in several JSON
+// spellings on one connection. encoding/json decodes each to the same
+// (job, nonce), duplicate keys taking the last value, so whichever
+// decoder reads a line, the first is judged and the rest are duplicates,
+// in the replies, the ledger and pool_shares_total alike.
+func TestSubmitSpellingsShareOneVerdict(t *testing.T) {
+	srv, err := NewServer(Config{
+		Addr:            "127.0.0.1:0",
+		ShareBits:       zeroBitsCompact(4),
+		VerifyWorkers:   1,
+		RefreshInterval: -1,
+		Logf:            func(string, ...any) {},
+	}, baseline.SHA256d{}, &stubSource{bits: zeroBitsCompact(8)})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := srv.Start(); err != nil {
+		t.Fatal(err)
+	}
+	defer srv.Shutdown(context.Background())
+
+	cl := newFanoutClient(t, srv, "alice")
+	job := srv.Jobs().Current()
+	pass, _ := findNonces(t, baseline.SHA256d{}, job)
+	spellings := []string{
+		`{"type":"submit","job_id":"%[1]s","nonce":%[2]d}`,
+		`{"nonce":%[2]d,"job_id":"%[1]s","type":"submit"}`,
+		` { "type" : "submit" , "job_id" : "%[1]s" , "nonce" : %[2]d } `,
+		`{"TYPE":"submit","Job_ID":"%[1]s","NONCE":%[2]d}`,
+		`{"type":"submit","job_id":"no-such-job","nonce":%[3]d,"job_id":"%[1]s","nonce":%[2]d}`,
+	}
+	for i, sp := range spellings {
+		if _, err := fmt.Fprintf(cl.conn, sp+"\n", job.ID, pass, pass+1); err != nil {
+			t.Fatal(err)
+		}
+		want := StatusDuplicate
+		if i == 0 {
+			want = StatusAccepted
+		}
+		env := cl.read()
+		if env.Type != TypeResult || env.Status != want || env.JobID != job.ID || env.Nonce != pass {
+			t.Fatalf("spelling %d: got (%q, %q, %q, %d), want %q for (%q, %d)",
+				i, env.Type, env.Status, env.JobID, env.Nonce, want, job.ID, pass)
+		}
+	}
+	dups := uint64(len(spellings) - 1)
+	if tot := srv.Accounting().Totals(); tot.Accepted != 1 || tot.Duplicate != dups || tot.Stale+tot.LowDiff+tot.Invalid != 0 {
+		t.Errorf("ledger = %+v, want 1 accepted and %d duplicate", tot, dups)
+	}
+	shares := map[string]float64{}
+	for _, smp := range srv.Metrics().Gather() {
+		if smp.Name == "pool_shares_total" {
+			shares[smp.Labels] += smp.Value
+		}
+	}
+	if shares[`{status="accepted"}`] != 1 || shares[`{status="duplicate"}`] != float64(dups) {
+		t.Errorf("pool_shares_total = %v, want 1 accepted and %d duplicate", shares, dups)
+	}
+}
+
 // TestSubmitWithoutJobIDIsCounted sends submits with no job_id past the
 // miner's rate-limit burst. Each takes the admission path like any
 // other share: the ones within the burst are judged stale (no such

@@ -75,6 +75,7 @@ func (j *Job) AssignRange(size uint64) (start, end uint64) {
 // so in-flight shares can still be judged. It is safe for concurrent use.
 type JobManager struct {
 	src       TemplateSource
+	shareBits uint32
 	rangeSize uint64
 	retention int
 
@@ -84,12 +85,11 @@ type JobManager struct {
 	// its stale-tip job as current.
 	refreshMu sync.Mutex
 
-	mu        sync.Mutex
-	shareBits uint32
-	seq       uint64
-	current   *Job
-	jobs      map[string]*Job
-	order     []string
+	mu      sync.Mutex
+	seq     uint64
+	current *Job
+	jobs    map[string]*Job
+	order   []string
 }
 
 // NewJobManager creates a manager producing jobs at the given share
@@ -118,27 +118,8 @@ func NewJobManager(src TemplateSource, shareBits uint32, rangeSize uint64, reten
 // when the server config does not override it.
 const DefaultRangeSize = 1 << 20
 
-// RangeSize returns the per-subscriber nonce window size.
-func (jm *JobManager) RangeSize() uint64 { return jm.rangeSize }
-
-// SetShareBits changes the share difficulty for subsequently built jobs.
-// In-flight jobs keep the target they were issued with.
-func (jm *JobManager) SetShareBits(bits uint32) error {
-	if _, err := pow.CompactToTarget(bits); err != nil {
-		return fmt.Errorf("pool: share bits: %w", err)
-	}
-	jm.mu.Lock()
-	jm.shareBits = bits
-	jm.mu.Unlock()
-	return nil
-}
-
-// ShareBits returns the share difficulty of subsequently built jobs.
-func (jm *JobManager) ShareBits() uint32 {
-	jm.mu.Lock()
-	defer jm.mu.Unlock()
-	return jm.shareBits
-}
+// ShareBits returns the pool's share difficulty.
+func (jm *JobManager) ShareBits() uint32 { return jm.shareBits }
 
 // Refresh builds a new current job from a fresh template. With clean set
 // the retention window is dropped too: every earlier job becomes stale at

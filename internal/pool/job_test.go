@@ -142,21 +142,3 @@ func TestJobCleanFlag(t *testing.T) {
 		t.Error("rolling refresh produced a job with the Clean flag set")
 	}
 }
-
-func TestSetShareBits(t *testing.T) {
-	jm, _ := newTestJobManager(t, 2)
-	j1, _ := jm.Refresh(true)
-	if err := jm.SetShareBits(zeroBitsCompact(6)); err != nil {
-		t.Fatal(err)
-	}
-	j2, _ := jm.Refresh(false)
-	if j1.ShareBits == j2.ShareBits {
-		t.Error("share bits change did not reach the next job")
-	}
-	if jm.ShareBits() != zeroBitsCompact(6) {
-		t.Error("ShareBits does not report the update")
-	}
-	if err := jm.SetShareBits(0x1d800000); err == nil {
-		t.Error("malformed share bits accepted")
-	}
-}

@@ -22,7 +22,8 @@ const (
 //     a couple of float ops on the miner's ledger record, which also
 //     books the reject) — flood shedding;
 //  2. job lookup (~ns: one locked map hit) — stale/unknown-job shares;
-//  3. sharded dedupe insert (~ns) — duplicate shares.
+//  3. dedupe check-and-insert (~ns: a probe or two of the seen set's
+//     index under its one lock) — duplicate shares.
 //
 // A share passing all three has a live *Job resolved and its dedupe
 // key consumed; the verification fleet re-checks only staleness (the

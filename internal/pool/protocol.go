@@ -16,10 +16,12 @@
 package pool
 
 import (
+	"bytes"
 	"encoding/json"
 	"errors"
 	"fmt"
 	"io"
+	"math"
 	"time"
 
 	"hashcore/internal/wire"
@@ -165,244 +167,53 @@ func parseMsg(line []byte) (Envelope, error) {
 }
 
 // parseSubmit is the zero-allocation decode path for the one message
-// class that arrives millions of times: submit. It scans the line in
-// place and returns job_id as a subslice (valid only until the next
-// read) plus the nonce. ok=false means "not provably a simple submit"
-// — the caller falls back to parseMsg — so the fast path may only
-// accept lines on which it provably agrees with encoding/json: flat
-// objects, escape-free strings, plain unsigned integers, last
-// duplicate key wins, unknown keys skipped. Anything fancier (nesting,
-// escapes, floats, signs, exponents) bails out rather than guess.
-// FuzzParseSubmitAgreesWithJSON pins the agreement.
+// class that arrives millions of times: submit. It matches only the
+// line encoding/json writes for Envelope{Type: TypeSubmit, JobID,
+// Nonce}, which is what every submit writer sends:
+//
+//	{"type":"submit","job_id":"<id>","nonce":<n>}
+//
+// with an escape-free ASCII id and a plain decimal nonce that fits in
+// 64 bits. It returns job_id as a subslice of line (valid only until
+// the next read) and the nonce. Any other spelling (reordered,
+// case-folded, unknown or duplicate keys, whitespace, escapes, high
+// bytes, signs, fractions, leading zeros) returns ok=false, and the
+// caller hands the line to parseMsg, whose encoding/json decode gives
+// the verdict. FuzzParseSubmitAgreesWithJSON pins the agreement.
 func parseSubmit(line []byte) (jobID []byte, nonce uint64, ok bool) {
-	i, n := 0, len(line)
-	skipWs := func() {
-		for i < n && (line[i] == ' ' || line[i] == '\t' || line[i] == '\r' || line[i] == '\n') {
-			i++
-		}
-	}
-	// scanString consumes an escape-free ASCII JSON string, returning
-	// its contents. Non-ASCII bytes bail: encoding/json replaces
-	// invalid UTF-8 with U+FFFD on decode, which this scanner does not
-	// model, so any high byte goes to the slow path.
-	scanString := func() ([]byte, bool) {
-		if i >= n || line[i] != '"' {
-			return nil, false
-		}
-		i++
-		start := i
-		for i < n {
-			c := line[i]
-			if c == '"' {
-				s := line[start:i]
-				i++
-				return s, true
-			}
-			if c == '\\' || c < 0x20 || c >= 0x80 {
-				return nil, false
-			}
-			i++
-		}
-		return nil, false
-	}
-	// scanUint consumes a plain unsigned integer (no sign, fraction or
-	// exponent), rejecting overflow and leading zeros the way
-	// encoding/json would accept but we don't need to (clients emit
-	// canonical integers; anything else takes the slow path).
-	scanUint := func() (uint64, bool) {
-		start := i
-		var v uint64
-		for i < n && line[i] >= '0' && line[i] <= '9' {
-			d := uint64(line[i] - '0')
-			if v > (^uint64(0)-d)/10 {
-				return 0, false
-			}
-			v = v*10 + d
-			i++
-		}
-		if i == start {
-			return 0, false
-		}
-		if i-start > 1 && line[start] == '0' {
-			return 0, false
-		}
-		if i < n && (line[i] == '.' || line[i] == 'e' || line[i] == 'E') {
-			return 0, false
-		}
-		return v, true
-	}
-	// scanNull consumes a literal null.
-	scanNull := func() bool {
-		if n-i >= 4 && string(line[i:i+4]) == "null" {
-			i += 4
-			return true
-		}
-		return false
-	}
-	// skipSimpleValue consumes a value we don't care about: an
-	// escape-free string, plain integer, true/false/null. Structured
-	// values bail.
-	skipSimpleValue := func() bool {
-		if i >= n {
-			return false
-		}
-		switch line[i] {
-		case '"':
-			_, sok := scanString()
-			return sok
-		case 't':
-			if n-i >= 4 && string(line[i:i+4]) == "true" {
-				i += 4
-				return true
-			}
-		case 'f':
-			if n-i >= 5 && string(line[i:i+5]) == "false" {
-				i += 5
-				return true
-			}
-		case 'n':
-			if n-i >= 4 && string(line[i:i+4]) == "null" {
-				i += 4
-				return true
-			}
-		default:
-			if line[i] >= '0' && line[i] <= '9' {
-				_, uok := scanUint()
-				return uok
-			}
-		}
-		return false
-	}
-
-	skipWs()
-	if i >= n || line[i] != '{' {
+	const head, mid = `{"type":"submit","job_id":"`, `","nonce":`
+	if len(line) < len(head) || string(line[:len(head)]) != head {
 		return nil, 0, false
 	}
-	i++
-	isSubmit := false
-	first := true
-	for {
-		skipWs()
-		if i < n && line[i] == '}' && first {
-			i++
-			break
-		}
-		if !first {
-			if i >= n {
-				return nil, 0, false
-			}
-			if line[i] == '}' {
-				i++
-				break
-			}
-			if line[i] != ',' {
-				return nil, 0, false
-			}
-			i++
-			skipWs()
-		}
-		first = false
-		key, kok := scanString()
-		if !kok {
+	rest := line[len(head):]
+	end := bytes.IndexByte(rest, '"')
+	if end < 0 {
+		return nil, 0, false
+	}
+	jobID, rest = rest[:end], rest[end:]
+	for _, c := range jobID {
+		// encoding/json replaces invalid UTF-8 with U+FFFD, which a
+		// subslice cannot, so any high byte goes to the slow path.
+		if c == '\\' || c < 0x20 || c >= 0x80 {
 			return nil, 0, false
-		}
-		// encoding/json matches struct keys case-insensitively; keys are
-		// folded below (ASCII-only — scanString already bailed on any
-		// high byte, so Unicode folding cannot be in play).
-		skipWs()
-		if i >= n || line[i] != ':' {
-			return nil, 0, false
-		}
-		i++
-		skipWs()
-		// Keys that fold onto a known Envelope field must carry a value
-		// encoding/json would accept for that field's type, or the
-		// whole line bails to the slow path — otherwise the fast path
-		// could accept a line json rejects (e.g. a number for a string
-		// field).
-		switch {
-		case asciiEqualFold(key, "type"):
-			v, vok := scanString()
-			if !vok {
-				return nil, 0, false
-			}
-			isSubmit = string(v) == TypeSubmit
-		case asciiEqualFold(key, "job_id"):
-			v, vok := scanString()
-			if !vok {
-				return nil, 0, false
-			}
-			jobID = v
-		case asciiEqualFold(key, "nonce"):
-			v, vok := scanUint()
-			if !vok {
-				return nil, 0, false
-			}
-			nonce = v
-		case asciiEqualFold(key, "bits"):
-			// uint32 field: json overflow-errors above MaxUint32.
-			if i < n && line[i] == 'n' {
-				if !scanNull() {
-					return nil, 0, false
-				}
-			} else if v, vok := scanUint(); !vok || v > 1<<32-1 {
-				return nil, 0, false
-			}
-		case asciiEqualFold(key, "job"):
-			// struct-pointer field: of the simple values only null decodes.
-			if !scanNull() {
-				return nil, 0, false
-			}
-		case foldsToStringField(key):
-			if i < n && line[i] == '"' {
-				if _, vok := scanString(); !vok {
-					return nil, 0, false
-				}
-			} else if !scanNull() {
-				return nil, 0, false
-			}
-		default:
-			if !skipSimpleValue() {
-				return nil, 0, false
-			}
 		}
 	}
-	skipWs()
-	if i != n || !isSubmit {
+	if len(rest) < len(mid)+2 || string(rest[:len(mid)]) != mid || rest[len(rest)-1] != '}' {
 		return nil, 0, false
+	}
+	digits := rest[len(mid) : len(rest)-1]
+	if len(digits) > 1 && digits[0] == '0' {
+		return nil, 0, false
+	}
+	for _, c := range digits {
+		if c < '0' || c > '9' {
+			return nil, 0, false
+		}
+		d := uint64(c - '0')
+		if nonce > (math.MaxUint64-d)/10 {
+			return nil, 0, false
+		}
+		nonce = nonce*10 + d
 	}
 	return jobID, nonce, true
-}
-
-// envelopeStringFields lists the Envelope keys backed by plain string
-// fields (beyond type and job_id, which parseSubmit handles itself).
-var envelopeStringFields = []string{"miner", "agent", "session", "pool", "hasher", "status", "reason", "error"}
-
-// foldsToStringField reports whether key case-folds onto one of the
-// Envelope's string fields.
-func foldsToStringField(key []byte) bool {
-	for _, f := range envelopeStringFields {
-		if asciiEqualFold(key, f) {
-			return true
-		}
-	}
-	return false
-}
-
-// asciiEqualFold reports whether key equals name under ASCII case
-// folding. name is lowercase by construction; key was checked ASCII.
-func asciiEqualFold(key []byte, name string) bool {
-	if len(key) != len(name) {
-		return false
-	}
-	for i := 0; i < len(key); i++ {
-		c := key[i]
-		if 'A' <= c && c <= 'Z' {
-			c += 'a' - 'A'
-		}
-		if c != name[i] {
-			return false
-		}
-	}
-	return true
 }

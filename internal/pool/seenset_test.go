@@ -21,17 +21,16 @@ func TestSeenSetCheckAndAdd(t *testing.T) {
 }
 
 func TestSeenSetEvictsOldest(t *testing.T) {
-	// Capacity 16 with 16 shards → one slot per shard. Keys 0 and 16 land
-	// in shard 0 (key & 15), so inserting 16 must evict 0.
-	s := NewSeenSet(16)
+	// Capacity 1: inserting key 1 must evict key 0.
+	s := NewSeenSet(1)
 	if s.CheckAndAdd(0) {
 		t.Fatal("fresh key 0 reported duplicate")
 	}
-	if s.CheckAndAdd(16) {
-		t.Fatal("fresh key 16 reported duplicate")
+	if s.CheckAndAdd(1) {
+		t.Fatal("fresh key 1 reported duplicate")
 	}
 	if s.CheckAndAdd(0) {
-		t.Fatal("key 0 should have been evicted by key 16")
+		t.Fatal("key 0 should have been evicted by key 1")
 	}
 	if !s.CheckAndAdd(0) {
 		t.Fatal("key 0 reinserted but not found")
@@ -88,49 +87,32 @@ func TestShareKeyDistinguishes(t *testing.T) {
 	}
 }
 
-// seenModel is the set as it was kept before the index: per shard a Go
-// map beside the insertion-ordered ring. The index must give the same
-// verdicts.
+// seenModel is the set as it was kept before the index: a Go map beside
+// the insertion-ordered ring. The index must give the same verdicts.
 type seenModel struct {
-	shards [seenShards]struct {
-		m    map[uint64]struct{}
-		ring []uint64
-		n    int
-		next int
-	}
+	m    map[uint64]struct{}
+	ring []uint64
+	n    int
+	next int
 }
 
 func newSeenModel(capacity int) *seenModel {
-	s := &seenModel{}
-	for i := range s.shards {
-		s.shards[i].m = map[uint64]struct{}{}
-		s.shards[i].ring = make([]uint64, max(capacity/seenShards, 1))
-	}
-	return s
+	return &seenModel{m: map[uint64]struct{}{}, ring: make([]uint64, max(capacity, 1))}
 }
 
 func (s *seenModel) checkAndAdd(key uint64) bool {
-	sh := &s.shards[key&(seenShards-1)]
-	if _, ok := sh.m[key]; ok {
+	if _, ok := s.m[key]; ok {
 		return true
 	}
-	if sh.n == len(sh.ring) {
-		delete(sh.m, sh.ring[sh.next])
+	if s.n == len(s.ring) {
+		delete(s.m, s.ring[s.next])
 	} else {
-		sh.n++
+		s.n++
 	}
-	sh.ring[sh.next] = key
-	sh.next = (sh.next + 1) % len(sh.ring)
-	sh.m[key] = struct{}{}
+	s.ring[s.next] = key
+	s.next = (s.next + 1) % len(s.ring)
+	s.m[key] = struct{}{}
 	return false
-}
-
-func (s *seenModel) len() int {
-	total := 0
-	for i := range s.shards {
-		total += s.shards[i].n
-	}
-	return total
 }
 
 // TestSeenSetMatchesReference drives the set and the map-and-ring model
@@ -139,7 +121,7 @@ func (s *seenModel) len() int {
 // in four a fresh random key — and requires every verdict and every Len
 // to agree.
 func TestSeenSetMatchesReference(t *testing.T) {
-	for _, capacity := range []int{16, 17, 100, 1024} {
+	for _, capacity := range []int{1, 16, 17, 100, 1024} {
 		s, model := NewSeenSet(capacity), newSeenModel(capacity)
 		rng := rand.New(rand.NewPCG(uint64(capacity), 7))
 		space := uint64(3 * capacity)
@@ -152,19 +134,19 @@ func TestSeenSetMatchesReference(t *testing.T) {
 			if got != want {
 				t.Fatalf("capacity %d, call %d: CheckAndAdd(%#x) = %v, the model says %v", capacity, i, key, got, want)
 			}
-			if i%1000 == 0 && s.Len() != model.len() {
-				t.Fatalf("capacity %d, call %d: Len = %d, the model holds %d", capacity, i, s.Len(), model.len())
+			if i%1000 == 0 && s.Len() != model.n {
+				t.Fatalf("capacity %d, call %d: Len = %d, the model holds %d", capacity, i, s.Len(), model.n)
 			}
 		}
-		if s.Len() != model.len() {
-			t.Fatalf("capacity %d: Len = %d, the model holds %d", capacity, s.Len(), model.len())
+		if s.Len() != model.n {
+			t.Fatalf("capacity %d: Len = %d, the model holds %d", capacity, s.Len(), model.n)
 		}
 	}
 }
 
 // TestSeenSetBytesPerKey: the set's heap at the pool's default capacity
 // is 16 bytes per key — the ring's key and two index entries — plus the
-// shards' fixed headers.
+// set's fixed header.
 func TestSeenSetBytesPerKey(t *testing.T) {
 	const keys = 1 << 16
 	var before, after runtime.MemStats
@@ -175,7 +157,7 @@ func TestSeenSetBytesPerKey(t *testing.T) {
 	runtime.KeepAlive(s)
 	bytes := after.TotalAlloc - before.TotalAlloc
 	t.Logf("%d bytes for %d keys: %.2f B/key", bytes, keys, float64(bytes)/keys)
-	if header := uint64(unsafe.Sizeof(SeenSet{})); bytes > 16*keys+2*header {
-		t.Errorf("%d bytes for %d keys: more than 16 B/key plus the %d-byte shard headers", bytes, keys, header)
+	if header := uint64(unsafe.Sizeof(SeenSet{})); bytes > 16*keys+header {
+		t.Errorf("%d bytes for %d keys: more than 16 B/key plus the %d-byte header", bytes, keys, header)
 	}
 }

@@ -76,9 +76,6 @@ func (c *Config) fillDefaults() {
 	if c.PoolName == "" {
 		c.PoolName = "hcpool"
 	}
-	if c.RangeSize == 0 {
-		c.RangeSize = DefaultRangeSize
-	}
 	if c.VerifyWorkers < 1 {
 		c.VerifyWorkers = runtime.GOMAXPROCS(0)
 	}
@@ -615,7 +612,7 @@ func (c *serverConn) writeLoop() {
 	for m := range c.out {
 		var err error
 		if m.job != nil {
-			start, end := m.job.AssignRange(c.s.cfg.RangeSize)
+			start, end := m.job.AssignRange(c.s.jm.rangeSize)
 			scratch = m.job.notifyFrame().render(scratch, start, end)
 			err = c.conn.WriteLine(scratch)
 		} else {
@@ -677,7 +674,8 @@ func (c *serverConn) serve() {
 			return
 		}
 		// Admission fast path: submits dominate miner traffic by orders
-		// of magnitude, and the scanner decodes them without allocating.
+		// of magnitude, and parseSubmit decodes the line every client
+		// writes without allocating.
 		if jobID, nonce, ok := parseSubmit(line); ok {
 			if !c.handleShare(jobID, nonce) {
 				return
@@ -696,8 +694,8 @@ func (c *serverConn) serve() {
 		case TypeSubscribe:
 			c.handleSubscribe(&env)
 		case TypeSubmit:
-			// Exotic-but-legal submit encodings the fast scanner
-			// declined take the same admission path.
+			// Any other spelling of a submit takes the same
+			// admission path.
 			if !c.handleShare([]byte(env.JobID), env.Nonce) {
 				return
 			}
